@@ -166,7 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tau", type=float, default=None, help="relaxation time (0 < tau < beta)")
         sp.add_argument("--beta", type=float, default=None, help="damping coefficient")
         sp.add_argument("--c", type=float, default=None,
-                        help="wave speed; folded in by beta -> c^2 beta, k -> k/c (default 1)")
+                        help="wave speed (default 1); folded into the damping as beta -> c^2 beta, "
+                             "frequencies and times are not rescaled")
         sp.add_argument("--config", type=str, default=None,
                         help="flat key=value config file; flags take precedence")
         sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")

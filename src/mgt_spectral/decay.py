@@ -20,6 +20,7 @@ subinterval width.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import lyapunov
 from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
@@ -163,17 +163,36 @@ def region_rates(p: ModelParams, split: RegionSplit | None = None) -> tuple[floa
 # certified truncation of the frequency integrals
 # ---------------------------------------------------------------------------
 
-def _gauss_tail(m: float, s: float, K: float) -> float:
-    """Upper bound on int_K^inf k^m exp(-(s k)^2) dk."""
+def _upper_gamma(two_a: int, z: float) -> float:
+    """Upper incomplete gamma Gamma(a, z) at a half-integer or integer a = two_a / 2.
+
+    Starts from Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) or Gamma(1, z) = e^-z
+    and recurses upward with Gamma(a + 1, z) = a Gamma(a, z) + z^a e^-z.  Every
+    term is positive, so nothing cancels.
+    """
+    if two_a % 2:
+        a, g = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(z))
+    else:
+        a, g = 1.0, math.exp(-z)
+    log_z = math.log(z) if z > 0.0 else -math.inf
+    while 2.0 * a < two_a:
+        g = a * g + math.exp(a * log_z - z)
+        a += 1.0
+    return g
+
+
+def _gauss_tail(m: int, s: float, K: float) -> float:
+    """Upper bound on int_K^inf k^m exp(-(s k)^2) dk for an integer power m."""
     if K <= 0.0:
         K = 1e-12
     z = (s * K) ** 2
-    if m <= -2.0:
+    if m <= -2:
         return math.exp(-z) * K ** (m + 1) / (-m - 1.0)
-    if m == -1.0:
-        return 0.5 * float(special.exp1(z))
-    a = 0.5 * (m + 1.0)
-    return 0.5 * s ** (-(m + 1.0)) * float(special.gamma(a) * special.gammaincc(a, z))
+    if m == -1:
+        # the one order without an elementary closed form (N + 2j <= 2 only)
+        from scipy.special import exp1
+        return 0.5 * float(exp1(z))
+    return 0.5 * s ** (-(m + 1.0)) * _upper_gamma(m + 1, z)
 
 
 def _envelope_monomials(p: ModelParams, data: DataTriple) -> tuple[list[tuple[float, int]], float]:
@@ -203,14 +222,9 @@ def _envelope_monomials(p: ModelParams, data: DataTriple) -> tuple[list[tuple[fl
     return [(0.5 * c, pw) for c, pw in mono if c != 0.0], s_min
 
 
-_WEIGHTS_CACHE: dict[tuple[float, float], lyapunov.LyapunovWeights] = {}
-
-
+@functools.lru_cache
 def _cached_weights(p: ModelParams) -> lyapunov.LyapunovWeights:
-    key = (p.tau, p.beta)
-    if key not in _WEIGHTS_CACHE:
-        _WEIGHTS_CACHE[key] = lyapunov.default_weights(p)
-    return _WEIGHTS_CACHE[key]
+    return lyapunov.default_weights(p)
 
 
 def _tail_bound(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
@@ -537,7 +551,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
     bound_const = sharp = None
     if dim + j >= 3:
         a = 0.5 * (dim + j - 2)
-        bound_const = 0.5 * c ** (-a) * float(special.gamma(a))
+        bound_const = 0.5 * c ** (-a) * math.gamma(a)
         sharp = 0.5 * bound_const
         tpos = times[times > 0.0]
         vals = []

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EmptyInput, NonPositiveMargin
 from .mode_solver import ModeState, mode_coefficients, evaluate_mode, mode_matrix
@@ -89,31 +88,49 @@ def functionals(p: ModelParams, state: ModeState, w: LyapunovWeights) -> Functio
 
 
 # ---------------------------------------------------------------------------
-# quadratic-form matrices (states as complex vectors z = (u, v, w))
+# quadratic-form matrices (states as complex vectors z = (u, v, w)), stacked
+# over a frequency array k as (n, 3, 3)
 # ---------------------------------------------------------------------------
 
-def _energy_matrix(p: ModelParams, k: float) -> np.ndarray:
+def _energy_matrix(p: ModelParams, k: np.ndarray) -> np.ndarray:
     a, b, ev = _extractors(p)
-    k2 = k * k
+    k2 = np.square(k)[..., None, None]
     return 0.5 * (np.outer(a, a) + p.tau * (p.beta - p.tau) * k2 * np.outer(ev, ev)
                   + k2 * np.outer(b, b))
 
 
-def _lyapunov_matrix(p: ModelParams, k: float, w: LyapunovWeights) -> np.ndarray:
+def _lyapunov_matrix(p: ModelParams, k: np.ndarray, w: LyapunovWeights) -> np.ndarray:
     a, b, ev = _extractors(p)
-    r = k * k / (1.0 + k * k)
+    r = rho(k)[..., None, None]
     f1m = 0.5 * (np.outer(b, a) + np.outer(a, b))
     f2m = -p.tau * 0.5 * (np.outer(ev, a) + np.outer(a, ev))
     return w.gamma0 * _energy_matrix(p, k) + r * f1m + w.gamma1 * r * f2m
 
 
-def _v_matrix(p: ModelParams, k: float) -> np.ndarray:
-    a, b, ev = _extractors(p)
-    k2 = k * k
-    return np.outer(a, a) + k2 * np.outer(b, b) + k2 * np.outer(ev, ev)
+def _pencil_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetric-definite pencil (a, b) in a stack.
+
+    Factors b = C C^T and takes the eigenvalues of C^-1 a C^-T, the same
+    reduction LAPACK's sygv performs, batched over the leading axis.
+    """
+    c = np.linalg.cholesky(b)
+    ca = np.linalg.solve(c, a)
+    return np.linalg.eigvalsh(np.linalg.solve(c, np.swapaxes(ca, -1, -2)))
+
+
+def _decay_margins(p: ModelParams, ks: np.ndarray, ml: np.ndarray) -> np.ndarray:
+    """Exact state-minimum of (-dL/dt) / (rho L) at each frequency of ks."""
+    phi = mode_matrix(p, ks)
+    dmat = -(np.swapaxes(phi, -1, -2) @ ml + ml @ phi)
+    return _pencil_eigvalsh(dmat, rho(ks)[:, None, None] * ml)[:, 0]
 
 
 _DEFAULT_K_GRID = np.concatenate([np.geomspace(1e-3, 1e4, 140), [1e6, 1e9]])
+
+
+def _positive_grid(k_grid: np.ndarray | None) -> np.ndarray:
+    ks = _DEFAULT_K_GRID if k_grid is None else np.asarray(k_grid, dtype=float)
+    return ks[ks > 0.0]
 
 
 def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> LyapunovWeights:
@@ -136,21 +153,13 @@ def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> Lyapuno
     probe = LyapunovWeights(gamma0=gamma0, gamma1=gamma1, eps0=eps0, eps1=eps1,
                             eps2=eps2, gamma5=0.0, equiv_lo=0.0, equiv_hi=0.0,
                             v_lo=0.0, v_hi=0.0)
-    ks = _DEFAULT_K_GRID if k_grid is None else np.asarray(k_grid, dtype=float)
-    ks = ks[ks > 0.0]
-
-    lo, hi = np.inf, -np.inf
-    g5 = np.inf
-    for k in ks:
-        me = _energy_matrix(p, float(k))
-        ml = _lyapunov_matrix(p, float(k), probe)
-        ratios = scipy.linalg.eigh(ml, me, eigvals_only=True)
-        lo = min(lo, ratios[0])
-        hi = max(hi, ratios[-1])
-        g5 = min(g5, _decay_margin_at(p, float(k), ml))
+    ks = _positive_grid(k_grid)
+    ml = _lyapunov_matrix(p, ks, probe)
+    ratios = _pencil_eigvalsh(ml, _energy_matrix(p, ks))
     # the rho -> 0 limit of L/E is exactly gamma0
-    lo = min(lo, gamma0)
-    hi = max(hi, gamma0)
+    lo = min(float(ratios[:, 0].min(initial=np.inf)), gamma0)
+    hi = max(float(ratios[:, -1].max(initial=-np.inf)), gamma0)
+    g5 = float(_decay_margins(p, ks, ml).min(initial=np.inf))
     if lo <= 0.0 or g5 <= 0.0:
         raise NonPositiveMargin(
             f"weight recipe failed: equiv_lo={lo:.3e}, gamma5={g5:.3e}")
@@ -168,23 +177,13 @@ def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> Lyapuno
                            v_lo=v_lo, v_hi=v_hi)
 
 
-def _decay_margin_at(p: ModelParams, k: float, ml: np.ndarray) -> float:
-    """Exact state-minimum of (-dL/dt) / (rho L) at one frequency."""
-    phi = mode_matrix(p, k)
-    dmat = -(phi.T @ ml + ml @ phi)
-    r = k * k / (1.0 + k * k)
-    vals = scipy.linalg.eigh(dmat, r * ml, eigvals_only=True)
-    return float(vals[0])
-
-
 def decay_margin_exact(p: ModelParams, w: LyapunovWeights,
                        k_grid: np.ndarray | None = None) -> float:
     """Minimum over a frequency grid of the exact per-mode decay margin."""
-    ks = _DEFAULT_K_GRID if k_grid is None else np.asarray(k_grid, dtype=float)
-    ks = ks[ks > 0.0]
+    ks = _positive_grid(k_grid)
     if ks.size == 0:
         raise EmptyInput("decay margin needs a nonempty positive frequency grid")
-    return min(_decay_margin_at(p, float(k), _lyapunov_matrix(p, float(k), w)) for k in ks)
+    return float(_decay_margins(p, ks, _lyapunov_matrix(p, ks, w)).min())
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IllConditioned, StepFailure
 from .params import ModelParams
@@ -75,14 +74,15 @@ class VVector:
         return abs(self.a) ** 2 + self.b_mag**2 + self.c_mag**2
 
 
-def mode_matrix(p: ModelParams, k: float) -> np.ndarray:
-    """The 3x3 system matrix at frequency magnitude k."""
-    k2 = k * k
-    return np.array([
-        [0.0, 1.0, 0.0],
-        [0.0, 0.0, 1.0],
-        [-k2 / p.tau, -p.beta * k2 / p.tau, -1.0 / p.tau],
-    ])
+def mode_matrix(p: ModelParams, k: float | np.ndarray) -> np.ndarray:
+    """The 3x3 system matrix at frequency magnitude k; a stack for an array k."""
+    k2 = np.square(np.asarray(k, dtype=float))
+    phi = np.zeros(k2.shape + (3, 3))
+    phi[..., 0, 1] = phi[..., 1, 2] = 1.0
+    phi[..., 2, 0] = -k2 / p.tau
+    phi[..., 2, 1] = -p.beta * k2 / p.tau
+    phi[..., 2, 2] = -1.0 / p.tau
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +261,9 @@ def propagate_numeric(p: ModelParams, k: float, init: ModeState, t: float,
         raise ValueError(f"tolerance must be positive, got {tol}")
     if t == 0.0:
         return init
+    # imported here: scipy.integrate costs a quarter second and only the oracle uses it
+    from scipy.integrate import solve_ivp
+
     phi = mode_matrix(p, k)
     y0 = init.as_array()
     scale = max(1.0, float(np.max(np.abs(y0))))

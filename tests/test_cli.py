@@ -192,3 +192,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--tau", "0.9999", "--beta", "1", "--quick")
         assert code == 0
         assert "min_gamma5" in out
+
+
+class TestWaveSpeed:
+    """--c folds into the damping only: --c 2 --beta b is --beta 4b, byte for byte."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("atlas", ["--k-min", "0", "--k-max", "4", "--k-count", "60"]),
+        ("mode", ["--k", "1.3", "--t-max", "5", "--t-count", "21",
+                  "--data", "u0:gaussian:1:1,u1:mfgaussian:1:1,u2:zero"]),
+    ])
+    @pytest.mark.parametrize("beta", [0.25, 0.3])
+    def test_c_equals_beta_rescaling(self, capsys, command, extra, beta):
+        code_c, out_c, _ = run(capsys, command, "--tau", "0.1", "--beta", repr(beta),
+                               "--c", "2", *extra)
+        code_b, out_b, _ = run(capsys, command, "--tau", "0.1", "--beta", repr(4 * beta),
+                               *extra)
+        assert code_c == code_b == 0
+        assert out_c == out_b

@@ -254,3 +254,28 @@ class TestIntegralLemmas:
             integral_lemma_check(1, 0, -1.0, [1.0])
         with pytest.raises(EmptyInput):
             integral_lemma_check(1, 0, 1.0, [])
+
+
+class TestGaussTailClosedForm:
+    """The closed-form tail bound against scipy's incomplete gamma and exp1."""
+
+    @pytest.mark.parametrize("m", range(-1, 13))
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_matches_scipy_reference(self, m, s):
+        from scipy import special
+
+        from mgt_spectral.decay import _gauss_tail
+
+        for z in np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 120)]):
+            K = math.sqrt(z) / s
+            z_eff = (s * (K if K > 0.0 else 1e-12)) ** 2  # K = 0 is floored at 1e-12
+            if m == -1:
+                ref = 0.5 * float(special.exp1(z_eff))
+            else:
+                a = 0.5 * (m + 1)
+                ref = 0.5 * s ** (-(m + 1.0)) * float(special.gamma(a) * special.gammaincc(a, z_eff))
+            if ref <= 1e-290:
+                continue
+            got = _gauss_tail(m, s, K)
+            # a certified upper bound: never more than rounding below the reference
+            assert abs(got - ref) <= 1e-12 * ref, (m, s, z, got, ref)

@@ -7,7 +7,7 @@ from mgt_spectral import (EmptyInput, ModeState, decay_margin_exact, default_wei
                           energy_dissipation_residual, functionals, gronwall_margin,
                           mode_coefficients, evaluate_mode, pointwise_bound_constants,
                           rho, solve_mode, v_vector, validate)
-from mgt_spectral.lyapunov import dissipation_scale
+from mgt_spectral.lyapunov import _DEFAULT_K_GRID, dissipation_scale
 
 P = validate(0.1, 1.0)
 
@@ -204,3 +204,53 @@ class TestDifferentialInequalities:
                 assert rates["dF1"] + (1 - w.eps0) * k2 * B2 <= A2 + c0 * k2 * V2 + slack
                 assert (rates["dF2"] + (1 - w.eps1) * A2
                         <= c12_full * (1 + k2) * V2 + w.eps2 * k2 * B2 + slack)
+
+
+def _scipy_weight_reference(p, w, ks):
+    """(gamma5, equiv_lo, equiv_hi) from per-frequency scipy.linalg.eigh pencils."""
+    import scipy.linalg
+
+    a = np.array([0.0, 1.0, p.tau])
+    b = np.array([1.0, p.tau, 0.0])
+    ev = np.array([0.0, 1.0, 0.0])
+    lo, hi, g5 = w.gamma0, w.gamma0, np.inf
+    for k in ks:
+        k2 = k * k
+        r = k2 / (1.0 + k2)
+        me = 0.5 * (np.outer(a, a) + p.tau * (p.beta - p.tau) * k2 * np.outer(ev, ev)
+                    + k2 * np.outer(b, b))
+        ml = (w.gamma0 * me + r * 0.5 * (np.outer(b, a) + np.outer(a, b))
+              - w.gamma1 * r * p.tau * 0.5 * (np.outer(ev, a) + np.outer(a, ev)))
+        ratios = scipy.linalg.eigh(ml, me, eigvals_only=True)
+        lo, hi = min(lo, ratios[0]), max(hi, ratios[-1])
+        phi = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                        [-k2 / p.tau, -p.beta * k2 / p.tau, -1.0 / p.tau]])
+        dmat = -(phi.T @ ml + ml @ phi)
+        g5 = min(g5, scipy.linalg.eigh(dmat, r * ml, eigvals_only=True)[0])
+    return 0.999 * g5, 0.999 * lo, 1.001 * hi
+
+
+class TestBatchedWeightsAgainstScipy:
+    def params(self):
+        rng = np.random.default_rng(2026)
+        pts = [validate(r, 1.0) for r in ((1.0 - 1e-9) / 9.0, 0.9999, 1e-4)]
+        for _ in range(12):
+            beta = float(rng.uniform(0.2, 5.0))
+            pts.append(validate(float(rng.uniform(0.01, 0.99)) * beta, beta))
+        return pts
+
+    def test_default_weights_match_per_point_eigh(self):
+        for p in self.params():
+            w = default_weights(p)
+            ref = _scipy_weight_reference(p, w, _DEFAULT_K_GRID)
+            got = (w.gamma5, w.equiv_lo, w.equiv_hi)
+            for name, g, r in zip(("gamma5", "equiv_lo", "equiv_hi"), got, ref):
+                assert abs(g - r) <= 1e-10 * abs(r), (p, name, g, r)
+
+    def test_decay_margin_exact_matches_per_point_eigh(self):
+        ks = np.geomspace(0.05, 50.0, 10)
+        for p in self.params():
+            w = default_weights(p)
+            ref = _scipy_weight_reference(p, w, ks)[0] / 0.999
+            got = decay_margin_exact(p, w, ks)
+            assert abs(got - ref) <= 1e-10 * abs(ref), (p, got, ref)
