@@ -40,10 +40,7 @@ print("case                 fitted slope   bound exponent   verdict")
 for name, data, dim, j, v_norm in cases:
     curve = mgt.decay_curve(p, data, dim, j, times, quad_tol=1e-10, v_norm=v_norm)
     exponent = curve.bound_exponent if not v_norm else -dim / 4.0 - j / 2.0
-    shape = (1.0 + curve.times) ** exponent
-    n2 = curve.times.size // 2
-    c_early = np.max(curve.values[:n2] / shape[:n2])
-    within = np.all(curve.values <= 1.01 * c_early * shape + 1e-8)
+    within, _ = mgt.bound_verdict(curve, exponent, 1e-8)
     print(f"{name}    {curve.fitted_slope:+.4f}        {exponent:+.2f}           "
           f"{'within bound' if within else 'VIOLATION'}")
 

@@ -27,7 +27,7 @@ from .lyapunov import (LyapunovWeights, FunctionalValues, default_weights, funct
                        pointwise_bound_constants, rho)
 from .decay import (FrequencyProfile, ProfileKind, RegionSplit, RegionContributions,
                     DecayCurve, region_split, region_rates, sobolev_norm_sq, v_norm_sq,
-                    region_contributions, decay_curve, decay_curve_rows,
+                    region_contributions, decay_curve, decay_curve_rows, bound_verdict,
                     decay_curve_summary, fit_decay_slope, integral_lemma_check,
                     IntegralLemmaReport, infer_data_class)
 from .quadrature import adaptive_quadrature, QuadResult

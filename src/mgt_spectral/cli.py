@@ -304,6 +304,7 @@ def cmd_mode(args, config) -> int:
         w_hat=complex(data[2](karr)[0]), k=float(k))
     weights = lyapunov.default_weights(p)
     coeffs = mode_solver.mode_coefficients(p, float(k), init)
+    us, vs, ws = mode_solver.evaluate_mode(coeffs, float(k), ts, n_derivatives=2)
 
     buf = io.StringIO()
     for line in _header_lines("mode", {"tau": _fmt(p.tau), "beta": _fmt(p.beta),
@@ -311,8 +312,7 @@ def cmd_mode(args, config) -> int:
                                        "t_max": _fmt(tmax), "t_count": tcount}):
         buf.write(line + "\n")
     buf.write("t,re_u,im_u,v_sq,energy,lyap\n")
-    for t in ts:
-        u, v, w = mode_solver.evaluate_mode(coeffs, float(k), float(t), n_derivatives=2)
+    for t, u, v, w in zip(ts, us, vs, ws):
         state = mode_solver.ModeState(u_hat=u, v_hat=v, w_hat=w, k=float(k))
         vv = mode_solver.v_vector(p, state)
         f = lyapunov.functionals(p, state, weights)
@@ -340,11 +340,7 @@ def cmd_decay(args, config) -> int:
     curve = decay.decay_curve(p, data, dim, j, ts, quad_tol, v_norm=bool(args.v_norm))
     summary = decay.decay_curve_summary(curve)
 
-    # bound verdict: constant measured on the leading half, 1% slack afterwards
-    n = curve.times.size
-    shape = (1.0 + curve.times) ** curve.bound_exponent
-    c_early = float(np.max(curve.values[: max(1, n // 2)] / shape[: max(1, n // 2)]))
-    within = bool(np.all(curve.values <= 1.01 * c_early * shape + 10.0 * quad_tol))
+    within, c_early = decay.bound_verdict(curve, curve.bound_exponent, 10.0 * quad_tol)
     summary["bound_constant_early_window"] = c_early
     summary["verdict"] = "WITHIN_BOUND" if within else "VIOLATION"
 
@@ -441,6 +437,7 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
                    if t < b]
     min_g5 = math.inf
     worst_growth = 0.0
+    ts = np.linspace(0.0, 20.0, 81)
     for pp in pairs:
         w = lyapunov.default_weights(pp)
         min_g5 = min(min_g5, w.gamma5)
@@ -450,8 +447,7 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
             coeffs = mode_solver.mode_coefficients(pp, k, init)
             r = float(lyapunov.rho(k))
             prev = None
-            for t in np.linspace(0.0, 20.0, 81):
-                u, v, ww = mode_solver.evaluate_mode(coeffs, k, float(t), 2)
+            for t, u, v, ww in zip(ts, *mode_solver.evaluate_mode(coeffs, k, ts, 2)):
                 st = mode_solver.ModeState(u, v, ww, k)
                 val = lyapunov.functionals(pp, st, w).lyap * math.exp(w.gamma5 * r * float(t))
                 if prev is not None and prev > 0:
@@ -489,12 +485,7 @@ def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
     def bound_ok(curve) -> bool:
         if not (np.all(np.isfinite(curve.values)) and np.all(curve.values >= 0.0)):
             return False
-        if not asymptotic:
-            return True
-        shape = (1.0 + curve.times) ** curve.bound_exponent
-        n2 = max(1, curve.times.size // 2)
-        c_early = float(np.max(curve.values[:n2] / shape[:n2]))
-        return bool(np.all(curve.values <= 1.01 * c_early * shape + 10 * tol))
+        return not asymptotic or decay.bound_verdict(curve, curve.bound_exponent, 10 * tol)[0]
 
     c3 = decay.decay_curve(p, (zero, zero, gauss), 3, 0, tgrid, tol)
     ok3 = bound_ok(c3)

@@ -414,6 +414,19 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
                       tau=p.tau, beta=p.beta, quad_tol=quad_tol)
 
 
+def bound_verdict(curve: DecayCurve, exponent: float, abs_slack: float) -> tuple[bool, float]:
+    """(within, c_early) of the early-window bound rule.
+
+    c_early is the largest values / (1+t)^exponent over the leading half of
+    the times; the curve is within the bound when every value is at most
+    1.01 c_early (1+t)^exponent + abs_slack.
+    """
+    shape = (1.0 + curve.times) ** exponent
+    n2 = max(1, curve.times.size // 2)
+    c_early = float(np.max(curve.values[:n2] / shape[:n2]))
+    return bool(np.all(curve.values <= 1.01 * c_early * shape + abs_slack)), c_early
+
+
 def decay_curve_rows(curve: DecayCurve) -> list[tuple[float, float, float]]:
     """(t, norm, bound_value) rows; bound_value = C_measured (1+t)^exponent."""
     bound = curve.bound_constant_measured * (1.0 + curve.times) ** curve.bound_exponent

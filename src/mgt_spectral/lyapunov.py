@@ -130,7 +130,10 @@ _DEFAULT_K_GRID = np.concatenate([np.geomspace(1e-3, 1e4, 140), [1e6, 1e9]])
 
 def _positive_grid(k_grid: np.ndarray | None) -> np.ndarray:
     ks = _DEFAULT_K_GRID if k_grid is None else np.asarray(k_grid, dtype=float)
-    return ks[ks > 0.0]
+    ks = ks[ks > 0.0]
+    if ks.size == 0:
+        raise EmptyInput("the frequency grid holds no positive frequency")
+    return ks
 
 
 def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> LyapunovWeights:
@@ -157,9 +160,9 @@ def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> Lyapuno
     ml = _lyapunov_matrix(p, ks, probe)
     ratios = _pencil_eigvalsh(ml, _energy_matrix(p, ks))
     # the rho -> 0 limit of L/E is exactly gamma0
-    lo = min(float(ratios[:, 0].min(initial=np.inf)), gamma0)
-    hi = max(float(ratios[:, -1].max(initial=-np.inf)), gamma0)
-    g5 = float(_decay_margins(p, ks, ml).min(initial=np.inf))
+    lo = min(float(ratios[:, 0].min()), gamma0)
+    hi = max(float(ratios[:, -1].max()), gamma0)
+    g5 = float(_decay_margins(p, ks, ml).min())
     if lo <= 0.0 or g5 <= 0.0:
         raise NonPositiveMargin(
             f"weight recipe failed: equiv_lo={lo:.3e}, gamma5={g5:.3e}")
@@ -181,8 +184,6 @@ def decay_margin_exact(p: ModelParams, w: LyapunovWeights,
                        k_grid: np.ndarray | None = None) -> float:
     """Minimum over a frequency grid of the exact per-mode decay margin."""
     ks = _positive_grid(k_grid)
-    if ks.size == 0:
-        raise EmptyInput("decay margin needs a nonempty positive frequency grid")
     return float(_decay_margins(p, ks, _lyapunov_matrix(p, ks, w)).min())
 
 
@@ -264,8 +265,7 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
             # samples are state vectors; the swept frequency comes from the grid
             init = ModeState(sample.u_hat, sample.v_hat, sample.w_hat, k=float(k))
             coeffs = mode_coefficients(p, float(k), init)
-            for t in ts:
-                u, v, w_ = evaluate_mode(coeffs, float(k), float(t), n_derivatives=2)
+            for u, v, w_ in zip(*evaluate_mode(coeffs, float(k), ts, n_derivatives=2)):
                 state = ModeState(u_hat=u, v_hat=v, w_hat=w_, k=float(k))
                 vals = functionals(p, state, w)
                 rates = _state_rates(p, state)

@@ -4,13 +4,19 @@ Each frequency magnitude k evolves under the third-order ODE
 
     tau * u''' + u'' + k^2 * u + beta * k^2 * u' = 0,
 
-solved in closed form from the eigenvalues of the mode matrix.  Four formula
-variants cover the root patterns (real root plus conjugate pair, three
-distinct reals, real double root, real triple root); the variant is selected
-from the computed eigenvalue spacing, not from exact parameter identities,
-so near-confluent modes never touch an ill-conditioned Vandermonde system.
-Derivatives come from differentiating the closed form, never from finite
-differences.
+whose state y = (u, u', u'') obeys y' = Phi(k) y.  Every mode value comes
+from one batched kernel, _propagate, which evaluates exp(Phi t) y0 in Newton
+(Putzer) form over divided differences of exp(lam t) at the three
+eigenvalues.  The divided differences are computed in real arithmetic from
+one real root and the quadratic factor of the cubic, so the form is
+continuous through every confluence (double roots at m1, m2 and k = 0, the
+triple root at the critical ratio) and needs no pattern switch, no
+Vandermonde solve and no conditioning gate.  Derivatives are components of
+the propagated state, never finite differences.
+
+The per-pattern expansion coefficients of mode_coefficients (real root plus
+conjugate pair, three distinct reals, real double root, real triple root)
+are kept as a description of the mode; evaluation does not use them.
 
 propagate_numeric() integrates the equivalent first-order system with an
 adaptive high-order Runge-Kutta scheme and serves as the cross-check oracle
@@ -20,13 +26,13 @@ for the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IllConditioned, StepFailure
 from .params import ModelParams
-from .spectrum import RootPattern, TOL_CONFLUENT, _roots_batch_checked
+from .spectrum import RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _route_confluent
 
 
 @dataclass(frozen=True)
@@ -47,18 +53,22 @@ class ModeState:
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Expansion coefficients plus the root data needed to evaluate them.
+    """Expansion coefficients of one mode, with the data that evaluates it.
 
     `structure` holds the roots in the layout of the selected pattern:
     REAL_PLUS_PAIR -> (lam_real, alpha, omega) for the pair alpha +- i*omega,
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3),
     REAL_WITH_DOUBLE -> (lam_simple, lam_double),
     TRIPLE_REAL -> (lam,).
+    evaluate_mode propagates `init` with the mode kernel's `nodes`, not the
+    coefficients.
     """
 
     pattern: RootPattern
     coeffs: tuple[complex, complex, complex]
     structure: tuple[float, ...]
+    init: ModeState
+    nodes: tuple = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,96 @@ def mode_matrix(p: ModelParams, k: float | np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pattern selection by eigenvalue spacing
+# the mode kernel: exp(Phi t) y0 in Newton form
+# ---------------------------------------------------------------------------
+
+#: 1/(j+2)! for the terms of the centred series of the third divided difference;
+#: the series runs only where every scaled node is at most ~1 in modulus, so
+#: twenty terms reach rounding level.
+_SERIES_WEIGHTS = np.array([1.0 / math.factorial(j + 2) for j in range(20)])
+
+
+def _apply_phi(a: float, b: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Phi y for Phi with last row (-c, -b, -a), applied without forming Phi."""
+    return np.stack([y[1], y[2], -(c * y[0] + b * y[1] + a * y[2])])
+
+
+def _nodes(p: ModelParams, k2: np.ndarray, roots: np.ndarray, is_pair: np.ndarray) -> tuple:
+    """Per-frequency data of the Newton form, (a, b, c, lam, alpha, q).
+
+    Phi's characteristic cubic is z^3 + a z^2 + b z + c, with (roots,
+    is_pair) from _cubic_roots_batch; lam is a real root and
+    (z - alpha)^2 - q the quadratic factor left after deflating it.
+    """
+    a = 1.0 / p.tau
+    b = p.beta * k2 / p.tau
+    c = k2 / p.tau
+    re = roots.real
+    # the real root of a pair row, else the real root farthest from the other two;
+    # at k = 0 exactly -a, so that the decoupled u'' row propagates exactly
+    lam = np.where(is_pair | (re[:, 1] - re[:, 0] > re[:, 2] - re[:, 1]), re[:, 0], re[:, 2])
+    lam = np.where(c == 0.0, -a, lam)
+    # Vieta deflation; a + lam cancels at small k, (s - b)/lam where s is close to b
+    s = -c / lam
+    use_sum = (a + np.abs(lam)) * np.abs(lam) <= np.abs(s) + b
+    alpha = -0.5 * np.where(use_sum, a + lam, (s - b) / lam)
+    return a, b, c, lam, alpha, alpha * alpha - s
+
+
+def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
+    """exp(Phi t) y0 for states y0 of shape (3, ...), Phi given by _nodes.
+
+    The node arrays and t broadcast together and against y0's trailing axes.
+    With x1, x2 the roots of the quadratic factor and lam the real root, the
+    Newton interpolant of f(z) = e^{zt} gives
+
+        exp(Phi t) = d0 + d1 (Phi - alpha) + d2 ((Phi - alpha)^2 - q)
+                   = e^{lam t} + g0 (Phi - lam) + d2 (Phi - alpha)(Phi - lam),
+
+    where d0 = (e^{x1 t} + e^{x2 t})/2, d1 = f[x1, x2], d2 = f[x1, x2, lam]
+    and g0 = d1 + (lam - alpha) d2.  Each is a smooth function of the
+    cubic's coefficients, so roots that carry the unavoidable error near a
+    double or triple root do not spoil the result.  The second form is the
+    one applied: at k = 0 the u'' row decouples, (Phi - lam) y0 has an exact
+    zero there (lam = -1/tau), and u'' = e^{-t/tau} u''(0) keeps its
+    relative accuracy however fast it decays.
+    """
+    a, b, c, lam, alpha, q = nodes
+    t = np.asarray(t, dtype=float)
+    osc = q < 0.0
+    r = np.sqrt(np.abs(q))
+    rt = r * t
+    # e^{x1 t} with x1 = alpha + r the larger real node, or e^{alpha t} for a complex
+    # pair; e^{alpha t} cosh would overflow at large t where e^{x1 t} cannot
+    e_hi = np.exp((alpha + np.where(osc, 0.0, r)) * t)
+    decay = -np.expm1(-2.0 * rt)
+    d0 = e_hi * np.where(osc, np.cos(rt), 1.0 - 0.5 * decay)
+    d1 = e_hi * np.where(r > 0.0, np.where(osc, np.sin(rt), 0.5 * decay)
+                         / np.where(r > 0.0, r, 1.0), t)
+
+    dl = lam - alpha
+    den = dl * dl - q  # (lam - x1)(lam - x2)
+    series = np.abs(den) * t * t < 1.0
+    e_lam = np.exp(lam * t)
+    d2 = (e_lam - dl * d1 - d0) / np.where(series, 1.0, den)
+    if series.any():
+        # close nodes: centred Taylor series e^{-at/3} t^2 sum_j h_j / (j+2)!, with
+        # h_j the complete symmetric polynomials of the scaled depressed-cubic roots
+        ts, bs, cs = (np.broadcast_to(x, series.shape)[series] for x in (t, b, c))
+        a2 = -(bs - a * a / 3.0) * ts * ts
+        a3 = -(2.0 * a**3 / 27.0 - a * bs / 3.0 + cs) * ts**3
+        h = [np.ones_like(ts), np.zeros_like(ts), a2]
+        for _ in range(3, _SERIES_WEIGHTS.size):
+            h.append(a2 * h[-2] + a3 * h[-3])
+        d2[series] = np.exp(-a * ts / 3.0) * ts * ts * (_SERIES_WEIGHTS @ np.stack(h))
+
+    w1 = _apply_phi(a, b, c, y0) - lam * y0
+    w2 = _apply_phi(a, b, c, w1) - alpha * w1
+    return e_lam * y0 + (d1 + dl * d2) * w1 + d2 * w2
+
+
+# ---------------------------------------------------------------------------
+# pattern coefficients (a description of the mode, not used to evaluate it)
 # ---------------------------------------------------------------------------
 
 def _select_structure(roots: np.ndarray, is_pair: bool) -> tuple[RootPattern, tuple[float, ...]]:
@@ -131,19 +230,25 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
 
 def mode_coefficients(p: ModelParams, k: float, init: ModeState,
                       pattern: RootPattern | None = None) -> ModeCoefficients:
-    """Solve the 3x3 initial-condition system for the expansion coefficients.
+    """Expansion coefficients of the mode in the basis of its root pattern.
 
-    With pattern=None the formula variant is selected automatically from the
-    eigenvalue spacing and the solve is always well conditioned.  Forcing a
-    distinct-roots pattern raises IllConditioned when the system's condition
-    number exceeds 1/TOL_CONFLUENT, signalling that the caller must
-    reclassify the mode as confluent.
+    With pattern=None the pattern is selected from the eigenvalue spacing
+    and the call never raises for a valid mode; close to a confluence the
+    coefficients are as ill-conditioned as the basis itself (they grow like
+    the inverse root spacing), which does not affect evaluate_mode.  Forcing
+    a distinct-roots pattern raises IllConditioned when its coefficient
+    system's condition number exceeds 1/TOL_CONFLUENT, signalling that the
+    caller must reclassify the mode as confluent.
     """
     if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
         raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
-    roots, is_pair = _roots_batch_checked(p, np.array([k * k]))
+    k2 = np.array([k * k])
+    roots, is_pair = _cubic_roots_batch(p.tau, p.beta, k2)
+    nodes = _nodes(p, k2, roots, is_pair)
+    roots, is_pair = _route_confluent(p, k2, roots, is_pair)
     auto_pattern, auto_structure = _select_structure(roots[0], bool(is_pair[0]))
 
+    forced = pattern is not None
     if pattern is None or pattern is auto_pattern:
         pattern, structure = auto_pattern, auto_structure
     else:
@@ -167,66 +272,42 @@ def mode_coefficients(p: ModelParams, k: float, init: ModeState,
         c1 = rhs[0]
         c2 = rhs[1] - lam * c1
         c3 = (rhs[2] - lam * lam * c1 - 2.0 * lam * c2) / 2.0
-        return ModeCoefficients(pattern, (c1, c2, c3), structure)
+        return ModeCoefficients(pattern, (c1, c2, c3), structure, init, nodes)
 
     mat = _coefficient_matrix(pattern, structure)
-    if pattern in (RootPattern.REAL_PLUS_PAIR, RootPattern.THREE_DISTINCT_REAL):
+    if forced and pattern in (RootPattern.REAL_PLUS_PAIR, RootPattern.THREE_DISTINCT_REAL):
         cond = np.linalg.cond(mat)
         if cond > 1.0 / TOL_CONFLUENT:
             raise IllConditioned(
                 f"coefficient system at k={k} has condition number {cond:.3e}; "
                 "reclassify as confluent")
     sol = np.linalg.solve(mat, rhs)
-    return ModeCoefficients(pattern, tuple(sol), structure)
+    return ModeCoefficients(pattern, tuple(sol), structure, init, nodes)
 
 
 # ---------------------------------------------------------------------------
-# closed-form evaluation with analytic derivatives
+# evaluation: the kernel on a batch of one mode
 # ---------------------------------------------------------------------------
 
-def _derivative_coeffs(pattern: RootPattern, structure: tuple[float, ...],
-                       coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients of d/dt applied to the expansion, same representation."""
-    c1, c2, c3 = coeffs
-    if pattern is RootPattern.REAL_PLUS_PAIR:
-        lam_r, al, om = structure
-        return np.array([lam_r * c1, al * c2 + om * c3, al * c3 - om * c2])
-    if pattern is RootPattern.THREE_DISTINCT_REAL:
-        l1, l2, l3 = structure
-        return np.array([l1 * c1, l2 * c2, l3 * c3])
-    if pattern is RootPattern.REAL_WITH_DOUBLE:
-        ls, ld = structure
-        return np.array([ls * c1, ld * c2 + c3, ld * c3])
-    lam = structure[0]
-    return np.array([lam * c1 + c2, lam * c2 + 2.0 * c3, lam * c3])
+def evaluate_mode(coeffs: ModeCoefficients, k: float, t,
+                  n_derivatives: int = 2) -> tuple:
+    """The mode and its first n_derivatives time derivatives at t.
 
-
-def _evaluate_expansion(pattern: RootPattern, structure: tuple[float, ...],
-                        coeffs: np.ndarray, t: float) -> complex:
-    c1, c2, c3 = coeffs
-    if pattern is RootPattern.REAL_PLUS_PAIR:
-        lam_r, al, om = structure
-        return c1 * math.exp(lam_r * t) + math.exp(al * t) * (
-            c2 * math.cos(om * t) + c3 * math.sin(om * t))
-    if pattern is RootPattern.THREE_DISTINCT_REAL:
-        l1, l2, l3 = structure
-        return c1 * math.exp(l1 * t) + c2 * math.exp(l2 * t) + c3 * math.exp(l3 * t)
-    if pattern is RootPattern.REAL_WITH_DOUBLE:
-        ls, ld = structure
-        return c1 * math.exp(ls * t) + (c2 + c3 * t) * math.exp(ld * t)
-    lam = structure[0]
-    return (c1 + c2 * t + c3 * t * t) * math.exp(lam * t)
-
-
-def evaluate_mode(coeffs: ModeCoefficients, k: float, t: float,
-                  n_derivatives: int = 2) -> tuple[complex, ...]:
-    """Evaluate the mode and its first n_derivatives time derivatives at t."""
-    cs = np.array(coeffs.coeffs, dtype=complex)
-    out = [_evaluate_expansion(coeffs.pattern, coeffs.structure, cs, t)]
-    for _ in range(n_derivatives):
-        cs = _derivative_coeffs(coeffs.pattern, coeffs.structure, cs)
-        out.append(_evaluate_expansion(coeffs.pattern, coeffs.structure, cs, t))
-    return tuple(out)
+    t is a time or an array of times; each returned value has t's shape
+    (a complex number for a scalar t).  The mode is the one `coeffs` was
+    built for; k is accepted for symmetry with the other calls.  Derivative
+    j <= 2 is a component of exp(Phi t) y0; higher ones propagate
+    Phi^(j-2) y0, so they check that the kernel commutes with Phi.
+    """
+    vecs = [coeffs.init.as_array()[:, None]]
+    for _ in range(n_derivatives - 2):
+        vecs.append(_apply_phi(*coeffs.nodes[:3], vecs[-1]))
+    t = np.asarray(t, dtype=float)
+    y0 = np.concatenate(vecs, axis=1).reshape((3,) + (1,) * t.ndim + (len(vecs),))
+    y = _propagate(coeffs.nodes, y0, t[..., None])
+    out = [y[j, ..., 0] for j in range(min(n_derivatives, 2) + 1)]
+    out += [y[2, ..., j] for j in range(1, len(vecs))]
+    return tuple(complex(x) if t.ndim == 0 else x for x in out)
 
 
 def solve_mode(p: ModelParams, k: float, init: ModeState, t: float,
@@ -242,7 +323,8 @@ def solve_mode(p: ModelParams, k: float, init: ModeState, t: float,
 def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[float, float]:
     """|tau*u''' + u'' + k^2 u + beta k^2 u'| at time t, with its magnitude scale.
 
-    The third derivative is reconstructed analytically from the expansion.
+    The third derivative is the kernel applied to Phi y0, independently of
+    the propagated state.
     """
     coeffs = mode_coefficients(p, k, init)
     u, v, w, w_t = evaluate_mode(coeffs, k, t, n_derivatives=3)
@@ -283,139 +365,16 @@ def v_vector(p: ModelParams, state: ModeState) -> VVector:
     return VVector(a=a, b_mag=b_mag, c_mag=c_mag)
 
 
-# ---------------------------------------------------------------------------
-# vectorized evaluation over a frequency grid (quadrature back end)
-# ---------------------------------------------------------------------------
-
 def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.ndarray,
                         u2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form (u, u_t, u_tt) at time t for an array of frequency magnitudes.
 
-    Pattern selection and coefficient solves are batched by root structure;
-    this is the hot path of the norm quadratures.
+    One call of the mode kernel; the hot path of the norm quadratures.  The
+    results are real for real data and complex for complex data.  Raises
+    InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
     """
     ks = np.asarray(ks, dtype=float)
-    n = ks.shape[0]
-    u = np.empty(n, dtype=complex)
-    v = np.empty(n, dtype=complex)
-    w = np.empty(n, dtype=complex)
-    if n == 0:
-        return u, v, w
-
-    roots, is_pair = _roots_batch_checked(p, ks * ks)
-    scale = np.maximum(1.0, np.max(np.abs(roots), axis=1))
-    tol = TOL_CONFLUENT * scale
-
-    re = roots.real
-    pair_split = is_pair & (2.0 * np.abs(roots[:, 1].imag) >= tol)
-    pair_merged = is_pair & ~pair_split
-    real3 = ~is_pair
-    d1 = np.where(real3, re[:, 1] - re[:, 0], 0.0)
-    d2 = np.where(real3, re[:, 2] - re[:, 1], 0.0)
-    triple_m = (real3 & (d1 < tol) & (d2 < tol)) | (pair_merged & (np.abs(re[:, 0] - re[:, 1]) < tol))
-    double_m = ((real3 & ((d1 < tol) ^ (d2 < tol))) | pair_merged) & ~triple_m
-    distinct_m = real3 & ~triple_m & ~double_m
-    pair_m = pair_split
-
-    rhs = np.stack([np.asarray(u0, dtype=complex), np.asarray(u1, dtype=complex),
-                    np.asarray(u2, dtype=complex)], axis=1)
-
-    def _eval_lin(mat, b, f):
-        # mat: (m,3,3) real, b: (m,3) complex, f evaluates from coefficients
-        cs = np.linalg.solve(mat.astype(complex), b[..., None])[..., 0]
-        return f(cs)
-
-    if np.any(pair_m):
-        idx = np.where(pair_m)[0]
-        lam_r = re[idx, 0]
-        al = roots[idx, 1].real
-        om = np.abs(roots[idx, 1].imag)
-        m = np.zeros((idx.size, 3, 3))
-        m[:, 0, 0] = 1.0
-        m[:, 0, 1] = 1.0
-        m[:, 1, 0] = lam_r
-        m[:, 1, 1] = al
-        m[:, 1, 2] = om
-        m[:, 2, 0] = lam_r * lam_r
-        m[:, 2, 1] = al * al - om * om
-        m[:, 2, 2] = 2.0 * al * om
-
-        def feval(cs):
-            e_r = np.exp(lam_r * t)
-            e_p = np.exp(al * t)
-            cosw, sinw = np.cos(om * t), np.sin(om * t)
-            outs = []
-            c1, c2, c3 = cs[:, 0], cs[:, 1], cs[:, 2]
-            for _ in range(3):
-                outs.append(c1 * e_r + e_p * (c2 * cosw + c3 * sinw))
-                c1, c2, c3 = lam_r * c1, al * c2 + om * c3, al * c3 - om * c2
-            return outs
-
-        u[idx], v[idx], w[idx] = _eval_lin(m, rhs[idx], feval)
-
-    if np.any(distinct_m):
-        idx = np.where(distinct_m)[0]
-        lams = re[idx]
-        m = np.ones((idx.size, 3, 3))
-        m[:, 1, :] = lams
-        m[:, 2, :] = lams * lams
-
-        def feval(cs):
-            e = np.exp(lams * t)
-            outs = []
-            c = cs
-            for _ in range(3):
-                outs.append((c * e).sum(axis=1))
-                c = c * lams
-            return outs
-
-        u[idx], v[idx], w[idx] = _eval_lin(m, rhs[idx], feval)
-
-    if np.any(double_m):
-        idx = np.where(double_m)[0]
-        ls = np.empty(idx.size)
-        ld = np.empty(idx.size)
-        merged = pair_merged[idx]
-        ls[merged] = re[idx[merged], 0]
-        ld[merged] = re[idx[merged], 1]
-        r3 = ~merged
-        low = d1[idx] < tol[idx]
-        ls[r3 & low] = re[idx[r3 & low], 2]
-        ld[r3 & low] = 0.5 * (re[idx[r3 & low], 0] + re[idx[r3 & low], 1])
-        ls[r3 & ~low] = re[idx[r3 & ~low], 0]
-        ld[r3 & ~low] = 0.5 * (re[idx[r3 & ~low], 1] + re[idx[r3 & ~low], 2])
-        m = np.zeros((idx.size, 3, 3))
-        m[:, 0, 0] = 1.0
-        m[:, 0, 1] = 1.0
-        m[:, 1, 0] = ls
-        m[:, 1, 1] = ld
-        m[:, 1, 2] = 1.0
-        m[:, 2, 0] = ls * ls
-        m[:, 2, 1] = ld * ld
-        m[:, 2, 2] = 2.0 * ld
-
-        def feval(cs):
-            e_s, e_d = np.exp(ls * t), np.exp(ld * t)
-            outs = []
-            c1, c2, c3 = cs[:, 0], cs[:, 1], cs[:, 2]
-            for _ in range(3):
-                outs.append(c1 * e_s + (c2 + c3 * t) * e_d)
-                c1, c2, c3 = ls * c1, ld * c2 + c3, ld * c3
-            return outs
-
-        u[idx], v[idx], w[idx] = _eval_lin(m, rhs[idx], feval)
-
-    if np.any(triple_m):
-        idx = np.where(triple_m)[0]
-        lam = re[idx].mean(axis=1)
-        c1 = rhs[idx, 0]
-        c2 = rhs[idx, 1] - lam * c1
-        c3 = 0.5 * (rhs[idx, 2] - lam * lam * c1 - 2.0 * lam * c2)
-        e = np.exp(lam * t)
-        outs = []
-        for _ in range(3):
-            outs.append((c1 + c2 * t + c3 * t * t) * e)
-            c1, c2, c3 = lam * c1 + c2, lam * c2 + 2.0 * c3, lam * c3
-        u[idx], v[idx], w[idx] = outs
-
+    y0 = np.stack(np.broadcast_arrays(u0, u1, u2))
+    k2 = ks * ks
+    u, v, w = _propagate(_nodes(p, k2, *_cubic_roots_batch(p.tau, p.beta, k2)), y0, t)
     return u, v, w

@@ -38,6 +38,10 @@ TOL_CONFLUENT = 1e-7
 #: k^2 closer to m1/m2 than this (relative) is routed to the confluent formulas.
 TOL_BOUNDARY = 1e-11
 
+#: Largest beta*k^2/tau the closed-form roots take: beyond it the cube of the
+#: depressed-cubic coefficient overflows.
+MAX_STIFFNESS = 1e102
+
 
 class RootPattern(Enum):
     REAL_PLUS_PAIR = "RealPlusPair"
@@ -93,13 +97,18 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
     Returns (roots, is_pair): roots has shape (n, 3), complex.  Where is_pair
     is True the layout is (real root, a+ib with b > 0, a-ib); otherwise three
     real roots in ascending order.  Roots are Newton-polished; exact pattern
-    bookkeeping (double/triple detection) is left to the callers.
+    bookkeeping (double/triple detection) is left to the callers.  Raises
+    InvalidFrequency where beta*k2/tau exceeds MAX_STIFFNESS.
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
     n = k2.shape[0]
     # normalized monic coefficients: lam^3 + A lam^2 + B lam + C
     A = np.full(n, 1.0 / tau)
     B = beta * k2 / tau
+    if not (B <= MAX_STIFFNESS).all():
+        raise InvalidFrequency(
+            f"beta*k^2/tau must not exceed {MAX_STIFFNESS:.0e} (k <= "
+            f"{math.sqrt(MAX_STIFFNESS * tau / beta):.3e} here); got {np.max(B):.3e}")
     C = k2 / tau
 
     Q = (A * A - 3.0 * B) / 9.0
@@ -173,12 +182,11 @@ def _polish_batch(tau: float, beta: float, k2: np.ndarray, roots: np.ndarray,
         roots[real_rows] = np.sort(roots[real_rows].real, axis=1).astype(complex)
 
 
-def _roots_batch_checked(p: ModelParams, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batch roots with threshold frequencies routed to the analytic confluent
-    formulas, where the closed form would return noisy near-equal roots."""
-    k2 = np.atleast_1d(np.asarray(k2, dtype=float))
-    roots, is_pair = _cubic_roots_batch(p.tau, p.beta, k2)
-
+def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,
+                     is_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite, in place, the _cubic_roots_batch rows at threshold frequencies
+    with the analytic confluent roots, where the closed form returns noisy
+    near-equal roots; returns (roots, is_pair)."""
     zero = k2 == 0.0
     if np.any(zero):
         roots[zero, 0] = -1.0 / p.tau
@@ -256,7 +264,8 @@ def classify(p: ModelParams, k: float) -> RootPattern:
 def eigenvalues(p: ModelParams, k: float) -> SpectrumPoint:
     """All three eigenvalues of Phi(k) with canonical labeling.
 
-    Raises InvalidFrequency on negative or non-finite k.
+    Raises InvalidFrequency on negative or non-finite k, and where
+    beta*k^2/tau exceeds MAX_STIFFNESS.
     """
     try:
         k = float(k)

@@ -279,3 +279,30 @@ class TestGaussTailClosedForm:
             got = _gauss_tail(m, s, K)
             # a certified upper bound: never more than rounding below the reference
             assert abs(got - ref) <= 1e-12 * ref, (m, s, z, got, ref)
+
+
+class TestBoundVerdict:
+    def _curve(self, values, exponent=-0.5):
+        from mgt_spectral import DecayCurve
+
+        ts = np.geomspace(1e2, 1e4, 8)
+        return DecayCurve(times=ts, values=np.asarray(values(ts)), dim=1, j=0,
+                          fitted_slope=None, bound_exponent=exponent,
+                          bound_constant_measured=0.0, tau=P.tau, beta=P.beta,
+                          quad_tol=1e-10)
+
+    def test_exact_power_law_is_within_with_its_constant(self):
+        from mgt_spectral import bound_verdict
+
+        curve = self._curve(lambda ts: 3.0 * (1.0 + ts) ** -0.5)
+        within, c_early = bound_verdict(curve, -0.5, 0.0)
+        assert within and c_early == pytest.approx(3.0, rel=1e-14)
+
+    def test_late_rise_beyond_the_slack_is_a_violation(self):
+        from mgt_spectral import bound_verdict
+
+        curve = self._curve(lambda ts: (1.0 + ts) ** -0.5 * np.where(ts > 5e3, 1.02, 1.0))
+        assert not bound_verdict(curve, -0.5, 0.0)[0]
+        # the absolute slack absorbs it, and so does a slower bound exponent
+        assert bound_verdict(curve, -0.5, 1e-3)[0]
+        assert bound_verdict(curve, -0.4, 0.0)[0]

@@ -254,3 +254,11 @@ class TestBatchedWeightsAgainstScipy:
             ref = _scipy_weight_reference(p, w, ks)[0] / 0.999
             got = decay_margin_exact(p, w, ks)
             assert abs(got - ref) <= 1e-10 * abs(ref), (p, got, ref)
+
+
+class TestEmptyPositiveGrid:
+    def test_weights_and_margin_reject_a_grid_without_positive_frequency(self):
+        with pytest.raises(EmptyInput):
+            default_weights(P, k_grid=[0.0])
+        with pytest.raises(EmptyInput):
+            decay_margin_exact(P, default_weights(P), k_grid=[0.0])

@@ -217,3 +217,113 @@ class TestGridEvaluation:
         u, v, w = solve_modes_on_grid(P_CRIT, ks, np.ones(3), np.zeros(3), np.zeros(3), 1.0)
         ref = solve_mode(P_CRIT, math.sqrt(3.0), ModeState(1.0, 0.0, 0.0, math.sqrt(3.0)), 1.0)
         assert abs(u[1] - ref.u_hat) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the mode kernel against an eigenvalue-free reference near every confluence
+# ---------------------------------------------------------------------------
+
+SWEEP_TIMES = (0.0, 0.01, 0.5, 3.0, 10.0)
+
+
+def _confluent_windows():
+    """(params, k^2) pairs: tau/beta = (1 - d)/9 with k^2 around the merged
+    threshold, and k^2 around m1 and m2 at three regular ratios."""
+    from mgt_spectral import cardano_thresholds
+
+    near = np.geomspace(1e-14, 1e-3, 12)
+    merged_offsets = np.concatenate([-near, [0.0], near])
+    side = np.geomspace(1e-14, 1e-6, 9)
+    side_offsets = np.concatenate([-side, [0.0], side])
+    out = []
+    for d in (1e-13, 1e-11, 1e-9, 1e-7, 1e-5):
+        p = validate((1.0 - d) / 9.0, 1.0)
+        thr = cardano_thresholds(p)
+        m = 0.5 * (thr.m1 + thr.m2)
+        out.append((p, m * (1.0 + merged_offsets)))
+    for tau, beta in ((0.1, 1.0), (0.02, 1.1), (0.09, 1.2)):
+        p = validate(tau, beta)
+        thr = cardano_thresholds(p)
+        for m in (thr.m1, thr.m2):
+            out.append((p, m * (1.0 + side_offsets)))
+    return out
+
+
+def _expm_reference(p, k, y0, t):
+    from scipy.linalg import expm
+
+    from mgt_spectral import mode_matrix
+    return expm(mode_matrix(p, k) * t) @ y0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestConfluenceSweep:
+    Y0 = np.array([0.4 - 0.3j, -1.1 + 0.2j, 0.7 + 0.9j])
+
+    def test_scalar_and_grid_match_expm(self):
+        worst = 0.0
+        for p, k2s in _confluent_windows():
+            ks = np.sqrt(k2s)
+            for t in SWEEP_TIMES:
+                grid = np.array(solve_modes_on_grid(
+                    p, ks, np.full(ks.size, self.Y0[0]), np.full(ks.size, self.Y0[1]),
+                    np.full(ks.size, self.Y0[2]), t))
+                for i, k in enumerate(ks):
+                    ref = _expm_reference(p, k, self.Y0, t)
+                    scalar = solve_mode(p, float(k), ModeState(*self.Y0, k=float(k)), t)
+                    for got in (scalar.as_array(), grid[:, i]):
+                        worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
+        assert worst <= 1e-10
+
+    def test_automatic_path_never_raises(self):
+        for p, k2s in _confluent_windows():
+            for k in np.sqrt(k2s):
+                init = ModeState(*self.Y0, k=float(k))
+                co = mode_coefficients(p, float(k), init)
+                assert co.pattern in RootPattern
+                assert np.all(np.isfinite(solve_mode(p, float(k), init, 3.0).as_array()))
+
+    def test_array_times_equal_scalar_calls(self):
+        ts = np.linspace(0.0, 10.0, 41)
+        for p, k in ((P, 0.0), (P, 1.2), (P, math.sqrt(3.125)), (P_CRIT, math.sqrt(3.0))):
+            co = mode_coefficients(p, k, ModeState(*self.Y0, k=k))
+            for n_der in (2, 3):
+                batch = evaluate_mode(co, k, ts, n_derivatives=n_der)
+                assert len(batch) == n_der + 1
+                for j, t in enumerate(ts):
+                    single = evaluate_mode(co, k, float(t), n_derivatives=n_der)
+                    np.testing.assert_allclose([b[j] for b in batch], single,
+                                               rtol=1e-14, atol=0.0)
+
+
+class TestZeroFrequencyKernel:
+    def test_decoupled_third_row_keeps_relative_accuracy_for_any_tau(self):
+        # at k = 0, u'' = e^(-t/tau) u''(0) exactly; the residual test above
+        # covers only tau = 0.1, where the computed root happens to be exact
+        rng = np.random.default_rng(91)
+        for tau in rng.uniform(1e-3, 5.0, 60):
+            p = validate(float(tau), 2.0 * float(tau))
+            for t in (1.0, 5.0, 20.0):
+                res, scale = ode_residual(p, 0.0, ModeState(0.3, -0.7, 1.9, 0.0), t * tau)
+                assert res <= 1e-9 * scale
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestLargeFrequency:
+    def test_beyond_the_root_range_raises(self):
+        from mgt_spectral import InvalidFrequency, eigenvalues
+
+        with pytest.raises(InvalidFrequency, match="1e\\+102"):
+            eigenvalues(P, 1e100)
+        with pytest.raises(InvalidFrequency):
+            solve_modes_on_grid(P, np.array([1.0, 1e100]), np.ones(2), np.zeros(2),
+                                np.zeros(2), 1.0)
+
+    def test_large_but_admissible_frequency_stays_finite(self):
+        from mgt_spectral import eigenvalues
+
+        assert np.all(np.isfinite(eigenvalues(P, 1e50).lambdas))
+        for t in (0.0, 1.0, 1e4):
+            out = solve_modes_on_grid(P, np.array([1e50]), np.ones(1), np.ones(1),
+                                      np.ones(1), t)
+            assert all(np.all(np.isfinite(x)) for x in out)
