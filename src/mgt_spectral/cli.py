@@ -424,10 +424,10 @@ def _suite_energy(p, rng, n) -> tuple[bool, str]:
         k = rng.uniform(0.0, 20.0)
         init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
                                      k=float(k))
-        for t in rng.uniform(0.0, 10.0, 10):
-            res = lyapunov.energy_dissipation_residual(pp, float(k), init, float(t))
-            scale = lyapunov.dissipation_scale(pp, float(k), init, float(t))
-            worst = max(worst, res / scale)
+        ts = rng.uniform(0.0, 10.0, 10)
+        res = lyapunov.energy_dissipation_residual(pp, float(k), init, ts)
+        scale = lyapunov.dissipation_scale(pp, float(k), init, ts)
+        worst = max(worst, float((res / scale).max()))
     return worst <= 1e-9, f"n={n} max_identity_residual={worst:.2e}"
 
 

@@ -16,7 +16,6 @@ exports the constants (C, c) of the pointwise exponential bound
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,8 +190,11 @@ def decay_margin_exact(p: ModelParams, w: LyapunovWeights,
 # dissipation identity and margin sweeps along trajectories
 # ---------------------------------------------------------------------------
 
-def _state_rates(p: ModelParams, state: ModeState) -> dict[str, float]:
-    """Time derivatives of E, F1, F2 via the chain rule and the mode ODE."""
+def _state_rates(p: ModelParams, state: ModeState) -> dict[str, np.ndarray]:
+    """Time derivatives of E, F1, F2 via the chain rule and the mode ODE.
+
+    Elementwise: a state of arrays gives arrays of rates.
+    """
     k2 = state.k * state.k
     u, v, w_ = state.u_hat, state.v_hat, state.w_hat
     w_t = -(k2 * u + p.beta * k2 * v + w_) / p.tau
@@ -202,38 +204,43 @@ def _state_rates(p: ModelParams, state: ModeState) -> dict[str, float]:
     B_t = v + p.tau * w_
     dE = ((np.conj(A) * A_t).real + p.tau * (p.beta - p.tau) * k2 * (np.conj(v) * w_).real
           + k2 * (np.conj(B) * B_t).real)
-    dF1 = abs(A) ** 2 + (np.conj(B) * A_t).real
+    dF1 = np.abs(A) ** 2 + (np.conj(B) * A_t).real
     dF2 = -p.tau * ((np.conj(w_) * A).real + (np.conj(v) * A_t).real)
     # scale from the magnitudes of the terms entering each product, so it does
     # not collapse when a derivative like A_t cancels to rounding noise
-    a_t_mag = abs(w_) + p.tau * abs(w_t)
-    scale = (abs(A) * a_t_mag + p.tau * (p.beta - p.tau) * k2 * abs(v) * abs(w_)
-             + k2 * abs(B) * (abs(v) + p.tau * abs(w_))
-             + (p.beta - p.tau) * k2 * abs(v) ** 2)
-    return {"dE": float(dE), "dF1": float(dF1), "dF2": float(dF2),
-            "scale": float(max(scale, 1e-300))}
+    a_t_mag = np.abs(w_) + p.tau * np.abs(w_t)
+    scale = (np.abs(A) * a_t_mag + p.tau * (p.beta - p.tau) * k2 * np.abs(v) * np.abs(w_)
+             + k2 * np.abs(B) * (np.abs(v) + p.tau * np.abs(w_))
+             + (p.beta - p.tau) * k2 * np.abs(v) ** 2)
+    return {"dE": dE, "dF1": dF1, "dF2": dF2, "scale": np.maximum(scale, 1e-300)}
 
 
-def energy_dissipation_residual(p: ModelParams, k: float, init: ModeState,
-                                t: float) -> float:
-    """|dE/dt + (beta - tau) k^2 |v|^2| along the trajectory at time t."""
-    if not (math.isfinite(t) and t >= 0.0):
+def _like_t(x: np.ndarray, t):
+    """x as a float for a scalar time, else as an array of t's shape."""
+    return float(x) if np.ndim(t) == 0 else x
+
+
+def energy_dissipation_residual(p: ModelParams, k: float, init: ModeState, t):
+    """|dE/dt + (beta - tau) k^2 |v|^2| along the trajectory at time t.
+
+    t is a time or an array of times, evaluated with one kernel call; the
+    result is a float or an array of t's shape.
+    """
+    ts = np.asarray(t, dtype=float)
+    if not (np.all(np.isfinite(ts)) and np.all(ts >= 0.0)):
         raise ValueError(f"dissipation residual requires t >= 0, got {t}")
-    coeffs = mode_coefficients(p, k, init)
-    u, v, w_ = evaluate_mode(coeffs, k, t, n_derivatives=2)
-    state = ModeState(u_hat=u, v_hat=v, w_hat=w_, k=k)
+    state = solve_for_state(p, k, init, ts)
     rates = _state_rates(p, state)
     k2 = k * k
-    return abs(rates["dE"] + (p.beta - p.tau) * k2 * abs(v) ** 2)
+    return _like_t(np.abs(rates["dE"] + (p.beta - p.tau) * k2 * np.abs(state.v_hat) ** 2), t)
 
 
-def dissipation_scale(p: ModelParams, k: float, init: ModeState, t: float) -> float:
-    """Magnitude scale of the dissipation identity terms at time t."""
-    state = solve_for_state(p, k, init, t)
-    return _state_rates(p, state)["scale"]
+def dissipation_scale(p: ModelParams, k: float, init: ModeState, t):
+    """Magnitude scale of the dissipation identity terms at time t (or times)."""
+    return _like_t(_state_rates(p, solve_for_state(p, k, init, t))["scale"], t)
 
 
-def solve_for_state(p: ModelParams, k: float, init: ModeState, t: float) -> ModeState:
+def solve_for_state(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
     coeffs = mode_coefficients(p, k, init)
     u, v, w_ = evaluate_mode(coeffs, k, t, n_derivatives=2)
     return ModeState(u_hat=u, v_hat=v, w_hat=w_, k=k)

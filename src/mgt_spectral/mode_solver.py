@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import IllConditioned, StepFailure
 from .params import ModelParams
-from .spectrum import RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _route_confluent
+from .spectrum import (RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _deflate,
+                       _route_confluent)
 
 
 @dataclass(frozen=True)
@@ -125,11 +126,7 @@ def _nodes(p: ModelParams, k2: np.ndarray, roots: np.ndarray, is_pair: np.ndarra
     # at k = 0 exactly -a, so that the decoupled u'' row propagates exactly
     lam = np.where(is_pair | (re[:, 1] - re[:, 0] > re[:, 2] - re[:, 1]), re[:, 0], re[:, 2])
     lam = np.where(c == 0.0, -a, lam)
-    # Vieta deflation; a + lam cancels at small k, (s - b)/lam where s is close to b
-    s = -c / lam
-    use_sum = (a + np.abs(lam)) * np.abs(lam) <= np.abs(s) + b
-    alpha = -0.5 * np.where(use_sum, a + lam, (s - b) / lam)
-    return a, b, c, lam, alpha, alpha * alpha - s
+    return (a, b, c, lam) + _deflate(a, b, c, lam)
 
 
 def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:

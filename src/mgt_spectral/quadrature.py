@@ -3,10 +3,12 @@
 The norm integrands oscillate on a scale proportional to 1/t, so the driver
 accepts a maximum subinterval width: the initial partition already resolves
 the oscillation and the error-driven bisection only has to polish.  The
-integrand is called on flat arrays of nodes (one call per refinement pass),
-which keeps the closed-form mode solver fully vectorized.  Interval sums are
-accumulated with compensated summation in a fixed order, so results are
-bit-reproducible for fixed inputs.
+integrand must be pointwise (each output depends only on its own node).  It
+is called on flat arrays of at most _BLOCK_NODES nodes, the 15 nodes of
+consecutive intervals, which keeps the closed-form mode solver vectorized
+while the memory of one call stays bounded however fine the partition.
+Interval sums are accumulated with compensated summation in a fixed order,
+so results are bit-reproducible for fixed inputs.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ _WK = np.concatenate([_WGK[:7], _WGK[::-1]])
 _WGFULL = np.zeros(15)
 _WGFULL[1:15:2] = np.concatenate([_WG[:3], _WG[::-1]])    # Gauss nodes sit at odd slots
 
+#: Most nodes passed to the integrand in one call; the intervals of a batch are
+#: evaluated in blocks of _BLOCK_INTERVALS, whole intervals per block.
+_BLOCK_NODES = 2**14
+_BLOCK_INTERVALS = _BLOCK_NODES // 15
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -52,14 +59,22 @@ class QuadResult:
 
 def _gk_batch(f: Callable[[np.ndarray], np.ndarray], lefts: np.ndarray,
               rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod values and |K15 - G7| error estimates for a batch of intervals."""
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = f(x.ravel()).reshape(x.shape)
-    vals_k = (y * _WK[None, :]).sum(axis=1) * half
-    vals_g = (y * _WGFULL[None, :]).sum(axis=1) * half
-    return vals_k, np.abs(vals_k - vals_g)
+    """Kronrod values and |K15 - G7| error estimates for a batch of intervals.
+
+    The integrand sees consecutive blocks of at most _BLOCK_NODES nodes, so
+    memory stays bounded however many intervals the batch holds.
+    """
+    vals = np.empty(lefts.size)
+    errs = np.empty(lefts.size)
+    for lo in range(0, lefts.size, _BLOCK_INTERVALS):
+        hi = lo + _BLOCK_INTERVALS
+        half = 0.5 * (rights[lo:hi] - lefts[lo:hi])
+        mid = 0.5 * (rights[lo:hi] + lefts[lo:hi])
+        x = mid[:, None] + half[:, None] * _NODES[None, :]
+        y = f(x.ravel()).reshape(x.shape)
+        vals[lo:hi] = (y * _WK[None, :]).sum(axis=1) * half
+        errs[lo:hi] = np.abs(vals[lo:hi] - (y * _WGFULL[None, :]).sum(axis=1) * half)
+    return vals, errs
 
 
 def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -68,6 +83,9 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
                         initial_edges: np.ndarray | None = None,
                         min_intervals: int = 4) -> QuadResult:
     """Integrate a vectorized integrand over [a, b] to absolute tolerance tol.
+
+    f maps a 1-d array of nodes to the integrand's values there, pointwise;
+    it is called on blocks of at most _BLOCK_NODES nodes.
 
     max_width caps every subinterval of the initial partition (oscillation
     control); initial_edges may inject extra break points such as region

@@ -10,7 +10,9 @@ whose characteristic polynomial is the cubic
     p(lam) = tau*lam^3 + lam^2 + beta*k^2*lam + k^2.
 
 Roots are computed by the closed-form trigonometric/Cardano solution of the
-depressed cubic followed by Newton polishing on the original polynomial.
+depressed cubic followed by Newton polishing on the original polynomial; a
+conjugate pair is then read off the quadratic factor left by the polished
+real root (Vieta), so it stays accurate relative to its own parts at any k.
 Exactly at the threshold frequencies k^2 = m1, m2 (and at the critical-ratio
 triple root) the closed form is ill-conditioned, so those points are routed
 to the analytic double/triple-root formulas instead.
@@ -96,8 +98,9 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
 
     Returns (roots, is_pair): roots has shape (n, 3), complex.  Where is_pair
     is True the layout is (real root, a+ib with b > 0, a-ib); otherwise three
-    real roots in ascending order.  Roots are Newton-polished; exact pattern
-    bookkeeping (double/triple detection) is left to the callers.  Raises
+    real roots in ascending order.  Real roots are Newton-polished and the
+    pair is deflated from the real root; exact pattern bookkeeping
+    (double/triple detection) is left to the callers.  Raises
     InvalidFrequency where beta*k2/tau exceeds MAX_STIFFNESS.
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
@@ -117,7 +120,14 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
     Q3 = Q**3
 
     roots = np.empty((n, 3), dtype=complex)
-    is_pair = R2 >= Q3  # boundary R2 == Q3 lands on the Cardano branch; polished below
+    # boundary R2 == Q3 lands on the Cardano branch; polished below.  At small k,
+    # R2 and Q3 agree to rounding and may call a pair three real roots, one of
+    # them positive, so a row is also a pair where the discriminant over k2,
+    # -4 + (18 tau beta + beta^2 - 27 tau^2) k2 - 4 tau beta^3 k2^2, is well
+    # below zero (-4 at k = 0; near 0 only close to the thresholds m1, m2)
+    disc = (-4.0 + (18.0 * tau * beta + beta * beta - 27.0 * tau * tau) * k2
+            - 4.0 * tau * beta**3 * k2 * k2)
+    is_pair = (R2 >= Q3) | (disc < -1.0)
 
     # three-real branch (trigonometric form)
     m3 = ~is_pair
@@ -151,7 +161,10 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
 
 def _polish_batch(tau: float, beta: float, k2: np.ndarray, roots: np.ndarray,
                   is_pair: np.ndarray, steps: int = 2) -> None:
-    """In-place Newton polish, keeping real roots real and pairs conjugate."""
+    """In-place Newton polish, keeping real roots real and pairs conjugate.
+
+    A pair is replaced by the roots of the quadratic factor left by its
+    row's polished real root."""
 
     def poly(lam):
         return tau * lam**3 + lam**2 + beta * k2[:, None] * lam + k2[:, None]
@@ -169,17 +182,32 @@ def _polish_batch(tau: float, beta: float, k2: np.ndarray, roots: np.ndarray,
         better = np.abs(poly(cand)) <= np.abs(f)
         roots[:] = np.where(better, cand, roots)
 
-    # restore exact structure: real roots real, pair exactly conjugate
+    # restore exact structure: real roots real, and the pair exactly conjugate,
+    # taken from the quadratic factor left by the polished real root (Vieta).
+    # Polished alone, the pair carries an absolute error of about eps*|lam2|:
+    # at large k that swamps its O(1) real part, at small k its O(k) imaginary part
     pair_rows = np.where(is_pair)[0]
     if pair_rows.size:
-        roots[pair_rows, 0] = roots[pair_rows, 0].real
-        lam2 = roots[pair_rows, 1]
-        lam2 = np.where(lam2.imag >= 0, lam2, np.conj(lam2))
+        lam = roots[pair_rows, 0].real
+        kp = k2[pair_rows]
+        alpha, q = _deflate(1.0 / tau, beta * kp / tau, kp / tau, lam)
+        lam2 = alpha + 1j * np.sqrt(np.maximum(-q, 0.0))
+        roots[pair_rows, 0] = lam
         roots[pair_rows, 1] = lam2
         roots[pair_rows, 2] = np.conj(lam2)
     real_rows = np.where(~is_pair)[0]
     if real_rows.size:
         roots[real_rows] = np.sort(roots[real_rows].real, axis=1).astype(complex)
+
+
+def _deflate(a, b, c, lam) -> tuple:
+    """(alpha, q) with (z - alpha)^2 - q the quadratic factor left after dividing
+    z^3 + a z^2 + b z + c by z - lam, for a real root lam (Vieta)."""
+    # a + lam cancels at small k, (s - b)/lam where s is close to b
+    s = -c / lam
+    use_sum = (a + np.abs(lam)) * np.abs(lam) <= np.abs(s) + b
+    alpha = -0.5 * np.where(use_sum, a + lam, (s - b) / lam)
+    return alpha, alpha * alpha - s
 
 
 def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,

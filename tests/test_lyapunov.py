@@ -120,6 +120,32 @@ class TestDissipationIdentity:
                 assert res <= 1e-9 * scale
 
 
+class TestDissipationOverTimes:
+    """An array of times is one kernel call and gives what the scalar calls give."""
+
+    def test_array_times_match_scalar_calls(self):
+        rng = np.random.default_rng(31)
+        for p, k in [(P, 1.0), (P, 1.78), (validate(0.5, 1.2), 7.0), (P, 0.0)]:
+            init = random_state(rng, k)
+            ts = rng.uniform(0.0, 10.0, 10)
+            res = energy_dissipation_residual(p, k, init, ts)
+            scale = dissipation_scale(p, k, init, ts)
+            assert res.shape == scale.shape == ts.shape
+            for t, r, s in zip(ts, res, scale):
+                assert s == pytest.approx(dissipation_scale(p, k, init, float(t)), rel=1e-12)
+                assert r <= 1e-9 * s
+
+    def test_scalar_time_returns_float(self):
+        init = ModeState(1.0, 1.0, 1.0, 1.0)
+        assert type(energy_dissipation_residual(P, 1.0, init, 2.0)) is float
+        assert type(dissipation_scale(P, 1.0, init, 2.0)) is float
+
+    def test_rejects_negative_time_in_array(self):
+        with pytest.raises(ValueError):
+            energy_dissipation_residual(P, 1.0, ModeState(1.0, 0.0, 0.0, 1.0),
+                                        np.array([1.0, -1.0]))
+
+
 class TestGronwallMargin:
     def test_positive_margin(self):
         w = default_weights(P)

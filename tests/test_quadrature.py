@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mgt_spectral import QuadResult, adaptive_quadrature
+from mgt_spectral import (FrequencyProfile, QuadResult, adaptive_quadrature, decay_curve,
+                          quadrature, validate)
 from mgt_spectral.errors import QuadratureFailure
+from mgt_spectral.quadrature import _BLOCK_NODES, _NODES, _WGFULL, _WK
 
 
 class TestGaussKronrod:
@@ -61,3 +63,65 @@ class TestGaussKronrod:
             adaptive_quadrature(lambda x: x, 1.0, 0.0, 1e-9)
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: x, 0.0, 1.0, -1e-9)
+
+
+def _gk_batch_unblocked(f, lefts, rights):
+    """Every node of the batch in one integrand call: the reference that the
+    blocked evaluation must reproduce bit for bit."""
+    half = 0.5 * (rights - lefts)
+    mid = 0.5 * (rights + lefts)
+    x = mid[:, None] + half[:, None] * _NODES[None, :]
+    y = f(x.ravel()).reshape(x.shape)
+    vals_k = (y * _WK[None, :]).sum(axis=1) * half
+    vals_g = (y * _WGFULL[None, :]).sum(axis=1) * half
+    return vals_k, np.abs(vals_k - vals_g)
+
+
+T_OSC = 2000.0
+CAP = np.pi / (4 * T_OSC)
+
+
+def _oscillatory(x):
+    return np.sin(T_OSC * x) ** 2 * np.exp(-x * x)
+
+
+def _oscillatory_with_cusp(x):
+    # sqrt has no bounded derivative at 0, so the first panels must be bisected
+    return _oscillatory(x) + np.sqrt(x)
+
+
+class TestBlockedEvaluation:
+    def test_calls_never_exceed_block(self):
+        sizes = []
+
+        def spy(x):
+            sizes.append(x.size)
+            return _oscillatory(x)
+
+        res = adaptive_quadrature(spy, 0.0, 5.0, 1e-10, max_width=CAP)
+        assert res.n_nodes > 2 * _BLOCK_NODES
+        assert max(sizes) <= _BLOCK_NODES
+        assert sum(sizes) == res.n_nodes
+
+    @pytest.mark.parametrize("fn, tol, refines", [(_oscillatory, 1e-10, False),
+                                                  (_oscillatory_with_cusp, 1e-12, True)])
+    def test_bit_identical_to_unblocked(self, monkeypatch, fn, tol, refines):
+        blocked = adaptive_quadrature(fn, 0.0, 5.0, tol, max_width=CAP)
+        monkeypatch.setattr(quadrature, "_gk_batch", _gk_batch_unblocked)
+        reference = adaptive_quadrature(fn, 0.0, 5.0, tol, max_width=CAP)
+        assert blocked.n_nodes > 2 * _BLOCK_NODES
+        # every bisection puts two intervals (30 nodes) in place of one
+        assert (blocked.n_nodes > 15 * blocked.n_intervals) == refines
+        assert blocked == reference
+
+    def test_decay_curve_bit_identical_to_unblocked(self, monkeypatch):
+        g = FrequencyProfile.gaussian()
+        p = validate(0.9 * 1.25, 1.25)
+
+        def curve():
+            return decay_curve(p, (g, g, g), dim=3, j=1, time_grid=[3e2, 1e3],
+                               quad_tol=1e-10, v_norm=True).values
+
+        blocked = curve()
+        monkeypatch.setattr(quadrature, "_gk_batch", _gk_batch_unblocked)
+        assert np.array_equal(blocked, curve())

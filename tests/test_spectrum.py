@@ -239,3 +239,64 @@ class TestPermutationAgreement:
             ref = eigenvalues(P, pt.k)
             assert match_sets(pt.lambdas, ref.lambdas, 1e-12)
             assert pt.pattern == ref.pattern
+
+
+def _mp_roots(tau, beta, k):
+    """The three roots by 80-digit mpmath, independent of the closed form."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        k2 = mp.mpf(k) ** 2
+        roots = mp.polyroots([mp.mpf(tau), 1, mp.mpf(beta) * k2, k2],
+                             maxsteps=200, extraprec=300)
+        return [complex(z) for z in roots]
+
+
+def _pair_reference(tau, beta, k):
+    """The upper conjugate-pair root by 80-digit mpmath."""
+    return max(_mp_roots(tau, beta, k), key=lambda z: z.imag)
+
+
+class TestPairFromVieta:
+    """The pair is taken from the quadratic factor left by the real root, so its
+    O(1) real part survives next to an O(k) imaginary part at large k, and its
+    O(k) imaginary part next to the O(1/tau) real root at small k; at small k
+    it is a pair, never three real roots."""
+
+    CASES = [(0.1, 1.0), (0.3, 0.5), (0.9, 1.25)]
+
+    @pytest.mark.parametrize("tau, beta", CASES)
+    def test_large_k_real_part(self, tau, beta):
+        p = validate(tau, beta)
+        for k in np.geomspace(1e3, 3.1e50, 30):
+            lam2 = eigenvalues(p, float(k)).lambdas[1]
+            ref = _pair_reference(tau, beta, k)
+            assert lam2.real < 0.0
+            assert abs(lam2.real - ref.real) <= 1e-12 * abs(ref.real), k
+
+    @pytest.mark.parametrize("tau, beta", CASES)
+    def test_small_k_pair(self, tau, beta):
+        p = validate(tau, beta)
+        for k in np.geomspace(1e-9, 1e-3, 13):
+            lam2 = eigenvalues(p, float(k)).lambdas[1]
+            ref = _pair_reference(tau, beta, k)
+            assert lam2.real < 0.0
+            assert abs(lam2 - ref) <= 1e-12 * abs(ref), k
+            assert abs(lam2.real - ref.real) <= 1e-12 * abs(ref.real), k
+
+    def test_random_domain(self):
+        # every root, real and imaginary parts apart, over the whole domain:
+        # log-uniform k from 1e-10 to 1e20, a third of the draws sub-critical
+        rng = np.random.default_rng(71)
+        for i in range(200):
+            tau = rng.uniform(0.01, 0.95)
+            beta = rng.uniform(1.05 * tau, 2.0)
+            if i % 3 == 0:
+                tau = beta * rng.uniform(0.005, 0.11)
+            k = 10.0 ** rng.uniform(-10.0, 20.0)
+            got = sorted(eigenvalues(validate(tau, beta), k).lambdas,
+                         key=lambda z: (z.real, z.imag))
+            ref = sorted(_mp_roots(tau, beta, k), key=lambda z: (z.real, z.imag))
+            for g, r in zip(got, ref):
+                assert g.real < 0.0
+                assert abs(g.real - r.real) <= 1e-12 * abs(r.real), (tau, beta, k)
+                assert abs(g.imag - r.imag) <= 1e-12 * max(abs(r.imag), abs(r.real)), (tau, beta, k)
