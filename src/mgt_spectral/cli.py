@@ -379,10 +379,10 @@ def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
     worst_res = worst_vieta = 0.0
     min_axis = math.inf
     for tau, beta, k in zip(taus, betas, ks):
-        pt = spectrum.eigenvalues(params.validate(tau, beta), float(k))
-        lams = np.array(pt.lambdas)
+        pk = params.validate(tau, beta)
+        lams = np.array(spectrum.eigenvalues(pk, float(k)).lambdas)
         for lam in lams:
-            r, s = spectrum.characteristic_residual(params.validate(tau, beta), lam, float(k))
+            r, s = spectrum.characteristic_residual(pk, lam, float(k))
             worst_res = max(worst_res, r / s)
         k2 = k * k
         vieta = max(

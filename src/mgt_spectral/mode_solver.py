@@ -33,7 +33,7 @@ import numpy as np
 from .errors import IllConditioned, StepFailure
 from .params import ModelParams
 from .spectrum import (RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _deflate,
-                       _route_confluent)
+                       _real_root, _route_confluent)
 
 
 @dataclass(frozen=True)
@@ -121,11 +121,8 @@ def _nodes(p: ModelParams, k2: np.ndarray, roots: np.ndarray, is_pair: np.ndarra
     a = 1.0 / p.tau
     b = p.beta * k2 / p.tau
     c = k2 / p.tau
-    re = roots.real
-    # the real root of a pair row, else the real root farthest from the other two;
-    # at k = 0 exactly -a, so that the decoupled u'' row propagates exactly
-    lam = np.where(is_pair | (re[:, 1] - re[:, 0] > re[:, 2] - re[:, 1]), re[:, 0], re[:, 2])
-    lam = np.where(c == 0.0, -a, lam)
+    # exactly -a at k = 0, so that the decoupled u'' row propagates exactly
+    lam = _real_root(roots, is_pair, a, c)
     return (a, b, c, lam) + _deflate(a, b, c, lam)
 
 
@@ -242,22 +239,23 @@ def mode_coefficients(p: ModelParams, k: float, init: ModeState,
     k2 = np.array([k * k])
     roots, is_pair = _cubic_roots_batch(p.tau, p.beta, k2)
     nodes = _nodes(p, k2, roots, is_pair)
-    roots, is_pair = _route_confluent(p, k2, roots, is_pair)
-    auto_pattern, auto_structure = _select_structure(roots[0], bool(is_pair[0]))
+    roots, patterns = _route_confluent(p, k2, roots, is_pair)
+    pair = patterns[0] is RootPattern.REAL_PLUS_PAIR
+    auto_pattern, auto_structure = _select_structure(roots[0], pair)
 
     forced = pattern is not None
     if pattern is None or pattern is auto_pattern:
         pattern, structure = auto_pattern, auto_structure
     else:
         # honor the caller's pattern using the raw roots
-        if pattern is RootPattern.REAL_PLUS_PAIR and is_pair[0]:
+        if pattern is RootPattern.REAL_PLUS_PAIR and pair:
             structure = (roots[0, 0].real, roots[0, 1].real, abs(roots[0, 1].imag))
-        elif pattern is RootPattern.THREE_DISTINCT_REAL and not is_pair[0]:
+        elif pattern is RootPattern.THREE_DISTINCT_REAL and not pair:
             structure = tuple(np.sort(roots[0].real))
         elif pattern is RootPattern.TRIPLE_REAL:
             structure = (float(np.mean(roots[0].real)),)
         elif pattern is RootPattern.REAL_WITH_DOUBLE:
-            _, structure = _select_structure(roots[0], bool(is_pair[0]))
+            _, structure = _select_structure(roots[0], pair)
             if len(structure) != 2:
                 raise IllConditioned(f"mode k={k} is not a double-root configuration")
         else:

@@ -10,12 +10,14 @@ whose characteristic polynomial is the cubic
     p(lam) = tau*lam^3 + lam^2 + beta*k^2*lam + k^2.
 
 Roots are computed by the closed-form trigonometric/Cardano solution of the
-depressed cubic followed by Newton polishing on the original polynomial; a
-conjugate pair is then read off the quadratic factor left by the polished
-real root (Vieta), so it stays accurate relative to its own parts at any k.
-Exactly at the threshold frequencies k^2 = m1, m2 (and at the critical-ratio
-triple root) the closed form is ill-conditioned, so those points are routed
-to the analytic double/triple-root formulas instead.
+depressed cubic, then Newton polishing on the original polynomial.  One real
+root of each row is kept and the other two are read off the quadratic factor
+it leaves (Vieta), so the three satisfy the Vieta sums to the residual of
+that root: at any k, and however close they are near m1, m2 and the critical
+ratio.  One batched path (_spectrum) makes the root-and-pattern decision for
+eigenvalues, classify and atlas: within TOL_BOUNDARY of m1 or m2 a factor
+with coincident roots is a double root, and at the critical-ratio threshold
+the triple root is -1/(3 tau).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ TOL_RESIDUAL = 1e-9
 #: Two roots closer than TOL_CONFLUENT * max(1, |lam|) are treated as a double root.
 TOL_CONFLUENT = 1e-7
 
-#: k^2 closer to m1/m2 than this (relative) is routed to the confluent formulas.
+#: k^2 closer to m1/m2 than this (relative) may hold a double root (_route_confluent).
 TOL_BOUNDARY = 1e-11
 
 #: Largest beta*k^2/tau the closed-form roots take: beyond it the cube of the
@@ -96,12 +98,11 @@ def characteristic_residual(p: ModelParams, lam: complex, k: float) -> tuple[flo
 def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of tau*lam^3 + lam^2 + beta*k2*lam + k2 for an array of k2 >= 0.
 
-    Returns (roots, is_pair): roots has shape (n, 3), complex.  Where is_pair
-    is True the layout is (real root, a+ib with b > 0, a-ib); otherwise three
-    real roots in ascending order.  Real roots are Newton-polished and the
-    pair is deflated from the real root; exact pattern bookkeeping
-    (double/triple detection) is left to the callers.  Raises
-    InvalidFrequency where beta*k2/tau exceeds MAX_STIFFNESS.
+    Returns (roots, is_pair): roots has shape (n, 3), complex, with the real
+    roots Newton-polished.  Where is_pair is True the row is (real root, 0, 0):
+    its pair is the quadratic factor that root leaves, which _route_confluent
+    fills in; otherwise the row holds three real roots in ascending order.
+    Raises InvalidFrequency where beta*k2/tau exceeds MAX_STIFFNESS.
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
     n = k2.shape[0]
@@ -119,7 +120,7 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
     R2 = R * R
     Q3 = Q**3
 
-    roots = np.empty((n, 3), dtype=complex)
+    roots = np.zeros((n, 3), dtype=complex)
     # boundary R2 == Q3 lands on the Cardano branch; polished below.  At small k,
     # R2 and Q3 agree to rounding and may call a pair three real roots, one of
     # them positive, so a row is also a pair where the discriminant over k2,
@@ -141,19 +142,12 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
         trip = np.sort(np.stack([r1, r2, r3], axis=1), axis=1)
         roots[m3] = trip.astype(complex)
 
-    # one real + conjugate pair branch (Cardano)
+    # the real root of a pair row (Cardano)
     if np.any(is_pair):
         Qm, Rm, Am = Q[is_pair], R[is_pair], A[is_pair]
         Sm = -np.sign(Rm) * np.cbrt(np.abs(Rm) + np.sqrt(np.maximum(R2[is_pair] - Q3[is_pair], 0.0)))
         Tm = np.where(Sm != 0.0, Qm / np.where(Sm != 0.0, Sm, 1.0), 0.0)
-        real = (Sm + Tm) - Am / 3.0
-        re_pair = -(Sm + Tm) / 2.0 - Am / 3.0
-        im_pair = (np.sqrt(3.0) / 2.0) * np.abs(Sm - Tm)
-        blk = np.empty((real.shape[0], 3), dtype=complex)
-        blk[:, 0] = real
-        blk[:, 1] = re_pair + 1j * im_pair
-        blk[:, 2] = re_pair - 1j * im_pair
-        roots[is_pair] = blk
+        roots[is_pair, 0] = (Sm + Tm) - Am / 3.0
 
     _polish_batch(tau, beta, k2, roots, is_pair)
     return roots, is_pair
@@ -161,43 +155,26 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndar
 
 def _polish_batch(tau: float, beta: float, k2: np.ndarray, roots: np.ndarray,
                   is_pair: np.ndarray, steps: int = 2) -> None:
-    """In-place Newton polish, keeping real roots real and pairs conjugate.
-
-    A pair is replaced by the roots of the quadratic factor left by its
-    row's polished real root."""
+    """In-place Newton polish of the real roots: the first column of a pair
+    row, and all three of an all-real row, which is then sorted ascending."""
+    sel = np.ones(roots.shape, dtype=bool)
+    sel[is_pair, 1:] = False
+    z = roots[sel]
+    kz = np.broadcast_to(k2[:, None], roots.shape)[sel]
 
     def poly(lam):
-        return tau * lam**3 + lam**2 + beta * k2[:, None] * lam + k2[:, None]
-
-    def dpoly(lam):
-        return 3.0 * tau * lam**2 + 2.0 * lam + beta * k2[:, None]
+        return tau * lam**3 + lam**2 + beta * kz * lam + kz
 
     for _ in range(steps):
-        f = poly(roots)
-        df = dpoly(roots)
+        f = poly(z)
+        df = 3.0 * tau * z**2 + 2.0 * z + beta * kz
         ok = np.abs(df) > 1e-300
         step = np.where(ok, f / np.where(ok, df, 1.0), 0.0)
-        cand = roots - step
+        cand = z - step
         # accept only steps that reduce the residual
-        better = np.abs(poly(cand)) <= np.abs(f)
-        roots[:] = np.where(better, cand, roots)
-
-    # restore exact structure: real roots real, and the pair exactly conjugate,
-    # taken from the quadratic factor left by the polished real root (Vieta).
-    # Polished alone, the pair carries an absolute error of about eps*|lam2|:
-    # at large k that swamps its O(1) real part, at small k its O(k) imaginary part
-    pair_rows = np.where(is_pair)[0]
-    if pair_rows.size:
-        lam = roots[pair_rows, 0].real
-        kp = k2[pair_rows]
-        alpha, q = _deflate(1.0 / tau, beta * kp / tau, kp / tau, lam)
-        lam2 = alpha + 1j * np.sqrt(np.maximum(-q, 0.0))
-        roots[pair_rows, 0] = lam
-        roots[pair_rows, 1] = lam2
-        roots[pair_rows, 2] = np.conj(lam2)
-    real_rows = np.where(~is_pair)[0]
-    if real_rows.size:
-        roots[real_rows] = np.sort(roots[real_rows].real, axis=1).astype(complex)
+        z = np.where(np.abs(poly(cand)) <= np.abs(f), cand, z)
+    roots[sel] = z
+    roots[~is_pair] = np.sort(roots[~is_pair].real, axis=1)
 
 
 def _deflate(a, b, c, lam) -> tuple:
@@ -210,90 +187,83 @@ def _deflate(a, b, c, lam) -> tuple:
     return alpha, alpha * alpha - s
 
 
+def _real_root(roots: np.ndarray, is_pair: np.ndarray, a: float, c: np.ndarray) -> np.ndarray:
+    """One real root of each _cubic_roots_batch row of z^3 + a z^2 + b z + c: the
+    real root of a pair row, else the real root farthest from the other two
+    (the simple root beside a double one); exactly -a at k = 0."""
+    re = roots.real
+    lam = np.where(is_pair | (re[:, 1] - re[:, 0] > re[:, 2] - re[:, 1]), re[:, 0], re[:, 2])
+    return np.where(c == 0.0, -a, lam)
+
+
+#: RootPattern by the sign of q (-1, 0, +1) in _route_confluent, then the triple root.
+_PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
+                      RootPattern.THREE_DISTINCT_REAL, RootPattern.TRIPLE_REAL], dtype=object)
+
+
 def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,
                      is_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite, in place, the _cubic_roots_batch rows at threshold frequencies
-    with the analytic confluent roots, where the closed form returns noisy
-    near-equal roots; returns (roots, is_pair)."""
-    zero = k2 == 0.0
-    if np.any(zero):
-        roots[zero, 0] = -1.0 / p.tau
-        roots[zero, 1] = 0.0
-        roots[zero, 2] = 0.0
-        is_pair[zero] = False
+    """Overwrite, in place, each _cubic_roots_batch row with its real root
+    (_real_root) and the roots of the quadratic factor (z - alpha)^2 - q that
+    root leaves (_deflate), and return (roots, patterns) with the RootPattern
+    of every row.
 
+    The factor is a conjugate pair where q < 0, a double root where q = 0
+    (k = 0) and two more real roots otherwise; so each row's Vieta sums hold
+    to the residual of its real root, however close the three roots are.  (A
+    pair polished on its own carries an absolute error of about eps*|lam2|,
+    which swamps its O(1) real part at large k and its O(k) imaginary part
+    at small k.)
+    This is the one place where k^2 is compared with the thresholds m1, m2:
+    within TOL_BOUNDARY of either, a factor whose roots lie closer than
+    TOL_CONFLUENT * max(1, |alpha|) becomes the double root alpha (q := 0;
+    near the critical ratio they can lie far apart even there), and at the
+    critical ratio the triple root is -1/(3 tau) = -a/3.
+    """
+    a, b, c = 1.0 / p.tau, p.beta * k2 / p.tau, k2 / p.tau
+    lam = _real_root(roots, is_pair, a, c)
+    alpha, q = _deflate(a, b, c, lam)
+    triple = np.zeros(k2.shape, dtype=bool)
     thr = params_mod.cardano_thresholds(p)
     if thr.m1 is not None:
         if params_mod.regime(p) is Regime.CRITICAL:
             m = 0.5 * (thr.m1 + thr.m2)
-            hit = np.abs(k2 - m) <= TOL_BOUNDARY * max(1.0, m)
-            if np.any(hit):
-                roots[hit] = -1.0 / (3.0 * p.tau)
-                is_pair[hit] = False
+            triple = np.abs(k2 - m) <= TOL_BOUNDARY * max(1.0, m)
         else:
-            for m in (thr.m1, thr.m2):
-                hit = np.abs(k2 - m) <= TOL_BOUNDARY * max(1.0, m)
-                if np.any(hit):
-                    lam_s, lam_d = _double_root_values(p.tau, p.beta, m)
-                    trio = np.sort([lam_s, lam_d, lam_d])
-                    roots[hit] = trio.astype(complex)
-                    is_pair[hit] = False
-    return roots, is_pair
+            near = ((np.abs(k2 - thr.m1) <= TOL_BOUNDARY * max(1.0, thr.m1))
+                    | (np.abs(k2 - thr.m2) <= TOL_BOUNDARY * max(1.0, thr.m2)))
+            close = 2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.maximum(1.0, np.abs(alpha))
+            q = np.where(near & close, 0.0, q)
+
+    r = np.sqrt(np.abs(q))
+    lam2 = alpha + 1j * r
+    roots[:] = np.where((q < 0.0)[:, None], np.stack([lam, lam2, np.conj(lam2)], axis=1),
+                        np.sort(np.stack([lam, alpha - r, alpha + r], axis=1), axis=1))
+    roots[triple] = -1.0 / (3.0 * p.tau)
+    return roots, _PATTERNS[np.where(triple, 3, np.sign(q).astype(int) + 1)]
 
 
-def _double_root_values(tau: float, beta: float, k2: float) -> tuple[float, float]:
-    """(simple, double) roots of the cubic when its discriminant vanishes."""
-    a, b, c, d = tau, 1.0, beta * k2, k2
-    disc0 = b * b - 3.0 * a * c
-    lam_double = (9.0 * a * d - b * c) / (2.0 * disc0)
-    lam_simple = (4.0 * a * b * c - 9.0 * a * a * d - b**3) / (a * disc0)
-    return lam_simple, lam_double
-
-
-def _boundary_kind(p: ModelParams, k2: float) -> str | None:
-    """Detect whether k2 sits on a threshold: 'm1', 'm2', 'triple', or None."""
-    thr = params_mod.cardano_thresholds(p)
-    if thr.m1 is None:
-        return None
-    reg = params_mod.regime(p)
-    if reg is Regime.CRITICAL:
-        m = 0.5 * (thr.m1 + thr.m2)
-        if abs(k2 - m) <= TOL_BOUNDARY * max(1.0, m):
-            return "triple"
-        return None
-    if abs(k2 - thr.m1) <= TOL_BOUNDARY * max(1.0, thr.m1):
-        return "m1"
-    if abs(k2 - thr.m2) <= TOL_BOUNDARY * max(1.0, thr.m2):
-        return "m2"
-    return None
+def _spectrum(p: ModelParams, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, patterns) for an array of k2 >= 0: canonical roots of each row
+    and its RootPattern, the one path behind eigenvalues, classify and atlas."""
+    return _route_confluent(p, k2, *_cubic_roots_batch(p.tau, p.beta, k2))
 
 
 def classify(p: ModelParams, k: float) -> RootPattern:
-    """Root pattern at frequency k, decided from k^2 against the thresholds."""
-    if not (math.isfinite(k) and k >= 0.0):
-        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k}")
-    if k == 0.0:
-        return RootPattern.REAL_WITH_DOUBLE
-    k2 = k * k
-    reg = params_mod.regime(p)
-    if reg is Regime.SUPER_CRITICAL:
-        return RootPattern.REAL_PLUS_PAIR
-    kind = _boundary_kind(p, k2)
-    if reg is Regime.CRITICAL:
-        return RootPattern.TRIPLE_REAL if kind == "triple" else RootPattern.REAL_PLUS_PAIR
-    if kind in ("m1", "m2"):
-        return RootPattern.REAL_WITH_DOUBLE
-    thr = params_mod.cardano_thresholds(p)
-    if thr.m1 < k2 < thr.m2:
-        return RootPattern.THREE_DISTINCT_REAL
-    return RootPattern.REAL_PLUS_PAIR
+    """Root pattern at frequency k, the pattern eigenvalues(p, k) returns.
+
+    Both come from the same batched root-and-pattern decision, so they never
+    disagree.  Raises InvalidFrequency on negative or non-finite k, and where
+    beta*k^2/tau exceeds MAX_STIFFNESS.
+    """
+    return eigenvalues(p, k).pattern
 
 
 def eigenvalues(p: ModelParams, k: float) -> SpectrumPoint:
     """All three eigenvalues of Phi(k) with canonical labeling.
 
-    Raises InvalidFrequency on negative or non-finite k, and where
-    beta*k^2/tau exceeds MAX_STIFFNESS.
+    A batch of one through the path atlas takes.  Raises InvalidFrequency on
+    negative or non-finite k, and where beta*k^2/tau exceeds MAX_STIFFNESS.
     """
     try:
         k = float(k)
@@ -301,29 +271,8 @@ def eigenvalues(p: ModelParams, k: float) -> SpectrumPoint:
         raise InvalidFrequency(f"frequency magnitude must be a number, got {k!r}") from exc
     if not (math.isfinite(k) and k >= 0.0):
         raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k!r}")
-    if k == 0.0:
-        return SpectrumPoint(k=0.0, lambdas=(-1.0 / p.tau, 0.0 + 0.0j, 0.0 + 0.0j),
-                             pattern=RootPattern.REAL_WITH_DOUBLE)
-    k2 = k * k
-    kind = _boundary_kind(p, k2)
-    if kind == "triple":
-        lam = -1.0 / (3.0 * p.tau)
-        return SpectrumPoint(k=k, lambdas=(lam, lam, lam), pattern=RootPattern.TRIPLE_REAL)
-    if kind in ("m1", "m2"):
-        lam_s, lam_d = _double_root_values(p.tau, p.beta, k2)
-        lams = tuple(sorted((lam_s, lam_d, lam_d)))
-        return SpectrumPoint(k=k, lambdas=tuple(complex(x) for x in lams),
-                             pattern=RootPattern.REAL_WITH_DOUBLE)
-
-    roots, is_pair = _cubic_roots_batch(p.tau, p.beta, np.array([k2]))
-    row = roots[0]
-    if is_pair[0]:
-        lams = (complex(row[0].real), complex(row[1]), complex(row[2]))
-        pattern = RootPattern.REAL_PLUS_PAIR
-    else:
-        lams = tuple(complex(x.real) for x in row)  # already ascending
-        pattern = RootPattern.THREE_DISTINCT_REAL
-    return SpectrumPoint(k=k, lambdas=lams, pattern=pattern)
+    roots, patterns = _spectrum(p, np.array([k * k]))
+    return SpectrumPoint(k=k, lambdas=tuple(complex(z) for z in roots[0]), pattern=patterns[0])
 
 
 def asymptotic_small_k(p: ModelParams, k: float) -> AsymptoticTriple:
@@ -345,13 +294,18 @@ def asymptotic_large_k(p: ModelParams, k: float) -> AsymptoticTriple:
     return AsymptoticTriple(k=k, lambdas_approx=(-1.0 / p.beta, lam2, lam2.conjugate()), order=2)
 
 
+#: The six orderings of a triple, identity first.
+_PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)])
+
+
 def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     """Eigenvalues along an ascending grid, relabeled for branch continuity.
 
-    Each node's triple is matched to the previous node's by the permutation
-    minimizing the total displacement, so every labeled sequence is a
-    continuous function of k.  Values agree with eigenvalues() up to
-    permutation.
+    One root call covers the grid.  Each node's canonical triple is then
+    ordered by the permutation that moves it least, in total displacement,
+    from the previous node's ordered triple (the first tie wins), so every
+    labeled sequence is a continuous function of k.  Values and patterns
+    agree with eigenvalues() up to permutation.
     """
     ks = np.asarray(list(k_grid), dtype=float)
     if ks.size == 0:
@@ -361,19 +315,20 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     if np.any(np.diff(ks) < 0.0):
         raise GridError("frequency grid must be ascending")
 
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    out: list[SpectrumPoint] = []
-    prev: np.ndarray | None = None
-    for k in ks:
-        pt = eigenvalues(p, float(k))
-        lams = np.array(pt.lambdas, dtype=complex)
-        if prev is not None:
-            costs = [np.abs(lams[list(perm)] - prev).sum() for perm in perms]
-            lams = lams[list(perms[int(np.argmin(costs))])]
-        out.append(SpectrumPoint(k=float(k), lambdas=tuple(lams), pattern=pt.pattern,
-                                 labeling=Labeling.BRANCH_CONTINUOUS))
-        prev = lams
-    return out
+    roots, patterns = _spectrum(p, ks * ks)
+    # best[i, a] = argmin_b cost[i, a, b], where cost[i, a, b] is the displacement
+    # of triple i under permutation b from triple i-1 under permutation a
+    moved = roots[1:, _PERMS]
+    best = np.empty((ks.size - 1, len(_PERMS)), dtype=int)
+    for a, perm in enumerate(_PERMS):
+        best[:, a] = np.abs(moved - roots[:-1, None, perm]).sum(axis=2).argmin(axis=1)
+    chosen = [0]
+    for row in best.tolist():
+        chosen.append(row[chosen[-1]])
+    lams = np.take_along_axis(roots, _PERMS[chosen], axis=1)
+    return [SpectrumPoint(k=float(k), lambdas=tuple(row), pattern=pattern,
+                          labeling=Labeling.BRANCH_CONTINUOUS)
+            for k, row, pattern in zip(ks, lams, patterns)]
 
 
 def atlas_rows(points: Sequence[SpectrumPoint]) -> list[tuple]:

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mgt_spectral import (GridError, InvalidFrequency, Labeling, RootPattern,
                           asymptotic_large_k, asymptotic_small_k, atlas, atlas_rows,
-                          characteristic_residual, classify, eigenvalues, validate)
+                          cardano_thresholds, characteristic_residual, classify, eigenvalues,
+                          spectrum, validate)
 
 P = validate(0.1, 1.0)
 P_CRIT = validate(1.0 / 9.0, 1.0)
@@ -300,3 +302,141 @@ class TestPairFromVieta:
                 assert g.real < 0.0
                 assert abs(g.real - r.real) <= 1e-12 * abs(r.real), (tau, beta, k)
                 assert abs(g.imag - r.imag) <= 1e-12 * max(abs(r.imag), abs(r.real)), (tau, beta, k)
+
+
+def _assert_sweep_bounds(p, k, lams):
+    """The residual, Vieta and sign bounds of TestRandomSweep for one triple."""
+    tau, beta = p.tau, p.beta
+    lams = np.array(lams, dtype=complex)
+    for lam in lams:
+        r, s = characteristic_residual(p, lam, k)
+        assert r <= 1e-9 * s, (tau, beta, k, lams)
+    k2 = k * k
+    assert abs(lams.sum() + 1.0 / tau) <= 1e-9 * (1.0 / tau), (tau, beta, k, lams)
+    e2 = lams[0] * lams[1] + lams[0] * lams[2] + lams[1] * lams[2]
+    assert abs(e2 - beta * k2 / tau) <= 1e-9 * max(1.0, beta * k2 / tau), (tau, beta, k, lams)
+    assert abs(lams.prod() + k2 / tau) <= 1e-9 * max(1.0, k2 / tau), (tau, beta, k, lams)
+    for lam in lams:
+        if lam.imag == 0.0:
+            assert -1.0 / tau < lam.real < -1.0 / beta, (tau, beta, k, lams)
+        else:
+            assert -0.5 * (1.0 / tau - 1.0 / beta) < lam.real < 0.0, (tau, beta, k, lams)
+    assert np.min(np.abs(lams.real)) > 1e-10
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNearCriticalConfluence:
+    """tau/beta = (1 +- d)/9 and k^2 within +-1e-14..1e-6 (relative) of m1, m2 or
+    the merged threshold -tau c1/(8 beta^3): all three roots crowd around
+    -1/(3 tau), and each must still meet the residual, Vieta and sign bounds,
+    from eigenvalues and from atlas alike."""
+
+    @pytest.mark.parametrize("beta", [1.0, 0.37, 1.9])
+    def test_eigenvalues_and_atlas(self, beta):
+        offsets = np.concatenate([[0.0], np.geomspace(1e-14, 1e-6, 9)])
+        for d in np.geomspace(1e-13, 1e-5, 9):
+            for ratio in ((1.0 - d) / 9.0, (1.0 + d) / 9.0):
+                p = validate(ratio * beta, beta)
+                thr = cardano_thresholds(p)
+                centres = [-p.tau * thr.c1 / (8.0 * beta**3)]
+                if thr.m1 is not None:
+                    centres += [thr.m1, thr.m2]
+                ks = sorted({math.sqrt(m * (1.0 + s * e)) for m in centres
+                             for e in offsets for s in (-1.0, 1.0)})
+                for k in ks:
+                    _assert_sweep_bounds(p, k, eigenvalues(p, k).lambdas)
+                for pt in atlas(p, ks):
+                    _assert_sweep_bounds(p, pt.k, pt.lambdas)
+
+
+def _exact_pattern(p, k):
+    """The pattern from the sign of the cubic's discriminant in exact rationals."""
+    a, b = Fraction(p.tau), Fraction(1)
+    k2 = Fraction(k) ** 2
+    c, d = Fraction(p.beta) * k2, k2
+    disc = 18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
+    if disc > 0:
+        return RootPattern.THREE_DISTINCT_REAL
+    return RootPattern.REAL_PLUS_PAIR if disc < 0 else RootPattern.REAL_WITH_DOUBLE
+
+
+def _greedy_atlas(p, ks):
+    """atlas as a per-point loop over eigenvalues: each triple is relabeled by the
+    first permutation of least total displacement from its predecessor."""
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    out, prev = [], None
+    for k in ks:
+        pt = eigenvalues(p, float(k))
+        lams = np.array(pt.lambdas, dtype=complex)
+        if prev is not None:
+            costs = [np.abs(lams[list(perm)] - prev).sum() for perm in perms]
+            lams = lams[list(perms[int(np.argmin(costs))])]
+        out.append((float(k), lams, pt.pattern))
+        prev = lams
+    return out
+
+
+class TestOnePatternDecision:
+    """classify, eigenvalues and atlas report one pattern, the sign of the exact
+    discriminant away from the TOL_BOUNDARY windows, and atlas is one root call
+    followed by the per-point greedy relabeling, bit for bit."""
+
+    def _check(self, p, ks):
+        pts = atlas(p, ks)
+        for k, pt in zip(ks, pts):
+            want = _exact_pattern(p, k)
+            assert classify(p, k) is want, (p, k)
+            assert eigenvalues(p, k).pattern is want, (p, k)
+            assert pt.pattern is want, (p, k)
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(2024)
+        for i in range(300):
+            beta = rng.uniform(0.05, 2.0)
+            tau = beta * (rng.uniform(0.005, 0.11) if i % 2 else rng.uniform(0.001, 0.999))
+            ks = np.sort(10.0 ** rng.uniform(-6.0, 6.0, 8))
+            self._check(validate(tau, beta), [float(k) for k in ks])
+
+    def test_near_thresholds(self):
+        # k^2 between 1e-10 and 1e-2 (relative) of m1 or m2, at ratios from
+        # ordinary to within 1e-11 of the critical ratio
+        rng = np.random.default_rng(77)
+        for _ in range(300):
+            beta = rng.uniform(0.05, 2.0)
+            p = validate((1.0 - 10.0 ** rng.uniform(-11.0, -0.05)) / 9.0 * beta, beta)
+            thr = cardano_thresholds(p)
+            ks = sorted(math.sqrt(m * (1.0 + s * 10.0 ** rng.uniform(-10.0, -2.0)))
+                        for m in (thr.m1, thr.m2) for s in (-1.0, 1.0))
+            self._check(p, ks)
+
+    @pytest.mark.parametrize("p, ks", [
+        (P, np.linspace(0.0, 4.0, 161)),                          # through the window
+        (P, np.concatenate([np.linspace(0.0, 1.7, 18), [math.sqrt(3.125)],
+                            np.linspace(1.77, 1.8, 31)])),         # a node on m1
+        (P_CRIT, np.linspace(0.0, 2.0 * math.sqrt(3.0), 201)),   # through sqrt(3) at 1/9
+        (P_SUPER, np.linspace(0.0, 10.0, 101)),
+        (validate(0.05, 1.3), np.geomspace(1e-6, 1e6, 300)),
+    ])
+    def test_atlas_equals_greedy_loop(self, p, ks):
+        pts = atlas(p, ks)
+        ref = _greedy_atlas(p, ks)
+        assert len(pts) == len(ref)
+        for pt, (k, lams, pattern) in zip(pts, ref):
+            assert pt.k == k and pt.pattern is pattern
+            assert np.array(pt.lambdas, dtype=complex).tobytes() == lams.tobytes(), k
+
+    def test_critical_grid_hits_the_triple_root(self):
+        ks = np.linspace(0.0, 2.0 * math.sqrt(3.0), 201)
+        assert atlas(P_CRIT, ks)[100].pattern is RootPattern.TRIPLE_REAL
+
+    def test_atlas_makes_one_root_call(self, monkeypatch):
+        calls = []
+        inner = spectrum._cubic_roots_batch
+
+        def spy(tau, beta, k2):
+            calls.append(np.size(k2))
+            return inner(tau, beta, k2)
+
+        monkeypatch.setattr(spectrum, "_cubic_roots_batch", spy)
+        atlas(P, np.linspace(0.0, 4.0, 400))
+        assert calls == [400]
