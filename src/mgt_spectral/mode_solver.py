@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import IllConditioned, StepFailure
 from .params import ModelParams
-from .spectrum import (RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _deflate,
-                       _real_root, _route_confluent)
+from .spectrum import RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _route_confluent
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,9 @@ class ModeCoefficients:
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3),
     REAL_WITH_DOUBLE -> (lam_simple, lam_double),
     TRIPLE_REAL -> (lam,).
-    evaluate_mode propagates `init` with the mode kernel's `nodes`, not the
-    coefficients.
+    `nodes` is the factor (a, b, c, lam, alpha, q) of the characteristic
+    cubic from spectrum._cubic_roots_batch; evaluate_mode propagates `init`
+    with it, not with the coefficients.
     """
 
     pattern: RootPattern
@@ -111,27 +111,14 @@ def _apply_phi(a: float, b: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndar
     return np.stack([y[1], y[2], -(c * y[0] + b * y[1] + a * y[2])])
 
 
-def _nodes(p: ModelParams, k2: np.ndarray, roots: np.ndarray, is_pair: np.ndarray) -> tuple:
-    """Per-frequency data of the Newton form, (a, b, c, lam, alpha, q).
-
-    Phi's characteristic cubic is z^3 + a z^2 + b z + c, with (roots,
-    is_pair) from _cubic_roots_batch; lam is a real root and
-    (z - alpha)^2 - q the quadratic factor left after deflating it.
-    """
-    a = 1.0 / p.tau
-    b = p.beta * k2 / p.tau
-    c = k2 / p.tau
-    # exactly -a at k = 0, so that the decoupled u'' row propagates exactly
-    lam = _real_root(roots, is_pair, a, c)
-    return (a, b, c, lam) + _deflate(a, b, c, lam)
-
-
 def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
-    """exp(Phi t) y0 for states y0 of shape (3, ...), Phi given by _nodes.
+    """exp(Phi t) y0 for states y0 of shape (3, ...), Phi given by the factor
+    nodes = (a, b, c, lam, alpha, q) of spectrum._cubic_roots_batch.
 
-    The node arrays and t broadcast together and against y0's trailing axes.
-    With x1, x2 the roots of the quadratic factor and lam the real root, the
-    Newton interpolant of f(z) = e^{zt} gives
+    Phi's characteristic cubic is z^3 + a z^2 + b z + c, lam a real root and
+    (z - alpha)^2 - q the quadratic factor it leaves.  The node arrays and t
+    broadcast together and against y0's trailing axes.  With x1, x2 the roots
+    of the quadratic factor, the Newton interpolant of f(z) = e^{zt} gives
 
         exp(Phi t) = d0 + d1 (Phi - alpha) + d2 ((Phi - alpha)^2 - q)
                    = e^{lam t} + g0 (Phi - lam) + d2 (Phi - alpha)(Phi - lam),
@@ -237,9 +224,8 @@ def mode_coefficients(p: ModelParams, k: float, init: ModeState,
     if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
         raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
     k2 = np.array([k * k])
-    roots, is_pair = _cubic_roots_batch(p.tau, p.beta, k2)
-    nodes = _nodes(p, k2, roots, is_pair)
-    roots, patterns = _route_confluent(p, k2, roots, is_pair)
+    nodes = _cubic_roots_batch(p.tau, p.beta, k2)
+    roots, patterns = _route_confluent(p, k2, nodes)
     pair = patterns[0] is RootPattern.REAL_PLUS_PAIR
     auto_pattern, auto_structure = _select_structure(roots[0], pair)
 
@@ -370,6 +356,5 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     """
     ks = np.asarray(ks, dtype=float)
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2))
-    k2 = ks * ks
-    u, v, w = _propagate(_nodes(p, k2, *_cubic_roots_batch(p.tau, p.beta, k2)), y0, t)
+    u, v, w = _propagate(_cubic_roots_batch(p.tau, p.beta, ks * ks), y0, t)
     return u, v, w

@@ -9,12 +9,14 @@ whose characteristic polynomial is the cubic
 
     p(lam) = tau*lam^3 + lam^2 + beta*k^2*lam + k^2.
 
-Roots are computed by the closed-form trigonometric/Cardano solution of the
-depressed cubic, then Newton polishing on the original polynomial.  One real
-root of each row is kept and the other two are read off the quadratic factor
-it leaves (Vieta), so the three satisfy the Vieta sums to the residual of
-that root: at any k, and however close they are near m1, m2 and the critical
-ratio.  One batched path (_spectrum) makes the root-and-pattern decision for
+One batched kernel, _cubic_roots_batch, factors the cubic in real arithmetic:
+one real root per frequency, from Cardano's formula (or one trigonometric
+branch where all three roots are real) and Newton polishing on the original
+polynomial, and the quadratic factor it leaves (Vieta).  The mode kernel
+propagates with that factor directly; the other two roots are read off it,
+so the three satisfy the Vieta sums to the residual of the real root: at
+any k, and however close they are near m1, m2 and the critical ratio.  One
+batched path (_spectrum) makes the root-and-pattern decision for
 eigenvalues, classify and atlas: within TOL_BOUNDARY of m1 or m2 a factor
 with coincident roots is a double root, and at the critical-ratio threshold
 the triple root is -1/(3 tau).
@@ -95,86 +97,64 @@ def characteristic_residual(p: ModelParams, lam: complex, k: float) -> tuple[flo
 # closed-form root computation
 # ---------------------------------------------------------------------------
 
-def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of tau*lam^3 + lam^2 + beta*k2*lam + k2 for an array of k2 >= 0.
+def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple:
+    """The factor (a, b, c, lam, alpha, q) of the cubic for an array of k2 >= 0.
 
-    Returns (roots, is_pair): roots has shape (n, 3), complex, with the real
-    roots Newton-polished.  Where is_pair is True the row is (real root, 0, 0):
-    its pair is the quadratic factor that root leaves, which _route_confluent
-    fills in; otherwise the row holds three real roots in ascending order.
+    z^3 + a z^2 + b z + c is the characteristic cubic divided by tau, lam one
+    real root of each row and (z - alpha)^2 - q the quadratic factor it leaves
+    (_deflate); a is a float, the rest arrays.  lam is the real root of a pair
+    row (Cardano) and, where all three roots are real, the one farthest from
+    the other two (one trigonometric branch), so the factor holds the closest
+    two.  lam gets two Newton steps on the original polynomial, each kept only
+    where it lowers the residual, and is exactly -a at k = 0.
     Raises InvalidFrequency where beta*k2/tau exceeds MAX_STIFFNESS.
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
-    n = k2.shape[0]
-    # normalized monic coefficients: lam^3 + A lam^2 + B lam + C
-    A = np.full(n, 1.0 / tau)
-    B = beta * k2 / tau
-    if not (B <= MAX_STIFFNESS).all():
+    a = 1.0 / tau
+    b = beta * k2 / tau
+    if not (b <= MAX_STIFFNESS).all():
         raise InvalidFrequency(
             f"beta*k^2/tau must not exceed {MAX_STIFFNESS:.0e} (k <= "
-            f"{math.sqrt(MAX_STIFFNESS * tau / beta):.3e} here); got {np.max(B):.3e}")
-    C = k2 / tau
+            f"{math.sqrt(MAX_STIFFNESS * tau / beta):.3e} here); got {np.max(b):.3e}")
+    c = k2 / tau
 
-    Q = (A * A - 3.0 * B) / 9.0
-    R = (2.0 * A**3 - 9.0 * A * B + 27.0 * C) / 54.0
+    Q = (a * a - 3.0 * b) / 9.0
+    R = (2.0 * a**3 - 9.0 * a * b + 27.0 * c) / 54.0
     R2 = R * R
     Q3 = Q**3
-
-    roots = np.zeros((n, 3), dtype=complex)
-    # boundary R2 == Q3 lands on the Cardano branch; polished below.  At small k,
-    # R2 and Q3 agree to rounding and may call a pair three real roots, one of
-    # them positive, so a row is also a pair where the discriminant over k2,
+    # boundary R2 == Q3 lands on the Cardano branch.  At small k, R2 and Q3 agree
+    # to rounding and may call a pair three real roots, one of them positive, so
+    # a row is also a pair where the discriminant over k2,
     # -4 + (18 tau beta + beta^2 - 27 tau^2) k2 - 4 tau beta^3 k2^2, is well
     # below zero (-4 at k = 0; near 0 only close to the thresholds m1, m2)
     disc = (-4.0 + (18.0 * tau * beta + beta * beta - 27.0 * tau * tau) * k2
             - 4.0 * tau * beta**3 * k2 * k2)
     is_pair = (R2 >= Q3) | (disc < -1.0)
 
-    # three-real branch (trigonometric form)
-    m3 = ~is_pair
-    if np.any(m3):
-        Qm, Rm, Am = Q[m3], R[m3], A[m3]
-        theta = np.arccos(np.clip(Rm / np.sqrt(Qm**3), -1.0, 1.0))
-        sq = -2.0 * np.sqrt(Qm)
-        r1 = sq * np.cos(theta / 3.0) - Am / 3.0
-        r2 = sq * np.cos((theta + 2.0 * np.pi) / 3.0) - Am / 3.0
-        r3 = sq * np.cos((theta - 2.0 * np.pi) / 3.0) - Am / 3.0
-        trip = np.sort(np.stack([r1, r2, r3], axis=1), axis=1)
-        roots[m3] = trip.astype(complex)
-
+    lam = np.empty_like(k2)
     # the real root of a pair row (Cardano)
-    if np.any(is_pair):
-        Qm, Rm, Am = Q[is_pair], R[is_pair], A[is_pair]
-        Sm = -np.sign(Rm) * np.cbrt(np.abs(Rm) + np.sqrt(np.maximum(R2[is_pair] - Q3[is_pair], 0.0)))
-        Tm = np.where(Sm != 0.0, Qm / np.where(Sm != 0.0, Sm, 1.0), 0.0)
-        roots[is_pair, 0] = (Sm + Tm) - Am / 3.0
+    Qp, Rp = Q[is_pair], R[is_pair]
+    S = -np.sign(Rp) * np.cbrt(np.abs(Rp) + np.sqrt(np.maximum(R2[is_pair] - Q3[is_pair], 0.0)))
+    lam[is_pair] = (S + np.where(S != 0.0, Qp / np.where(S != 0.0, S, 1.0), 0.0)) - a / 3.0
+    # three real roots -2 sqrt(Q) cos((theta + 2 pi j)/3) - a/3: the smallest (j = 0)
+    # lies farthest from the others where theta < pi/2, else the largest (j = 1)
+    Qt = Q[~is_pair]
+    theta = np.arccos(np.clip(R[~is_pair] / np.sqrt(Qt**3), -1.0, 1.0))
+    theta = np.where(theta < 0.5 * np.pi, theta, theta + 2.0 * np.pi)
+    lam[~is_pair] = -2.0 * np.sqrt(Qt) * np.cos(theta / 3.0) - a / 3.0
 
-    _polish_batch(tau, beta, k2, roots, is_pair)
-    return roots, is_pair
+    def residual(z):
+        return tau * (z * z * z) + z * z + beta * k2 * z + k2
 
-
-def _polish_batch(tau: float, beta: float, k2: np.ndarray, roots: np.ndarray,
-                  is_pair: np.ndarray, steps: int = 2) -> None:
-    """In-place Newton polish of the real roots: the first column of a pair
-    row, and all three of an all-real row, which is then sorted ascending."""
-    sel = np.ones(roots.shape, dtype=bool)
-    sel[is_pair, 1:] = False
-    z = roots[sel]
-    kz = np.broadcast_to(k2[:, None], roots.shape)[sel]
-
-    def poly(lam):
-        return tau * lam**3 + lam**2 + beta * kz * lam + kz
-
-    for _ in range(steps):
-        f = poly(z)
-        df = 3.0 * tau * z**2 + 2.0 * z + beta * kz
+    for _ in range(2):
+        f = residual(lam)
+        df = 3.0 * tau * lam**2 + 2.0 * lam + beta * k2
         ok = np.abs(df) > 1e-300
-        step = np.where(ok, f / np.where(ok, df, 1.0), 0.0)
-        cand = z - step
-        # accept only steps that reduce the residual
-        z = np.where(np.abs(poly(cand)) <= np.abs(f), cand, z)
-    roots[sel] = z
-    roots[~is_pair] = np.sort(roots[~is_pair].real, axis=1)
+        cand = lam - np.where(ok, f / np.where(ok, df, 1.0), 0.0)
+        lam = np.where(np.abs(residual(cand)) <= np.abs(f), cand, lam)
+    # exactly -a at k = 0, so that the decoupled u'' row of the mode propagates exactly
+    lam = np.where(c == 0.0, -a, lam)
+    return (a, b, c, lam) + _deflate(a, b, c, lam)
 
 
 def _deflate(a, b, c, lam) -> tuple:
@@ -187,26 +167,16 @@ def _deflate(a, b, c, lam) -> tuple:
     return alpha, alpha * alpha - s
 
 
-def _real_root(roots: np.ndarray, is_pair: np.ndarray, a: float, c: np.ndarray) -> np.ndarray:
-    """One real root of each _cubic_roots_batch row of z^3 + a z^2 + b z + c: the
-    real root of a pair row, else the real root farthest from the other two
-    (the simple root beside a double one); exactly -a at k = 0."""
-    re = roots.real
-    lam = np.where(is_pair | (re[:, 1] - re[:, 0] > re[:, 2] - re[:, 1]), re[:, 0], re[:, 2])
-    return np.where(c == 0.0, -a, lam)
-
-
 #: RootPattern by the sign of q (-1, 0, +1) in _route_confluent, then the triple root.
 _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
                       RootPattern.THREE_DISTINCT_REAL, RootPattern.TRIPLE_REAL], dtype=object)
 
 
-def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,
-                     is_pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Overwrite, in place, each _cubic_roots_batch row with its real root
-    (_real_root) and the roots of the quadratic factor (z - alpha)^2 - q that
-    root leaves (_deflate), and return (roots, patterns) with the RootPattern
-    of every row.
+def _route_confluent(p: ModelParams, k2: np.ndarray,
+                     factor: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(roots, patterns) from the _cubic_roots_batch factor: each row's real root
+    lam and the roots of the quadratic factor (z - alpha)^2 - q it leaves, as
+    an (n, 3) complex array in canonical order, and the RootPattern of every row.
 
     The factor is a conjugate pair where q < 0, a double root where q = 0
     (k = 0) and two more real roots otherwise; so each row's Vieta sums hold
@@ -220,9 +190,7 @@ def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,
     near the critical ratio they can lie far apart even there), and at the
     critical ratio the triple root is -1/(3 tau) = -a/3.
     """
-    a, b, c = 1.0 / p.tau, p.beta * k2 / p.tau, k2 / p.tau
-    lam = _real_root(roots, is_pair, a, c)
-    alpha, q = _deflate(a, b, c, lam)
+    lam, alpha, q = factor[3:]
     triple = np.zeros(k2.shape, dtype=bool)
     thr = params_mod.cardano_thresholds(p)
     if thr.m1 is not None:
@@ -237,8 +205,8 @@ def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,
 
     r = np.sqrt(np.abs(q))
     lam2 = alpha + 1j * r
-    roots[:] = np.where((q < 0.0)[:, None], np.stack([lam, lam2, np.conj(lam2)], axis=1),
-                        np.sort(np.stack([lam, alpha - r, alpha + r], axis=1), axis=1))
+    roots = np.where((q < 0.0)[:, None], np.stack([lam, lam2, np.conj(lam2)], axis=1),
+                     np.sort(np.stack([lam, alpha - r, alpha + r], axis=1), axis=1))
     roots[triple] = -1.0 / (3.0 * p.tau)
     return roots, _PATTERNS[np.where(triple, 3, np.sign(q).astype(int) + 1)]
 
@@ -246,7 +214,7 @@ def _route_confluent(p: ModelParams, k2: np.ndarray, roots: np.ndarray,
 def _spectrum(p: ModelParams, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(roots, patterns) for an array of k2 >= 0: canonical roots of each row
     and its RootPattern, the one path behind eigenvalues, classify and atlas."""
-    return _route_confluent(p, k2, *_cubic_roots_batch(p.tau, p.beta, k2))
+    return _route_confluent(p, k2, _cubic_roots_batch(p.tau, p.beta, k2))
 
 
 def classify(p: ModelParams, k: float) -> RootPattern:
@@ -304,8 +272,11 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     One root call covers the grid.  Each node's canonical triple is then
     ordered by the permutation that moves it least, in total displacement,
     from the previous node's ordered triple (the first tie wins), so every
-    labeled sequence is a continuous function of k.  Values and patterns
-    agree with eigenvalues() up to permutation.
+    labeled sequence is a continuous function of k.  The three displacements
+    are summed in ascending order, so a total depends only on their values:
+    where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
+    the two assignments tie exactly, whatever the last bits of the roots.
+    Values and patterns agree with eigenvalues() up to permutation.
     """
     ks = np.asarray(list(k_grid), dtype=float)
     if ks.size == 0:
@@ -321,7 +292,8 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     moved = roots[1:, _PERMS]
     best = np.empty((ks.size - 1, len(_PERMS)), dtype=int)
     for a, perm in enumerate(_PERMS):
-        best[:, a] = np.abs(moved - roots[:-1, None, perm]).sum(axis=2).argmin(axis=1)
+        cost = np.sort(np.abs(moved - roots[:-1, None, perm]), axis=2).sum(axis=2)
+        best[:, a] = cost.argmin(axis=1)
     chosen = [0]
     for row in best.tolist():
         chosen.append(row[chosen[-1]])

