@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NonPositiveMargin
-from .mode_solver import ModeState, mode_coefficients, evaluate_mode, mode_matrix
+from .mode_solver import ModeState, mode_coefficients, evaluate_mode, mode_matrix, solve_mode
 from .params import ModelParams
 
 #: One-sided slack, relative to the functional scale, in the margin sweeps.
@@ -72,7 +72,10 @@ def rho(k: float | np.ndarray):
 
 
 def functionals(p: ModelParams, state: ModeState, w: LyapunovWeights) -> FunctionalValues:
-    """Evaluate energy, the two cross functionals, and the Lyapunov combination."""
+    """Evaluate energy, the two cross functionals, and the Lyapunov combination.
+
+    Elementwise: a state of arrays (a trajectory) gives arrays of values.
+    """
     k2 = state.k * state.k
     A = state.v_hat + p.tau * state.w_hat
     B = state.u_hat + p.tau * state.v_hat
@@ -82,8 +85,7 @@ def functionals(p: ModelParams, state: ModeState, w: LyapunovWeights) -> Functio
     f2 = -p.tau * (np.conj(state.v_hat) * A).real
     r = k2 / (1.0 + k2)
     lyap = w.gamma0 * energy + r * f1 + w.gamma1 * r * f2
-    return FunctionalValues(energy=float(energy), f1=float(f1), f2=float(f2),
-                            lyap=float(lyap), rho=float(r))
+    return FunctionalValues(energy=energy, f1=f1, f2=f2, lyap=lyap, rho=r)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +226,10 @@ def energy_dissipation_residual(p: ModelParams, k: float, init: ModeState, t):
     """|dE/dt + (beta - tau) k^2 |v|^2| along the trajectory at time t.
 
     t is a time or an array of times, evaluated with one kernel call; the
-    result is a float or an array of t's shape.
+    result is a float or an array of t's shape.  Raises ValueError if any
+    time is negative or not finite.
     """
-    ts = np.asarray(t, dtype=float)
-    if not (np.all(np.isfinite(ts)) and np.all(ts >= 0.0)):
-        raise ValueError(f"dissipation residual requires t >= 0, got {t}")
-    state = solve_for_state(p, k, init, ts)
+    state = solve_mode(p, k, init, t)
     rates = _state_rates(p, state)
     k2 = k * k
     return _like_t(np.abs(rates["dE"] + (p.beta - p.tau) * k2 * np.abs(state.v_hat) ** 2), t)
@@ -237,13 +237,7 @@ def energy_dissipation_residual(p: ModelParams, k: float, init: ModeState, t):
 
 def dissipation_scale(p: ModelParams, k: float, init: ModeState, t):
     """Magnitude scale of the dissipation identity terms at time t (or times)."""
-    return _like_t(_state_rates(p, solve_for_state(p, k, init, t))["scale"], t)
-
-
-def solve_for_state(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
-    coeffs = mode_coefficients(p, k, init)
-    u, v, w_ = evaluate_mode(coeffs, k, t, n_derivatives=2)
-    return ModeState(u_hat=u, v_hat=v, w_hat=w_, k=k)
+    return _like_t(_state_rates(p, solve_mode(p, k, init, t))["scale"], t)
 
 
 def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
@@ -261,34 +255,28 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
         raise EmptyInput("gronwall margin sweep needs frequencies and samples")
     ts = np.linspace(0.0, 25.0, 126) if t_grid is None else np.asarray(t_grid, dtype=float)
 
-    neg_dldt = []
-    rho_l = []
-    margins = []
-    for k in ks:
+    # -dL/dt, rho L and MARGIN_TOL L at the nondegenerate points of each trajectory
+    neg_dldt, rho_l, margins = [np.empty(0)], [np.empty(0)], [np.empty(0)]
+    for k in ks.tolist():
         if k <= 0.0:
             continue
         r = float(rho(k))
         for sample in samples:
             # samples are state vectors; the swept frequency comes from the grid
-            init = ModeState(sample.u_hat, sample.v_hat, sample.w_hat, k=float(k))
-            coeffs = mode_coefficients(p, float(k), init)
-            for u, v, w_ in zip(*evaluate_mode(coeffs, float(k), ts, n_derivatives=2)):
-                state = ModeState(u_hat=u, v_hat=v, w_hat=w_, k=float(k))
-                vals = functionals(p, state, w)
-                rates = _state_rates(p, state)
-                dL = (w.gamma0 * rates["dE"] + vals.rho * rates["dF1"]
-                      + w.gamma1 * vals.rho * rates["dF2"])
-                if vals.lyap <= 1e-280:
-                    continue
-                neg_dldt.append(-dL)
-                rho_l.append(r * vals.lyap)
-                margins.append(MARGIN_TOL * vals.lyap)
-    if not rho_l:
+            init = ModeState(sample.u_hat, sample.v_hat, sample.w_hat, k=k)
+            u, v, w_ = evaluate_mode(mode_coefficients(p, k, init), k, ts, n_derivatives=2)
+            state = ModeState(u_hat=u, v_hat=v, w_hat=w_, k=k)
+            vals = functionals(p, state, w)
+            rates = _state_rates(p, state)
+            dL = (w.gamma0 * rates["dE"] + vals.rho * rates["dF1"]
+                  + w.gamma1 * vals.rho * rates["dF2"])
+            keep = ~(vals.lyap <= 1e-280)  # a NaN stays in and fails the sweep
+            neg_dldt.append(-dL[keep])
+            rho_l.append(r * vals.lyap[keep])
+            margins.append(MARGIN_TOL * vals.lyap[keep])
+    neg_dldt, rho_l, margins = (np.concatenate(x) for x in (neg_dldt, rho_l, margins))
+    if rho_l.size == 0:
         raise EmptyInput("all sweep points were degenerate (zero frequency or data)")
-
-    neg_dldt = np.array(neg_dldt)
-    rho_l = np.array(rho_l)
-    margins = np.array(margins)
 
     def passes(g5: float) -> bool:
         return bool(np.all(g5 * rho_l - neg_dldt <= margins))

@@ -16,7 +16,10 @@ the propagated state, never finite differences.
 
 The per-pattern expansion coefficients of mode_coefficients (real root plus
 conjugate pair, three distinct reals, real double root, real triple root)
-are kept as a description of the mode; evaluation does not use them.
+are kept as a description of the mode; evaluation does not use them.  There
+is one pattern decision: the description takes its pattern and roots from
+spectrum's routed spectrum (_route_confluent, the path behind classify,
+eigenvalues and atlas), so it never disagrees with classify.
 
 propagate_numeric() integrates the equivalent first-order system with an
 adaptive high-order Runge-Kutta scheme and serves as the cross-check oracle
@@ -37,7 +40,11 @@ from .spectrum import RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _route_con
 
 @dataclass(frozen=True)
 class ModeState:
-    """Value of one mode and its first two time derivatives."""
+    """Value of one mode and its first two time derivatives.
+
+    Along a trajectory (solve_mode at an array of times) the three values
+    are arrays of the times' shape; as_array and norm take a single state.
+    """
 
     u_hat: complex
     v_hat: complex
@@ -55,7 +62,8 @@ class ModeState:
 class ModeCoefficients:
     """Expansion coefficients of one mode, with the data that evaluates it.
 
-    `structure` holds the roots in the layout of the selected pattern:
+    `pattern` is classify(p, k), read from the same routed spectrum row as
+    `structure`, which holds the roots in the layout of that pattern:
     REAL_PLUS_PAIR -> (lam_real, alpha, omega) for the pair alpha +- i*omega,
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3),
     REAL_WITH_DOUBLE -> (lam_simple, lam_double),
@@ -169,30 +177,8 @@ def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
 # pattern coefficients (a description of the mode, not used to evaluate it)
 # ---------------------------------------------------------------------------
 
-def _select_structure(roots: np.ndarray, is_pair: bool) -> tuple[RootPattern, tuple[float, ...]]:
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    tol = TOL_CONFLUENT * scale
-    if is_pair:
-        lam_r = roots[0].real
-        alpha, omega = roots[1].real, abs(roots[1].imag)
-        if 2.0 * omega >= tol:
-            return RootPattern.REAL_PLUS_PAIR, (lam_r, alpha, omega)
-        # collapsed pair: double real root at alpha
-        if abs(lam_r - alpha) < tol:
-            return RootPattern.TRIPLE_REAL, ((lam_r + 2.0 * alpha) / 3.0,)
-        return RootPattern.REAL_WITH_DOUBLE, (lam_r, alpha)
-    a, b, c = np.sort(roots.real)
-    d1, d2 = b - a, c - b
-    if d1 < tol and d2 < tol:
-        return RootPattern.TRIPLE_REAL, ((a + b + c) / 3.0,)
-    if d1 < tol:
-        return RootPattern.REAL_WITH_DOUBLE, (c, (a + b) / 2.0)
-    if d2 < tol:
-        return RootPattern.REAL_WITH_DOUBLE, (a, (b + c) / 2.0)
-    return RootPattern.THREE_DISTINCT_REAL, (a, b, c)
-
-
 def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> np.ndarray:
+    """The basis values and derivatives at t = 0 of a pattern other than TRIPLE_REAL."""
     if pattern is RootPattern.REAL_PLUS_PAIR:
         lam_r, al, om = structure
         return np.array([
@@ -203,67 +189,62 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
     if pattern is RootPattern.THREE_DISTINCT_REAL:
         l1, l2, l3 = structure
         return np.array([[1.0, 1.0, 1.0], [l1, l2, l3], [l1 * l1, l2 * l2, l3 * l3]])
-    if pattern is RootPattern.REAL_WITH_DOUBLE:
-        ls, ld = structure
-        return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
-    raise ValueError(f"no linear system for pattern {pattern}")
+    ls, ld = structure
+    return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
 
 
 def mode_coefficients(p: ModelParams, k: float, init: ModeState,
                       pattern: RootPattern | None = None) -> ModeCoefficients:
     """Expansion coefficients of the mode in the basis of its root pattern.
 
-    With pattern=None the pattern is selected from the eigenvalue spacing
-    and the call never raises for a valid mode; close to a confluence the
+    The pattern and the roots are those of classify(p, k) and
+    eigenvalues(p, k): the one routed decision of spectrum._route_confluent,
+    made on the factor that evaluate_mode propagates with.  The automatic
+    call never raises for a valid mode; close to a confluence the
     coefficients are as ill-conditioned as the basis itself (they grow like
-    the inverse root spacing), which does not affect evaluate_mode.  Forcing
-    a distinct-roots pattern raises IllConditioned when its coefficient
-    system's condition number exceeds 1/TOL_CONFLUENT, signalling that the
-    caller must reclassify the mode as confluent.
+    the inverse root spacing), which does not affect evaluate_mode.
+
+    pattern= is a check, not a choice: a pattern other than the routed one
+    raises IllConditioned, and so does a forced distinct-roots pattern whose
+    coefficient system has a condition number above 1/TOL_CONFLUENT,
+    signalling that the caller must reclassify the mode as confluent.
     """
     if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
         raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
     k2 = np.array([k * k])
     nodes = _cubic_roots_batch(p.tau, p.beta, k2)
     roots, patterns = _route_confluent(p, k2, nodes)
-    pair = patterns[0] is RootPattern.REAL_PLUS_PAIR
-    auto_pattern, auto_structure = _select_structure(roots[0], pair)
-
-    forced = pattern is not None
-    if pattern is None or pattern is auto_pattern:
-        pattern, structure = auto_pattern, auto_structure
+    routed = patterns[0]
+    if pattern is not None and pattern is not routed:
+        raise IllConditioned(f"pattern {pattern} inconsistent with the roots at k={k}, "
+                             f"which are {routed}")
+    lam1, lam2, lam3 = roots[0]
+    if routed is RootPattern.REAL_PLUS_PAIR:
+        structure = (lam1.real, lam2.real, lam2.imag)
+    elif routed is RootPattern.THREE_DISTINCT_REAL:
+        structure = (lam1.real, lam2.real, lam3.real)
+    elif routed is RootPattern.REAL_WITH_DOUBLE:
+        structure = (nodes[3][0], nodes[4][0])
     else:
-        # honor the caller's pattern using the raw roots
-        if pattern is RootPattern.REAL_PLUS_PAIR and pair:
-            structure = (roots[0, 0].real, roots[0, 1].real, abs(roots[0, 1].imag))
-        elif pattern is RootPattern.THREE_DISTINCT_REAL and not pair:
-            structure = tuple(np.sort(roots[0].real))
-        elif pattern is RootPattern.TRIPLE_REAL:
-            structure = (float(np.mean(roots[0].real)),)
-        elif pattern is RootPattern.REAL_WITH_DOUBLE:
-            _, structure = _select_structure(roots[0], pair)
-            if len(structure) != 2:
-                raise IllConditioned(f"mode k={k} is not a double-root configuration")
-        else:
-            raise IllConditioned(f"pattern {pattern} inconsistent with roots at k={k}")
+        structure = (lam1.real,)
 
     rhs = init.as_array()
-    if pattern is RootPattern.TRIPLE_REAL:
+    if routed is RootPattern.TRIPLE_REAL:
         lam = structure[0]
         c1 = rhs[0]
         c2 = rhs[1] - lam * c1
         c3 = (rhs[2] - lam * lam * c1 - 2.0 * lam * c2) / 2.0
-        return ModeCoefficients(pattern, (c1, c2, c3), structure, init, nodes)
+        return ModeCoefficients(routed, (c1, c2, c3), structure, init, nodes)
 
-    mat = _coefficient_matrix(pattern, structure)
-    if forced and pattern in (RootPattern.REAL_PLUS_PAIR, RootPattern.THREE_DISTINCT_REAL):
+    mat = _coefficient_matrix(routed, structure)
+    if pattern in (RootPattern.REAL_PLUS_PAIR, RootPattern.THREE_DISTINCT_REAL):
         cond = np.linalg.cond(mat)
         if cond > 1.0 / TOL_CONFLUENT:
             raise IllConditioned(
                 f"coefficient system at k={k} has condition number {cond:.3e}; "
                 "reclassify as confluent")
     sol = np.linalg.solve(mat, rhs)
-    return ModeCoefficients(pattern, tuple(sol), structure, init, nodes)
+    return ModeCoefficients(routed, tuple(sol), structure, init, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +272,15 @@ def evaluate_mode(coeffs: ModeCoefficients, k: float, t,
     return tuple(complex(x) if t.ndim == 0 else x for x in out)
 
 
-def solve_mode(p: ModelParams, k: float, init: ModeState, t: float,
+def solve_mode(p: ModelParams, k: float, init: ModeState, t,
                pattern: RootPattern | None = None) -> ModeState:
-    """Closed-form state of the mode at time t >= 0."""
-    if not (math.isfinite(t) and t >= 0.0):
+    """Closed-form state of the mode at a time t >= 0, or at an array of times.
+
+    For an array t the state holds arrays of t's shape, from one kernel call.
+    Raises ValueError if any time is negative or not finite.
+    """
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError(f"solve_mode requires t >= 0, got {t}")
     coeffs = mode_coefficients(p, k, init, pattern=pattern)
     u, v, w = evaluate_mode(coeffs, k, t, n_derivatives=2)

@@ -220,9 +220,10 @@ def _spectrum(p: ModelParams, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def classify(p: ModelParams, k: float) -> RootPattern:
     """Root pattern at frequency k, the pattern eigenvalues(p, k) returns.
 
-    Both come from the same batched root-and-pattern decision, so they never
-    disagree.  Raises InvalidFrequency on negative or non-finite k, and where
-    beta*k^2/tau exceeds MAX_STIFFNESS.
+    It comes from the one batched root-and-pattern decision behind
+    eigenvalues, atlas and mode_solver.mode_coefficients, so it never
+    disagrees with any of them.  Raises InvalidFrequency on negative or
+    non-finite k, and where beta*k^2/tau exceeds MAX_STIFFNESS.
     """
     return eigenvalues(p, k).pattern
 

@@ -61,6 +61,17 @@ class TestFunctionals:
         assert f.f2 == pytest.approx(-0.1, rel=1e-12)
         assert f.rho == pytest.approx(0.5)
 
+    def test_trajectory_state_gives_arrays(self):
+        w = default_weights(P)
+        init = ModeState(0.3 + 0.1j, -0.7, 1.9j, 2.0)
+        ts = np.linspace(0.0, 8.0, 17)
+        f = functionals(P, solve_mode(P, 2.0, init, ts), w)
+        for j, t in enumerate(ts):
+            single = functionals(P, solve_mode(P, 2.0, init, float(t)), w)
+            for name in ("energy", "f1", "f2", "lyap"):
+                assert getattr(f, name)[j] == pytest.approx(getattr(single, name), rel=1e-14)
+        assert f.rho == single.rho
+
     def test_rho_range(self):
         assert float(rho(0.0)) == 0.0
         assert float(rho(1.0)) == pytest.approx(0.5)

@@ -66,6 +66,29 @@ class TestCoefficients:
             mode_coefficients(P, k, ModeState(1.0, 0.0, 0.0, k),
                               pattern=RootPattern.THREE_DISTINCT_REAL)
 
+    def test_forced_pattern_is_a_check(self):
+        # a forced pattern the roots do not have raises; the routed one is accepted
+        from mgt_spectral import cardano_thresholds, classify
+
+        m1 = cardano_thresholds(P).m1
+        rows = [(P, 1.0, RootPattern.REAL_PLUS_PAIR),
+                (P, 1.78, RootPattern.THREE_DISTINCT_REAL),
+                (P, 0.0, RootPattern.REAL_WITH_DOUBLE),
+                (P, math.sqrt(m1), RootPattern.REAL_WITH_DOUBLE),
+                (P_CRIT, math.sqrt(3.0), RootPattern.TRIPLE_REAL)]
+        for p, k, expect in rows:
+            assert classify(p, k) is expect
+            init = ModeState(1.0, 0.0, 0.0, k)
+            auto = mode_coefficients(p, k, init)
+            for forced in RootPattern:
+                if forced is expect:
+                    co = mode_coefficients(p, k, init, pattern=forced)
+                    assert (co.pattern, co.coeffs, co.structure) == (
+                        auto.pattern, auto.coeffs, auto.structure)
+                else:
+                    with pytest.raises(IllConditioned):
+                        mode_coefficients(p, k, init, pattern=forced)
+
 
 class TestSolveMode:
     def test_identity_at_zero(self):
@@ -99,6 +122,19 @@ class TestSolveMode:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             solve_mode(P, 1.0, ModeState(1.0, 0.0, 0.0, 1.0), -1.0)
+
+    def test_trajectory_in_one_call(self):
+        init = ModeState(0.4 - 0.3j, -1.1 + 0.2j, 0.7 + 0.9j, 1.2)
+        ts = np.linspace(0.0, 10.0, 21)
+        st = solve_mode(P, 1.2, init, ts)
+        assert st.u_hat.shape == st.v_hat.shape == st.w_hat.shape == ts.shape
+        for j, t in enumerate(ts):
+            single = solve_mode(P, 1.2, init, float(t))
+            np.testing.assert_allclose([st.u_hat[j], st.v_hat[j], st.w_hat[j]],
+                                       single.as_array(), rtol=1e-14, atol=0.0)
+        for bad in ([1.0, -1.0], [0.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                solve_mode(P, 1.2, init, np.array(bad))
 
 
 class TestOracleEquivalence:
@@ -293,6 +329,27 @@ class TestConfluenceSweep:
                     single = evaluate_mode(co, k, float(t), n_derivatives=n_der)
                     np.testing.assert_allclose([b[j] for b in batch], single,
                                                rtol=1e-14, atol=0.0)
+
+
+class TestOneModePattern:
+    """The description's pattern is classify's on the confluence windows and
+    at k^2 within 1e-12..1e-3 of m1, where the roots nearly coincide."""
+
+    def test_pattern_is_classify(self):
+        from mgt_spectral import cardano_thresholds, classify
+
+        p = validate(0.02, 1.1)
+        offsets = np.geomspace(1e-12, 1e-3, 19)
+        rows = _confluent_windows() + [(p, cardano_thresholds(p).m1 * (1.0 + sign * offsets))
+                                       for sign in (-1.0, 1.0)]
+        y0 = TestConfluenceSweep.Y0
+        mismatches = []
+        for p, k2s in rows:
+            for k in np.sqrt(k2s).tolist():
+                got = mode_coefficients(p, k, ModeState(*y0, k=k)).pattern
+                if got is not classify(p, k):
+                    mismatches.append((p.tau, p.beta, k, got))
+        assert mismatches == []
 
 
 class TestZeroFrequencyKernel:
