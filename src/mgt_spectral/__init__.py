@@ -6,6 +6,11 @@ of the mode matrix, classifies the eigenvalue regimes separated by the
 Cardano thresholds, verifies the energy and Lyapunov dissipation structure
 numerically, and measures Sobolev-norm decay rates of radial data against
 the known theorem bounds.
+
+Importing the package loads `errors` and `params` only. numpy and the
+numerical layers (`spectrum`, `mode_solver`, `lyapunov`, `quadrature`,
+`decay`) load on first access to one of their names, so that `mgt classify`
+and `mgt --help` never import numpy.
 """
 
 __version__ = "0.1.0"
@@ -16,20 +21,38 @@ from .errors import (MGTError, NonDissipative, NonFinite, InvalidFrequency, Grid
 from .params import (ModelParams, CardanoThresholds, Regime, DataClass, TheoremRates,
                      validate, cardano_thresholds, regime, theorem_rates,
                      applicable_exponents, high_frequency_rate)
-from .spectrum import (RootPattern, Labeling, SpectrumPoint, AsymptoticTriple,
-                       eigenvalues, classify, asymptotic_small_k, asymptotic_large_k,
-                       atlas, atlas_rows, characteristic_residual)
-from .mode_solver import (ModeState, ModeCoefficients, VVector, mode_coefficients,
-                          solve_mode, propagate_numeric, v_vector, evaluate_mode,
-                          solve_modes_on_grid, mode_matrix, ode_residual)
-from .lyapunov import (LyapunovWeights, FunctionalValues, default_weights, functionals,
-                       energy_dissipation_residual, gronwall_margin, decay_margin_exact,
-                       pointwise_bound_constants, rho)
-from .decay import (FrequencyProfile, ProfileKind, RegionSplit, RegionContributions,
-                    DecayCurve, region_split, region_rates, sobolev_norm_sq, v_norm_sq,
-                    region_contributions, decay_curve, decay_curve_rows, bound_verdict,
-                    decay_curve_summary, fit_decay_slope, integral_lemma_check,
-                    IntegralLemmaReport, infer_data_class)
-from .quadrature import adaptive_quadrature, QuadResult
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public name -> the layer module that defines it
+_LAYER_OF = {name: layer for layer, names in {
+    "spectrum": ("RootPattern", "Labeling", "SpectrumPoint", "AsymptoticTriple",
+                 "eigenvalues", "classify", "asymptotic_small_k", "asymptotic_large_k",
+                 "atlas", "atlas_rows", "characteristic_residual"),
+    "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "mode_coefficients",
+                    "solve_mode", "propagate_numeric", "v_vector", "evaluate_mode",
+                    "solve_modes_on_grid", "mode_matrix", "ode_residual"),
+    "lyapunov": ("LyapunovWeights", "FunctionalValues", "default_weights", "functionals",
+                 "energy_dissipation_residual", "gronwall_margin", "decay_margin_exact",
+                 "pointwise_bound_constants", "rho"),
+    "decay": ("FrequencyProfile", "ProfileKind", "RegionSplit", "RegionContributions",
+              "DecayCurve", "region_split", "region_rates", "sobolev_norm_sq", "v_norm_sq",
+              "region_contributions", "decay_curve", "decay_curve_rows", "bound_verdict",
+              "decay_curve_summary", "fit_decay_slope", "integral_lemma_check",
+              "IntegralLemmaReport", "infer_data_class"),
+    "quadrature": ("adaptive_quadrature", "QuadResult"),
+}.items() for name in (layer, *names)}
+
+__all__ = sorted([name for name in globals() if not name.startswith("_")] + list(_LAYER_OF))
+
+
+def __getattr__(name: str):
+    # looked up on every access and never stored here, so a name always
+    # resolves to the layer module's current attribute
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    layer = importlib.import_module(f"{__name__}.{_LAYER_OF[name]}")
+    return layer if name == _LAYER_OF[name] else getattr(layer, name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

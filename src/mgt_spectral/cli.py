@@ -22,9 +22,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, decay, lyapunov, mode_solver, params, spectrum
+from . import __version__, params
 from .errors import (MGTError, NonDissipative, NonFinite, GridError, InvalidFrequency,
                      QuadratureFailure, StepFailure, NonPositiveMargin, ToleranceFailure,
                      DegenerateFit, EmptyInput, IllConditioned)
@@ -110,16 +108,15 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-_PROFILE_KINDS = {
-    "gaussian": decay.ProfileKind.GAUSSIAN,
-    "mfgaussian": decay.ProfileKind.MOMENT_FREE_GAUSSIAN,
-    "momentfree": decay.ProfileKind.MOMENT_FREE_GAUSSIAN,
-    "zero": None,
-}
-
-
 def _parse_data(spec: str) -> decay.DataTriple:
     """Parse 'u0:TYPE[:SCALE[:AMP]],u1:...,u2:...' into three profiles."""
+    from . import decay
+    kinds = {
+        "gaussian": decay.ProfileKind.GAUSSIAN,
+        "mfgaussian": decay.ProfileKind.MOMENT_FREE_GAUSSIAN,
+        "momentfree": decay.ProfileKind.MOMENT_FREE_GAUSSIAN,
+        "zero": None,
+    }
     profiles: dict[str, decay.FrequencyProfile] = {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
@@ -128,21 +125,21 @@ def _parse_data(spec: str) -> decay.DataTriple:
         name, kind_s = parts[0].strip().lower(), parts[1].strip().lower()
         if name not in ("u0", "u1", "u2"):
             raise ValueError(f"unknown data component {name!r}")
-        if kind_s not in _PROFILE_KINDS:
-            raise ValueError(f"unknown profile type {kind_s!r} "
-                             f"(choose from {sorted(_PROFILE_KINDS)})")
+        if kind_s not in kinds:
+            raise ValueError(f"unknown profile type {kind_s!r} (choose from {sorted(kinds)})")
         if kind_s == "zero":
             profiles[name] = decay.FrequencyProfile.zero()
             continue
         scale = float(parts[2]) if len(parts) > 2 else 1.0
         amp = float(parts[3]) if len(parts) > 3 else 1.0
-        profiles[name] = decay.FrequencyProfile(_PROFILE_KINDS[kind_s], scale, amp)
+        profiles[name] = decay.FrequencyProfile(kinds[kind_s], scale, amp)
     for name in ("u0", "u1", "u2"):
         profiles.setdefault(name, decay.FrequencyProfile.zero())
     return (profiles["u0"], profiles["u1"], profiles["u2"])
 
 
 def _make_grid(vmin: float, vmax: float, count: int, log: bool, what: str) -> np.ndarray:
+    import numpy as np
     if count < 1 or not (math.isfinite(vmin) and math.isfinite(vmax)) or vmax < vmin:
         raise ValueError(f"bad {what} grid: min={vmin} max={vmax} count={count}")
     if count == 1:
@@ -270,6 +267,7 @@ def cmd_classify(args, config) -> int:
 
 def cmd_atlas(args, config) -> int:
     p = _model_params(args, config)
+    from . import spectrum
     kmin = _resolve(args, config, "k_min", 0.0, float)
     kmax = _resolve(args, config, "k_max", 5.0, float)
     kcount = _resolve(args, config, "k_count", 201, int)
@@ -290,6 +288,7 @@ def cmd_atlas(args, config) -> int:
 
 def cmd_mode(args, config) -> int:
     p = _model_params(args, config)
+    from . import lyapunov, mode_solver
     k = _resolve(args, config, "k", 1.0, float)
     tmin = _resolve(args, config, "t_min", 0.0, float)
     tmax = _resolve(args, config, "t_max", 10.0, float)
@@ -298,10 +297,9 @@ def cmd_mode(args, config) -> int:
     data = _parse_data(_resolve(args, config, "data", "u0:gaussian:1:1,u1:zero,u2:zero", str))
     ts = _make_grid(tmin, tmax, tcount, tlog, "time")
 
-    karr = np.array([k])
     init = mode_solver.ModeState(
-        u_hat=complex(data[0](karr)[0]), v_hat=complex(data[1](karr)[0]),
-        w_hat=complex(data[2](karr)[0]), k=float(k))
+        u_hat=complex(data[0]([k])[0]), v_hat=complex(data[1]([k])[0]),
+        w_hat=complex(data[2]([k])[0]), k=float(k))
     weights = lyapunov.default_weights(p)
     state = mode_solver.solve_mode(p, float(k), init, ts)
     vsq = mode_solver.v_vector(p, state).norm_sq
@@ -321,6 +319,7 @@ def cmd_mode(args, config) -> int:
 
 def cmd_decay(args, config) -> int:
     p = _model_params(args, config)
+    from . import decay
     dim = _resolve(args, config, "dim", 3, int)
     j = _resolve(args, config, "j", 0, int)
     tmin = _resolve(args, config, "t_min", 1e2, float)
@@ -367,6 +366,8 @@ def cmd_decay(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
+    import numpy as np
+    from . import spectrum
     taus = rng.uniform(0.01, 1.0, n)
     betas = taus + rng.uniform(0.02, 2.0, n)
     betas = np.minimum(betas, 2.0)
@@ -396,6 +397,8 @@ def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
 
 
 def _suite_oracle(p, rng, n) -> tuple[bool, str]:
+    import numpy as np
+    from . import mode_solver
     worst = 0.0
     for _ in range(n):
         tau = rng.uniform(0.05, 0.9)
@@ -413,6 +416,7 @@ def _suite_oracle(p, rng, n) -> tuple[bool, str]:
 
 
 def _suite_energy(p, rng, n) -> tuple[bool, str]:
+    from . import lyapunov, mode_solver
     worst = 0.0
     for _ in range(n):
         tau = rng.uniform(0.05, 0.9)
@@ -429,6 +433,8 @@ def _suite_energy(p, rng, n) -> tuple[bool, str]:
 
 
 def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
+    import numpy as np
+    from . import lyapunov, mode_solver
     pairs = [p] + [params.validate(t, b) for t, b in
                    zip(rng.uniform(0.02, 0.9, n_pairs), rng.uniform(1.0, 2.0, n_pairs))
                    if t < b]
@@ -452,6 +458,8 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
 
 
 def _suite_lemmas(quick: bool) -> tuple[bool, str]:
+    import numpy as np
+    from . import decay
     combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
     tgrid = np.geomspace(1e-2, 1e4, 12)
     tgrid = np.concatenate([[0.0], tgrid])
@@ -466,6 +474,8 @@ def _suite_lemmas(quick: bool) -> tuple[bool, str]:
 
 
 def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
+    import numpy as np
+    from . import decay
     tgrid = np.geomspace(1e2, 1e3 if quick else 1e4, 7 if quick else 13)
     tol = 1e-8 if quick else 1e-10
     gauss = decay.FrequencyProfile.gaussian()
@@ -498,8 +508,9 @@ def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
 
 
 def cmd_verify(args, config) -> int:
-    p = _model_params(args, config) if (
-        _resolve(args, config, "tau", None, float) is not None) else params.validate(0.1, 1.0)
+    any_given = any(getattr(args, key) is not None or key in config for key in ("tau", "beta", "c"))
+    p = _model_params(args, config) if any_given else params.validate(0.1, 1.0)
+    import numpy as np
     quick = bool(args.quick) or _parse_bool(config.get("quick", "false"))
     div = 10 if quick else 1
     rng = np.random.default_rng(20240817)

@@ -247,13 +247,16 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     The sweep evaluates dL/dt analytically along closed-form trajectories for
     every (frequency, initial state) pair over a dense time grid and bisects
     gamma5 on [0, 1/tau].  Raises NonPositiveMargin when no positive value
-    passes and EmptyInput on empty grids.
+    passes, EmptyInput on empty grids and, as solve_mode does, ValueError on a
+    negative or non-finite time.
     """
     ks = np.asarray(list(k_grid), dtype=float)
     samples = list(init_samples)
-    if ks.size == 0 or len(samples) == 0:
-        raise EmptyInput("gronwall margin sweep needs frequencies and samples")
     ts = np.linspace(0.0, 25.0, 126) if t_grid is None else np.asarray(t_grid, dtype=float)
+    if ks.size == 0 or len(samples) == 0 or ts.size == 0:
+        raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError(f"solve_mode requires t >= 0, got {t_grid}")
 
     # -dL/dt, rho L and MARGIN_TOL L at the nondegenerate points of each trajectory
     neg_dldt, rho_l, margins = [np.empty(0)], [np.empty(0)], [np.empty(0)]

@@ -193,6 +193,33 @@ class TestVerify:
         assert code == 0
         assert "min_gamma5" in out
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--beta", "3", "--c", "2"], ""),
+        (["--tau", "0.1"], ""),
+        (["--c", "2"], ""),
+        ([], "beta = 3\n"),
+        ([], "c = 2\n"),
+    ])
+    def test_partial_parameters_rejected(self, capsys, tmp_path, argv, config):
+        # a model parameter without tau and beta is bad input, not the default point
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            argv = [*argv, "--config", str(cfg)]
+        code, out, err = run(capsys, "verify", "--quick", *argv)
+        assert code == 2
+        assert out == ""
+        assert "both --tau and --beta are required" in err
+
+    def test_wave_speed_reaches_the_header(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 2\n")
+        code, out, _ = run(capsys, "verify", "--quick", "--tau", "0.3", "--beta", "0.375",
+                           "--config", str(cfg))
+        assert code == 0
+        assert out.splitlines()[0] == ("mgt-spectral 0.1.0 verify "
+                                       "(tau=0.29999999999999999, beta=1.5, quick=True)")
+
 
 class TestWaveSpeed:
     """--c folds into the damping only: --c 2 --beta b is --beta 4b, byte for byte."""

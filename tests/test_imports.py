@@ -1,8 +1,10 @@
-"""Import hygiene: the library and its scalar CLI commands never load scipy.
+"""Import hygiene: the library and its scalar CLI commands never load scipy,
+and the front door loads no numpy.
 
 scipy is needed only by the DOP853 oracle (`propagate_numeric`, `mgt verify`)
 and by the N + 2j <= 2 tail bound; every other `mgt` invocation must not pay
-its import time.
+its import time. `import mgt_spectral` and `mgt_spectral.cli` load `errors`
+and `params` only; the layer modules, and numpy with them, load on first use.
 """
 
 import os
@@ -31,3 +33,95 @@ def test_import_and_scalar_commands_load_no_scipy():
                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip().splitlines()[-1] == "[]"
+
+
+LAYERS = ("spectrum", "mode_solver", "lyapunov", "quadrature", "decay")
+FRONT_DOOR = ["mgt_spectral.cli", "mgt_spectral.errors", "mgt_spectral.params"]
+
+
+def run_probe(code: str) -> list[str]:
+    """stdout lines of `code` run in a fresh interpreter that imports from src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.strip().splitlines()
+
+
+LOADED = """
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] == "numpy" or name.startswith("mgt_spectral.")))
+"""
+
+
+def test_front_door_loads_no_numpy_and_no_layer():
+    loaded = run_probe("import sys\nimport mgt_spectral, mgt_spectral.cli\n" + LOADED)
+    assert loaded[-1] == str(FRONT_DOOR)
+
+
+def test_classify_help_version_and_bad_input_load_no_numpy():
+    probe = """
+import contextlib, io, sys
+import mgt_spectral.cli
+point = ["--tau", "0.1", "--beta", "1"]
+for argv, code in ((["classify", *point], 0), (["classify", *point, "--all-bounds"], 0),
+                   (["--help"], 0), (["atlas", "--help"], 0), (["--version"], 0),
+                   (["classify", "--tau", "2", "--beta", "1"], 2),
+                   (["atlas", "--tau", "0.1"], 2), (["mode", "--k", "x"], 2),
+                   (["verify", "--quick", "--beta", "3", "--c", "2"], 2)):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            got = mgt_spectral.cli.main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    assert got == code, (argv, got)
+""" + LOADED
+    assert run_probe(probe)[-1] == str(FRONT_DOOR)
+
+
+def test_atlas_loads_only_the_spectrum_layer():
+    probe = """
+import contextlib, io, sys
+import mgt_spectral.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert mgt_spectral.cli.main(["atlas", "--tau", "0.1", "--beta", "1"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("mgt_spectral.")))
+"""
+    assert run_probe(probe)[-1] == str(FRONT_DOOR + ["mgt_spectral.spectrum"])
+
+
+def test_every_public_name_is_the_defining_module_object():
+    probe = """
+import importlib, inspect
+import mgt_spectral
+assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 81
+for name in mgt_spectral.__all__:
+    obj = getattr(mgt_spectral, name)
+    if inspect.ismodule(obj):
+        assert obj.__name__ == "mgt_spectral." + name, name
+        assert obj is importlib.import_module(obj.__name__), name
+    else:
+        assert obj.__module__.startswith("mgt_spectral."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+print(sorted(n for n in mgt_spectral.__all__ if inspect.ismodule(getattr(mgt_spectral, n))))
+try:
+    mgt_spectral.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    lines = run_probe(probe)
+    assert lines[-2] == str(sorted(("errors", "params") + LAYERS))
+    assert lines[-1] == "module 'mgt_spectral' has no attribute 'no_such_name'"
+
+
+def test_dir_and_star_import_list_the_public_names():
+    probe = """
+import mgt_spectral
+names = set(mgt_spectral.__all__)
+assert names <= set(dir(mgt_spectral)), names - set(dir(mgt_spectral))
+namespace = {}
+exec("from mgt_spectral import *", namespace)
+assert names == set(namespace) - {"__builtins__"}, names ^ set(namespace)
+print("ok")
+"""
+    assert run_probe(probe)[-1] == "ok"
