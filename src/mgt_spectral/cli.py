@@ -9,15 +9,20 @@ decay      Sobolev-norm decay curve with fitted slope and bound verdict
 verify     the full numerical invariant suite (exit 0 iff everything passes)
 
 Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 I/O failure,
-4 numerical failure.  Flags override config-file values, which override
-defaults; config files are flat `key = value` lines (keys match the long
-flag names, `#` starts a comment).
+4 numerical failure.
+
+Every option of a subcommand except --help and --config is also a config
+key, spelled with `_` (--k-count is k_count).  A config file holds flat
+`key = value` lines (`#` starts a comment); each value becomes the default
+of the option it names, parsed as that flag's value would be, so flags
+override the file.  Booleans are spelled 1/true/yes/on or 0/false/no/off.
+An unknown key is an error.  Header line 2 of the classify, atlas, mode and
+decay output lists every setting of the run.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -38,18 +43,25 @@ _BAD_INPUT_ERRORS = (NonDissipative, NonFinite, GridError, InvalidFrequency,
 _NUMERICAL_ERRORS = (QuadratureFailure, StepFailure, NonPositiveMargin,
                      ToleranceFailure, DegenerateFit, IllConditioned)
 
+#: settings that header line 2 leaves out: tau and beta are recorded as validated,
+#: with c folded into beta, and the rest do not change the numbers
+_UNRECORDED = ("command", "tau", "beta", "c", "config", "out")
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _header_lines(command: str, opts: dict) -> list[str]:
+def _header_lines(args: argparse.Namespace, p: params.ModelParams) -> list[str]:
+    opts = {k: _fmt(v) if isinstance(v, float) else v
+            for k, v in vars(args).items() if k not in _UNRECORDED}
+    opts.update(tau=_fmt(p.tau), beta=_fmt(p.beta))
     fields = " ".join(f"{k}={v}" for k, v in sorted(opts.items()))
-    return [f"# mgt-spectral {__version__} {command}", f"# {fields}"]
+    return [f"# mgt-spectral {__version__} {args.command}", f"# {fields}"]
 
 
-def _write_output(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_output(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -57,6 +69,12 @@ def _write_output(path: str | None, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise _IOFail(str(exc)) from exc
+
+
+def _write_csv(args, p: params.ModelParams, columns: str, rows) -> None:
+    lines = _header_lines(args, p) + [columns]
+    lines += [",".join(x if isinstance(x, str) else _fmt(x) for x in row) for row in rows]
+    _write_output(args.out, "\n".join(lines) + "\n")
 
 
 class _IOFail(Exception):
@@ -87,25 +105,29 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(args: argparse.Namespace, config: dict[str, str], key: str,
-             default, cast):
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config:
-        try:
-            return cast(config[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config key {key}: {exc}") from exc
-    return default
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("1", "true", "yes", "on"):
-        return True
-    if s.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
+def _apply_config(sp: argparse.ArgumentParser, config: dict[str, str]) -> None:
+    """Make each config value the default of the option of sp that it names.
+
+    A value is parsed by sp itself, as its flag's value would be (type and
+    choices, exit 2 on a bad one); a store_true flag takes a boolean word.
+    """
+    actions = {a.dest: a for a in sp._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    for key, val in config.items():
+        action = actions.get(key)
+        if action is None:
+            raise ValueError(f"unknown config key {key!r} for {sp.prog}")
+        if action.nargs == 0:  # a store_true flag
+            if val.lower() not in _BOOLS:
+                raise ValueError(f"config key {key}: not a boolean: {val!r}")
+            val = _BOOLS[val.lower()]
+        else:
+            val = getattr(sp.parse_args([f"{action.option_strings[0]}={val}"]), key)
+        sp.set_defaults(**{key: val})
 
 
 def _parse_data(spec: str) -> decay.DataTriple:
@@ -151,92 +173,81 @@ def _make_grid(vmin: float, vmax: float, count: int, log: bool, what: str) -> np
     return np.linspace(vmin, vmax, count)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The mgt parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="mgt",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"mgt-spectral {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    subs = {}
 
-    def common(sp):
-        sp.add_argument("--tau", type=float, default=None, help="relaxation time (0 < tau < beta)")
-        sp.add_argument("--beta", type=float, default=None, help="damping coefficient")
-        sp.add_argument("--c", type=float, default=None,
-                        help="wave speed (default 1); folded into the damping as beta -> c^2 beta, "
-                             "frequencies and times are not rescaled")
-        sp.add_argument("--config", type=str, default=None,
-                        help="flat key=value config file; flags take precedence")
-        sp.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    def opt(sp, name, default, help, **kw):
+        # typed by its default; a bool default makes a store_true flag
+        if isinstance(default, bool):
+            kw["action"] = "store_true"
+        else:
+            kw["type"] = type(default)
+        sp.add_argument(f"--{name}", default=default, help=f"{help} (default: %(default)s)", **kw)
 
-    sp = sub.add_parser("classify", help="regime, thresholds, theorem exponents")
-    common(sp)
-    sp.add_argument("--dim", type=int, default=None, help="space dimension (default 3)")
-    sp.add_argument("--j", type=int, default=None, help="derivative order (default 0)")
-    sp.add_argument("--all-bounds", action="store_true",
-                    help="print every applicable bound, not only the best one")
+    def command(name, help, *options):
+        sp = subs[name] = sub.add_parser(name, help=help)
+        sp.add_argument("--tau", type=float, help="relaxation time, 0 < tau < beta (required)")
+        sp.add_argument("--beta", type=float, help="damping coefficient (required)")
+        opt(sp, "c", 1.0, "wave speed, folded into the damping as beta -> c^2 beta; "
+                          "frequencies and times are not rescaled")
+        sp.add_argument("--config", help="flat key = value file whose values become the "
+                                         "defaults of the options they name")
+        opt(sp, "out", "-", "output path, - for stdout")
+        for option in options:
+            opt(sp, *option)
+        return sp
 
-    sp = sub.add_parser("atlas", help="branch-continuous eigenvalue table (CSV)")
-    common(sp)
-    sp.add_argument("--k-min", type=float, default=None)
-    sp.add_argument("--k-max", type=float, default=None)
-    sp.add_argument("--k-count", type=int, default=None)
-    sp.add_argument("--k-log", action="store_true", default=None)
+    def grid(v, what, vmin, vmax, count, log):
+        return [(f"{v}-min", vmin, f"first {what}"), (f"{v}-max", vmax, f"last {what}"),
+                (f"{v}-count", count, f"number of {what}s"),
+                (f"{v}-log", log, f"log-spaced {what}s")]
 
-    sp = sub.add_parser("mode", help="single-mode trajectory with energy columns (CSV)")
-    common(sp)
-    sp.add_argument("--k", type=float, default=None, help="frequency magnitude")
-    sp.add_argument("--t-min", type=float, default=None)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--t-count", type=int, default=None)
-    sp.add_argument("--t-log", action="store_true", default=None)
-    sp.add_argument("--data", type=str, default=None,
-                    help="u0:TYPE:SCALE:AMP,u1:...,u2:... (types: gaussian, mfgaussian, zero)")
-
-    sp = sub.add_parser("decay", help="Sobolev-norm decay curve and bound verdict")
-    common(sp)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--t-min", type=float, default=None)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--t-count", type=int, default=None)
-    sp.add_argument("--t-log", action="store_true", default=None)
-    sp.add_argument("--data", type=str, default=None)
-    sp.add_argument("--quad-tol", type=float, default=None)
-    sp.add_argument("--v-norm", action="store_true",
-                    help="measure the energy-variable vector norm instead of the solution norm")
-    sp.add_argument("--format", choices=("csv", "json"), default=None)
-
-    sp = sub.add_parser("verify", help="run the full numerical invariant suite")
-    common(sp)
-    sp.add_argument("--quick", action="store_true", help="shrink sample counts 10x")
-
-    return ap
+    dim_j = [("dim", 3, "space dimension"), ("j", 0, "derivative order")]
+    data = ("data", "u0:gaussian:1:1,u1:zero,u2:zero",
+            "u0:TYPE:SCALE:AMP,u1:...,u2:... with types gaussian, mfgaussian, zero")
+    command("classify", "regime, thresholds, theorem exponents", *dim_j,
+            ("all-bounds", False, "print every applicable bound, not only the best one"))
+    command("atlas", "branch-continuous eigenvalue table (CSV)",
+            *grid("k", "frequency", 0.0, 5.0, 201, False))
+    command("mode", "single-mode trajectory with energy columns (CSV)",
+            ("k", 1.0, "frequency magnitude"), *grid("t", "time", 0.0, 10.0, 101, False), data)
+    sp = command("decay", "Sobolev-norm decay curve and bound verdict",
+                 *dim_j, *grid("t", "time", 1e2, 1e4, 25, True), data,
+                 ("quad-tol", 1e-10, "quadrature tolerance in (0, 1)"),
+                 ("v-norm", False, "measure the energy-variable vector norm instead of the "
+                                   "solution norm"))
+    opt(sp, "format", "csv", "csv: the curve, then its JSON summary; json: one document",
+        choices=("csv", "json"))
+    command("verify", "run the full numerical invariant suite (at tau 0.1, beta 1 "
+                      "unless tau, beta or c is set)", ("quick", False, "shrink sample counts 10x"))
+    return ap, subs
 
 
-def _model_params(args, config) -> params.ModelParams:
-    tau = _resolve(args, config, "tau", None, float)
-    beta = _resolve(args, config, "beta", None, float)
-    if tau is None or beta is None:
+def _model_params(args) -> params.ModelParams:
+    if args.tau is None or args.beta is None:
         raise ValueError("both --tau and --beta are required")
-    c = _resolve(args, config, "c", 1.0, float)
-    if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"wave speed must be positive and finite, got {c}")
+    if not (args.c > 0.0 and math.isfinite(args.c)):
+        raise ValueError(f"wave speed must be positive and finite, got {args.c}")
     # general wave speed folds into the damping coefficient
-    return params.validate(tau, c * c * beta)
+    return params.validate(args.tau, args.c * args.c * args.beta)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args, config) -> int:
-    p = _model_params(args, config)
-    dim = _resolve(args, config, "dim", 3, int)
-    j = _resolve(args, config, "j", 0, int)
+def cmd_classify(args) -> int:
+    p = _model_params(args)
     thr = params.cardano_thresholds(p)
     reg = params.regime(p)
-    lines = _header_lines("classify", {"tau": _fmt(p.tau), "beta": _fmt(p.beta)})
+    lines = _header_lines(args, p)
     regime_note = {
         params.Regime.SUB_CRITICAL:
             "three real roots for sqrt(m1) <= |xi| <= sqrt(m2), conjugate pair outside",
@@ -254,6 +265,7 @@ def cmd_classify(args, config) -> int:
     else:
         lines.append(f"m1 = {_fmt(thr.m1)} (sqrt(m1) = {_fmt(math.sqrt(thr.m1))})")
         lines.append(f"m2 = {_fmt(thr.m2)} (sqrt(m2) = {_fmt(math.sqrt(thr.m2))})")
+    dim, j = args.dim, args.j
     for dc in (params.DataClass.L1, params.DataClass.L1_WEIGHTED):
         rates = params.theorem_rates(p, dim, j, dc)
         lines.append(f"decay bound [{dc.value}, dim={dim}, j={j}]: "
@@ -265,99 +277,58 @@ def cmd_classify(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_atlas(args, config) -> int:
-    p = _model_params(args, config)
+def cmd_atlas(args) -> int:
+    p = _model_params(args)
     from . import spectrum
-    kmin = _resolve(args, config, "k_min", 0.0, float)
-    kmax = _resolve(args, config, "k_max", 5.0, float)
-    kcount = _resolve(args, config, "k_count", 201, int)
-    klog = _resolve(args, config, "k_log", False, _parse_bool)
-    grid = _make_grid(kmin, kmax, kcount, klog, "frequency")
-    points = spectrum.atlas(p, grid)
-    buf = io.StringIO()
-    for line in _header_lines("atlas", {"tau": _fmt(p.tau), "beta": _fmt(p.beta),
-                                        "k_min": _fmt(kmin), "k_max": _fmt(kmax),
-                                        "k_count": kcount, "k_log": klog}):
-        buf.write(line + "\n")
-    buf.write("k,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3,pattern\n")
-    for row in spectrum.atlas_rows(points):
-        buf.write(",".join(_fmt(x) for x in row[:7]) + f",{row[7]}\n")
-    _write_output(args.out, buf.getvalue())
+    grid = _make_grid(args.k_min, args.k_max, args.k_count, args.k_log, "frequency")
+    _write_csv(args, p, "k,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3,pattern",
+               spectrum.atlas_rows(spectrum.atlas(p, grid)))
     return EXIT_OK
 
 
-def cmd_mode(args, config) -> int:
-    p = _model_params(args, config)
+def cmd_mode(args) -> int:
+    p = _model_params(args)
     from . import lyapunov, mode_solver
-    k = _resolve(args, config, "k", 1.0, float)
-    tmin = _resolve(args, config, "t_min", 0.0, float)
-    tmax = _resolve(args, config, "t_max", 10.0, float)
-    tcount = _resolve(args, config, "t_count", 101, int)
-    tlog = _resolve(args, config, "t_log", False, _parse_bool)
-    data = _parse_data(_resolve(args, config, "data", "u0:gaussian:1:1,u1:zero,u2:zero", str))
-    ts = _make_grid(tmin, tmax, tcount, tlog, "time")
+    k = args.k
+    data = _parse_data(args.data)
+    ts = _make_grid(args.t_min, args.t_max, args.t_count, args.t_log, "time")
 
     init = mode_solver.ModeState(
         u_hat=complex(data[0]([k])[0]), v_hat=complex(data[1]([k])[0]),
-        w_hat=complex(data[2]([k])[0]), k=float(k))
+        w_hat=complex(data[2]([k])[0]), k=k)
     weights = lyapunov.default_weights(p)
-    state = mode_solver.solve_mode(p, float(k), init, ts)
+    state = mode_solver.solve_mode(p, k, init, ts)
     vsq = mode_solver.v_vector(p, state).norm_sq
     f = lyapunov.functionals(p, state, weights)
-
-    buf = io.StringIO()
-    for line in _header_lines("mode", {"tau": _fmt(p.tau), "beta": _fmt(p.beta),
-                                       "k": _fmt(k), "t_min": _fmt(tmin),
-                                       "t_max": _fmt(tmax), "t_count": tcount}):
-        buf.write(line + "\n")
-    buf.write("t,re_u,im_u,v_sq,energy,lyap\n")
-    for row in zip(ts, state.u_hat.real, state.u_hat.imag, vsq, f.energy, f.lyap):
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
-    _write_output(args.out, buf.getvalue())
+    _write_csv(args, p, "t,re_u,im_u,v_sq,energy,lyap",
+               zip(ts, state.u_hat.real, state.u_hat.imag, vsq, f.energy, f.lyap))
     return EXIT_OK
 
 
-def cmd_decay(args, config) -> int:
-    p = _model_params(args, config)
+def cmd_decay(args) -> int:
+    p = _model_params(args)
     from . import decay
-    dim = _resolve(args, config, "dim", 3, int)
-    j = _resolve(args, config, "j", 0, int)
-    tmin = _resolve(args, config, "t_min", 1e2, float)
-    tmax = _resolve(args, config, "t_max", 1e4, float)
-    tcount = _resolve(args, config, "t_count", 25, int)
-    tlog = _resolve(args, config, "t_log", True, _parse_bool)
-    quad_tol = _resolve(args, config, "quad_tol", 1e-10, float)
-    if not (0.0 < quad_tol < 1.0):
-        raise ValueError(f"quad_tol must lie in (0, 1), got {quad_tol}")
-    fmt = _resolve(args, config, "format", "csv", str)
-    data = _parse_data(_resolve(args, config, "data", "u0:gaussian:1:1,u1:zero,u2:zero", str))
-    ts = _make_grid(tmin, tmax, tcount, tlog, "time")
+    if not (0.0 < args.quad_tol < 1.0):
+        raise ValueError(f"quad_tol must lie in (0, 1), got {args.quad_tol}")
+    data = _parse_data(args.data)
+    ts = _make_grid(args.t_min, args.t_max, args.t_count, args.t_log, "time")
 
-    curve = decay.decay_curve(p, data, dim, j, ts, quad_tol, v_norm=bool(args.v_norm))
+    curve = decay.decay_curve(p, data, args.dim, args.j, ts, args.quad_tol, v_norm=args.v_norm)
     summary = decay.decay_curve_summary(curve)
 
-    within, c_early = decay.bound_verdict(curve, curve.bound_exponent, 10.0 * quad_tol)
+    within, c_early = decay.bound_verdict(curve, curve.bound_exponent, 10.0 * args.quad_tol)
     summary["bound_constant_early_window"] = c_early
     summary["verdict"] = "WITHIN_BOUND" if within else "VIOLATION"
 
     rows = decay.decay_curve_rows(curve)
-    if fmt == "json":
+    if args.format == "json":
         summary["rows"] = [{"t": t, "norm": v, "bound_value": b} for t, v, b in rows]
         _write_output(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
-    buf = io.StringIO()
-    for line in _header_lines("decay", {"tau": _fmt(p.tau), "beta": _fmt(p.beta),
-                                        "dim": dim, "j": j, "quad_tol": _fmt(quad_tol)}):
-        buf.write(line + "\n")
-    buf.write("t,norm,bound_value\n")
-    for t, v, b in rows:
-        buf.write(",".join(_fmt(x) for x in (t, v, b)) + "\n")
-    _write_output(args.out, buf.getvalue())
-    if args.out not in (None, "-"):
-        _write_output(args.out + ".json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_csv(args, p, "t,norm,bound_value", rows)
+    _write_output("-" if args.out == "-" else args.out + ".json",
+                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -461,15 +432,10 @@ def _suite_lemmas(quick: bool) -> tuple[bool, str]:
     import numpy as np
     from . import decay
     combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
-    tgrid = np.geomspace(1e-2, 1e4, 12)
-    tgrid = np.concatenate([[0.0], tgrid])
-    worst = 0.0
-    for dim, j in combos:
-        rep = decay.integral_lemma_check(dim, j, 1.0, tgrid)
-        for s in rep.series.values():
-            if not s.stable:
-                return False, f"unstable ratio in {s.name} at dim={dim}, j={j}"
-            worst = max(worst, s.max_ratio)
+    tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
+    # an unstable ratio raises ToleranceFailure, which fails the suite
+    worst = max(s.max_ratio for dim, j in combos
+                for s in decay.integral_lemma_check(dim, j, 1.0, tgrid).series.values())
     return True, f"combos={len(combos)} max_ratio={worst:.3f}"
 
 
@@ -507,12 +473,12 @@ def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
                     f"dim1_bound={'ok' if ok1 else 'FAIL'} weighted_slope={cw.fitted_slope:+.3f}")
 
 
-def cmd_verify(args, config) -> int:
-    any_given = any(getattr(args, key) is not None or key in config for key in ("tau", "beta", "c"))
-    p = _model_params(args, config) if any_given else params.validate(0.1, 1.0)
+def cmd_verify(args) -> int:
+    # the suite's own point unless a model parameter is set
+    given = (args.tau, args.beta, args.c) != (None, None, 1.0)
+    p = _model_params(args) if given else params.validate(0.1, 1.0)
     import numpy as np
-    quick = bool(args.quick) or _parse_bool(config.get("quick", "false"))
-    div = 10 if quick else 1
+    div = 10 if args.quick else 1
     rng = np.random.default_rng(20240817)
 
     suites = [
@@ -520,11 +486,11 @@ def cmd_verify(args, config) -> int:
         ("oracle_equivalence", lambda: _suite_oracle(p, rng, max(5, 200 // div))),
         ("energy_identity", lambda: _suite_energy(p, rng, max(5, 50 // div))),
         ("gronwall_margin", lambda: _suite_gronwall(p, rng, max(2, 10 // div))),
-        ("integral_lemmas", lambda: _suite_lemmas(quick)),
-        ("theorem_bounds", lambda: _suite_theorem_bounds(p, quick)),
+        ("integral_lemmas", lambda: _suite_lemmas(args.quick)),
+        ("theorem_bounds", lambda: _suite_theorem_bounds(p, args.quick)),
     ]
     lines = [f"mgt-spectral {__version__} verify "
-             f"(tau={_fmt(p.tau)}, beta={_fmt(p.beta)}, quick={quick})"]
+             f"(tau={_fmt(p.tau)}, beta={_fmt(p.beta)}, quick={args.quick})"]
     all_ok = True
     for name, fn in suites:
         try:
@@ -550,11 +516,13 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, subs = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args, config)
+        if args.config:
+            _apply_config(subs[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _BAD_INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

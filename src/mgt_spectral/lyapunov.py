@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NonPositiveMargin
+from .errors import EmptyInput, InvalidFrequency, NonPositiveMargin
 from .mode_solver import ModeState, mode_coefficients, evaluate_mode, mode_matrix, solve_mode
 from .params import ModelParams
 
@@ -129,8 +129,16 @@ def _decay_margins(p: ModelParams, ks: np.ndarray, ml: np.ndarray) -> np.ndarray
 _DEFAULT_K_GRID = np.concatenate([np.geomspace(1e-3, 1e4, 140), [1e6, 1e9]])
 
 
+def _frequencies(k_grid) -> np.ndarray:
+    """k_grid as a float array; InvalidFrequency on a negative or non-finite entry."""
+    ks = np.asarray(k_grid, dtype=float)
+    if not np.all(np.isfinite(ks) & (ks >= 0.0)):
+        raise InvalidFrequency(f"frequencies must be finite and >= 0, got {k_grid}")
+    return ks
+
+
 def _positive_grid(k_grid: np.ndarray | None) -> np.ndarray:
-    ks = _DEFAULT_K_GRID if k_grid is None else np.asarray(k_grid, dtype=float)
+    ks = _DEFAULT_K_GRID if k_grid is None else _frequencies(k_grid)
     ks = ks[ks > 0.0]
     if ks.size == 0:
         raise EmptyInput("the frequency grid holds no positive frequency")
@@ -145,7 +153,8 @@ def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> Lyapuno
     C(eps0) = (beta-tau)^2/(4 eps0) and C(eps1, eps2) = tau^2/(4 eps2)
     + 1/(4 eps1).  Equivalence constants are measured by exact optimization
     over states (a generalized eigenproblem) per grid frequency; gamma5 is
-    the minimum decay margin over the same grid.
+    the minimum decay margin over the same grid.  The grid's zeros are
+    skipped; a negative or non-finite entry raises InvalidFrequency.
     """
     eps0 = eps1 = 0.5
     gamma1 = 4.0
@@ -183,7 +192,7 @@ def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> Lyapuno
 
 def decay_margin_exact(p: ModelParams, w: LyapunovWeights,
                        k_grid: np.ndarray | None = None) -> float:
-    """Minimum over a frequency grid of the exact per-mode decay margin."""
+    """Minimum over a frequency grid (zeros skipped) of the exact per-mode decay margin."""
     ks = _positive_grid(k_grid)
     return float(_decay_margins(p, ks, _lyapunov_matrix(p, ks, w)).min())
 
@@ -247,10 +256,11 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     The sweep evaluates dL/dt analytically along closed-form trajectories for
     every (frequency, initial state) pair over a dense time grid and bisects
     gamma5 on [0, 1/tau].  Raises NonPositiveMargin when no positive value
-    passes, EmptyInput on empty grids and, as solve_mode does, ValueError on a
-    negative or non-finite time.
+    passes, EmptyInput on empty grids, InvalidFrequency on a negative or
+    non-finite frequency (k = 0 is skipped) and, as solve_mode does,
+    ValueError on a negative or non-finite time.
     """
-    ks = np.asarray(list(k_grid), dtype=float)
+    ks = _frequencies(list(k_grid))
     samples = list(init_samples)
     ts = np.linspace(0.0, 25.0, 126) if t_grid is None else np.asarray(t_grid, dtype=float)
     if ks.size == 0 or len(samples) == 0 or ts.size == 0:
@@ -261,7 +271,7 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     # -dL/dt, rho L and MARGIN_TOL L at the nondegenerate points of each trajectory
     neg_dldt, rho_l, margins = [np.empty(0)], [np.empty(0)], [np.empty(0)]
     for k in ks.tolist():
-        if k <= 0.0:
+        if k == 0.0:
             continue
         r = float(rho(k))
         for sample in samples:

@@ -193,6 +193,13 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
     return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
 
 
+def _mode_nodes(p: ModelParams, k: float, init: ModeState) -> tuple:
+    """The kernel's factor of the cubic at k, for an initial state tagged k."""
+    if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
+        raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
+    return _cubic_roots_batch(p.tau, p.beta, np.array([k * k]))
+
+
 def mode_coefficients(p: ModelParams, k: float, init: ModeState,
                       pattern: RootPattern | None = None) -> ModeCoefficients:
     """Expansion coefficients of the mode in the basis of its root pattern.
@@ -209,10 +216,8 @@ def mode_coefficients(p: ModelParams, k: float, init: ModeState,
     coefficient system has a condition number above 1/TOL_CONFLUENT,
     signalling that the caller must reclassify the mode as confluent.
     """
-    if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
-        raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
     k2 = np.array([k * k])
-    nodes = _cubic_roots_batch(p.tau, p.beta, k2)
+    nodes = _mode_nodes(p, k, init)
     roots, patterns = _route_confluent(p, k2, nodes)
     routed = patterns[0]
     if pattern is not None and pattern is not routed:
@@ -261,29 +266,34 @@ def evaluate_mode(coeffs: ModeCoefficients, k: float, t,
     j <= 2 is a component of exp(Phi t) y0; higher ones propagate
     Phi^(j-2) y0, so they check that the kernel commutes with Phi.
     """
-    vecs = [coeffs.init.as_array()[:, None]]
+    return _evaluate(coeffs.nodes, coeffs.init, t, n_derivatives)
+
+
+def _evaluate(nodes: tuple, init: ModeState, t, n_derivatives: int) -> tuple:
+    """evaluate_mode for the mode with factor `nodes` and initial state `init`."""
+    vecs = [init.as_array()[:, None]]
     for _ in range(n_derivatives - 2):
-        vecs.append(_apply_phi(*coeffs.nodes[:3], vecs[-1]))
+        vecs.append(_apply_phi(*nodes[:3], vecs[-1]))
     t = np.asarray(t, dtype=float)
     y0 = np.concatenate(vecs, axis=1).reshape((3,) + (1,) * t.ndim + (len(vecs),))
-    y = _propagate(coeffs.nodes, y0, t[..., None])
+    y = _propagate(nodes, y0, t[..., None])
     out = [y[j, ..., 0] for j in range(min(n_derivatives, 2) + 1)]
     out += [y[2, ..., j] for j in range(1, len(vecs))]
     return tuple(complex(x) if t.ndim == 0 else x for x in out)
 
 
-def solve_mode(p: ModelParams, k: float, init: ModeState, t,
-               pattern: RootPattern | None = None) -> ModeState:
+def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
     """Closed-form state of the mode at a time t >= 0, or at an array of times.
 
-    For an array t the state holds arrays of t's shape, from one kernel call.
-    Raises ValueError if any time is negative or not finite.
+    For an array t the state holds arrays of t's shape, from one kernel call
+    on the factor of the cubic (no pattern description is built).  Raises
+    ValueError if any time is negative or not finite, or if init is tagged
+    with another k.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError(f"solve_mode requires t >= 0, got {t}")
-    coeffs = mode_coefficients(p, k, init, pattern=pattern)
-    u, v, w = evaluate_mode(coeffs, k, t, n_derivatives=2)
+    u, v, w = _evaluate(_mode_nodes(p, k, init), init, t, n_derivatives=2)
     return ModeState(u_hat=u, v_hat=v, w_hat=w, k=k)
 
 

@@ -102,9 +102,7 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
     edges = [a, b] if initial_edges is None else sorted(
         {float(e) for e in initial_edges if a <= e <= b} | {a, b})
     pieces: list[np.ndarray] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
+    for lo, hi in zip(edges[:-1], edges[1:]):  # strictly ascending: a sorted set
         n = 1 if max_width is None else max(1, math.ceil((hi - lo) / max_width))
         n = max(n, math.ceil(min_intervals / max(1, len(edges) - 1)))
         if 15 * n > node_budget:

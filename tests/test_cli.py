@@ -237,3 +237,198 @@ class TestWaveSpeed:
                                *extra)
         assert code_c == code_b == 0
         assert out_c == out_b
+
+
+def run_exit(capsys, *argv):
+    """run(), also for argparse errors, which leave main through SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# a value for every long option but --config (True: a store_true flag), and the
+# settings every run of the command starts from unless the option itself is tested
+_OPTION_VALUES = {
+    "classify": {"dim": "1", "j": "1", "all_bounds": True},
+    "atlas": {"k_min": "0.25", "k_max": "2", "k_count": "7", "k_log": True},
+    "mode": {"k": "1.3", "t_min": "0.25", "t_max": "4", "t_count": "6", "t_log": True,
+             "data": "u0:zero,u1:gaussian:1:1,u2:zero"},
+    "decay": {"dim": "1", "j": "1", "t_min": "200", "t_max": "2000", "t_count": "4",
+              "t_log": True, "data": "u0:zero,u1:zero,u2:gaussian:1:1", "quad_tol": "1e-7",
+              "v_norm": True, "format": "json"},
+    "verify": {"quick": True},
+}
+_COMMON_VALUES = {"tau": "0.2", "beta": "1.5", "c": "1.5", "out": "result.txt"}
+_BASE = {"classify": {}, "atlas": {"k_min": "0.5", "k_count": "5"},
+         "mode": {"t_min": "0.5", "t_count": "5"},
+         "decay": {"t_count": "3", "quad_tol": "1e-6"}, "verify": {}}
+
+
+def _flag_tokens(key, value):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if value is True else [flag, value]
+
+
+def _config_line(key, value):
+    return f"{key} = {'true' if value is True else value}\n"
+
+
+def _stub_suites(monkeypatch):
+    from mgt_spectral import cli
+    for name in ("spectrum", "oracle", "energy", "gronwall", "lemmas", "theorem_bounds"):
+        monkeypatch.setattr(cli, f"_suite_{name}", lambda *a: (True, "stub"))
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, values in _OPTION_VALUES.items()
+    for key in [*_COMMON_VALUES, *values]])
+def test_config_value_acts_as_its_flag(capsys, tmp_path, monkeypatch, command, key):
+    monkeypatch.chdir(tmp_path)
+    _stub_suites(monkeypatch)
+    value = {**_COMMON_VALUES, **_OPTION_VALUES[command]}[key]
+    base = {"tau": "0.1", "beta": "1", **_BASE[command]}
+    base.pop(key, None)
+    argv = [command] + [tok for k, v in base.items() for tok in _flag_tokens(k, v)]
+
+    def outcome(*extra):
+        result = run_exit(capsys, *argv, *extra)
+        files = {f.name: f.read_text() for f in sorted(tmp_path.iterdir()) if f.name != "run.cfg"}
+        for name in files:
+            (tmp_path / name).unlink()
+        return result[0], result[1], files
+
+    by_flag = outcome(*_flag_tokens(key, value))
+    (tmp_path / "run.cfg").write_text(_config_line(key, value))
+    by_config = outcome("--config", "run.cfg")
+    assert by_flag[0] == 0
+    assert by_config == by_flag
+    if key == "out":
+        assert by_flag[1] == "" and "result.txt" in by_flag[2]
+
+
+def test_every_option_is_covered():
+    from mgt_spectral.cli import _build_parser
+    _, subs = _build_parser()
+    for command, sp in subs.items():
+        keys = {a.dest for a in sp._actions if a.option_strings} - {"help", "config"}
+        assert keys == {*_COMMON_VALUES, *_OPTION_VALUES[command]}, command
+
+
+class TestConfigErrors:
+    def test_unknown_key_is_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 0.1\nbeta = 1\nk_cont = 3\n")
+        code, out, err = run_exit(capsys, "atlas", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "k_cont" in err
+
+    def test_config_key_is_not_a_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"config = {cfg}\n")
+        code, _, err = run_exit(capsys, "classify", "--tau", "0.1", "--beta", "1",
+                                "--config", str(cfg))
+        assert code == 2
+        assert "config" in err
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("decay", "format", "xml"),
+        ("atlas", "k_count", "x"),
+        ("mode", "k", "x"),
+        ("classify", "dim", "1.5"),
+    ])
+    def test_bad_value_fails_as_its_flag(self, capsys, tmp_path, command, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_config_line(key, value))
+        base = [command, "--tau", "0.1", "--beta", "1"]
+        by_flag = run_exit(capsys, *base, *_flag_tokens(key, value))
+        by_config = run_exit(capsys, *base, "--config", str(cfg))
+        assert by_flag[0] == 2
+        assert by_config == by_flag
+
+    def test_bad_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_log = maybe\n")
+        code, out, err = run_exit(capsys, "decay", "--tau", "0.1", "--beta", "1",
+                                  "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "t_log" in err and "maybe" in err
+
+    def test_t_log_false_turns_off_the_decay_log_grid(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_log = false\n")
+        code, out, _ = run(capsys, "decay", "--tau", "0.1", "--beta", "1", "--t-count", "3",
+                           "--quad-tol", "1e-6", "--config", str(cfg))
+        assert code == 0
+        lines = out.splitlines()
+        assert "t_log=False" in lines[1].split()
+        assert [float(ln.split(",")[0]) for ln in lines[3:6]] == [100.0, 5050.0, 10000.0]
+
+
+class TestHeader:
+    @pytest.mark.parametrize("command", ["classify", "atlas", "mode", "decay"])
+    def test_line_2_lists_every_setting(self, capsys, command):
+        from mgt_spectral.cli import _build_parser
+        _, subs = _build_parser()
+        code, out, _ = run(capsys, command, "--tau", "0.1", "--beta", "1",
+                           *(["--t-count", "3", "--quad-tol", "1e-6"] if command == "decay" else []))
+        assert code == 0
+        fields = dict(f.split("=", 1) for f in out.splitlines()[1][2:].split(" "))
+        settings = {a.dest for a in subs[command]._actions if a.option_strings}
+        assert set(fields) == settings - {"help", "config", "out", "c"}
+        assert fields["tau"] == "0.10000000000000001" and fields["beta"] == "1"
+
+    @pytest.mark.parametrize("command", ["classify", "decay"])
+    def test_wave_speed_folds_into_the_recorded_beta(self, capsys, command):
+        extra = ["--t-count", "3", "--quad-tol", "1e-6"] if command == "decay" else []
+        by_c = run(capsys, command, "--tau", "0.1", "--beta", "0.25", "--c", "2", *extra)
+        by_beta = run(capsys, command, "--tau", "0.1", "--beta", "1", *extra)
+        assert by_c == by_beta
+        assert by_c[0] == 0
+
+
+class TestPathsAndExits:
+    def test_numerical_failure_exits_4(self, capsys):
+        code, out, err = run(capsys, "decay", "--tau", "0.1", "--beta", "1",
+                             "--quad-tol", "1e-300", "--t-count", "3")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("numerical failure: node budget")
+
+    def test_decay_csv_then_json_summary_on_stdout(self, capsys):
+        code, out, _ = run(capsys, "decay", "--tau", "0.1", "--beta", "1",
+                           "--t-count", "3", "--quad-tol", "1e-6")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# mgt-spectral 0.1.0 decay"
+        assert lines[2] == "t,norm,bound_value"
+        assert len(lines[3].split(",")) == 3 and len(lines[5].split(",")) == 3
+        summary = json.loads("\n".join(lines[6:]))
+        assert summary["n_times"] == 3
+        assert summary["verdict"] == "WITHIN_BOUND"
+
+    def test_one_point_grid(self, capsys):
+        code, out, _ = run(capsys, "atlas", "--tau", "0.1", "--beta", "1",
+                           "--k-min", "0.5", "--k-count", "1")
+        assert code == 0
+        rows = out.splitlines()[3:]
+        assert len(rows) == 1
+        assert rows[0].split(",")[0] == "0.5"
+
+    def test_suite_error_is_a_failed_suite(self, capsys, monkeypatch):
+        from mgt_spectral import ToleranceFailure, cli
+        _stub_suites(monkeypatch)
+
+        def broken(quick):
+            raise ToleranceFailure("ratio not stable")
+
+        monkeypatch.setattr(cli, "_suite_lemmas", broken)
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1
+        assert "[FAIL] integral_lemmas: ToleranceFailure: ratio not stable" in out.splitlines()
+        assert out.count("[PASS]") == 5
+        assert out.splitlines()[-1] == "verify: FAILURES detected"

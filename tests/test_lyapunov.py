@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (EmptyInput, ModeState, decay_margin_exact, default_weights,
+from mgt_spectral import (EmptyInput, InvalidFrequency, ModeState, decay_margin_exact, default_weights,
                           energy_dissipation_residual, functionals, gronwall_margin,
                           mode_coefficients, evaluate_mode, pointwise_bound_constants,
                           rho, solve_mode, v_vector, validate)
@@ -312,3 +312,26 @@ class TestEmptyPositiveGrid:
             default_weights(P, k_grid=[0.0])
         with pytest.raises(EmptyInput):
             decay_margin_exact(P, default_weights(P), k_grid=[0.0])
+
+
+class TestInvalidFrequencies:
+    """A negative or non-finite frequency is rejected before any arithmetic; k = 0 is skipped."""
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_default_weights(self, bad):
+        with pytest.raises(InvalidFrequency):
+            default_weights(P, k_grid=[bad, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_decay_margin_exact(self, bad):
+        with pytest.raises(InvalidFrequency):
+            decay_margin_exact(P, default_weights(P), k_grid=[bad])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_gronwall_margin(self, bad):
+        # RuntimeWarning is an error in this suite, so a warning from rho fails here
+        with pytest.raises(InvalidFrequency):
+            gronwall_margin(P, default_weights(P), [1.0, bad], [ModeState(1.0, 0.0, 0.0, 1.0)])
+
+    def test_zero_frequency_still_skipped(self):
+        assert default_weights(P, k_grid=[0.0, 1.0, 2.0]) == default_weights(P, k_grid=[1.0, 2.0])

@@ -382,3 +382,32 @@ class TestLargeFrequency:
             out = solve_modes_on_grid(P, np.array([1e50]), np.ones(1), np.ones(1),
                                       np.ones(1), t)
             assert all(np.all(np.isfinite(x)) for x in out)
+
+
+class TestScalarSolveModePath:
+    """solve_mode runs the kernel on the factor alone, with the values of the described path."""
+
+    def test_bit_identical_to_the_described_mode(self):
+        from mgt_spectral import cardano_thresholds
+
+        rng = np.random.default_rng(41)
+        ts = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 9)])
+        compared = 0
+        for tau, beta in ((0.1, 1.0), (1.0 / 9.0, 1.0), (0.5, 1.0)):
+            p = validate(tau, beta)
+            ks = list(np.concatenate([[0.0], np.geomspace(1e-4, 1e3, 100)]))
+            thr = cardano_thresholds(p)
+            if thr.m1 is not None:
+                ks += [math.sqrt(thr.m1 * (1.0 + d)) for d in (-1e-9, 0.0, 1e-9)]
+                ks += [math.sqrt(thr.m2 * (1.0 + 1e-9))]
+            for k in ks:
+                init = random_state(rng, k)
+                got = solve_mode(p, k, init, ts).as_array()
+                ref = np.array(evaluate_mode(mode_coefficients(p, k, init), k, ts))
+                assert np.array_equal(got, ref), (tau, beta, k)
+                compared += got.size
+        assert compared >= 9000
+
+    def test_tag_check_kept(self):
+        with pytest.raises(ValueError, match="tagged"):
+            solve_mode(P, 1.0, ModeState(1.0, 0.0, 0.0, 2.0), 1.0)
