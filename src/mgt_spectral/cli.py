@@ -12,12 +12,12 @@ Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 I/O failure,
 4 numerical failure.
 
 Every option of a subcommand except --help and --config is also a config
-key, spelled with `_` (--k-count is k_count).  A config file holds flat
-`key = value` lines (`#` starts a comment); each value becomes the default
-of the option it names, parsed as that flag's value would be, so flags
-override the file.  Booleans are spelled 1/true/yes/on or 0/false/no/off.
-An unknown key is an error.  Header line 2 of the classify, atlas, mode and
-decay output lists every setting of the run.
+key, spelled with `_` (--k-count is k_count); a boolean option --x also has
+the form --no-x.  A config file holds flat `key = value` lines (`#` starts a
+comment); each value becomes the default of the option it names, parsed as
+that flag's value would be, so flags override the file.  Booleans are spelled
+1/true/yes/on or 0/false/no/off.  An unknown key is an error.  Header line 2
+of the classify, atlas, mode and decay output lists every setting of the run.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _apply_config(sp: argparse.ArgumentParser, config: dict[str, str]) -> None:
     """Make each config value the default of the option of sp that it names.
 
     A value is parsed by sp itself, as its flag's value would be (type and
-    choices, exit 2 on a bad one); a store_true flag takes a boolean word.
+    choices, exit 2 on a bad one); a boolean flag takes a boolean word.
     """
     actions = {a.dest: a for a in sp._actions
                if a.option_strings and a.dest not in ("help", "config")}
@@ -121,7 +121,7 @@ def _apply_config(sp: argparse.ArgumentParser, config: dict[str, str]) -> None:
         action = actions.get(key)
         if action is None:
             raise ValueError(f"unknown config key {key!r} for {sp.prog}")
-        if action.nargs == 0:  # a store_true flag
+        if action.nargs == 0:  # a boolean flag
             if val.lower() not in _BOOLS:
                 raise ValueError(f"config key {key}: not a boolean: {val!r}")
             val = _BOOLS[val.lower()]
@@ -164,6 +164,8 @@ def _make_grid(vmin: float, vmax: float, count: int, log: bool, what: str) -> np
     import numpy as np
     if count < 1 or not (math.isfinite(vmin) and math.isfinite(vmax)) or vmax < vmin:
         raise ValueError(f"bad {what} grid: min={vmin} max={vmax} count={count}")
+    if what == "time" and vmin < 0.0:
+        raise ValueError(f"--t-min must be >= 0, got {vmin}")
     if count == 1:
         return np.array([vmin])
     if log:
@@ -184,9 +186,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     subs = {}
 
     def opt(sp, name, default, help, **kw):
-        # typed by its default; a bool default makes a store_true flag
+        # typed by its default; a bool default makes a --name/--no-name flag pair
         if isinstance(default, bool):
-            kw["action"] = "store_true"
+            kw["action"] = argparse.BooleanOptionalAction
         else:
             kw["type"] = type(default)
         sp.add_argument(f"--{name}", default=default, help=f"{help} (default: %(default)s)", **kw)
@@ -380,7 +382,7 @@ def _suite_oracle(p, rng, n) -> tuple[bool, str]:
                                      k=float(k))
         t = rng.uniform(0.0, 20.0)
         a = mode_solver.solve_mode(pp, float(k), init, float(t))
-        b = mode_solver.propagate_numeric(pp, float(k), init, float(t), tol=1e-10)
+        b = mode_solver.propagate_numeric(pp, float(k), init, float(t))
         err = np.linalg.norm(a.as_array() - b.as_array()) / (1.0 + init.norm())
         worst = max(worst, float(err))
     return worst <= 1e-6, f"n={n} max_mismatch={worst:.2e}"

@@ -21,9 +21,9 @@ is one pattern decision: the description takes its pattern and roots from
 spectrum's routed spectrum (_route_confluent, the path behind classify,
 eigenvalues and atlas), so it never disagrees with classify.
 
-propagate_numeric() integrates the equivalent first-order system with an
-adaptive high-order Runge-Kutta scheme and serves as the cross-check oracle
-for the closed form.
+propagate_numeric() is the cross-check oracle for the closed form: the
+matrix exponential of Phi t by scaling and squaring (scipy.linalg.expm),
+which forms no eigenvalue and never calls the spectrum kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, StepFailure
+from .errors import IllConditioned, InvalidFrequency
 from .params import ModelParams
 from .spectrum import RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _route_confluent
 
@@ -194,7 +194,9 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
 
 
 def _mode_nodes(p: ModelParams, k: float, init: ModeState) -> tuple:
-    """The kernel's factor of the cubic at k, for an initial state tagged k."""
+    """The kernel's factor of the cubic at a finite k >= 0, for a state tagged k."""
+    if not (math.isfinite(k) and k >= 0.0):
+        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k}")
     if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
         raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
     return _cubic_roots_batch(p.tau, p.beta, np.array([k * k]))
@@ -288,7 +290,7 @@ def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
     For an array t the state holds arrays of t's shape, from one kernel call
     on the factor of the cubic (no pattern description is built).  Raises
     ValueError if any time is negative or not finite, or if init is tagged
-    with another k.
+    with another k, and InvalidFrequency if k is negative or not finite.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
@@ -311,27 +313,21 @@ def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[f
     return res, max(scale, 1e-300)
 
 
-def propagate_numeric(p: ModelParams, k: float, init: ModeState, t: float,
-                      tol: float = 1e-10) -> ModeState:
-    """Independent oracle: adaptive high-order integration of the 3x3 system."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"propagate_numeric requires t >= 0, got {t}")
-    if not (tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if t == 0.0:
-        return init
-    # imported here: scipy.integrate costs a quarter second and only the oracle uses it
-    from scipy.integrate import solve_ivp
+def propagate_numeric(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
+    """Independent oracle: exp(Phi t) y0 by scipy.linalg.expm (scaling and squaring).
 
-    phi = mode_matrix(p, k)
-    y0 = init.as_array()
-    scale = max(1.0, float(np.max(np.abs(y0))))
-    sol = solve_ivp(lambda _, y: phi @ y, (0.0, t), y0, method="DOP853",
-                    rtol=tol, atol=tol * scale * 1e-3, dense_output=False)
-    if not sol.success:
-        raise StepFailure(f"integrator failed at k={k}, t={t}: {sol.message}")
-    u, v, w = sol.y[:, -1]
-    return ModeState(u_hat=complex(u), v_hat=complex(v), w_hat=complex(w), k=k)
+    It forms no eigenvalue and never calls the spectrum kernel.  t is a time
+    or an array of times, as for solve_mode; raises ValueError if any time is
+    negative or not finite.
+    """
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError(f"propagate_numeric requires t >= 0, got {t}")
+    # imported here: only the oracle uses scipy.linalg
+    from scipy.linalg import expm
+    y = expm(ts[..., None, None] * mode_matrix(p, k)) @ init.as_array()
+    u, v, w = (complex(x) if ts.ndim == 0 else x for x in np.moveaxis(y, -1, 0))
+    return ModeState(u_hat=u, v_hat=v, w_hat=w, k=k)
 
 
 def v_vector(p: ModelParams, state: ModeState) -> VVector:

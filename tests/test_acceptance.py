@@ -109,7 +109,7 @@ def test_criterion_03_spectrum_sweep():
 
 
 def test_criterion_04_oracle_equivalence():
-    with criterion(4, "200-case closed-form vs adaptive integrator, semigroup"):
+    with criterion(4, "200-case closed-form vs matrix-exponential oracle, semigroup"):
         rng = np.random.default_rng(1004)
         for _ in range(200):
             beta = rng.uniform(0.5, 2.0)
@@ -119,7 +119,7 @@ def test_criterion_04_oracle_equivalence():
             t = rng.uniform(0.0, 20.0)
             init = random_state(rng, k)
             a = solve_mode(p, float(k), init, float(t))
-            b = propagate_numeric(p, float(k), init, float(t), tol=1e-10)
+            b = propagate_numeric(p, float(k), init, float(t))
             assert np.abs(a.as_array() - b.as_array()).max() <= 1e-6 * (1.0 + init.norm())
             # semigroup split at a random intermediate time
             t1 = float(t) * rng.uniform(0.2, 0.8)

@@ -368,6 +368,16 @@ class TestConfigErrors:
         assert "t_log=False" in lines[1].split()
         assert [float(ln.split(",")[0]) for ln in lines[3:6]] == [100.0, 5050.0, 10000.0]
 
+    def test_no_t_log_equals_t_log_false_in_a_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_log = false\n")
+        base = ["decay", "--tau", "0.1", "--beta", "1", "--t-count", "3", "--quad-tol", "1e-6"]
+        by_flag = run_exit(capsys, *base, "--no-t-log")
+        by_config = run_exit(capsys, *base, "--config", str(cfg))
+        assert by_flag[0] == 0
+        assert by_flag == by_config
+        assert "t_log=False" in by_flag[1].splitlines()[1].split()
+
 
 class TestHeader:
     @pytest.mark.parametrize("command", ["classify", "atlas", "mode", "decay"])
@@ -432,3 +442,41 @@ class TestPathsAndExits:
         assert "[FAIL] integral_lemmas: ToleranceFailure: ratio not stable" in out.splitlines()
         assert out.count("[PASS]") == 5
         assert out.splitlines()[-1] == "verify: FAILURES detected"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("mode", []), ("decay", []), ("decay", ["--no-t-log"])])
+    def test_negative_time_grid_names_the_option(self, capsys, command, extra):
+        code, out, err = run(capsys, command, "--tau", "0.1", "--beta", "1",
+                             "--t-min", "-1", *extra)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --t-min must be >= 0, got -1.0\n"
+
+    @pytest.mark.parametrize("k", ["-1", "nan", "inf"])
+    def test_mode_rejects_a_bad_frequency(self, capsys, k):
+        code, out, err = run(capsys, "mode", "--tau", "0.1", "--beta", "1", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: frequency magnitude must be finite and >= 0")
+
+
+class TestOracleNegativeControl:
+    """A closed form that is off by 1e-5 must fail the oracle suite and verify."""
+
+    @pytest.fixture
+    def skewed_kernel(self, monkeypatch):
+        from mgt_spectral import mode_solver
+        exact = mode_solver._propagate
+        monkeypatch.setattr(mode_solver, "_propagate",
+                            lambda *a, **kw: exact(*a, **kw) * (1.0 + 1e-5))
+
+    def test_suite_fails(self, skewed_kernel):
+        from mgt_spectral import cli, validate
+        ok, detail = cli._suite_oracle(validate(0.1, 1.0), np.random.default_rng(20240817), 20)
+        assert not ok
+        assert float(detail.split("max_mismatch=")[1]) > 1e-6
+
+    def test_verify_exits_1(self, capsys, skewed_kernel):
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1
+        assert any(line.startswith("[FAIL] oracle_equivalence:") for line in out.splitlines())

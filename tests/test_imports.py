@@ -1,7 +1,7 @@
 """Import hygiene: the library and its scalar CLI commands never load scipy,
 and the front door loads no numpy.
 
-scipy is needed only by the DOP853 oracle (`propagate_numeric`, `mgt verify`)
+scipy is needed only by the expm oracle (`propagate_numeric`, `mgt verify`)
 and by the N + 2j <= 2 tail bound; every other `mgt` invocation must not pay
 its import time. `import mgt_spectral` and `mgt_spectral.cli` load `errors`
 and `params` only; the layer modules, and numpy with them, load on first use.

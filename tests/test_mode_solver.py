@@ -148,24 +148,63 @@ class TestOracleEquivalence:
             t = rng.uniform(0.0, 20.0)
             init = random_state(rng, k)
             a = solve_mode(p, k, init, t)
-            b = propagate_numeric(p, k, init, t, tol=1e-10)
+            b = propagate_numeric(p, k, init, t)
             err = np.abs(a.as_array() - b.as_array()).max()
             assert err <= 1e-6 * (1.0 + init.norm())
 
     def test_numeric_zero_data(self):
-        out = propagate_numeric(P, 3.0, ModeState(0.0, 0.0, 0.0, 3.0), 4.0, 1e-10)
+        out = propagate_numeric(P, 3.0, ModeState(0.0, 0.0, 0.0, 3.0), 4.0)
         assert out.norm() == 0.0
 
     def test_numeric_equilibrium(self):
-        out = propagate_numeric(P, 0.0, ModeState(1.0, 0.0, 0.0, 0.0), 10.0, 1e-12)
+        out = propagate_numeric(P, 0.0, ModeState(1.0, 0.0, 0.0, 0.0), 10.0)
         assert out.u_hat == pytest.approx(1.0, rel=1e-9)
 
     def test_mutual_consistency_supercritical(self):
         p = validate(0.5, 1.0)
         init = ModeState(1.0, 1.0, 1.0, 2.0)
         a = solve_mode(p, 2.0, init, 3.0)
-        b = propagate_numeric(p, 2.0, init, 3.0, 1e-11)
+        b = propagate_numeric(p, 2.0, init, 3.0)
         assert np.abs(a.as_array() - b.as_array()).max() <= 1e-8
+
+    def test_array_of_times_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for k in (0.0, 1.775, 37.0):
+            init = random_state(rng, k)
+            ts = np.concatenate([[0.0], rng.uniform(0.0, 50.0, 8)])
+            st = propagate_numeric(P, k, init, ts)
+            assert st.u_hat.shape == st.v_hat.shape == st.w_hat.shape == ts.shape
+            for j, t in enumerate(ts):
+                single = propagate_numeric(P, k, init, float(t)).as_array()
+                assert np.array_equal([st.u_hat[j], st.v_hat[j], st.w_hat[j]], single)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, [1.0, -1.0], [0.0, math.nan]])
+    def test_bad_time_raises(self, bad):
+        with pytest.raises(ValueError, match="propagate_numeric requires t >= 0"):
+            propagate_numeric(P, 1.0, ModeState(1.0, 0.0, 0.0, 1.0), bad)
+
+    def test_extreme_draws_match_mpmath(self):
+        """Against a 40-digit expm of the same matrix, at large k, t and tau/beta."""
+        mp = pytest.importorskip("mpmath")
+        from mgt_spectral import mode_matrix
+
+        rng = np.random.default_rng(1010)
+        draws = [(0.999, 1.0, 200.0, 100.0), (0.01, 1.0, 200.0, 100.0),
+                 (0.999, 2.0, 1e-6, 100.0)]
+        while len(draws) < 10:
+            draws.append((rng.uniform(0.5, 0.999), rng.uniform(0.5, 2.0),
+                          rng.uniform(1.0, 200.0), rng.uniform(10.0, 100.0)))
+        with mp.workdps(40):
+            for ratio, beta, k, t in draws:
+                p = validate(ratio * beta, beta)
+                init = random_state(rng, k)
+                y0 = init.as_array()
+                phi_t = mp.matrix([[mp.mpf(x) * mp.mpf(t) for x in row]
+                                   for row in mode_matrix(p, k)])
+                ref = mp.expm(phi_t) * mp.matrix([mp.mpc(z) for z in y0])
+                err = np.abs(propagate_numeric(p, k, init, t).as_array()
+                             - np.array([complex(z) for z in ref])).max()
+                assert err <= 1e-8 * (1.0 + init.norm()), (ratio, beta, k, t)
 
 
 class TestStructuralProperties:
@@ -407,6 +446,18 @@ class TestScalarSolveModePath:
                 assert np.array_equal(got, ref), (tau, beta, k)
                 compared += got.size
         assert compared >= 9000
+
+    @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
+    def test_bad_frequency_raises(self, k):
+        from mgt_spectral import InvalidFrequency
+
+        init = ModeState(1.0, 0.0, 0.0, k)
+        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
+            solve_mode(P, k, init, 1.0)
+        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
+            mode_coefficients(P, k, init)
+        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
+            ode_residual(P, k, init, 1.0)
 
     def test_tag_check_kept(self):
         with pytest.raises(ValueError, match="tagged"):
