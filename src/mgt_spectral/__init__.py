@@ -16,8 +16,8 @@ and `mgt --help` never import numpy.
 __version__ = "0.1.0"
 
 from .errors import (MGTError, NonDissipative, NonFinite, InvalidFrequency, GridError,
-                     IllConditioned, StepFailure, QuadratureFailure, DegenerateFit,
-                     ToleranceFailure, NonPositiveMargin, EmptyInput)
+                     QuadratureFailure, DegenerateFit, ToleranceFailure, NonPositiveMargin,
+                     EmptyInput)
 from .params import (ModelParams, CardanoThresholds, Regime, DataClass, TheoremRates,
                      validate, cardano_thresholds, regime, theorem_rates,
                      applicable_exponents, high_frequency_rate)

@@ -29,8 +29,8 @@ import sys
 
 from . import __version__, params
 from .errors import (MGTError, NonDissipative, NonFinite, GridError, InvalidFrequency,
-                     QuadratureFailure, StepFailure, NonPositiveMargin, ToleranceFailure,
-                     DegenerateFit, EmptyInput, IllConditioned)
+                     QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit,
+                     EmptyInput)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,8 +40,7 @@ EXIT_NUMERICAL = 4
 
 _BAD_INPUT_ERRORS = (NonDissipative, NonFinite, GridError, InvalidFrequency,
                      EmptyInput, ValueError)
-_NUMERICAL_ERRORS = (QuadratureFailure, StepFailure, NonPositiveMargin,
-                     ToleranceFailure, DegenerateFit, IllConditioned)
+_NUMERICAL_ERRORS = (QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit)
 
 #: settings that header line 2 leaves out: tau and beta are recorded as validated,
 #: with c folded into beta, and the rest do not change the numbers
@@ -164,8 +163,9 @@ def _make_grid(vmin: float, vmax: float, count: int, log: bool, what: str) -> np
     import numpy as np
     if count < 1 or not (math.isfinite(vmin) and math.isfinite(vmax)) or vmax < vmin:
         raise ValueError(f"bad {what} grid: min={vmin} max={vmax} count={count}")
-    if what == "time" and vmin < 0.0:
-        raise ValueError(f"--t-min must be >= 0, got {vmin}")
+    if vmin < 0.0:
+        flag = "--t-min" if what == "time" else "--k-min"
+        raise ValueError(f"{flag} must be >= 0, got {vmin}")
     if count == 1:
         return np.array([vmin])
     if log:

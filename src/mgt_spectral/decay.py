@@ -21,7 +21,6 @@ subinterval width.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -583,15 +582,3 @@ def integral_lemma_check(dim: int, j: int, c: float,
                                sine_global_bound_constant=bound_const,
                                sine_global_sharp_limit=sharp)
 
-
-def report_to_json(report: IntegralLemmaReport) -> str:
-    payload = {
-        "dim": report.dim, "j": report.j, "c": report.c,
-        "sine_global_bound_constant": report.sine_global_bound_constant,
-        "sine_global_sharp_limit": report.sine_global_sharp_limit,
-        "series": {
-            name: {"max_ratio": s.max_ratio, "tail_slope": s.tail_slope, "stable": s.stable}
-            for name, s in report.series.items()
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)

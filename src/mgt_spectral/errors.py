@@ -21,14 +21,6 @@ class GridError(MGTError):
     """A grid is unsorted, negative, or otherwise malformed."""
 
 
-class IllConditioned(MGTError):
-    """A distinct-roots coefficient system is too close to confluence to solve."""
-
-
-class StepFailure(MGTError):
-    """The adaptive ODE step controller failed to reach the requested time."""
-
-
 class QuadratureFailure(MGTError):
     """Adaptive quadrature could not meet its tolerance within the node budget."""
 

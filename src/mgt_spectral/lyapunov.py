@@ -277,8 +277,7 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
         for sample in samples:
             # samples are state vectors; the swept frequency comes from the grid
             init = ModeState(sample.u_hat, sample.v_hat, sample.w_hat, k=k)
-            u, v, w_ = evaluate_mode(mode_coefficients(p, k, init), k, ts, n_derivatives=2)
-            state = ModeState(u_hat=u, v_hat=v, w_hat=w_, k=k)
+            state = evaluate_mode(mode_coefficients(p, k, init), ts)
             vals = functionals(p, state, w)
             rates = _state_rates(p, state)
             dL = (w.gamma0 * rates["dE"] + vals.rho * rates["dF1"]

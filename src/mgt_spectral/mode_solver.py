@@ -17,9 +17,9 @@ the propagated state, never finite differences.
 The per-pattern expansion coefficients of mode_coefficients (real root plus
 conjugate pair, three distinct reals, real double root, real triple root)
 are kept as a description of the mode; evaluation does not use them.  There
-is one pattern decision: the description takes its pattern and roots from
-spectrum's routed spectrum (_route_confluent, the path behind classify,
-eigenvalues and atlas), so it never disagrees with classify.
+is one pattern decision and no way to override it: the description takes its
+pattern and roots from spectrum's routed spectrum (_route_confluent, the path
+behind classify, eigenvalues and atlas), so it never disagrees with classify.
 
 propagate_numeric() is the cross-check oracle for the closed form: the
 matrix exponential of Phi t by scaling and squaring (scipy.linalg.expm),
@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidFrequency
+from .errors import InvalidFrequency
 from .params import ModelParams
-from .spectrum import RootPattern, TOL_CONFLUENT, _cubic_roots_batch, _route_confluent
+from .spectrum import RootPattern, _cubic_roots_batch, _route_confluent
 
 
 @dataclass(frozen=True)
@@ -193,38 +193,33 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
     return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
 
 
-def _mode_nodes(p: ModelParams, k: float, init: ModeState) -> tuple:
-    """The kernel's factor of the cubic at a finite k >= 0, for a state tagged k."""
+def _check_mode(k: float, init: ModeState) -> None:
+    """The input check of the closed form and the oracle: k finite, >= 0 and init's tag."""
     if not (math.isfinite(k) and k >= 0.0):
         raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k}")
     if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
         raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
+
+
+def _mode_nodes(p: ModelParams, k: float, init: ModeState) -> tuple:
+    """The kernel's factor of the cubic at a finite k >= 0, for a state tagged k."""
+    _check_mode(k, init)
     return _cubic_roots_batch(p.tau, p.beta, np.array([k * k]))
 
 
-def mode_coefficients(p: ModelParams, k: float, init: ModeState,
-                      pattern: RootPattern | None = None) -> ModeCoefficients:
+def mode_coefficients(p: ModelParams, k: float, init: ModeState) -> ModeCoefficients:
     """Expansion coefficients of the mode in the basis of its root pattern.
 
     The pattern and the roots are those of classify(p, k) and
     eigenvalues(p, k): the one routed decision of spectrum._route_confluent,
-    made on the factor that evaluate_mode propagates with.  The automatic
-    call never raises for a valid mode; close to a confluence the
-    coefficients are as ill-conditioned as the basis itself (they grow like
-    the inverse root spacing), which does not affect evaluate_mode.
-
-    pattern= is a check, not a choice: a pattern other than the routed one
-    raises IllConditioned, and so does a forced distinct-roots pattern whose
-    coefficient system has a condition number above 1/TOL_CONFLUENT,
-    signalling that the caller must reclassify the mode as confluent.
+    made on the factor that evaluate_mode propagates with.  It never raises
+    for a valid mode; close to a confluence the coefficients are as
+    ill-conditioned as the basis itself (they grow like the inverse root
+    spacing), which does not affect evaluate_mode.
     """
-    k2 = np.array([k * k])
     nodes = _mode_nodes(p, k, init)
-    roots, patterns = _route_confluent(p, k2, nodes)
+    roots, patterns = _route_confluent(p, np.array([k * k]), nodes)
     routed = patterns[0]
-    if pattern is not None and pattern is not routed:
-        raise IllConditioned(f"pattern {pattern} inconsistent with the roots at k={k}, "
-                             f"which are {routed}")
     lam1, lam2, lam3 = roots[0]
     if routed is RootPattern.REAL_PLUS_PAIR:
         structure = (lam1.real, lam2.real, lam2.imag)
@@ -243,14 +238,7 @@ def mode_coefficients(p: ModelParams, k: float, init: ModeState,
         c3 = (rhs[2] - lam * lam * c1 - 2.0 * lam * c2) / 2.0
         return ModeCoefficients(routed, (c1, c2, c3), structure, init, nodes)
 
-    mat = _coefficient_matrix(routed, structure)
-    if pattern in (RootPattern.REAL_PLUS_PAIR, RootPattern.THREE_DISTINCT_REAL):
-        cond = np.linalg.cond(mat)
-        if cond > 1.0 / TOL_CONFLUENT:
-            raise IllConditioned(
-                f"coefficient system at k={k} has condition number {cond:.3e}; "
-                "reclassify as confluent")
-    sol = np.linalg.solve(mat, rhs)
+    sol = np.linalg.solve(_coefficient_matrix(routed, structure), rhs)
     return ModeCoefficients(routed, tuple(sol), structure, init, nodes)
 
 
@@ -258,30 +246,23 @@ def mode_coefficients(p: ModelParams, k: float, init: ModeState,
 # evaluation: the kernel on a batch of one mode
 # ---------------------------------------------------------------------------
 
-def evaluate_mode(coeffs: ModeCoefficients, k: float, t,
-                  n_derivatives: int = 2) -> tuple:
-    """The mode and its first n_derivatives time derivatives at t.
+def evaluate_mode(coeffs: ModeCoefficients, t) -> ModeState:
+    """State of the described mode at a time t, or at an array of times.
 
-    t is a time or an array of times; each returned value has t's shape
-    (a complex number for a scalar t).  The mode is the one `coeffs` was
-    built for; k is accepted for symmetry with the other calls.  Derivative
-    j <= 2 is a component of exp(Phi t) y0; higher ones propagate
-    Phi^(j-2) y0, so they check that the kernel commutes with Phi.
+    The mode is the one `coeffs` was built for, propagated from its initial
+    state by the kernel on its factor of the cubic, not by the coefficients;
+    the values are those of solve_mode, bit for bit.  For an array t the
+    state holds arrays of t's shape, for a scalar t complex numbers.
     """
-    return _evaluate(coeffs.nodes, coeffs.init, t, n_derivatives)
+    return ModeState(*_evaluate(coeffs.nodes, coeffs.init, t), k=coeffs.init.k)
 
 
-def _evaluate(nodes: tuple, init: ModeState, t, n_derivatives: int) -> tuple:
-    """evaluate_mode for the mode with factor `nodes` and initial state `init`."""
-    vecs = [init.as_array()[:, None]]
-    for _ in range(n_derivatives - 2):
-        vecs.append(_apply_phi(*nodes[:3], vecs[-1]))
+def _evaluate(nodes: tuple, init: ModeState, t) -> tuple:
+    """(u, u', u'') at t of the mode with factor `nodes` and initial state `init`."""
     t = np.asarray(t, dtype=float)
-    y0 = np.concatenate(vecs, axis=1).reshape((3,) + (1,) * t.ndim + (len(vecs),))
-    y = _propagate(nodes, y0, t[..., None])
-    out = [y[j, ..., 0] for j in range(min(n_derivatives, 2) + 1)]
-    out += [y[2, ..., j] for j in range(1, len(vecs))]
-    return tuple(complex(x) if t.ndim == 0 else x for x in out)
+    y0 = init.as_array().reshape((3,) + (1,) * (t.ndim + 1))
+    y = _propagate(nodes, y0, t[..., None])[..., 0]
+    return tuple(complex(x) if t.ndim == 0 else x for x in y)
 
 
 def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
@@ -295,8 +276,7 @@ def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError(f"solve_mode requires t >= 0, got {t}")
-    u, v, w = _evaluate(_mode_nodes(p, k, init), init, t, n_derivatives=2)
-    return ModeState(u_hat=u, v_hat=v, w_hat=w, k=k)
+    return ModeState(*_evaluate(_mode_nodes(p, k, init), init, t), k=k)
 
 
 def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[float, float]:
@@ -305,8 +285,9 @@ def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[f
     The third derivative is the kernel applied to Phi y0, independently of
     the propagated state.
     """
-    coeffs = mode_coefficients(p, k, init)
-    u, v, w, w_t = evaluate_mode(coeffs, k, t, n_derivatives=3)
+    y0 = init.as_array()
+    y = _propagate(_mode_nodes(p, k, init), np.stack([y0, mode_matrix(p, k) @ y0], axis=1), t)
+    u, v, w, w_t = (complex(x) for x in (*y[:, 0], y[2, 1]))
     k2 = k * k
     res = abs(p.tau * w_t + w + k2 * u + p.beta * k2 * v)
     scale = p.tau * abs(w_t) + abs(w) + k2 * abs(u) + p.beta * k2 * abs(v)
@@ -317,12 +298,12 @@ def propagate_numeric(p: ModelParams, k: float, init: ModeState, t) -> ModeState
     """Independent oracle: exp(Phi t) y0 by scipy.linalg.expm (scaling and squaring).
 
     It forms no eigenvalue and never calls the spectrum kernel.  t is a time
-    or an array of times, as for solve_mode; raises ValueError if any time is
-    negative or not finite.
+    or an array of times; it takes the inputs of solve_mode and raises as it does.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError(f"propagate_numeric requires t >= 0, got {t}")
+    _check_mode(k, init)
     # imported here: only the oracle uses scipy.linalg
     from scipy.linalg import expm
     y = expm(ts[..., None, None] * mode_matrix(p, k)) @ init.as_array()

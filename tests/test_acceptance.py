@@ -167,8 +167,7 @@ def test_criterion_06_gronwall_margin():
                 r = float(rho(k))
                 prev = None
                 for t in np.linspace(0.0, 15.0, 61):
-                    u, v, ww = evaluate_mode(coeffs, k, float(t), 2)
-                    val = (functionals(p, ModeState(u, v, ww, k), w).lyap
+                    val = (functionals(p, evaluate_mode(coeffs, float(t)), w).lyap
                            * math.exp(w.gamma5 * r * float(t)))
                     if prev is not None:
                         assert val <= prev * (1.0 + 1e-8) + 1e-300

@@ -83,6 +83,8 @@ class TestAtlas:
         code, _, _ = run(capsys, "atlas", "--tau", "0.1", "--beta", "1",
                          "--k-min", "5", "--k-max", "1", "--k-count", "10")
         assert code == 2
+        code, out, err = run(capsys, "atlas", "--tau", "0.1", "--beta", "1", "--k-min", "-1")
+        assert (code, out, err) == (2, "", "error: --k-min must be >= 0, got -1.0\n")
 
 
 class TestMode:

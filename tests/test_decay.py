@@ -9,7 +9,6 @@ from mgt_spectral import (DataClass, DegenerateFit, EmptyInput, FrequencyProfile
                           decay_curve_summary, fit_decay_slope, infer_data_class,
                           integral_lemma_check, region_contributions, region_rates,
                           region_split, sobolev_norm_sq, v_norm_sq, validate)
-from mgt_spectral.decay import report_to_json
 
 P = validate(0.1, 1.0)
 GAUSS = FrequencyProfile.gaussian()
@@ -240,12 +239,6 @@ class TestIntegralLemmas:
         assert "sine_global" not in rep.series
         rep2 = integral_lemma_check(1, 2, 1.0, np.geomspace(1.0, 100.0, 6))
         assert "sine_global" in rep2.series
-
-    def test_json_report(self):
-        rep = integral_lemma_check(3, 0, 1.0, np.geomspace(1.0, 100.0, 6))
-        payload = json.loads(report_to_json(rep))
-        assert payload["dim"] == 3
-        assert payload["series"]["plain"]["stable"]
 
     def test_validates_input(self):
         with pytest.raises(ValueError):

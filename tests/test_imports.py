@@ -94,7 +94,7 @@ def test_every_public_name_is_the_defining_module_object():
     probe = """
 import importlib, inspect
 import mgt_spectral
-assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 81
+assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 79
 for name in mgt_spectral.__all__:
     obj = getattr(mgt_spectral, name)
     if inspect.ismodule(obj):
@@ -125,3 +125,24 @@ assert names == set(namespace) - {"__builtins__"}, names ^ set(namespace)
 print("ok")
 """
     assert run_probe(probe)[-1] == "ok"
+
+
+def test_every_error_type_is_raised_and_has_one_exit_code():
+    import ast
+    import inspect
+
+    from mgt_spectral import cli, errors
+
+    raised = set()
+    for path in (SRC / "mgt_spectral").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and isinstance(node.exc.func, ast.Name)):
+                raised.add(node.exc.func.id)
+    types = [obj for _, obj in inspect.getmembers(errors, inspect.isclass)
+             if issubclass(obj, errors.MGTError) and obj is not errors.MGTError]
+    assert types
+    for exc in types:
+        assert exc.__name__ in raised, f"nothing raises {exc.__name__}"
+        routes = (exc in cli._BAD_INPUT_ERRORS, exc in cli._NUMERICAL_ERRORS)
+        assert routes.count(True) == 1, (exc.__name__, routes)

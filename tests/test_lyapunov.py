@@ -198,8 +198,7 @@ class TestGronwallMargin:
             r = float(rho(k))
             prev = None
             for t in np.linspace(0.0, 15.0, 61):
-                u, v, ww = evaluate_mode(coeffs, k, float(t), 2)
-                f = functionals(P, ModeState(u, v, ww, k), w)
+                f = functionals(P, evaluate_mode(coeffs, float(t)), w)
                 val = f.lyap * math.exp(w.gamma5 * r * float(t))
                 if prev is not None:
                     assert val <= prev * (1.0 + 1e-8) + 1e-300
@@ -244,8 +243,8 @@ class TestDifferentialInequalities:
             init = random_state(rng, k)
             coeffs = mode_coefficients(P, k, init)
             for t in np.linspace(0.0, 6.0, 25):
-                u, v, ww = evaluate_mode(coeffs, k, float(t), 2)
-                st = ModeState(u, v, ww, k)
+                st = evaluate_mode(coeffs, float(t))
+                u, v, ww = st.u_hat, st.v_hat, st.w_hat
                 rates = _state_rates(P, st)
                 A2 = abs(v + P.tau * ww) ** 2
                 B2 = abs(u + P.tau * v) ** 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (IllConditioned, ModeState, RootPattern, default_weights,
+from mgt_spectral import (ModeState, RootPattern, default_weights,
                           evaluate_mode, mode_coefficients, ode_residual,
                           pointwise_bound_constants, propagate_numeric, rho, solve_mode,
                           solve_modes_on_grid, v_vector, validate)
@@ -55,19 +55,11 @@ class TestCoefficients:
         for p, k in cases:
             init = random_state(rng, k)
             co = mode_coefficients(p, k, init)
-            u, v, w = evaluate_mode(co, k, 0.0, n_derivatives=2)
-            got = np.array([u, v, w])
+            got = evaluate_mode(co, 0.0).as_array()
             ref = init.as_array()
             assert np.abs(got - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
 
-    def test_forced_distinct_near_confluence_raises(self):
-        k = math.sqrt(3.125 + 1e-12)
-        with pytest.raises(IllConditioned):
-            mode_coefficients(P, k, ModeState(1.0, 0.0, 0.0, k),
-                              pattern=RootPattern.THREE_DISTINCT_REAL)
-
-    def test_forced_pattern_is_a_check(self):
-        # a forced pattern the roots do not have raises; the routed one is accepted
+    def test_hand_rows_have_the_classified_pattern(self):
         from mgt_spectral import cardano_thresholds, classify
 
         m1 = cardano_thresholds(P).m1
@@ -78,16 +70,7 @@ class TestCoefficients:
                 (P_CRIT, math.sqrt(3.0), RootPattern.TRIPLE_REAL)]
         for p, k, expect in rows:
             assert classify(p, k) is expect
-            init = ModeState(1.0, 0.0, 0.0, k)
-            auto = mode_coefficients(p, k, init)
-            for forced in RootPattern:
-                if forced is expect:
-                    co = mode_coefficients(p, k, init, pattern=forced)
-                    assert (co.pattern, co.coeffs, co.structure) == (
-                        auto.pattern, auto.coeffs, auto.structure)
-                else:
-                    with pytest.raises(IllConditioned):
-                        mode_coefficients(p, k, init, pattern=forced)
+            assert mode_coefficients(p, k, ModeState(1.0, 0.0, 0.0, k)).pattern is expect
 
 
 class TestSolveMode:
@@ -361,13 +344,10 @@ class TestConfluenceSweep:
         ts = np.linspace(0.0, 10.0, 41)
         for p, k in ((P, 0.0), (P, 1.2), (P, math.sqrt(3.125)), (P_CRIT, math.sqrt(3.0))):
             co = mode_coefficients(p, k, ModeState(*self.Y0, k=k))
-            for n_der in (2, 3):
-                batch = evaluate_mode(co, k, ts, n_derivatives=n_der)
-                assert len(batch) == n_der + 1
-                for j, t in enumerate(ts):
-                    single = evaluate_mode(co, k, float(t), n_derivatives=n_der)
-                    np.testing.assert_allclose([b[j] for b in batch], single,
-                                               rtol=1e-14, atol=0.0)
+            batch = evaluate_mode(co, ts).as_array()
+            for j, t in enumerate(ts):
+                single = evaluate_mode(co, float(t)).as_array()
+                np.testing.assert_allclose(batch[:, j], single, rtol=1e-14, atol=0.0)
 
 
 class TestOneModePattern:
@@ -442,7 +422,7 @@ class TestScalarSolveModePath:
             for k in ks:
                 init = random_state(rng, k)
                 got = solve_mode(p, k, init, ts).as_array()
-                ref = np.array(evaluate_mode(mode_coefficients(p, k, init), k, ts))
+                ref = evaluate_mode(mode_coefficients(p, k, init), ts).as_array()
                 assert np.array_equal(got, ref), (tau, beta, k)
                 compared += got.size
         assert compared >= 9000
@@ -458,7 +438,11 @@ class TestScalarSolveModePath:
             mode_coefficients(P, k, init)
         with pytest.raises(InvalidFrequency, match="finite and >= 0"):
             ode_residual(P, k, init, 1.0)
+        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
+            propagate_numeric(P, k, init, 1.0)
 
     def test_tag_check_kept(self):
         with pytest.raises(ValueError, match="tagged"):
             solve_mode(P, 1.0, ModeState(1.0, 0.0, 0.0, 2.0), 1.0)
+        with pytest.raises(ValueError, match="tagged"):
+            propagate_numeric(P, 2.0, ModeState(1.0, 0.0, 0.0, 5.0), 1.0)
