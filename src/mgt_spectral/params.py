@@ -9,13 +9,17 @@ arithmetic on (tau, beta): the Cardano thresholds m1, m2 that separate the
 root-pattern windows of the characteristic cubic, the regime classification
 of the ratio tau/beta against the critical value 1/9, and the decay exponents
 and exponential rates asserted by the decay theorems.
+
+The three records (`ModelParams`, `CardanoThresholds`, `TheoremRates`) are
+immutable named tuples: fields by keyword or by position, hashable, and a
+record also equals the plain tuple of its values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NonDissipative, NonFinite
 
@@ -26,8 +30,7 @@ TOL_CRITICAL = 1e-12
 CRITICAL_RATIO = 1.0 / 9.0
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Validated model parameters, dissipative case 0 < tau < beta."""
 
     tau: float
@@ -38,8 +41,7 @@ class ModelParams:
         return self.tau / self.beta
 
 
-@dataclass(frozen=True)
-class CardanoThresholds:
+class CardanoThresholds(NamedTuple):
     """Zeroes of the discriminant of the characteristic cubic.
 
     m1 and m2 are squared frequency magnitudes: for tau/beta < 1/9 the cubic
@@ -68,8 +70,7 @@ class DataClass(Enum):
     L1_WEIGHTED = "L1Weighted"
 
 
-@dataclass(frozen=True)
-class TheoremRates:
+class TheoremRates(NamedTuple):
     """Decay rates promised by the theorems for one (dim, j, data class)."""
 
     poly_exponent: float

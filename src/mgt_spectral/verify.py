@@ -1,0 +1,161 @@
+"""The numerical invariant suites behind `mgt verify`.
+
+Each suite checks one invariant over random or fixed samples and returns
+`(passed, detail)`; `cli.cmd_verify` runs them in order, prints one
+`[PASS]`/`[FAIL] name: detail` line each, and counts a suite that raises an
+`MGTError` as failed.
+
+spectrum_sweep      eigenvalue residuals and Vieta identities of the cubic
+oracle_equivalence  the closed-form mode against the expm oracle
+energy_identity     the energy-dissipation identity along each mode
+gronwall_margin     gamma5 > 0 and L(t) exp(gamma5 rho(k) t) never grows
+integral_lemmas     the integral-lemma ratios stay bounded (unstable ones raise)
+theorem_bounds      decay curves within the theorem bounds, with sharp slopes
+                    once the window is asymptotic
+
+The module loads only when `mgt verify` runs; numpy and the layer modules
+load inside each suite.
+"""
+
+from __future__ import annotations
+
+import math
+
+from . import params
+
+
+def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
+    import numpy as np
+    from . import spectrum
+    taus = rng.uniform(0.01, 1.0, n)
+    betas = taus + rng.uniform(0.02, 2.0, n)
+    betas = np.minimum(betas, 2.0)
+    ok = betas > taus
+    taus, betas = taus[ok], betas[ok]
+    ks = rng.uniform(0.0, 100.0, taus.size)
+    worst_res = worst_vieta = 0.0
+    min_axis = math.inf
+    for tau, beta, k in zip(taus, betas, ks):
+        pk = params.validate(tau, beta)
+        lams = np.array(spectrum.eigenvalues(pk, float(k)).lambdas)
+        for lam in lams:
+            r, s = spectrum.characteristic_residual(pk, lam, float(k))
+            worst_res = max(worst_res, r / s)
+        k2 = k * k
+        vieta = max(
+            abs(lams.sum() + 1.0 / tau) / (1.0 / tau),
+            abs(lams[0] * lams[1] + lams[0] * lams[2] + lams[1] * lams[2] - beta * k2 / tau)
+            / max(1.0, beta * k2 / tau),
+            abs(lams.prod() + k2 / tau) / max(1.0, k2 / tau))
+        worst_vieta = max(worst_vieta, float(vieta))
+        if k > 0:
+            min_axis = min(min_axis, float(np.min(np.abs(lams.real))))
+    passed = worst_res <= 1e-9 and worst_vieta <= 1e-9 and min_axis > 1e-10
+    return passed, (f"n={taus.size} max_residual={worst_res:.2e} "
+                    f"max_vieta={worst_vieta:.2e} min_axis_dist={min_axis:.2e}")
+
+
+def _suite_oracle(p, rng, n) -> tuple[bool, str]:
+    import numpy as np
+    from . import mode_solver
+    worst = 0.0
+    for _ in range(n):
+        tau = rng.uniform(0.05, 0.9)
+        beta = rng.uniform(tau + 0.05, 2.0)
+        pp = params.validate(tau, beta)
+        k = rng.uniform(0.0, 50.0)
+        init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+                                     k=float(k))
+        t = rng.uniform(0.0, 20.0)
+        a = mode_solver.solve_mode(pp, float(k), init, float(t))
+        b = mode_solver.propagate_numeric(pp, float(k), init, float(t))
+        err = np.linalg.norm(a.as_array() - b.as_array()) / (1.0 + init.norm())
+        worst = max(worst, float(err))
+    return worst <= 1e-6, f"n={n} max_mismatch={worst:.2e}"
+
+
+def _suite_energy(p, rng, n) -> tuple[bool, str]:
+    from . import lyapunov, mode_solver
+    worst = 0.0
+    for _ in range(n):
+        tau = rng.uniform(0.05, 0.9)
+        beta = rng.uniform(tau + 0.05, 2.0)
+        pp = params.validate(tau, beta)
+        k = rng.uniform(0.0, 20.0)
+        init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+                                     k=float(k))
+        ts = rng.uniform(0.0, 10.0, 10)
+        res = lyapunov.energy_dissipation_residual(pp, float(k), init, ts)
+        scale = lyapunov.dissipation_scale(pp, float(k), init, ts)
+        worst = max(worst, float((res / scale).max()))
+    return worst <= 1e-9, f"n={n} max_identity_residual={worst:.2e}"
+
+
+def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
+    import numpy as np
+    from . import lyapunov, mode_solver
+    pairs = [p] + [params.validate(t, b) for t, b in
+                   zip(rng.uniform(0.02, 0.9, n_pairs), rng.uniform(1.0, 2.0, n_pairs))
+                   if t < b]
+    min_g5 = math.inf
+    worst_growth = 0.0
+    ts = np.linspace(0.0, 20.0, 81)
+    for pp in pairs:
+        w = lyapunov.default_weights(pp)
+        min_g5 = min(min_g5, w.gamma5)
+        for k in (0.3, 1.0, 5.0):
+            init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
+                                         k=k)
+            r = float(lyapunov.rho(k))
+            st = mode_solver.solve_mode(pp, k, init, ts)
+            val = lyapunov.functionals(pp, st, w).lyap * np.exp(w.gamma5 * r * ts)
+            prev, val = val[:-1], val[1:]
+            up = prev > 0
+            worst_growth = float(np.max((val[up] - prev[up]) / prev[up], initial=worst_growth))
+    passed = min_g5 > 0.0 and worst_growth <= 1e-8
+    return passed, f"pairs={len(pairs)} min_gamma5={min_g5:.3e} max_growth={worst_growth:.2e}"
+
+
+def _suite_lemmas(quick: bool) -> tuple[bool, str]:
+    import numpy as np
+    from . import decay
+    combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
+    tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
+    # an unstable ratio raises ToleranceFailure, which fails the suite
+    worst = max(s.max_ratio for dim, j in combos
+                for s in decay.integral_lemma_check(dim, j, 1.0, tgrid).series.values())
+    return True, f"combos={len(combos)} max_ratio={worst:.3f}"
+
+
+def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
+    import numpy as np
+    from . import decay
+    tgrid = np.geomspace(1e2, 1e3 if quick else 1e4, 7 if quick else 13)
+    tol = 1e-8 if quick else 1e-10
+    gauss = decay.FrequencyProfile.gaussian()
+    zero = decay.FrequencyProfile.zero()
+
+    # containment and sharp-slope checks need the post-transient window
+    # t >> 1/(beta - tau); near the conservative boundary the curves are still
+    # rising there and only finiteness is meaningful at desk scale
+    asymptotic = tgrid[0] * (p.beta - p.tau) >= 3.0
+
+    def bound_ok(curve) -> bool:
+        if not (np.all(np.isfinite(curve.values)) and np.all(curve.values >= 0.0)):
+            return False
+        return not asymptotic or decay.bound_verdict(curve, curve.bound_exponent, 10 * tol)[0]
+
+    c3 = decay.decay_curve(p, (zero, zero, gauss), 3, 0, tgrid, tol)
+    ok3 = bound_ok(c3)
+    if asymptotic:
+        ok3 = ok3 and c3.fitted_slope is not None and abs(c3.fitted_slope + 0.25) <= 0.05
+    c1 = decay.decay_curve(p, (zero, gauss, zero), 1, 0, tgrid, tol)
+    ok1 = bound_ok(c1)
+    cw = decay.decay_curve(p, (gauss, decay.FrequencyProfile.moment_free(),
+                               decay.FrequencyProfile.moment_free()), 1, 0, tgrid, tol)
+    okw = bound_ok(cw)
+    if asymptotic:
+        okw = okw and cw.fitted_slope is not None and cw.fitted_slope <= -0.25 + 0.05
+    passed = ok3 and ok1 and okw
+    return passed, (f"asymptotic_window={asymptotic} dim3_slope={c3.fitted_slope:+.3f} "
+                    f"dim1_bound={'ok' if ok1 else 'FAIL'} weighted_slope={cw.fitted_slope:+.3f}")

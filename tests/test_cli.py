@@ -279,9 +279,9 @@ def _config_line(key, value):
 
 
 def _stub_suites(monkeypatch):
-    from mgt_spectral import cli
+    from mgt_spectral import verify
     for name in ("spectrum", "oracle", "energy", "gronwall", "lemmas", "theorem_bounds"):
-        monkeypatch.setattr(cli, f"_suite_{name}", lambda *a: (True, "stub"))
+        monkeypatch.setattr(verify, f"_suite_{name}", lambda *a: (True, "stub"))
 
 
 @pytest.mark.parametrize("command, key", [
@@ -432,13 +432,13 @@ class TestPathsAndExits:
         assert rows[0].split(",")[0] == "0.5"
 
     def test_suite_error_is_a_failed_suite(self, capsys, monkeypatch):
-        from mgt_spectral import ToleranceFailure, cli
+        from mgt_spectral import ToleranceFailure, verify
         _stub_suites(monkeypatch)
 
         def broken(quick):
             raise ToleranceFailure("ratio not stable")
 
-        monkeypatch.setattr(cli, "_suite_lemmas", broken)
+        monkeypatch.setattr(verify, "_suite_lemmas", broken)
         code, out, _ = run(capsys, "verify", "--quick")
         assert code == 1
         assert "[FAIL] integral_lemmas: ToleranceFailure: ratio not stable" in out.splitlines()
@@ -473,8 +473,8 @@ class TestOracleNegativeControl:
                             lambda *a, **kw: exact(*a, **kw) * (1.0 + 1e-5))
 
     def test_suite_fails(self, skewed_kernel):
-        from mgt_spectral import cli, validate
-        ok, detail = cli._suite_oracle(validate(0.1, 1.0), np.random.default_rng(20240817), 20)
+        from mgt_spectral import validate, verify
+        ok, detail = verify._suite_oracle(validate(0.1, 1.0), np.random.default_rng(20240817), 20)
         assert not ok
         assert float(detail.split("max_mismatch=")[1]) > 1e-6
 

@@ -5,6 +5,8 @@ scipy is needed only by the expm oracle (`propagate_numeric`, `mgt verify`)
 and by the N + 2j <= 2 tail bound; every other `mgt` invocation must not pay
 its import time. `import mgt_spectral` and `mgt_spectral.cli` load `errors`
 and `params` only; the layer modules, and numpy with them, load on first use.
+The front door also loads no `dataclasses`, `inspect` or `json` (`json`
+loads in `mgt decay`) and not the `mgt verify` suites in `mgt_spectral.verify`.
 """
 
 import os
@@ -50,7 +52,8 @@ def run_probe(code: str) -> list[str]:
 
 LOADED = """
 print(sorted(name for name in sys.modules
-             if name.split(".")[0] == "numpy" or name.startswith("mgt_spectral.")))
+             if name.split(".")[0] in ("numpy", "dataclasses", "inspect", "json")
+             or name.startswith("mgt_spectral.")))
 """
 
 

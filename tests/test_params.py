@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mgt_spectral import (DataClass, NonDissipative, NonFinite, Regime,
-                          applicable_exponents, cardano_thresholds, high_frequency_rate,
-                          regime, theorem_rates, validate)
+from mgt_spectral import (CardanoThresholds, DataClass, ModelParams, NonDissipative,
+                          NonFinite, Regime, TheoremRates, applicable_exponents,
+                          cardano_thresholds, high_frequency_rate, regime, theorem_rates,
+                          validate)
 
 
 def cubic_discriminant(tau, beta, m):
@@ -37,6 +38,50 @@ class TestValidate:
             validate(float("nan"), 1.0)
         with pytest.raises(NonFinite):
             validate(0.1, float("inf"))
+
+
+class TestRecords:
+    """The three records: keyword fields, repr, immutability, equality and hashing."""
+
+    @pytest.mark.parametrize("cls, fields, text", [
+        (ModelParams, {"tau": 0.1, "beta": 1.0}, "ModelParams(tau=0.1, beta=1.0)"),
+        (CardanoThresholds, {"c1": -253.0, "c2": 64.0, "m1": None, "m2": None},
+         "CardanoThresholds(c1=-253.0, c2=64.0, m1=None, m2=None)"),
+        (TheoremRates, {"poly_exponent": -0.25, "exp_rate": 1.0},
+         "TheoremRates(poly_exponent=-0.25, exp_rate=1.0)"),
+    ])
+    def test_keyword_fields_repr_and_immutability(self, cls, fields, text):
+        rec = cls(**fields)
+        assert {name: getattr(rec, name) for name in fields} == fields
+        assert repr(rec) == text
+        assert rec == tuple(fields.values())
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, name, 0.5)
+
+    def test_ratio_is_a_property(self):
+        p = validate(0.1, 1.0)
+        assert isinstance(ModelParams.ratio, property)
+        assert p.ratio == 0.1
+        with pytest.raises(AttributeError):
+            p.ratio = 0.5
+
+    def test_equal_results_are_equal_and_hash_equal(self):
+        pairs = [(validate(0.1, 1.0), validate(0.1, 1.0))]
+        pairs.append(tuple(cardano_thresholds(p) for p in pairs[0]))
+        pairs.append(tuple(theorem_rates(p, 3, 0, DataClass.L1) for p in pairs[0]))
+        for a, b in pairs:
+            assert a is not b
+            assert a == b and hash(a) == hash(b)
+
+    def test_equal_params_share_the_weights_cache(self):
+        from mgt_spectral import decay
+        cached = decay._cached_weights
+        first = cached(validate(0.3, 1.5))
+        before = cached.cache_info()
+        assert cached(validate(0.3, 1.5)) is first
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestCardanoThresholds:
