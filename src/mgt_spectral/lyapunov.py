@@ -266,7 +266,7 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     if ks.size == 0 or len(samples) == 0 or ts.size == 0:
         raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
-        raise ValueError(f"solve_mode requires t >= 0, got {t_grid}")
+        raise ValueError(f"gronwall_margin requires t >= 0, got {t_grid}")
 
     # -dL/dt, rho L and MARGIN_TOL L at the nondegenerate points of each trajectory
     neg_dldt, rho_l, margins = [np.empty(0)], [np.empty(0)], [np.empty(0)]

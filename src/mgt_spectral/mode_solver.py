@@ -271,7 +271,7 @@ def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
     For an array t the state holds arrays of t's shape, from one kernel call
     on the factor of the cubic (no pattern description is built).  Raises
     ValueError if any time is negative or not finite, or if init is tagged
-    with another k, and InvalidFrequency if k is negative or not finite.
+    with another k, and InvalidFrequency on a k that eigenvalues rejects.
     """
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):

@@ -31,7 +31,11 @@ CRITICAL_RATIO = 1.0 / 9.0
 
 
 class ModelParams(NamedTuple):
-    """Validated model parameters, dissipative case 0 < tau < beta."""
+    """Validated model parameters, dissipative case 0 < tau < beta.
+
+    The spectrum kernel also takes a row record, tau and beta equal-shape
+    arrays, built only from draws that each passed validate.
+    """
 
     tau: float
     beta: float

@@ -90,14 +90,17 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: floa
     max_width caps every subinterval of the initial partition (oscillation
     control); initial_edges may inject extra break points such as region
     boundaries.  Raises QuadratureFailure when the node budget cannot honor
-    the width cap or the error target.
+    the width cap or the error target, and ValueError on b < a or on a tol or
+    max_width that is not positive (NaN included).
     """
     if not (b >= a):
         raise ValueError(f"bad interval [{a}, {b}]")
     if b == a:
         return QuadResult(0.0, 0.0, 0, 0)
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_width is not None and not (max_width > 0.0):
+        raise ValueError(f"max_width must be positive, got {max_width}")
 
     edges = [a, b] if initial_edges is None else sorted(
         {float(e) for e in initial_edges if a <= e <= b} | {a, b})

@@ -17,9 +17,10 @@ propagates with that factor directly; the other two roots are read off it,
 so the three satisfy the Vieta sums to the residual of the real root: at
 any k, and however close they are near m1, m2 and the critical ratio.  One
 batched path (_spectrum) makes the root-and-pattern decision for
-eigenvalues, classify and atlas: within TOL_BOUNDARY of m1 or m2 a factor
-with coincident roots is a double root, and at the critical-ratio threshold
-the triple root is -1/(3 tau).
+eigenvalues, classify, atlas and the `mgt verify` sweep, elementwise in tau
+and beta as in k^2, so that a float parameter record is the batch of one:
+within TOL_BOUNDARY of m1 or m2 a factor with coincident roots is a double
+root, and at the critical-ratio threshold the triple root is -1/(3 tau).
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import params as params_mod
 from .errors import GridError, InvalidFrequency
-from .params import ModelParams, Regime
+from .params import CRITICAL_RATIO, TOL_CRITICAL, ModelParams
 
 #: Relative residual budget for returned roots: |p(lam)| <= TOL_RESIDUAL * scale.
 TOL_RESIDUAL = 1e-9
@@ -86,40 +86,49 @@ class AsymptoticTriple:
 
 
 def characteristic_residual(p: ModelParams, lam: complex, k: float) -> tuple[float, float]:
-    """Return (|p(lam)|, scale) with scale the sum of term magnitudes."""
+    """Return (|p(lam)|, scale) with scale the sum of term magnitudes, elementwise."""
     k2 = k * k
     val = p.tau * lam**3 + lam**2 + p.beta * k2 * lam + k2
     scale = p.tau * abs(lam) ** 3 + abs(lam) ** 2 + p.beta * k2 * abs(lam) + k2
-    return abs(val), max(scale, 1e-300)
+    return abs(val), np.maximum(scale, 1e-300)
 
 
 # ---------------------------------------------------------------------------
 # closed-form root computation
 # ---------------------------------------------------------------------------
 
+def _cube(x):
+    """x**3 rounded as Python rounds it, for a float or each entry of an array:
+    numpy's vectorised power may differ in the last bit."""
+    return x**3 if np.ndim(x) == 0 else (np.asarray(x, dtype=object) ** 3).astype(float)
+
+
 def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple:
     """The factor (a, b, c, lam, alpha, q) of the cubic for an array of k2 >= 0.
 
     z^3 + a z^2 + b z + c is the characteristic cubic divided by tau, lam one
     real root of each row and (z - alpha)^2 - q the quadratic factor it leaves
-    (_deflate); a is a float, the rest arrays.  lam is the real root of a pair
-    row (Cardano) and, where all three roots are real, the one farthest from
-    the other two (one trigonometric branch), so the factor holds the closest
-    two.  lam gets two Newton steps on the original polynomial, each kept only
-    where it lowers the residual, and is exactly -a at k = 0.
-    Raises InvalidFrequency where beta*k2/tau exceeds MAX_STIFFNESS.
+    (_deflate); a is a float for float tau and beta, else rows like the rest.
+    lam is the real root of a pair row (Cardano) and, where all three roots
+    are real, the one farthest from the other two (one trigonometric branch),
+    so the factor holds the closest two.  lam gets two Newton steps on the
+    original polynomial, each kept only where it lowers the residual, and is
+    exactly -a at k = 0.  Raises InvalidFrequency where beta*k2/tau exceeds
+    MAX_STIFFNESS, naming the bound on k of the stiffest row.
     """
     k2 = np.atleast_1d(np.asarray(k2, dtype=float))
     a = 1.0 / tau
     b = beta * k2 / tau
     if not (b <= MAX_STIFFNESS).all():
+        i = np.argmax(b)  # the stiffest row, or the first NaN
+        k_max = np.broadcast_to(np.sqrt(MAX_STIFFNESS * tau / beta), b.shape).flat[i]
         raise InvalidFrequency(
             f"beta*k^2/tau must not exceed {MAX_STIFFNESS:.0e} (k <= "
-            f"{math.sqrt(MAX_STIFFNESS * tau / beta):.3e} here); got {np.max(b):.3e}")
+            f"{k_max:.3e} here); got {b.flat[i]:.3e}")
     c = k2 / tau
 
     Q = (a * a - 3.0 * b) / 9.0
-    R = (2.0 * a**3 - 9.0 * a * b + 27.0 * c) / 54.0
+    R = (2.0 * _cube(a) - 9.0 * a * b + 27.0 * c) / 54.0
     R2 = R * R
     Q3 = Q**3
     # boundary R2 == Q3 lands on the Cardano branch.  At small k, R2 and Q3 agree
@@ -128,20 +137,21 @@ def _cubic_roots_batch(tau: float, beta: float, k2: np.ndarray) -> tuple:
     # -4 + (18 tau beta + beta^2 - 27 tau^2) k2 - 4 tau beta^3 k2^2, is well
     # below zero (-4 at k = 0; near 0 only close to the thresholds m1, m2)
     disc = (-4.0 + (18.0 * tau * beta + beta * beta - 27.0 * tau * tau) * k2
-            - 4.0 * tau * beta**3 * k2 * k2)
+            - 4.0 * tau * _cube(beta) * k2 * k2)
     is_pair = (R2 >= Q3) | (disc < -1.0)
 
-    lam = np.empty_like(k2)
-    # the real root of a pair row (Cardano)
+    lam = np.empty(Q.shape)
+    # the real root of a pair row (Cardano), plus a/3 until the shift below
     Qp, Rp = Q[is_pair], R[is_pair]
     S = -np.sign(Rp) * np.cbrt(np.abs(Rp) + np.sqrt(np.maximum(R2[is_pair] - Q3[is_pair], 0.0)))
-    lam[is_pair] = (S + np.where(S != 0.0, Qp / np.where(S != 0.0, S, 1.0), 0.0)) - a / 3.0
+    lam[is_pair] = S + np.where(S != 0.0, Qp / np.where(S != 0.0, S, 1.0), 0.0)
     # three real roots -2 sqrt(Q) cos((theta + 2 pi j)/3) - a/3: the smallest (j = 0)
     # lies farthest from the others where theta < pi/2, else the largest (j = 1)
     Qt = Q[~is_pair]
     theta = np.arccos(np.clip(R[~is_pair] / np.sqrt(Qt**3), -1.0, 1.0))
     theta = np.where(theta < 0.5 * np.pi, theta, theta + 2.0 * np.pi)
-    lam[~is_pair] = -2.0 * np.sqrt(Qt) * np.cos(theta / 3.0) - a / 3.0
+    lam[~is_pair] = -2.0 * np.sqrt(Qt) * np.cos(theta / 3.0)
+    lam -= a / 3.0
 
     def residual(z):
         return tau * (z * z * z) + z * z + beta * k2 * z + k2
@@ -172,6 +182,19 @@ _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
                       RootPattern.THREE_DISTINCT_REAL, RootPattern.TRIPLE_REAL], dtype=object)
 
 
+def _thresholds(tau, beta) -> tuple:
+    """(m1, m2, critical) elementwise in tau and beta, bit for bit those of
+    params.cardano_thresholds and params.regime(p) is CRITICAL; m1 and m2
+    are NaN where absent, so that every comparison with them is false."""
+    r = beta / tau
+    c1 = 27.0 - 18.0 * r - r * r
+    c2 = _cube(r - 9.0) * (r - 1.0)
+    sq = np.sqrt(np.where(c2 < 0.0, np.nan, c2))
+    denom = 8.0 * _cube(beta)
+    critical = np.abs(tau / beta - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO
+    return tau * (-c1 - sq) / denom, tau * (-c1 + sq) / denom, critical
+
+
 def _route_confluent(p: ModelParams, k2: np.ndarray,
                      factor: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(roots, patterns) from the _cubic_roots_batch factor: each row's real root
@@ -184,36 +207,34 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     pair polished on its own carries an absolute error of about eps*|lam2|,
     which swamps its O(1) real part at large k and its O(k) imaginary part
     at small k.)
-    This is the one place where k^2 is compared with the thresholds m1, m2:
-    within TOL_BOUNDARY of either, a factor whose roots lie closer than
+    This is the one place where k^2 is compared with the thresholds m1, m2,
+    each row with those of its own tau and beta (_thresholds): within
+    TOL_BOUNDARY of either, a factor whose roots lie closer than
     TOL_CONFLUENT * max(1, |alpha|) becomes the double root alpha (q := 0;
     near the critical ratio they can lie far apart even there), and at the
     critical ratio the triple root is -1/(3 tau) = -a/3.
     """
     lam, alpha, q = factor[3:]
-    triple = np.zeros(k2.shape, dtype=bool)
-    thr = params_mod.cardano_thresholds(p)
-    if thr.m1 is not None:
-        if params_mod.regime(p) is Regime.CRITICAL:
-            m = 0.5 * (thr.m1 + thr.m2)
-            triple = np.abs(k2 - m) <= TOL_BOUNDARY * max(1.0, m)
-        else:
-            near = ((np.abs(k2 - thr.m1) <= TOL_BOUNDARY * max(1.0, thr.m1))
-                    | (np.abs(k2 - thr.m2) <= TOL_BOUNDARY * max(1.0, thr.m2)))
-            close = 2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.maximum(1.0, np.abs(alpha))
-            q = np.where(near & close, 0.0, q)
+    m1, m2, critical = _thresholds(p.tau, p.beta)
+    m = 0.5 * (m1 + m2)
+    triple = critical & (np.abs(k2 - m) <= TOL_BOUNDARY * np.maximum(1.0, m))
+    near = ~critical & ((np.abs(k2 - m1) <= TOL_BOUNDARY * np.maximum(1.0, m1))
+                        | (np.abs(k2 - m2) <= TOL_BOUNDARY * np.maximum(1.0, m2)))
+    close = 2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.maximum(1.0, np.abs(alpha))
+    q = np.where(near & close, 0.0, q)
 
     r = np.sqrt(np.abs(q))
     lam2 = alpha + 1j * r
     roots = np.where((q < 0.0)[:, None], np.stack([lam, lam2, np.conj(lam2)], axis=1),
                      np.sort(np.stack([lam, alpha - r, alpha + r], axis=1), axis=1))
-    roots[triple] = -1.0 / (3.0 * p.tau)
+    roots[triple] = np.broadcast_to(-1.0 / (3.0 * p.tau), triple.shape)[triple, None]
     return roots, _PATTERNS[np.where(triple, 3, np.sign(q).astype(int) + 1)]
 
 
 def _spectrum(p: ModelParams, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(roots, patterns) for an array of k2 >= 0: canonical roots of each row
-    and its RootPattern, the one path behind eigenvalues, classify and atlas."""
+    and its RootPattern, the one path behind eigenvalues, classify, atlas and
+    the `mgt verify` sweep; p's tau and beta are floats or rows like k2."""
     return _route_confluent(p, k2, _cubic_roots_batch(p.tau, p.beta, k2))
 
 

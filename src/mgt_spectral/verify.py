@@ -33,23 +33,21 @@ def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
     ok = betas > taus
     taus, betas = taus[ok], betas[ok]
     ks = rng.uniform(0.0, 100.0, taus.size)
-    worst_res = worst_vieta = 0.0
-    min_axis = math.inf
-    for tau, beta, k in zip(taus, betas, ks):
-        pk = params.validate(tau, beta)
-        lams = np.array(spectrum.eigenvalues(pk, float(k)).lambdas)
-        for lam in lams:
-            r, s = spectrum.characteristic_residual(pk, lam, float(k))
-            worst_res = max(worst_res, r / s)
-        k2 = k * k
-        vieta = max(
-            abs(lams.sum() + 1.0 / tau) / (1.0 / tau),
-            abs(lams[0] * lams[1] + lams[0] * lams[2] + lams[1] * lams[2] - beta * k2 / tau)
-            / max(1.0, beta * k2 / tau),
-            abs(lams.prod() + k2 / tau) / max(1.0, k2 / tau))
-        worst_vieta = max(worst_vieta, float(vieta))
-        if k > 0:
-            min_axis = min(min_axis, float(np.min(np.abs(lams.real))))
+    for tau, beta in zip(taus, betas):
+        params.validate(tau, beta)
+    k2 = ks * ks
+    # one routed root call over all draws, each row with its own (tau, beta)
+    lams, _ = spectrum._spectrum(params.ModelParams(taus, betas), k2)
+    r, s = spectrum.characteristic_residual(
+        params.ModelParams(taus[:, None], betas[:, None]), lams, ks[:, None])
+    worst_res = float(np.max(r / s))
+    l1, l2, l3 = lams.T
+    vieta = np.maximum.reduce([
+        abs(l1 + l2 + l3 + 1.0 / taus) / (1.0 / taus),
+        abs(l1 * l2 + l1 * l3 + l2 * l3 - betas * k2 / taus) / np.maximum(1.0, betas * k2 / taus),
+        abs(l1 * l2 * l3 + k2 / taus) / np.maximum(1.0, k2 / taus)])
+    worst_vieta = float(np.max(vieta))
+    min_axis = float(np.min(np.abs(lams[ks > 0].real), initial=math.inf))
     passed = worst_res <= 1e-9 and worst_vieta <= 1e-9 and min_axis > 1e-10
     return passed, (f"n={taus.size} max_residual={worst_res:.2e} "
                     f"max_vieta={worst_vieta:.2e} min_axis_dist={min_axis:.2e}")

@@ -183,8 +183,8 @@ class TestGronwallMargin:
     @pytest.mark.parametrize("t_grid", [[-30.0, -10.0, 0.0], [0.0, -1e-300, 1.0],
                                         [0.0, math.nan, 1.0], [0.0, math.inf]])
     def test_negative_or_non_finite_time_rejected(self, t_grid):
-        # the same check and message as solve_mode: no backward trajectory is swept
-        with pytest.raises(ValueError, match="requires t >= 0"):
+        # the same check as solve_mode: no backward trajectory is swept
+        with pytest.raises(ValueError, match="gronwall_margin requires t >= 0"):
             gronwall_margin(P, default_weights(P), [1.0], [ModeState(1.0, 0.0, 0.0, 1.0)],
                             t_grid=t_grid)
 

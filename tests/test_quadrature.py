@@ -63,6 +63,11 @@ class TestGaussKronrod:
             adaptive_quadrature(lambda x: x, 1.0, 0.0, 1e-9)
         with pytest.raises(ValueError):
             adaptive_quadrature(lambda x: x, 0.0, 1.0, -1e-9)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            adaptive_quadrature(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, np.nan)
+        for width in (0.0, np.nan):
+            with pytest.raises(ValueError, match="max_width must be positive"):
+                adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-9, max_width=width)
 
 
 def _gk_batch_unblocked(f, lefts, rights):

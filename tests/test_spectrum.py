@@ -1,10 +1,11 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mgt_spectral import (GridError, InvalidFrequency, Labeling, RootPattern,
+from mgt_spectral import (GridError, InvalidFrequency, Labeling, ModelParams, RootPattern,
                           asymptotic_large_k, asymptotic_small_k, atlas, atlas_rows,
                           cardano_thresholds, characteristic_residual, classify, eigenvalues,
                           mode_matrix, solve_modes_on_grid, spectrum, validate)
@@ -510,3 +511,125 @@ class TestAtlasTieBreak:
             monkeypatch.setattr(spectrum, "_spectrum", perturbed)
             got = np.array([pt.lambdas for pt in atlas(p, ks)])
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), seed
+
+
+class TestMaxStiffness:
+    """beta*k^2/tau up to MAX_STIFFNESS gives finite roots; beyond it every entry
+    point raises InvalidFrequency, naming the bound of the offending row."""
+
+    K_BOUND = math.sqrt(spectrum.MAX_STIFFNESS * P.tau / P.beta)
+
+    def test_roots_finite_just_below_the_bound(self):
+        pt = eigenvalues(P, self.K_BOUND * (1.0 - 1e-12))
+        assert pt.pattern is RootPattern.REAL_PLUS_PAIR
+        lam1, lam2, lam3 = pt.lambdas
+        assert lam1 == pytest.approx(-1.0, rel=1e-9)
+        assert lam2.real == pytest.approx(-4.5, rel=1e-9)
+        assert lam2.imag == pytest.approx(1e51, rel=1e-9)
+        assert lam3 == lam2.conjugate()
+
+    def test_every_entry_point_raises_beyond_the_bound(self):
+        from mgt_spectral import ModeState, solve_mode
+        k = self.K_BOUND * (1.0 + 1e-12)
+        bound = re.escape(f"k <= {self.K_BOUND:.3e} here")
+        with pytest.raises(InvalidFrequency, match=bound):
+            eigenvalues(P, k)
+        with pytest.raises(InvalidFrequency, match=bound):
+            atlas(P, [0.0, 1.0, k])
+        with pytest.raises(InvalidFrequency, match=bound):
+            solve_mode(P, k, ModeState(1.0, 0.0, 0.0, k=k), 1.0)
+        ones = np.ones(2)
+        with pytest.raises(InvalidFrequency, match=bound):
+            solve_modes_on_grid(P, np.array([1.0, k]), ones, 0.0 * ones, 0.0 * ones, 1.0)
+
+    def test_mixed_rows_name_the_stiff_row(self):
+        rows = ModelParams(np.array([0.1, 0.5, 0.2]), np.array([1.0, 1.0, 1.5]))
+        k_bound = math.sqrt(spectrum.MAX_STIFFNESS * 0.5)
+        ks = np.array([1e50, k_bound * (1.0 + 1e-12), 1.0])
+        with pytest.raises(InvalidFrequency, match=re.escape(f"k <= {k_bound:.3e} here")):
+            spectrum._spectrum(rows, ks * ks)
+
+
+def _mixed_rows():
+    """(tau, beta, k) rows of every kind: the TestNearCriticalConfluence ratios
+    (1 +- d)/9 with k^2 at and around m1, m2 and the merged threshold, the
+    three-real window, super-critical rows and k = 0."""
+    rows = []
+    for beta in (1.0, 0.37):
+        for d in np.geomspace(1e-13, 1e-5, 5):
+            for ratio in ((1.0 - d) / 9.0, (1.0 + d) / 9.0):
+                p = validate(ratio * beta, beta)
+                thr = cardano_thresholds(p)
+                centres = [-p.tau * thr.c1 / (8.0 * beta**3)]
+                if thr.m1 is not None:
+                    centres += [thr.m1, thr.m2]
+                rows += [(p.tau, beta, math.sqrt(m * (1.0 + e))) for m in centres
+                         for e in (-1e-8, -1e-14, 0.0, 1e-14, 1e-8)]
+    rows += [(P_CRIT.tau, P_CRIT.beta, math.sqrt(3.0))]
+    for tau, beta in TestThreeRealWindow.CASES:
+        p, k2s = _three_real_window(tau, beta, 1e-10)
+        rows += [(tau, beta, float(k)) for k in np.sqrt(k2s)]
+    rows += [(tau, 1.0, k) for tau in (0.3, 0.5, 0.965) for k in (1e-6, 0.7, 40.0, 1e8)]
+    rows += [(tau, beta, 0.0) for tau, beta in ((0.1, 1.0), (1.0 / 9.0, 1.0), (0.5, 1.3))]
+    # rows whose roots move in the last bit if a parameter cube is taken with a
+    # vectorised power that rounds differently from Python's (AVX-512 numpy)
+    rows += [(0.20764809121295044, 1.675629162952105, 0.9846053827113642),
+             (0.0717451883759927, 1.037564457369971, 1.070500318741456),
+             (0.13426673434764885, 1.7150046627944406, 1.236920580176676),
+             (0.014586166162671109, 0.16660083326818695, 17.742957454608327)]
+    return rows
+
+
+class TestPerRowParameters:
+    """The root-and-pattern path is elementwise in tau and beta: one call over rows
+    of different parameters gives each row the bits of its own batch of one."""
+
+    def test_mixed_batch_equals_per_row_eigenvalues(self):
+        rows = _mixed_rows()
+        taus, betas, ks = (np.array(x) for x in zip(*rows))
+        roots, patterns = spectrum._spectrum(ModelParams(taus, betas), ks * ks)
+        assert set(patterns) == set(RootPattern)
+        for (tau, beta, k), got, pattern in zip(rows, roots, patterns):
+            pt = eigenvalues(validate(tau, beta), k)
+            assert pt.pattern is pattern, (tau, beta, k)
+            assert np.array(pt.lambdas, dtype=complex).tobytes() == got.tobytes(), (tau, beta, k)
+
+    def test_thresholds_equal_the_scalar_api(self):
+        from mgt_spectral.params import CRITICAL_RATIO, TOL_CRITICAL, Regime, regime
+        rng = np.random.default_rng(13)
+        edge = CRITICAL_RATIO * TOL_CRITICAL
+        ratios = np.concatenate([
+            rng.uniform(0.001, 0.999, 200),
+            CRITICAL_RATIO * (1.0 + np.geomspace(1e-16, 1e-2, 15) * rng.choice([-1.0, 1.0], 15)),
+            [CRITICAL_RATIO, CRITICAL_RATIO - edge, CRITICAL_RATIO + edge],
+            [np.nextafter(CRITICAL_RATIO + s * edge, s * np.inf) for s in (-1.0, 1.0)]])
+        betas = rng.uniform(0.05, 2.0, ratios.size)
+        taus = ratios * betas
+        m1, m2, critical = spectrum._thresholds(taus, betas)
+        kinds = set()
+        for i, (tau, beta) in enumerate(zip(taus, betas)):
+            p = validate(tau, beta)
+            thr = cardano_thresholds(p)
+            one = spectrum._thresholds(p.tau, p.beta)
+            for row in ((m1[i], m2[i], critical[i]), one):
+                if thr.m1 is None:
+                    assert np.isnan(row[0]) and np.isnan(row[1]), (tau, beta)
+                else:
+                    assert (row[0], row[1]) == (thr.m1, thr.m2), (tau, beta)
+                assert bool(row[2]) is (regime(p) is Regime.CRITICAL), (tau, beta)
+            kinds.add((thr.m1 is None, regime(p)))
+        assert len(kinds) == 4  # sub, super, and critical with and without thresholds
+
+    def test_verify_sweep_makes_one_root_call(self, monkeypatch):
+        from mgt_spectral import verify
+        calls = []
+        inner = spectrum._cubic_roots_batch
+
+        def spy(tau, beta, k2):
+            calls.append(np.size(k2))
+            return inner(tau, beta, k2)
+
+        monkeypatch.setattr(spectrum, "_cubic_roots_batch", spy)
+        passed, detail = verify._suite_spectrum(P, np.random.default_rng(5), 500)
+        assert passed, detail
+        assert calls == [500]
