@@ -226,8 +226,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                                    "solution norm"))
     opt(sp, "format", "csv", "csv: the curve, then its JSON summary; json: one document",
         choices=("csv", "json"))
-    command("verify", "run the full numerical invariant suite (at tau 0.1, beta 1 "
-                      "unless tau, beta or c is set)", ("quick", False, "shrink sample counts 10x"))
+    command("verify", "run the full numerical invariant suite; gronwall_margin (as its "
+                      "first pair) and theorem_bounds use tau, beta (0.1, 1 unless tau, beta "
+                      "or c is set), the others their own draws or fixed cases",
+            ("quick", False, "shrink sample counts 10x"))
     return ap, subs
 
 
@@ -344,9 +346,9 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(20240817)
 
     suites = [
-        ("spectrum_sweep", lambda: verify._suite_spectrum(p, rng, max(100, 10000 // div))),
-        ("oracle_equivalence", lambda: verify._suite_oracle(p, rng, max(5, 200 // div))),
-        ("energy_identity", lambda: verify._suite_energy(p, rng, max(5, 50 // div))),
+        ("spectrum_sweep", lambda: verify._suite_spectrum(rng, max(100, 10000 // div))),
+        ("oracle_equivalence", lambda: verify._suite_oracle(rng, max(5, 200 // div))),
+        ("energy_identity", lambda: verify._suite_energy(rng, max(5, 50 // div))),
         ("gronwall_margin", lambda: verify._suite_gronwall(p, rng, max(2, 10 // div))),
         ("integral_lemmas", lambda: verify._suite_lemmas(args.quick)),
         ("theorem_bounds", lambda: verify._suite_theorem_bounds(p, args.quick)),

@@ -35,13 +35,10 @@ from .params import DataClass, ModelParams, cardano_thresholds, high_frequency_r
 from .quadrature import adaptive_quadrature
 from .spectrum import eigenvalues
 
-_NODE_BUDGET = 1_000_000
-
 
 class ProfileKind(Enum):
     GAUSSIAN = "Gaussian"
     MOMENT_FREE_GAUSSIAN = "MomentFreeGaussian"
-    CUSTOM = "Custom"
 
 
 @dataclass(frozen=True)
@@ -52,24 +49,22 @@ class FrequencyProfile:
     MomentFreeGaussian:  amplitude * (scale*k) * exp(-(scale*k)^2 / 2),
                          the stand-in for zero-mean data with a finite first
                          moment (vanishes at k = 0, bounded by amplitude*scale*k).
-    Custom:              a user evaluator; (amplitude, scale) then act as the
-                         envelope contract |f(k)| <= |amplitude| * (1 + scale*k)
-                         * exp(-(scale*k)^2 / 2), which the tail certification
-                         relies on.
+
+    Both obey the envelope |f(k)| <= |amplitude| * (1 + scale*k)
+    * exp(-(scale*k)^2 / 2), which the tail certification relies on.
     """
 
     kind: ProfileKind
     scale: float = 1.0
     amplitude: float = 1.0
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, ProfileKind):
+            raise ValueError(f"profile kind must be a ProfileKind, got {self.kind!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValueError(f"profile scale must be positive, got {self.scale}")
         if not math.isfinite(self.amplitude):
             raise ValueError("profile amplitude must be finite")
-        if self.kind is ProfileKind.CUSTOM and self.evaluator is None and self.amplitude != 0.0:
-            raise ValueError("custom profile needs an evaluator")
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -78,19 +73,11 @@ class FrequencyProfile:
         s = self.scale * k
         if self.kind is ProfileKind.GAUSSIAN:
             return self.amplitude * np.exp(-0.5 * s * s)
-        if self.kind is ProfileKind.MOMENT_FREE_GAUSSIAN:
-            return self.amplitude * s * np.exp(-0.5 * s * s)
-        return np.asarray(self.evaluator(k), dtype=float)
+        return self.amplitude * s * np.exp(-0.5 * s * s)
 
     @property
     def vanishes_at_zero(self) -> bool:
-        if self.amplitude == 0.0:
-            return True
-        if self.kind is ProfileKind.MOMENT_FREE_GAUSSIAN:
-            return True
-        if self.kind is ProfileKind.CUSTOM:
-            return bool(abs(float(self.evaluator(np.array([0.0]))[0])) == 0.0)
-        return False
+        return self.amplitude == 0.0 or self.kind is ProfileKind.MOMENT_FREE_GAUSSIAN
 
     @staticmethod
     def gaussian(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
@@ -226,38 +213,39 @@ def _cached_weights(p: ModelParams) -> lyapunov.LyapunovWeights:
     return lyapunov.default_weights(p)
 
 
-def _tail_bound(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
-                K: float, v_norm: bool) -> float:
-    """Certified bound on the integral over [K, inf)."""
+def _norm_tail(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
+               v_norm: bool) -> Callable[[float], float]:
+    """Certified bound on the norm integral over [K, inf), as a function of K."""
     mono, s_min = _envelope_monomials(p, data)
-    if not mono:
-        return 0.0
     w = _cached_weights(p)
-    rho_k = K * K / (1.0 + K * K)
-    decay_factor = min(1.0, (w.equiv_hi / w.equiv_lo) * math.exp(-w.gamma5 * rho_k * t))
     shift = 2 * j + dim - (1 if v_norm else 3)
-    amp = w.v_hi * decay_factor
-    if not v_norm:
-        amp *= (1.0 + p.tau) ** 2
-    return amp * sum(c * _gauss_tail(pw + shift, s_min, K) for c, pw in mono)
+    mono = [(c, pw + shift) for c, pw in mono]
+    ratio = w.equiv_hi / w.equiv_lo
+    amp = 1.0 if v_norm else (1.0 + p.tau) ** 2
+
+    def tail(K: float) -> float:
+        rho_k = K * K / (1.0 + K * K)
+        decay_factor = min(1.0, ratio * math.exp(-w.gamma5 * rho_k * t))
+        return w.v_hi * decay_factor * amp * sum(c * _gauss_tail(m, s_min, K) for c, m in mono)
+
+    return tail
 
 
-def _kmax_certified(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
-                    tail_tol: float, v_norm: bool) -> float:
-    """Smallest truncation point whose certified tail is below tail_tol."""
+def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
+    """Smallest truncation point K (to a 5% margin) whose certified tail(K) is at most tol."""
     hi = 1.0
     for _ in range(400):
-        if _tail_bound(p, data, dim, j, t, hi, v_norm) <= tail_tol:
+        if tail(hi) <= tol:
             break
         hi *= 1.5
     else:
         raise QuadratureFailure("could not certify a finite truncation point")
     lo = 1e-3
-    if _tail_bound(p, data, dim, j, t, lo, v_norm) <= tail_tol:
+    if tail(lo) <= tol:
         return lo
     for _ in range(60):
         mid = math.sqrt(lo * hi)
-        if _tail_bound(p, data, dim, j, t, mid, v_norm) <= tail_tol:
+        if tail(mid) <= tol:
             hi = mid
         else:
             lo = mid
@@ -267,6 +255,15 @@ def _kmax_certified(p: ModelParams, data: DataTriple, dim: int, j: int, t: float
 # ---------------------------------------------------------------------------
 # norm quadratures
 # ---------------------------------------------------------------------------
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
+               t: float, speed: float, edges: Sequence[float] | None = None) -> float:
+    """The one quadrature policy: at least 8 subintervals, none wider than
+    pi / (4 t speed), an eighth of the period of a phase t * speed * k."""
+    cap = None if t <= 0.0 else math.pi / (4.0 * t * speed)
+    return adaptive_quadrature(f, lo, hi, tol, max_width=cap, initial_edges=edges,
+                               min_intervals=8).value
+
 
 def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
     if not (isinstance(dim, (int, np.integer)) and dim >= 1):
@@ -279,30 +276,15 @@ def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
         raise ValueError(f"quadrature tolerance must be positive, got {quad_tol}")
 
 
-def _oscillation_cap(p: ModelParams, t: float) -> float | None:
-    if t <= 0.0:
-        return None
-    return math.pi / (4.0 * t * math.sqrt(p.beta / p.tau))
-
-
 def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                    quad_tol: float, v_norm: bool,
-                   region: tuple[float, float] | None = None,
-                   k_max: float | None = None) -> float:
+                   interval: tuple[float, float] | None = None) -> float:
+    """The norm integral over interval, by default [0, its certified cut]."""
     _validate_norm_args(dim, j, t, quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
         return 0.0
-    split = region_split(p)
-    if k_max is None:
-        k_max = _kmax_certified(p, data, dim, j, t, 0.5 * quad_tol, v_norm)
-    if region is None:
-        lo, hi = 0.0, k_max
-    else:
-        lo, hi = region
-        if math.isinf(hi):
-            hi = max(lo, k_max)
-    if hi <= lo:
-        return 0.0
+    lo, hi = interval or (0.0, _kmax_certified(_norm_tail(p, data, dim, j, t, v_norm),
+                                               0.5 * quad_tol))
 
     power = 2 * j + dim - 1
     tau = p.tau
@@ -317,11 +299,9 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
             val = np.abs(u) ** 2
         return karr**power * val
 
-    res = adaptive_quadrature(
-        integrand, lo, hi, 0.5 * quad_tol,
-        max_width=_oscillation_cap(p, t), node_budget=_NODE_BUDGET,
-        initial_edges=[split.nu1, split.nu2], min_intervals=8)
-    return max(res.value, 0.0)
+    split = region_split(p)
+    return max(_integrate(integrand, lo, hi, 0.5 * quad_tol, t, math.sqrt(p.beta / p.tau),
+                          [split.nu1, split.nu2]), 0.0)
 
 
 def sobolev_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
@@ -343,15 +323,11 @@ def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: 
     split = split or region_split(p)
     if not (0.0 < split.nu1 < split.nu2):
         raise GridError(f"invalid region split {split}")
-    k_max = _kmax_certified(p, data, dim, j, t, 0.5 * quad_tol, v_norm=False) \
-        if any(prof.amplitude != 0.0 for prof in data) else split.nu2
-    tol3 = quad_tol / 3.0
-    low = _norm_integral(p, data, dim, j, t, tol3, False,
-                         region=(0.0, min(split.nu1, k_max)), k_max=k_max)
-    mid = _norm_integral(p, data, dim, j, t, tol3, False,
-                         region=(min(split.nu1, k_max), min(split.nu2, k_max)), k_max=k_max)
-    high = _norm_integral(p, data, dim, j, t, tol3, False,
-                          region=(min(split.nu2, k_max), math.inf), k_max=k_max)
+    _validate_norm_args(dim, j, t, quad_tol)
+    k_max = _kmax_certified(_norm_tail(p, data, dim, j, t, False), 0.5 * quad_tol)
+    a, b = min(split.nu1, k_max), min(split.nu2, k_max)
+    low, mid, high = (_norm_integral(p, data, dim, j, t, quad_tol / 3.0, False, ab)
+                      for ab in ((0.0, a), (a, b), (b, k_max)))
     return RegionContributions(low=low, mid=mid, high=high)
 
 
@@ -477,14 +453,6 @@ class IntegralLemmaReport:
     sine_global_sharp_limit: float | None
 
 
-def _lemma_integral(kernel: Callable[[np.ndarray], np.ndarray], hi: float,
-                    t: float, tol: float) -> float:
-    cap = None if t <= 0.0 else math.pi / (4.0 * t)
-    res = adaptive_quadrature(kernel, 0.0, hi, tol, max_width=cap,
-                              node_budget=_NODE_BUDGET, min_intervals=8)
-    return res.value
-
-
 def _ratio_series(name: str, times: np.ndarray, integrals: np.ndarray,
                   shapes: np.ndarray) -> LemmaRatioSeries:
     ratios = integrals / shapes
@@ -523,11 +491,13 @@ def integral_lemma_check(dim: int, j: int, c: float,
     """
     if dim < 1 or j < 0:
         raise ValueError(f"need dim >= 1 and j >= 0, got dim={dim}, j={j}")
-    if not (c > 0.0):
-        raise ValueError(f"need c > 0, got {c}")
+    if not (c > 0.0 and math.isfinite(c)):
+        raise ValueError(f"need a finite c > 0, got {c}")
     times = np.asarray(list(time_grid), dtype=float)
     if times.size == 0:
         raise EmptyInput("empty time grid")
+    if np.any(~np.isfinite(times)) or np.any(times < 0.0):
+        raise GridError("time grid must be finite and nonnegative")
     times = np.sort(times)
 
     pw = j + dim - 1
@@ -550,9 +520,10 @@ def integral_lemma_check(dim: int, j: int, c: float,
     for t in times:
         plain, cosine, sine = kernels(float(t))
         tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
-        ints["plain"].append(_lemma_integral(plain, 1.0, t, tol))
-        ints["cosine"].append(_lemma_integral(cosine, 1.0, t, tol))
-        ints["sine_low"].append(_lemma_integral(sine, 1.0, t, max(1e-15, tol * (1.0 + t) ** 2)))
+        ints["plain"].append(_integrate(plain, 0.0, 1.0, tol, t, 1.0))
+        ints["cosine"].append(_integrate(cosine, 0.0, 1.0, tol, t, 1.0))
+        ints["sine_low"].append(_integrate(sine, 0.0, 1.0, max(1e-15, tol * (1.0 + t) ** 2),
+                                           t, 1.0))
 
     shape_base = (1.0 + times) ** (-(dim + j) / 2.0)
     series["plain"] = _ratio_series("plain", times, np.array(ints["plain"]), shape_base)
@@ -570,11 +541,10 @@ def integral_lemma_check(dim: int, j: int, c: float,
         for t in tpos:
             _, _, sine = kernels(float(t))
             # truncate where r^(dim+j-3) e^(-c r^2 t) is negligible
-            hi = 1.0
-            while _gauss_tail(dim + j - 3, math.sqrt(c * t), hi) > 1e-16:
-                hi *= 1.5
+            s = math.sqrt(c * t)
+            hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, s, K), 1e-16)
             tol = max(1e-16, 1e-6 * float(t) ** (-a))
-            vals.append(_lemma_integral(sine, hi, float(t), tol))
+            vals.append(_integrate(sine, 0.0, hi, tol, float(t), 1.0))
         series["sine_global"] = _ratio_series("sine_global", tpos, np.array(vals),
                                               tpos ** (-a))
 

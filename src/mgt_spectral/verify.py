@@ -3,7 +3,9 @@
 Each suite checks one invariant over random or fixed samples and returns
 `(passed, detail)`; `cli.cmd_verify` runs them in order, prints one
 `[PASS]`/`[FAIL] name: detail` line each, and counts a suite that raises an
-`MGTError` as failed.
+`MGTError` as failed.  Only gronwall_margin (as its first pair) and
+theorem_bounds take the run's (tau, beta); the others use their own random
+draws or fixed cases.
 
 spectrum_sweep      eigenvalue residuals and Vieta identities of the cubic
 oracle_equivalence  the closed-form mode against the expm oracle
@@ -24,7 +26,7 @@ import math
 from . import params
 
 
-def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
+def _suite_spectrum(rng, n) -> tuple[bool, str]:
     import numpy as np
     from . import spectrum
     taus = rng.uniform(0.01, 1.0, n)
@@ -53,7 +55,7 @@ def _suite_spectrum(p, rng, n) -> tuple[bool, str]:
                     f"max_vieta={worst_vieta:.2e} min_axis_dist={min_axis:.2e}")
 
 
-def _suite_oracle(p, rng, n) -> tuple[bool, str]:
+def _suite_oracle(rng, n) -> tuple[bool, str]:
     import numpy as np
     from . import mode_solver
     worst = 0.0
@@ -72,7 +74,7 @@ def _suite_oracle(p, rng, n) -> tuple[bool, str]:
     return worst <= 1e-6, f"n={n} max_mismatch={worst:.2e}"
 
 
-def _suite_energy(p, rng, n) -> tuple[bool, str]:
+def _suite_energy(rng, n) -> tuple[bool, str]:
     from . import lyapunov, mode_solver
     worst = 0.0
     for _ in range(n):

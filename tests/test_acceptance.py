@@ -18,6 +18,8 @@ from mgt_spectral import (FrequencyProfile, ModeState, RootPattern, characterist
                           region_contributions, region_rates, region_split, rho,
                           sobolev_norm_sq, solve_mode, v_norm_sq, v_vector, validate)
 from mgt_spectral.lyapunov import dissipation_scale
+from mgt_spectral.params import ModelParams
+from mgt_spectral.spectrum import _spectrum
 
 P = validate(0.1, 1.0)
 GAUSS = FrequencyProfile.gaussian()
@@ -88,24 +90,27 @@ def test_criterion_03_spectrum_sweep():
         betas = rng.uniform(0.05, 2.0, n)
         taus = betas * rng.uniform(1e-3, 0.999, n)
         ks = rng.uniform(0.0, 100.0, n)
-        for tau, beta, k in zip(taus, betas, ks):
-            p = validate(tau, beta)
-            lams = np.array(eigenvalues(p, float(k)).lambdas)
-            for lam in lams:
-                r, s = characteristic_residual(p, lam, float(k))
-                assert r <= 1e-9 * s
-            k2 = k * k
-            assert abs(lams.sum() + 1.0 / tau) <= 1e-9 * (1.0 / tau)
-            e2 = lams[0] * lams[1] + lams[0] * lams[2] + lams[1] * lams[2]
-            assert abs(e2 - beta * k2 / tau) <= 1e-9 * max(1.0, beta * k2 / tau)
-            assert abs(lams.prod() + k2 / tau) <= 1e-9 * max(1.0, k2 / tau)
-            if k > 0.0:
-                for lam in lams:
-                    if lam.imag == 0.0:
-                        assert -1.0 / tau < lam.real < -1.0 / beta
-                    else:
-                        assert -0.5 * (1.0 / tau - 1.0 / beta) < lam.real < 0.0
-                assert np.min(np.abs(lams.real)) > 1e-10
+        for tau, beta in zip(taus, betas):
+            validate(tau, beta)
+        # one routed root call over all draws, each row with its own (tau, beta)
+        lams, _ = _spectrum(ModelParams(taus, betas), ks * ks)
+        for tau, beta, k, row in zip(taus[:200], betas[:200], ks[:200], lams):
+            # the public scalar path returns the batched row bit for bit
+            assert np.array(eigenvalues(validate(tau, beta), k).lambdas).tobytes() == row.tobytes()
+        tau, beta, k2 = taus[:, None], betas[:, None], (ks * ks)[:, None]
+        r, s = characteristic_residual(ModelParams(tau, beta), lams, ks[:, None])
+        assert np.all(r <= 1e-9 * s)
+        l1, l2, l3 = lams.T[:, :, None]
+        assert np.all(abs(l1 + l2 + l3 + 1.0 / tau) <= 1e-9 * (1.0 / tau))
+        e2 = l1 * l2 + l1 * l3 + l2 * l3
+        assert np.all(abs(e2 - beta * k2 / tau) <= 1e-9 * np.maximum(1.0, beta * k2 / tau))
+        assert np.all(abs(l1 * l2 * l3 + k2 / tau) <= 1e-9 * np.maximum(1.0, k2 / tau))
+        pos = ks > 0.0
+        re, real = lams.real[pos], lams.imag[pos] == 0.0
+        tau, beta = tau[pos], beta[pos]
+        assert np.all(np.where(real, (-1.0 / tau < re) & (re < -1.0 / beta),
+                               (-0.5 * (1.0 / tau - 1.0 / beta) < re) & (re < 0.0)))
+        assert np.all(np.min(np.abs(re), axis=1) > 1e-10)
 
 
 def test_criterion_04_oracle_equivalence():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (DataClass, DegenerateFit, EmptyInput, FrequencyProfile,
+from mgt_spectral import (DataClass, DegenerateFit, EmptyInput, FrequencyProfile, GridError,
                           ProfileKind, decay_curve, decay_curve_rows,
                           decay_curve_summary, fit_decay_slope, infer_data_class,
                           integral_lemma_check, region_contributions, region_rates,
@@ -34,12 +34,10 @@ class TestProfiles:
         assert ZERO(np.array([0.0, 1.0])) == pytest.approx([0.0, 0.0])
         assert ZERO.vanishes_at_zero
 
-    def test_custom_profile(self):
-        prof = FrequencyProfile(ProfileKind.CUSTOM, scale=1.0, amplitude=1.0,
-                                evaluator=lambda k: np.exp(-k * k))
-        assert prof(np.array([1.0]))[0] == pytest.approx(math.exp(-1.0))
-        with pytest.raises(ValueError):
-            FrequencyProfile(ProfileKind.CUSTOM, 1.0, 1.0)
+    def test_rejects_a_kind_that_is_not_a_profile_kind(self):
+        for kind in ("Gaussian", None, 1):
+            with pytest.raises(ValueError, match="ProfileKind"):
+                FrequencyProfile(kind, 1.0, 1.0)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
@@ -245,8 +243,14 @@ class TestIntegralLemmas:
             integral_lemma_check(0, 0, 1.0, [1.0])
         with pytest.raises(ValueError):
             integral_lemma_check(1, 0, -1.0, [1.0])
+        for c in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="finite c > 0"):
+                integral_lemma_check(1, 0, c, [1.0])
         with pytest.raises(EmptyInput):
             integral_lemma_check(1, 0, 1.0, [])
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(GridError):
+                integral_lemma_check(3, 0, 1.0, [0.0, bad, 10.0])
 
 
 class TestGaussTailClosedForm:

@@ -630,6 +630,6 @@ class TestPerRowParameters:
             return inner(tau, beta, k2)
 
         monkeypatch.setattr(spectrum, "_cubic_roots_batch", spy)
-        passed, detail = verify._suite_spectrum(P, np.random.default_rng(5), 500)
+        passed, detail = verify._suite_spectrum(np.random.default_rng(5), 500)
         assert passed, detail
         assert calls == [500]
