@@ -9,8 +9,9 @@ the known theorem bounds.
 
 Importing the package loads `errors` and `params` only. numpy and the
 numerical layers (`spectrum`, `mode_solver`, `lyapunov`, `quadrature`,
-`decay`) load on first access to one of their names, so that `mgt classify`
-and `mgt --help` never import numpy.
+`decay`) load on first access to one of their names, and each `mgt` command
+loads only the layers it runs: none for `classify` and `--help`, `spectrum`
+for `atlas`, and `mode_solver` and `lyapunov` with it for `mode`.
 """
 
 __version__ = "0.1.0"
@@ -27,17 +28,16 @@ _LAYER_OF = {name: layer for layer, names in {
     "spectrum": ("RootPattern", "Labeling", "SpectrumPoint", "AsymptoticTriple",
                  "eigenvalues", "classify", "asymptotic_small_k", "asymptotic_large_k",
                  "atlas", "atlas_rows", "characteristic_residual"),
-    "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "mode_coefficients",
-                    "solve_mode", "propagate_numeric", "v_vector", "evaluate_mode",
-                    "solve_modes_on_grid", "mode_matrix", "ode_residual"),
+    "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "FrequencyProfile", "ProfileKind",
+                    "mode_coefficients", "solve_mode", "propagate_numeric", "v_vector",
+                    "evaluate_mode", "solve_modes_on_grid", "mode_matrix", "ode_residual"),
     "lyapunov": ("LyapunovWeights", "FunctionalValues", "default_weights", "functionals",
                  "energy_dissipation_residual", "gronwall_margin", "decay_margin_exact",
                  "pointwise_bound_constants", "rho"),
-    "decay": ("FrequencyProfile", "ProfileKind", "RegionSplit", "RegionContributions",
-              "DecayCurve", "region_split", "region_rates", "sobolev_norm_sq", "v_norm_sq",
-              "region_contributions", "decay_curve", "decay_curve_rows", "bound_verdict",
-              "decay_curve_summary", "fit_decay_slope", "integral_lemma_check",
-              "IntegralLemmaReport", "infer_data_class"),
+    "decay": ("RegionSplit", "RegionContributions", "DecayCurve", "region_split", "region_rates",
+              "sobolev_norm_sq", "v_norm_sq", "region_contributions", "decay_curve",
+              "decay_curve_rows", "bound_verdict", "decay_curve_summary", "fit_decay_slope",
+              "integral_lemma_check", "IntegralLemmaReport", "infer_data_class"),
     "quadrature": ("adaptive_quadrature", "QuadResult"),
 }.items() for name in (layer, *names)}
 

@@ -27,9 +27,8 @@ import math
 import sys
 
 from . import __version__, params
-from .errors import (MGTError, NonDissipative, NonFinite, GridError, InvalidFrequency,
-                     QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit,
-                     EmptyInput)
+from .errors import (NonDissipative, NonFinite, GridError, InvalidFrequency, QuadratureFailure,
+                     NonPositiveMargin, ToleranceFailure, DegenerateFit, EmptyInput)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -37,8 +36,7 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-_BAD_INPUT_ERRORS = (NonDissipative, NonFinite, GridError, InvalidFrequency,
-                     EmptyInput, ValueError)
+_BAD_INPUT_ERRORS = (NonDissipative, NonFinite, GridError, InvalidFrequency, EmptyInput, ValueError)
 _NUMERICAL_ERRORS = (QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit)
 
 #: settings that header line 2 leaves out: tau and beta are recorded as validated,
@@ -79,85 +77,6 @@ class _IOFail(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# config file and argument plumbing
-# ---------------------------------------------------------------------------
-
-def _load_config(path: str) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    out: dict[str, str] = {}
-    for ln, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{ln}: expected 'key = value', got {raw.strip()!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if not key or not val:
-            raise ValueError(f"{path}:{ln}: empty key or value")
-        out[key.replace("-", "_")] = val
-    return out
-
-
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
-def _apply_config(sp: argparse.ArgumentParser, config: dict[str, str]) -> None:
-    """Make each config value the default of the option of sp that it names.
-
-    A value is parsed by sp itself, as its flag's value would be (type and
-    choices, exit 2 on a bad one); a boolean flag takes a boolean word.
-    """
-    actions = {a.dest: a for a in sp._actions
-               if a.option_strings and a.dest not in ("help", "config")}
-    for key, val in config.items():
-        action = actions.get(key)
-        if action is None:
-            raise ValueError(f"unknown config key {key!r} for {sp.prog}")
-        if action.nargs == 0:  # a boolean flag
-            if val.lower() not in _BOOLS:
-                raise ValueError(f"config key {key}: not a boolean: {val!r}")
-            val = _BOOLS[val.lower()]
-        else:
-            val = getattr(sp.parse_args([f"{action.option_strings[0]}={val}"]), key)
-        sp.set_defaults(**{key: val})
-
-
-def _parse_data(spec: str) -> decay.DataTriple:
-    """Parse 'u0:TYPE[:SCALE[:AMP]],u1:...,u2:...' into three profiles."""
-    from . import decay
-    kinds = {
-        "gaussian": decay.ProfileKind.GAUSSIAN,
-        "mfgaussian": decay.ProfileKind.MOMENT_FREE_GAUSSIAN,
-        "momentfree": decay.ProfileKind.MOMENT_FREE_GAUSSIAN,
-        "zero": None,
-    }
-    profiles: dict[str, decay.FrequencyProfile] = {}
-    for chunk in spec.split(","):
-        parts = chunk.strip().split(":")
-        if len(parts) < 2:
-            raise ValueError(f"bad data component {chunk!r}; expected name:type[:scale[:amp]]")
-        name, kind_s = parts[0].strip().lower(), parts[1].strip().lower()
-        if name not in ("u0", "u1", "u2"):
-            raise ValueError(f"unknown data component {name!r}")
-        if kind_s not in kinds:
-            raise ValueError(f"unknown profile type {kind_s!r} (choose from {sorted(kinds)})")
-        if kind_s == "zero":
-            profiles[name] = decay.FrequencyProfile.zero()
-            continue
-        scale = float(parts[2]) if len(parts) > 2 else 1.0
-        amp = float(parts[3]) if len(parts) > 3 else 1.0
-        profiles[name] = decay.FrequencyProfile(kinds[kind_s], scale, amp)
-    for name in ("u0", "u1", "u2"):
-        profiles.setdefault(name, decay.FrequencyProfile.zero())
-    return (profiles["u0"], profiles["u1"], profiles["u2"])
-
-
 def _make_grid(vmin: float, vmax: float, count: int, log: bool, what: str) -> np.ndarray:
     import numpy as np
     if count < 1 or not (math.isfinite(vmin) and math.isfinite(vmax)) or vmax < vmin:
@@ -176,10 +95,8 @@ def _make_grid(vmin: float, vmax: float, count: int, log: bool, what: str) -> np
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The mgt parser and its subcommand parsers by name."""
-    ap = argparse.ArgumentParser(
-        prog="mgt",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = argparse.ArgumentParser(prog="mgt", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--version", action="version", version=f"mgt-spectral {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
     subs = {}
@@ -192,10 +109,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             kw["type"] = type(default)
         sp.add_argument(f"--{name}", default=default, help=f"{help} (default: %(default)s)", **kw)
 
-    def command(name, help, *options):
-        sp = subs[name] = sub.add_parser(name, help=help)
-        sp.add_argument("--tau", type=float, help="relaxation time, 0 < tau < beta (required)")
-        sp.add_argument("--beta", type=float, help="damping coefficient (required)")
+    def command(name, help, *options, point="required"):
+        sp = subs[name] = sub.add_parser(name, help=help, description=help)
+        sp.add_argument("--tau", type=float, help=f"relaxation time, 0 < tau < beta ({point})")
+        sp.add_argument("--beta", type=float, help=f"damping coefficient ({point})")
         opt(sp, "c", 1.0, "wave speed, folded into the damping as beta -> c^2 beta; "
                           "frequencies and times are not rescaled")
         sp.add_argument("--config", help="flat key = value file whose values become the "
@@ -229,7 +146,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     command("verify", "run the full numerical invariant suite; gronwall_margin (as its "
                       "first pair) and theorem_bounds use tau, beta (0.1, 1 unless tau, beta "
                       "or c is set), the others their own draws or fixed cases",
-            ("quick", False, "shrink sample counts 10x"))
+            ("quick", False, "shrink sample counts 10x"),
+            point="optional, given together; default (0.1, 1); used only by gronwall_margin "
+                  "and theorem_bounds")
     return ap, subs
 
 
@@ -263,8 +182,7 @@ def cmd_classify(args) -> int:
     lines.append(f"C1 = {_fmt(thr.c1)}")
     lines.append(f"C2 = {_fmt(thr.c2)}")
     if thr.m1 is None:
-        lines.append("m1 = absent")
-        lines.append("m2 = absent")
+        lines += ["m1 = absent", "m2 = absent"]
     else:
         lines.append(f"m1 = {_fmt(thr.m1)} (sqrt(m1) = {_fmt(math.sqrt(thr.m1))})")
         lines.append(f"m2 = {_fmt(thr.m2)} (sqrt(m2) = {_fmt(math.sqrt(thr.m2))})")
@@ -292,47 +210,28 @@ def cmd_atlas(args) -> int:
 def cmd_mode(args) -> int:
     p = _model_params(args)
     from . import lyapunov, mode_solver
-    k = args.k
-    data = _parse_data(args.data)
+    data = mode_solver._parse_data(args.data)
     ts = _make_grid(args.t_min, args.t_max, args.t_count, args.t_log, "time")
-
-    init = mode_solver.ModeState(
-        u_hat=complex(data[0]([k])[0]), v_hat=complex(data[1]([k])[0]),
-        w_hat=complex(data[2]([k])[0]), k=k)
-    weights = lyapunov.default_weights(p)
-    state = mode_solver.solve_mode(p, k, init, ts)
-    vsq = mode_solver.v_vector(p, state).norm_sq
-    f = lyapunov.functionals(p, state, weights)
     _write_csv(args, p, "t,re_u,im_u,v_sq,energy,lyap",
-               zip(ts, state.u_hat.real, state.u_hat.imag, vsq, f.energy, f.lyap))
+               lyapunov._trajectory_rows(p, args.k, data, ts))
     return EXIT_OK
 
 
 def cmd_decay(args) -> int:
     p = _model_params(args)
     import json
-    from . import decay
+    from . import decay, mode_solver
     if not (0.0 < args.quad_tol < 1.0):
         raise ValueError(f"quad_tol must lie in (0, 1), got {args.quad_tol}")
-    data = _parse_data(args.data)
+    data = mode_solver._parse_data(args.data)
     ts = _make_grid(args.t_min, args.t_max, args.t_count, args.t_log, "time")
-
     curve = decay.decay_curve(p, data, args.dim, args.j, ts, args.quad_tol, v_norm=args.v_norm)
-    summary = decay.decay_curve_summary(curve)
-
-    within, c_early = decay.bound_verdict(curve, curve.bound_exponent, 10.0 * args.quad_tol)
-    summary["bound_constant_early_window"] = c_early
-    summary["verdict"] = "WITHIN_BOUND" if within else "VIOLATION"
-
-    rows = decay.decay_curve_rows(curve)
-    if args.format == "json":
-        summary["rows"] = [{"t": t, "norm": v, "bound_value": b} for t, v, b in rows]
-        _write_output(args.out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-
-    _write_csv(args, p, "t,norm,bound_value", rows)
-    _write_output("-" if args.out == "-" else args.out + ".json",
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    summary, rows = decay._report(curve, json_rows=args.format == "json")
+    if args.format == "csv":
+        _write_csv(args, p, "t,norm,bound_value", rows)
+    # json: the summary alone; csv: the summary after the curve, or in a .json sidecar
+    summary_out = args.out if args.format == "json" or args.out == "-" else args.out + ".json"
+    _write_output(summary_out, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -340,43 +239,14 @@ def cmd_verify(args) -> int:
     # the suite's own point unless a model parameter is set
     given = (args.tau, args.beta, args.c) != (None, None, 1.0)
     p = _model_params(args) if given else params.validate(0.1, 1.0)
-    import numpy as np
     from . import verify
-    div = 10 if args.quick else 1
-    rng = np.random.default_rng(20240817)
-
-    suites = [
-        ("spectrum_sweep", lambda: verify._suite_spectrum(rng, max(100, 10000 // div))),
-        ("oracle_equivalence", lambda: verify._suite_oracle(rng, max(5, 200 // div))),
-        ("energy_identity", lambda: verify._suite_energy(rng, max(5, 50 // div))),
-        ("gronwall_margin", lambda: verify._suite_gronwall(p, rng, max(2, 10 // div))),
-        ("integral_lemmas", lambda: verify._suite_lemmas(args.quick)),
-        ("theorem_bounds", lambda: verify._suite_theorem_bounds(p, args.quick)),
-    ]
-    lines = [f"mgt-spectral {__version__} verify "
-             f"(tau={_fmt(p.tau)}, beta={_fmt(p.beta)}, quick={args.quick})"]
-    all_ok = True
-    for name, fn in suites:
-        try:
-            ok, detail = fn()
-        except MGTError as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        all_ok &= ok
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("verify: " + ("all suites passed" if all_ok else "FAILURES detected"))
-    _write_output(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if all_ok else EXIT_VERIFY
+    records = verify._run_suites(p, args.quick)
+    _write_output(args.out, verify._report(p, args.quick, records))
+    return EXIT_OK if all(ok for _, ok, _ in records) else EXIT_VERIFY
 
 
-# ---------------------------------------------------------------------------
-
-_COMMANDS = {
-    "classify": cmd_classify,
-    "atlas": cmd_atlas,
-    "mode": cmd_mode,
-    "decay": cmd_decay,
-    "verify": cmd_verify,
-}
+_COMMANDS = {"classify": cmd_classify, "atlas": cmd_atlas, "mode": cmd_mode,
+             "decay": cmd_decay, "verify": cmd_verify}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -384,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(subs[args.command], _load_config(args.config))
+            from . import _config
+            _config._apply_config(subs[args.command], _config._load_config(args.config))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _BAD_INPUT_ERRORS as exc:

@@ -23,76 +23,16 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import lyapunov
 from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
-from .mode_solver import solve_modes_on_grid
+from .mode_solver import DataTriple, FrequencyProfile, solve_modes_on_grid
 from .params import DataClass, ModelParams, cardano_thresholds, high_frequency_rate, theorem_rates
 from .quadrature import adaptive_quadrature
 from .spectrum import eigenvalues
-
-
-class ProfileKind(Enum):
-    GAUSSIAN = "Gaussian"
-    MOMENT_FREE_GAUSSIAN = "MomentFreeGaussian"
-
-
-@dataclass(frozen=True)
-class FrequencyProfile:
-    """Radial frequency-space profile for one component of the initial data.
-
-    Gaussian:            amplitude * exp(-(scale*k)^2 / 2)
-    MomentFreeGaussian:  amplitude * (scale*k) * exp(-(scale*k)^2 / 2),
-                         the stand-in for zero-mean data with a finite first
-                         moment (vanishes at k = 0, bounded by amplitude*scale*k).
-
-    Both obey the envelope |f(k)| <= |amplitude| * (1 + scale*k)
-    * exp(-(scale*k)^2 / 2), which the tail certification relies on.
-    """
-
-    kind: ProfileKind
-    scale: float = 1.0
-    amplitude: float = 1.0
-
-    def __post_init__(self):
-        if not isinstance(self.kind, ProfileKind):
-            raise ValueError(f"profile kind must be a ProfileKind, got {self.kind!r}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"profile scale must be positive, got {self.scale}")
-        if not math.isfinite(self.amplitude):
-            raise ValueError("profile amplitude must be finite")
-
-    def __call__(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        if self.amplitude == 0.0:
-            return np.zeros_like(k)
-        s = self.scale * k
-        if self.kind is ProfileKind.GAUSSIAN:
-            return self.amplitude * np.exp(-0.5 * s * s)
-        return self.amplitude * s * np.exp(-0.5 * s * s)
-
-    @property
-    def vanishes_at_zero(self) -> bool:
-        return self.amplitude == 0.0 or self.kind is ProfileKind.MOMENT_FREE_GAUSSIAN
-
-    @staticmethod
-    def gaussian(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
-        return FrequencyProfile(ProfileKind.GAUSSIAN, scale, amplitude)
-
-    @staticmethod
-    def moment_free(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
-        return FrequencyProfile(ProfileKind.MOMENT_FREE_GAUSSIAN, scale, amplitude)
-
-    @staticmethod
-    def zero() -> "FrequencyProfile":
-        return FrequencyProfile(ProfileKind.GAUSSIAN, 1.0, 0.0)
-
-
-DataTriple = tuple[FrequencyProfile, FrequencyProfile, FrequencyProfile]
 
 
 @dataclass(frozen=True)
@@ -265,11 +205,15 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol:
                                min_intervals=8).value
 
 
-def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
+def _validate_orders(dim: int, j: int) -> None:
     if not (isinstance(dim, (int, np.integer)) and dim >= 1):
         raise ValueError(f"dimension must be an integer >= 1, got {dim}")
     if not (isinstance(j, (int, np.integer)) and j >= 0):
         raise ValueError(f"derivative order must be an integer >= 0, got {j}")
+
+
+def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
+    _validate_orders(dim, j)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
     if not (0.0 < quad_tol):
@@ -425,6 +369,19 @@ def decay_curve_summary(curve: DecayCurve) -> dict:
     }
 
 
+def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float, float, float]]]:
+    """The `mgt decay` summary, with bound_verdict at a slack of 10 quad_tol, and
+    the curve's rows, also in the summary as {t, norm, bound_value} with json_rows."""
+    summary = decay_curve_summary(curve)
+    within, summary["bound_constant_early_window"] = bound_verdict(
+        curve, curve.bound_exponent, 10.0 * curve.quad_tol)
+    summary["verdict"] = "WITHIN_BOUND" if within else "VIOLATION"
+    rows = decay_curve_rows(curve)
+    if json_rows:
+        summary["rows"] = [{"t": t, "norm": v, "bound_value": b} for t, v, b in rows]
+    return summary, rows
+
+
 # ---------------------------------------------------------------------------
 # integral-lemma verification
 # ---------------------------------------------------------------------------
@@ -489,8 +446,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
 
     Raises ToleranceFailure when any ratio keeps growing along the grid.
     """
-    if dim < 1 or j < 0:
-        raise ValueError(f"need dim >= 1 and j >= 0, got dim={dim}, j={j}")
+    _validate_orders(dim, j)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"need a finite c > 0, got {c}")
     times = np.asarray(list(time_grid), dtype=float)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidFrequency, NonPositiveMargin
-from .mode_solver import ModeState, mode_coefficients, evaluate_mode, mode_matrix, solve_mode
+from .mode_solver import (DataTriple, ModeState, mode_coefficients, evaluate_mode, mode_matrix,
+                          solve_mode, v_vector)
 from .params import ModelParams
 
 #: One-sided slack, relative to the functional scale, in the margin sweeps.
@@ -313,3 +314,12 @@ def pointwise_bound_constants(p: ModelParams, w: LyapunovWeights) -> tuple[float
     """(C, c) of the pointwise bound |V(t)|^2 <= C exp(-c rho(k) t) |V(0)|^2."""
     C = (w.equiv_hi / w.equiv_lo) * (w.v_hi / w.v_lo)
     return C, w.gamma5
+
+
+def _trajectory_rows(p: ModelParams, k: float, data: DataTriple, ts: np.ndarray):
+    """`mgt mode` rows (t, re_u, im_u, v_sq, energy, lyap) of the mode data starts at k."""
+    weights = default_weights(p)
+    state = solve_mode(p, k, ModeState(*(complex(prof([k])[0]) for prof in data), k=k), ts)
+    f = functionals(p, state, weights)
+    return zip(ts, state.u_hat.real, state.u_hat.imag, v_vector(p, state).norm_sq,
+               f.energy, f.lyap)

@@ -24,12 +24,16 @@ behind classify, eigenvalues and atlas), so it never disagrees with classify.
 propagate_numeric() is the cross-check oracle for the closed form: the
 matrix exponential of Phi t by scaling and squaring (scipy.linalg.expm),
 which forms no eigenvalue and never calls the spectrum kernel.
+
+FrequencyProfile is the radial initial data of each mode component: decay
+integrates the modes it starts over all k, `mgt mode` samples it at one k.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
@@ -91,6 +95,84 @@ class VVector:
     @property
     def norm_sq(self) -> float:
         return abs(self.a) ** 2 + self.b_mag**2 + self.c_mag**2
+
+
+class ProfileKind(Enum):
+    GAUSSIAN = "Gaussian"
+    MOMENT_FREE_GAUSSIAN = "MomentFreeGaussian"
+
+
+@dataclass(frozen=True)
+class FrequencyProfile:
+    """Radial frequency-space profile for one component of the initial data.
+
+    Gaussian:            amplitude * exp(-(scale*k)^2 / 2)
+    MomentFreeGaussian:  amplitude * (scale*k) * exp(-(scale*k)^2 / 2),
+                         the stand-in for zero-mean data with a finite first
+                         moment (vanishes at k = 0, bounded by amplitude*scale*k).
+
+    Both obey the envelope |f(k)| <= |amplitude| * (1 + scale*k)
+    * exp(-(scale*k)^2 / 2), which decay's tail certification relies on.
+    """
+
+    kind: ProfileKind
+    scale: float = 1.0
+    amplitude: float = 1.0
+
+    def __post_init__(self):
+        if not isinstance(self.kind, ProfileKind):
+            raise ValueError(f"profile kind must be a ProfileKind, got {self.kind!r}")
+        if not (self.scale > 0.0 and math.isfinite(self.scale)):
+            raise ValueError(f"profile scale must be positive, got {self.scale}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("profile amplitude must be finite")
+
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
+        if self.amplitude == 0.0:
+            return np.zeros_like(k)
+        s = self.scale * k
+        if self.kind is ProfileKind.GAUSSIAN:
+            return self.amplitude * np.exp(-0.5 * s * s)
+        return self.amplitude * s * np.exp(-0.5 * s * s)
+
+    @property
+    def vanishes_at_zero(self) -> bool:
+        return self.amplitude == 0.0 or self.kind is ProfileKind.MOMENT_FREE_GAUSSIAN
+
+    @staticmethod
+    def gaussian(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
+        return FrequencyProfile(ProfileKind.GAUSSIAN, scale, amplitude)
+
+    @staticmethod
+    def moment_free(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
+        return FrequencyProfile(ProfileKind.MOMENT_FREE_GAUSSIAN, scale, amplitude)
+
+    @staticmethod
+    def zero() -> "FrequencyProfile":
+        return FrequencyProfile(ProfileKind.GAUSSIAN, 1.0, 0.0)
+
+
+DataTriple = tuple[FrequencyProfile, FrequencyProfile, FrequencyProfile]
+
+
+def _parse_data(spec: str) -> DataTriple:
+    """Parse a `--data` value 'u0:TYPE[:SCALE[:AMP]],u1:...,u2:...' into three profiles."""
+    kinds = {"gaussian": ProfileKind.GAUSSIAN, "mfgaussian": ProfileKind.MOMENT_FREE_GAUSSIAN,
+             "momentfree": ProfileKind.MOMENT_FREE_GAUSSIAN, "zero": None}
+    profiles = dict.fromkeys(("u0", "u1", "u2"), FrequencyProfile.zero())
+    for chunk in spec.split(","):
+        parts = chunk.strip().split(":")
+        if len(parts) < 2:
+            raise ValueError(f"bad data component {chunk!r}; expected name:type[:scale[:amp]]")
+        name, kind_s = parts[0].strip().lower(), parts[1].strip().lower()
+        if name not in profiles:
+            raise ValueError(f"unknown data component {name!r}")
+        if kind_s not in kinds:
+            raise ValueError(f"unknown profile type {kind_s!r} (choose from {sorted(kinds)})")
+        profiles[name] = (FrequencyProfile.zero() if kinds[kind_s] is None
+                          else FrequencyProfile(kinds[kind_s], *map(float, parts[2:4])))
+    return (profiles["u0"], profiles["u1"], profiles["u2"])
 
 
 def mode_matrix(p: ModelParams, k: float | np.ndarray) -> np.ndarray:
@@ -331,3 +413,4 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2))
     u, v, w = _propagate(_cubic_roots_batch(p.tau, p.beta, ks * ks), y0, t)
     return u, v, w
+

@@ -1,11 +1,11 @@
 """The numerical invariant suites behind `mgt verify`.
 
 Each suite checks one invariant over random or fixed samples and returns
-`(passed, detail)`; `cli.cmd_verify` runs them in order, prints one
-`[PASS]`/`[FAIL] name: detail` line each, and counts a suite that raises an
-`MGTError` as failed.  Only gronwall_margin (as its first pair) and
-theorem_bounds take the run's (tau, beta); the others use their own random
-draws or fixed cases.
+`(passed, detail)`.  `_run_suites` runs them in order on one seeded draw
+stream, counts a suite that raises an `MGTError` as failed, and returns a
+`(name, passed, detail)` record each; `_report` makes the `mgt verify` text.
+Only gronwall_margin (as its first pair) and theorem_bounds take the run's
+(tau, beta); the others use their own random draws or fixed cases.
 
 spectrum_sweep      eigenvalue residuals and Vieta identities of the cubic
 oracle_equivalence  the closed-form mode against the expm oracle
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 
-from . import params
+from . import __version__, params
+from .errors import MGTError
 
 
 def _suite_spectrum(rng, n) -> tuple[bool, str]:
@@ -159,3 +160,35 @@ def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
     passed = ok3 and ok1 and okw
     return passed, (f"asymptotic_window={asymptotic} dim3_slope={c3.fitted_slope:+.3f} "
                     f"dim1_bound={'ok' if ok1 else 'FAIL'} weighted_slope={cw.fitted_slope:+.3f}")
+
+
+def _run_suites(p: params.ModelParams, quick: bool) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of each suite in order; quick takes a tenth of the samples."""
+    import numpy as np
+    div = 10 if quick else 1
+    rng = np.random.default_rng(20240817)
+    suites = [
+        ("spectrum_sweep", lambda: _suite_spectrum(rng, max(100, 10000 // div))),
+        ("oracle_equivalence", lambda: _suite_oracle(rng, max(5, 200 // div))),
+        ("energy_identity", lambda: _suite_energy(rng, max(5, 50 // div))),
+        ("gronwall_margin", lambda: _suite_gronwall(p, rng, max(2, 10 // div))),
+        ("integral_lemmas", lambda: _suite_lemmas(quick)),
+        ("theorem_bounds", lambda: _suite_theorem_bounds(p, quick)),
+    ]
+    records = []
+    for name, fn in suites:
+        try:
+            records.append((name, *fn()))
+        except MGTError as exc:
+            records.append((name, False, f"{type(exc).__name__}: {exc}"))
+    return records
+
+
+def _report(p: params.ModelParams, quick: bool, records: list[tuple[str, bool, str]]) -> str:
+    """The text `mgt verify` prints: its point, one line per suite record, the verdict."""
+    lines = [f"mgt-spectral {__version__} verify "
+             f"(tau={p.tau:.17g}, beta={p.beta:.17g}, quick={quick})"]
+    lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in records]
+    passed = all(ok for _, ok, _ in records)
+    lines.append("verify: " + ("all suites passed" if passed else "FAILURES detected"))
+    return "\n".join(lines) + "\n"

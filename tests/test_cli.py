@@ -222,6 +222,30 @@ class TestVerify:
         assert out.splitlines()[0] == ("mgt-spectral 0.1.0 verify "
                                        "(tau=0.29999999999999999, beta=1.5, quick=True)")
 
+    def test_help_describes_the_command_and_its_optional_point(self, capsys):
+        code, out, _ = run_exit(capsys, "verify", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "(required)" not in text
+        assert ("run the full numerical invariant suite; gronwall_margin (as its first pair) "
+                "and theorem_bounds use tau, beta") in text
+        for flag in ("--tau TAU relaxation time, 0 < tau < beta", "--beta BETA damping coefficient"):
+            assert (f"{flag} (optional, given together; default (0.1, 1); used only by "
+                    "gronwall_margin and theorem_bounds)") in text
+
+
+@pytest.mark.parametrize("command", ["classify", "atlas", "mode", "decay", "verify"])
+def test_every_subcommand_help_opens_with_its_summary(capsys, command):
+    from mgt_spectral.cli import _build_parser
+    summary = _build_parser()[1][command].description
+    listing = " ".join(run_exit(capsys, "--help")[1].split())
+    code, out, _ = run_exit(capsys, command, "--help")
+    assert code == 0
+    assert summary and summary in listing  # the same line as in the `mgt --help` list
+    assert " ".join(out.split("\n\n")[1].split()) == summary
+    point = "(optional, given together" if command == "verify" else "(required)"
+    assert point in " ".join(out.split())
+
 
 class TestWaveSpeed:
     """--c folds into the damping only: --c 2 --beta b is --beta 4b, byte for byte."""

@@ -252,6 +252,13 @@ class TestIntegralLemmas:
             with pytest.raises(GridError):
                 integral_lemma_check(3, 0, 1.0, [0.0, bad, 10.0])
 
+    @pytest.mark.parametrize("dim, j, name", [(2.5, 0, "dimension"), (3, 0.5, "derivative order"),
+                                              (3.0, 0, "dimension")])
+    def test_rejects_non_integer_orders(self, dim, j, name):
+        # the tail closed form assumes an integer power, as the norm integrals do
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            integral_lemma_check(dim, j, 1.0, [1.0, 10.0])
+
 
 class TestGaussTailClosedForm:
     """The closed-form tail bound against scipy's incomplete gamma and exp1."""

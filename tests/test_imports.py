@@ -6,7 +6,8 @@ and by the N + 2j <= 2 tail bound; every other `mgt` invocation must not pay
 its import time. `import mgt_spectral` and `mgt_spectral.cli` load `errors`
 and `params` only; the layer modules, and numpy with them, load on first use.
 The front door also loads no `dataclasses`, `inspect` or `json` (`json`
-loads in `mgt decay`) and not the `mgt verify` suites in `mgt_spectral.verify`.
+loads in `mgt decay`), not the `mgt verify` suites in `mgt_spectral.verify`
+and not the `--config` handling in `mgt_spectral._config`.
 """
 
 import os
@@ -91,6 +92,43 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(sorted(name for name in sys.modules if name.startswith("mgt_spectral.")))
 """
     assert run_probe(probe)[-1] == str(FRONT_DOOR + ["mgt_spectral.spectrum"])
+
+
+def test_mode_loads_only_its_layers():
+    # the --data profiles live in mode_solver: no decay, no quadrature
+    probe = """
+import contextlib, io, sys
+import mgt_spectral.cli
+argv = ["mode", "--tau", "0.1", "--beta", "1", "--t-count", "3",
+        "--data", "u0:gaussian:2:3,u1:mfgaussian:1.5:2,u2:zero"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert mgt_spectral.cli.main(argv) == 0
+print(sorted(name for name in sys.modules if name.startswith("mgt_spectral.")))
+"""
+    layers = ["mgt_spectral.lyapunov", "mgt_spectral.mode_solver", "mgt_spectral.spectrum"]
+    assert run_probe(probe)[-1] == str(sorted(FRONT_DOOR + layers))
+
+
+def test_config_handling_loads_only_for_config(tmp_path):
+    good, bad = tmp_path / "good.cfg", tmp_path / "bad.cfg"
+    good.write_text("tau = 0.1\nbeta = 1\nall_bounds = yes\n")
+    bad.write_text("tau = 0.1\nbeta = 1\nk_cont = 3\n")
+    probe = f"""
+import contextlib, io, sys
+import mgt_spectral.cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return mgt_spectral.cli.main(list(argv))
+
+assert run("classify", "--tau", "0.1", "--beta", "1") == 0
+print("mgt_spectral._config" in sys.modules)
+assert run("classify", "--config", {str(good)!r}) == 0
+assert run("classify", "--config", {str(bad)!r}) == 2
+""" + LOADED
+    lines = run_probe(probe)
+    assert lines[-2] == "False"
+    assert lines[-1] == str(sorted(FRONT_DOOR + ["mgt_spectral._config"]))
 
 
 def test_every_public_name_is_the_defining_module_object():
