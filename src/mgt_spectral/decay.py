@@ -13,9 +13,22 @@ Truncation of the infinite range is certified: the mode energy is
 nonincreasing and bounded by a Gaussian-type envelope of the initial data,
 and beyond the truncation point the measured Lyapunov decay factor
 exp(-gamma5 rho(K) t) shrinks the admissible tail further, which is what
-makes the large-time sweeps cheap.  Oscillation of the integrand (phase
-roughly t * k * sqrt(beta/tau)) is resolved by capping the quadrature's
-subinterval width.
+makes the large-time sweeps cheap.
+
+The integrand oscillates with the phase 2 r(k) t, where alpha +- i r is the
+complex pair of the mode.  Only a window [0, 2 pi / t], two periods wide, is
+integrated whole, with subintervals capped at an eighth of a period.  Beyond
+it each mode is written e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with
+P, S and L smooth in k, and its square splits into a smooth envelope,
+e^{2 alpha t}(P^2 + S^2)/2 plus e^{2 lam t} L^2, and harmonics of the phase:
+terms in cos 2rt and sin 2rt, and the e^{(lam + alpha) t} cross terms in
+cos rt and sin rt.  One adaptive pass integrates the envelope by
+Clenshaw-Curtis panels with no width cap and the harmonics by Levin
+collocation on the same panels, so the node count follows the smooth
+amplitudes, not t times the cut.  Panels that touch a confluence (k near 0,
+sqrt(m1), sqrt(m2) or the triple root, where r t < pi and the split is
+ill-conditioned) and the three-real window take the whole integrand.  The
+integral-lemma kernels keep the capped quadrature.
 """
 
 from __future__ import annotations
@@ -29,9 +42,9 @@ import numpy as np
 
 from . import lyapunov
 from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
-from .mode_solver import DataTriple, FrequencyProfile, solve_modes_on_grid
+from .mode_solver import DataTriple, FrequencyProfile, _split_on_grid, solve_modes_on_grid
 from .params import DataClass, ModelParams, cardano_thresholds, high_frequency_rate, theorem_rates
-from .quadrature import adaptive_quadrature
+from .quadrature import QuadResult, Split, _split_quadrature, adaptive_quadrature
 from .spectrum import eigenvalues
 
 
@@ -64,6 +77,12 @@ class DecayCurve:
     tau: float
     beta: float
     quad_tol: float
+    #: per time: integrand evaluations, quadrature error estimate, certified cut
+    #: and the tail bound beyond it (error estimate + tail bound <= quad_tol)
+    quad_nodes: np.ndarray | None = None
+    quad_error: np.ndarray | None = None
+    k_max: np.ndarray | None = None
+    tail_bound: np.ndarray | None = None
 
 
 def region_split(p: ModelParams) -> RegionSplit:
@@ -197,12 +216,12 @@ def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
-               t: float, speed: float, edges: Sequence[float] | None = None) -> float:
-    """The one quadrature policy: at least 8 subintervals, none wider than
+               t: float, speed: float, edges: Sequence[float] | None = None) -> QuadResult:
+    """The capped quadrature policy: at least 8 subintervals, none wider than
     pi / (4 t speed), an eighth of the period of a phase t * speed * k."""
     cap = None if t <= 0.0 else math.pi / (4.0 * t * speed)
     return adaptive_quadrature(f, lo, hi, tol, max_width=cap, initial_edges=edges,
-                               min_intervals=8).value
+                               min_intervals=8)
 
 
 def _validate_orders(dim: int, j: int) -> None:
@@ -220,44 +239,115 @@ def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
         raise ValueError(f"quadrature tolerance must be positive, got {quad_tol}")
 
 
+def _functionals(tau: float, v_norm: bool) -> tuple:
+    """(power of k, linear functional of the state) pairs: the norm integrand is
+    k^(2j+dim-1) sum k^power functional(y)^2."""
+    if v_norm:
+        return ((0, lambda y: y[1] + tau * y[2]), (2, lambda y: y[0] + tau * y[1]),
+                (2, lambda y: y[1]))
+    return ((0, lambda y: y[0]),)
+
+
+def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
+                     v_norm: bool) -> Callable[[np.ndarray], Split]:
+    """The norm integrand as envelope plus the harmonics of the phase r t.
+
+    With z = e^{lam t} l + e^{alpha t}(P cos rt + S sin rt) for each functional
+    of the state (_split_on_grid), z^2 is the envelope
+    e^{2 lam t} l^2 + e^{2 alpha t}(P^2 + S^2)/2, plus e^{2 alpha t} times
+    (P^2 - S^2)/2 cos 2rt + P S sin 2rt, plus 2 e^{(lam + alpha) t} l times
+    (P cos rt + S sin rt).  The split is trusted where r t >= pi: its terms
+    carry 1/r and 1/((lam - alpha)^2 + r^2), which grow near k = 0, near the
+    double roots at sqrt(m1), sqrt(m2) and near the triple root.
+    """
+    forms = _functionals(p.tau, v_norm)
+
+    def integrand(karr: np.ndarray) -> Split:
+        y0 = np.stack([prof(karr) for prof in data])
+        y, lam, alpha, r, dr, L, P, S = _split_on_grid(p, karr, y0, t)
+        trusted = r * t >= math.pi
+        plain = smooth = amp1 = amp2 = 0.0
+        # the terms may overflow where the split is not trusted; they are dropped there
+        with np.errstate(over="ignore", invalid="ignore"):
+            e2a, e2l, ela = np.exp(2.0 * alpha * t), np.exp(2.0 * lam * t), np.exp((lam + alpha) * t)
+            for kp, form in forms:
+                weight = karr ** (power + kp)
+                z, l, pp, ss = form(y), form(L), form(P), form(S)
+                plain = plain + weight * z * z
+                smooth = smooth + weight * (e2l * l * l + 0.5 * e2a * (pp * pp + ss * ss))
+                amp1 = amp1 + weight * 2.0 * ela * l * (pp - 1j * ss)
+                amp2 = amp2 + weight * e2a * (0.5 * (pp * pp - ss * ss) - 1j * pp * ss)
+        return Split(plain=plain, trusted=trusted, smooth=np.where(trusted, smooth, 0.0),
+                     amps=np.where(trusted, np.stack([amp1, amp2]), 0.0),
+                     phase=r * t, dphase=dr * t)
+
+    return integrand
+
+
 def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                    quad_tol: float, v_norm: bool,
-                   interval: tuple[float, float] | None = None) -> float:
-    """The norm integral over interval, by default [0, its certified cut]."""
+                   interval: tuple[float, float] | None = None) -> tuple[QuadResult, float, float]:
+    """(quadrature, k_max, tail bound) of the norm integral over interval, by
+    default over [0, k_max], the certified cut, whose tail bound is at most
+    quad_tol / 2; the quadrature's error target is the other half.  With an
+    interval, k_max is its end and the tail bound 0.
+
+    On the window [0, k0], two periods of the phase 2 r t (r ~ k there), the
+    whole integrand is integrated under the width cap, to half the error
+    target.  Beyond k0 its split into an envelope and the harmonics of r t
+    (_split_integrand) is, with no cap, to what the window leaves.
+    """
     _validate_norm_args(dim, j, t, quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
-        return 0.0
-    lo, hi = interval or (0.0, _kmax_certified(_norm_tail(p, data, dim, j, t, v_norm),
-                                               0.5 * quad_tol))
+        return QuadResult(0.0, 0.0, 0, 0), 0.0, 0.0
+    tail_bound = 0.0
+    if interval is None:
+        tail = _norm_tail(p, data, dim, j, t, v_norm)
+        lo, hi = 0.0, _kmax_certified(tail, 0.5 * quad_tol)
+        tail_bound = tail(hi)
+    else:
+        lo, hi = interval
 
     power = 2 * j + dim - 1
-    tau = p.tau
+    forms = _functionals(p.tau, v_norm)
 
     def integrand(karr: np.ndarray) -> np.ndarray:
         u0, u1, u2 = data[0](karr), data[1](karr), data[2](karr)
-        u, v, w = solve_modes_on_grid(p, karr, u0, u1, u2, t)
-        if v_norm:
-            val = (np.abs(v + tau * w) ** 2
-                   + karr * karr * (np.abs(u + tau * v) ** 2 + np.abs(v) ** 2))
-        else:
-            val = np.abs(u) ** 2
-        return karr**power * val
+        y = solve_modes_on_grid(p, karr, u0, u1, u2, t)
+        return sum(karr ** (power + kp) * np.abs(form(y)) ** 2 for kp, form in forms)
 
     split = region_split(p)
-    return max(_integrate(integrand, lo, hi, 0.5 * quad_tol, t, math.sqrt(p.beta / p.tau),
-                          [split.nu1, split.nu2]), 0.0)
+    edges = [split.nu1, split.nu2]
+    speed = math.sqrt(p.beta / p.tau)
+    tol = 0.5 * quad_tol
+    k0 = math.inf if t == 0.0 else 2.0 * math.pi / t
+    if hi <= k0:
+        parts = [_integrate(integrand, lo, hi, tol, t, speed, edges)]
+    else:
+        cut = max(lo, k0)
+        parts = [_integrate(integrand, lo, cut, 0.5 * tol, t, speed, edges)] if cut > lo else []
+        thr = cardano_thresholds(p)
+        breaks = edges + ([] if thr.m1 is None else [math.sqrt(thr.m1), math.sqrt(thr.m2)])
+        breaks += [cut * 2.0**i for i in range(1, math.ceil(math.log2(hi / cut)))]
+        parts.append(_split_quadrature(_split_integrand(p, data, power, t, v_norm), cut, hi,
+                                       tol - sum(q.error for q in parts), breaks))
+    quad = QuadResult(value=max(math.fsum(q.value for q in parts), 0.0),
+                      error=math.fsum(q.error for q in parts),
+                      n_nodes=sum(q.n_nodes for q in parts),
+                      n_intervals=sum(q.n_intervals for q in parts))
+    return quad, hi, tail_bound
 
 
 def sobolev_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                     quad_tol: float) -> float:
     """J_j(t) = int_0^inf k^(2j+dim-1) |u(k,t)|^2 dk, certified to quad_tol."""
-    return _norm_integral(p, data, dim, j, t, quad_tol, v_norm=False)
+    return _norm_integral(p, data, dim, j, t, quad_tol, v_norm=False)[0].value
 
 
 def v_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
               quad_tol: float) -> float:
     """Same quadrature for the energy-variable vector: k^(2j+dim-1) |V(k,t)|^2."""
-    return _norm_integral(p, data, dim, j, t, quad_tol, v_norm=True)
+    return _norm_integral(p, data, dim, j, t, quad_tol, v_norm=True)[0].value
 
 
 def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
@@ -270,7 +360,7 @@ def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: 
     _validate_norm_args(dim, j, t, quad_tol)
     k_max = _kmax_certified(_norm_tail(p, data, dim, j, t, False), 0.5 * quad_tol)
     a, b = min(split.nu1, k_max), min(split.nu2, k_max)
-    low, mid, high = (_norm_integral(p, data, dim, j, t, quad_tol / 3.0, False, ab)
+    low, mid, high = (_norm_integral(p, data, dim, j, t, quad_tol / 3.0, False, ab)[0].value
                       for ab in ((0.0, a), (a, b), (b, k_max)))
     return RegionContributions(low=low, mid=mid, high=high)
 
@@ -313,10 +403,8 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
     if np.any(~np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
         raise GridError("time grid must be finite, nonnegative, strictly ascending")
 
-    values = np.array([
-        math.sqrt(max(_norm_integral(p, data, dim, j, float(t), quad_tol, v_norm), 0.0))
-        for t in times
-    ])
+    runs = [_norm_integral(p, data, dim, j, float(t), quad_tol, v_norm) for t in times]
+    values = np.array([math.sqrt(quad.value) for quad, _, _ in runs])
     if v_norm:
         # energy-vector bound: (1+t)^(-dim/4 - j/2) plus exponential remainder
         exponent = -dim / 4.0 - j / 2.0
@@ -330,7 +418,11 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
     const = float(np.max(values / bound_shape)) if values.size else 0.0
     return DecayCurve(times=times, values=values, dim=dim, j=j, fitted_slope=slope,
                       bound_exponent=exponent, bound_constant_measured=const,
-                      tau=p.tau, beta=p.beta, quad_tol=quad_tol)
+                      tau=p.tau, beta=p.beta, quad_tol=quad_tol,
+                      quad_nodes=np.array([quad.n_nodes for quad, _, _ in runs]),
+                      quad_error=np.array([quad.error for quad, _, _ in runs]),
+                      k_max=np.array([k_max for _, k_max, _ in runs]),
+                      tail_bound=np.array([tail for _, _, tail in runs]))
 
 
 def bound_verdict(curve: DecayCurve, exponent: float, abs_slack: float) -> tuple[bool, float]:
@@ -352,8 +444,12 @@ def decay_curve_rows(curve: DecayCurve) -> list[tuple[float, float, float]]:
     return list(zip(curve.times.tolist(), curve.values.tolist(), bound.tolist()))
 
 
+_DIAGNOSTICS = ("quad_nodes", "quad_error", "k_max", "tail_bound")
+
+
 def decay_curve_summary(curve: DecayCurve) -> dict:
-    """JSON-ready summary with the full parameter record for provenance."""
+    """JSON-ready summary with the full parameter record for provenance, and
+    the per-time quadrature diagnostics of a curve that carries them."""
     return {
         "tau": curve.tau,
         "beta": curve.beta,
@@ -366,7 +462,8 @@ def decay_curve_summary(curve: DecayCurve) -> dict:
         "n_times": int(curve.times.size),
         "t_min": float(curve.times[0]),
         "t_max": float(curve.times[-1]),
-    }
+    } | {name: getattr(curve, name).tolist() for name in _DIAGNOSTICS
+         if getattr(curve, name) is not None}
 
 
 def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float, float, float]]]:
@@ -476,10 +573,10 @@ def integral_lemma_check(dim: int, j: int, c: float,
     for t in times:
         plain, cosine, sine = kernels(float(t))
         tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
-        ints["plain"].append(_integrate(plain, 0.0, 1.0, tol, t, 1.0))
-        ints["cosine"].append(_integrate(cosine, 0.0, 1.0, tol, t, 1.0))
+        ints["plain"].append(_integrate(plain, 0.0, 1.0, tol, t, 1.0).value)
+        ints["cosine"].append(_integrate(cosine, 0.0, 1.0, tol, t, 1.0).value)
         ints["sine_low"].append(_integrate(sine, 0.0, 1.0, max(1e-15, tol * (1.0 + t) ** 2),
-                                           t, 1.0))
+                                           t, 1.0).value)
 
     shape_base = (1.0 + times) ** (-(dim + j) / 2.0)
     series["plain"] = _ratio_series("plain", times, np.array(ints["plain"]), shape_base)
@@ -500,7 +597,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
             s = math.sqrt(c * t)
             hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, s, K), 1e-16)
             tol = max(1e-16, 1e-6 * float(t) ** (-a))
-            vals.append(_integrate(sine, 0.0, hi, tol, float(t), 1.0))
+            vals.append(_integrate(sine, 0.0, hi, tol, float(t), 1.0).value)
         series["sine_global"] = _ratio_series("sine_global", tpos, np.array(vals),
                                               tpos ** (-a))
 

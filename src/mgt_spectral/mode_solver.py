@@ -12,7 +12,10 @@ one real root and the quadratic factor of the cubic, so the form is
 continuous through every confluence (double roots at m1, m2 and k = 0, the
 triple root at the critical ratio) and needs no pattern switch, no
 Vandermonde solve and no conditioning gate.  Derivatives are components of
-the propagated state, never finite differences.
+the propagated state, never finite differences.  The norm quadratures also
+take the same Newton form written out on a complex pair alpha +- i r,
+e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with L, P, S free of t
+(_split_terms), to integrate its oscillation separately.
 
 The per-pattern expansion coefficients of mode_coefficients (real root plus
 conjugate pair, three distinct reals, real double root, real triple root)
@@ -157,21 +160,33 @@ DataTriple = tuple[FrequencyProfile, FrequencyProfile, FrequencyProfile]
 
 
 def _parse_data(spec: str) -> DataTriple:
-    """Parse a `--data` value 'u0:TYPE[:SCALE[:AMP]],u1:...,u2:...' into three profiles."""
+    """Parse a `--data` value 'u0:TYPE[:SCALE[:AMP]],u1:...,u2:...' into three profiles.
+
+    `zero` takes no SCALE or AMP; a field beyond those a type takes is an error.
+    """
     kinds = {"gaussian": ProfileKind.GAUSSIAN, "mfgaussian": ProfileKind.MOMENT_FREE_GAUSSIAN,
              "momentfree": ProfileKind.MOMENT_FREE_GAUSSIAN, "zero": None}
     profiles = dict.fromkeys(("u0", "u1", "u2"), FrequencyProfile.zero())
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
         if len(parts) < 2:
-            raise ValueError(f"bad data component {chunk!r}; expected name:type[:scale[:amp]]")
+            raise ValueError(f"--data: bad component {chunk!r}; expected name:type[:scale[:amp]]")
         name, kind_s = parts[0].strip().lower(), parts[1].strip().lower()
         if name not in profiles:
-            raise ValueError(f"unknown data component {name!r}")
+            raise ValueError(f"--data: unknown component {name!r}")
         if kind_s not in kinds:
-            raise ValueError(f"unknown profile type {kind_s!r} (choose from {sorted(kinds)})")
+            raise ValueError(f"--data: unknown profile type {kind_s!r} "
+                             f"(choose from {sorted(kinds)})")
+        if len(parts) > (2 if kinds[kind_s] is None else 4):
+            raise ValueError(f"--data: too many fields in {chunk!r}; expected "
+                             + ("name:zero" if kinds[kind_s] is None
+                                else "name:type[:scale[:amp]]"))
+        try:
+            numbers = [float(x) for x in parts[2:]]
+        except ValueError:
+            raise ValueError(f"--data: scale and amp must be numbers in {chunk!r}") from None
         profiles[name] = (FrequencyProfile.zero() if kinds[kind_s] is None
-                          else FrequencyProfile(kinds[kind_s], *map(float, parts[2:4])))
+                          else FrequencyProfile(kinds[kind_s], *numbers))
     return (profiles["u0"], profiles["u1"], profiles["u2"])
 
 
@@ -250,9 +265,44 @@ def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
             h.append(a2 * h[-2] + a3 * h[-3])
         d2[series] = np.exp(-a * ts / 3.0) * ts * ts * (_SERIES_WEIGHTS @ np.stack(h))
 
-    w1 = _apply_phi(a, b, c, y0) - lam * y0
-    w2 = _apply_phi(a, b, c, w1) - alpha * w1
+    w1, w2 = _directions(nodes, y0)
     return e_lam * y0 + (d1 + dl * d2) * w1 + d2 * w2
+
+
+def _directions(nodes: tuple, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton directions w1 = (Phi - lam) y0 and w2 = (Phi - alpha) w1."""
+    a, b, c, lam, alpha, _ = nodes
+    w1 = _apply_phi(a, b, c, y0) - lam * y0
+    return w1, _apply_phi(a, b, c, w1) - alpha * w1
+
+
+def _split_terms(nodes: tuple, y0: np.ndarray) -> tuple:
+    """(r, r', L, P, S) with exp(Phi t) y0 = e^{lam t} L + e^{alpha t}(P cos rt + S sin rt)
+    on the rows of `nodes` whose quadratic factor has a complex pair alpha +- i r.
+
+    The same Newton form as _propagate, with its divided differences written
+    out: d0 = e^{alpha t} cos rt, d1 = e^{alpha t} sin(rt)/r and
+    d2 = (e^{lam t} - (lam - alpha) d1 - d0) / den, den = (lam - alpha)^2 + r^2.
+    L, P and S do not depend on t; r' = dr/dk is the imaginary part of the
+    root's derivative -(dp/dk)/(dp/dz) on the cubic p.  Every amplitude
+    carries a factor 1/den or 1/r, so it is accurate only where r t is not
+    small; rows with q >= 0 get r = r' = 0, P = S = 0 and L = y0.
+    """
+    a, b, c, lam, alpha, q = nodes
+    pair = q < 0.0
+    r = np.sqrt(np.where(pair, -q, 0.0))
+    rs = np.where(pair, r, 1.0)
+    dl = lam - alpha
+    den = np.where(pair, dl * dl - q, 1.0)
+    w1, w2 = _directions(nodes, y0)
+    P = np.where(pair, -(dl * w1 + w2) / den, 0.0)
+    S = np.where(pair, (r * r * w1 - dl * w2) / (den * rs), 0.0)
+    # p(z) = z^3 + a z^2 + b z + c with b, c proportional to k^2: dp/dk = 2 (b z + c) / k,
+    # and dp/dz = (z - conj z)(z - lam) = 2 i r (i r - (lam - alpha)) at z = alpha + i r
+    z = alpha + 1j * rs
+    k = np.where(pair, np.sqrt(c / a), 1.0)
+    dz_dk = -(b * z + c) / (k * 1j * rs * (1j * rs - dl))
+    return r, np.where(pair, dz_dk.imag, 0.0), np.where(pair, y0 - P, y0), P, S
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +464,10 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     u, v, w = _propagate(_cubic_roots_batch(p.tau, p.beta, ks * ks), y0, t)
     return u, v, w
 
+
+def _split_on_grid(p: ModelParams, ks: np.ndarray, y0: np.ndarray, t: float) -> tuple:
+    """(y, lam, alpha, r, r', L, P, S) on an array of frequency magnitudes, from one
+    factor of the cubic: y the state at t exactly as solve_modes_on_grid gives
+    it, the rest the split of _split_terms, valid where r t is not small."""
+    nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)
+    return (_propagate(nodes, y0, t), nodes[3], nodes[4]) + _split_terms(nodes, y0)

@@ -131,6 +131,18 @@ class TestDecay:
         assert abs(payload["fitted_slope"] + 0.25) < 0.05
         assert len(payload["rows"]) == 7
 
+    def test_json_summary_reports_quadrature_diagnostics(self, capsys):
+        code, out, _ = run(capsys, "decay", "--tau", "0.965", "--beta", "1", "--dim", "3",
+                           "--t-min", "100", "--t-max", "10000", "--t-count", "5",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        for name in ("quad_nodes", "quad_error", "k_max", "tail_bound"):
+            assert len(payload[name]) == 5, name
+        assert all(e + b <= payload["quad_tol"]
+                   for e, b in zip(payload["quad_error"], payload["tail_bound"]))
+        assert max(payload["quad_nodes"]) <= 5000
+
     def test_csv_plus_json_files(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "decay", "--tau", "0.1", "--beta", "1",
@@ -154,6 +166,15 @@ class TestDecay:
         code, _, _ = run(capsys, "decay", "--tau", "0.1", "--beta", "1",
                          "--data", "u0:whatever")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["mode", "decay"])
+    @pytest.mark.parametrize("spec", ["u0:gaussian:1:1:7", "u0:zero:5:abc", "u0:zero:1",
+                                      "u1:gaussian:abc", "u2:mfgaussian:1:x"])
+    def test_extra_or_malformed_data_fields_exit_2(self, capsys, command, spec):
+        code, out, err = run(capsys, command, "--tau", "0.1", "--beta", "1",
+                             "--t-count", "3", "--data", spec)
+        assert code == 2 and out == ""
+        assert "--data" in err and spec.split(":")[0] in err
 
 
 class TestConfigFile:

@@ -208,6 +208,45 @@ class TestDecayCurve:
             decay_curve(P, (GAUSS, ZERO, ZERO), 1, 0, [2.0, 1.0], 1e-9)
 
 
+
+class TestQuadratureDiagnostics:
+    """Every curve carries, per time, how its value was obtained."""
+
+    @pytest.mark.parametrize("tau,beta", [(0.1, 1.0), (0.965, 1.0), (0.05, 1.2),
+                                          (0.3, 1.0), ((1.0 + 1e-9) / 9.0, 1.0)])
+    @pytest.mark.parametrize("data,dim,j,v_norm", [((ZERO, ZERO, GAUSS), 3, 0, False),
+                                                   ((GAUSS, MF, MF), 1, 0, False),
+                                                   ((GAUSS, GAUSS, GAUSS), 3, 1, True)])
+    def test_error_estimate_plus_tail_bound_within_quad_tol(self, tau, beta, data, dim, j,
+                                                             v_norm):
+        ts = [0.0, 0.5, 10.0, 1e2, 1e3, 1e4]
+        curve = decay_curve(validate(tau, beta), data, dim, j, ts, 1e-10, v_norm=v_norm)
+        for name in ("quad_nodes", "quad_error", "k_max", "tail_bound"):
+            assert getattr(curve, name).shape == curve.times.shape, name
+        assert np.all(curve.quad_error + curve.tail_bound <= curve.quad_tol)
+        assert np.all(curve.quad_error >= 0.0) and np.all(curve.tail_bound >= 0.0)
+        assert np.all(curve.quad_nodes > 0) and np.all(curve.k_max > 0.0)
+
+    def test_summary_reports_them_per_time(self):
+        curve = decay_curve(P, (ZERO, ZERO, GAUSS), 3, 0, [1.0, 10.0, 100.0], 1e-10)
+        payload = json.loads(json.dumps(decay_curve_summary(curve)))
+        assert payload["quad_nodes"] == curve.quad_nodes.tolist()
+        for name in ("quad_error", "k_max", "tail_bound"):
+            assert payload[name] == getattr(curve, name).tolist() and len(payload[name]) == 3
+
+    def test_zero_data_costs_nothing(self):
+        curve = decay_curve(P, (ZERO, ZERO, ZERO), 3, 0, [1.0, 10.0], 1e-10)
+        assert curve.quad_nodes.tolist() == [0, 0] and curve.values.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("tau", [0.965, 0.1])
+def test_large_t_norm_node_count_does_not_grow_with_t_kmax(tau):
+    # the capped quadrature needed 719,790 nodes at tau 0.965 and 51,690 at 0.1
+    curve = decay_curve(validate(tau, 1.0), (ZERO, ZERO, GAUSS), 3, 0, [1e4], 1e-10)
+    assert curve.values[0] ** 2 == pytest.approx(
+        sobolev_norm_sq(validate(tau, 1.0), (ZERO, ZERO, GAUSS), 3, 0, 1e4, 1e-10), rel=1e-14)
+    assert curve.quad_nodes[0] <= 5000
+
 class TestIntegralLemmas:
     def test_plain_t0_unit(self):
         rep = integral_lemma_check(1, 0, 1.0, [0.0, 1.0, 10.0, 100.0])

@@ -130,3 +130,57 @@ class TestBlockedEvaluation:
         blocked = curve()
         monkeypatch.setattr(quadrature, "_gk_batch", _gk_batch_unblocked)
         assert np.array_equal(blocked, curve())
+
+
+class TestSplitRule:
+    """Envelope plus harmonics of one phase: Clenshaw-Curtis and Levin panels."""
+
+    @staticmethod
+    def _integrand(t, trust=lambda k: np.ones(k.shape, bool)):
+        # smooth part exp(-k^2), harmonics of the phase t (k + k^2 / 10)
+        def split(k):
+            phase = t * (k + 0.1 * k * k)
+            amps = np.stack([np.exp(-k) * (1.0 + 0.5j), 0.3 * np.exp(-k * k) + 0j])
+            plain = (np.exp(-k * k) + (amps[0] * np.exp(1j * phase)).real
+                     + (amps[1] * np.exp(2j * phase)).real)
+            return quadrature.Split(plain, trust(k), np.exp(-k * k), amps, phase,
+                                    t * (1.0 + 0.2 * k))
+        return split
+
+    @pytest.mark.parametrize("t", [0.0, 3.0, 100.0])
+    def test_matches_quadpack(self, t):
+        f = self._integrand(t)
+        res = quadrature._split_quadrature(f, 0.0, 5.0, 1e-12, [])
+        ref, _ = quad(lambda k: f(np.array([k])).plain[0], 0.0, 5.0, limit=2000,
+                      epsabs=1e-13, epsrel=1e-13)
+        assert abs(res.value - ref) <= 1e-12 and res.error <= 1e-12
+
+    def test_node_count_does_not_grow_with_the_phase_rate(self):
+        counts = [quadrature._split_quadrature(self._integrand(t), 0.0, 5.0, 1e-12, []).n_nodes
+                  for t in (1e2, 1e4, 1e6)]
+        assert max(counts) <= 2 * min(counts) and max(counts) < 1000
+
+    def test_untrusted_nodes_take_the_plain_values_under_a_turn_limit(self):
+        t = 300.0
+        untrusted = self._integrand(t, lambda k: k > 1.0)
+        ref = quadrature._split_quadrature(self._integrand(t), 0.0, 5.0, 1e-12, [])
+        res = quadrature._split_quadrature(untrusted, 0.0, 5.0, 1e-12, [])
+        assert res.value == pytest.approx(ref.value, abs=2e-12)
+        # [0, 1] is resolved panel by panel, each turning 2 phase by at most pi
+        assert res.n_nodes > 17 * t * 1.1 / np.pi
+
+    def test_stationary_phase_is_bisected(self):
+        # phase t (k - 1)^2 is stationary at k = 1, inside the first panel
+        t = 1e3
+
+        def split(k):
+            phase = t * (k - 1.0) ** 2
+            amp = np.exp(-k * k)
+            return quadrature.Split((amp * np.exp(1j * phase)).real, np.ones(k.shape, bool),
+                                    np.zeros(k.shape), (amp + 0j)[None], phase,
+                                    2.0 * t * (k - 1.0))
+
+        res = quadrature._split_quadrature(split, 0.0, 3.0, 1e-11, [])
+        ref, _ = quad(lambda k: split(np.array([k])).plain[0], 0.0, 3.0, limit=5000,
+                      points=[1.0], epsabs=1e-14, epsrel=1e-13)
+        assert abs(res.value - ref) <= 1e-11
