@@ -239,6 +239,25 @@ class TestQuadratureDiagnostics:
         assert curve.quad_nodes.tolist() == [0, 0] and curve.values.tolist() == [0.0, 0.0]
 
 
+
+@pytest.mark.parametrize("tau,beta", [(0.05, 1.0), ((1.0 - 1e-13) / 9.0, 1.0),
+                                      ((1.0 + 1e-13) / 9.0, 1.0), (0.3, 1.0), (0.965, 1.0)])
+@pytest.mark.parametrize("t", [3.5, 30.0, 1e3])
+def test_split_path_matches_the_capped_whole_integrand(tau, beta, t):
+    # beyond the window the norm is an envelope plus harmonics; the capped
+    # quadrature of the whole integrand over the same cut is the reference,
+    # across the double roots of the sub-critical band and the triple root
+    # (at t = 3.5 the window ends at 1.8, below sqrt(m1) = 1.9 at tau 0.05)
+    from mgt_spectral import decay, solve_modes_on_grid
+
+    p, data, tol = validate(tau, beta), (GAUSS, ZERO, GAUSS), 1e-10
+    quad, k_max, tail = decay._norm_integral(p, data, 1, 0, t, tol, False)
+    whole = decay._integrate(
+        lambda k: solve_modes_on_grid(p, k, GAUSS(k), ZERO(k), GAUSS(k), t)[0] ** 2,
+        0.0, k_max, 0.5 * tol, t, math.sqrt(beta / tau), [])
+    assert abs(quad.value - whole.value) <= quad.error + whole.error
+    assert quad.n_nodes < whole.n_nodes
+
 @pytest.mark.parametrize("tau", [0.965, 0.1])
 def test_large_t_norm_node_count_does_not_grow_with_t_kmax(tau):
     # the capped quadrature needed 719,790 nodes at tau 0.965 and 51,690 at 0.1

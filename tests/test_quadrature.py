@@ -170,17 +170,49 @@ class TestSplitRule:
         assert res.n_nodes > 17 * t * 1.1 / np.pi
 
     def test_stationary_phase_is_bisected(self):
-        # phase t (k - 1)^2 is stationary at k = 1, inside the first panel
-        t = 1e3
+        # phase t (k - 1/2)^2 is stationary at the centre of the first panel,
+        # where the two Levin orders can agree far better than either is right
+        t = 1e4
 
         def split(k):
-            phase = t * (k - 1.0) ** 2
-            amp = np.exp(-k * k)
+            phase = t * (k - 0.5) ** 2
+            amp = np.exp(-4.0 * (k - 0.5) ** 2)
             return quadrature.Split((amp * np.exp(1j * phase)).real, np.ones(k.shape, bool),
                                     np.zeros(k.shape), (amp + 0j)[None], phase,
-                                    2.0 * t * (k - 1.0))
+                                    2.0 * t * (k - 0.5))
 
-        res = quadrature._split_quadrature(split, 0.0, 3.0, 1e-11, [])
-        ref, _ = quad(lambda k: split(np.array([k])).plain[0], 0.0, 3.0, limit=5000,
-                      points=[1.0], epsabs=1e-14, epsrel=1e-13)
-        assert abs(res.value - ref) <= 1e-11
+        res = quadrature._split_quadrature(split, 0.0, 8.0, 1e-6, [])
+        # composite 20-point Gauss-Legendre on 1e-4-wide panels; amp < e^-30 beyond 3.2
+        x, w = np.polynomial.legendre.leggauss(20)
+        edges = np.linspace(0.0, 3.2, 32001)
+        half = 0.5 * np.diff(edges)[:, None]
+        k = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x
+        ref = float((half * w * split(k).plain).sum())
+        assert abs(res.value - ref) <= 1e-6
+
+    def test_levin_panel_with_a_stationary_phase_has_no_error_estimate(self):
+        # on [0, 1] with phase 1e4 (k - 1/2)^2 the two Levin orders differ by 1.5e-5
+        # while the order-17 value is off by 7.5e-3: only bisection can be trusted
+        t = 1e4
+
+        def split(k):
+            amp = np.exp(-k) + 0j
+            return quadrature.Split(np.zeros(k.shape), np.ones(k.shape, bool),
+                                    np.zeros(k.shape), amp[None], t * (k - 0.5) ** 2,
+                                    2.0 * t * (k - 0.5))
+
+        _, errs = quadrature._split_batch(split, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        assert errs[0] == np.inf and errs[1] < 1e-9
+
+    def test_untrusted_panels_are_split_while_the_phase_turns(self):
+        # theta = 16 arccos(2 frac(k) - 1) is a multiple of pi at all 17 points of
+        # each unit panel, so both orders read sin^2(theta) = 0 there
+        def split(k):
+            theta = 16.0 * np.arccos(np.clip(2.0 * (k - np.floor(k)) - 1.0, -1.0, 1.0))
+            return quadrature.Split(np.sin(theta) ** 2, np.zeros(k.shape, bool),
+                                    np.zeros(k.shape), np.zeros((1,) + k.shape, complex),
+                                    0.5 * theta, np.zeros(k.shape))
+
+        res = quadrature._split_quadrature(split, 0.0, 8.0, 1e-9, [])
+        # per panel: int_0^pi sin^2(16 s) sin(s) / 2 ds = 1/2 + 1/2046
+        assert res.value == pytest.approx(8.0 * (0.5 + 1.0 / 2046.0), abs=1e-9)
