@@ -280,6 +280,23 @@ class TestIntegralLemmas:
                 assert s.stable, name
                 assert np.isfinite(s.max_ratio)
 
+    @pytest.mark.parametrize("dim, j", [(1, 0), (2, 0), (3, 0), (2, 1), (4, 1), (3, 2)])
+    @pytest.mark.parametrize("c", [0.3, 1.0])
+    def test_plain_matches_incomplete_gamma(self, dim, j, c):
+        # int_0^1 r^(dim+j-1) e^(-c r^2 t) dr = gamma(a, ct) / (2 (ct)^a), a = (dim+j)/2,
+        # to the lemma's own tolerance 1e-6 (1+t)^-a
+        from scipy import special
+
+        a = 0.5 * (dim + j)
+        times = np.array([0.0, 0.01, 1.0, 10.0, 100.0, 1e3, 1e4])  # too short to fit growth
+        rep = integral_lemma_check(dim, j, c, times)
+        shape = (1.0 + times) ** -a
+        ct = c * times[1:]
+        exact = np.concatenate([[0.5 / a], special.gammainc(a, ct) * special.gamma(a)
+                                / (2.0 * ct**a)])
+        tol = np.maximum(1e-15, 1e-6 * shape)
+        assert np.all(np.abs(rep.series["plain"].ratios * shape - exact) <= tol)
+
     def test_sine_global_sharp_limit(self):
         tg = np.geomspace(1.0, 1e4, 12)
         rep = integral_lemma_check(3, 0, 1.0, tg)

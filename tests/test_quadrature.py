@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,16 +7,37 @@ from scipy.integrate import quad
 from mgt_spectral import (FrequencyProfile, QuadResult, adaptive_quadrature, decay_curve,
                           quadrature, validate)
 from mgt_spectral.errors import QuadratureFailure
-from mgt_spectral.quadrature import _BLOCK_NODES, _NODES, _WGFULL, _WK
+from mgt_spectral.quadrature import _BLOCK_NODES, _clenshaw_curtis
 
 
-class TestGaussKronrod:
-    def test_polynomial_exact(self):
-        # a single K15 panel integrates degree <= 22 polynomials exactly
-        res = adaptive_quadrature(lambda x: 7 * x**6 - 3 * x**2 + 1, -1.0, 2.0,
-                                  1e-12, min_intervals=1)
-        exact = 2.0**7 - (-1.0) ** 7 - (2.0**3 - (-1.0) ** 3) + 3.0
-        assert res.value == pytest.approx(exact, rel=1e-14)
+def _poly_integral(coef, a, b):
+    antider = np.polynomial.polynomial.polyint(coef)
+    return (np.polynomial.polynomial.polyval(b, antider)
+            - np.polynomial.polynomial.polyval(a, antider))
+
+
+class TestClenshawCurtis:
+    def test_panel_orders(self):
+        # 17 symmetric points integrate degree <= 17 exactly, the 9 at even
+        # slots degree <= 9; the error estimate is their difference
+        x = np.cos(np.pi * np.arange(17) / 16)
+        for d in range(19):
+            val, err = _clenshaw_curtis(x[None, :] ** d, np.ones(1))
+            exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+            assert (abs(val[0] - exact) <= 1e-15) == (d <= 17), d
+            assert (err[0] <= 1e-15) == (d <= 9 or d % 2 == 1), d
+
+    @pytest.mark.parametrize("degree", range(18))
+    def test_polynomial_exact(self, degree):
+        coef = np.random.default_rng(degree).standard_normal(degree + 1)
+        f = lambda x: np.polynomial.polynomial.polyval(x, coef)
+        res = adaptive_quadrature(f, -1.0, 2.0, 1e-9)
+        exact = _poly_integral(coef, -1.0, 2.0)
+        assert res.value == pytest.approx(exact, rel=1e-13)
+        if degree <= 9:
+            # the 9-point order is exact too: the 8 panels of the minimum
+            # partition need no bisection
+            assert res.n_nodes == 8 * 17
 
     def test_matches_quadpack(self):
         for fn, a, b in [
@@ -38,14 +61,12 @@ class TestGaussKronrod:
         assert res == QuadResult(0.0, 0.0, 0, 0)
 
     def test_budget_exhaustion(self):
-        with pytest.raises(QuadratureFailure):
-            adaptive_quadrature(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-300,
-                                node_budget=3000)
+        with pytest.raises(QuadratureFailure, match="node budget 1000000 exhausted"):
+            adaptive_quadrature(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-300)
 
     def test_width_cap_beyond_budget(self):
-        with pytest.raises(QuadratureFailure):
-            adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-6, max_width=1e-9,
-                                node_budget=1000)
+        with pytest.raises(QuadratureFailure, match="beyond the 1000000-node budget"):
+            adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-6, max_width=1e-9)
 
     def test_deterministic(self):
         fn = lambda x: np.cos(37.0 * x) ** 2 / (1.0 + x)
@@ -54,9 +75,12 @@ class TestGaussKronrod:
         assert a.value == b.value and a.n_nodes == b.n_nodes
 
     def test_initial_edges_respected(self):
-        sharp = lambda x: np.where(x < 1.0, 0.0, 1.0)
-        res = adaptive_quadrature(sharp, 0.0, 2.0, 1e-9, initial_edges=[1.0])
-        assert res.value == pytest.approx(1.0, abs=1e-9)
+        # a kink at 1/3 is a panel end with the edge, so every panel is exact
+        kink = lambda x: np.abs(x - 1.0 / 3.0)
+        res = adaptive_quadrature(kink, 0.0, 2.0, 1e-12, initial_edges=[1.0 / 3.0])
+        assert res.value == pytest.approx(1.0 / 18.0 + 25.0 / 18.0, rel=1e-15)
+        assert res.n_nodes == 17 * res.n_intervals
+        assert adaptive_quadrature(kink, 0.0, 2.0, 1e-12).n_nodes > res.n_nodes
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -69,17 +93,10 @@ class TestGaussKronrod:
             with pytest.raises(ValueError, match="max_width must be positive"):
                 adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-9, max_width=width)
 
-
-def _gk_batch_unblocked(f, lefts, rights):
-    """Every node of the batch in one integrand call: the reference that the
-    blocked evaluation must reproduce bit for bit."""
-    half = 0.5 * (rights - lefts)
-    mid = 0.5 * (rights + lefts)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    y = f(x.ravel()).reshape(x.shape)
-    vals_k = (y * _WK[None, :]).sum(axis=1) * half
-    vals_g = (y * _WGFULL[None, :]).sum(axis=1) * half
-    return vals_k, np.abs(vals_k - vals_g)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_integrand_raises(self, bad):
+        with pytest.raises(QuadratureFailure, match=r"not finite on \[0.5, 0.625\]"):
+            adaptive_quadrature(lambda x: np.where(x > 0.5, bad, x), 0.0, 1.0, 1e-9)
 
 
 T_OSC = 2000.0
@@ -112,11 +129,20 @@ class TestBlockedEvaluation:
                                                   (_oscillatory_with_cusp, 1e-12, True)])
     def test_bit_identical_to_unblocked(self, monkeypatch, fn, tol, refines):
         blocked = adaptive_quadrature(fn, 0.0, 5.0, tol, max_width=CAP)
-        monkeypatch.setattr(quadrature, "_gk_batch", _gk_batch_unblocked)
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 2**40)
         reference = adaptive_quadrature(fn, 0.0, 5.0, tol, max_width=CAP)
         assert blocked.n_nodes > 2 * _BLOCK_NODES
-        # every bisection puts two intervals (30 nodes) in place of one
-        assert (blocked.n_nodes > 15 * blocked.n_intervals) == refines
+        # every bisection puts two panels (34 nodes) in place of one
+        assert (blocked.n_nodes > 17 * blocked.n_intervals) == refines
+        assert blocked == reference
+
+    def test_split_quadrature_bit_identical_to_unblocked(self, monkeypatch):
+        # a few hundred nodes: one block by default, one panel per block here
+        f = TestSplitRule._integrand(100.0)
+        reference = quadrature._split_quadrature(f, 0.0, 5.0, 1e-12, [])
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 17)
+        blocked = quadrature._split_quadrature(f, 0.0, 5.0, 1e-12, [])
+        assert reference.n_nodes > 10 * 17
         assert blocked == reference
 
     def test_decay_curve_bit_identical_to_unblocked(self, monkeypatch):
@@ -125,11 +151,13 @@ class TestBlockedEvaluation:
 
         def curve():
             return decay_curve(p, (g, g, g), dim=3, j=1, time_grid=[3e2, 1e3],
-                               quad_tol=1e-10, v_norm=True).values
+                               quad_tol=1e-10, v_norm=True)
 
+        reference = curve()
+        monkeypatch.setattr(quadrature, "_BLOCK_NODES", 3 * 17)
         blocked = curve()
-        monkeypatch.setattr(quadrature, "_gk_batch", _gk_batch_unblocked)
-        assert np.array_equal(blocked, curve())
+        assert reference.quad_nodes.max() < _BLOCK_NODES
+        assert np.array_equal(blocked.values, reference.values)
 
 
 class TestSplitRule:
@@ -201,7 +229,8 @@ class TestSplitRule:
                                     np.zeros(k.shape), amp[None], t * (k - 0.5) ** 2,
                                     2.0 * t * (k - 0.5))
 
-        _, errs = quadrature._split_batch(split, np.array([0.0, 1.0]), np.array([1.0, 2.0]))
+        x = np.array([[0.5], [1.5]]) + 0.5 * quadrature._X17
+        _, errs = quadrature._split_batch(split, x, np.array([0.5, 0.5]))
         assert errs[0] == np.inf and errs[1] < 1e-9
 
     def test_untrusted_panels_are_split_while_the_phase_turns(self):
@@ -216,3 +245,17 @@ class TestSplitRule:
         res = quadrature._split_quadrature(split, 0.0, 8.0, 1e-9, [])
         # per panel: int_0^pi sin^2(16 s) sin(s) / 2 ds = 1/2 + 1/2046
         assert res.value == pytest.approx(8.0 * (0.5 + 1.0 / 2046.0), abs=1e-9)
+
+    @pytest.mark.parametrize("field, bad", [("plain", np.nan), ("plain", np.inf),
+                                            ("smooth", np.nan)])
+    def test_non_finite_integrand_raises(self, field, bad):
+        # untrusted panels take the plain values, trusted ones the smooth part
+        trust = (lambda k: k < 0.0) if field == "plain" else (lambda k: np.ones(k.shape, bool))
+        f = self._integrand(3.0, trust)
+
+        def broken(k):
+            s = f(k)
+            return dataclasses.replace(s, **{field: np.where(k > 2.5, bad, getattr(s, field))})
+
+        with pytest.raises(QuadratureFailure, match="not finite on"):
+            quadrature._split_quadrature(broken, 0.0, 5.0, 1e-12, [])
