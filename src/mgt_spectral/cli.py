@@ -23,6 +23,7 @@ of the classify, atlas, mode and decay output lists every setting of the run.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -152,6 +153,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return ap, subs
 
 
+#: The parser of main, built once a process and never changed.  Building one leaves
+#: hundreds of objects in reference cycles (each action points back at its group),
+#: which only a full garbage collection frees, so in-process calls would pile them up.
+_parser = functools.cache(_build_parser)
+
+
 def _model_params(args) -> params.ModelParams:
     if args.tau is None or args.beta is None:
         raise ValueError("both --tau and --beta are required")
@@ -250,11 +257,13 @@ _COMMANDS = {"classify": cmd_classify, "atlas": cmd_atlas, "mode": cmd_mode,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, subs = _build_parser()
+    parser, _ = _parser()
     args = parser.parse_args(argv)
     try:
         if args.config:
             from . import _config
+            # the config changes defaults, so it gets a parser of its own
+            parser, subs = _build_parser()
             _config._apply_config(subs[args.command], _config._load_config(args.config))
             args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

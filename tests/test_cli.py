@@ -364,6 +364,34 @@ def test_every_option_is_covered():
         assert keys == {*_COMMON_VALUES, *_OPTION_VALUES[command]}, command
 
 
+class TestRepeatedCalls:
+    """main builds its parser once a process; a config gets a parser of its own."""
+
+    ARGV = [["classify", "--tau", "0.1", "--beta", "1"], ["atlas", "--tau", "0.1", "--beta", "1"],
+            ["mode", "--tau", "0.1", "--beta", "1"]]
+
+    def test_no_cyclic_garbage(self, capsys):
+        import gc
+
+        for argv in self.ARGV:
+            run(capsys, *argv)
+        for argv in self.ARGV:
+            gc.collect()
+            gc.disable()
+            try:
+                run(capsys, *argv)
+                assert gc.collect() == 0, argv[0]
+            finally:
+                gc.enable()
+
+    def test_config_defaults_do_not_outlive_their_call(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 0.1\nbeta = 1\nk_count = 5\n")
+        rows = lambda out: [ln for ln in out.splitlines() if not ln.startswith(("#", "k,"))]
+        assert len(rows(run(capsys, "atlas", "--config", str(cfg))[1])) == 5
+        assert len(rows(run(capsys, "atlas", "--tau", "0.1", "--beta", "1")[1])) == 201
+
+
 class TestConfigErrors:
     def test_unknown_key_is_named(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from mgt_spectral import (EmptyInput, InvalidFrequency, ModeState, decay_margin_exact, default_weights,
-                          energy_dissipation_residual, functionals, gronwall_margin,
-                          mode_coefficients, evaluate_mode, pointwise_bound_constants,
-                          rho, solve_mode, v_vector, validate)
+from mgt_spectral import (EmptyInput, InvalidFrequency, ModeState, NonPositiveMargin,
+                          decay_margin_exact, default_weights, energy_dissipation_residual,
+                          functionals, gronwall_margin, mode_coefficients, evaluate_mode,
+                          pointwise_bound_constants, rho, solve_mode, v_vector, validate)
+from mgt_spectral import lyapunov
 from mgt_spectral.lyapunov import _DEFAULT_K_GRID, dissipation_scale
 
 P = validate(0.1, 1.0)
@@ -38,6 +40,15 @@ class TestDefaultWeights:
             assert 0.0 < w.equiv_lo <= w.equiv_hi
             assert w.gamma5 > 0.0
             assert 0.0 < w.v_lo <= w.v_hi
+
+    def test_widened_sandwich_covers_every_frequency(self):
+        # L/E spans gamma0 -/+ sigma k/(1+k^2), widest at k = 1, which the
+        # grid misses; the 0.1% widening covers the supremum over all k > 0
+        for p in _weight_points():
+            w = default_weights(p)
+            sigma = math.sqrt(1.0 + w.gamma1**2 * p.tau / (p.beta - p.tau))
+            assert w.equiv_lo <= w.gamma0 - sigma / 2.0
+            assert w.equiv_hi >= w.gamma0 + sigma / 2.0
 
     def test_all_positive_supercritical(self):
         w = default_weights(validate(0.5, 1.0))
@@ -255,54 +266,149 @@ class TestDifferentialInequalities:
                         <= c12_full * (1 + k2) * V2 + w.eps2 * k2 * B2 + slack)
 
 
-def _scipy_weight_reference(p, w, ks):
-    """(gamma5, equiv_lo, equiv_hi) from per-frequency scipy.linalg.eigh pencils."""
-    import scipy.linalg
+def _mp_pencil_extremes(mp, a, b):
+    """Least and largest eigenvalue of the symmetric-definite pencil (a, b), 3x3 mpf lists.
 
-    a = np.array([0.0, 1.0, p.tau])
-    b = np.array([1.0, p.tau, 0.0])
-    ev = np.array([0.0, 1.0, 0.0])
-    lo, hi, g5 = w.gamma0, w.gamma0, np.inf
-    for k in ks:
-        k2 = k * k
-        r = k2 / (1.0 + k2)
-        me = 0.5 * (np.outer(a, a) + p.tau * (p.beta - p.tau) * k2 * np.outer(ev, ev)
-                    + k2 * np.outer(b, b))
-        ml = (w.gamma0 * me + r * 0.5 * (np.outer(b, a) + np.outer(a, b))
-              - w.gamma1 * r * p.tau * 0.5 * (np.outer(ev, a) + np.outer(a, ev)))
-        ratios = scipy.linalg.eigh(ml, me, eigvals_only=True)
-        lo, hi = min(lo, ratios[0]), max(hi, ratios[-1])
-        phi = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
-                        [-k2 / p.tau, -p.beta * k2 / p.tau, -1.0 / p.tau]])
-        dmat = -(phi.T @ ml + ml @ phi)
-        g5 = min(g5, scipy.linalg.eigh(dmat, r * ml, eigvals_only=True)[0])
-    return 0.999 * g5, 0.999 * lo, 1.001 * hi
+    b = c c^T by Cholesky, then the trigonometric eigenvalues of c^-1 a c^-T.
+    """
+    n = range(3)
+    c = [[mp.mpf(0)] * 3 for _ in n]
+    for i in n:
+        for j in range(i + 1):
+            t = b[i][j] - sum(c[i][m] * c[j][m] for m in range(j))
+            c[i][j] = mp.sqrt(t) if i == j else t / c[j][j]
+
+    def lower_solve(rhs):
+        x = [[mp.mpf(0)] * 3 for _ in n]
+        for col in n:
+            for i in n:
+                x[i][col] = (rhs[i][col] - sum(c[i][m] * x[m][col] for m in range(i))) / c[i][i]
+        return x
+
+    ca = lower_solve(a)
+    s = lower_solve([[ca[j][i] for j in n] for i in n])
+    q = (s[0][0] + s[1][1] + s[2][2]) / 3
+    off = s[0][1] ** 2 + s[0][2] ** 2 + s[1][2] ** 2
+    r = mp.sqrt(((s[0][0] - q) ** 2 + (s[1][1] - q) ** 2 + (s[2][2] - q) ** 2 + 2 * off) / 6)
+    d = [[(s[i][j] - (q if i == j else 0)) / r for j in n] for i in n]
+    half_det = (d[0][0] * (d[1][1] * d[2][2] - d[1][2] ** 2)
+                - d[0][1] * (d[0][1] * d[2][2] - d[1][2] * d[0][2])
+                + d[0][2] * (d[0][1] * d[1][2] - d[1][1] * d[0][2])) / 2
+    phi = mp.acos(max(-1, min(1, half_det))) / 3
+    return q + 2 * r * mp.cos(phi + 2 * mp.pi / 3), q + 2 * r * mp.cos(phi)
 
 
-class TestBatchedWeightsAgainstScipy:
-    def params(self):
-        rng = np.random.default_rng(2026)
-        pts = [validate(r, 1.0) for r in ((1.0 - 1e-9) / 9.0, 0.9999, 1e-4)]
-        for _ in range(12):
-            beta = float(rng.uniform(0.2, 5.0))
-            pts.append(validate(float(rng.uniform(0.01, 0.99)) * beta, beta))
-        return pts
+def _mp_weight_reference(p, w, ks):
+    """(gamma5, equiv_lo, equiv_hi), unwidened, by 40-digit mpmath in (u, v, w) coordinates.
 
-    def test_default_weights_match_per_point_eigh(self):
-        for p in self.params():
+    Independent of the package's energy coordinates: the energy, Lyapunov and
+    dissipation matrices are built from the state (u, v, w) and the mode matrix.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        tau, beta, g0, g1 = (mp.mpf(x) for x in (p.tau, p.beta, w.gamma0, w.gamma1))
+        a, b, ev = [0, 1, tau], [1, tau, 0], [0, 1, 0]
+        lo, hi, g5 = g0, g0, mp.inf
+        for k in ks:
+            k2 = mp.mpf(k) ** 2
+            r = k2 / (1 + k2)
+            me = [[(a[i] * a[j] + tau * (beta - tau) * k2 * ev[i] * ev[j] + k2 * b[i] * b[j]) / 2
+                   for j in range(3)] for i in range(3)]
+            ml = [[g0 * me[i][j] + r * (b[i] * a[j] + a[i] * b[j]) / 2
+                   - g1 * r * tau * (ev[i] * a[j] + a[i] * ev[j]) / 2
+                   for j in range(3)] for i in range(3)]
+            phi = [[0, 1, 0], [0, 0, 1], [-k2 / tau, -beta * k2 / tau, -1 / tau]]
+            dm = [[-sum(phi[m][i] * ml[m][j] + ml[i][m] * phi[m][j] for m in range(3))
+                   for j in range(3)] for i in range(3)]
+            ratio_lo, ratio_hi = _mp_pencil_extremes(mp, ml, me)
+            lo, hi = min(lo, ratio_lo), max(hi, ratio_hi)
+            rml = [[r * x for x in row] for row in ml]
+            g5 = min(g5, _mp_pencil_extremes(mp, dm, rml)[0])
+        return float(g5), float(lo), float(hi)
+
+
+def _weight_points():
+    rng = np.random.default_rng(2026)
+    pts = [validate(r, 1.0) for r in ((1.0 - 1e-9) / 9.0, 0.9999, 1e-4)]
+    for _ in range(12):
+        beta = float(rng.uniform(0.2, 5.0))
+        pts.append(validate(float(rng.uniform(0.01, 0.99)) * beta, beta))
+    return pts
+
+
+class TestWeightsAgainstMpmath:
+    """Against 40-digit mpmath at every frequency of the grid, near-conservative
+    (0.9999, 1), near-critical and tiny tau/beta included."""
+
+    def test_default_weights_match_mpmath(self):
+        for p in _weight_points():
             w = default_weights(p)
-            ref = _scipy_weight_reference(p, w, _DEFAULT_K_GRID)
+            g5, lo, hi = _mp_weight_reference(p, w, _DEFAULT_K_GRID)
             got = (w.gamma5, w.equiv_lo, w.equiv_hi)
+            ref = (0.999 * g5, 0.999 * lo, 1.001 * hi)
             for name, g, r in zip(("gamma5", "equiv_lo", "equiv_hi"), got, ref):
-                assert abs(g - r) <= 1e-10 * abs(r), (p, name, g, r)
+                assert abs(g - r) <= 1e-13 * abs(r), (p, name, g, r)
 
-    def test_decay_margin_exact_matches_per_point_eigh(self):
+    def test_decay_margin_exact_matches_mpmath(self):
         ks = np.geomspace(0.05, 50.0, 10)
-        for p in self.params():
+        for p in _weight_points():
             w = default_weights(p)
-            ref = _scipy_weight_reference(p, w, ks)[0] / 0.999
+            ref = _mp_weight_reference(p, w, ks)[0]
             got = decay_margin_exact(p, w, ks)
-            assert abs(got - ref) <= 1e-10 * abs(ref), (p, got, ref)
+            assert abs(got - ref) <= 1e-13 * abs(ref), (p, got, ref)
+
+
+class TestLapackFree:
+    """The constants come from closed forms, a Newton iteration and LDL^T
+    pivots: no numpy.linalg call on the way to them or to `mgt mode`."""
+
+    @pytest.fixture
+    def no_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg was called")
+
+        for name in ("cholesky", "solve", "eigvalsh", "eigh", "eig", "inv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    def test_weights_margin_and_mode_command(self, no_linalg, capsys):
+        from mgt_spectral.cli import main
+
+        w = default_weights(validate(0.9999, 1.0))
+        assert decay_margin_exact(validate(0.9999, 1.0), w) > 0.0
+        assert main(["mode", "--tau", "0.9999", "--beta", "1", "--t-count", "3"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 4  # the column header and three times
+
+    @pytest.mark.parametrize("tau, beta", [(0.1, 1.0), (0.9999, 1.0), (1e-4, 1.0)])
+    def test_inertia_brackets_the_unwidened_margin(self, tau, beta):
+        # negative control: 1e-9 above the grid minimum some pivot is not positive
+        p = validate(tau, beta)
+        w = default_weights(p)
+        g5 = decay_margin_exact(p, w)
+        pencil = lyapunov._decay_pencil(p, _DEFAULT_K_GRID, w.gamma0, w.gamma1)
+        assert lyapunov._positive_definite(*pencil, g5 * (1.0 - 1e-9)).all()
+        assert not lyapunov._positive_definite(*pencil, g5 * (1.0 + 1e-9)).all()
+
+    def test_unconverged_newton_fails_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(lyapunov, "_NEWTON_STEPS", 2)
+        with pytest.raises(NonPositiveMargin, match="inertia check"):
+            default_weights(P)
+
+
+class TestNonPositiveMarginIsTyped:
+    def test_indefinite_lyapunov_form_names_the_first_frequency(self):
+        # gamma0 = 0.1 < sigma/2: L is indefinite around k = 1
+        w = dataclasses.replace(default_weights(P), gamma0=0.1)
+        sigma = math.sqrt(1.0 + 16.0 * P.tau / (P.beta - P.tau))
+        first = next(k for k in _DEFAULT_K_GRID if 0.1 - sigma * k / (1.0 + k * k) <= 0.0)
+        with pytest.raises(NonPositiveMargin, match=f"not positive definite.*k={first:.6g}$"):
+            decay_margin_exact(P, w)
+
+    def test_no_positive_margin_names_the_first_frequency(self):
+        # gamma0 = 1 keeps L definite but leaves dL/dt > 0 for some low-k states
+        w = dataclasses.replace(default_weights(P), gamma0=1.0)
+        with pytest.raises(NonPositiveMargin, match="no positive decay margin at k=0.001$"):
+            decay_margin_exact(P, w)
 
 
 class TestEmptyPositiveGrid:
