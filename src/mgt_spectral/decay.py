@@ -370,7 +370,10 @@ def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: 
 
 def fit_decay_slope(times: Sequence[float], values: Sequence[float],
                     window: tuple[int, int] | None = None) -> float:
-    """Least-squares slope of log(value) against log(1 + t) on a window."""
+    """Least-squares slope of log(value) against x = log(1 + t) on a window, in
+    closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2.  Raises
+    DegenerateFit on fewer than 3 points, a value that is not finite and
+    positive, a time that is not finite and > -1, or a single x."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if window is None:
@@ -379,10 +382,15 @@ def fit_decay_slope(times: Sequence[float], values: Sequence[float],
     tw, vw = times[lo:hi], values[lo:hi]
     if tw.size < 3:
         raise DegenerateFit(f"fit window has {tw.size} points; need at least 3")
-    if np.any(vw <= 0.0):
-        raise DegenerateFit("fit window contains nonpositive values")
-    slope = np.polyfit(np.log1p(tw), np.log(vw), 1)[0]
-    return float(slope)
+    if not np.all(np.isfinite(vw) & (vw > 0.0)):
+        raise DegenerateFit("fit window contains values that are not finite and positive")
+    if not np.all(np.isfinite(tw) & (tw > -1.0)):
+        raise DegenerateFit("fit window contains times that are not finite and > -1")
+    x, y = np.log1p(tw), np.log(vw)
+    if x.min() == x.max():
+        raise DegenerateFit("fit window has no spread in log(1 + t)")
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
 
 
 def infer_data_class(data: DataTriple) -> DataClass:
@@ -515,8 +523,7 @@ def _ratio_series(name: str, times: np.ndarray, integrals: np.ndarray,
     # transient rise toward the bound constant, which is not a violation
     half = ratios.size // 2
     if ratios.size >= 8 and times[-1] >= 100.0 * max(times[half], 1e-12):
-        tail_slope = float(np.polyfit(np.log1p(times[half:]),
-                                      np.log(np.maximum(ratios[half:], 1e-300)), 1)[0])
+        tail_slope = fit_decay_slope(times, np.maximum(ratios, 1e-300), (half, ratios.size))
     else:
         tail_slope = 0.0
     stable = tail_slope <= 0.05

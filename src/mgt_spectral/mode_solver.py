@@ -62,7 +62,7 @@ class ModeState:
         return np.array([self.u_hat, self.v_hat, self.w_hat], dtype=complex)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
+        return math.hypot(abs(self.u_hat), abs(self.v_hat), abs(self.w_hat))
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def mode_matrix(p: ModelParams, k: float | np.ndarray) -> np.ndarray:
 #: 1/(j+2)! for the terms of the centred series of the third divided difference;
 #: the series runs only where every scaled node is at most ~1 in modulus, so
 #: twenty terms reach rounding level.
-_SERIES_WEIGHTS = np.array([1.0 / math.factorial(j + 2) for j in range(20)])
+_SERIES_WEIGHTS = tuple(1.0 / math.factorial(j + 2) for j in range(20))
 
 
 def _apply_phi(a: float, b: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -260,10 +260,13 @@ def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
         ts, bs, cs = (np.broadcast_to(x, series.shape)[series] for x in (t, b, c))
         a2 = -(bs - a * a / 3.0) * ts * ts
         a3 = -(2.0 * a**3 / 27.0 - a * bs / 3.0 + cs) * ts**3
-        h = [np.ones_like(ts), np.zeros_like(ts), a2]
-        for _ in range(3, _SERIES_WEIGHTS.size):
-            h.append(a2 * h[-2] + a3 * h[-3])
-        d2[series] = np.exp(-a * ts / 3.0) * ts * ts * (_SERIES_WEIGHTS @ np.stack(h))
+        # h holds (h_{j-3}, h_{j-2}, h_{j-1}); the sum runs elementwise in order of j, no BLAS
+        h = (np.ones_like(ts), np.zeros_like(ts), a2)
+        acc = _SERIES_WEIGHTS[0] * h[0] + _SERIES_WEIGHTS[2] * a2
+        for weight in _SERIES_WEIGHTS[3:]:
+            h = (h[1], h[2], a2 * h[1] + a3 * h[0])
+            acc = acc + weight * h[2]
+        d2[series] = np.exp(-a * ts / 3.0) * ts * ts * acc
 
     w1, w2 = _directions(nodes, y0)
     return e_lam * y0 + (d1 + dl * d2) * w1 + d2 * w2

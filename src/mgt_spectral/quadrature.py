@@ -20,6 +20,11 @@ collocation (D. Levin, Math. Comp. 38, 1982): F' + i phase' F = amplitude is
 solved by a polynomial F, and the integral is F e^{i phase} between the panel
 ends, exact for polynomial amplitudes however fast the phase turns.  So panels
 follow the amplitudes and no width cap is needed.
+
+The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
+call on the norm path: a numpy-only batched elimination with partial pivoting
+agreed to 1e-14 and paged 1.7 MB less of numpy's OpenBLAS, but took 0.43-0.84
+ms against 0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,34 @@ class TestSlopeFit:
             fit_decay_slope([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(DegenerateFit):
             fit_decay_slope([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, 1.0], window=(0, 4))
+
+    def test_matches_least_squares_polyfit(self):
+        # np.polyfit (LAPACK dgelsd) is the reference for the closed form
+        rng = np.random.default_rng(2016)
+        for _ in range(200):
+            n = int(rng.integers(3, 14))
+            t = np.sort(10.0 ** rng.uniform(-2.0, 4.0, n))
+            v = (10.0 ** rng.uniform(-6.0, 2.0) * (1.0 + t) ** rng.uniform(-2.0, 1.0)
+                 * np.exp(0.1 * rng.standard_normal(n)))
+            ref = np.polyfit(np.log1p(t), np.log(v), 1)[0]
+            assert abs(fit_decay_slope(t, v, (0, n)) - ref) <= 1e-13, (t, v)
+
+    @pytest.mark.parametrize("times,values", [
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, math.nan, 1.0, 2.0, 1.0]),
+        ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, math.inf, 1.0, 2.0, 1.0]),
+        ([1.0, 2.0, math.nan, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
+        ([1.0, 2.0, math.inf, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
+        ([-1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
+        ([-2.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
+        ([3.0] * 6, [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
+    ])
+    def test_no_slope_is_a_degenerate_fit(self, times, values, capfd):
+        # not a silent number, a NaN, an untyped LinAlgError, a warning or LAPACK stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFit):
+                fit_decay_slope(times, values, window=(0, 6))
+        assert capfd.readouterr().err == ""
 
 
 class TestDecayCurve:
@@ -333,6 +362,42 @@ class TestIntegralLemmas:
         # the tail closed form assumes an integer power, as the norm integrals do
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             integral_lemma_check(dim, j, 1.0, [1.0, 10.0])
+
+
+class TestNoLeastSquaresSolver:
+    """The norm path and the lemma checks fit slopes in closed form."""
+
+    @pytest.fixture
+    def refuse_lstsq(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK least-squares solver was called")
+
+        for module, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np.linalg, "svd")):
+            monkeypatch.setattr(module, name, refuse)
+
+    def test_decay_curve(self, refuse_lstsq, monkeypatch):
+        from mgt_spectral import mode_solver
+
+        propagate, series_rows = mode_solver._propagate, []
+
+        def spy(nodes, y0, t):
+            _, _, _, lam, alpha, q = nodes
+            series_rows.append(int(np.sum(np.abs((lam - alpha) ** 2 - q) * t * t < 1.0)))
+            return propagate(nodes, y0, t)
+
+        monkeypatch.setattr(mode_solver, "_propagate", spy)
+        ts = np.array([0.05, 1.0, 1e2, 1e3, 1e4, 3e4])
+        curve = decay_curve(P, (ZERO, ZERO, GAUSS), 3, 0, ts, 1e-10)
+        assert curve.fitted_slope == pytest.approx(-0.25, abs=0.03)
+        assert sum(series_rows) > 0  # the centred series of _propagate ran (t = 0.05)
+        assert np.all(curve.k_max[2:] > 2.0 * math.pi / ts[2:])  # and so did the split pass
+
+    @pytest.mark.parametrize("dim,j", [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)])
+    def test_integral_lemmas_on_the_verify_grid(self, refuse_lstsq, dim, j):
+        tg = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
+        rep = integral_lemma_check(dim, j, 1.0, tg)
+        for name, s in rep.series.items():
+            assert s.stable and s.tail_slope != 0.0, name  # 0.0 means no fit was made
 
 
 class TestGaussTailClosedForm:

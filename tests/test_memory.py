@@ -39,3 +39,64 @@ def test_large_t_decay_curve_peak_memory():
     assert res.returncode == 0, res.stderr
     grown_mb = float(res.stdout.strip().splitlines()[-1])
     assert grown_mb <= 40.0
+
+
+BLAS_PROBE = """
+import sys
+from pathlib import Path
+import numpy as np
+import mgt_spectral as mgt
+
+def blas_rss_kb():
+    # Rss of the OpenBLAS library numpy ships (numpy.libs/), summed over its mappings
+    total, inside = 0, False
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        fields = line.split()
+        if fields and "-" in fields[0] and not fields[0].endswith(":"):
+            lib = Path(fields[-1]) if len(fields) >= 6 else None
+            inside = (lib is not None and "openblas" in lib.name
+                      and lib.parent.name.startswith("numpy"))
+        elif inside and fields[0] == "Rss:":
+            total += int(fields[1])
+    return total
+
+# the batched Levin solves of the split pass, complex 17x17 and 9x9 systems
+rng = np.random.default_rng(0)
+for n in (17, 9):
+    m = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    np.linalg.solve(m + 4.0 * n * np.eye(n), rng.standard_normal((4, n, 1)) + 0j)
+before = blas_rss_kb()
+if before == 0:
+    print("no numpy OpenBLAS mapping")
+    sys.exit()
+g, z = mgt.FrequencyProfile.gaussian(), mgt.FrequencyProfile.zero()
+# t = 0.05 takes the centred series of the mode kernel, t >= 1e2 the split pass
+mgt.decay_curve(mgt.validate(0.1, 1.0), (z, z, g), 3, 0, [0.05, 1.0, 1e2, 1e3, 1e4], 1e-10)
+print(blas_rss_kb() - before)
+if "polyfit" in sys.argv:
+    np.polyfit(np.arange(6.0), np.arange(6.0) ** 2, 1)
+    print(blas_rss_kb() - before)
+"""
+
+
+def _blas_growth_kb(*args: str) -> list[int]:
+    if not Path("/proc/self/smaps").exists():
+        pytest.skip("needs /proc/self/smaps")
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", BLAS_PROBE, *args], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.strip().splitlines()
+    if lines == ["no numpy OpenBLAS mapping"]:
+        pytest.skip("numpy maps no OpenBLAS library of its own")
+    return [int(x) for x in lines]
+
+
+def test_decay_curve_pages_no_blas_beyond_the_levin_solve():
+    # np.polyfit (LAPACK dgelsd) paged 988 KB of numpy's OpenBLAS on the first curve
+    assert _blas_growth_kb()[0] <= 128
+
+
+def test_blas_probe_sees_a_least_squares_fit():
+    assert _blas_growth_kb("polyfit")[-1] > 400
