@@ -28,7 +28,8 @@ collocation on the same panels, so the node count follows the smooth
 amplitudes, not t times the cut.  Panels that touch a confluence (k near 0,
 sqrt(m1), sqrt(m2) or the triple root, where r t < pi and the split is
 ill-conditioned) and the three-real window take the whole integrand.  The
-integral-lemma kernels keep the capped quadrature.
+oscillating integral-lemma kernels go through the same split pass
+(integral_lemma_check), so the capped quadrature serves only the window.
 """
 
 from __future__ import annotations
@@ -492,7 +493,9 @@ def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float,
 
 @dataclass(frozen=True)
 class LemmaRatioSeries:
-    """Ratio of one verified integral to its bound shape along a time grid."""
+    """Ratio of one verified integral to its bound shape along a time grid, with
+    each time's integrand evaluations, quadrature error estimate and the error
+    target it met."""
 
     name: str
     times: np.ndarray
@@ -500,6 +503,9 @@ class LemmaRatioSeries:
     max_ratio: float
     tail_slope: float
     stable: bool
+    quad_nodes: np.ndarray
+    quad_error: np.ndarray
+    quad_tol: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -514,9 +520,9 @@ class IntegralLemmaReport:
     sine_global_sharp_limit: float | None
 
 
-def _ratio_series(name: str, times: np.ndarray, integrals: np.ndarray,
+def _ratio_series(name: str, times: np.ndarray, quads: Sequence[tuple[QuadResult, float]],
                   shapes: np.ndarray) -> LemmaRatioSeries:
-    ratios = integrals / shapes
+    ratios = np.array([quad.value for quad, _ in quads]) / shapes
     if np.any(~np.isfinite(ratios)):
         raise ToleranceFailure(f"{name}: nonfinite ratio encountered")
     # growth detection needs the asymptotic regime: a short grid only sees the
@@ -532,7 +538,57 @@ def _ratio_series(name: str, times: np.ndarray, integrals: np.ndarray,
             f"{name}: ratio grows like (1+t)^{tail_slope:.3f}; bound exponent violated")
     return LemmaRatioSeries(name=name, times=times, ratios=ratios,
                             max_ratio=float(ratios.max()), tail_slope=tail_slope,
-                            stable=stable)
+                            stable=stable,
+                            quad_nodes=np.array([quad.n_nodes for quad, _ in quads]),
+                            quad_error=np.array([quad.error for quad, _ in quads]),
+                            quad_tol=np.array([tol for _, tol in quads]))
+
+
+def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarray], Split]:
+    """An oscillating lemma kernel, with w = r^pw e^(-c r^2 t), as a Split in the
+    phase t r: w cos^2(tr) = w/2 + (w/2) cos 2tr, trusted everywhere, or
+    w sin^2(tr)/r^2 = w/(2r^2) - (w/(2r^2)) cos 2tr, trusted where r t >= pi
+    (the split's terms grow like 1/r^2 near r = 0, where they cancel)."""
+
+    def integrand(r: np.ndarray) -> Split:
+        w = r**pw * np.exp(-c * r * r * t)
+        if sine:
+            trusted = r * t >= math.pi
+            sinc = np.where(r > 0.0, np.sin(t * r) / np.where(r > 0.0, r, 1.0), t)
+            plain = w * sinc**2
+            smooth = np.where(trusted, 0.5 * w / np.where(trusted, r * r, 1.0), 0.0)
+            harmonic = -smooth
+        else:
+            trusted = np.ones(r.shape, dtype=bool)
+            plain = w * np.cos(t * r) ** 2
+            smooth = harmonic = 0.5 * w
+        return Split(plain=plain, trusted=trusted, smooth=smooth,
+                     amps=np.stack([np.zeros(r.shape), harmonic]),
+                     phase=t * r, dphase=np.full(r.shape, t))
+
+    return integrand
+
+
+def _lemma_quadratures(dim: int, j: int, c: float,
+                       t: float) -> dict[str, tuple[QuadResult, float]]:
+    """name -> (quadrature, its error target) of each lemma kernel at one time t;
+    sine_global is cut where r^(dim+j-3) e^(-c r^2 t) leaves a tail <= 1e-16."""
+    pw = dim + j - 1
+    tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
+    sine_tol = max(1e-15, tol * (1.0 + t) ** 2)
+    edges = None if t == 0.0 else [math.pi / t]
+    cosine, sine = _lemma_split(c, pw, t, False), _lemma_split(c, pw, t, True)
+    quads = {
+        "plain": (adaptive_quadrature(lambda r: r**pw * np.exp(-c * r * r * t), 0.0, 1.0, tol),
+                  tol),
+        "cosine": (_split_quadrature(cosine, 0.0, 1.0, tol, None), tol),
+        "sine_low": (_split_quadrature(sine, 0.0, 1.0, sine_tol, edges), sine_tol),
+    }
+    if dim + j >= 3 and t > 0.0:
+        hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, math.sqrt(c * t), K), 1e-16)
+        global_tol = max(1e-16, 1e-6 * t ** (-0.5 * (dim + j - 2)))
+        quads["sine_global"] = (_split_quadrature(sine, 0.0, hi, global_tol, edges), global_tol)
+    return quads
 
 
 def integral_lemma_check(dim: int, j: int, c: float,
@@ -547,6 +603,13 @@ def integral_lemma_check(dim: int, j: int, c: float,
       sine_global: int_0^inf r^(j+dim-1) e^(-c r^2 t)|sin(tr)/r|^2 dr vs t^-((dim+j-2)/2),
                    only when dim + j >= 3 and t > 0.
 
+    plain is integrated whole.  The three oscillating kernels take the split
+    pass: cos^2 = (1 + cos 2tr)/2 and sin^2 = (1 - cos 2tr)/2 make each a
+    smooth part plus one harmonic of the phase t r, integrated by Levin
+    collocation with no width cap; below r t = pi the sine kernels are
+    integrated whole (_lemma_split).  Each series carries its per-time node
+    counts, error estimates and error targets.
+
     Raises ToleranceFailure when any ratio keeps growing along the grid.
     """
     _validate_orders(dim, j)
@@ -559,36 +622,12 @@ def integral_lemma_check(dim: int, j: int, c: float,
         raise GridError("time grid must be finite and nonnegative")
     times = np.sort(times)
 
-    pw = j + dim - 1
-    series: dict[str, LemmaRatioSeries] = {}
-
-    def kernels(t: float):
-        def plain(r):
-            return r**pw * np.exp(-c * r * r * t)
-
-        def cosine(r):
-            return plain(r) * np.cos(t * r) ** 2
-
-        def sine(r):
-            sinc = np.where(r > 0.0, np.sin(t * r) / np.where(r > 0.0, r, 1.0), t)
-            return plain(r) * sinc**2
-
-        return plain, cosine, sine
-
-    ints = {"plain": [], "cosine": [], "sine_low": []}
-    for t in times:
-        plain, cosine, sine = kernels(float(t))
-        tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
-        ints["plain"].append(adaptive_quadrature(plain, 0.0, 1.0, tol).value)  # does not oscillate
-        ints["cosine"].append(_integrate(cosine, 0.0, 1.0, tol, t, 1.0).value)
-        ints["sine_low"].append(_integrate(sine, 0.0, 1.0, max(1e-15, tol * (1.0 + t) ** 2),
-                                           t, 1.0).value)
-
+    runs = [_lemma_quadratures(dim, j, c, float(t)) for t in times]
     shape_base = (1.0 + times) ** (-(dim + j) / 2.0)
-    series["plain"] = _ratio_series("plain", times, np.array(ints["plain"]), shape_base)
-    series["cosine"] = _ratio_series("cosine", times, np.array(ints["cosine"]), shape_base)
-    series["sine_low"] = _ratio_series("sine_low", times, np.array(ints["sine_low"]),
-                                       (1.0 + times) ** (2.0 - (dim + j) / 2.0))
+    shapes = {"plain": shape_base, "cosine": shape_base,
+              "sine_low": (1.0 + times) ** (2.0 - (dim + j) / 2.0)}
+    series = {name: _ratio_series(name, times, [run[name] for run in runs], shape)
+              for name, shape in shapes.items()}
 
     bound_const = sharp = None
     if dim + j >= 3:
@@ -596,18 +635,11 @@ def integral_lemma_check(dim: int, j: int, c: float,
         bound_const = 0.5 * c ** (-a) * math.gamma(a)
         sharp = 0.5 * bound_const
         tpos = times[times > 0.0]
-        vals = []
-        for t in tpos:
-            _, _, sine = kernels(float(t))
-            # truncate where r^(dim+j-3) e^(-c r^2 t) is negligible
-            s = math.sqrt(c * t)
-            hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, s, K), 1e-16)
-            tol = max(1e-16, 1e-6 * float(t) ** (-a))
-            vals.append(_integrate(sine, 0.0, hi, tol, float(t), 1.0).value)
-        series["sine_global"] = _ratio_series("sine_global", tpos, np.array(vals),
-                                              tpos ** (-a))
+        if tpos.size:
+            series["sine_global"] = _ratio_series(
+                "sine_global", tpos, [run["sine_global"] for run in runs if "sine_global" in run],
+                tpos ** (-a))
 
     return IntegralLemmaReport(dim=dim, j=j, c=c, series=series,
                                sine_global_bound_constant=bound_const,
                                sine_global_sharp_limit=sharp)
-

@@ -19,7 +19,9 @@ Split): Clenshaw-Curtis on the smooth part, and on each harmonic Levin
 collocation (D. Levin, Math. Comp. 38, 1982): F' + i phase' F = amplitude is
 solved by a polynomial F, and the integral is F e^{i phase} between the panel
 ends, exact for polynomial amplitudes however fast the phase turns.  So panels
-follow the amplitudes and no width cap is needed.
+follow the amplitudes and no width cap is needed.  It serves the decay norms
+beyond their capped window [0, 2 pi / t] and the three oscillating
+integral-lemma kernels.
 
 The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
 call on the norm path: a numpy-only batched elimination with partial pivoting

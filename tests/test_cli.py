@@ -518,6 +518,29 @@ class TestPathsAndExits:
         assert out.count("[PASS]") == 5
         assert out.splitlines()[-1] == "verify: FAILURES detected"
 
+    def test_lemma_error_over_its_target_fails_the_suite(self, capsys, monkeypatch):
+        import dataclasses
+
+        from mgt_spectral import decay, verify
+        lemmas, check = verify._suite_lemmas, decay.integral_lemma_check
+        _stub_suites(monkeypatch)
+        monkeypatch.setattr(verify, "_suite_lemmas", lemmas)
+
+        def over_target(dim, j, c, time_grid):
+            rep = check(dim, j, c, time_grid)
+            s = rep.series["sine_low"]
+            over = dataclasses.replace(s, quad_error=np.where(s.times == 1e4, 2.0 * s.quad_tol,
+                                                              s.quad_error))
+            return dataclasses.replace(rep, series={**rep.series, "sine_low": over})
+
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 0 and "[PASS] integral_lemmas: combos=2 max_ratio=1.048" in out
+        monkeypatch.setattr(decay, "integral_lemma_check", over_target)
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1
+        assert "[FAIL] integral_lemmas: combos=2 max_ratio=1.048" in out.splitlines()
+        assert out.splitlines()[-1] == "verify: FAILURES detected"
+
     @pytest.mark.parametrize("command, extra", [
         ("mode", []), ("decay", []), ("decay", ["--no-t-log"])])
     def test_negative_time_grid_names_the_option(self, capsys, command, extra):

@@ -363,6 +363,24 @@ class TestIntegralLemmas:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             integral_lemma_check(dim, j, 1.0, [1.0, 10.0])
 
+    def test_quadrature_diagnostics_on_the_verify_grid(self):
+        # every series carries per-time nodes, error estimates and error targets;
+        # the capped quadrature spent 3,126,657 nodes on these five combos
+        tg = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
+        total = 0
+        for dim, j in [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]:
+            for name, s in integral_lemma_check(dim, j, 1.0, tg).series.items():
+                assert s.quad_nodes.shape == s.quad_error.shape == s.quad_tol.shape == s.times.shape
+                assert np.all(s.quad_error <= s.quad_tol), name
+                assert np.all(s.quad_nodes > 0), name
+                total += int(s.quad_nodes.sum())
+        assert total <= 100_000
+
+    def test_sine_global_needs_a_positive_time(self):
+        rep = integral_lemma_check(3, 0, 1.0, [0.0])
+        assert set(rep.series) == {"plain", "cosine", "sine_low"}
+        assert rep.sine_global_bound_constant == pytest.approx(math.sqrt(math.pi) / 2.0)
+
 
 class TestNoLeastSquaresSolver:
     """The norm path and the lemma checks fit slopes in closed form."""
