@@ -16,36 +16,37 @@ exp(-gamma5 rho(K) t) shrinks the admissible tail further, which is what
 makes the large-time sweeps cheap.
 
 The integrand oscillates with the phase 2 r(k) t, where alpha +- i r is the
-complex pair of the mode.  Only a window [0, 2 pi / t], two periods wide, is
-integrated whole, with subintervals capped at an eighth of a period.  Beyond
-it each mode is written e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with
-P, S and L smooth in k, and its square splits into a smooth envelope,
-e^{2 alpha t}(P^2 + S^2)/2 plus e^{2 lam t} L^2, and harmonics of the phase:
-terms in cos 2rt and sin 2rt, and the e^{(lam + alpha) t} cross terms in
-cos rt and sin rt.  One adaptive pass integrates the envelope by
-Clenshaw-Curtis panels with no width cap and the harmonics by Levin
-collocation on the same panels, so the node count follows the smooth
-amplitudes, not t times the cut.  Panels that touch a confluence (k near 0,
-sqrt(m1), sqrt(m2) or the triple root, where r t < pi and the split is
-ill-conditioned) and the three-real window take the whole integrand.  The
-oscillating integral-lemma kernels go through the same split pass
-(integral_lemma_check), so the capped quadrature serves only the window.
+complex pair of the mode.  Each mode is written
+e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with P, S and L smooth in k,
+and its square splits into a smooth envelope, e^{2 alpha t}(P^2 + S^2)/2
+plus e^{2 lam t} L^2, and harmonics of the phase: terms in cos 2rt and
+sin 2rt, and the e^{(lam + alpha) t} cross terms in cos rt and sin rt.  One
+adaptive_quadrature pass over [0, k_max] integrates the envelope by
+Clenshaw-Curtis panels and the harmonics by Levin collocation on the same
+panels, so the node count follows the smooth amplitudes, not t times the
+cut.  Panels that touch a confluence (k near 0, sqrt(m1), sqrt(m2) or the
+triple root, where r t < pi and the split is ill-conditioned) and the
+three-real window take the whole integrand, bisected while its phase turns
+by more than pi.  Each integrand call solves the modes once
+(solve_modes_on_grid) and splits them on the same factor of the cubic.  The
+oscillating integral-lemma kernels go through the same quadrature
+(integral_lemma_check).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import lyapunov
 from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
-from .mode_solver import DataTriple, FrequencyProfile, _split_on_grid, solve_modes_on_grid
+from .mode_solver import DataTriple, FrequencyProfile, _split_terms, solve_modes_on_grid
 from .params import DataClass, ModelParams, cardano_thresholds, high_frequency_rate, theorem_rates
-from .quadrature import QuadResult, Split, _split_quadrature, adaptive_quadrature
+from .quadrature import QuadResult, Split, adaptive_quadrature
 from .spectrum import eigenvalues
 
 
@@ -192,7 +193,8 @@ def _norm_tail(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
 
 
 def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
-    """Smallest truncation point K (to a 5% margin) whose certified tail(K) is at most tol."""
+    """A truncation point K whose certified tail(K) is at most tol, within 5% above
+    the smallest such K: bisection in log K stops once the bracket is that narrow."""
     hi = 1.0
     for _ in range(400):
         if tail(hi) <= tol:
@@ -203,26 +205,18 @@ def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
     lo = 1e-3
     if tail(lo) <= tol:
         return lo
-    for _ in range(60):
+    while hi > 1.05 * lo:
         mid = math.sqrt(lo * hi)
         if tail(mid) <= tol:
             hi = mid
         else:
             lo = mid
-    return 1.05 * hi
+    return hi
 
 
 # ---------------------------------------------------------------------------
 # norm quadratures
 # ---------------------------------------------------------------------------
-
-def _integrate(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float,
-               t: float, speed: float, edges: Sequence[float] | None = None) -> QuadResult:
-    """The capped quadrature policy: at least 8 subintervals, none wider than
-    pi / (4 t speed), an eighth of the period of a phase t * speed * k."""
-    cap = None if t <= 0.0 else math.pi / (4.0 * t * speed)
-    return adaptive_quadrature(f, lo, hi, tol, max_width=cap, initial_edges=edges)
-
 
 def _validate_orders(dim: int, j: int) -> None:
     if not (isinstance(dim, (int, np.integer)) and dim >= 1):
@@ -253,7 +247,8 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
     """The norm integrand as envelope plus the harmonics of the phase r t.
 
     With z = e^{lam t} l + e^{alpha t}(P cos rt + S sin rt) for each functional
-    of the state (_split_on_grid), z^2 is the envelope
+    of the state (_split_terms on the factor solve_modes_on_grid propagated
+    with), z^2 is the envelope
     e^{2 lam t} l^2 + e^{2 alpha t}(P^2 + S^2)/2, plus e^{2 alpha t} times
     (P^2 - S^2)/2 cos 2rt + P S sin 2rt, plus 2 e^{(lam + alpha) t} l times
     (P cos rt + S sin rt).  The split is trusted where r t >= pi: its terms
@@ -264,7 +259,9 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
 
     def integrand(karr: np.ndarray) -> Split:
         y0 = np.stack([prof(karr) for prof in data])
-        y, lam, alpha, r, dr, L, P, S = _split_on_grid(p, karr, y0, t)
+        y = solve_modes_on_grid(p, karr, *y0, t)
+        lam, alpha = y.factor[3], y.factor[4]
+        r, dr, L, P, S = _split_terms(y.factor, y0)
         trusted = r * t >= math.pi
         plain = smooth = amp1 = amp2 = 0.0
         # the terms may overflow where the split is not trusted; they are dropped there
@@ -292,10 +289,12 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     quad_tol / 2; the quadrature's error target is the other half.  With an
     interval, k_max is its end and the tail bound 0.
 
-    On the window [0, k0], two periods of the phase 2 r t (r ~ k there), the
-    whole integrand is integrated under the width cap, to half the error
-    target.  Beyond k0 its split into an envelope and the harmonics of r t
-    (_split_integrand) is, with no cap, to what the window leaves.
+    One adaptive_quadrature pass integrates the split integrand
+    (_split_integrand).  Its break points are the region edges, sqrt(m1),
+    sqrt(m2) and the octaves of k0 = 2 pi / t; [0, k0], two periods of the
+    phase 2 r t (r ~ k there), starts from panels an eighth of a period wide,
+    pi / (4 t sqrt(beta / tau)), which bisection would otherwise reach pass
+    by pass.
     """
     _validate_norm_args(dim, j, t, quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
@@ -308,34 +307,18 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     else:
         lo, hi = interval
 
-    power = 2 * j + dim - 1
-    forms = _functionals(p.tau, v_norm)
-
-    def integrand(karr: np.ndarray) -> np.ndarray:
-        u0, u1, u2 = data[0](karr), data[1](karr), data[2](karr)
-        y = solve_modes_on_grid(p, karr, u0, u1, u2, t)
-        return sum(karr ** (power + kp) * np.abs(form(y)) ** 2 for kp, form in forms)
-
-    split = region_split(p)
-    edges = [split.nu1, split.nu2]
-    speed = math.sqrt(p.beta / p.tau)
-    tol = 0.5 * quad_tol
-    k0 = math.inf if t == 0.0 else 2.0 * math.pi / t
-    if hi <= k0:
-        parts = [_integrate(integrand, lo, hi, tol, t, speed, edges)]
-    else:
-        cut = max(lo, k0)
-        parts = [_integrate(integrand, lo, cut, 0.5 * tol, t, speed, edges)] if cut > lo else []
-        thr = cardano_thresholds(p)
-        breaks = edges + ([] if thr.m1 is None else [math.sqrt(thr.m1), math.sqrt(thr.m2)])
-        breaks += [cut * 2.0**i for i in range(1, math.ceil(math.log2(hi / cut)))]
-        parts.append(_split_quadrature(_split_integrand(p, data, power, t, v_norm), cut, hi,
-                                       tol - sum(q.error for q in parts), breaks))
-    quad = QuadResult(value=max(math.fsum(q.value for q in parts), 0.0),
-                      error=math.fsum(q.error for q in parts),
-                      n_nodes=sum(q.n_nodes for q in parts),
-                      n_intervals=sum(q.n_intervals for q in parts))
-    return quad, hi, tail_bound
+    split, thr = region_split(p), cardano_thresholds(p)
+    edges = [split.nu1, split.nu2] + ([] if thr.m1 is None else [math.sqrt(thr.m1),
+                                                                  math.sqrt(thr.m2)])
+    if t > 0.0:
+        k0 = 2.0 * math.pi / t
+        window = min(k0, hi)
+        n = math.ceil(4.0 * t * math.sqrt(p.beta / p.tau) * window / math.pi)
+        edges = np.concatenate([edges, np.arange(n + 1) * (window / n),
+                                k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])
+    quad = adaptive_quadrature(_split_integrand(p, data, 2 * j + dim - 1, t, v_norm), lo, hi,
+                               0.5 * quad_tol, initial_edges=edges)
+    return replace(quad, value=max(quad.value, 0.0)), hi, tail_bound
 
 
 def sobolev_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
@@ -545,10 +528,11 @@ def _ratio_series(name: str, times: np.ndarray, quads: Sequence[tuple[QuadResult
 
 
 def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarray], Split]:
-    """An oscillating lemma kernel, with w = r^pw e^(-c r^2 t), as a Split in the
-    phase t r: w cos^2(tr) = w/2 + (w/2) cos 2tr, trusted everywhere, or
-    w sin^2(tr)/r^2 = w/(2r^2) - (w/(2r^2)) cos 2tr, trusted where r t >= pi
-    (the split's terms grow like 1/r^2 near r = 0, where they cancel)."""
+    """An oscillating lemma kernel, with w = r^pw e^(-c r^2 t), as a Split with one
+    harmonic of the phase 2tr: w cos^2(tr) = w/2 + (w/2) cos 2tr, trusted
+    everywhere, or w sin^2(tr)/r^2 = w/(2r^2) - (w/(2r^2)) cos 2tr, trusted
+    where r t >= pi (the split's terms grow like 1/r^2 near r = 0, where they
+    cancel)."""
 
     def integrand(r: np.ndarray) -> Split:
         w = r**pw * np.exp(-c * r * r * t)
@@ -562,9 +546,8 @@ def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarra
             trusted = np.ones(r.shape, dtype=bool)
             plain = w * np.cos(t * r) ** 2
             smooth = harmonic = 0.5 * w
-        return Split(plain=plain, trusted=trusted, smooth=smooth,
-                     amps=np.stack([np.zeros(r.shape), harmonic]),
-                     phase=t * r, dphase=np.full(r.shape, t))
+        return Split(plain=plain, trusted=trusted, smooth=smooth, amps=harmonic[None],
+                     phase=2.0 * t * r, dphase=np.full(r.shape, 2.0 * t))
 
     return integrand
 
@@ -581,13 +564,15 @@ def _lemma_quadratures(dim: int, j: int, c: float,
     quads = {
         "plain": (adaptive_quadrature(lambda r: r**pw * np.exp(-c * r * r * t), 0.0, 1.0, tol),
                   tol),
-        "cosine": (_split_quadrature(cosine, 0.0, 1.0, tol, None), tol),
-        "sine_low": (_split_quadrature(sine, 0.0, 1.0, sine_tol, edges), sine_tol),
+        "cosine": (adaptive_quadrature(cosine, 0.0, 1.0, tol), tol),
+        "sine_low": (adaptive_quadrature(sine, 0.0, 1.0, sine_tol, initial_edges=edges),
+                     sine_tol),
     }
     if dim + j >= 3 and t > 0.0:
         hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, math.sqrt(c * t), K), 1e-16)
         global_tol = max(1e-16, 1e-6 * t ** (-0.5 * (dim + j - 2)))
-        quads["sine_global"] = (_split_quadrature(sine, 0.0, hi, global_tol, edges), global_tol)
+        quads["sine_global"] = (adaptive_quadrature(sine, 0.0, hi, global_tol,
+                                                    initial_edges=edges), global_tol)
     return quads
 
 
@@ -603,9 +588,9 @@ def integral_lemma_check(dim: int, j: int, c: float,
       sine_global: int_0^inf r^(j+dim-1) e^(-c r^2 t)|sin(tr)/r|^2 dr vs t^-((dim+j-2)/2),
                    only when dim + j >= 3 and t > 0.
 
-    plain is integrated whole.  The three oscillating kernels take the split
-    pass: cos^2 = (1 + cos 2tr)/2 and sin^2 = (1 - cos 2tr)/2 make each a
-    smooth part plus one harmonic of the phase t r, integrated by Levin
+    plain is integrated whole.  The three oscillating kernels are Splits:
+    cos^2 = (1 + cos 2tr)/2 and sin^2 = (1 - cos 2tr)/2 make each a
+    smooth part plus one harmonic of the phase 2 t r, integrated by Levin
     collocation with no width cap; below r t = pi the sine kernels are
     integrated whole (_lemma_split).  Each series carries its per-time node
     counts, error estimates and error targets.

@@ -15,7 +15,8 @@ Vandermonde solve and no conditioning gate.  Derivatives are components of
 the propagated state, never finite differences.  The norm quadratures also
 take the same Newton form written out on a complex pair alpha +- i r,
 e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with L, P, S free of t
-(_split_terms), to integrate its oscillation separately.
+(_split_terms), to integrate its oscillation separately; it reads the
+factor of the cubic that solve_modes_on_grid returns with the states.
 
 The per-pattern expansion coefficients of mode_coefficients (real root plus
 conjugate pair, three distinct reals, real double root, real triple root)
@@ -454,23 +455,28 @@ def v_vector(p: ModelParams, state: ModeState) -> VVector:
     return VVector(a=a, b_mag=b_mag, c_mag=c_mag)
 
 
+class GridModes(tuple):
+    """(u, u_t, u_tt) on an array of frequency magnitudes, as solve_modes_on_grid
+    returns it, with `factor`, the factor (a, b, c, lam, alpha, q) of the cubic
+    it was propagated with (spectrum._cubic_roots_batch), for _split_terms."""
+
+    def __new__(cls, y, factor: tuple):
+        self = super().__new__(cls, y)
+        self.factor = factor
+        return self
+
+
 def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.ndarray,
-                        u2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        u2: np.ndarray, t: float) -> GridModes:
     """Closed-form (u, u_t, u_tt) at time t for an array of frequency magnitudes.
 
-    One call of the mode kernel; the hot path of the norm quadratures.  The
-    results are real for real data and complex for complex data.  Raises
-    InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
+    One call of the mode kernel and one root solve; the hot path of the norm
+    quadratures.  The three arrays unpack as a tuple, whose `factor` is the
+    factor of the cubic they were propagated with.  The results are real for
+    real data and complex for complex data.  Raises InvalidFrequency where
+    beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
     """
     ks = np.asarray(ks, dtype=float)
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2))
-    u, v, w = _propagate(_cubic_roots_batch(p.tau, p.beta, ks * ks), y0, t)
-    return u, v, w
-
-
-def _split_on_grid(p: ModelParams, ks: np.ndarray, y0: np.ndarray, t: float) -> tuple:
-    """(y, lam, alpha, r, r', L, P, S) on an array of frequency magnitudes, from one
-    factor of the cubic: y the state at t exactly as solve_modes_on_grid gives
-    it, the rest the split of _split_terms, valid where r t is not small."""
-    nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)
-    return (_propagate(nodes, y0, t), nodes[3], nodes[4]) + _split_terms(nodes, y0)
+    factor = _cubic_roots_batch(p.tau, p.beta, ks * ks)
+    return GridModes(_propagate(factor, y0, t), factor)

@@ -1,26 +1,26 @@
 """Deterministic adaptive quadrature on panels of 17 Chebyshev-Lobatto points.
 
-One bisection driver serves two integrands.  A panel's value is of order 17,
-its error estimate the difference from the order 9 of the points at even
-slots; an infinite estimate forces bisection, and a panel value that is not
-finite or a NaN estimate raises QuadratureFailure.  The integrand must be
-pointwise.  It sees blocks of at most _BLOCK_NODES nodes, whole panels, which
-keeps the mode solver vectorized while memory stays bounded however fine the
-partition.  Panel sums are compensated and in a fixed order, so results are
-bit-reproducible for fixed inputs and for any block size.
+adaptive_quadrature is the one entry point.  The integrand maps a flat array
+of nodes to its values there, pointwise, or to a Split, a smooth part plus
+harmonics of one phase; the panel rule follows from what it returns.  A
+panel's value is of order 17, its error estimate the difference from the
+order 9 of the points at even slots; an infinite estimate forces bisection,
+and a panel value that is not finite or a NaN estimate raises
+QuadratureFailure.  The integrand sees blocks of at most _BLOCK_NODES nodes,
+whole panels, which keeps the mode solver vectorized while memory stays
+bounded however fine the partition.  Panel sums are compensated and in a
+fixed order, so results are bit-reproducible for fixed inputs and for any
+block size.
 
-adaptive_quadrature integrates a whole integrand by Clenshaw-Curtis weights,
-as accurate per node as Gauss on integrands like these (L. N. Trefethen, SIAM
-Rev. 50, 2008).  A maximum panel width lets the initial partition resolve an
-oscillation on a scale proportional to 1/t, so that bisection only polishes.
-
-_split_quadrature integrates a smooth part plus harmonics of one phase (a
-Split): Clenshaw-Curtis on the smooth part, and on each harmonic Levin
+Values are integrated by Clenshaw-Curtis weights, as accurate per node as
+Gauss on integrands like these (L. N. Trefethen, SIAM Rev. 50, 2008).  A
+Split takes Clenshaw-Curtis on its smooth part, and on each harmonic Levin
 collocation (D. Levin, Math. Comp. 38, 1982): F' + i phase' F = amplitude is
-solved by a polynomial F, and the integral is F e^{i phase} between the panel
-ends, exact for polynomial amplitudes however fast the phase turns.  So panels
-follow the amplitudes and no width cap is needed.  It serves the decay norms
-beyond their capped window [0, 2 pi / t] and the three oscillating
+solved by a polynomial F, and the integral is F e^{i phase} between the
+panel ends, exact for polynomial amplitudes however fast the phase turns.
+So panels follow the amplitudes and no width cap is needed; a caller that
+knows an oscillation's scale may still seed the partition through
+initial_edges.  The Split serves every decay norm and the three oscillating
 integral-lemma kernels.
 
 The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
@@ -72,9 +72,6 @@ def _chebyshev_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _X17, _W17, _D17 = _chebyshev_rule(17)
 _, _W9, _D9 = _chebyshev_rule(9)
 
-#: rule(x, half): value and error estimate of each panel with points x[i], half-width half[i]
-Rule = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -92,75 +89,40 @@ def _clenshaw_curtis(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.nd
         return hi_order, np.abs(hi_order - half * (y[:, ::2] * _W9).sum(axis=1))
 
 
-def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                        tol: float, *, max_width: float | None = None,
-                        initial_edges: np.ndarray | None = None) -> QuadResult:
+def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float, b: float,
+                        tol: float, *, initial_edges=None) -> QuadResult:
     """Integrate a vectorized integrand over [a, b] to absolute tolerance tol.
 
-    f maps a 1-d array of nodes to the integrand's values there, pointwise;
-    it is called on blocks of at most _BLOCK_NODES nodes.
-
-    max_width caps every panel of the initial partition (oscillation
-    control); initial_edges may inject extra break points such as region
-    boundaries.  Raises QuadratureFailure when the node budget cannot honor
-    the width cap or the error target, or when the integrand is not finite,
-    and ValueError on b < a or on a tol or max_width that is not positive
+    f maps a flat array of nodes to the integrand's values there, or to its
+    Split there, pointwise; it is called on blocks of at most _BLOCK_NODES
+    nodes.  initial_edges may inject break points such as region boundaries
+    or a partition that resolves a known oscillation; the initial partition
+    is those in [a, b], each piece cut into equal panels, _MIN_INTERVALS at
+    least in all.  Raises QuadratureFailure when the initial partition or the
+    error target needs more than _NODE_BUDGET nodes, or when the integrand is
+    not finite, and ValueError on b < a or on a tol that is not positive
     (NaN included).
     """
-    return _adaptive(lambda x, half: _clenshaw_curtis(f(x.ravel()).reshape(x.shape), half),
-                     a, b, tol, max_width=max_width, initial_edges=initial_edges)
-
-
-def _panels(rule: Rule, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of a batch of panels, by rule on consecutive
-    blocks of at most _BLOCK_NODES nodes, so memory stays bounded however many
-    panels the batch holds."""
-    vals, errs = np.empty(lefts.size), np.empty(lefts.size)
-    step = _BLOCK_NODES // _X17.size
-    for lo in range(0, lefts.size, step):
-        hi = lo + step
-        half = 0.5 * (rights[lo:hi] - lefts[lo:hi])
-        x = 0.5 * (rights[lo:hi] + lefts[lo:hi])[:, None] + half[:, None] * _X17
-        vals[lo:hi], errs[lo:hi] = rule(x, half)
-    bad = ~np.isfinite(vals) | np.isnan(errs)
-    if bad.any():
-        i = np.argmax(bad)
-        raise QuadratureFailure(f"integrand or its error estimate is not finite on "
-                                f"[{lefts[i]}, {rights[i]}]")
-    return vals, errs
-
-
-def _adaptive(rule: Rule, a: float, b: float, tol: float, *, max_width: float | None,
-              initial_edges) -> QuadResult:
-    """The bisection driver behind both integrands, on panels valued by rule."""
     if not (b >= a):
         raise ValueError(f"bad interval [{a}, {b}]")
     if b == a:
         return QuadResult(0.0, 0.0, 0, 0)
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_width is not None and not (max_width > 0.0):
-        raise ValueError(f"max_width must be positive, got {max_width}")
 
     panel = _X17.size
-    edges = [a, b] if initial_edges is None else sorted(
-        {float(e) for e in initial_edges if a <= e <= b} | {a, b})
-    pieces: list[np.ndarray] = []
-    for lo, hi in zip(edges[:-1], edges[1:]):  # strictly ascending: a sorted set
-        n = 1 if max_width is None else max(1, math.ceil((hi - lo) / max_width))
-        n = max(n, math.ceil(_MIN_INTERVALS / max(1, len(edges) - 1)))
-        if panel * n > _NODE_BUDGET:
-            raise QuadratureFailure(
-                f"width cap {max_width} needs {n} intervals on [{lo}, {hi}], "
-                f"beyond the {_NODE_BUDGET}-node budget")
-        pieces.append(np.linspace(lo, hi, n + 1))
-    grid = np.unique(np.concatenate(pieces))
-    lefts, rights = grid[:-1], grid[1:]
+    edges = np.asarray([] if initial_edges is None else initial_edges, dtype=float).ravel()
+    edges = np.unique(np.concatenate([[a, b], edges[(edges >= a) & (edges <= b)]]))
+    n = -(-_MIN_INTERVALS // (edges.size - 1))  # equal panels per piece
+    # the points of np.linspace(lo, hi, n + 1) on every piece at once
+    lefts = (edges[:-1, None] + np.arange(n) * (np.diff(edges) / n)[:, None]).ravel()
+    rights = np.append(lefts[1:], b)
 
     n_nodes = panel * lefts.size
     if n_nodes > _NODE_BUDGET:
-        raise QuadratureFailure("initial partition exceeds the node budget")
-    vals, errs = _panels(rule, lefts, rights)
+        raise QuadratureFailure(f"initial partition of {lefts.size} panels exceeds the "
+                                f"{_NODE_BUDGET}-node budget")
+    vals, errs = _panels(f, lefts, rights)
 
     while errs.sum() > tol:
         order = np.argsort(errs)[::-1]
@@ -176,7 +138,7 @@ def _adaptive(rule: Rule, a: float, b: float, tol: float, *, max_width: float | 
         mids = 0.5 * (lefts[worst] + rights[worst])
         new_l = np.concatenate([lefts[worst], mids])
         new_r = np.concatenate([mids, rights[worst]])
-        nv, ne = _panels(rule, new_l, new_r)
+        nv, ne = _panels(f, new_l, new_r)
         n_nodes += panel * new_l.size
         keep = np.ones(n_int, dtype=bool)
         keep[worst] = False
@@ -191,6 +153,27 @@ def _adaptive(rule: Rule, a: float, b: float, tol: float, *, max_width: float | 
                       n_intervals=lefts.size)
 
 
+def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of a batch of panels, from f on consecutive
+    blocks of at most _BLOCK_NODES nodes, so memory stays bounded however many
+    panels the batch holds."""
+    vals, errs = np.empty(lefts.size), np.empty(lefts.size)
+    step = _BLOCK_NODES // _X17.size
+    for lo in range(0, lefts.size, step):
+        hi = lo + step
+        half = 0.5 * (rights[lo:hi] - lefts[lo:hi])
+        x = 0.5 * (rights[lo:hi] + lefts[lo:hi])[:, None] + half[:, None] * _X17
+        y = f(x.ravel())
+        vals[lo:hi], errs[lo:hi] = (_split_batch(y, half) if isinstance(y, Split)
+                                    else _clenshaw_curtis(np.reshape(y, x.shape), half))
+    bad = ~np.isfinite(vals) | np.isnan(errs)
+    if bad.any():
+        i = np.argmax(bad)
+        raise QuadratureFailure(f"integrand or its error estimate is not finite on "
+                                f"[{lefts[i]}, {rights[i]}]")
+    return vals, errs
+
+
 # ---------------------------------------------------------------------------
 # a smooth part plus harmonics of one phase
 # ---------------------------------------------------------------------------
@@ -203,7 +186,8 @@ class Split:
         plain                                          everywhere,
 
     with dphase the derivative of the phase.  Every field has the nodes' shape
-    (amps one axis more, the harmonics first).
+    (amps one axis more, the harmonics first).  Where a node is not trusted
+    the plain values are integrated; their phase is taken to be twice `phase`.
     """
 
     plain: np.ndarray
@@ -227,9 +211,9 @@ def _levin(amp: np.ndarray, phase: np.ndarray, dphase: np.ndarray, half: np.ndar
     return (f[:, 0] * np.exp(1j * phase[:, 0]) - f[:, -1] * np.exp(1j * phase[:, -1])).real
 
 
-def _split_batch(f: Callable[[np.ndarray], Split], x: np.ndarray,
-                 half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Rule of a Split: values and |order 17 - order 9| of the panels in x.
+def _split_batch(s: Split, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and |order 17 - order 9| of the panels of half-widths `half` on
+    which s is sampled, 17 nodes a panel in order.
 
     A panel whose nodes are all trusted sums Clenshaw-Curtis on the smooth
     part and, per harmonic, Levin collocation where the harmonic's phase turns
@@ -239,34 +223,29 @@ def _split_batch(f: Callable[[np.ndarray], Split], x: np.ndarray,
     `phase`) turns by more than pi, as is a Levin panel on which the phase
     has a stationary point.
     """
-    s = f(x)
-    turn = np.abs(np.diff(s.phase, axis=1)).sum(axis=1)
-    val, err = _clenshaw_curtis(s.plain, half)
+    shape = (half.size, _X17.size)
+    plain, trusted, smooth, phase, dphase = (np.reshape(v, shape) for v in (
+        s.plain, s.trusted, s.smooth, s.phase, s.dphase))
+    amps = np.reshape(s.amps, (len(s.amps),) + shape)
+    turn = np.abs(np.diff(phase, axis=1)).sum(axis=1)
+    val, err = _clenshaw_curtis(plain, half)
     err[2.0 * turn > np.pi] = np.inf
-    split = s.trusted.all(axis=1)
+    split = trusted.all(axis=1)
     if split.any():
         hs, ts = half[split], turn[split]
-        sval, serr = _clenshaw_curtis(s.smooth[split], hs)
-        for m, amp in enumerate(s.amps[:, split], start=1):
-            phase, dphase = m * s.phase[split], m * s.dphase[split]
-            hval, herr = _clenshaw_curtis((amp * np.exp(1j * phase)).real, hs)
+        sval, serr = _clenshaw_curtis(smooth[split], hs)
+        for m, amp in enumerate(amps[:, split], start=1):
+            ph, dph = m * phase[split], m * dphase[split]
+            hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, hs)
             lev = m * ts > np.pi
             if lev.any():
-                a, ph, dph, h = amp[lev], phase[lev], dphase[lev], hs[lev]
-                l17 = _levin(a, ph, dph, h, _D17)
-                l9 = _levin(a[:, ::2], ph[:, ::2], dph[:, ::2], h, _D9)
+                a, p, dp, h = amp[lev], ph[lev], dph[lev], hs[lev]
+                l17 = _levin(a, p, dp, h, _D17)
+                l9 = _levin(a[:, ::2], p[:, ::2], dp[:, ::2], h, _D9)
                 hval[lev], herr[lev] = l17, np.abs(l17 - l9)
-                stationary = dphase.min(axis=1) * dphase.max(axis=1) <= 0.0
+                stationary = dph.min(axis=1) * dph.max(axis=1) <= 0.0
                 herr[lev & stationary] = np.inf
             sval += hval
             serr += herr
         val[split], err[split] = sval, serr
     return val, err
-
-
-def _split_quadrature(f: Callable[[np.ndarray], Split], a: float, b: float, tol: float,
-                      initial_edges) -> QuadResult:
-    """Integrate an integrand given as a Split over [a, b] to absolute tolerance
-    tol, with no width cap; f maps an array of nodes to its Split there, pointwise."""
-    return _adaptive(lambda x, half: _split_batch(f, x, half), a, b, tol, max_width=None,
-                     initial_edges=initial_edges)

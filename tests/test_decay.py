@@ -273,19 +273,57 @@ class TestQuadratureDiagnostics:
                                       ((1.0 + 1e-13) / 9.0, 1.0), (0.3, 1.0), (0.965, 1.0)])
 @pytest.mark.parametrize("t", [3.5, 30.0, 1e3])
 def test_split_path_matches_the_capped_whole_integrand(tau, beta, t):
-    # beyond the window the norm is an envelope plus harmonics; the capped
-    # quadrature of the whole integrand over the same cut is the reference,
-    # across the double roots of the sub-critical band and the triple root
-    # (at t = 3.5 the window ends at 1.8, below sqrt(m1) = 1.9 at tau 0.05)
-    from mgt_spectral import decay, solve_modes_on_grid
+    # where r t >= pi the norm is an envelope plus harmonics; the whole
+    # integrand over the same cut on panels an eighth of a period of the phase
+    # t sqrt(beta / tau) k wide is the reference, across the double roots of the
+    # sub-critical band and the triple root (at t = 3.5, 2 pi / t = 1.8 is below
+    # sqrt(m1) = 1.9 at tau 0.05)
+    from mgt_spectral import adaptive_quadrature, decay, solve_modes_on_grid
 
     p, data, tol = validate(tau, beta), (GAUSS, ZERO, GAUSS), 1e-10
     quad, k_max, tail = decay._norm_integral(p, data, 1, 0, t, tol, False)
-    whole = decay._integrate(
+    cap = math.pi / (4.0 * t * math.sqrt(beta / tau))
+    whole = adaptive_quadrature(
         lambda k: solve_modes_on_grid(p, k, GAUSS(k), ZERO(k), GAUSS(k), t)[0] ** 2,
-        0.0, k_max, 0.5 * tol, t, math.sqrt(beta / tau), [])
+        0.0, k_max, 0.5 * tol, initial_edges=np.linspace(0.0, k_max, math.ceil(k_max / cap) + 1))
     assert abs(quad.value - whole.value) <= quad.error + whole.error
     assert quad.n_nodes < whole.n_nodes
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("v_norm", [False, True])
+def test_one_root_solve_per_integrand_call_and_every_node_through_the_grid_kernel(
+        monkeypatch, t, v_norm):
+    from mgt_spectral import decay, mode_solver
+
+    roots, grid = mode_solver._cubic_roots_batch, decay.solve_modes_on_grid
+    split = decay._split_integrand
+    sizes = {"roots": [], "grid": [], "integrand": []}
+
+    def spy_roots(tau, beta, k2):
+        sizes["roots"].append(k2.size)
+        return roots(tau, beta, k2)
+
+    def spy_grid(p, ks, *rest):
+        sizes["grid"].append(len(ks))
+        return grid(p, ks, *rest)
+
+    def spy_split(*args):
+        f = split(*args)
+
+        def integrand(k):
+            sizes["integrand"].append(k.size)
+            return f(k)
+
+        return integrand
+
+    monkeypatch.setattr(mode_solver, "_cubic_roots_batch", spy_roots)
+    monkeypatch.setattr(decay, "solve_modes_on_grid", spy_grid)
+    monkeypatch.setattr(decay, "_split_integrand", spy_split)
+    quad, _, _ = decay._norm_integral(validate(0.965, 1.0), (GAUSS, ZERO, GAUSS), 3, 0, t,
+                                      1e-10, v_norm)
+    assert sizes["roots"] == sizes["grid"] == sizes["integrand"]
+    assert sum(sizes["grid"]) == quad.n_nodes > 0
 
 @pytest.mark.parametrize("tau", [0.965, 0.1])
 def test_large_t_norm_node_count_does_not_grow_with_t_kmax(tau):

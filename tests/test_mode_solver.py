@@ -449,20 +449,24 @@ class TestScalarSolveModePath:
 
 
 class TestSplitTerms:
-    """The split of the kernel the norm quadratures integrate beyond k = 2 pi / t."""
+    """The split of the kernel the norm quadratures integrate where r t >= pi."""
 
     @pytest.mark.parametrize("tau,beta", [(0.05, 1.0), ((1.0 + 1e-9) / 9.0, 1.0), (0.3, 1.0),
                                           (0.965, 1.0)])
     @pytest.mark.parametrize("t", [0.7, 40.0])
     def test_rebuilds_the_kernel_where_trusted(self, tau, beta, t):
-        from mgt_spectral.mode_solver import _split_on_grid
+        from mgt_spectral.mode_solver import _split_terms
+        from mgt_spectral.spectrum import _cubic_roots_batch
 
         p = validate(tau, beta)
         ks = np.linspace(0.0, 6.0, 601)
         y0 = np.stack([np.exp(-ks * ks / 2), np.cos(ks), ks * np.exp(-ks)])
-        y, lam, alpha, r, dr, L, P, S = _split_on_grid(p, ks, y0, t)
-        # the state is solve_modes_on_grid's, bit for bit
-        assert np.array_equal(y, np.stack(solve_modes_on_grid(p, ks, *y0, t)))
+        state = solve_modes_on_grid(p, ks, *y0, t)
+        # the state carries the factor it was propagated with, bit for bit
+        factor = _cubic_roots_batch(tau, beta, ks * ks)
+        assert all(np.array_equal(a, b) for a, b in zip(state.factor, factor))
+        y, lam, alpha = np.stack(state), factor[3], factor[4]
+        r, dr, L, P, S = _split_terms(state.factor, y0)
         trusted = r * t >= math.pi
         assert trusted.any()
         rebuilt = np.exp(lam * t) * L + np.exp(alpha * t) * (P * np.cos(r * t) + S * np.sin(r * t))
@@ -470,7 +474,7 @@ class TestSplitTerms:
         assert np.all(np.abs(rebuilt - y)[:, trusted] <= 1e-12 * scale[trusted])
         # r' against a centred difference of r
         h = 1e-6
-        rp = lambda k: _split_on_grid(p, k, y0, t)[3]
+        rp = lambda k: _split_terms(solve_modes_on_grid(p, k, *y0, t).factor, y0)[0]
         fd = (rp(ks + h) - rp(ks - h)) / (2 * h)
         away = trusted & (np.abs(fd) < 1e3)
         assert np.allclose(dr[away], fd[away], rtol=1e-5, atol=1e-6)

@@ -10,6 +10,11 @@ from mgt_spectral.errors import QuadratureFailure
 from mgt_spectral.quadrature import _BLOCK_NODES, _clenshaw_curtis
 
 
+def _uniform(a, b, width):
+    """Edges of the uniform partition of [a, b] into panels at most `width` wide."""
+    return np.linspace(a, b, int(np.ceil((b - a) / width)) + 1)
+
+
 def _poly_integral(coef, a, b):
     antider = np.polynomial.polynomial.polyint(coef)
     return (np.polynomial.polynomial.polyval(b, antider)
@@ -52,7 +57,8 @@ class TestClenshawCurtis:
     def test_oscillatory_with_width_cap(self):
         t = 2000.0
         fn = lambda x: np.sin(t * x) ** 2 * np.exp(-x * x)
-        res = adaptive_quadrature(fn, 0.0, 5.0, 1e-10, max_width=np.pi / (4 * t))
+        res = adaptive_quadrature(fn, 0.0, 5.0, 1e-10,
+                                  initial_edges=_uniform(0.0, 5.0, np.pi / (4 * t)))
         # sin^2 averages to 1/2 at large t
         assert res.value == pytest.approx(0.5 * np.sqrt(np.pi) / 2.0, rel=1e-4)
 
@@ -65,8 +71,10 @@ class TestClenshawCurtis:
             adaptive_quadrature(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-300)
 
     def test_width_cap_beyond_budget(self):
-        with pytest.raises(QuadratureFailure, match="beyond the 1000000-node budget"):
-            adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-6, max_width=1e-9)
+        # 59,999 initial panels of 17 nodes
+        with pytest.raises(QuadratureFailure, match="exceeds the 1000000-node budget"):
+            adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-6,
+                                initial_edges=np.linspace(0.0, 1.0, 60_000))
 
     def test_deterministic(self):
         fn = lambda x: np.cos(37.0 * x) ** 2 / (1.0 + x)
@@ -89,9 +97,6 @@ class TestClenshawCurtis:
             adaptive_quadrature(lambda x: x, 0.0, 1.0, -1e-9)
         with pytest.raises(ValueError, match="tol must be positive"):
             adaptive_quadrature(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, np.nan)
-        for width in (0.0, np.nan):
-            with pytest.raises(ValueError, match="max_width must be positive"):
-                adaptive_quadrature(lambda x: x, 0.0, 1.0, 1e-9, max_width=width)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_integrand_raises(self, bad):
@@ -100,7 +105,8 @@ class TestClenshawCurtis:
 
 
 T_OSC = 2000.0
-CAP = np.pi / (4 * T_OSC)
+#: panels an eighth of a period wide
+CAP_EDGES = _uniform(0.0, 5.0, np.pi / (4 * T_OSC))
 
 
 def _oscillatory(x):
@@ -120,7 +126,7 @@ class TestBlockedEvaluation:
             sizes.append(x.size)
             return _oscillatory(x)
 
-        res = adaptive_quadrature(spy, 0.0, 5.0, 1e-10, max_width=CAP)
+        res = adaptive_quadrature(spy, 0.0, 5.0, 1e-10, initial_edges=CAP_EDGES)
         assert res.n_nodes > 2 * _BLOCK_NODES
         assert max(sizes) <= _BLOCK_NODES
         assert sum(sizes) == res.n_nodes
@@ -128,9 +134,9 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("fn, tol, refines", [(_oscillatory, 1e-10, False),
                                                   (_oscillatory_with_cusp, 1e-12, True)])
     def test_bit_identical_to_unblocked(self, monkeypatch, fn, tol, refines):
-        blocked = adaptive_quadrature(fn, 0.0, 5.0, tol, max_width=CAP)
+        blocked = adaptive_quadrature(fn, 0.0, 5.0, tol, initial_edges=CAP_EDGES)
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 2**40)
-        reference = adaptive_quadrature(fn, 0.0, 5.0, tol, max_width=CAP)
+        reference = adaptive_quadrature(fn, 0.0, 5.0, tol, initial_edges=CAP_EDGES)
         assert blocked.n_nodes > 2 * _BLOCK_NODES
         # every bisection puts two panels (34 nodes) in place of one
         assert (blocked.n_nodes > 17 * blocked.n_intervals) == refines
@@ -139,9 +145,9 @@ class TestBlockedEvaluation:
     def test_split_quadrature_bit_identical_to_unblocked(self, monkeypatch):
         # a few hundred nodes: one block by default, one panel per block here
         f = TestSplitRule._integrand(100.0)
-        reference = quadrature._split_quadrature(f, 0.0, 5.0, 1e-12, [])
+        reference = adaptive_quadrature(f, 0.0, 5.0, 1e-12)
         monkeypatch.setattr(quadrature, "_BLOCK_NODES", 17)
-        blocked = quadrature._split_quadrature(f, 0.0, 5.0, 1e-12, [])
+        blocked = adaptive_quadrature(f, 0.0, 5.0, 1e-12)
         assert reference.n_nodes > 10 * 17
         assert blocked == reference
 
@@ -178,21 +184,21 @@ class TestSplitRule:
     @pytest.mark.parametrize("t", [0.0, 3.0, 100.0])
     def test_matches_quadpack(self, t):
         f = self._integrand(t)
-        res = quadrature._split_quadrature(f, 0.0, 5.0, 1e-12, [])
+        res = adaptive_quadrature(f, 0.0, 5.0, 1e-12)
         ref, _ = quad(lambda k: f(np.array([k])).plain[0], 0.0, 5.0, limit=2000,
                       epsabs=1e-13, epsrel=1e-13)
         assert abs(res.value - ref) <= 1e-12 and res.error <= 1e-12
 
     def test_node_count_does_not_grow_with_the_phase_rate(self):
-        counts = [quadrature._split_quadrature(self._integrand(t), 0.0, 5.0, 1e-12, []).n_nodes
+        counts = [adaptive_quadrature(self._integrand(t), 0.0, 5.0, 1e-12).n_nodes
                   for t in (1e2, 1e4, 1e6)]
         assert max(counts) <= 2 * min(counts) and max(counts) < 1000
 
     def test_untrusted_nodes_take_the_plain_values_under_a_turn_limit(self):
         t = 300.0
         untrusted = self._integrand(t, lambda k: k > 1.0)
-        ref = quadrature._split_quadrature(self._integrand(t), 0.0, 5.0, 1e-12, [])
-        res = quadrature._split_quadrature(untrusted, 0.0, 5.0, 1e-12, [])
+        ref = adaptive_quadrature(self._integrand(t), 0.0, 5.0, 1e-12)
+        res = adaptive_quadrature(untrusted, 0.0, 5.0, 1e-12)
         assert res.value == pytest.approx(ref.value, abs=2e-12)
         # [0, 1] is resolved panel by panel, each turning 2 phase by at most pi
         assert res.n_nodes > 17 * t * 1.1 / np.pi
@@ -209,7 +215,7 @@ class TestSplitRule:
                                     np.zeros(k.shape), (amp + 0j)[None], phase,
                                     2.0 * t * (k - 0.5))
 
-        res = quadrature._split_quadrature(split, 0.0, 8.0, 1e-6, [])
+        res = adaptive_quadrature(split, 0.0, 8.0, 1e-6)
         # composite 20-point Gauss-Legendre on 1e-4-wide panels; amp < e^-30 beyond 3.2
         x, w = np.polynomial.legendre.leggauss(20)
         edges = np.linspace(0.0, 3.2, 32001)
@@ -230,7 +236,7 @@ class TestSplitRule:
                                     2.0 * t * (k - 0.5))
 
         x = np.array([[0.5], [1.5]]) + 0.5 * quadrature._X17
-        _, errs = quadrature._split_batch(split, x, np.array([0.5, 0.5]))
+        _, errs = quadrature._split_batch(split(x), np.array([0.5, 0.5]))
         assert errs[0] == np.inf and errs[1] < 1e-9
 
     def test_untrusted_panels_are_split_while_the_phase_turns(self):
@@ -242,7 +248,7 @@ class TestSplitRule:
                                     np.zeros(k.shape), np.zeros((1,) + k.shape, complex),
                                     0.5 * theta, np.zeros(k.shape))
 
-        res = quadrature._split_quadrature(split, 0.0, 8.0, 1e-9, [])
+        res = adaptive_quadrature(split, 0.0, 8.0, 1e-9)
         # per panel: int_0^pi sin^2(16 s) sin(s) / 2 ds = 1/2 + 1/2046
         assert res.value == pytest.approx(8.0 * (0.5 + 1.0 / 2046.0), abs=1e-9)
 
@@ -258,4 +264,4 @@ class TestSplitRule:
             return dataclasses.replace(s, **{field: np.where(k > 2.5, bad, getattr(s, field))})
 
         with pytest.raises(QuadratureFailure, match="not finite on"):
-            quadrature._split_quadrature(broken, 0.0, 5.0, 1e-12, [])
+            adaptive_quadrature(broken, 0.0, 5.0, 1e-12)
