@@ -213,19 +213,17 @@ def _positive_grid(k_grid: np.ndarray | None) -> np.ndarray:
     return ks
 
 
-def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> LyapunovWeights:
+def default_weights(p: ModelParams) -> LyapunovWeights:
     """Build the standard weight selection and measure its constants.
 
     The selection chain fixes eps0 = eps1 = 1/2, gamma1 = 4, eps2 = 1/16 and
     gamma0 at twice its strict lower bound, with the two Young constants
     C(eps0) = (beta-tau)^2/(4 eps0) and C(eps1, eps2) = tau^2/(4 eps2)
-    + 1/(4 eps1).  Over the grid, equiv_lo/equiv_hi are gamma0 -/+ sigma
-    max k/(1 + k^2), the exact extremes of L/E over states, and gamma5 is the
-    least certified decay margin (see decay_margin_exact); all three agree
-    with 40-digit mpmath to about 2e-16 before the 0.1% widening.  The
-    default grid is 140 frequencies from 1e-3 to 1e4 plus 1e6 and 1e9.  The
-    grid's zeros are skipped; a negative or non-finite entry raises
-    InvalidFrequency.
+    + 1/(4 eps1).  Over a fixed grid of 140 frequencies from 1e-3 to 1e4 plus
+    1e6 and 1e9, equiv_lo/equiv_hi are gamma0 -/+ sigma max k/(1 + k^2), the
+    exact extremes of L/E over states, and gamma5 is the least certified
+    decay margin (see decay_margin_exact); all three agree with 40-digit
+    mpmath to about 2e-16 before the 0.1% widening.
     """
     eps0 = eps1 = 0.5
     gamma1 = 4.0
@@ -234,9 +232,8 @@ def default_weights(p: ModelParams, k_grid: np.ndarray | None = None) -> Lyapuno
     c_eps12 = p.tau**2 / (4.0 * eps2) + 1.0 / (4.0 * eps1)
     gamma0 = 2.0 * (c_eps0 + gamma1 * c_eps12) / (p.beta - p.tau)
 
-    ks = _positive_grid(k_grid)
-    g5 = float(_certified_margins(p, ks, gamma0, gamma1).min())
-    gap = float(_equivalence_gap(p, ks, gamma1).max())
+    g5 = float(_certified_margins(p, _DEFAULT_K_GRID, gamma0, gamma1).min())
+    gap = float(_equivalence_gap(p, _DEFAULT_K_GRID, gamma1).max())
     lo, hi = gamma0 - gap, gamma0 + gap
 
     # |V|^2 / E is diagonal in the (A, kB, kv) coordinates, so its extremes
@@ -297,39 +294,35 @@ def _state_rates(p: ModelParams, state: ModeState) -> dict[str, np.ndarray]:
     return {"dE": dE, "dF1": dF1, "dF2": dF2, "scale": np.maximum(scale, 1e-300)}
 
 
-def _like_t(x: np.ndarray, t):
-    """x as a float for a scalar time, else as an array of t's shape."""
-    return float(x) if np.ndim(t) == 0 else x
-
-
 def energy_dissipation_residual(p: ModelParams, k: float, init: ModeState, t):
-    """|dE/dt + (beta - tau) k^2 |v|^2| along the trajectory at time t.
+    """(|dE/dt + (beta - tau) k^2 |v|^2|, scale) along the trajectory at time t.
 
-    t is a time or an array of times, evaluated with one kernel call; the
-    result is a float or an array of t's shape.  Raises ValueError if any
-    time is negative or not finite.
+    scale is the magnitude of the terms of the identity, so residual / scale
+    is its relative error.  t is a time or an array of times, evaluated with
+    one kernel call; the pair is two floats or two arrays of t's shape.
+    Raises ValueError if any time is negative or not finite.
     """
     state = solve_mode(p, k, init, t)
     rates = _state_rates(p, state)
     k2 = k * k
-    return _like_t(np.abs(rates["dE"] + (p.beta - p.tau) * k2 * np.abs(state.v_hat) ** 2), t)
-
-
-def dissipation_scale(p: ModelParams, k: float, init: ModeState, t):
-    """Magnitude scale of the dissipation identity terms at time t (or times)."""
-    return _like_t(_state_rates(p, solve_mode(p, k, init, t))["scale"], t)
+    res = np.abs(rates["dE"] + (p.beta - p.tau) * k2 * np.abs(state.v_hat) ** 2)
+    if np.ndim(t) == 0:
+        return float(res), float(rates["scale"])
+    return res, rates["scale"]
 
 
 def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
                     init_samples, t_grid=None) -> float:
-    """Largest gamma5 with dL/dt + gamma5 rho L <= MARGIN_TOL * L on the sweep.
+    """Largest gamma5 <= 1/tau with dL/dt + gamma5 rho L <= MARGIN_TOL * L on the sweep.
 
     The sweep evaluates dL/dt analytically along closed-form trajectories for
-    every (frequency, initial state) pair over a dense time grid and bisects
-    gamma5 on [0, 1/tau].  Raises NonPositiveMargin when no positive value
-    passes, EmptyInput on empty grids, InvalidFrequency on a negative or
-    non-finite frequency (k = 0 is skipped) and, as solve_mode does,
-    ValueError on a negative or non-finite time.
+    every (frequency, initial state) pair over a dense time grid.  Each point
+    allows gamma5 up to (MARGIN_TOL L - dL/dt) / (rho L), so the answer is
+    the least of these and 1/tau.  Raises NonPositiveMargin when dL/dt
+    exceeds MARGIN_TOL L somewhere or the least bound is not positive,
+    EmptyInput on empty grids, InvalidFrequency on a negative or non-finite
+    frequency (k = 0 is skipped) and, as solve_mode does, ValueError on a
+    negative or non-finite time.
     """
     ks = _frequencies(list(k_grid))
     samples = list(init_samples)
@@ -339,8 +332,8 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     if not np.all(np.isfinite(ts) & (ts >= 0.0)):
         raise ValueError(f"gronwall_margin requires t >= 0, got {t_grid}")
 
-    # -dL/dt, rho L and MARGIN_TOL L at the nondegenerate points of each trajectory
-    neg_dldt, rho_l, margins = [np.empty(0)], [np.empty(0)], [np.empty(0)]
+    # MARGIN_TOL L - dL/dt and rho L at the nondegenerate points of each trajectory
+    slack, rho_l = [np.empty(0)], [np.empty(0)]
     for k in ks.tolist():
         if k == 0.0:
             continue
@@ -354,30 +347,20 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
             dL = (w.gamma0 * rates["dE"] + vals.rho * rates["dF1"]
                   + w.gamma1 * vals.rho * rates["dF2"])
             keep = ~(vals.lyap <= 1e-280)  # a NaN stays in and fails the sweep
-            neg_dldt.append(-dL[keep])
+            slack.append(MARGIN_TOL * vals.lyap[keep] - dL[keep])
             rho_l.append(r * vals.lyap[keep])
-            margins.append(MARGIN_TOL * vals.lyap[keep])
-    neg_dldt, rho_l, margins = (np.concatenate(x) for x in (neg_dldt, rho_l, margins))
+    slack, rho_l = np.concatenate(slack), np.concatenate(rho_l)
     if rho_l.size == 0:
         raise EmptyInput("all sweep points were degenerate (zero frequency or data)")
-
-    def passes(g5: float) -> bool:
-        return bool(np.all(g5 * rho_l - neg_dldt <= margins))
-
-    lo_g, hi_g = 0.0, 1.0 / p.tau
-    if not passes(lo_g):
+    if not np.all(slack >= 0.0):
         raise NonPositiveMargin("dL/dt exceeds tolerance even at gamma5 = 0")
-    if passes(hi_g):
-        return hi_g
-    for _ in range(80):
-        mid = 0.5 * (lo_g + hi_g)
-        if passes(mid):
-            lo_g = mid
-        else:
-            hi_g = mid
-    if lo_g <= 0.0:
+    # a point whose rho L underflows to 0 bounds no gamma5, nor one whose bound overflows
+    bounds = rho_l > 0.0
+    with np.errstate(over="ignore"):
+        g5 = float(np.min(slack[bounds] / rho_l[bounds], initial=1.0 / p.tau))
+    if not g5 > 0.0:
         raise NonPositiveMargin("no positive decay margin found on the sweep")
-    return lo_g
+    return g5
 
 
 def pointwise_bound_constants(p: ModelParams, w: LyapunovWeights) -> tuple[float, float]:

@@ -125,16 +125,15 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
     vals, errs = _panels(f, lefts, rights)
 
     while errs.sum() > tol:
-        order = np.argsort(errs)[::-1]
+        # at most 256 panels, largest error first, each above half of tol's share
+        # per panel; while the sum exceeds tol the largest always qualifies
+        order = np.argsort(errs)[::-1][:256]
         n_int = lefts.size
-        worst = [i for i in order[:256] if errs[i] > 0.5 * tol / n_int]
-        if not worst:
-            break
-        if n_nodes + 2 * panel * len(worst) > _NODE_BUDGET:
+        worst = order[errs[order] > 0.5 * tol / n_int]
+        if n_nodes + 2 * panel * worst.size > _NODE_BUDGET:
             raise QuadratureFailure(
                 f"node budget {_NODE_BUDGET} exhausted at error {errs.sum():.3e} "
                 f"(target {tol:.3e})")
-        worst = np.array(worst, dtype=int)
         mids = 0.5 * (lefts[worst] + rights[worst])
         new_l = np.concatenate([lefts[worst], mids])
         new_r = np.concatenate([mids, rights[worst]])

@@ -87,8 +87,7 @@ def _suite_energy(rng, n) -> tuple[bool, str]:
         init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
                                      k=float(k))
         ts = rng.uniform(0.0, 10.0, 10)
-        res = lyapunov.energy_dissipation_residual(pp, float(k), init, ts)
-        scale = lyapunov.dissipation_scale(pp, float(k), init, ts)
+        res, scale = lyapunov.energy_dissipation_residual(pp, float(k), init, ts)
         worst = max(worst, float((res / scale).max()))
     return worst <= 1e-9, f"n={n} max_identity_residual={worst:.2e}"
 
