@@ -128,17 +128,39 @@ def _upper_gamma(two_a: int, z: float) -> float:
     return g
 
 
+def _exp1(z: float) -> float:
+    """E1(z) = int_z^inf e^-x / x dx at z > 0: the series -gamma - ln z -
+    sum_n (-z)^n / (n n!) up to z = 1, beyond it the continued fraction of
+    Numerical Recipes' `expint` (n = 1) by the modified Lentz method."""
+    if z <= 1.0:
+        total, term, n = -0.5772156649015329 - math.log(z), 1.0, 0
+        while abs(term) > 1e-17 * abs(total):
+            n += 1
+            term *= -z / n
+            total -= term / n
+        return total
+    b, c = z + 1.0, 1e300
+    h = d = 1.0 / b
+    for i in range(1, 1000):
+        b += 2.0
+        d, c = 1.0 / (b - i * i * d), b - i * i / c
+        h *= c * d
+        if abs(c * d - 1.0) <= 1e-15:
+            break
+    return h * math.exp(-z)
+
+
 def _gauss_tail(m: int, s: float, K: float) -> float:
-    """Upper bound on int_K^inf k^m exp(-(s k)^2) dk for an integer power m."""
+    """Upper bound on int_K^inf k^m exp(-(s k)^2) dk for an integer power m: a
+    closed form over math.exp and math.erfc, and at m = -1, the one order
+    without an elementary closed form (N + 2j <= 2 only), E1((s K)^2) / 2."""
     if K <= 0.0:
         K = 1e-12
     z = (s * K) ** 2
     if m <= -2:
         return math.exp(-z) * K ** (m + 1) / (-m - 1.0)
     if m == -1:
-        # the one order without an elementary closed form (N + 2j <= 2 only)
-        from scipy.special import exp1
-        return 0.5 * float(exp1(z))
+        return 0.5 * _exp1(z)
     return 0.5 * s ** (-(m + 1.0)) * _upper_gamma(m + 1, z)
 
 
@@ -291,10 +313,9 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
 
     One adaptive_quadrature pass integrates the split integrand
     (_split_integrand).  Its break points are the region edges, sqrt(m1),
-    sqrt(m2) and the octaves of k0 = 2 pi / t; [0, k0], two periods of the
-    phase 2 r t (r ~ k there), starts from panels an eighth of a period wide,
-    pi / (4 t sqrt(beta / tau)), which bisection would otherwise reach pass
-    by pass.
+    sqrt(m2) and the octaves of k0 = 2 pi / t.  Near k = 0, where r t < pi and
+    the split is not trusted, the pass bisects the whole integrand while its
+    phase turns by more than pi, as on every other untrusted panel.
     """
     _validate_norm_args(dim, j, t, quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
@@ -312,10 +333,7 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                                                                   math.sqrt(thr.m2)])
     if t > 0.0:
         k0 = 2.0 * math.pi / t
-        window = min(k0, hi)
-        n = math.ceil(4.0 * t * math.sqrt(p.beta / p.tau) * window / math.pi)
-        edges = np.concatenate([edges, np.arange(n + 1) * (window / n),
-                                k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])
+        edges = np.concatenate([edges, k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])
     quad = adaptive_quadrature(_split_integrand(p, data, 2 * j + dim - 1, t, v_norm), lo, hi,
                                0.5 * quad_tol, initial_edges=edges)
     return replace(quad, value=max(quad.value, 0.0)), hi, tail_bound

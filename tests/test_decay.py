@@ -256,6 +256,15 @@ class TestQuadratureDiagnostics:
         assert np.all(curve.quad_error >= 0.0) and np.all(curve.tail_bound >= 0.0)
         assert np.all(curve.quad_nodes > 0) and np.all(curve.k_max > 0.0)
 
+    @pytest.mark.parametrize("tau", [1e-8, 1e-6])
+    def test_small_tau_certified_in_few_nodes(self, tau):
+        # near k = 0 the untrusted panels are bisected by the phase-turn rule, so
+        # no partition grows with t sqrt(beta / tau)
+        curve = decay_curve(validate(tau, 1.0), (ZERO, ZERO, GAUSS), 3, 0,
+                            [0.5, 10.0, 1e2, 1e3, 1e4], 1e-10)
+        assert np.all(curve.quad_error + curve.tail_bound <= curve.quad_tol)
+        assert np.all(curve.quad_nodes <= 2000), curve.quad_nodes
+
     def test_summary_reports_them_per_time(self):
         curve = decay_curve(P, (ZERO, ZERO, GAUSS), 3, 0, [1.0, 10.0, 100.0], 1e-10)
         payload = json.loads(json.dumps(decay_curve_summary(curve)))

@@ -1,10 +1,11 @@
-"""Import hygiene: the library and its scalar CLI commands never load scipy,
-and the front door loads no numpy.
+"""Import hygiene: the library, its scalar CLI commands and `mgt decay` never
+load scipy, and the front door loads no numpy.
 
-scipy is needed only by the expm oracle (`propagate_numeric`, `mgt verify`)
-and by the N + 2j <= 2 tail bound; every other `mgt` invocation must not pay
-its import time. `import mgt_spectral` and `mgt_spectral.cli` load `errors`
-and `params` only; the layer modules, and numpy with them, load on first use.
+scipy is needed only by the expm oracle (`propagate_numeric`, `mgt verify`);
+every other `mgt` invocation must not pay its import time, the N = 1 decay
+curves, whose tail bound takes the k^-1 order, included. `import mgt_spectral`
+and `mgt_spectral.cli` load `errors` and `params` only; the layer modules, and
+numpy with them, load on first use.
 The front door also loads no `dataclasses`, `inspect` or `json` (`json`
 loads in `mgt decay`), not the `mgt verify` suites in `mgt_spectral.verify`
 and not the `--config` handling in `mgt_spectral._config`.
@@ -23,7 +24,9 @@ import mgt_spectral, mgt_spectral.cli
 point = ["--tau", "0.1", "--beta", "1"]
 for argv in (["classify", *point],
              ["atlas", *point, "--k-count", "50"],
-             ["mode", *point, "--k", "1.5", "--t-count", "11"]):
+             ["mode", *point, "--k", "1.5", "--t-count", "11"],
+             ["decay", *point, "--dim", "1", "--data", "u0:zero,u1:gaussian:1:1,u2:zero",
+              "--t-count", "3"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert mgt_spectral.cli.main(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
