@@ -283,7 +283,7 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
         y0 = np.stack([prof(karr) for prof in data])
         y = solve_modes_on_grid(p, karr, *y0, t)
         lam, alpha = y.factor[3], y.factor[4]
-        r, dr, L, P, S = _split_terms(y.factor, y0)
+        r, L, P, S = _split_terms(y.factor, y0)
         trusted = r * t >= math.pi
         plain = smooth = amp1 = amp2 = 0.0
         # the terms may overflow where the split is not trusted; they are dropped there
@@ -298,7 +298,7 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
                 amp2 = amp2 + weight * e2a * (0.5 * (pp * pp - ss * ss) - 1j * pp * ss)
         return Split(plain=plain, trusted=trusted, smooth=np.where(trusted, smooth, 0.0),
                      amps=np.where(trusted, np.stack([amp1, amp2]), 0.0),
-                     phase=r * t, dphase=dr * t)
+                     phase=r * t)
 
     return integrand
 
@@ -550,7 +550,7 @@ def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarra
     harmonic of the phase 2tr: w cos^2(tr) = w/2 + (w/2) cos 2tr, trusted
     everywhere, or w sin^2(tr)/r^2 = w/(2r^2) - (w/(2r^2)) cos 2tr, trusted
     where r t >= pi (the split's terms grow like 1/r^2 near r = 0, where they
-    cancel)."""
+    cancel).  Untrusted panels are bisected until 2tr turns by at most pi."""
 
     def integrand(r: np.ndarray) -> Split:
         w = r**pw * np.exp(-c * r * r * t)
@@ -565,7 +565,7 @@ def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarra
             plain = w * np.cos(t * r) ** 2
             smooth = harmonic = 0.5 * w
         return Split(plain=plain, trusted=trusted, smooth=smooth, amps=harmonic[None],
-                     phase=2.0 * t * r, dphase=np.full(r.shape, 2.0 * t))
+                     phase=2.0 * t * r)
 
     return integrand
 

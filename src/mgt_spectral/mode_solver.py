@@ -281,18 +281,17 @@ def _directions(nodes: tuple, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _split_terms(nodes: tuple, y0: np.ndarray) -> tuple:
-    """(r, r', L, P, S) with exp(Phi t) y0 = e^{lam t} L + e^{alpha t}(P cos rt + S sin rt)
+    """(r, L, P, S) with exp(Phi t) y0 = e^{lam t} L + e^{alpha t}(P cos rt + S sin rt)
     on the rows of `nodes` whose quadratic factor has a complex pair alpha +- i r.
 
     The same Newton form as _propagate, with its divided differences written
     out: d0 = e^{alpha t} cos rt, d1 = e^{alpha t} sin(rt)/r and
     d2 = (e^{lam t} - (lam - alpha) d1 - d0) / den, den = (lam - alpha)^2 + r^2.
-    L, P and S do not depend on t; r' = dr/dk is the imaginary part of the
-    root's derivative -(dp/dk)/(dp/dz) on the cubic p.  Every amplitude
-    carries a factor 1/den or 1/r, so it is accurate only where r t is not
-    small; rows with q >= 0 get r = r' = 0, P = S = 0 and L = y0.
+    L, P and S do not depend on t.  Every amplitude carries a factor 1/den
+    or 1/r, so it is accurate only where r t is not small; rows with q >= 0
+    get r = 0, P = S = 0 and L = y0.
     """
-    a, b, c, lam, alpha, q = nodes
+    lam, alpha, q = nodes[3:]
     pair = q < 0.0
     r = np.sqrt(np.where(pair, -q, 0.0))
     rs = np.where(pair, r, 1.0)
@@ -301,12 +300,7 @@ def _split_terms(nodes: tuple, y0: np.ndarray) -> tuple:
     w1, w2 = _directions(nodes, y0)
     P = np.where(pair, -(dl * w1 + w2) / den, 0.0)
     S = np.where(pair, (r * r * w1 - dl * w2) / (den * rs), 0.0)
-    # p(z) = z^3 + a z^2 + b z + c with b, c proportional to k^2: dp/dk = 2 (b z + c) / k,
-    # and dp/dz = (z - conj z)(z - lam) = 2 i r (i r - (lam - alpha)) at z = alpha + i r
-    z = alpha + 1j * rs
-    k = np.where(pair, np.sqrt(c / a), 1.0)
-    dz_dk = -(b * z + c) / (k * 1j * rs * (1j * rs - dl))
-    return r, np.where(pair, dz_dk.imag, 0.0), np.where(pair, y0 - P, y0), P, S
+    return r, np.where(pair, y0 - P, y0), P, S
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,12 @@ Values are integrated by Clenshaw-Curtis weights, as accurate per node as
 Gauss on integrands like these (L. N. Trefethen, SIAM Rev. 50, 2008).  A
 Split takes Clenshaw-Curtis on its smooth part, and on each harmonic Levin
 collocation (D. Levin, Math. Comp. 38, 1982): F' + i phase' F = amplitude is
-solved by a polynomial F, and the integral is F e^{i phase} between the
-panel ends, exact for polynomial amplitudes however fast the phase turns.
-So panels follow the amplitudes and no width cap is needed; a caller that
-knows an oscillation's scale may still seed the partition through
-initial_edges.  The Split serves every decay norm and the three oscillating
-integral-lemma kernels.
+solved by a polynomial F, phase' read from the phase's interpolant, and the
+integral is F e^{i phase} between the panel ends, exact for polynomial
+amplitudes on a linear phase however fast it turns.  So panels follow the
+amplitudes and no width cap is needed; a caller that knows an oscillation's
+scale may still seed the partition through initial_edges.  The Split serves
+every decay norm and the three oscillating integral-lemma kernels.
 
 The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
 call on the norm path: a numpy-only batched elimination with partial pivoting
@@ -182,11 +182,13 @@ class Split:
     """An integrand sampled at nodes as a smooth part plus harmonics of one phase:
 
         smooth + sum_m Re(amps[m - 1] e^{i m phase})   where `trusted`,
-        plain                                          everywhere,
+        plain                                          everywhere.
 
-    with dphase the derivative of the phase.  Every field has the nodes' shape
-    (amps one axis more, the harmonics first).  Where a node is not trusted
-    the plain values are integrated; their phase is taken to be twice `phase`.
+    Every field has the nodes' shape (amps one axis more, the harmonics
+    first).  The phase's derivative is read from its samples, so the phase
+    need only be smooth on a panel.  Where a node is not trusted the plain
+    values are integrated; their phase is taken to be the highest
+    harmonic's, len(amps) times `phase`.
     """
 
     plain: np.ndarray
@@ -194,18 +196,17 @@ class Split:
     smooth: np.ndarray
     amps: np.ndarray
     phase: np.ndarray
-    dphase: np.ndarray
 
 
-def _levin(amp: np.ndarray, phase: np.ndarray, dphase: np.ndarray, half: np.ndarray,
-           d: np.ndarray) -> np.ndarray:
+def _levin(amp: np.ndarray, phase: np.ndarray, half: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Re int amp e^{i phase} over each panel by Levin collocation at the points of d.
 
-    F' + i phase' F = amp is collocated by a polynomial F; the integral is
+    F' + i phase' F = amp is collocated by a polynomial F, phase' read from the
+    phase's interpolant (by einsum, which pages in no BLAS); the integral is
     then [F e^{i phase}] between the panel ends, the first and last point.
     """
-    n = amp.shape[-1]
-    m = d + 1j * (half[:, None] * dphase)[:, :, None] * np.eye(n)
+    rate = np.einsum("ij,pj->pi", d, phase)
+    m = d + 1j * rate[:, :, None] * np.eye(amp.shape[-1])
     f = np.linalg.solve(m, (half[:, None] * amp)[..., None])[..., 0]
     return (f[:, 0] * np.exp(1j * phase[:, 0]) - f[:, -1] * np.exp(1j * phase[:, -1])).real
 
@@ -218,31 +219,32 @@ def _split_batch(s: Split, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     part and, per harmonic, Levin collocation where the harmonic's phase turns
     by more than pi over the panel, or Clenshaw-Curtis where it turns less.
     Any other panel takes Clenshaw-Curtis on the plain values, and is split
-    regardless of its error estimate while the plain integrand's phase (twice
-    `phase`) turns by more than pi, as is a Levin panel on which the phase
-    has a stationary point.
+    regardless of its error estimate while the plain integrand's phase (the
+    highest harmonic's) turns by more than pi, as is a Levin panel on which
+    the phase's 17-point interpolant has a stationary point.
     """
     shape = (half.size, _X17.size)
-    plain, trusted, smooth, phase, dphase = (np.reshape(v, shape) for v in (
-        s.plain, s.trusted, s.smooth, s.phase, s.dphase))
+    plain, trusted, smooth, phase = (np.reshape(v, shape) for v in (
+        s.plain, s.trusted, s.smooth, s.phase))
     amps = np.reshape(s.amps, (len(s.amps),) + shape)
     turn = np.abs(np.diff(phase, axis=1)).sum(axis=1)
     val, err = _clenshaw_curtis(plain, half)
-    err[2.0 * turn > np.pi] = np.inf
+    err[len(amps) * turn > np.pi] = np.inf
     split = trusted.all(axis=1)
     if split.any():
-        hs, ts = half[split], turn[split]
+        hs, ts, ps = half[split], turn[split], phase[split]
+        dp = np.einsum("ij,pj->pi", _D17, ps)
+        stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
         sval, serr = _clenshaw_curtis(smooth[split], hs)
         for m, amp in enumerate(amps[:, split], start=1):
-            ph, dph = m * phase[split], m * dphase[split]
+            ph = m * ps
             hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, hs)
             lev = m * ts > np.pi
             if lev.any():
-                a, p, dp, h = amp[lev], ph[lev], dph[lev], hs[lev]
-                l17 = _levin(a, p, dp, h, _D17)
-                l9 = _levin(a[:, ::2], p[:, ::2], dp[:, ::2], h, _D9)
+                a, p, h = amp[lev], ph[lev], hs[lev]
+                l17 = _levin(a, p, h, _D17)
+                l9 = _levin(a[:, ::2], p[:, ::2], h, _D9)
                 hval[lev], herr[lev] = l17, np.abs(l17 - l9)
-                stationary = dph.min(axis=1) * dph.max(axis=1) <= 0.0
                 herr[lev & stationary] = np.inf
             sval += hval
             serr += herr

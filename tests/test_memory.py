@@ -3,9 +3,9 @@
 At t = 1e4 in the near-conservative band the width-capped quadrature put
 several hundred thousand nodes into the first partition of a norm;
 evaluated in one integrand call they held about 150 MB of temporaries, and
-in blocks of _BLOCK_NODES about 13 MB.  Beyond the window [0, 2 pi / t] the
-norm is now integrated as an envelope plus Levin-integrated harmonics of the
-phase, with a few hundred nodes whatever t is.
+in blocks of _BLOCK_NODES about 13 MB.  From k = 0 on, the norm is now
+integrated as an envelope plus Levin-integrated harmonics of the phase
+wherever r t >= pi, with a few hundred nodes whatever t is.
 """
 
 import os

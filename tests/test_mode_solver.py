@@ -466,15 +466,9 @@ class TestSplitTerms:
         factor = _cubic_roots_batch(tau, beta, ks * ks)
         assert all(np.array_equal(a, b) for a, b in zip(state.factor, factor))
         y, lam, alpha = np.stack(state), factor[3], factor[4]
-        r, dr, L, P, S = _split_terms(state.factor, y0)
+        r, L, P, S = _split_terms(state.factor, y0)
         trusted = r * t >= math.pi
         assert trusted.any()
         rebuilt = np.exp(lam * t) * L + np.exp(alpha * t) * (P * np.cos(r * t) + S * np.sin(r * t))
         scale = np.abs(y0).max(axis=0) * (1.0 + ks * ks)
         assert np.all(np.abs(rebuilt - y)[:, trusted] <= 1e-12 * scale[trusted])
-        # r' against a centred difference of r
-        h = 1e-6
-        rp = lambda k: _split_terms(solve_modes_on_grid(p, k, *y0, t).factor, y0)[0]
-        fd = (rp(ks + h) - rp(ks - h)) / (2 * h)
-        away = trusted & (np.abs(fd) < 1e3)
-        assert np.allclose(dr[away], fd[away], rtol=1e-5, atol=1e-6)

@@ -177,8 +177,7 @@ class TestSplitRule:
             amps = np.stack([np.exp(-k) * (1.0 + 0.5j), 0.3 * np.exp(-k * k) + 0j])
             plain = (np.exp(-k * k) + (amps[0] * np.exp(1j * phase)).real
                      + (amps[1] * np.exp(2j * phase)).real)
-            return quadrature.Split(plain, trust(k), np.exp(-k * k), amps, phase,
-                                    t * (1.0 + 0.2 * k))
+            return quadrature.Split(plain, trust(k), np.exp(-k * k), amps, phase)
         return split
 
     @pytest.mark.parametrize("t", [0.0, 3.0, 100.0])
@@ -212,8 +211,7 @@ class TestSplitRule:
             phase = t * (k - 0.5) ** 2
             amp = np.exp(-4.0 * (k - 0.5) ** 2)
             return quadrature.Split((amp * np.exp(1j * phase)).real, np.ones(k.shape, bool),
-                                    np.zeros(k.shape), (amp + 0j)[None], phase,
-                                    2.0 * t * (k - 0.5))
+                                    np.zeros(k.shape), (amp + 0j)[None], phase)
 
         res = adaptive_quadrature(split, 0.0, 8.0, 1e-6)
         # composite 20-point Gauss-Legendre on 1e-4-wide panels; amp < e^-30 beyond 3.2
@@ -232,8 +230,7 @@ class TestSplitRule:
         def split(k):
             amp = np.exp(-k) + 0j
             return quadrature.Split(np.zeros(k.shape), np.ones(k.shape, bool),
-                                    np.zeros(k.shape), amp[None], t * (k - 0.5) ** 2,
-                                    2.0 * t * (k - 0.5))
+                                    np.zeros(k.shape), amp[None], t * (k - 0.5) ** 2)
 
         x = np.array([[0.5], [1.5]]) + 0.5 * quadrature._X17
         _, errs = quadrature._split_batch(split(x), np.array([0.5, 0.5]))
@@ -246,11 +243,44 @@ class TestSplitRule:
             theta = 16.0 * np.arccos(np.clip(2.0 * (k - np.floor(k)) - 1.0, -1.0, 1.0))
             return quadrature.Split(np.sin(theta) ** 2, np.zeros(k.shape, bool),
                                     np.zeros(k.shape), np.zeros((1,) + k.shape, complex),
-                                    0.5 * theta, np.zeros(k.shape))
+                                    theta)
 
         res = adaptive_quadrature(split, 0.0, 8.0, 1e-9)
         # per panel: int_0^pi sin^2(16 s) sin(s) / 2 ds = 1/2 + 1/2046
         assert res.value == pytest.approx(8.0 * (0.5 + 1.0 / 2046.0), abs=1e-9)
+
+    def test_untrusted_panels_turn_with_the_highest_harmonic(self):
+        # one untrusted panel on which the phase turns by 3 pi / 4: the plain values
+        # turn as the highest harmonic does, by less than pi with one harmonic
+        x = 0.5 + 0.5 * quadrature._X17
+        phase = 0.75 * np.pi * x
+        amp = np.exp(-x) + 0j
+        one = quadrature.Split((amp * np.exp(1j * phase)).real, np.zeros(x.shape, bool),
+                               np.zeros(x.shape), amp[None], phase)
+        two = dataclasses.replace(one, amps=np.stack([amp, np.zeros(x.shape, complex)]))
+        _, err = quadrature._split_batch(one, np.array([0.5]))
+        assert np.isfinite(err[0])
+        _, err = quadrature._split_batch(two, np.array([0.5]))
+        assert err[0] == np.inf
+
+    @pytest.mark.parametrize("t", [1e2, 1e3])
+    def test_phase_derivative_is_read_from_a_non_polynomial_phase(self, t):
+        # phase t sqrt(1 + k^2), stationary at k = 0, which no 17-point interpolant
+        # differentiates exactly
+        def split(k):
+            phase = t * np.sqrt(1.0 + k * k)
+            amp = np.exp(-k) * (1.0 + 0.5j)
+            return quadrature.Split((amp * np.exp(1j * phase)).real, np.ones(k.shape, bool),
+                                    np.zeros(k.shape), amp[None], phase)
+
+        res = adaptive_quadrature(split, 0.0, 5.0, 1e-12)
+        # scipy on the half periods of the phase, where it turns by pi
+        turns = np.arange(0.0, t * (np.sqrt(26.0) - 1.0) / np.pi)
+        edges = np.append(np.sqrt(((t + np.pi * turns) / t) ** 2 - 1.0), 5.0)
+        ref = sum(quad(lambda k: split(np.array([k])).plain[0], a, b, epsabs=0.0,
+                       epsrel=1e-12, limit=200)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+        assert abs(res.value - ref) <= 1e-12 and res.n_nodes < 1000
 
     @pytest.mark.parametrize("field, bad", [("plain", np.nan), ("plain", np.inf),
                                             ("smooth", np.nan)])
