@@ -10,7 +10,7 @@ statement under test concerns rates and relative constants, which are
 invariant under a fixed multiplicative factor.
 
 Truncation of the infinite range is certified: the mode energy is
-nonincreasing and bounded by a Gaussian-type envelope of the initial data,
+nonincreasing and bounded by the initial energy's monomial-Gaussian envelope,
 and beyond the truncation point the measured Lyapunov decay factor
 exp(-gamma5 rho(K) t) shrinks the admissible tail further, which is what
 makes the large-time sweeps cheap.
@@ -165,29 +165,24 @@ def _gauss_tail(m: int, s: float, K: float) -> float:
 
 
 def _envelope_monomials(p: ModelParams, data: DataTriple) -> tuple[list[tuple[float, int]], float]:
-    """Monomials (coef, power) with E(k, 0) <= sum coef k^power exp(-(s_min k)^2)."""
+    """Monomials (coef, power) with E(k, 0) <= sum coef k^power exp(-(s_min k)^2):
+    each profile as |amplitude| (scale k)^order, the three squares of E(k, 0)
+    expanded term by term; exact for data of one scale and one sign."""
     active = [prof for prof in data if prof.amplitude != 0.0]
     if not active:
         return [], 1.0
     s_min = min(prof.scale for prof in active)
-
-    def lin(prof: FrequencyProfile) -> tuple[float, float]:
-        # |profile(k)| <= a + b*k  (times the shared Gaussian factor)
-        return abs(prof.amplitude), abs(prof.amplitude) * prof.scale
-
-    a0, b0 = lin(data[0])
-    a1, b1 = lin(data[1])
-    a2, b2 = lin(data[2])
+    (c0, o0), (c1, o1), (c2, o2) = ((abs(prof.amplitude) * prof.scale ** prof.kind.order,
+                                     prof.kind.order) for prof in data)
     tau, beta = p.tau, p.beta
 
-    def sq(a: float, b: float, shift: int) -> list[tuple[float, int]]:
-        return [(a * a, shift), (2 * a * b, shift + 1), (b * b, shift + 2)]
+    def sq(terms: list[tuple[float, int]], weight: float, shift: int) -> list[tuple[float, int]]:
+        # weight k^shift (sum c k^power)^2, term by term
+        return [(weight * c * d, shift + m + n) for c, m in terms for d, n in terms]
 
-    mono: list[tuple[float, int]] = []
-    mono += sq(a1 + tau * a2, b1 + tau * b2, 0)                      # |u1 + tau u2|^2
-    w = tau * (beta - tau)
-    mono += [(w * c, pw) for c, pw in sq(a1, b1, 2)]                 # tau(beta-tau) k^2 |u1|^2
-    mono += sq(a0 + tau * a1, b0 + tau * b1, 2)                      # k^2 |u0 + tau u1|^2
+    mono = (sq([(c1, o1), (tau * c2, o2)], 1.0, 0)           # |u1 + tau u2|^2
+            + sq([(c1, o1)], tau * (beta - tau), 2)          # tau(beta-tau) k^2 |u1|^2
+            + sq([(c0, o0), (tau * c1, o1)], 1.0, 2))        # k^2 |u0 + tau u1|^2
     return [(0.5 * c, pw) for c, pw in mono if c != 0.0], s_min
 
 
@@ -312,10 +307,11 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     interval, k_max is its end and the tail bound 0.
 
     One adaptive_quadrature pass integrates the split integrand
-    (_split_integrand).  Its break points are the region edges, sqrt(m1),
-    sqrt(m2) and the octaves of k0 = 2 pi / t.  Near k = 0, where r t < pi and
-    the split is not trusted, the pass bisects the whole integrand while its
-    phase turns by more than pi, as on every other untrusted panel.
+    (_split_integrand).  Its break points are the integrand's own: the
+    double roots sqrt(m1), sqrt(m2) and the octaves of k0 = 2 pi / t.  Near
+    k = 0, where r t < pi and the split is not trusted, the pass bisects the
+    whole integrand while its phase turns by more than pi, as on every other
+    untrusted panel.
     """
     _validate_norm_args(dim, j, t, quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
@@ -328,9 +324,8 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     else:
         lo, hi = interval
 
-    split, thr = region_split(p), cardano_thresholds(p)
-    edges = [split.nu1, split.nu2] + ([] if thr.m1 is None else [math.sqrt(thr.m1),
-                                                                  math.sqrt(thr.m2)])
+    thr = cardano_thresholds(p)
+    edges = [] if thr.m1 is None else [math.sqrt(thr.m1), math.sqrt(thr.m2)]
     if t > 0.0:
         k0 = 2.0 * math.pi / t
         edges = np.concatenate([edges, k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])

@@ -105,18 +105,19 @@ class ProfileKind(Enum):
     GAUSSIAN = "Gaussian"
     MOMENT_FREE_GAUSSIAN = "MomentFreeGaussian"
 
+    @property
+    def order(self) -> int:
+        """The order of the profile's zero at k = 0."""
+        return 0 if self is ProfileKind.GAUSSIAN else 1
+
 
 @dataclass(frozen=True)
 class FrequencyProfile:
-    """Radial frequency-space profile for one component of the initial data.
-
-    Gaussian:            amplitude * exp(-(scale*k)^2 / 2)
-    MomentFreeGaussian:  amplitude * (scale*k) * exp(-(scale*k)^2 / 2),
-                         the stand-in for zero-mean data with a finite first
-                         moment (vanishes at k = 0, bounded by amplitude*scale*k).
-
-    Both obey the envelope |f(k)| <= |amplitude| * (1 + scale*k)
-    * exp(-(scale*k)^2 / 2), which decay's tail certification relies on.
+    """Radial frequency-space profile for one component of the initial data,
+    amplitude * (scale*k)^order * exp(-(scale*k)^2 / 2) with order = kind.order:
+    Gaussian (order 0) for L1 data, MomentFreeGaussian (order 1, vanishing like
+    k) for zero-mean data with a finite first moment.  decay's tail certification
+    bounds it by the same monomial times exp(-(s*k)^2 / 2) for any s <= scale.
     """
 
     kind: ProfileKind
@@ -132,17 +133,12 @@ class FrequencyProfile:
             raise ValueError("profile amplitude must be finite")
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        if self.amplitude == 0.0:
-            return np.zeros_like(k)
-        s = self.scale * k
-        if self.kind is ProfileKind.GAUSSIAN:
-            return self.amplitude * np.exp(-0.5 * s * s)
-        return self.amplitude * s * np.exp(-0.5 * s * s)
+        s = self.scale * np.asarray(k, dtype=float)
+        return self.amplitude * s**self.kind.order * np.exp(-0.5 * s * s)
 
     @property
     def vanishes_at_zero(self) -> bool:
-        return self.amplitude == 0.0 or self.kind is ProfileKind.MOMENT_FREE_GAUSSIAN
+        return self.amplitude == 0.0 or self.kind.order > 0
 
     @staticmethod
     def gaussian(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
@@ -235,7 +231,9 @@ def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
     double or triple root do not spoil the result.  The second form is the
     one applied: at k = 0 the u'' row decouples, (Phi - lam) y0 has an exact
     zero there (lam = -1/tau), and u'' = e^{-t/tau} u''(0) keeps its
-    relative accuracy however fast it decays.
+    relative accuracy however fast it decays.  Off the series rows g0 is taken
+    as ((lam - alpha)(e^{lam t} - d0) - q d1) / den, den = (lam - alpha)^2 - q,
+    which does not cancel when lam (about -1/tau) lies far from the pair.
     """
     a, b, c, lam, alpha, q = nodes
     t = np.asarray(t, dtype=float)
@@ -269,8 +267,9 @@ def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
             acc = acc + weight * h[2]
         d2[series] = np.exp(-a * ts / 3.0) * ts * ts * acc
 
+    g0 = np.where(series, d1 + dl * d2, (dl * (e_lam - d0) - q * d1) / np.where(series, 1.0, den))
     w1, w2 = _directions(nodes, y0)
-    return e_lam * y0 + (d1 + dl * d2) * w1 + d2 * w2
+    return e_lam * y0 + g0 * w1 + d2 * w2
 
 
 def _directions(nodes: tuple, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -95,7 +95,7 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
 
     f maps a flat array of nodes to the integrand's values there, or to its
     Split there, pointwise; it is called on blocks of at most _BLOCK_NODES
-    nodes.  initial_edges may inject break points such as region boundaries
+    nodes.  initial_edges may inject break points such as double roots
     or a partition that resolves a known oscillation; the initial partition
     is those in [a, b], each piece cut into equal panels, _MIN_INTERVALS at
     least in all.  Raises QuadratureFailure when the initial partition or the

@@ -515,3 +515,92 @@ class TestBoundVerdict:
         # the absolute slack absorbs it, and so does a slower bound exponent
         assert bound_verdict(curve, -0.5, 1e-3)[0]
         assert bound_verdict(curve, -0.4, 0.0)[0]
+
+
+class TestDataEnvelope:
+    """The tail envelope of _envelope_monomials against the mode energy E(k, 0)
+    of the data, from lyapunov.functionals."""
+
+    P03 = validate(0.3, 1.0)
+    KS = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 200)])
+
+    @staticmethod
+    def _ratio(p, data, ks, shrink=1.0):
+        from mgt_spectral import ModeState, default_weights, functionals
+        from mgt_spectral.decay import _envelope_monomials
+
+        mono, s_min = _envelope_monomials(p, data)
+        envelope = sum(c * ks**pw for c, pw in mono) * np.exp(-(s_min * ks) ** 2)
+        state = ModeState(*(prof(ks) for prof in data), k=ks)
+        energy = functionals(p, state, default_weights(p)).energy
+        return shrink * envelope / energy
+
+    @pytest.mark.parametrize("kinds", ["ggg", "gmm", "mgm", "mmg"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_for_data_of_one_scale_and_sign(self, kinds, sign):
+        make = {"g": FrequencyProfile.gaussian, "m": FrequencyProfile.moment_free}
+        data = tuple(make[kd](1.3, sign * amp) for kd, amp in zip(kinds, (0.7, 2.0, 1.1)))
+        ks = self.KS[1:] if kinds[1:] == "mm" else self.KS  # E(0, 0) = 0 there
+        ratio = self._ratio(self.P03, data, ks)
+        assert np.abs(ratio - 1.0).max() <= 1e-13
+        # negative control: an envelope 1e-6 too small falls below the energy
+        assert self._ratio(self.P03, data, ks, shrink=1.0 - 1e-6).min() < 1.0
+
+    def test_certified_for_random_signs_scales_and_kinds(self):
+        rng = np.random.default_rng(2604)
+        kinds = (ProfileKind.GAUSSIAN, ProfileKind.MOMENT_FREE_GAUSSIAN)
+        for _ in range(60):
+            beta = rng.uniform(0.5, 2.0)
+            p = validate(rng.uniform(0.01, 0.99) * beta, beta)
+            data = tuple(FrequencyProfile(kinds[rng.integers(2)], rng.uniform(0.3, 3.0),
+                                          rng.choice([-1.0, 1.0, 0.0]) * rng.uniform(0.1, 3.0))
+                         for _ in range(3))
+            if all(prof.amplitude == 0.0 for prof in data):
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = self._ratio(p, data, self.KS)
+            assert np.all(np.isnan(ratio) | (ratio >= 1.0 - 1e-13)), data
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize("amplitude", [1.0, -2.5, 0.0, 1e-200])
+    def test_profile_values_are_the_two_formulas_bit_for_bit(self, scale, amplitude):
+        k = np.concatenate([[0.0], np.geomspace(1e-6, 60.0, 500)])
+        s = scale * k
+        gauss = FrequencyProfile.gaussian(scale, amplitude)
+        moment_free = FrequencyProfile.moment_free(scale, amplitude)
+        assert gauss.kind.order == 0 and moment_free.kind.order == 1
+        assert gauss(k).tobytes() == (amplitude * np.exp(-0.5 * s * s)).tobytes()
+        assert moment_free(k).tobytes() == (amplitude * s * np.exp(-0.5 * s * s)).tobytes()
+        assert FrequencyProfile.zero()(k).tobytes() == np.zeros_like(k).tobytes()
+
+
+def _damped_wave(k: float, t: float, beta: float = 1.0) -> float:
+    """u(t) of the strongly damped wave u'' + beta k^2 u' + k^2 u = 0, the tau -> 0
+    limit of each mode, with u(0) = 1 and u'(0) = 0, in closed form: the roots
+    a +- d, a = -beta k^2 / 2, d^2 = a^2 - k^2, written without cancellation."""
+    a = -0.5 * beta * k * k
+    disc = 0.25 * beta * beta * k * k - 1.0
+    if disc >= 0.0:  # real roots: e^{(a + d) t}((1 + e^{-2dt})/2 - a t (1 - e^{-2dt})/(2dt))
+        d = k * math.sqrt(disc)
+        y = 2.0 * d * t
+        frac = -math.expm1(-y) / y if y > 0.0 else 1.0
+        return math.exp((a + d) * t) * (0.5 * (1.0 + math.exp(-y)) - a * t * frac)
+    x = k * math.sqrt(-disc) * t  # a complex pair a +- i w: e^{at}(cos wt - a t sin(wt)/(wt))
+    return math.exp(a * t) * (math.cos(x) - a * t * (math.sin(x) / x if x > 0.0 else 1.0))
+
+
+class TestVanishingRelaxationLimit:
+    """As tau -> 0 the norm tends to the strongly damped wave's, at first order in
+    tau: (J(tau) - J(0)) / tau settles, with J(0) from _damped_wave."""
+
+    @pytest.mark.parametrize("t", [1.0, 10.0])
+    def test_first_order_in_tau(self, t):
+        from scipy.integrate import quad
+
+        j_zero = quad(lambda k: math.exp(-k * k) * _damped_wave(k, t) ** 2, 0.0, 12.0,
+                      epsabs=1e-15, epsrel=1e-13, limit=200, points=[2.0])[0]
+        data = (GAUSS, ZERO, ZERO)
+        slopes = [(sobolev_norm_sq(validate(tau, 1.0), data, 1, 0, t, 1e-13) - j_zero) / tau
+                  for tau in (1e-6, 1e-8)]
+        assert slopes[0] == pytest.approx(slopes[1], rel=1e-3)
+        assert 0.0 < slopes[1] < 1.0

@@ -472,3 +472,43 @@ class TestSplitTerms:
         rebuilt = np.exp(lam * t) * L + np.exp(alpha * t) * (P * np.cos(r * t) + S * np.sin(r * t))
         scale = np.abs(y0).max(axis=0) * (1.0 + ks * ks)
         assert np.all(np.abs(rebuilt - y)[:, trusted] <= 1e-12 * scale[trusted])
+
+
+class TestSmallTauAgainstMpmath:
+    """Small tau/beta, where the fast root lam ~ -1/tau lies far from the pair and
+    the Newton coefficient must not cancel: u and u' against a 40-digit
+    eigen-expansion of each unit initial vector."""
+
+    KS = np.geomspace(1e-2, 10.0, 7)
+    TIMES = (0.5, 10.0, 1e3)
+
+    @staticmethod
+    def _reference(mp, tau, k, unit, times):
+        """(u, u') at each time, sum_j c_j lam_j^m e^{lam_j t}, the c_j from the
+        Vandermonde system of the three roots of tau z^3 + z^2 + k^2 z + k^2."""
+        tau, k = mp.mpf(tau), mp.mpf(k)
+        lams = mp.polyroots([tau, 1, k * k, k * k], maxsteps=200, extraprec=200)
+        c = mp.lu_solve(mp.matrix([[lam**i for lam in lams] for i in range(3)]),
+                        mp.matrix([1 if i == unit else 0 for i in range(3)]))
+        return [[float(mp.re(sum(cj * lam**m * mp.exp(lam * mp.mpf(t))
+                                 for cj, lam in zip(c, lams)))) for m in range(2)]
+                for t in times]
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-6, 1e-8, 1e-10])
+    def test_u_and_u_t_of_each_unit_vector(self, tau):
+        mp = pytest.importorskip("mpmath")
+        p = validate(tau, 1.0)
+        worst = {}
+        with mp.workdps(40):
+            for unit in range(3):
+                y0 = [np.full(self.KS.size, float(i == unit)) for i in range(3)]
+                got = [np.array(solve_modes_on_grid(p, self.KS, *y0, t))[:2] for t in self.TIMES]
+                for i, k in enumerate(self.KS):
+                    for g, ref in zip(got, self._reference(mp, tau, k, unit, self.TIMES)):
+                        for m in range(2):
+                            # below 1e-250 the state is at the underflow end: compare absolutely
+                            err = abs(g[m, i] - ref[m]) / max(abs(ref[m]), 1e-250)
+                            worst[unit, m] = max(worst.get((unit, m), 0.0), err)
+        assert max(worst[unit, 0] for unit in range(3)) <= 1e-11, worst
+        # u' from u''(0) = 1 is left out: its loss is componentwise, not this cancellation
+        assert max(worst[0, 1], worst[1, 1]) <= 1e-12, worst
