@@ -28,7 +28,7 @@ cut.  Panels that touch a confluence (k near 0, sqrt(m1), sqrt(m2) or the
 triple root, where r t < pi and the split is ill-conditioned) and the
 three-real window take the whole integrand, bisected while its phase turns
 by more than pi.  Each integrand call solves the modes once
-(solve_modes_on_grid) and splits them on the same factor of the cubic.  The
+(solve_modes_on_grid), which returns their split with them.  The
 oscillating integral-lemma kernels go through the same quadrature
 (integral_lemma_check).
 """
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import lyapunov
 from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
-from .mode_solver import DataTriple, FrequencyProfile, _split_terms, solve_modes_on_grid
+from .mode_solver import DataTriple, FrequencyProfile, solve_modes_on_grid
 from .params import DataClass, ModelParams, cardano_thresholds, high_frequency_rate, theorem_rates
 from .quadrature import QuadResult, Split, adaptive_quadrature
 from .spectrum import eigenvalues
@@ -264,8 +264,7 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
     """The norm integrand as envelope plus the harmonics of the phase r t.
 
     With z = e^{lam t} l + e^{alpha t}(P cos rt + S sin rt) for each functional
-    of the state (_split_terms on the factor solve_modes_on_grid propagated
-    with), z^2 is the envelope
+    of the state (the split that solve_modes_on_grid returns), z^2 is the envelope
     e^{2 lam t} l^2 + e^{2 alpha t}(P^2 + S^2)/2, plus e^{2 alpha t} times
     (P^2 - S^2)/2 cos 2rt + P S sin 2rt, plus 2 e^{(lam + alpha) t} l times
     (P cos rt + S sin rt).  The split is trusted where r t >= pi: its terms
@@ -275,13 +274,10 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
     forms = _functionals(p.tau, v_norm)
 
     def integrand(karr: np.ndarray) -> Split:
-        y0 = np.stack([prof(karr) for prof in data])
-        y = solve_modes_on_grid(p, karr, *y0, t)
-        lam, alpha = y.factor[3], y.factor[4]
-        r, L, P, S = _split_terms(y.factor, y0)
-        trusted = r * t >= math.pi
+        y = solve_modes_on_grid(p, karr, *(prof(karr) for prof in data), t)
+        lam, alpha, r, L, P, S = y.split
         plain = smooth = amp1 = amp2 = 0.0
-        # the terms may overflow where the split is not trusted; they are dropped there
+        # the split's terms may overflow where it is not trusted; no panel reads them there
         with np.errstate(over="ignore", invalid="ignore"):
             e2a, e2l, ela = np.exp(2.0 * alpha * t), np.exp(2.0 * lam * t), np.exp((lam + alpha) * t)
             for kp, form in forms:
@@ -291,9 +287,8 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
                 smooth = smooth + weight * (e2l * l * l + 0.5 * e2a * (pp * pp + ss * ss))
                 amp1 = amp1 + weight * 2.0 * ela * l * (pp - 1j * ss)
                 amp2 = amp2 + weight * e2a * (0.5 * (pp * pp - ss * ss) - 1j * pp * ss)
-        return Split(plain=plain, trusted=trusted, smooth=np.where(trusted, smooth, 0.0),
-                     amps=np.where(trusted, np.stack([amp1, amp2]), 0.0),
-                     phase=r * t)
+        return Split(plain=plain, trusted=r * t >= math.pi, smooth=smooth,
+                     amps=np.stack([amp1, amp2]), phase=r * t)
 
     return integrand
 

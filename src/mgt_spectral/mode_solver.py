@@ -12,11 +12,11 @@ one real root and the quadratic factor of the cubic, so the form is
 continuous through every confluence (double roots at m1, m2 and k = 0, the
 triple root at the critical ratio) and needs no pattern switch, no
 Vandermonde solve and no conditioning gate.  Derivatives are components of
-the propagated state, never finite differences.  The norm quadratures also
-take the same Newton form written out on a complex pair alpha +- i r,
-e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with L, P, S free of t
-(_split_terms), to integrate its oscillation separately; it reads the
-factor of the cubic that solve_modes_on_grid returns with the states.
+the propagated state, never finite differences.  For the norm quadratures,
+solve_modes_on_grid also returns the states' split, the same Newton form
+written out on a complex pair alpha +- i r from the same directions:
+e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with L, P, S free of t, whose
+oscillation the quadratures integrate separately.
 
 The per-pattern expansion coefficients of mode_coefficients (real root plus
 conjugate pair, three distinct reals, real double root, real triple root)
@@ -213,9 +213,10 @@ def _apply_phi(a: float, b: np.ndarray, c: np.ndarray, y: np.ndarray) -> np.ndar
     return np.stack([y[1], y[2], -(c * y[0] + b * y[1] + a * y[2])])
 
 
-def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
+def _propagate(nodes: tuple, y0: np.ndarray, t, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
     """exp(Phi t) y0 for states y0 of shape (3, ...), Phi given by the factor
-    nodes = (a, b, c, lam, alpha, q) of spectrum._cubic_roots_batch.
+    nodes = (a, b, c, lam, alpha, q) of spectrum._cubic_roots_batch and
+    w1, w2 the Newton directions of y0 (_directions).
 
     Phi's characteristic cubic is z^3 + a z^2 + b z + c, lam a real root and
     (z - alpha)^2 - q the quadratic factor it leaves.  The node arrays and t
@@ -268,7 +269,6 @@ def _propagate(nodes: tuple, y0: np.ndarray, t) -> np.ndarray:
         d2[series] = np.exp(-a * ts / 3.0) * ts * ts * acc
 
     g0 = np.where(series, d1 + dl * d2, (dl * (e_lam - d0) - q * d1) / np.where(series, 1.0, den))
-    w1, w2 = _directions(nodes, y0)
     return e_lam * y0 + g0 * w1 + d2 * w2
 
 
@@ -277,29 +277,6 @@ def _directions(nodes: tuple, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, lam, alpha, _ = nodes
     w1 = _apply_phi(a, b, c, y0) - lam * y0
     return w1, _apply_phi(a, b, c, w1) - alpha * w1
-
-
-def _split_terms(nodes: tuple, y0: np.ndarray) -> tuple:
-    """(r, L, P, S) with exp(Phi t) y0 = e^{lam t} L + e^{alpha t}(P cos rt + S sin rt)
-    on the rows of `nodes` whose quadratic factor has a complex pair alpha +- i r.
-
-    The same Newton form as _propagate, with its divided differences written
-    out: d0 = e^{alpha t} cos rt, d1 = e^{alpha t} sin(rt)/r and
-    d2 = (e^{lam t} - (lam - alpha) d1 - d0) / den, den = (lam - alpha)^2 + r^2.
-    L, P and S do not depend on t.  Every amplitude carries a factor 1/den
-    or 1/r, so it is accurate only where r t is not small; rows with q >= 0
-    get r = 0, P = S = 0 and L = y0.
-    """
-    lam, alpha, q = nodes[3:]
-    pair = q < 0.0
-    r = np.sqrt(np.where(pair, -q, 0.0))
-    rs = np.where(pair, r, 1.0)
-    dl = lam - alpha
-    den = np.where(pair, dl * dl - q, 1.0)
-    w1, w2 = _directions(nodes, y0)
-    P = np.where(pair, -(dl * w1 + w2) / den, 0.0)
-    S = np.where(pair, (r * r * w1 - dl * w2) / (den * rs), 0.0)
-    return r, np.where(pair, y0 - P, y0), P, S
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +367,7 @@ def _evaluate(nodes: tuple, init: ModeState, t) -> tuple:
     """(u, u', u'') at t of the mode with factor `nodes` and initial state `init`."""
     t = np.asarray(t, dtype=float)
     y0 = init.as_array().reshape((3,) + (1,) * (t.ndim + 1))
-    y = _propagate(nodes, y0, t[..., None])[..., 0]
+    y = _propagate(nodes, y0, t[..., None], *_directions(nodes, y0))[..., 0]
     return tuple(complex(x) if t.ndim == 0 else x for x in y)
 
 
@@ -414,8 +391,9 @@ def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[f
     The third derivative is the kernel applied to Phi y0, independently of
     the propagated state.
     """
-    y0 = init.as_array()
-    y = _propagate(_mode_nodes(p, k, init), np.stack([y0, mode_matrix(p, k) @ y0], axis=1), t)
+    nodes, y0 = _mode_nodes(p, k, init), init.as_array()
+    ys = np.stack([y0, mode_matrix(p, k) @ y0], axis=1)
+    y = _propagate(nodes, ys, t, *_directions(nodes, ys))
     u, v, w, w_t = (complex(x) for x in (*y[:, 0], y[2, 1]))
     k2 = k * k
     res = abs(p.tau * w_t + w + k2 * u + p.beta * k2 * v)
@@ -450,12 +428,15 @@ def v_vector(p: ModelParams, state: ModeState) -> VVector:
 
 class GridModes(tuple):
     """(u, u_t, u_tt) on an array of frequency magnitudes, as solve_modes_on_grid
-    returns it, with `factor`, the factor (a, b, c, lam, alpha, q) of the cubic
-    it was propagated with (spectrum._cubic_roots_batch), for _split_terms."""
+    returns it, with `split` = (lam, alpha, r, L, P, S): each state is
+    e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) where the cubic has a complex
+    pair alpha +- i r, and L, P, S do not depend on t.  Every amplitude carries
+    a factor 1/r or 1/((lam - alpha)^2 + r^2), so the split is accurate only
+    where r t is not small; rows without a pair get r = 0, P = S = 0, L = y0."""
 
-    def __new__(cls, y, factor: tuple):
+    def __new__(cls, y, split: tuple):
         self = super().__new__(cls, y)
-        self.factor = factor
+        self.split = split
         return self
 
 
@@ -464,12 +445,24 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     """Closed-form (u, u_t, u_tt) at time t for an array of frequency magnitudes.
 
     One call of the mode kernel and one root solve; the hot path of the norm
-    quadratures.  The three arrays unpack as a tuple, whose `factor` is the
-    factor of the cubic they were propagated with.  The results are real for
-    real data and complex for complex data.  Raises InvalidFrequency where
-    beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
+    quadratures.  The data broadcast against ks.  The three arrays unpack as a
+    tuple, whose `split` writes them out on the complex pair of the cubic,
+    from the same Newton directions.  The results are real for real data and
+    complex for complex data.  Raises InvalidFrequency where beta*k^2/tau
+    exceeds spectrum.MAX_STIFFNESS.
     """
     ks = np.asarray(ks, dtype=float)
-    y0 = np.stack(np.broadcast_arrays(u0, u1, u2))
-    factor = _cubic_roots_batch(p.tau, p.beta, ks * ks)
-    return GridModes(_propagate(factor, y0, t), factor)
+    y0 = np.stack(np.broadcast_arrays(u0, u1, u2, ks)[:3])
+    nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)
+    lam, alpha, q = nodes[3:]
+    w1, w2 = _directions(nodes, y0)
+    # _propagate's form on a pair, its divided differences written out:
+    # d0 = e^{alpha t} cos rt, d1 = e^{alpha t} sin(rt)/r and
+    # d2 = (e^{lam t} - (lam - alpha) d1 - d0) / den, den = (lam - alpha)^2 + r^2
+    pair = q < 0.0
+    r = np.sqrt(np.where(pair, -q, 0.0))
+    dl = lam - alpha
+    den = np.where(pair, dl * dl - q, 1.0)
+    P = np.where(pair, -(dl * w1 + w2) / den, 0.0)
+    S = np.where(pair, (r * r * w1 - dl * w2) / (den * np.where(pair, r, 1.0)), 0.0)
+    return GridModes(_propagate(nodes, y0, t, w1, w2), (lam, alpha, r, y0 - P, P, S))

@@ -8,9 +8,9 @@ order 9 of the points at even slots; an infinite estimate forces bisection,
 and a panel value that is not finite or a NaN estimate raises
 QuadratureFailure.  The integrand sees blocks of at most _BLOCK_NODES nodes,
 whole panels, which keeps the mode solver vectorized while memory stays
-bounded however fine the partition.  Panel sums are compensated and in a
-fixed order, so results are bit-reproducible for fixed inputs and for any
-block size.
+bounded however fine the partition.  The panel values are summed by
+math.fsum, which is correctly rounded and so independent of their order:
+results are bit-reproducible for fixed inputs and for any block size.
 
 Values are integrated by Clenshaw-Curtis weights, as accurate per node as
 Gauss on integrands like these (L. N. Trefethen, SIAM Rev. 50, 2008).  A
@@ -24,9 +24,10 @@ scale may still seed the partition through initial_edges.  The Split serves
 every decay norm and the three oscillating integral-lemma kernels.
 
 The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
-call on the norm path: a numpy-only batched elimination with partial pivoting
-agreed to 1e-14 and paged 1.7 MB less of numpy's OpenBLAS, but took 0.43-0.84
-ms against 0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
+call on the norm path; it pages in 764 KB of numpy's OpenBLAS over one
+decay_curves cycle of bench/run.py (smaps diff).  A numpy-only batched
+elimination with partial pivoting agreed to 1e-14 but took 0.43-0.84 ms
+against 0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
         vals = np.concatenate([vals[keep], nv])
         errs = np.concatenate([errs[keep], ne])
 
-    order = np.argsort(lefts, kind="stable")
-    total = math.fsum(vals[order].tolist())
-    return QuadResult(value=total, error=float(errs.sum()), n_nodes=n_nodes,
+    return QuadResult(value=math.fsum(vals.tolist()), error=float(errs.sum()), n_nodes=n_nodes,
                       n_intervals=lefts.size)
 
 
@@ -188,7 +187,9 @@ class Split:
     first).  The phase's derivative is read from its samples, so the phase
     need only be smooth on a panel.  Where a node is not trusted the plain
     values are integrated; their phase is taken to be the highest
-    harmonic's, len(amps) times `phase`.
+    harmonic's, len(amps) times `phase`.  smooth and amps are read only on
+    panels whose nodes are all trusted, so entries off `trusted` are never
+    read and may be anything, inf and NaN included.
     """
 
     plain: np.ndarray

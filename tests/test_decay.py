@@ -445,10 +445,10 @@ class TestNoLeastSquaresSolver:
 
         propagate, series_rows = mode_solver._propagate, []
 
-        def spy(nodes, y0, t):
+        def spy(nodes, y0, t, w1, w2):
             _, _, _, lam, alpha, q = nodes
             series_rows.append(int(np.sum(np.abs((lam - alpha) ** 2 - q) * t * t < 1.0)))
-            return propagate(nodes, y0, t)
+            return propagate(nodes, y0, t, w1, w2)
 
         monkeypatch.setattr(mode_solver, "_propagate", spy)
         ts = np.array([0.05, 1.0, 1e2, 1e3, 1e4, 3e4])

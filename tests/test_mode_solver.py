@@ -276,6 +276,14 @@ class TestGridEvaluation:
         ref = solve_mode(P_CRIT, math.sqrt(3.0), ModeState(1.0, 0.0, 0.0, math.sqrt(3.0)), 1.0)
         assert abs(u[1] - ref.u_hat) <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_scalar_data_broadcasts_against_the_frequencies(self, n):
+        ks = np.linspace(0.3, 2.5, n)
+        full = solve_modes_on_grid(P, ks, np.full(n, 1.0), np.full(n, -0.5), np.full(n, 2.0), 0.7)
+        scalar = solve_modes_on_grid(P, ks, 1.0, -0.5, 2.0, 0.7)
+        assert np.array_equal(np.stack(scalar), np.stack(full))
+        assert all(np.array_equal(a, b) for a, b in zip(scalar.split, full.split))
+
 
 # ---------------------------------------------------------------------------
 # the mode kernel against an eigenvalue-free reference near every confluence
@@ -455,18 +463,17 @@ class TestSplitTerms:
                                           (0.965, 1.0)])
     @pytest.mark.parametrize("t", [0.7, 40.0])
     def test_rebuilds_the_kernel_where_trusted(self, tau, beta, t):
-        from mgt_spectral.mode_solver import _split_terms
         from mgt_spectral.spectrum import _cubic_roots_batch
 
         p = validate(tau, beta)
         ks = np.linspace(0.0, 6.0, 601)
         y0 = np.stack([np.exp(-ks * ks / 2), np.cos(ks), ks * np.exp(-ks)])
         state = solve_modes_on_grid(p, ks, *y0, t)
-        # the state carries the factor it was propagated with, bit for bit
+        lam, alpha, r, L, P, S = state.split
+        # the split carries the roots of the factor the state was propagated with, bit for bit
         factor = _cubic_roots_batch(tau, beta, ks * ks)
-        assert all(np.array_equal(a, b) for a, b in zip(state.factor, factor))
-        y, lam, alpha = np.stack(state), factor[3], factor[4]
-        r, L, P, S = _split_terms(state.factor, y0)
+        assert np.array_equal(lam, factor[3]) and np.array_equal(alpha, factor[4])
+        y = np.stack(state)
         trusted = r * t >= math.pi
         assert trusted.any()
         rebuilt = np.exp(lam * t) * L + np.exp(alpha * t) * (P * np.cos(r * t) + S * np.sin(r * t))
