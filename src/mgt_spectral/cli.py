@@ -41,8 +41,8 @@ _BAD_INPUT_ERRORS = (NonDissipative, NonFinite, GridError, InvalidFrequency, Emp
 _NUMERICAL_ERRORS = (QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit)
 
 #: settings that header line 2 leaves out: tau and beta are recorded as validated,
-#: with c folded into beta, and the rest do not change the numbers
-_UNRECORDED = ("command", "tau", "beta", "c", "config", "out")
+#: and the rest do not change the numbers
+_UNRECORDED = ("command", "tau", "beta", "config", "out")
 
 
 def _fmt(x: float) -> str:
@@ -58,10 +58,11 @@ def _header_lines(args: argparse.Namespace, p: params.ModelParams) -> list[str]:
 
 
 def _write_output(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        return
     try:
+        if path == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
@@ -114,8 +115,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp = subs[name] = sub.add_parser(name, help=help, description=help)
         sp.add_argument("--tau", type=float, help=f"relaxation time, 0 < tau < beta ({point})")
         sp.add_argument("--beta", type=float, help=f"damping coefficient ({point})")
-        opt(sp, "c", 1.0, "wave speed, folded into the damping as beta -> c^2 beta; "
-                          "frequencies and times are not rescaled")
         sp.add_argument("--config", help="flat key = value file whose values become the "
                                          "defaults of the options they name")
         opt(sp, "out", "-", "output path, - for stdout")
@@ -145,8 +144,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     opt(sp, "format", "csv", "csv: the curve, then its JSON summary; json: one document",
         choices=("csv", "json"))
     command("verify", "run the full numerical invariant suite; gronwall_margin (as its "
-                      "first pair) and theorem_bounds use tau, beta (0.1, 1 unless tau, beta "
-                      "or c is set), the others their own draws or fixed cases",
+                      "first pair) and theorem_bounds use tau, beta (0.1, 1 unless tau or beta "
+                      "is set), the others their own draws or fixed cases",
             ("quick", False, "shrink sample counts 10x"),
             point="optional, given together; default (0.1, 1); used only by gronwall_margin "
                   "and theorem_bounds")
@@ -162,10 +161,7 @@ _parser = functools.cache(_build_parser)
 def _model_params(args) -> params.ModelParams:
     if args.tau is None or args.beta is None:
         raise ValueError("both --tau and --beta are required")
-    if not (args.c > 0.0 and math.isfinite(args.c)):
-        raise ValueError(f"wave speed must be positive and finite, got {args.c}")
-    # general wave speed folds into the damping coefficient
-    return params.validate(args.tau, args.c * args.c * args.beta)
+    return params.validate(args.tau, args.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +240,7 @@ def cmd_decay(args) -> int:
 
 def cmd_verify(args) -> int:
     # the suite's own point unless a model parameter is set
-    given = (args.tau, args.beta, args.c) != (None, None, 1.0)
+    given = (args.tau, args.beta) != (None, None)
     p = _model_params(args) if given else params.validate(0.1, 1.0)
     from . import verify
     records = verify._run_suites(p, args.quick)

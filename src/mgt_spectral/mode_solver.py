@@ -159,18 +159,20 @@ DataTriple = tuple[FrequencyProfile, FrequencyProfile, FrequencyProfile]
 def _parse_data(spec: str) -> DataTriple:
     """Parse a `--data` value 'u0:TYPE[:SCALE[:AMP]],u1:...,u2:...' into three profiles.
 
-    `zero` takes no SCALE or AMP; a field beyond those a type takes is an error.
+    `zero` takes no SCALE or AMP; an extra field or a repeated component is an error.
     """
     kinds = {"gaussian": ProfileKind.GAUSSIAN, "mfgaussian": ProfileKind.MOMENT_FREE_GAUSSIAN,
-             "momentfree": ProfileKind.MOMENT_FREE_GAUSSIAN, "zero": None}
-    profiles = dict.fromkeys(("u0", "u1", "u2"), FrequencyProfile.zero())
+             "zero": None}
+    names, profiles = ("u0", "u1", "u2"), {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
         if len(parts) < 2:
             raise ValueError(f"--data: bad component {chunk!r}; expected name:type[:scale[:amp]]")
         name, kind_s = parts[0].strip().lower(), parts[1].strip().lower()
-        if name not in profiles:
+        if name not in names:
             raise ValueError(f"--data: unknown component {name!r}")
+        if name in profiles:
+            raise ValueError(f"--data: component {name!r} given twice")
         if kind_s not in kinds:
             raise ValueError(f"--data: unknown profile type {kind_s!r} "
                              f"(choose from {sorted(kinds)})")
@@ -184,7 +186,7 @@ def _parse_data(spec: str) -> DataTriple:
             raise ValueError(f"--data: scale and amp must be numbers in {chunk!r}") from None
         profiles[name] = (FrequencyProfile.zero() if kinds[kind_s] is None
                           else FrequencyProfile(kinds[kind_s], *numbers))
-    return (profiles["u0"], profiles["u1"], profiles["u2"])
+    return tuple(profiles.get(name, FrequencyProfile.zero()) for name in names)
 
 
 def mode_matrix(p: ModelParams, k: float | np.ndarray) -> np.ndarray:

@@ -44,12 +44,6 @@ class TestClassify:
         code, _, err = run(capsys, "classify")
         assert code == 2
 
-    def test_wave_speed_rescaling(self, capsys):
-        # c=2 folds into beta -> 4*beta
-        code, out, _ = run(capsys, "classify", "--tau", "0.1", "--beta", "0.25", "--c", "2")
-        assert code == 0
-        assert "m1 = 3.125" in out
-
 
 class TestAtlas:
     def test_csv_columns_and_values(self, capsys, tmp_path):
@@ -169,7 +163,8 @@ class TestDecay:
 
     @pytest.mark.parametrize("command", ["mode", "decay"])
     @pytest.mark.parametrize("spec", ["u0:gaussian:1:1:7", "u0:zero:5:abc", "u0:zero:1",
-                                      "u1:gaussian:abc", "u2:mfgaussian:1:x"])
+                                      "u1:gaussian:abc", "u2:mfgaussian:1:x",
+                                      "u0:gaussian,u0:zero"])
     def test_extra_or_malformed_data_fields_exit_2(self, capsys, command, spec):
         code, out, err = run(capsys, command, "--tau", "0.1", "--beta", "1",
                              "--t-count", "3", "--data", spec)
@@ -217,11 +212,9 @@ class TestVerify:
         assert "min_gamma5" in out
 
     @pytest.mark.parametrize("argv, config", [
-        (["--beta", "3", "--c", "2"], ""),
+        (["--beta", "3"], ""),
         (["--tau", "0.1"], ""),
-        (["--c", "2"], ""),
         ([], "beta = 3\n"),
-        ([], "c = 2\n"),
     ])
     def test_partial_parameters_rejected(self, capsys, tmp_path, argv, config):
         # a model parameter without tau and beta is bad input, not the default point
@@ -234,11 +227,10 @@ class TestVerify:
         assert out == ""
         assert "both --tau and --beta are required" in err
 
-    def test_wave_speed_reaches_the_header(self, capsys, tmp_path):
+    def test_config_point_reaches_the_header(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("c = 2\n")
-        code, out, _ = run(capsys, "verify", "--quick", "--tau", "0.3", "--beta", "0.375",
-                           "--config", str(cfg))
+        cfg.write_text("beta = 1.5\n")
+        code, out, _ = run(capsys, "verify", "--quick", "--tau", "0.3", "--config", str(cfg))
         assert code == 0
         assert out.splitlines()[0] == ("mgt-spectral 0.1.0 verify "
                                        "(tau=0.29999999999999999, beta=1.5, quick=True)")
@@ -268,22 +260,24 @@ def test_every_subcommand_help_opens_with_its_summary(capsys, command):
     assert point in " ".join(out.split())
 
 
-class TestWaveSpeed:
-    """--c folds into the damping only: --c 2 --beta b is --beta 4b, byte for byte."""
+_SUBCOMMANDS = ("classify", "atlas", "mode", "decay", "verify")
 
-    @pytest.mark.parametrize("command, extra", [
-        ("atlas", ["--k-min", "0", "--k-max", "4", "--k-count", "60"]),
-        ("mode", ["--k", "1.3", "--t-max", "5", "--t-count", "21",
-                  "--data", "u0:gaussian:1:1,u1:mfgaussian:1:1,u2:zero"]),
-    ])
-    @pytest.mark.parametrize("beta", [0.25, 0.3])
-    def test_c_equals_beta_rescaling(self, capsys, command, extra, beta):
-        code_c, out_c, _ = run(capsys, command, "--tau", "0.1", "--beta", repr(beta),
-                               "--c", "2", *extra)
-        code_b, out_b, _ = run(capsys, command, "--tau", "0.1", "--beta", repr(4 * beta),
-                               *extra)
-        assert code_c == code_b == 0
-        assert out_c == out_b
+
+@pytest.mark.parametrize("argv, config", [
+    *[pytest.param([cmd, "--c", "2"], "", id=f"{cmd}-flag-c") for cmd in _SUBCOMMANDS],
+    *[pytest.param([cmd], "c = 2\n", id=f"{cmd}-config-c") for cmd in _SUBCOMMANDS],
+    pytest.param(["mode", "--data", "u0:momentfree"], "", id="mode-momentfree"),
+    pytest.param(["decay", "--data", "u0:momentfree:1:1"], "", id="decay-momentfree"),
+])
+def test_removed_spellings_exit_2(capsys, tmp_path, monkeypatch, argv, config):
+    # the wave speed is normalized to one, and mfgaussian is the one moment-free type
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", "run.cfg"]
+    code, out, err = run_exit(capsys, argv[0], "--tau", "0.1", "--beta", "0.25", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err
 
 
 def run_exit(capsys, *argv):
@@ -308,7 +302,7 @@ _OPTION_VALUES = {
               "v_norm": True, "format": "json"},
     "verify": {"quick": True},
 }
-_COMMON_VALUES = {"tau": "0.2", "beta": "1.5", "c": "1.5", "out": "result.txt"}
+_COMMON_VALUES = {"tau": "0.2", "beta": "1.5", "out": "result.txt"}
 _BASE = {"classify": {}, "atlas": {"k_min": "0.5", "k_count": "5"},
          "mode": {"t_min": "0.5", "t_count": "5"},
          "decay": {"t_count": "3", "quad_tol": "1e-6"}, "verify": {}}
@@ -464,16 +458,8 @@ class TestHeader:
         assert code == 0
         fields = dict(f.split("=", 1) for f in out.splitlines()[1][2:].split(" "))
         settings = {a.dest for a in subs[command]._actions if a.option_strings}
-        assert set(fields) == settings - {"help", "config", "out", "c"}
+        assert set(fields) == settings - {"help", "config", "out"}
         assert fields["tau"] == "0.10000000000000001" and fields["beta"] == "1"
-
-    @pytest.mark.parametrize("command", ["classify", "decay"])
-    def test_wave_speed_folds_into_the_recorded_beta(self, capsys, command):
-        extra = ["--t-count", "3", "--quad-tol", "1e-6"] if command == "decay" else []
-        by_c = run(capsys, command, "--tau", "0.1", "--beta", "0.25", "--c", "2", *extra)
-        by_beta = run(capsys, command, "--tau", "0.1", "--beta", "1", *extra)
-        assert by_c == by_beta
-        assert by_c[0] == 0
 
 
 class TestPathsAndExits:
@@ -495,6 +481,16 @@ class TestPathsAndExits:
         summary = json.loads("\n".join(lines[6:]))
         assert summary["n_times"] == 3
         assert summary["verdict"] == "WITHIN_BOUND"
+
+    def test_stdout_write_error_exits_3(self, capsys, monkeypatch):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("sys.stdout", FullStdout())
+        code, _, err = run(capsys, "classify", "--tau", "0.1", "--beta", "1")
+        assert code == 3
+        assert err == "i/o failure: [Errno 28] No space left on device\n"
 
     def test_one_point_grid(self, capsys):
         code, out, _ = run(capsys, "atlas", "--tau", "0.1", "--beta", "1",

@@ -75,7 +75,7 @@ for argv, code in ((["classify", *point], 0), (["classify", *point, "--all-bound
                    (["--help"], 0), (["atlas", "--help"], 0), (["--version"], 0),
                    (["classify", "--tau", "2", "--beta", "1"], 2),
                    (["atlas", "--tau", "0.1"], 2), (["mode", "--k", "x"], 2),
-                   (["verify", "--quick", "--beta", "3", "--c", "2"], 2)):
+                   (["verify", "--quick", "--beta", "3"], 2)):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             got = mgt_spectral.cli.main(argv)
