@@ -9,7 +9,7 @@ decay      Sobolev-norm decay curve with fitted slope and bound verdict
 verify     the full numerical invariant suite (exit 0 iff everything passes)
 
 Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 I/O failure,
-4 numerical failure.
+4 numerical failure.  Options are spelled out in full: no prefix matching.
 
 Every option of a subcommand except --help and --config is also a config
 key, spelled with `_` (--k-count is k_count); a boolean option --x also has
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from . import __version__, params
@@ -62,10 +63,14 @@ def _write_output(path: str, text: str) -> None:
         if path == "-":
             sys.stdout.write(text)
             sys.stdout.flush()
-            return
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except OSError as exc:
+        if path == "-":
+            # the unwritten bytes stay buffered: send them to devnull, or the flush at
+            # interpreter exit fails again and turns the exit status into 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _IOFail(str(exc)) from exc
 
 
@@ -112,7 +117,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp.add_argument(f"--{name}", default=default, help=f"{help} (default: %(default)s)", **kw)
 
     def command(name, help, *options, point="required"):
-        sp = subs[name] = sub.add_parser(name, help=help, description=help)
+        sp = subs[name] = sub.add_parser(name, help=help, description=help, allow_abbrev=False)
         sp.add_argument("--tau", type=float, help=f"relaxation time, 0 < tau < beta ({point})")
         sp.add_argument("--beta", type=float, help=f"damping coefficient ({point})")
         sp.add_argument("--config", help="flat key = value file whose values become the "
@@ -182,13 +187,10 @@ def cmd_classify(args) -> int:
             "conjugate pair for all |xi| > 0",
     }[reg]
     lines.append(f"regime: {reg.value}; {regime_note}")
-    lines.append(f"C1 = {_fmt(thr.c1)}")
-    lines.append(f"C2 = {_fmt(thr.c2)}")
-    if thr.m1 is None:
-        lines += ["m1 = absent", "m2 = absent"]
-    else:
-        lines.append(f"m1 = {_fmt(thr.m1)} (sqrt(m1) = {_fmt(math.sqrt(thr.m1))})")
-        lines.append(f"m2 = {_fmt(thr.m2)} (sqrt(m2) = {_fmt(math.sqrt(thr.m2))})")
+    lines += [f"C1 = {_fmt(thr.c1)}", f"C2 = {_fmt(thr.c2)}"]
+    for m, value in (("m1", thr.m1), ("m2", thr.m2)):
+        lines.append(f"{m} = absent" if value is None
+                     else f"{m} = {_fmt(value)} (sqrt({m}) = {_fmt(math.sqrt(value))})")
     dim, j = args.dim, args.j
     for dc in (params.DataClass.L1, params.DataClass.L1_WEIGHTED):
         rates = params.theorem_rates(p, dim, j, dc)
@@ -240,8 +242,7 @@ def cmd_decay(args) -> int:
 
 def cmd_verify(args) -> int:
     # the suite's own point unless a model parameter is set
-    given = (args.tau, args.beta) != (None, None)
-    p = _model_params(args) if given else params.validate(0.1, 1.0)
+    p = _model_params(args) if (args.tau, args.beta) != (None, None) else params.validate(0.1, 1.0)
     from . import verify
     records = verify._run_suites(p, args.quick)
     _write_output(args.out, verify._report(p, args.quick, records))

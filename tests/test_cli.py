@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mgt_spectral.cli import main
+from mgt_spectral.cli import _COMMANDS, main
 
 
 def run(capsys, *argv):
@@ -247,7 +250,7 @@ class TestVerify:
                     "gronwall_margin and theorem_bounds)") in text
 
 
-@pytest.mark.parametrize("command", ["classify", "atlas", "mode", "decay", "verify"])
+@pytest.mark.parametrize("command", _COMMANDS)
 def test_every_subcommand_help_opens_with_its_summary(capsys, command):
     from mgt_spectral.cli import _build_parser
     summary = _build_parser()[1][command].description
@@ -260,24 +263,27 @@ def test_every_subcommand_help_opens_with_its_summary(capsys, command):
     assert point in " ".join(out.split())
 
 
-_SUBCOMMANDS = ("classify", "atlas", "mode", "decay", "verify")
-
-
-@pytest.mark.parametrize("argv, config", [
-    *[pytest.param([cmd, "--c", "2"], "", id=f"{cmd}-flag-c") for cmd in _SUBCOMMANDS],
-    *[pytest.param([cmd], "c = 2\n", id=f"{cmd}-config-c") for cmd in _SUBCOMMANDS],
-    pytest.param(["mode", "--data", "u0:momentfree"], "", id="mode-momentfree"),
-    pytest.param(["decay", "--data", "u0:momentfree:1:1"], "", id="decay-momentfree"),
+@pytest.mark.parametrize("argv, config, message", [
+    *[pytest.param([cmd, "--c", "2"], "", "unrecognized arguments: --c 2", id=f"{cmd}-flag-c")
+      for cmd in _COMMANDS],
+    *[pytest.param([cmd], "c = 2\n", f"unknown config key 'c' for mgt {cmd}", id=f"{cmd}-config-c")
+      for cmd in _COMMANDS],
+    pytest.param(["mode", "--data", "u0:momentfree"], "", "unknown profile type 'momentfree'",
+                 id="mode-momentfree"),
+    pytest.param(["decay", "--data", "u0:momentfree:1:1"], "", "unknown profile type 'momentfree'",
+                 id="decay-momentfree"),
 ])
-def test_removed_spellings_exit_2(capsys, tmp_path, monkeypatch, argv, config):
-    # the wave speed is normalized to one, and mfgaussian is the one moment-free type
+def test_removed_spellings_exit_2(capsys, tmp_path, monkeypatch, argv, config, message):
+    # the wave speed is normalized to one, and mfgaussian is the one moment-free type;
+    # --c is no prefix of --config either, so a config file named 2 is never read
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "2").write_text("tau = 0.5\nbeta = 1\n")
     if config:
         (tmp_path / "run.cfg").write_text(config)
         argv = [*argv, "--config", "run.cfg"]
     code, out, err = run_exit(capsys, argv[0], "--tau", "0.1", "--beta", "0.25", *argv[1:])
     assert (code, out) == (2, "")
-    assert err
+    assert message in err
 
 
 def run_exit(capsys, *argv):
@@ -482,15 +488,40 @@ class TestPathsAndExits:
         assert summary["n_times"] == 3
         assert summary["verdict"] == "WITHIN_BOUND"
 
-    def test_stdout_write_error_exits_3(self, capsys, monkeypatch):
+    def test_stdout_write_error_exits_3(self, capsys, monkeypatch, tmp_path):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
         class FullStdout:
             def write(self, text):
                 raise OSError(28, "No space left on device")
+
+            def fileno(self):
+                return fd
 
         monkeypatch.setattr("sys.stdout", FullStdout())
         code, _, err = run(capsys, "classify", "--tau", "0.1", "--beta", "1")
         assert code == 3
         assert err == "i/o failure: [Errno 28] No space left on device\n"
+        # the descriptor now leads to devnull, where the flush at exit cannot fail
+        os.write(fd, b"unwritten")
+        os.close(fd)
+        assert (tmp_path / "stdout").read_bytes() == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_full_device_on_stdout_exits_3(self, unbuffered):
+        # a real process: a block-buffered stdout still holds the bytes at exit
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        argv = [sys.executable, "-m", "mgt_spectral", "classify", "--tau", "0.1", "--beta", "1"]
+        with open("/dev/full", "w") as full:
+            res = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                                 timeout=120)
+        assert res.returncode == 3
+        assert res.stderr == "i/o failure: [Errno 28] No space left on device\n"
 
     def test_one_point_grid(self, capsys):
         code, out, _ = run(capsys, "atlas", "--tau", "0.1", "--beta", "1",
