@@ -1,7 +1,8 @@
 """One frequency mode: exact solution, energy identity, Lyapunov decay.
 
 The closed-form solver evaluates u(k, t) and its first two time derivatives
-from the eigenvalue expansion; the matrix exponential of the first-order
+as exp(Phi t) y0 in Newton (Putzer) form, over divided differences of
+e^(lam t) at the three eigenvalues; the matrix exponential of the first-order
 system (scipy.linalg.expm, which forms no eigenvalue) provides an
 independent cross check.  Along the trajectory the mode energy
 

@@ -301,6 +301,14 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
     return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
 
 
+def _times(t, caller: str) -> np.ndarray:
+    """t as a float array; ValueError naming the caller unless every time is finite and >= 0."""
+    ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
+        raise ValueError(f"{caller} requires t >= 0, got {t}")
+    return ts
+
+
 def _check_mode(k: float, init: ModeState) -> None:
     """The input check of the closed form and the oracle: k finite, >= 0 and init's tag."""
     if not (math.isfinite(k) and k >= 0.0):
@@ -360,14 +368,15 @@ def evaluate_mode(coeffs: ModeCoefficients, t) -> ModeState:
     The mode is the one `coeffs` was built for, propagated from its initial
     state by the kernel on its factor of the cubic, not by the coefficients;
     the values are those of solve_mode, bit for bit.  For an array t the
-    state holds arrays of t's shape, for a scalar t complex numbers.
+    state holds arrays of t's shape, for a scalar t complex numbers.  Raises
+    ValueError if any time is negative or not finite.
     """
+    t = _times(t, "evaluate_mode")
     return ModeState(*_evaluate(coeffs.nodes, coeffs.init, t), k=coeffs.init.k)
 
 
-def _evaluate(nodes: tuple, init: ModeState, t) -> tuple:
-    """(u, u', u'') at t of the mode with factor `nodes` and initial state `init`."""
-    t = np.asarray(t, dtype=float)
+def _evaluate(nodes: tuple, init: ModeState, t: np.ndarray) -> tuple:
+    """(u, u', u'') at the float times t of the mode with factor `nodes` and state `init`."""
     y0 = init.as_array().reshape((3,) + (1,) * (t.ndim + 1))
     y = _propagate(nodes, y0, t[..., None], *_directions(nodes, y0))[..., 0]
     return tuple(complex(x) if t.ndim == 0 else x for x in y)
@@ -381,9 +390,7 @@ def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
     ValueError if any time is negative or not finite, or if init is tagged
     with another k, and InvalidFrequency on a k that eigenvalues rejects.
     """
-    ts = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
-        raise ValueError(f"solve_mode requires t >= 0, got {t}")
+    t = _times(t, "solve_mode")
     return ModeState(*_evaluate(_mode_nodes(p, k, init), init, t), k=k)
 
 
@@ -391,8 +398,9 @@ def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[f
     """|tau*u''' + u'' + k^2 u + beta k^2 u'| at time t, with its magnitude scale.
 
     The third derivative is the kernel applied to Phi y0, independently of
-    the propagated state.
+    the propagated state.  Raises ValueError unless t is finite and >= 0.
     """
+    t = _times(t, "ode_residual")
     nodes, y0 = _mode_nodes(p, k, init), init.as_array()
     ys = np.stack([y0, mode_matrix(p, k) @ y0], axis=1)
     y = _propagate(nodes, ys, t, *_directions(nodes, ys))
@@ -409,9 +417,7 @@ def propagate_numeric(p: ModelParams, k: float, init: ModeState, t) -> ModeState
     It forms no eigenvalue and never calls the spectrum kernel.  t is a time
     or an array of times; it takes the inputs of solve_mode and raises as it does.
     """
-    ts = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
-        raise ValueError(f"propagate_numeric requires t >= 0, got {t}")
+    ts = _times(t, "propagate_numeric")
     _check_mode(k, init)
     # imported here: only the oracle uses scipy.linalg
     from scipy.linalg import expm
@@ -450,9 +456,10 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     quadratures.  The data broadcast against ks.  The three arrays unpack as a
     tuple, whose `split` writes them out on the complex pair of the cubic,
     from the same Newton directions.  The results are real for real data and
-    complex for complex data.  Raises InvalidFrequency where beta*k^2/tau
-    exceeds spectrum.MAX_STIFFNESS.
+    complex for complex data.  Raises ValueError unless t is finite and >= 0,
+    and InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
     """
+    t = _times(t, "solve_modes_on_grid")
     ks = np.asarray(ks, dtype=float)
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2, ks)[:3])
     nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)

@@ -16,27 +16,37 @@ integral_lemmas     the integral-lemma ratios stay bounded (unstable ones raise)
 theorem_bounds      decay curves within the theorem bounds, with sharp slopes
                     once the window is asymptotic
 
-The module loads only when `mgt verify` runs; numpy and the layer modules
-load inside each suite.
+The module loads only when `mgt verify` runs.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import __version__, params
+import numpy as np
+
+from . import __version__, decay, lyapunov, mode_solver, params, spectrum
 from .errors import MGTError
 
 
+def _random_state(rng, k: float) -> mode_solver.ModeState:
+    """A complex initial state with standard normal parts, tagged k."""
+    return mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)), k=k)
+
+
+def _random_mode(rng, k_hi: float) -> tuple[params.ModelParams, float, mode_solver.ModeState]:
+    """A random point (tau, beta), a frequency k in [0, k_hi) and a random state at k."""
+    tau = rng.uniform(0.05, 0.9)
+    beta = rng.uniform(tau + 0.05, 2.0)
+    pp = params.validate(tau, beta)
+    k = float(rng.uniform(0.0, k_hi))
+    return pp, k, _random_state(rng, k)
+
+
 def _suite_spectrum(rng, n) -> tuple[bool, str]:
-    import numpy as np
-    from . import spectrum
     taus = rng.uniform(0.01, 1.0, n)
-    betas = taus + rng.uniform(0.02, 2.0, n)
-    betas = np.minimum(betas, 2.0)
-    ok = betas > taus
-    taus, betas = taus[ok], betas[ok]
-    ks = rng.uniform(0.0, 100.0, taus.size)
+    betas = np.minimum(taus + rng.uniform(0.02, 2.0, n), 2.0)
+    ks = rng.uniform(0.0, 100.0, n)
     for tau, beta in zip(taus, betas):
         params.validate(tau, beta)
     k2 = ks * ks
@@ -52,52 +62,37 @@ def _suite_spectrum(rng, n) -> tuple[bool, str]:
         abs(l1 * l2 * l3 + k2 / taus) / np.maximum(1.0, k2 / taus)])
     worst_vieta = float(np.max(vieta))
     min_axis = float(np.min(np.abs(lams[ks > 0].real), initial=math.inf))
-    passed = worst_res <= 1e-9 and worst_vieta <= 1e-9 and min_axis > 1e-10
-    return passed, (f"n={taus.size} max_residual={worst_res:.2e} "
+    passed = (worst_res <= spectrum.TOL_RESIDUAL and worst_vieta <= spectrum.TOL_RESIDUAL
+              and min_axis > 1e-10)
+    return passed, (f"n={n} max_residual={worst_res:.2e} "
                     f"max_vieta={worst_vieta:.2e} min_axis_dist={min_axis:.2e}")
 
 
 def _suite_oracle(rng, n) -> tuple[bool, str]:
-    import numpy as np
-    from . import mode_solver
     worst = 0.0
     for _ in range(n):
-        tau = rng.uniform(0.05, 0.9)
-        beta = rng.uniform(tau + 0.05, 2.0)
-        pp = params.validate(tau, beta)
-        k = rng.uniform(0.0, 50.0)
-        init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
-                                     k=float(k))
-        t = rng.uniform(0.0, 20.0)
-        a = mode_solver.solve_mode(pp, float(k), init, float(t))
-        b = mode_solver.propagate_numeric(pp, float(k), init, float(t))
+        pp, k, init = _random_mode(rng, 50.0)
+        t = float(rng.uniform(0.0, 20.0))
+        a = mode_solver.solve_mode(pp, k, init, t)
+        b = mode_solver.propagate_numeric(pp, k, init, t)
         err = math.hypot(*np.abs(a.as_array() - b.as_array())) / (1.0 + init.norm())
         worst = max(worst, err)
     return worst <= 1e-6, f"n={n} max_mismatch={worst:.2e}"
 
 
 def _suite_energy(rng, n) -> tuple[bool, str]:
-    from . import lyapunov, mode_solver
     worst = 0.0
     for _ in range(n):
-        tau = rng.uniform(0.05, 0.9)
-        beta = rng.uniform(tau + 0.05, 2.0)
-        pp = params.validate(tau, beta)
-        k = rng.uniform(0.0, 20.0)
-        init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
-                                     k=float(k))
+        pp, k, init = _random_mode(rng, 20.0)
         ts = rng.uniform(0.0, 10.0, 10)
-        res, scale = lyapunov.energy_dissipation_residual(pp, float(k), init, ts)
+        res, scale = lyapunov.energy_dissipation_residual(pp, k, init, ts)
         worst = max(worst, float((res / scale).max()))
     return worst <= 1e-9, f"n={n} max_identity_residual={worst:.2e}"
 
 
 def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
-    import numpy as np
-    from . import lyapunov, mode_solver
     pairs = [p] + [params.validate(t, b) for t, b in
-                   zip(rng.uniform(0.02, 0.9, n_pairs), rng.uniform(1.0, 2.0, n_pairs))
-                   if t < b]
+                   zip(rng.uniform(0.02, 0.9, n_pairs), rng.uniform(1.0, 2.0, n_pairs))]
     min_g5 = math.inf
     worst_growth = 0.0
     ts = np.linspace(0.0, 20.0, 81)
@@ -105,8 +100,7 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
         w = lyapunov.default_weights(pp)
         min_g5 = min(min_g5, w.gamma5)
         for k in (0.3, 1.0, 5.0):
-            init = mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)),
-                                         k=k)
+            init = _random_state(rng, k)
             r = float(lyapunov.rho(k))
             st = mode_solver.solve_mode(pp, k, init, ts)
             val = lyapunov.functionals(pp, st, w).lyap * np.exp(w.gamma5 * r * ts)
@@ -118,8 +112,6 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
 
 
 def _suite_lemmas(quick: bool) -> tuple[bool, str]:
-    import numpy as np
-    from . import decay
     combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
     tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
     # an unstable ratio raises ToleranceFailure, which fails the suite
@@ -131,8 +123,6 @@ def _suite_lemmas(quick: bool) -> tuple[bool, str]:
 
 
 def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
-    import numpy as np
-    from . import decay
     tgrid = np.geomspace(1e2, 1e3 if quick else 1e4, 7 if quick else 13)
     tol = 1e-8 if quick else 1e-10
     gauss = decay.FrequencyProfile.gaussian()
@@ -166,7 +156,6 @@ def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
 
 def _run_suites(p: params.ModelParams, quick: bool) -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of each suite in order; quick takes a tenth of the samples."""
-    import numpy as np
     div = 10 if quick else 1
     rng = np.random.default_rng(20240817)
     suites = [

@@ -208,6 +208,9 @@ class TestVerify:
         assert code == 0
         assert out.count("[PASS]") == 6
         assert "[FAIL]" not in out
+        # the sample counts of the seeded draw stream, one per suite that draws or sweeps
+        for count in ("n=1000", "n=20", "n=5", "pairs=3", "combos=2"):
+            assert f" {count} " in out
 
     def test_near_conservative_still_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--tau", "0.9999", "--beta", "1", "--quick")

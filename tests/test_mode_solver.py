@@ -120,6 +120,26 @@ class TestSolveMode:
                 solve_mode(P, 1.2, init, np.array(bad))
 
 
+_UNIT = ModeState(1.0, 0.0, 0.0, 1.0)
+_MODE_ENTRY_POINTS = {
+    "solve_mode": lambda t: solve_mode(P, 1.0, _UNIT, t),
+    "evaluate_mode": lambda t: evaluate_mode(mode_coefficients(P, 1.0, _UNIT), t),
+    "ode_residual": lambda t: ode_residual(P, 1.0, _UNIT, t),
+    "solve_modes_on_grid": lambda t: solve_modes_on_grid(P, np.array([0.5, 1.0]),
+                                                         1.0, 0.0, 0.0, t),
+    "propagate_numeric": lambda t: propagate_numeric(P, 1.0, _UNIT, t),
+}
+
+
+@pytest.mark.parametrize("name", _MODE_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("in_array", [False, True])
+def test_every_mode_entry_point_rejects_a_bad_time(name, bad, in_array):
+    """A time that is not finite and >= 0 raises, never a NaN or backward-in-time state."""
+    with pytest.raises(ValueError, match=f"^{name} requires t >= 0, got "):
+        _MODE_ENTRY_POINTS[name](np.array([0.0, bad]) if in_array else bad)
+
+
 class TestOracleEquivalence:
     def test_against_numeric_propagator(self):
         rng = np.random.default_rng(21)
