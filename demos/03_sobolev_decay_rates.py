@@ -46,11 +46,11 @@ for name, data, dim, j, v_norm in cases:
 # frequency-region bookkeeping: at large times everything lives at low k
 data = (gauss, gauss, gauss)
 split = mgt.region_split(p)
-c3, c4 = mgt.region_rates(p, split)
+c3, c4 = mgt.region_rates(p)
 print(f"\nregions: low < {split.nu1}, high > {split.nu2}; "
       f"exponential rates c3={c3:.3f} (high), c4={c4:.3f} (middle)")
 for t in (0.0, 10.0, 100.0):
-    rc = mgt.region_contributions(p, data, 2, 0, t, split, quad_tol=1e-12)
+    rc = mgt.region_contributions(p, data, 2, 0, t, quad_tol=1e-12)
     total = rc.low + rc.mid + rc.high
     print(f"t={t:5.0f}  low {rc.low / total:8.2%}   mid {rc.mid / total:9.2e}   "
           f"high {rc.high / total:9.2e}")

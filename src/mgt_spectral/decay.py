@@ -45,7 +45,8 @@ import numpy as np
 from . import lyapunov
 from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
 from .mode_solver import DataTriple, FrequencyProfile, solve_modes_on_grid
-from .params import DataClass, ModelParams, cardano_thresholds, high_frequency_rate, theorem_rates
+from .params import (DataClass, ModelParams, _check_orders, cardano_thresholds,
+                     high_frequency_rate, theorem_rates)
 from .quadrature import QuadResult, Split, adaptive_quadrature
 from .spectrum import eigenvalues
 
@@ -97,11 +98,10 @@ def region_split(p: ModelParams) -> RegionSplit:
     return RegionSplit(nu1=nu1, nu2=nu2)
 
 
-def region_rates(p: ModelParams, split: RegionSplit | None = None) -> tuple[float, float]:
-    """Exponential rates (c3, c4) of the high and middle frequency regions."""
-    split = split or region_split(p)
+def region_rates(p: ModelParams) -> tuple[float, float]:
+    """Exponential rates (c3, c4) of the high and middle frequency regions of region_split(p)."""
     c3 = high_frequency_rate(p)
-    lam2 = eigenvalues(p, split.nu1).lambdas[1]
+    lam2 = eigenvalues(p, region_split(p).nu1).lambdas[1]
     c4 = min(1.0 / p.beta, abs(lam2.real))
     return c3, c4
 
@@ -235,19 +235,12 @@ def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
 # norm quadratures
 # ---------------------------------------------------------------------------
 
-def _validate_orders(dim: int, j: int) -> None:
-    if not (isinstance(dim, (int, np.integer)) and dim >= 1):
-        raise ValueError(f"dimension must be an integer >= 1, got {dim}")
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise ValueError(f"derivative order must be an integer >= 0, got {j}")
-
-
 def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
-    _validate_orders(dim, j)
+    _check_orders(dim, j)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and >= 0, got {t}")
-    if not (0.0 < quad_tol):
-        raise ValueError(f"quadrature tolerance must be positive, got {quad_tol}")
+    if not (0.0 < quad_tol < math.inf):
+        raise ValueError(f"quadrature tolerance must be finite and positive, got {quad_tol}")
 
 
 def _functionals(tau: float, v_norm: bool) -> tuple:
@@ -342,13 +335,10 @@ def v_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
 
 
 def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
-                         split: RegionSplit | None = None,
                          quad_tol: float = 1e-10) -> RegionContributions:
-    """The three partial integrals over [0, nu1], [nu1, nu2], [nu2, inf)."""
-    split = split or region_split(p)
-    if not (0.0 < split.nu1 < split.nu2):
-        raise GridError(f"invalid region split {split}")
+    """The three partial integrals over [0, nu1], [nu1, nu2], [nu2, inf) of region_split(p)."""
     _validate_norm_args(dim, j, t, quad_tol)
+    split = region_split(p)
     k_max = _kmax_certified(_norm_tail(p, data, dim, j, t, False), 0.5 * quad_tol)
     a, b = min(split.nu1, k_max), min(split.nu2, k_max)
     low, mid, high = (_norm_integral(p, data, dim, j, t, quad_tol / 3.0, False, ab)[0].value
@@ -605,7 +595,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
 
     Raises ToleranceFailure when any ratio keeps growing along the grid.
     """
-    _validate_orders(dim, j)
+    _check_orders(dim, j)
     if not (c > 0.0 and math.isfinite(c)):
         raise ValueError(f"need a finite c > 0, got {c}")
     times = np.asarray(list(time_grid), dtype=float)

@@ -40,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidFrequency, NonPositiveMargin
-from .mode_solver import (DataTriple, ModeState, mode_coefficients, evaluate_mode, solve_mode,
-                          v_vector)
+from .errors import EmptyInput, NonPositiveMargin
+from .mode_solver import (DataTriple, ModeState, _times, mode_coefficients, evaluate_mode,
+                          solve_mode, v_vector)
 from .params import ModelParams
+from .spectrum import _frequencies
 
 #: One-sided slack, relative to the functional scale, in the margin sweeps.
 MARGIN_TOL = 1e-10
@@ -197,14 +198,6 @@ def _certified_margins(p: ModelParams, ks: np.ndarray, gamma0: float,
 _DEFAULT_K_GRID = np.concatenate([np.geomspace(1e-3, 1e4, 140), [1e6, 1e9]])
 
 
-def _frequencies(k_grid) -> np.ndarray:
-    """k_grid as a float array; InvalidFrequency on a negative or non-finite entry."""
-    ks = np.asarray(k_grid, dtype=float)
-    if not np.all(np.isfinite(ks) & (ks >= 0.0)):
-        raise InvalidFrequency(f"frequencies must be finite and >= 0, got {k_grid}")
-    return ks
-
-
 def _positive_grid(k_grid: np.ndarray | None) -> np.ndarray:
     ks = _DEFAULT_K_GRID if k_grid is None else _frequencies(k_grid)
     ks = ks[ks > 0.0]
@@ -294,17 +287,17 @@ def _state_rates(p: ModelParams, state: ModeState) -> dict[str, np.ndarray]:
     return {"dE": dE, "dF1": dF1, "dF2": dF2, "scale": np.maximum(scale, 1e-300)}
 
 
-def energy_dissipation_residual(p: ModelParams, k: float, init: ModeState, t):
-    """(|dE/dt + (beta - tau) k^2 |v|^2|, scale) along the trajectory at time t.
+def energy_dissipation_residual(p: ModelParams, init: ModeState, t):
+    """(|dE/dt + (beta - tau) k^2 |v|^2|, scale) along the trajectory init starts, at time t.
 
-    scale is the magnitude of the terms of the identity, so residual / scale
-    is its relative error.  t is a time or an array of times, evaluated with
-    one kernel call; the pair is two floats or two arrays of t's shape.
-    Raises ValueError if any time is negative or not finite.
+    k is init.k.  scale is the magnitude of the terms of the identity, so
+    residual / scale is its relative error.  t is a time or an array of
+    times, evaluated with one kernel call; the pair is two floats or two
+    arrays of t's shape.  Raises as solve_mode does.
     """
-    state = solve_mode(p, k, init, t)
+    state = solve_mode(p, init, t)
     rates = _state_rates(p, state)
-    k2 = k * k
+    k2 = state.k * state.k
     res = np.abs(rates["dE"] + (p.beta - p.tau) * k2 * np.abs(state.v_hat) ** 2)
     if np.ndim(t) == 0:
         return float(res), float(rates["scale"])
@@ -326,11 +319,10 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     """
     ks = _frequencies(list(k_grid))
     samples = list(init_samples)
-    ts = np.linspace(0.0, 25.0, 126) if t_grid is None else np.asarray(t_grid, dtype=float)
-    if ks.size == 0 or len(samples) == 0 or ts.size == 0:
+    t_grid = np.linspace(0.0, 25.0, 126) if t_grid is None else t_grid
+    if ks.size == 0 or len(samples) == 0 or np.size(t_grid) == 0:
         raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")
-    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
-        raise ValueError(f"gronwall_margin requires t >= 0, got {t_grid}")
+    ts = _times(t_grid, "gronwall_margin")
 
     # MARGIN_TOL L - dL/dt and rho L at the nondegenerate points of each trajectory
     slack, rho_l = [np.empty(0)], [np.empty(0)]
@@ -341,7 +333,7 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
         for sample in samples:
             # samples are state vectors; the swept frequency comes from the grid
             init = ModeState(sample.u_hat, sample.v_hat, sample.w_hat, k=k)
-            state = evaluate_mode(mode_coefficients(p, k, init), ts)
+            state = evaluate_mode(mode_coefficients(p, init), ts)
             vals = functionals(p, state, w)
             rates = _state_rates(p, state)
             dL = (w.gamma0 * rates["dE"] + vals.rho * rates["dF1"]
@@ -372,7 +364,7 @@ def pointwise_bound_constants(p: ModelParams, w: LyapunovWeights) -> tuple[float
 def _trajectory_rows(p: ModelParams, k: float, data: DataTriple, ts: np.ndarray):
     """`mgt mode` rows (t, re_u, im_u, v_sq, energy, lyap) of the mode data starts at k."""
     weights = default_weights(p)
-    state = solve_mode(p, k, ModeState(*(complex(prof([k])[0]) for prof in data), k=k), ts)
+    state = solve_mode(p, ModeState(*(complex(prof([k])[0]) for prof in data), k=k), ts)
     f = functionals(p, state, weights)
     return zip(ts, state.u_hat.real, state.u_hat.imag, v_vector(p, state).norm_sq,
                f.energy, f.lyap)

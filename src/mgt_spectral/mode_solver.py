@@ -41,9 +41,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidFrequency
 from .params import ModelParams
-from .spectrum import RootPattern, _cubic_roots_batch, _route_confluent
+from .spectrum import RootPattern, _cubic_roots_batch, _frequencies, _frequency, _route_confluent
 
 
 @dataclass(frozen=True)
@@ -309,31 +308,23 @@ def _times(t, caller: str) -> np.ndarray:
     return ts
 
 
-def _check_mode(k: float, init: ModeState) -> None:
-    """The input check of the closed form and the oracle: k finite, >= 0 and init's tag."""
-    if not (math.isfinite(k) and k >= 0.0):
-        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k}")
-    if abs(init.k - k) > 1e-12 * max(1.0, abs(k)):
-        raise ValueError(f"initial state is tagged k={init.k}, solve requested k={k}")
+def _mode_nodes(p: ModelParams, init: ModeState) -> tuple[float, tuple]:
+    """init's frequency k, finite and >= 0, and the kernel's factor of the cubic at k."""
+    k = _frequency(init.k)
+    return k, _cubic_roots_batch(p.tau, p.beta, np.array([k * k]))
 
 
-def _mode_nodes(p: ModelParams, k: float, init: ModeState) -> tuple:
-    """The kernel's factor of the cubic at a finite k >= 0, for a state tagged k."""
-    _check_mode(k, init)
-    return _cubic_roots_batch(p.tau, p.beta, np.array([k * k]))
+def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
+    """Expansion coefficients of the mode init starts, in the basis of its root pattern.
 
-
-def mode_coefficients(p: ModelParams, k: float, init: ModeState) -> ModeCoefficients:
-    """Expansion coefficients of the mode in the basis of its root pattern.
-
-    The pattern and the roots are those of classify(p, k) and
-    eigenvalues(p, k): the one routed decision of spectrum._route_confluent,
-    made on the factor that evaluate_mode propagates with.  It never raises
-    for a valid mode; close to a confluence the coefficients are as
+    The pattern and the roots are those of classify(p, k) and eigenvalues(p, k)
+    at k = init.k: the one routed decision of spectrum._route_confluent, made
+    on the factor that evaluate_mode propagates with.  It raises only on a k
+    that eigenvalues rejects; close to a confluence the coefficients are as
     ill-conditioned as the basis itself (they grow like the inverse root
     spacing), which does not affect evaluate_mode.
     """
-    nodes = _mode_nodes(p, k, init)
+    k, nodes = _mode_nodes(p, init)
     roots, patterns = _route_confluent(p, np.array([k * k]), nodes)
     routed = patterns[0]
     lam1, lam2, lam3 = roots[0]
@@ -382,26 +373,28 @@ def _evaluate(nodes: tuple, init: ModeState, t: np.ndarray) -> tuple:
     return tuple(complex(x) if t.ndim == 0 else x for x in y)
 
 
-def solve_mode(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
-    """Closed-form state of the mode at a time t >= 0, or at an array of times.
+def solve_mode(p: ModelParams, init: ModeState, t) -> ModeState:
+    """Closed-form state at a time t >= 0, or an array of times, of the mode init starts.
 
     For an array t the state holds arrays of t's shape, from one kernel call
-    on the factor of the cubic (no pattern description is built).  Raises
-    ValueError if any time is negative or not finite, or if init is tagged
-    with another k, and InvalidFrequency on a k that eigenvalues rejects.
+    on the factor of the cubic at k = init.k (no pattern description is
+    built).  Raises ValueError if any time is negative or not finite, and
+    InvalidFrequency on a k that eigenvalues rejects.
     """
     t = _times(t, "solve_mode")
-    return ModeState(*_evaluate(_mode_nodes(p, k, init), init, t), k=k)
+    k, nodes = _mode_nodes(p, init)
+    return ModeState(*_evaluate(nodes, init, t), k=k)
 
 
-def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[float, float]:
+def ode_residual(p: ModelParams, init: ModeState, t: float) -> tuple[float, float]:
     """|tau*u''' + u'' + k^2 u + beta k^2 u'| at time t, with its magnitude scale.
 
     The third derivative is the kernel applied to Phi y0, independently of
-    the propagated state.  Raises ValueError unless t is finite and >= 0.
+    the propagated state.  It takes the inputs of solve_mode at one time and
+    raises as it does.
     """
     t = _times(t, "ode_residual")
-    nodes, y0 = _mode_nodes(p, k, init), init.as_array()
+    (k, nodes), y0 = _mode_nodes(p, init), init.as_array()
     ys = np.stack([y0, mode_matrix(p, k) @ y0], axis=1)
     y = _propagate(nodes, ys, t, *_directions(nodes, ys))
     u, v, w, w_t = (complex(x) for x in (*y[:, 0], y[2, 1]))
@@ -411,14 +404,14 @@ def ode_residual(p: ModelParams, k: float, init: ModeState, t: float) -> tuple[f
     return res, max(scale, 1e-300)
 
 
-def propagate_numeric(p: ModelParams, k: float, init: ModeState, t) -> ModeState:
+def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     """Independent oracle: exp(Phi t) y0 by scipy.linalg.expm (scaling and squaring).
 
     It forms no eigenvalue and never calls the spectrum kernel.  t is a time
     or an array of times; it takes the inputs of solve_mode and raises as it does.
     """
     ts = _times(t, "propagate_numeric")
-    _check_mode(k, init)
+    k = _frequency(init.k)
     # imported here: only the oracle uses scipy.linalg
     from scipy.linalg import expm
     y = expm(ts[..., None, None] * mode_matrix(p, k)) @ init.as_array()
@@ -457,10 +450,11 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     tuple, whose `split` writes them out on the complex pair of the cubic,
     from the same Newton directions.  The results are real for real data and
     complex for complex data.  Raises ValueError unless t is finite and >= 0,
-    and InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
+    and InvalidFrequency unless every k is finite and >= 0 or where
+    beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
     """
     t = _times(t, "solve_modes_on_grid")
-    ks = np.asarray(ks, dtype=float)
+    ks = _frequencies(ks)
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2, ks)[:3])
     nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)
     lam, alpha, q = nodes[3:]

@@ -18,6 +18,7 @@ record also equals the plain tuple of its values.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from typing import NamedTuple
 
@@ -132,6 +133,14 @@ def high_frequency_rate(p: ModelParams) -> float:
     return min(1.0 / p.beta, (p.beta - p.tau) / (2.0 * p.beta * p.tau))
 
 
+def _check_orders(dim: int, j: int) -> None:
+    """ValueError unless dim is an integer >= 1 and j one >= 0; a bool is not an integer."""
+    for value, name, least in ((dim, "dimension", 1), (j, "derivative order", 0)):
+        integer = hasattr(value, "__index__") and not isinstance(value, bool)
+        if not (integer and operator.index(value) >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+
+
 def applicable_exponents(dim: int, j: int, data_class: DataClass) -> list[float]:
     """All polynomial decay exponents applicable to (dim, j, data class).
 
@@ -139,9 +148,9 @@ def applicable_exponents(dim: int, j: int, data_class: DataClass) -> list[float]
     smaller is stronger.  For plain integrable data the generic bound
     1 - dim/4 - j/2 always applies and improves to -(dim-2)/4 - j/2 once
     dim + j >= 3.  For weighted zero-mean data the bound is -dim/4 - j/2.
+    Raises ValueError unless dim is an integer >= 1 and j an integer >= 0.
     """
-    if dim < 1 or j < 0:
-        raise ValueError(f"need dim >= 1 and j >= 0, got dim={dim}, j={j}")
+    _check_orders(dim, j)
     if data_class is DataClass.L1_WEIGHTED:
         return [-dim / 4.0 - j / 2.0]
     exps = [1.0 - dim / 4.0 - j / 2.0]

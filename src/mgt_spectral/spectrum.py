@@ -85,6 +85,27 @@ class AsymptoticTriple:
     order: int
 
 
+def _frequencies(k) -> np.ndarray:
+    """k as a float array; InvalidFrequency, naming the first offender, unless every
+    entry is a finite number >= 0.  The one frequency rule of the package."""
+    try:
+        ks = np.asarray(k, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidFrequency(f"frequency magnitude must be a number, got {k!r}") from exc
+    bad = ~(np.isfinite(ks) & (ks >= 0.0))
+    if bad.any():
+        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {ks[bad][0]}")
+    return ks
+
+
+def _frequency(k) -> float:
+    """One frequency magnitude as a float, by the rule of _frequencies."""
+    ks = _frequencies(k)
+    if ks.ndim:
+        raise InvalidFrequency(f"frequency magnitude must be a number, got {k!r}")
+    return float(ks)
+
+
 def characteristic_residual(p: ModelParams, lam: complex, k: float) -> tuple[float, float]:
     """Return (|p(lam)|, scale) with scale the sum of term magnitudes, elementwise."""
     k2 = k * k
@@ -255,20 +276,14 @@ def eigenvalues(p: ModelParams, k: float) -> SpectrumPoint:
     A batch of one through the path atlas takes.  Raises InvalidFrequency on
     negative or non-finite k, and where beta*k^2/tau exceeds MAX_STIFFNESS.
     """
-    try:
-        k = float(k)
-    except (TypeError, ValueError) as exc:
-        raise InvalidFrequency(f"frequency magnitude must be a number, got {k!r}") from exc
-    if not (math.isfinite(k) and k >= 0.0):
-        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k!r}")
+    k = _frequency(k)
     roots, patterns = _spectrum(p, np.array([k * k]))
     return SpectrumPoint(k=k, lambdas=tuple(complex(z) for z in roots[0]), pattern=patterns[0])
 
 
 def asymptotic_small_k(p: ModelParams, k: float) -> AsymptoticTriple:
     """Small-frequency expansion: lam1 ~ -1/tau, pair ~ +-ik - (beta-tau)k^2/2."""
-    if not (math.isfinite(k) and k >= 0.0):
-        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {k}")
+    k = _frequency(k)
     damp = 0.5 * (p.beta - p.tau) * k * k
     lam2 = complex(-damp, k)
     return AsymptoticTriple(k=k, lambdas_approx=(-1.0 / p.tau, lam2, lam2.conjugate()), order=2)

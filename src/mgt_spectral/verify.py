@@ -34,13 +34,12 @@ def _random_state(rng, k: float) -> mode_solver.ModeState:
     return mode_solver.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)), k=k)
 
 
-def _random_mode(rng, k_hi: float) -> tuple[params.ModelParams, float, mode_solver.ModeState]:
-    """A random point (tau, beta), a frequency k in [0, k_hi) and a random state at k."""
+def _random_mode(rng, k_hi: float) -> tuple[params.ModelParams, mode_solver.ModeState]:
+    """A random point (tau, beta) and a random state at a frequency k in [0, k_hi)."""
     tau = rng.uniform(0.05, 0.9)
     beta = rng.uniform(tau + 0.05, 2.0)
     pp = params.validate(tau, beta)
-    k = float(rng.uniform(0.0, k_hi))
-    return pp, k, _random_state(rng, k)
+    return pp, _random_state(rng, float(rng.uniform(0.0, k_hi)))
 
 
 def _suite_spectrum(rng, n) -> tuple[bool, str]:
@@ -71,10 +70,10 @@ def _suite_spectrum(rng, n) -> tuple[bool, str]:
 def _suite_oracle(rng, n) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n):
-        pp, k, init = _random_mode(rng, 50.0)
+        pp, init = _random_mode(rng, 50.0)
         t = float(rng.uniform(0.0, 20.0))
-        a = mode_solver.solve_mode(pp, k, init, t)
-        b = mode_solver.propagate_numeric(pp, k, init, t)
+        a = mode_solver.solve_mode(pp, init, t)
+        b = mode_solver.propagate_numeric(pp, init, t)
         err = math.hypot(*np.abs(a.as_array() - b.as_array())) / (1.0 + init.norm())
         worst = max(worst, err)
     return worst <= 1e-6, f"n={n} max_mismatch={worst:.2e}"
@@ -83,9 +82,9 @@ def _suite_oracle(rng, n) -> tuple[bool, str]:
 def _suite_energy(rng, n) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(n):
-        pp, k, init = _random_mode(rng, 20.0)
+        pp, init = _random_mode(rng, 20.0)
         ts = rng.uniform(0.0, 10.0, 10)
-        res, scale = lyapunov.energy_dissipation_residual(pp, k, init, ts)
+        res, scale = lyapunov.energy_dissipation_residual(pp, init, ts)
         worst = max(worst, float((res / scale).max()))
     return worst <= 1e-9, f"n={n} max_identity_residual={worst:.2e}"
 
@@ -102,7 +101,7 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
         for k in (0.3, 1.0, 5.0):
             init = _random_state(rng, k)
             r = float(lyapunov.rho(k))
-            st = mode_solver.solve_mode(pp, k, init, ts)
+            st = mode_solver.solve_mode(pp, init, ts)
             val = lyapunov.functionals(pp, st, w).lyap * np.exp(w.gamma5 * r * ts)
             prev, val = val[:-1], val[1:]
             up = prev > 0

@@ -15,7 +15,7 @@ from mgt_spectral import (FrequencyProfile, ModeState, RootPattern, characterist
                           energy_dissipation_residual, evaluate_mode, fit_decay_slope,
                           functionals, gronwall_margin, integral_lemma_check,
                           mode_coefficients, pointwise_bound_constants, propagate_numeric,
-                          region_contributions, region_rates, region_split, rho,
+                          region_contributions, region_rates, rho,
                           sobolev_norm_sq, solve_mode, v_norm_sq, v_vector, validate)
 from mgt_spectral.params import ModelParams
 from mgt_spectral.spectrum import _spectrum
@@ -122,12 +122,12 @@ def test_criterion_04_oracle_equivalence():
             k = rng.uniform(0.0, 50.0)
             t = rng.uniform(0.0, 20.0)
             init = random_state(rng, k)
-            a = solve_mode(p, float(k), init, float(t))
-            b = propagate_numeric(p, float(k), init, float(t))
+            a = solve_mode(p, init, float(t))
+            b = propagate_numeric(p, init, float(t))
             assert np.abs(a.as_array() - b.as_array()).max() <= 1e-6 * (1.0 + init.norm())
             # semigroup split at a random intermediate time
             t1 = float(t) * rng.uniform(0.2, 0.8)
-            stepped = solve_mode(p, float(k), solve_mode(p, float(k), init, t1),
+            stepped = solve_mode(p, solve_mode(p, init, t1),
                                  float(t) - t1)
             assert (np.abs(a.as_array() - stepped.as_array()).max()
                     <= 1e-8 * (1.0 + a.norm() + init.norm()))
@@ -146,7 +146,7 @@ def test_criterion_05_energy_identity():
         for p, k in cases:
             init = random_state(rng, k)
             for t in rng.uniform(0.0, 10.0, 10):
-                res, scale = energy_dissipation_residual(p, k, init, float(t))
+                res, scale = energy_dissipation_residual(p, init, float(t))
                 assert res <= 1e-9 * scale
 
 
@@ -166,7 +166,7 @@ def test_criterion_06_gronwall_margin():
             # fresh trajectories: L(t) exp(gamma5 rho t) nonincreasing
             for k in (0.2, 1.0, 8.0):
                 init = random_state(rng, k)
-                coeffs = mode_coefficients(p, k, init)
+                coeffs = mode_coefficients(p, init)
                 r = float(rho(k))
                 prev = None
                 for t in np.linspace(0.0, 15.0, 61):
@@ -182,7 +182,7 @@ def test_criterion_06_gronwall_margin():
             init = random_state(rng, k)
             v0 = v_vector(P, init).norm_sq
             for t in (0.5, 2.0, 8.0, 20.0):
-                vt = v_vector(P, solve_mode(P, float(k), init, t)).norm_sq
+                vt = v_vector(P, solve_mode(P, init, t)).norm_sq
                 assert vt <= C * math.exp(-c * float(rho(k)) * t) * v0 * (1.0 + 1e-9)
 
 
@@ -264,24 +264,23 @@ def test_criterion_11_v_norm_theorem():
 def test_criterion_12_region_diagnostics():
     with criterion(12, "mid/high regions decay at exp(-2 min(c3,c4) t); regions sum"):
         data = (GAUSS, GAUSS, GAUSS)
-        split = region_split(P)
-        c3, c4 = region_rates(P, split)
+        c3, c4 = region_rates(P)
         cmin = min(c3, c4)
         tol = 1e-12
-        rc0 = region_contributions(P, data, 2, 0, 0.0, split, quad_tol=tol)
+        rc0 = region_contributions(P, data, 2, 0, 0.0, quad_tol=tol)
         # the early window must cover the cos^2 modulation of the mid trace
         # (period ~ pi / Im(lambda(nu1)) ~ 6) so the constant catches its peak
         early, late = (3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0), (20.0, 30.0, 40.0, 60.0)
-        cm = max(region_contributions(P, data, 2, 0, t, split, quad_tol=tol).mid
+        cm = max(region_contributions(P, data, 2, 0, t, quad_tol=tol).mid
                  / (math.exp(-2 * cmin * t) * rc0.mid) for t in early)
-        ch = max(region_contributions(P, data, 2, 0, t, split, quad_tol=tol).high
+        ch = max(region_contributions(P, data, 2, 0, t, quad_tol=tol).high
                  / (math.exp(-2 * cmin * t) * rc0.high) for t in early)
         for t in late:
-            rc = region_contributions(P, data, 2, 0, t, split, quad_tol=tol)
+            rc = region_contributions(P, data, 2, 0, t, quad_tol=tol)
             decay_factor = math.exp(-2 * cmin * t)
             assert rc.mid <= 1.05 * cm * decay_factor * rc0.mid + 4 * tol
             assert rc.high <= 1.05 * ch * decay_factor * rc0.high + 4 * tol
         for t in (0.0, 1.0, 10.0, 40.0):
-            rc = region_contributions(P, data, 2, 0, t, split, quad_tol=tol)
+            rc = region_contributions(P, data, 2, 0, t, quad_tol=tol)
             total = sobolev_norm_sq(P, data, 2, 0, t, tol)
             assert abs(rc.low + rc.mid + rc.high - total) <= 2.0 * tol

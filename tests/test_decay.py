@@ -115,6 +115,30 @@ class TestNormQuadrature:
         with pytest.raises(ValueError):
             sobolev_norm_sq(P, (GAUSS, ZERO, ZERO), 1, 0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("quad_tol", [math.inf, math.nan])
+    @pytest.mark.parametrize("norm", [
+        lambda tol: sobolev_norm_sq(P, (ZERO, ZERO, GAUSS), 3, 0, 1.0, tol),
+        lambda tol: v_norm_sq(P, (ZERO, ZERO, GAUSS), 3, 0, 1.0, tol),
+        lambda tol: decay_curve(P, (ZERO, ZERO, GAUSS), 3, 0, [1.0, 10.0, 100.0], tol),
+        lambda tol: region_contributions(P, (ZERO, ZERO, GAUSS), 3, 0, 1.0, quad_tol=tol),
+    ], ids=["sobolev_norm_sq", "v_norm_sq", "decay_curve", "region_contributions"])
+    def test_rejects_a_tolerance_that_is_not_finite(self, norm, quad_tol):
+        # an infinite tolerance would certify a cut near k = 0 and return a norm near 0
+        with pytest.raises(ValueError, match="quadrature tolerance must be finite and positive"):
+            norm(quad_tol)
+
+    @pytest.mark.parametrize("dim, j, name", [(1.5, 0, "dimension"), (True, 0, "dimension"),
+                                              (3, True, "derivative order"),
+                                              (3, 1.5, "derivative order")])
+    def test_rejects_orders_that_are_not_integers(self, dim, j, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sobolev_norm_sq(P, (ZERO, ZERO, GAUSS), dim, j, 1.0, 1e-10)
+
+    def test_accepts_numpy_integer_orders(self):
+        data = (ZERO, ZERO, GAUSS)
+        assert (sobolev_norm_sq(P, data, np.int64(3), np.int64(0), 1.0, 1e-10)
+                == sobolev_norm_sq(P, data, 3, 0, 1.0, 1e-10))
+
 
 class TestRegionContributions:
     def test_additivity(self):

@@ -76,9 +76,9 @@ class TestFunctionals:
         w = default_weights(P)
         init = ModeState(0.3 + 0.1j, -0.7, 1.9j, 2.0)
         ts = np.linspace(0.0, 8.0, 17)
-        f = functionals(P, solve_mode(P, 2.0, init, ts), w)
+        f = functionals(P, solve_mode(P, init, ts), w)
         for j, t in enumerate(ts):
-            single = functionals(P, solve_mode(P, 2.0, init, float(t)), w)
+            single = functionals(P, solve_mode(P, init, float(t)), w)
             for name in ("energy", "f1", "f2", "lyap"):
                 assert getattr(f, name)[j] == pytest.approx(getattr(single, name), rel=1e-14)
         assert f.rho == single.rho
@@ -114,19 +114,19 @@ class TestFunctionals:
 
 class TestDissipationIdentity:
     def test_zero_data(self):
-        assert energy_dissipation_residual(P, 1.0, ModeState(0.0, 0.0, 0.0, 1.0), 1.0)[0] == 0.0
+        assert energy_dissipation_residual(P, ModeState(0.0, 0.0, 0.0, 1.0), 1.0)[0] == 0.0
 
     def test_along_trajectories(self):
         init = ModeState(1.0, 1.0, 1.0, 1.0)
         for t in (0.0, 1.0, 5.0):
-            res, scale = energy_dissipation_residual(P, 1.0, init, t)
+            res, scale = energy_dissipation_residual(P, init, t)
             assert res <= 1e-9 * scale
 
     def test_zero_frequency_energy_constant(self):
         # at k = 0 the energy is |v + tau w|^2 / 2 and the identity reads dE/dt = 0
         init = ModeState(0.7, -0.3, 0.4, 0.0)
         for t in (0.0, 2.0, 9.0):
-            res, _ = energy_dissipation_residual(P, 0.0, init, t)
+            res, _ = energy_dissipation_residual(P, init, t)
             assert res <= 1e-12
 
     def test_all_patterns(self):
@@ -136,7 +136,7 @@ class TestDissipationIdentity:
         for p, k in cases:
             init = random_state(rng, k)
             for t in rng.uniform(0.0, 8.0, 10):
-                res, scale = energy_dissipation_residual(p, k, init, float(t))
+                res, scale = energy_dissipation_residual(p, init, float(t))
                 assert res <= 1e-9 * scale
 
 
@@ -148,21 +148,21 @@ class TestDissipationOverTimes:
         for p, k in [(P, 1.0), (P, 1.78), (validate(0.5, 1.2), 7.0), (P, 0.0)]:
             init = random_state(rng, k)
             ts = rng.uniform(0.0, 10.0, 10)
-            res, scale = energy_dissipation_residual(p, k, init, ts)
+            res, scale = energy_dissipation_residual(p, init, ts)
             assert res.shape == scale.shape == ts.shape
             for t, r, s in zip(ts, res, scale):
-                assert s == pytest.approx(energy_dissipation_residual(p, k, init, float(t))[1],
+                assert s == pytest.approx(energy_dissipation_residual(p, init, float(t))[1],
                                           rel=1e-12)
                 assert r <= 1e-9 * s
 
     def test_scalar_time_returns_float(self):
         init = ModeState(1.0, 1.0, 1.0, 1.0)
-        res, scale = energy_dissipation_residual(P, 1.0, init, 2.0)
+        res, scale = energy_dissipation_residual(P, init, 2.0)
         assert type(res) is float and type(scale) is float
 
     def test_rejects_negative_time_in_array(self):
         with pytest.raises(ValueError):
-            energy_dissipation_residual(P, 1.0, ModeState(1.0, 0.0, 0.0, 1.0),
+            energy_dissipation_residual(P, ModeState(1.0, 0.0, 0.0, 1.0),
                                         np.array([1.0, -1.0]))
 
 
@@ -189,7 +189,7 @@ class TestGronwallMargin:
         slack, rho_l = [], []
         for k in ks.tolist():
             for s in samples:
-                st = solve_mode(P, k, ModeState(s.u_hat, s.v_hat, s.w_hat, k=k), ts)
+                st = solve_mode(P, ModeState(s.u_hat, s.v_hat, s.w_hat, k=k), ts)
                 f = functionals(P, st, w)
                 rates = lyapunov._state_rates(P, st)
                 dl = (w.gamma0 * rates["dE"] + f.rho * rates["dF1"]
@@ -235,7 +235,7 @@ class TestGronwallMargin:
         rng = np.random.default_rng(37)
         for k in (0.3, 1.0, 4.0, 20.0):
             init = random_state(rng, k)
-            coeffs = mode_coefficients(P, k, init)
+            coeffs = mode_coefficients(P, init)
             r = float(rho(k))
             prev = None
             for t in np.linspace(0.0, 15.0, 61):
@@ -254,7 +254,7 @@ class TestGronwallMargin:
             init = random_state(rng, k)
             v0 = v_vector(P, init).norm_sq
             for t in (1.0, 5.0, 20.0):
-                st = solve_mode(P, float(k), init, t)
+                st = solve_mode(P, init, t)
                 vt = v_vector(P, st).norm_sq
                 assert vt <= C * math.exp(-c * float(rho(k)) * t) * v0 * (1 + 1e-9)
 
@@ -282,7 +282,7 @@ class TestDifferentialInequalities:
         for k in (0.2, 1.0, 3.0, 15.0):
             k2 = k * k
             init = random_state(rng, k)
-            coeffs = mode_coefficients(P, k, init)
+            coeffs = mode_coefficients(P, init)
             for t in np.linspace(0.0, 6.0, 25):
                 st = evaluate_mode(coeffs, float(t))
                 u, v, ww = st.u_hat, st.v_hat, st.w_hat

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (ModeState, RootPattern, default_weights,
-                          evaluate_mode, mode_coefficients, ode_residual,
-                          pointwise_bound_constants, propagate_numeric, rho, solve_mode,
-                          solve_modes_on_grid, v_vector, validate)
+from mgt_spectral import (InvalidFrequency, ModeState, RootPattern, asymptotic_small_k,
+                          decay_margin_exact, default_weights, eigenvalues,
+                          energy_dissipation_residual, evaluate_mode, mode_coefficients,
+                          ode_residual, pointwise_bound_constants, propagate_numeric, rho,
+                          solve_mode, solve_modes_on_grid, v_vector, validate)
 
 P = validate(0.1, 1.0)
 P_CRIT = validate(1.0 / 9.0, 1.0)
@@ -18,11 +19,11 @@ def random_state(rng, k):
 
 class TestCoefficients:
     def test_zero_data(self):
-        co = mode_coefficients(P, 2.0, ModeState(0.0, 0.0, 0.0, 2.0))
+        co = mode_coefficients(P, ModeState(0.0, 0.0, 0.0, 2.0))
         assert all(c == 0.0 for c in co.coeffs)
 
     def test_triple_root_hand_values(self):
-        co = mode_coefficients(P_CRIT, math.sqrt(3.0), ModeState(1.0, 0.0, 0.0, math.sqrt(3.0)))
+        co = mode_coefficients(P_CRIT, ModeState(1.0, 0.0, 0.0, math.sqrt(3.0)))
         assert co.pattern is RootPattern.TRIPLE_REAL
         assert co.coeffs[0] == pytest.approx(1.0)
         assert co.coeffs[1] == pytest.approx(3.0, rel=1e-9)
@@ -33,7 +34,7 @@ class TestCoefficients:
         # written here with the sign that reproduces u(0) = u0
         tau, beta = P.tau, P.beta
         for k in (1e-2, 1e-3):
-            co = mode_coefficients(P, k, ModeState(1.0, 0.0, 0.0, k))
+            co = mode_coefficients(P, ModeState(1.0, 0.0, 0.0, k))
             c1, c2, c3 = co.coeffs
             tilde_c1 = tau * tau * k * k
             tilde_c2 = 1.0
@@ -54,7 +55,7 @@ class TestCoefficients:
         ]
         for p, k in cases:
             init = random_state(rng, k)
-            co = mode_coefficients(p, k, init)
+            co = mode_coefficients(p, init)
             got = evaluate_mode(co, 0.0).as_array()
             ref = init.as_array()
             assert np.abs(got - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
@@ -70,7 +71,7 @@ class TestCoefficients:
                 (P_CRIT, math.sqrt(3.0), RootPattern.TRIPLE_REAL)]
         for p, k, expect in rows:
             assert classify(p, k) is expect
-            assert mode_coefficients(p, k, ModeState(1.0, 0.0, 0.0, k)).pattern is expect
+            assert mode_coefficients(p, ModeState(1.0, 0.0, 0.0, k)).pattern is expect
 
 
 class TestSolveMode:
@@ -78,19 +79,19 @@ class TestSolveMode:
         rng = np.random.default_rng(11)
         for k in (0.0, 0.5, 1.78, 40.0):
             init = random_state(rng, k)
-            out = solve_mode(P, k, init, 0.0)
+            out = solve_mode(P, init, 0.0)
             assert np.abs(out.as_array() - init.as_array()).max() <= 1e-9
 
     def test_zero_frequency_linear_growth(self):
         # tau u''' + u'' = 0 with (0, 1, 0) gives u(t) = t
         for t in (0.5, 1.0, 5.0):
-            st = solve_mode(P, 0.0, ModeState(0.0, 1.0, 0.0, 0.0), t)
+            st = solve_mode(P, ModeState(0.0, 1.0, 0.0, 0.0), t)
             assert st.u_hat == pytest.approx(t, rel=1e-12)
             assert st.v_hat == pytest.approx(1.0, rel=1e-12)
             assert abs(st.w_hat) <= 1e-12
 
     def test_zero_frequency_equilibrium(self):
-        st = solve_mode(P, 0.0, ModeState(1.0, 0.0, 0.0, 0.0), 10.0)
+        st = solve_mode(P, ModeState(1.0, 0.0, 0.0, 0.0), 10.0)
         assert st.u_hat == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_frequency_closed_form(self):
@@ -98,36 +99,36 @@ class TestSolveMode:
         tau = P.tau
         u0, u1, u2 = 0.3, -0.7, 1.9
         for t in (0.1, 2.0):
-            st = solve_mode(P, 0.0, ModeState(u0, u1, u2, 0.0), t)
+            st = solve_mode(P, ModeState(u0, u1, u2, 0.0), t)
             expect = tau**2 * u2 * math.exp(-t / tau) + (u0 - tau**2 * u2) + (u1 + tau * u2) * t
             assert st.u_hat == pytest.approx(expect, rel=1e-11)
 
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
-            solve_mode(P, 1.0, ModeState(1.0, 0.0, 0.0, 1.0), -1.0)
+            solve_mode(P, ModeState(1.0, 0.0, 0.0, 1.0), -1.0)
 
     def test_trajectory_in_one_call(self):
         init = ModeState(0.4 - 0.3j, -1.1 + 0.2j, 0.7 + 0.9j, 1.2)
         ts = np.linspace(0.0, 10.0, 21)
-        st = solve_mode(P, 1.2, init, ts)
+        st = solve_mode(P, init, ts)
         assert st.u_hat.shape == st.v_hat.shape == st.w_hat.shape == ts.shape
         for j, t in enumerate(ts):
-            single = solve_mode(P, 1.2, init, float(t))
+            single = solve_mode(P, init, float(t))
             np.testing.assert_allclose([st.u_hat[j], st.v_hat[j], st.w_hat[j]],
                                        single.as_array(), rtol=1e-14, atol=0.0)
         for bad in ([1.0, -1.0], [0.0, math.nan], [math.inf]):
             with pytest.raises(ValueError):
-                solve_mode(P, 1.2, init, np.array(bad))
+                solve_mode(P, init, np.array(bad))
 
 
 _UNIT = ModeState(1.0, 0.0, 0.0, 1.0)
 _MODE_ENTRY_POINTS = {
-    "solve_mode": lambda t: solve_mode(P, 1.0, _UNIT, t),
-    "evaluate_mode": lambda t: evaluate_mode(mode_coefficients(P, 1.0, _UNIT), t),
-    "ode_residual": lambda t: ode_residual(P, 1.0, _UNIT, t),
+    "solve_mode": lambda t: solve_mode(P, _UNIT, t),
+    "evaluate_mode": lambda t: evaluate_mode(mode_coefficients(P, _UNIT), t),
+    "ode_residual": lambda t: ode_residual(P, _UNIT, t),
     "solve_modes_on_grid": lambda t: solve_modes_on_grid(P, np.array([0.5, 1.0]),
                                                          1.0, 0.0, 0.0, t),
-    "propagate_numeric": lambda t: propagate_numeric(P, 1.0, _UNIT, t),
+    "propagate_numeric": lambda t: propagate_numeric(P, _UNIT, t),
 }
 
 
@@ -140,6 +141,30 @@ def test_every_mode_entry_point_rejects_a_bad_time(name, bad, in_array):
         _MODE_ENTRY_POINTS[name](np.array([0.0, bad]) if in_array else bad)
 
 
+_FREQUENCY_ENTRY_POINTS = {
+    "solve_mode": lambda k: solve_mode(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
+    "propagate_numeric": lambda k: propagate_numeric(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
+    "ode_residual": lambda k: ode_residual(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
+    "mode_coefficients": lambda k: mode_coefficients(P, ModeState(1.0, 0.0, 0.0, k)),
+    "energy_dissipation_residual":
+        lambda k: energy_dissipation_residual(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
+    "solve_modes_on_grid": lambda k: solve_modes_on_grid(P, np.array([0.5, k]),
+                                                         1.0, 0.0, 0.0, 1.0),
+    "eigenvalues": lambda k: eigenvalues(P, k),
+    "asymptotic_small_k": lambda k: asymptotic_small_k(P, k),
+    "decay_margin_exact": lambda k: decay_margin_exact(P, default_weights(P), [0.5, k]),
+}
+
+
+@pytest.mark.parametrize("name", _FREQUENCY_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_every_frequency_entry_point_rejects_a_bad_frequency(name, bad):
+    """One rule and one message for every frequency, never the mode at |k| or a stiffness error."""
+    with pytest.raises(InvalidFrequency,
+                       match=f"^frequency magnitude must be finite and >= 0, got {bad}$"):
+        _FREQUENCY_ENTRY_POINTS[name](bad)
+
+
 class TestOracleEquivalence:
     def test_against_numeric_propagator(self):
         rng = np.random.default_rng(21)
@@ -150,24 +175,24 @@ class TestOracleEquivalence:
             k = rng.uniform(0.0, 50.0)
             t = rng.uniform(0.0, 20.0)
             init = random_state(rng, k)
-            a = solve_mode(p, k, init, t)
-            b = propagate_numeric(p, k, init, t)
+            a = solve_mode(p, init, t)
+            b = propagate_numeric(p, init, t)
             err = np.abs(a.as_array() - b.as_array()).max()
             assert err <= 1e-6 * (1.0 + init.norm())
 
     def test_numeric_zero_data(self):
-        out = propagate_numeric(P, 3.0, ModeState(0.0, 0.0, 0.0, 3.0), 4.0)
+        out = propagate_numeric(P, ModeState(0.0, 0.0, 0.0, 3.0), 4.0)
         assert out.norm() == 0.0
 
     def test_numeric_equilibrium(self):
-        out = propagate_numeric(P, 0.0, ModeState(1.0, 0.0, 0.0, 0.0), 10.0)
+        out = propagate_numeric(P, ModeState(1.0, 0.0, 0.0, 0.0), 10.0)
         assert out.u_hat == pytest.approx(1.0, rel=1e-9)
 
     def test_mutual_consistency_supercritical(self):
         p = validate(0.5, 1.0)
         init = ModeState(1.0, 1.0, 1.0, 2.0)
-        a = solve_mode(p, 2.0, init, 3.0)
-        b = propagate_numeric(p, 2.0, init, 3.0)
+        a = solve_mode(p, init, 3.0)
+        b = propagate_numeric(p, init, 3.0)
         assert np.abs(a.as_array() - b.as_array()).max() <= 1e-8
 
     def test_array_of_times_equals_scalar_calls_bit_for_bit(self):
@@ -175,16 +200,16 @@ class TestOracleEquivalence:
         for k in (0.0, 1.775, 37.0):
             init = random_state(rng, k)
             ts = np.concatenate([[0.0], rng.uniform(0.0, 50.0, 8)])
-            st = propagate_numeric(P, k, init, ts)
+            st = propagate_numeric(P, init, ts)
             assert st.u_hat.shape == st.v_hat.shape == st.w_hat.shape == ts.shape
             for j, t in enumerate(ts):
-                single = propagate_numeric(P, k, init, float(t)).as_array()
+                single = propagate_numeric(P, init, float(t)).as_array()
                 assert np.array_equal([st.u_hat[j], st.v_hat[j], st.w_hat[j]], single)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, [1.0, -1.0], [0.0, math.nan]])
     def test_bad_time_raises(self, bad):
         with pytest.raises(ValueError, match="propagate_numeric requires t >= 0"):
-            propagate_numeric(P, 1.0, ModeState(1.0, 0.0, 0.0, 1.0), bad)
+            propagate_numeric(P, ModeState(1.0, 0.0, 0.0, 1.0), bad)
 
     def test_extreme_draws_match_mpmath(self):
         """Against a 40-digit expm of the same matrix, at large k, t and tau/beta."""
@@ -205,7 +230,7 @@ class TestOracleEquivalence:
                 phi_t = mp.matrix([[mp.mpf(x) * mp.mpf(t) for x in row]
                                    for row in mode_matrix(p, k)])
                 ref = mp.expm(phi_t) * mp.matrix([mp.mpc(z) for z in y0])
-                err = np.abs(propagate_numeric(p, k, init, t).as_array()
+                err = np.abs(propagate_numeric(p, init, t).as_array()
                              - np.array([complex(z) for z in ref])).max()
                 assert err <= 1e-8 * (1.0 + init.norm()), (ratio, beta, k, t)
 
@@ -216,9 +241,9 @@ class TestStructuralProperties:
         for k in (0.0, 0.7, 1.775, 10.0):
             init = random_state(rng, k)
             t1, t2 = 1.3, 2.9
-            direct = solve_mode(P, k, init, t1 + t2)
-            mid = solve_mode(P, k, init, t1)
-            stepped = solve_mode(P, k, mid, t2)
+            direct = solve_mode(P, init, t1 + t2)
+            mid = solve_mode(P, init, t1)
+            stepped = solve_mode(P, mid, t2)
             scale = 1.0 + direct.norm()
             assert np.abs(direct.as_array() - stepped.as_array()).max() <= 1e-8 * scale
 
@@ -228,8 +253,8 @@ class TestStructuralProperties:
         x, y = random_state(rng, k), random_state(rng, k)
         a, b = 1.7 - 0.3j, -0.8 + 2.1j
         combo = ModeState(*(a * x.as_array() + b * y.as_array()), k=k)
-        lhs = solve_mode(P, k, combo, t).as_array()
-        rhs = a * solve_mode(P, k, x, t).as_array() + b * solve_mode(P, k, y, t).as_array()
+        lhs = solve_mode(P, combo, t).as_array()
+        rhs = a * solve_mode(P, x, t).as_array() + b * solve_mode(P, y, t).as_array()
         assert np.abs(lhs - rhs).max() <= 1e-9 * (1.0 + np.abs(rhs).max())
 
     def test_ode_residual(self):
@@ -237,7 +262,7 @@ class TestStructuralProperties:
         for k in (0.0, 0.9, 1.78, math.sqrt(3.125), 25.0):
             init = random_state(rng, k)
             for t in rng.uniform(0.0, 10.0, 10):
-                res, scale = ode_residual(P, k, init, float(t))
+                res, scale = ode_residual(P, init, float(t))
                 assert res <= 1e-9 * scale
 
     def test_v_decay_pointwise(self):
@@ -249,7 +274,7 @@ class TestStructuralProperties:
             init = random_state(rng, k)
             v0 = v_vector(P, init).norm_sq
             for t in (0.5, 2.0, 10.0, 25.0):
-                st = solve_mode(P, k, init, t)
+                st = solve_mode(P, init, t)
                 vt = v_vector(P, st).norm_sq
                 assert vt <= C * math.exp(-c * float(rho(k)) * t) * v0 * (1.0 + 1e-9)
 
@@ -286,14 +311,14 @@ class TestGridEvaluation:
         for t in (0.0, 0.7, 12.0):
             u, v, w = solve_modes_on_grid(P, ks, u0, u1, u2, t)
             for i, k in enumerate(ks):
-                ref = solve_mode(P, float(k), ModeState(u0[i], u1[i], u2[i], float(k)), t)
+                ref = solve_mode(P, ModeState(u0[i], u1[i], u2[i], float(k)), t)
                 got = np.array([u[i], v[i], w[i]])
                 assert np.abs(got - ref.as_array()).max() <= 1e-9 * (1.0 + ref.norm())
 
     def test_critical_grid(self):
         ks = np.array([0.5, math.sqrt(3.0), 4.0])
         u, v, w = solve_modes_on_grid(P_CRIT, ks, np.ones(3), np.zeros(3), np.zeros(3), 1.0)
-        ref = solve_mode(P_CRIT, math.sqrt(3.0), ModeState(1.0, 0.0, 0.0, math.sqrt(3.0)), 1.0)
+        ref = solve_mode(P_CRIT, ModeState(1.0, 0.0, 0.0, math.sqrt(3.0)), 1.0)
         assert abs(u[1] - ref.u_hat) <= 1e-10
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -355,7 +380,7 @@ class TestConfluenceSweep:
                     np.full(ks.size, self.Y0[2]), t))
                 for i, k in enumerate(ks):
                     ref = _expm_reference(p, k, self.Y0, t)
-                    scalar = solve_mode(p, float(k), ModeState(*self.Y0, k=float(k)), t)
+                    scalar = solve_mode(p, ModeState(*self.Y0, k=float(k)), t)
                     for got in (scalar.as_array(), grid[:, i]):
                         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
         assert worst <= 1e-10
@@ -364,14 +389,14 @@ class TestConfluenceSweep:
         for p, k2s in _confluent_windows():
             for k in np.sqrt(k2s):
                 init = ModeState(*self.Y0, k=float(k))
-                co = mode_coefficients(p, float(k), init)
+                co = mode_coefficients(p, init)
                 assert co.pattern in RootPattern
-                assert np.all(np.isfinite(solve_mode(p, float(k), init, 3.0).as_array()))
+                assert np.all(np.isfinite(solve_mode(p, init, 3.0).as_array()))
 
     def test_array_times_equal_scalar_calls(self):
         ts = np.linspace(0.0, 10.0, 41)
         for p, k in ((P, 0.0), (P, 1.2), (P, math.sqrt(3.125)), (P_CRIT, math.sqrt(3.0))):
-            co = mode_coefficients(p, k, ModeState(*self.Y0, k=k))
+            co = mode_coefficients(p, ModeState(*self.Y0, k=k))
             batch = evaluate_mode(co, ts).as_array()
             for j, t in enumerate(ts):
                 single = evaluate_mode(co, float(t)).as_array()
@@ -393,7 +418,7 @@ class TestOneModePattern:
         mismatches = []
         for p, k2s in rows:
             for k in np.sqrt(k2s).tolist():
-                got = mode_coefficients(p, k, ModeState(*y0, k=k)).pattern
+                got = mode_coefficients(p, ModeState(*y0, k=k)).pattern
                 if got is not classify(p, k):
                     mismatches.append((p.tau, p.beta, k, got))
         assert mismatches == []
@@ -407,7 +432,7 @@ class TestZeroFrequencyKernel:
         for tau in rng.uniform(1e-3, 5.0, 60):
             p = validate(float(tau), 2.0 * float(tau))
             for t in (1.0, 5.0, 20.0):
-                res, scale = ode_residual(p, 0.0, ModeState(0.3, -0.7, 1.9, 0.0), t * tau)
+                res, scale = ode_residual(p, ModeState(0.3, -0.7, 1.9, 0.0), t * tau)
                 assert res <= 1e-9 * scale
 
 
@@ -449,8 +474,8 @@ class TestScalarSolveModePath:
                 ks += [math.sqrt(thr.m2 * (1.0 + 1e-9))]
             for k in ks:
                 init = random_state(rng, k)
-                got = solve_mode(p, k, init, ts).as_array()
-                ref = evaluate_mode(mode_coefficients(p, k, init), ts).as_array()
+                got = solve_mode(p, init, ts).as_array()
+                ref = evaluate_mode(mode_coefficients(p, init), ts).as_array()
                 assert np.array_equal(got, ref), (tau, beta, k)
                 compared += got.size
         assert compared >= 9000
@@ -461,19 +486,13 @@ class TestScalarSolveModePath:
 
         init = ModeState(1.0, 0.0, 0.0, k)
         with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            solve_mode(P, k, init, 1.0)
+            solve_mode(P, init, 1.0)
         with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            mode_coefficients(P, k, init)
+            mode_coefficients(P, init)
         with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            ode_residual(P, k, init, 1.0)
+            ode_residual(P, init, 1.0)
         with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            propagate_numeric(P, k, init, 1.0)
-
-    def test_tag_check_kept(self):
-        with pytest.raises(ValueError, match="tagged"):
-            solve_mode(P, 1.0, ModeState(1.0, 0.0, 0.0, 2.0), 1.0)
-        with pytest.raises(ValueError, match="tagged"):
-            propagate_numeric(P, 2.0, ModeState(1.0, 0.0, 0.0, 5.0), 1.0)
+            propagate_numeric(P, init, 1.0)
 
 
 class TestSplitTerms:

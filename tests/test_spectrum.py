@@ -537,7 +537,7 @@ class TestMaxStiffness:
         with pytest.raises(InvalidFrequency, match=bound):
             atlas(P, [0.0, 1.0, k])
         with pytest.raises(InvalidFrequency, match=bound):
-            solve_mode(P, k, ModeState(1.0, 0.0, 0.0, k=k), 1.0)
+            solve_mode(P, ModeState(1.0, 0.0, 0.0, k=k), 1.0)
         ones = np.ones(2)
         with pytest.raises(InvalidFrequency, match=bound):
             solve_modes_on_grid(P, np.array([1.0, k]), ones, 0.0 * ones, 0.0 * ones, 1.0)
