@@ -127,10 +127,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             opt(sp, *option)
         return sp
 
-    def grid(v, what, vmin, vmax, count, log):
+    def grid(v, what, whats, vmin, vmax, count, log):
         return [(f"{v}-min", vmin, f"first {what}"), (f"{v}-max", vmax, f"last {what}"),
-                (f"{v}-count", count, f"number of {what}s"),
-                (f"{v}-log", log, f"log-spaced {what}s")]
+                (f"{v}-count", count, f"number of {whats}"),
+                (f"{v}-log", log, f"log-spaced {whats}")]
 
     dim_j = [("dim", 3, "space dimension"), ("j", 0, "derivative order")]
     data = ("data", "u0:gaussian:1:1,u1:zero,u2:zero",
@@ -138,11 +138,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     command("classify", "regime, thresholds, theorem exponents", *dim_j,
             ("all-bounds", False, "print every applicable bound, not only the best one"))
     command("atlas", "branch-continuous eigenvalue table (CSV)",
-            *grid("k", "frequency", 0.0, 5.0, 201, False))
+            *grid("k", "frequency", "frequencies", 0.0, 5.0, 201, False))
     command("mode", "single-mode trajectory with energy columns (CSV)",
-            ("k", 1.0, "frequency magnitude"), *grid("t", "time", 0.0, 10.0, 101, False), data)
+            ("k", 1.0, "frequency magnitude"),
+            *grid("t", "time", "times", 0.0, 10.0, 101, False), data)
     sp = command("decay", "Sobolev-norm decay curve and bound verdict",
-                 *dim_j, *grid("t", "time", 1e2, 1e4, 25, True), data,
+                 *dim_j, *grid("t", "time", "times", 1e2, 1e4, 25, True), data,
                  ("quad-tol", 1e-10, "quadrature tolerance in (0, 1)"),
                  ("v-norm", False, "measure the energy-variable vector norm instead of the "
                                    "solution norm"))

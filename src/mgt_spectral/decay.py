@@ -89,12 +89,10 @@ class DecayCurve:
 
 
 def region_split(p: ModelParams) -> RegionSplit:
-    """Frequency regions: nu1 stays below sqrt(m1), nu2 above sqrt(m2)."""
-    thr = cardano_thresholds(p)
-    if thr.m1 is None:
-        return RegionSplit(nu1=0.5, nu2=2.0)
-    nu1 = min(0.5, 0.9 * math.sqrt(thr.m1))
-    nu2 = max(2.0, 1.1 * math.sqrt(thr.m2))
+    """Frequency regions: nu1 <= 0.5/beta below sqrt(m1), nu2 >= 2/beta above sqrt(m2)."""
+    thr, nu1, nu2 = cardano_thresholds(p), 0.5 / p.beta, 2.0 / p.beta
+    if thr.m1 is not None:
+        nu1, nu2 = min(nu1, 0.9 * math.sqrt(thr.m1)), max(nu2, 1.1 * math.sqrt(thr.m2))
     return RegionSplit(nu1=nu1, nu2=nu2)
 
 

@@ -20,7 +20,8 @@ batched path (_spectrum) makes the root-and-pattern decision for
 eigenvalues, classify, atlas and the `mgt verify` sweep, elementwise in tau
 and beta as in k^2, so that a float parameter record is the batch of one:
 within TOL_BOUNDARY of m1 or m2 a factor with coincident roots is a double
-root, and at the critical-ratio threshold the triple root is -1/(3 tau).
+root, and at the critical-ratio threshold the triple root is -1/(3 tau).  Both
+windows are relative, so at (s tau, s beta, k/s) each root is lam/s.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .params import CRITICAL_RATIO, TOL_CRITICAL, ModelParams
 #: Relative residual budget for returned roots: |p(lam)| <= TOL_RESIDUAL * scale.
 TOL_RESIDUAL = 1e-9
 
-#: Two roots closer than TOL_CONFLUENT * max(1, |lam|) are treated as a double root.
+#: Two roots closer than TOL_CONFLUENT * |alpha| (alpha: their mean) form a double root.
 TOL_CONFLUENT = 1e-7
 
-#: k^2 closer to m1/m2 than this (relative) may hold a double root (_route_confluent).
+#: k^2 within TOL_BOUNDARY * m1 of m1 (or of m2) may hold a double root (_route_confluent).
 TOL_BOUNDARY = 1e-11
 
 #: Largest beta*k^2/tau the closed-form roots take: beyond it the cube of the
@@ -230,18 +231,18 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     at small k.)
     This is the one place where k^2 is compared with the thresholds m1, m2,
     each row with those of its own tau and beta (_thresholds): within
-    TOL_BOUNDARY of either, a factor whose roots lie closer than
-    TOL_CONFLUENT * max(1, |alpha|) becomes the double root alpha (q := 0;
-    near the critical ratio they can lie far apart even there), and at the
-    critical ratio the triple root is -1/(3 tau) = -a/3.
+    TOL_BOUNDARY * m1 of m1 (or of m2), a factor whose roots lie closer than
+    TOL_CONFLUENT * |alpha| becomes the double root alpha (q := 0; near the
+    critical ratio they can lie far apart even there), and at the critical
+    ratio the triple root is -1/(3 tau) = -a/3.
     """
     lam, alpha, q = factor[3:]
     m1, m2, critical = _thresholds(p.tau, p.beta)
     m = 0.5 * (m1 + m2)
-    triple = critical & (np.abs(k2 - m) <= TOL_BOUNDARY * np.maximum(1.0, m))
-    near = ~critical & ((np.abs(k2 - m1) <= TOL_BOUNDARY * np.maximum(1.0, m1))
-                        | (np.abs(k2 - m2) <= TOL_BOUNDARY * np.maximum(1.0, m2)))
-    close = 2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.maximum(1.0, np.abs(alpha))
+    triple = critical & (np.abs(k2 - m) <= TOL_BOUNDARY * m)
+    near = ~critical & ((np.abs(k2 - m1) <= TOL_BOUNDARY * m1)
+                        | (np.abs(k2 - m2) <= TOL_BOUNDARY * m2))
+    close = 2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.abs(alpha)
     q = np.where(near & close, 0.0, q)
 
     r = np.sqrt(np.abs(q))
@@ -313,13 +314,12 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     are summed in ascending order, so a total depends only on their values:
     where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
     the two assignments tie exactly, whatever the last bits of the roots.
-    Values and patterns agree with eigenvalues() up to permutation.
+    Values and patterns agree with eigenvalues() up to permutation.  An entry
+    eigenvalues rejects raises InvalidFrequency, an empty or descending grid GridError.
     """
-    ks = np.asarray(list(k_grid), dtype=float)
+    ks = _frequencies(list(k_grid))
     if ks.size == 0:
         raise GridError("empty frequency grid")
-    if np.any(~np.isfinite(ks)) or np.any(ks < 0.0):
-        raise GridError("frequency grid must be finite and nonnegative")
     if np.any(np.diff(ks) < 0.0):
         raise GridError("frequency grid must be ascending")
 

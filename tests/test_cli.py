@@ -262,8 +262,14 @@ def test_every_subcommand_help_opens_with_its_summary(capsys, command):
     assert code == 0
     assert summary and summary in listing  # the same line as in the `mgt --help` list
     assert " ".join(out.split("\n\n")[1].split()) == summary
+    text = " ".join(out.split())
     point = "(optional, given together" if command == "verify" else "(required)"
-    assert point in " ".join(out.split())
+    assert point in text
+    grid = {"atlas": ("k", "frequencies"), "mode": ("t", "times"), "decay": ("t", "times")}
+    if command in grid:  # the grid options name their nodes in the plural
+        v, nodes = grid[command]
+        assert f"--{v}-count {v.upper()}_COUNT number of {nodes} (default:" in text
+        assert f"--no-{v}-log log-spaced {nodes} (default:" in text
 
 
 @pytest.mark.parametrize("argv, config, message", [

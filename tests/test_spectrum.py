@@ -11,6 +11,8 @@ from mgt_spectral import (GridError, InvalidFrequency, Labeling, ModelParams, Ro
                           mode_matrix, solve_modes_on_grid, spectrum, validate)
 
 P = validate(0.1, 1.0)
+#: Scales s of the symmetry (tau, beta, k) -> (s tau, s beta, k / s): roots become lam / s.
+SCALES = (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9)
 P_CRIT = validate(1.0 / 9.0, 1.0)
 P_SUPER = validate(0.5, 1.0)
 
@@ -219,12 +221,15 @@ class TestAtlas:
         assert np.all(np.diff(re2) < 0.0)
 
     def test_grid_validation(self):
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="ascending"):
             atlas(P, [1.0, 0.5])
-        with pytest.raises(GridError):
-            atlas(P, [-1.0, 0.5])
-        with pytest.raises(GridError):
+        with pytest.raises(GridError, match="empty"):
             atlas(P, [])
+        # a bad entry breaks the one frequency rule, as it does everywhere else
+        with pytest.raises(InvalidFrequency, match="got -1.0"):
+            atlas(P, [-1.0, 0.5])
+        with pytest.raises(InvalidFrequency, match="got nan"):
+            atlas(P, [0.0, math.nan])
 
     def test_rows_serialization(self):
         pts = atlas(P, [0.0, 1.0])
@@ -288,7 +293,8 @@ class TestPairFromVieta:
 
     def test_random_domain(self):
         # every root, real and imaginary parts apart, over the whole domain:
-        # log-uniform k from 1e-10 to 1e20, a third of the draws sub-critical
+        # log-uniform k from 1e-10 to 1e20, a third of the draws sub-critical,
+        # each draw at one of SCALES as (s tau, s beta, k / s)
         rng = np.random.default_rng(71)
         for i in range(200):
             tau = rng.uniform(0.01, 0.95)
@@ -296,6 +302,8 @@ class TestPairFromVieta:
             if i % 3 == 0:
                 tau = beta * rng.uniform(0.005, 0.11)
             k = 10.0 ** rng.uniform(-10.0, 20.0)
+            s = rng.choice(SCALES)
+            tau, beta, k = s * tau, s * beta, k / s
             got = sorted(eigenvalues(validate(tau, beta), k).lambdas,
                          key=lambda z: (z.real, z.imag))
             ref = sorted(_mp_roots(tau, beta, k), key=lambda z: (z.real, z.imag))
@@ -392,17 +400,17 @@ class TestOnePatternDecision:
     def test_random_draws(self):
         rng = np.random.default_rng(2024)
         for i in range(300):
-            beta = rng.uniform(0.05, 2.0)
+            beta = rng.uniform(0.05, 2.0) * rng.choice(SCALES)
             tau = beta * (rng.uniform(0.005, 0.11) if i % 2 else rng.uniform(0.001, 0.999))
             ks = np.sort(10.0 ** rng.uniform(-6.0, 6.0, 8))
             self._check(validate(tau, beta), [float(k) for k in ks])
 
     def test_near_thresholds(self):
         # k^2 between 1e-10 and 1e-2 (relative) of m1 or m2, at ratios from
-        # ordinary to within 1e-11 of the critical ratio
+        # ordinary to within 1e-11 of the critical ratio, at every scale
         rng = np.random.default_rng(77)
         for _ in range(300):
-            beta = rng.uniform(0.05, 2.0)
+            beta = rng.uniform(0.05, 2.0) * rng.choice(SCALES)
             p = validate((1.0 - 10.0 ** rng.uniform(-11.0, -0.05)) / 9.0 * beta, beta)
             thr = cardano_thresholds(p)
             ks = sorted(math.sqrt(m * (1.0 + s * 10.0 ** rng.uniform(-10.0, -2.0)))
