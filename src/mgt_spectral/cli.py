@@ -29,8 +29,7 @@ import os
 import sys
 
 from . import __version__, params
-from .errors import (NonDissipative, NonFinite, GridError, InvalidFrequency, QuadratureFailure,
-                     NonPositiveMargin, ToleranceFailure, DegenerateFit, EmptyInput)
+from .errors import QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -38,7 +37,7 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
-_BAD_INPUT_ERRORS = (NonDissipative, NonFinite, GridError, InvalidFrequency, EmptyInput, ValueError)
+_BAD_INPUT_ERRORS = (ValueError,)
 _NUMERICAL_ERRORS = (QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit)
 
 #: settings that header line 2 leaves out: tau and beta are recorded as validated,
@@ -183,7 +182,7 @@ def cmd_classify(args) -> int:
         params.Regime.SUB_CRITICAL:
             "three real roots for sqrt(m1) <= |xi| <= sqrt(m2), conjugate pair outside",
         params.Regime.CRITICAL:
-            "triple real root at |xi| = sqrt(m1) = sqrt(m2), conjugate pair elsewhere",
+            "triple real root at |xi| = sqrt(3)/beta, conjugate pair elsewhere",
         params.Regime.SUPER_CRITICAL:
             "conjugate pair for all |xi| > 0",
     }[reg]

@@ -43,11 +43,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lyapunov
-from .errors import DegenerateFit, EmptyInput, GridError, QuadratureFailure, ToleranceFailure
-from .mode_solver import DataTriple, FrequencyProfile, solve_modes_on_grid
+from .errors import DegenerateFit, InvalidInput, QuadratureFailure, ToleranceFailure
+from .mode_solver import DataTriple, FrequencyProfile, _time_grid, _times, solve_modes_on_grid
 from .params import (DataClass, ModelParams, _check_orders, cardano_thresholds,
                      high_frequency_rate, theorem_rates)
-from .quadrature import QuadResult, Split, adaptive_quadrature
+from .quadrature import QuadResult, Split, _tolerance, adaptive_quadrature
 from .spectrum import eigenvalues
 
 
@@ -233,14 +233,6 @@ def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
 # norm quadratures
 # ---------------------------------------------------------------------------
 
-def _validate_norm_args(dim: int, j: int, t: float, quad_tol: float) -> None:
-    _check_orders(dim, j)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and >= 0, got {t}")
-    if not (0.0 < quad_tol < math.inf):
-        raise ValueError(f"quadrature tolerance must be finite and positive, got {quad_tol}")
-
-
 def _functionals(tau: float, v_norm: bool) -> tuple:
     """(power of k, linear functional of the state) pairs: the norm integrand is
     k^(2j+dim-1) sum k^power functional(y)^2."""
@@ -299,7 +291,9 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     whole integrand while its phase turns by more than pi, as on every other
     untrusted panel.
     """
-    _validate_norm_args(dim, j, t, quad_tol)
+    _check_orders(dim, j)
+    t = float(_times(t))
+    _tolerance(quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
         return QuadResult(0.0, 0.0, 0, 0), 0.0, 0.0
     tail_bound = 0.0
@@ -335,7 +329,9 @@ def v_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
 def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                          quad_tol: float = 1e-10) -> RegionContributions:
     """The three partial integrals over [0, nu1], [nu1, nu2], [nu2, inf) of region_split(p)."""
-    _validate_norm_args(dim, j, t, quad_tol)
+    _check_orders(dim, j)
+    t = float(_times(t))
+    _tolerance(quad_tol)
     split = region_split(p)
     k_max = _kmax_certified(_norm_tail(p, data, dim, j, t, False), 0.5 * quad_tol)
     a, b = min(split.nu1, k_max), min(split.nu2, k_max)
@@ -384,11 +380,7 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
                 time_grid: Sequence[float], quad_tol: float,
                 v_norm: bool = False) -> DecayCurve:
     """Norm time series with fitted log-log slope and theorem-bound records."""
-    times = np.asarray(list(time_grid), dtype=float)
-    if times.size == 0:
-        raise EmptyInput("empty time grid")
-    if np.any(~np.isfinite(times)) or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
-        raise GridError("time grid must be finite, nonnegative, strictly ascending")
+    times = _time_grid(time_grid)
 
     runs = [_norm_integral(p, data, dim, j, float(t), quad_tol, v_norm) for t in times]
     values = np.array([math.sqrt(quad.value) for quad, _, _ in runs])
@@ -402,7 +394,7 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
     except DegenerateFit:
         slope = None
     bound_shape = (1.0 + times) ** exponent
-    const = float(np.max(values / bound_shape)) if values.size else 0.0
+    const = float(np.max(values / bound_shape))
     return DecayCurve(times=times, values=values, dim=dim, j=j, fitted_slope=slope,
                       bound_exponent=exponent, bound_constant_measured=const,
                       tau=p.tau, beta=p.beta, quad_tol=quad_tol,
@@ -595,13 +587,8 @@ def integral_lemma_check(dim: int, j: int, c: float,
     """
     _check_orders(dim, j)
     if not (c > 0.0 and math.isfinite(c)):
-        raise ValueError(f"need a finite c > 0, got {c}")
-    times = np.asarray(list(time_grid), dtype=float)
-    if times.size == 0:
-        raise EmptyInput("empty time grid")
-    if np.any(~np.isfinite(times)) or np.any(times < 0.0):
-        raise GridError("time grid must be finite and nonnegative")
-    times = np.sort(times)
+        raise InvalidInput(f"need a finite c > 0, got {c}")
+    times = _time_grid(time_grid)
 
     runs = [_lemma_quadratures(dim, j, c, float(t)) for t in times]
     shape_base = (1.0 + times) ** (-(dim + j) / 2.0)

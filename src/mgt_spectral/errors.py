@@ -5,24 +5,28 @@ class MGTError(Exception):
     """Base class for all mgt_spectral errors."""
 
 
-class NonDissipative(MGTError):
+class InvalidInput(MGTError, ValueError):
+    """An input lies outside the domain of the operation that received it."""
+
+
+class NonDissipative(InvalidInput):
     """Model parameters violate the dissipativeness condition 0 < tau < beta."""
 
 
-class NonFinite(MGTError):
+class NonFinite(InvalidInput):
     """A parameter or input value is NaN or infinite."""
 
 
-class InvalidFrequency(MGTError):
+class InvalidFrequency(InvalidInput):
     """Frequency magnitude is negative, NaN, or outside an operation's domain."""
 
 
-class GridError(MGTError):
-    """A grid is unsorted, negative, or otherwise malformed."""
+class GridError(InvalidInput):
+    """A grid is not in the order its operation requires."""
 
 
 class QuadratureFailure(MGTError):
-    """Adaptive quadrature could not meet its tolerance within the node budget."""
+    """Adaptive quadrature could not meet its tolerance, or its integrand is not finite."""
 
 
 class DegenerateFit(MGTError):
@@ -37,5 +41,5 @@ class NonPositiveMargin(MGTError):
     """No positive decay margin exists; indicates a weight-recipe bug."""
 
 
-class EmptyInput(MGTError):
+class EmptyInput(InvalidInput):
     """A sweep was requested over an empty grid or sample list."""

@@ -81,7 +81,7 @@ class FunctionalValues:
 
 def rho(k: float | np.ndarray):
     """Low/high-frequency interpolating rate k^2 / (1 + k^2)."""
-    k2 = np.square(k)
+    k2 = np.square(_frequencies(k))
     return k2 / (1.0 + k2)
 
 
@@ -312,17 +312,14 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     every (frequency, initial state) pair over a dense time grid.  Each point
     allows gamma5 up to (MARGIN_TOL L - dL/dt) / (rho L), so the answer is
     the least of these and 1/tau.  Raises NonPositiveMargin when dL/dt
-    exceeds MARGIN_TOL L somewhere or the least bound is not positive,
-    EmptyInput on empty grids, InvalidFrequency on a negative or non-finite
-    frequency (k = 0 is skipped) and, as solve_mode does, ValueError on a
-    negative or non-finite time.
+    exceeds MARGIN_TOL L somewhere or the least bound is not positive, EmptyInput
+    on empty grids, and by the frequency and time rules (k = 0 is skipped).
     """
     ks = _frequencies(list(k_grid))
     samples = list(init_samples)
-    t_grid = np.linspace(0.0, 25.0, 126) if t_grid is None else t_grid
-    if ks.size == 0 or len(samples) == 0 or np.size(t_grid) == 0:
+    ts = _times(np.linspace(0.0, 25.0, 126) if t_grid is None else t_grid)
+    if ks.size == 0 or len(samples) == 0 or ts.size == 0:
         raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")
-    ts = _times(t_grid, "gronwall_margin")
 
     # MARGIN_TOL L - dL/dt and rho L at the nondegenerate points of each trajectory
     slack, rho_l = [np.empty(0)], [np.empty(0)]

@@ -41,8 +41,10 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import EmptyInput, GridError, InvalidInput
 from .params import ModelParams
-from .spectrum import RootPattern, _cubic_roots_batch, _frequencies, _frequency, _route_confluent
+from .spectrum import (RootPattern, _cubic_roots_batch, _frequencies, _frequency, _nonnegative,
+                       _route_confluent)
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,11 @@ class FrequencyProfile:
 
     def __post_init__(self):
         if not isinstance(self.kind, ProfileKind):
-            raise ValueError(f"profile kind must be a ProfileKind, got {self.kind!r}")
+            raise InvalidInput(f"profile kind must be a ProfileKind, got {self.kind!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise ValueError(f"profile scale must be positive, got {self.scale}")
+            raise InvalidInput(f"profile scale must be finite and > 0, got {self.scale}")
         if not math.isfinite(self.amplitude):
-            raise ValueError("profile amplitude must be finite")
+            raise InvalidInput(f"profile amplitude must be finite, got {self.amplitude}")
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         s = self.scale * np.asarray(k, dtype=float)
@@ -190,7 +192,7 @@ def _parse_data(spec: str) -> DataTriple:
 
 def mode_matrix(p: ModelParams, k: float | np.ndarray) -> np.ndarray:
     """The 3x3 system matrix at frequency magnitude k; a stack for an array k."""
-    k2 = np.square(np.asarray(k, dtype=float))
+    k2 = np.square(_frequencies(k))
     phi = np.zeros(k2.shape + (3, 3))
     phi[..., 0, 1] = phi[..., 1, 2] = 1.0
     phi[..., 2, 0] = -k2 / p.tau
@@ -300,12 +302,19 @@ def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> n
     return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
 
 
-def _times(t, caller: str) -> np.ndarray:
-    """t as a float array; ValueError naming the caller unless every time is finite and >= 0."""
-    ts = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(ts) & (ts >= 0.0)):
-        raise ValueError(f"{caller} requires t >= 0, got {t}")
-    return ts
+def _times(t) -> np.ndarray:
+    """The time rule: t as a float array, InvalidInput unless finite and >= 0."""
+    return _nonnegative(t, "time", InvalidInput)
+
+
+def _time_grid(time_grid) -> np.ndarray:
+    """The time-grid rule: nonempty (EmptyInput), each by _times, strictly ascending (GridError)."""
+    times = _times(list(time_grid))
+    if times.size == 0:
+        raise EmptyInput("empty time grid")
+    if np.any(np.diff(times) <= 0.0):
+        raise GridError("time grid must be strictly ascending")
+    return times
 
 
 def _mode_nodes(p: ModelParams, init: ModeState) -> tuple[float, tuple]:
@@ -359,10 +368,9 @@ def evaluate_mode(coeffs: ModeCoefficients, t) -> ModeState:
     The mode is the one `coeffs` was built for, propagated from its initial
     state by the kernel on its factor of the cubic, not by the coefficients;
     the values are those of solve_mode, bit for bit.  For an array t the
-    state holds arrays of t's shape, for a scalar t complex numbers.  Raises
-    ValueError if any time is negative or not finite.
+    state holds arrays of t's shape, for a scalar t complex numbers; t follows the time rule.
     """
-    t = _times(t, "evaluate_mode")
+    t = _times(t)
     return ModeState(*_evaluate(coeffs.nodes, coeffs.init, t), k=coeffs.init.k)
 
 
@@ -378,10 +386,9 @@ def solve_mode(p: ModelParams, init: ModeState, t) -> ModeState:
 
     For an array t the state holds arrays of t's shape, from one kernel call
     on the factor of the cubic at k = init.k (no pattern description is
-    built).  Raises ValueError if any time is negative or not finite, and
-    InvalidFrequency on a k that eigenvalues rejects.
+    built).  t follows the time rule, and a k that eigenvalues rejects raises.
     """
-    t = _times(t, "solve_mode")
+    t = _times(t)
     k, nodes = _mode_nodes(p, init)
     return ModeState(*_evaluate(nodes, init, t), k=k)
 
@@ -393,7 +400,7 @@ def ode_residual(p: ModelParams, init: ModeState, t: float) -> tuple[float, floa
     the propagated state.  It takes the inputs of solve_mode at one time and
     raises as it does.
     """
-    t = _times(t, "ode_residual")
+    t = _times(t)
     (k, nodes), y0 = _mode_nodes(p, init), init.as_array()
     ys = np.stack([y0, mode_matrix(p, k) @ y0], axis=1)
     y = _propagate(nodes, ys, t, *_directions(nodes, ys))
@@ -410,7 +417,7 @@ def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     It forms no eigenvalue and never calls the spectrum kernel.  t is a time
     or an array of times; it takes the inputs of solve_mode and raises as it does.
     """
-    ts = _times(t, "propagate_numeric")
+    ts = _times(t)
     k = _frequency(init.k)
     # imported here: only the oracle uses scipy.linalg
     from scipy.linalg import expm
@@ -449,11 +456,10 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     quadratures.  The data broadcast against ks.  The three arrays unpack as a
     tuple, whose `split` writes them out on the complex pair of the cubic,
     from the same Newton directions.  The results are real for real data and
-    complex for complex data.  Raises ValueError unless t is finite and >= 0,
-    and InvalidFrequency unless every k is finite and >= 0 or where
-    beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
+    complex for complex data.  Raises by the time and frequency rules, and
+    InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
     """
-    t = _times(t, "solve_modes_on_grid")
+    t = _times(t)
     ks = _frequencies(ks)
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2, ks)[:3])
     nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)

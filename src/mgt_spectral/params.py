@@ -22,7 +22,7 @@ import operator
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import NonDissipative, NonFinite
+from .errors import InvalidInput, NonDissipative, NonFinite
 
 #: Relative tolerance on tau/beta for classifying the critical ratio 1/9.
 TOL_CRITICAL = 1e-12
@@ -134,11 +134,11 @@ def high_frequency_rate(p: ModelParams) -> float:
 
 
 def _check_orders(dim: int, j: int) -> None:
-    """ValueError unless dim is an integer >= 1 and j one >= 0; a bool is not an integer."""
+    """The orders rule: InvalidInput unless dim is an integer >= 1 and j one >= 0, not a bool."""
     for value, name, least in ((dim, "dimension", 1), (j, "derivative order", 0)):
         integer = hasattr(value, "__index__") and not isinstance(value, bool)
         if not (integer and operator.index(value) >= least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+            raise InvalidInput(f"{name} must be an integer >= {least}, got {value}")
 
 
 def applicable_exponents(dim: int, j: int, data_class: DataClass) -> list[float]:
@@ -148,7 +148,7 @@ def applicable_exponents(dim: int, j: int, data_class: DataClass) -> list[float]
     smaller is stronger.  For plain integrable data the generic bound
     1 - dim/4 - j/2 always applies and improves to -(dim-2)/4 - j/2 once
     dim + j >= 3.  For weighted zero-mean data the bound is -dim/4 - j/2.
-    Raises ValueError unless dim is an integer >= 1 and j an integer >= 0.
+    Raises InvalidInput unless dim is an integer >= 1 and j an integer >= 0.
     """
     _check_orders(dim, j)
     if data_class is DataClass.L1_WEIGHTED:

@@ -33,12 +33,13 @@ against 0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import InvalidInput, QuadratureFailure
 
 #: Most nodes passed to the integrand in one call, whole panels per call.
 _BLOCK_NODES = 2**14
@@ -90,6 +91,12 @@ def _clenshaw_curtis(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.nd
         return hi_order, np.abs(hi_order - half * (y[:, ::2] * _W9).sum(axis=1))
 
 
+def _tolerance(tol) -> None:
+    """InvalidInput unless tol is a finite number > 0: the one tolerance rule."""
+    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+        raise InvalidInput(f"tolerance must be a finite number > 0, got {tol!r}")
+
+
 def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float, b: float,
                         tol: float, *, initial_edges=None) -> QuadResult:
     """Integrate a vectorized integrand over [a, b] to absolute tolerance tol.
@@ -100,16 +107,15 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
     or a partition that resolves a known oscillation; the initial partition
     is those in [a, b], each piece cut into equal panels, _MIN_INTERVALS at
     least in all.  Raises QuadratureFailure when the initial partition or the
-    error target needs more than _NODE_BUDGET nodes, or when the integrand is
-    not finite, and ValueError on b < a or on a tol that is not positive
-    (NaN included).
+    error target needs more than _NODE_BUDGET nodes, the target lies below the
+    rounding of the panel values or the integrand is not finite; InvalidInput
+    on b < a, and by the tolerance rule (_tolerance) on tol.
     """
+    _tolerance(tol)
     if not (b >= a):
-        raise ValueError(f"bad interval [{a}, {b}]")
+        raise InvalidInput(f"bad interval [{a}, {b}]")
     if b == a:
         return QuadResult(0.0, 0.0, 0, 0)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
 
     panel = _X17.size
     edges = np.asarray([] if initial_edges is None else initial_edges, dtype=float).ravel()
@@ -126,6 +132,11 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
     vals, errs = _panels(f, lefts, rights)
 
     while errs.sum() > tol:
+        # each panel value is rounded to about eps of itself, so no bisection meets a
+        # target below eps times their summed magnitudes (multiple 1: rounding alone)
+        floor = np.finfo(float).eps * np.abs(vals).sum()
+        if tol < floor:
+            raise QuadratureFailure(f"target {tol:.3e} lies below the rounding floor {floor:.3e}")
         # at most 256 panels, largest error first, each above half of tol's share
         # per panel; while the sum exceeds tol the largest always qualifies
         order = np.argsort(errs)[::-1][:256]

@@ -19,9 +19,9 @@ any k, and however close they are near m1, m2 and the critical ratio.  One
 batched path (_spectrum) makes the root-and-pattern decision for
 eigenvalues, classify, atlas and the `mgt verify` sweep, elementwise in tau
 and beta as in k^2, so that a float parameter record is the batch of one:
-within TOL_BOUNDARY of m1 or m2 a factor with coincident roots is a double
-root, and at the critical-ratio threshold the triple root is -1/(3 tau).  Both
-windows are relative, so at (s tau, s beta, k/s) each root is lam/s.
+roots within TOL_CONFLUENT of each other are a double root, and within
+TOL_BOUNDARY of the critical ratio's triple point the triple root is -1/(3 tau).
+Both windows are relative, so at (s tau, s beta, k/s) each root is lam/s.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GridError, InvalidFrequency
+from .errors import EmptyInput, GridError, InvalidFrequency
 from .params import CRITICAL_RATIO, TOL_CRITICAL, ModelParams
 
 #: Relative residual budget for returned roots: |p(lam)| <= TOL_RESIDUAL * scale.
@@ -42,7 +42,7 @@ TOL_RESIDUAL = 1e-9
 #: Two roots closer than TOL_CONFLUENT * |alpha| (alpha: their mean) form a double root.
 TOL_CONFLUENT = 1e-7
 
-#: k^2 within TOL_BOUNDARY * m1 of m1 (or of m2) may hold a double root (_route_confluent).
+#: At the critical ratio, k^2 within TOL_BOUNDARY * m of the triple point m is the triple root.
 TOL_BOUNDARY = 1e-11
 
 #: Largest beta*k^2/tau the closed-form roots take: beyond it the cube of the
@@ -86,17 +86,23 @@ class AsymptoticTriple:
     order: int
 
 
-def _frequencies(k) -> np.ndarray:
-    """k as a float array; InvalidFrequency, naming the first offender, unless every
-    entry is a finite number >= 0.  The one frequency rule of the package."""
+def _nonnegative(x, name: str, error: type) -> np.ndarray:
+    """x as a float array; `error` names the first entry that is not a finite number >= 0."""
     try:
-        ks = np.asarray(k, dtype=float)
+        raw = np.asarray(x)  # dtype=float would read None as NaN; float() rejects it
+        xs = (np.array([float(v) for v in raw.flat]).reshape(raw.shape) if raw.dtype == object
+              else np.asarray(x, dtype=float))
     except (TypeError, ValueError) as exc:
-        raise InvalidFrequency(f"frequency magnitude must be a number, got {k!r}") from exc
-    bad = ~(np.isfinite(ks) & (ks >= 0.0))
+        raise error(f"{name} must be a number, got {x!r}") from exc
+    bad = ~(np.isfinite(xs) & (xs >= 0.0))
     if bad.any():
-        raise InvalidFrequency(f"frequency magnitude must be finite and >= 0, got {ks[bad][0]}")
-    return ks
+        raise error(f"{name} must be finite and >= 0, got {xs[bad][0]}")
+    return xs
+
+
+def _frequencies(k) -> np.ndarray:
+    """The frequency rule: k as a float array, InvalidFrequency unless finite and >= 0."""
+    return _nonnegative(k, "frequency magnitude", InvalidFrequency)
 
 
 def _frequency(k) -> float:
@@ -109,7 +115,7 @@ def _frequency(k) -> float:
 
 def characteristic_residual(p: ModelParams, lam: complex, k: float) -> tuple[float, float]:
     """Return (|p(lam)|, scale) with scale the sum of term magnitudes, elementwise."""
-    k2 = k * k
+    k2 = np.square(_frequencies(k))
     val = p.tau * lam**3 + lam**2 + p.beta * k2 * lam + k2
     scale = p.tau * abs(lam) ** 3 + abs(lam) ** 2 + p.beta * k2 * abs(lam) + k2
     return abs(val), np.maximum(scale, 1e-300)
@@ -205,16 +211,11 @@ _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
 
 
 def _thresholds(tau, beta) -> tuple:
-    """(m1, m2, critical) elementwise in tau and beta, bit for bit those of
-    params.cardano_thresholds and params.regime(p) is CRITICAL; m1 and m2
-    are NaN where absent, so that every comparison with them is false."""
+    """(m, critical) elementwise: m = -c1 tau / (8 beta^3), the triple point and the mean
+    of m1 and m2 where they exist, on both sides of 1/9; critical: regime(p) is CRITICAL."""
     r = beta / tau
-    c1 = 27.0 - 18.0 * r - r * r
-    c2 = _cube(r - 9.0) * (r - 1.0)
-    sq = np.sqrt(np.where(c2 < 0.0, np.nan, c2))
-    denom = 8.0 * _cube(beta)
     critical = np.abs(tau / beta - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO
-    return tau * (-c1 - sq) / denom, tau * (-c1 + sq) / denom, critical
+    return -(27.0 - 18.0 * r - r * r) * tau / (8.0 * _cube(beta)), critical
 
 
 def _route_confluent(p: ModelParams, k2: np.ndarray,
@@ -229,21 +230,15 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     pair polished on its own carries an absolute error of about eps*|lam2|,
     which swamps its O(1) real part at large k and its O(k) imaginary part
     at small k.)
-    This is the one place where k^2 is compared with the thresholds m1, m2,
-    each row with those of its own tau and beta (_thresholds): within
-    TOL_BOUNDARY * m1 of m1 (or of m2), a factor whose roots lie closer than
-    TOL_CONFLUENT * |alpha| becomes the double root alpha (q := 0; near the
-    critical ratio they can lie far apart even there), and at the critical
-    ratio the triple root is -1/(3 tau) = -a/3.
+    A factor whose roots lie closer than TOL_CONFLUENT * |alpha|, which happens
+    only next to m1 or m2, is the double root alpha (q := 0).  At the critical
+    ratio, on either side of 1/9, k^2 within TOL_BOUNDARY * m of the row's own
+    triple point m (_thresholds) is the triple root -1/(3 tau) = -a/3.
     """
     lam, alpha, q = factor[3:]
-    m1, m2, critical = _thresholds(p.tau, p.beta)
-    m = 0.5 * (m1 + m2)
+    m, critical = _thresholds(p.tau, p.beta)
     triple = critical & (np.abs(k2 - m) <= TOL_BOUNDARY * m)
-    near = ~critical & ((np.abs(k2 - m1) <= TOL_BOUNDARY * m1)
-                        | (np.abs(k2 - m2) <= TOL_BOUNDARY * m2))
-    close = 2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.abs(alpha)
-    q = np.where(near & close, 0.0, q)
+    q = np.where(2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.abs(alpha), 0.0, q)
 
     r = np.sqrt(np.abs(q))
     lam2 = alpha + 1j * r
@@ -292,8 +287,8 @@ def asymptotic_small_k(p: ModelParams, k: float) -> AsymptoticTriple:
 
 def asymptotic_large_k(p: ModelParams, k: float) -> AsymptoticTriple:
     """Large-frequency expansion: lam1 ~ -1/beta, pair ~ -(beta-tau)/(2 beta tau) +- ik sqrt(beta/tau)."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidFrequency(f"large-frequency expansion needs k > 0, got {k}")
+    if (k := _frequency(k)) == 0.0:
+        raise InvalidFrequency("large-frequency expansion needs k > 0, got 0.0")
     re = -(p.beta - p.tau) / (2.0 * p.beta * p.tau)
     im = k * math.sqrt(p.beta / p.tau)
     lam2 = complex(re, im)
@@ -314,12 +309,12 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     are summed in ascending order, so a total depends only on their values:
     where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
     the two assignments tie exactly, whatever the last bits of the roots.
-    Values and patterns agree with eigenvalues() up to permutation.  An entry
-    eigenvalues rejects raises InvalidFrequency, an empty or descending grid GridError.
+    Values and patterns agree with eigenvalues() up to permutation.  Entries
+    follow the frequency rule; an empty grid raises EmptyInput, a descending one GridError.
     """
     ks = _frequencies(list(k_grid))
     if ks.size == 0:
-        raise GridError("empty frequency grid")
+        raise EmptyInput("empty frequency grid")
     if np.any(np.diff(ks) < 0.0):
         raise GridError("frequency grid must be ascending")
 

@@ -138,7 +138,7 @@ def test_every_public_name_is_the_defining_module_object():
     probe = """
 import importlib, inspect
 import mgt_spectral
-assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 79
+assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 80
 for name in mgt_spectral.__all__:
     obj = getattr(mgt_spectral, name)
     if inspect.ismodule(obj):
@@ -188,5 +188,5 @@ def test_every_error_type_is_raised_and_has_one_exit_code():
     assert types
     for exc in types:
         assert exc.__name__ in raised, f"nothing raises {exc.__name__}"
-        routes = (exc in cli._BAD_INPUT_ERRORS, exc in cli._NUMERICAL_ERRORS)
+        routes = (issubclass(exc, cli._BAD_INPUT_ERRORS), issubclass(exc, cli._NUMERICAL_ERRORS))
         assert routes.count(True) == 1, (exc.__name__, routes)

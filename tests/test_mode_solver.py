@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (InvalidFrequency, ModeState, RootPattern, asymptotic_small_k,
-                          decay_margin_exact, default_weights, eigenvalues,
-                          energy_dissipation_residual, evaluate_mode, mode_coefficients,
-                          ode_residual, pointwise_bound_constants, propagate_numeric, rho,
-                          solve_mode, solve_modes_on_grid, v_vector, validate)
+from mgt_spectral import (ModeState, RootPattern, default_weights, evaluate_mode,
+                          mode_coefficients, ode_residual, pointwise_bound_constants,
+                          propagate_numeric, rho, solve_mode, solve_modes_on_grid, v_vector,
+                          validate)
 
 P = validate(0.1, 1.0)
 P_CRIT = validate(1.0 / 9.0, 1.0)
@@ -103,10 +102,6 @@ class TestSolveMode:
             expect = tau**2 * u2 * math.exp(-t / tau) + (u0 - tau**2 * u2) + (u1 + tau * u2) * t
             assert st.u_hat == pytest.approx(expect, rel=1e-11)
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            solve_mode(P, ModeState(1.0, 0.0, 0.0, 1.0), -1.0)
-
     def test_trajectory_in_one_call(self):
         init = ModeState(0.4 - 0.3j, -1.1 + 0.2j, 0.7 + 0.9j, 1.2)
         ts = np.linspace(0.0, 10.0, 21)
@@ -116,53 +111,6 @@ class TestSolveMode:
             single = solve_mode(P, init, float(t))
             np.testing.assert_allclose([st.u_hat[j], st.v_hat[j], st.w_hat[j]],
                                        single.as_array(), rtol=1e-14, atol=0.0)
-        for bad in ([1.0, -1.0], [0.0, math.nan], [math.inf]):
-            with pytest.raises(ValueError):
-                solve_mode(P, init, np.array(bad))
-
-
-_UNIT = ModeState(1.0, 0.0, 0.0, 1.0)
-_MODE_ENTRY_POINTS = {
-    "solve_mode": lambda t: solve_mode(P, _UNIT, t),
-    "evaluate_mode": lambda t: evaluate_mode(mode_coefficients(P, _UNIT), t),
-    "ode_residual": lambda t: ode_residual(P, _UNIT, t),
-    "solve_modes_on_grid": lambda t: solve_modes_on_grid(P, np.array([0.5, 1.0]),
-                                                         1.0, 0.0, 0.0, t),
-    "propagate_numeric": lambda t: propagate_numeric(P, _UNIT, t),
-}
-
-
-@pytest.mark.parametrize("name", _MODE_ENTRY_POINTS)
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-@pytest.mark.parametrize("in_array", [False, True])
-def test_every_mode_entry_point_rejects_a_bad_time(name, bad, in_array):
-    """A time that is not finite and >= 0 raises, never a NaN or backward-in-time state."""
-    with pytest.raises(ValueError, match=f"^{name} requires t >= 0, got "):
-        _MODE_ENTRY_POINTS[name](np.array([0.0, bad]) if in_array else bad)
-
-
-_FREQUENCY_ENTRY_POINTS = {
-    "solve_mode": lambda k: solve_mode(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
-    "propagate_numeric": lambda k: propagate_numeric(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
-    "ode_residual": lambda k: ode_residual(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
-    "mode_coefficients": lambda k: mode_coefficients(P, ModeState(1.0, 0.0, 0.0, k)),
-    "energy_dissipation_residual":
-        lambda k: energy_dissipation_residual(P, ModeState(1.0, 0.0, 0.0, k), 1.0),
-    "solve_modes_on_grid": lambda k: solve_modes_on_grid(P, np.array([0.5, k]),
-                                                         1.0, 0.0, 0.0, 1.0),
-    "eigenvalues": lambda k: eigenvalues(P, k),
-    "asymptotic_small_k": lambda k: asymptotic_small_k(P, k),
-    "decay_margin_exact": lambda k: decay_margin_exact(P, default_weights(P), [0.5, k]),
-}
-
-
-@pytest.mark.parametrize("name", _FREQUENCY_ENTRY_POINTS)
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-def test_every_frequency_entry_point_rejects_a_bad_frequency(name, bad):
-    """One rule and one message for every frequency, never the mode at |k| or a stiffness error."""
-    with pytest.raises(InvalidFrequency,
-                       match=f"^frequency magnitude must be finite and >= 0, got {bad}$"):
-        _FREQUENCY_ENTRY_POINTS[name](bad)
 
 
 class TestOracleEquivalence:
@@ -205,11 +153,6 @@ class TestOracleEquivalence:
             for j, t in enumerate(ts):
                 single = propagate_numeric(P, init, float(t)).as_array()
                 assert np.array_equal([st.u_hat[j], st.v_hat[j], st.w_hat[j]], single)
-
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, [1.0, -1.0], [0.0, math.nan]])
-    def test_bad_time_raises(self, bad):
-        with pytest.raises(ValueError, match="propagate_numeric requires t >= 0"):
-            propagate_numeric(P, ModeState(1.0, 0.0, 0.0, 1.0), bad)
 
     def test_extreme_draws_match_mpmath(self):
         """Against a 40-digit expm of the same matrix, at large k, t and tau/beta."""
@@ -479,20 +422,6 @@ class TestScalarSolveModePath:
                 assert np.array_equal(got, ref), (tau, beta, k)
                 compared += got.size
         assert compared >= 9000
-
-    @pytest.mark.parametrize("k", [-1.0, math.nan, math.inf])
-    def test_bad_frequency_raises(self, k):
-        from mgt_spectral import InvalidFrequency
-
-        init = ModeState(1.0, 0.0, 0.0, k)
-        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            solve_mode(P, init, 1.0)
-        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            mode_coefficients(P, init)
-        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            ode_residual(P, init, 1.0)
-        with pytest.raises(InvalidFrequency, match="finite and >= 0"):
-            propagate_numeric(P, init, 1.0)
 
 
 class TestSplitTerms:

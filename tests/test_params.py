@@ -184,21 +184,6 @@ class TestTheoremRates:
                 if dim + j >= 3:
                     assert best <= 1.0 - dim / 4.0 - j / 2.0
 
-    def test_validates_dims(self):
-        with pytest.raises(ValueError):
-            applicable_exponents(0, 0, DataClass.L1)
-
-    @pytest.mark.parametrize("dim, j, name", [(1.5, 0, "dimension"), (True, 0, "dimension"),
-                                              (np.bool_(True), 0, "dimension"),
-                                              (3, 1.5, "derivative order"),
-                                              (3, False, "derivative order")])
-    def test_orders_must_be_integers(self, dim, j, name):
-        for data_class in DataClass:
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-                applicable_exponents(dim, j, data_class)
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-                theorem_rates(validate(0.1, 1.0), dim, j, data_class)
-
     def test_numpy_integer_orders(self):
         p = validate(0.1, 1.0)
         for data_class in DataClass:

@@ -5,9 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from mgt_spectral import (FrequencyProfile, QuadResult, adaptive_quadrature, decay_curve,
-                          quadrature, validate)
-from mgt_spectral.errors import QuadratureFailure
+                          quadrature, v_norm_sq, validate)
+from mgt_spectral.errors import InvalidInput, QuadratureFailure
 from mgt_spectral.quadrature import _BLOCK_NODES, _clenshaw_curtis
+
+
+P = validate(0.1, 1.0)
+U2_DATA = (FrequencyProfile.zero(), FrequencyProfile.zero(), FrequencyProfile.gaussian())
 
 
 def _uniform(a, b, width):
@@ -66,9 +70,19 @@ class TestClenshawCurtis:
         res = adaptive_quadrature(lambda x: x, 1.0, 1.0, 1e-10)
         assert res == QuadResult(0.0, 0.0, 0, 0)
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(QuadratureFailure, match="node budget 1000000 exhausted"):
-            adaptive_quadrature(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-300)
+    @pytest.mark.parametrize("run, message", [
+        # above the rounding floor, but more than the node budget can resolve
+        (lambda: adaptive_quadrature(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-14),
+         "node budget 1000000 exhausted at error "),
+        # below the rounding of the value: raised on the first pass, no budget spent
+        (lambda: adaptive_quadrature(lambda x: np.sin(1e5 * x), 0.0, 1.0, 1e-300),
+         "target 1.000e-300 lies below the rounding floor "),
+        (lambda: v_norm_sq(P, U2_DATA, 3, 0, 1.0, 1e-25 * v_norm_sq(P, U2_DATA, 3, 0, 1.0, 1e-10)),
+         "target 9.942e-29 lies below the rounding floor "),
+    ], ids=["budget", "floor", "floor_v_norm_sq"])
+    def test_unreachable_target_raises(self, run, message):
+        with pytest.raises(QuadratureFailure, match=f"^{message}"):
+            run()
 
     def test_width_cap_beyond_budget(self):
         # 59,999 initial panels of 17 nodes
@@ -90,13 +104,9 @@ class TestClenshawCurtis:
         assert res.n_nodes == 17 * res.n_intervals
         assert adaptive_quadrature(kink, 0.0, 2.0, 1e-12).n_nodes > res.n_nodes
 
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
+    def test_rejects_a_reversed_interval(self):
+        with pytest.raises(InvalidInput, match=r"^bad interval \[1.0, 0.0\]$"):
             adaptive_quadrature(lambda x: x, 1.0, 0.0, 1e-9)
-        with pytest.raises(ValueError):
-            adaptive_quadrature(lambda x: x, 0.0, 1.0, -1e-9)
-        with pytest.raises(ValueError, match="tol must be positive"):
-            adaptive_quadrature(lambda x: np.sin(50.0 * x) ** 2, 0.0, 10.0, np.nan)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_integrand_raises(self, bad):
