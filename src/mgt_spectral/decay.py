@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -344,27 +345,22 @@ def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: 
 # decay curves and slope fitting
 # ---------------------------------------------------------------------------
 
-def fit_decay_slope(times: Sequence[float], values: Sequence[float],
-                    window: tuple[int, int] | None = None) -> float:
-    """Least-squares slope of log(value) against x = log(1 + t) on a window, in
-    closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2.  Raises
-    DegenerateFit on fewer than 3 points, a value that is not finite and
-    positive, a time that is not finite and > -1, or a single x."""
+def fit_decay_slope(times: Sequence[float], values: Sequence[float]) -> float:
+    """Least-squares slope of log(value) against x = log(1 + t) over all the
+    given points, in closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
+    Raises DegenerateFit on fewer than 3 points, a value that is not finite
+    and positive, a time that is not finite and > -1, or a single x."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if window is None:
-        window = (times.size // 2, times.size)
-    lo, hi = window
-    tw, vw = times[lo:hi], values[lo:hi]
-    if tw.size < 3:
-        raise DegenerateFit(f"fit window has {tw.size} points; need at least 3")
-    if not np.all(np.isfinite(vw) & (vw > 0.0)):
-        raise DegenerateFit("fit window contains values that are not finite and positive")
-    if not np.all(np.isfinite(tw) & (tw > -1.0)):
-        raise DegenerateFit("fit window contains times that are not finite and > -1")
-    x, y = np.log1p(tw), np.log(vw)
+    if times.size < 3:
+        raise DegenerateFit(f"fit has {times.size} points; need at least 3")
+    if not np.all(np.isfinite(values) & (values > 0.0)):
+        raise DegenerateFit("fit contains values that are not finite and positive")
+    if not np.all(np.isfinite(times) & (times > -1.0)):
+        raise DegenerateFit("fit contains times that are not finite and > -1")
+    x, y = np.log1p(times), np.log(values)
     if x.min() == x.max():
-        raise DegenerateFit("fit window has no spread in log(1 + t)")
+        raise DegenerateFit("fit has no spread in log(1 + t)")
     dx = x - x.mean()
     return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
 
@@ -389,8 +385,8 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
         exponent = -dim / 4.0 - j / 2.0
     else:
         exponent = theorem_rates(p, dim, j, infer_data_class(data)).poly_exponent
-    try:
-        slope = fit_decay_slope(times, values)
+    try:  # the slope of the upper half of the grid
+        slope = fit_decay_slope(times[times.size // 2:], values[times.size // 2:])
     except DegenerateFit:
         slope = None
     bound_shape = (1.0 + times) ** exponent
@@ -464,15 +460,15 @@ def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float,
 
 @dataclass(frozen=True)
 class LemmaRatioSeries:
-    """Ratio of one verified integral to its bound shape along a time grid, with
-    each time's integrand evaluations, quadrature error estimate and the error
-    target it met."""
+    """Ratio of one verified integral to its bound shape along a time grid, with each
+    time's closed-form bound (every value is within it plus its target, so stable),
+    integrand evaluations, quadrature error estimate and the error target it met."""
 
     name: str
     times: np.ndarray
     ratios: np.ndarray
     max_ratio: float
-    tail_slope: float
+    bound: np.ndarray
     stable: bool
     quad_nodes: np.ndarray
     quad_error: np.ndarray
@@ -491,28 +487,52 @@ class IntegralLemmaReport:
     sine_global_sharp_limit: float | None
 
 
-def _ratio_series(name: str, times: np.ndarray, quads: Sequence[tuple[QuadResult, float]],
+def _ratio_series(name: str, times: np.ndarray, runs: Sequence[dict], bounds: Sequence[dict],
                   shapes: np.ndarray) -> LemmaRatioSeries:
-    ratios = np.array([quad.value for quad, _ in quads]) / shapes
-    if np.any(~np.isfinite(ratios)):
-        raise ToleranceFailure(f"{name}: nonfinite ratio encountered")
-    # growth detection needs the asymptotic regime: a short grid only sees the
-    # transient rise toward the bound constant, which is not a violation
-    half = ratios.size // 2
-    if ratios.size >= 8 and times[-1] >= 100.0 * max(times[half], 1e-12):
-        tail_slope = fit_decay_slope(times, np.maximum(ratios, 1e-300), (half, ratios.size))
-    else:
-        tail_slope = 0.0
-    stable = tail_slope <= 0.05
-    if not stable:
-        raise ToleranceFailure(
-            f"{name}: ratio grows like (1+t)^{tail_slope:.3f}; bound exponent violated")
+    """Kernel `name`'s series from per-time _lemma_quadratures and _lemma_bounds."""
+    quads = [run[name] for run in runs if name in run]
+    bound = np.array([b[name] for b in bounds if name in b])
+    values = np.array([quad.value for quad, _ in quads])
+    quad_tol = np.array([tol for _, tol in quads])
+    for t, value, b, tol in zip(times, values, bound, quad_tol):
+        if not value <= b + tol:  # a NaN value fails too
+            raise ToleranceFailure(f"{name}: value {value:.6e} exceeds its closed-form "
+                                   f"bound {b:.6e} at t = {t:g}")
+    ratios = values / shapes
     return LemmaRatioSeries(name=name, times=times, ratios=ratios,
-                            max_ratio=float(ratios.max()), tail_slope=tail_slope,
-                            stable=stable,
+                            max_ratio=float(ratios.max()), bound=bound, stable=True,
                             quad_nodes=np.array([quad.n_nodes for quad, _ in quads]),
                             quad_error=np.array([quad.error for quad, _ in quads]),
-                            quad_tol=np.array([tol for _, tol in quads]))
+                            quad_tol=quad_tol)
+
+
+def _lemma_bounds(dim: int, j: int, c: float, t: float) -> dict[str, float]:
+    """name -> closed-form upper bound of each lemma kernel at one time t.  With
+    a = (dim+j)/2, z = c t and w = r^(2b-1) e^(-z r^2), P(b) = min(1/(2b),
+    Gamma(b)/(2 z^b)) bounds int_0^1 w dr, exactly at z = 0 and as z -> inf, and
+    one integration by parts bounds |int_0^h w cos 2tr dr| by (2 w* - w(0))/(2t),
+    w* = w(min(h, sqrt((b - 1/2)/z))) the peak of the unimodal w.  cos^2 =
+    (1 + cos 2tr)/2, sin^2 = (1 - cos 2tr)/2 and sin^2 x <= min(1, x^2) do the rest."""
+    a, z = 0.5 * (dim + j), c * t
+
+    def full(b: float) -> float:  # int_0^inf w dr
+        return 0.5 * math.exp(math.lgamma(b) - b * math.log(z))
+
+    def whole(b: float) -> float:  # P(b): Gamma(b)/z^b >= 1/b where lgamma(b+1) >= b log z
+        return 0.5 / b if z == 0.0 or math.lgamma(b + 1.0) >= b * math.log(z) else full(b)
+
+    def by_parts(b: float, h: float) -> float:
+        r2 = min(h * h, (b - 0.5) / z) if z > 0.0 else h * h
+        return (2.0 * r2 ** (b - 0.5) * math.exp(-z * r2) - (b == 0.5)) / (2.0 * t)
+
+    plain = whole(a)
+    bounds = {"plain": plain,
+              "cosine": 0.5 * (plain + (min(plain, by_parts(a, 1.0)) if t > 0.0 else plain)),
+              "sine_low": min(t * t * plain, whole(a - 1.0) if a > 1.0 else math.inf)}
+    if dim + j >= 3 and t > 0.0:
+        g = full(a - 1.0)
+        bounds["sine_global"] = 0.5 * (g + min(g, by_parts(a - 1.0, math.inf)))
+    return bounds
 
 
 def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarray], Split]:
@@ -583,18 +603,20 @@ def integral_lemma_check(dim: int, j: int, c: float,
     integrated whole (_lemma_split).  Each series carries its per-time node
     counts, error estimates and error targets.
 
-    Raises ToleranceFailure when any ratio keeps growing along the grid.
+    Raises ToleranceFailure when a value exceeds its closed-form bound
+    (_lemma_bounds, sharp as t -> inf but for sine_low) plus its error target.
     """
     _check_orders(dim, j)
-    if not (c > 0.0 and math.isfinite(c)):
+    if not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):
         raise InvalidInput(f"need a finite c > 0, got {c}")
     times = _time_grid(time_grid)
 
     runs = [_lemma_quadratures(dim, j, c, float(t)) for t in times]
+    bounds = [_lemma_bounds(dim, j, c, float(t)) for t in times]
     shape_base = (1.0 + times) ** (-(dim + j) / 2.0)
     shapes = {"plain": shape_base, "cosine": shape_base,
               "sine_low": (1.0 + times) ** (2.0 - (dim + j) / 2.0)}
-    series = {name: _ratio_series(name, times, [run[name] for run in runs], shape)
+    series = {name: _ratio_series(name, times, runs, bounds, shape)
               for name, shape in shapes.items()}
 
     bound_const = sharp = None
@@ -604,9 +626,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
         sharp = 0.5 * bound_const
         tpos = times[times > 0.0]
         if tpos.size:
-            series["sine_global"] = _ratio_series(
-                "sine_global", tpos, [run["sine_global"] for run in runs if "sine_global" in run],
-                tpos ** (-a))
+            series["sine_global"] = _ratio_series("sine_global", tpos, runs, bounds, tpos ** (-a))
 
     return IntegralLemmaReport(dim=dim, j=j, c=c, series=series,
                                sine_global_bound_constant=bound_const,

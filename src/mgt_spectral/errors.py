@@ -30,11 +30,11 @@ class QuadratureFailure(MGTError):
 
 
 class DegenerateFit(MGTError):
-    """Slope fitting requested on a window that is too short or nonpositive."""
+    """Slope fitting requested on points that are too few or nonpositive."""
 
 
 class ToleranceFailure(MGTError):
-    """A verified inequality ratio grows without bound along a sweep."""
+    """A verified integral exceeds its closed-form bound at some time of a sweep."""
 
 
 class NonPositiveMargin(MGTError):

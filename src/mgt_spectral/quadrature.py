@@ -109,10 +109,10 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
     least in all.  Raises QuadratureFailure when the initial partition or the
     error target needs more than _NODE_BUDGET nodes, the target lies below the
     rounding of the panel values or the integrand is not finite; InvalidInput
-    on b < a, and by the tolerance rule (_tolerance) on tol.
+    unless a <= b are finite, and by the tolerance rule (_tolerance) on tol.
     """
     _tolerance(tol)
-    if not (b >= a):
+    if not (-math.inf < a <= b < math.inf):
         raise InvalidInput(f"bad interval [{a}, {b}]")
     if b == a:
         return QuadResult(0.0, 0.0, 0, 0)

@@ -11,8 +11,8 @@ spectrum_sweep      eigenvalue residuals and Vieta identities of the cubic
 oracle_equivalence  the closed-form mode against the expm oracle
 energy_identity     the energy-dissipation identity along each mode
 gronwall_margin     gamma5 > 0 and L(t) exp(gamma5 rho(k) t) never grows
-integral_lemmas     the integral-lemma ratios stay bounded (unstable ones raise),
-                    each integral within its quadrature error target
+integral_lemmas     each integral-lemma value within its closed-form bound (a
+                    violation raises) and within its quadrature error target
 theorem_bounds      decay curves within the theorem bounds, with sharp slopes
                     once the window is asymptotic
 
@@ -113,7 +113,7 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
 def _suite_lemmas(quick: bool) -> tuple[bool, str]:
     combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
     tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
-    # an unstable ratio raises ToleranceFailure, which fails the suite
+    # a value above its closed-form bound raises ToleranceFailure, which fails the suite
     series = [s for dim, j in combos
               for s in decay.integral_lemma_check(dim, j, 1.0, tgrid).series.values()]
     passed = all(s.stable and np.all(s.quad_error <= s.quad_tol) for s in series)

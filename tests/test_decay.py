@@ -146,7 +146,7 @@ class TestSlopeFit:
         with pytest.raises(DegenerateFit):
             fit_decay_slope([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(DegenerateFit):
-            fit_decay_slope([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, 1.0], window=(0, 4))
+            fit_decay_slope([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 1.0, 1.0])
 
     def test_matches_least_squares_polyfit(self):
         # np.polyfit (LAPACK dgelsd) is the reference for the closed form
@@ -157,7 +157,7 @@ class TestSlopeFit:
             v = (10.0 ** rng.uniform(-6.0, 2.0) * (1.0 + t) ** rng.uniform(-2.0, 1.0)
                  * np.exp(0.1 * rng.standard_normal(n)))
             ref = np.polyfit(np.log1p(t), np.log(v), 1)[0]
-            assert abs(fit_decay_slope(t, v, (0, n)) - ref) <= 1e-13, (t, v)
+            assert abs(fit_decay_slope(t, v) - ref) <= 1e-13, (t, v)
 
     @pytest.mark.parametrize("times,values", [
         ([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, math.nan, 1.0, 2.0, 1.0]),
@@ -173,7 +173,7 @@ class TestSlopeFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DegenerateFit):
-                fit_decay_slope(times, values, window=(0, 6))
+                fit_decay_slope(times, values)
         assert capfd.readouterr().err == ""
 
 
@@ -367,7 +367,7 @@ class TestIntegralLemmas:
         rep2 = integral_lemma_check(1, 2, 1.0, np.geomspace(1.0, 100.0, 6))
         assert "sine_global" in rep2.series
 
-    @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan, None])
     def test_rejects_a_c_that_is_not_finite_and_positive(self, c):
         with pytest.raises(InvalidInput, match=f"^need a finite c > 0, got {c}$"):
             integral_lemma_check(1, 0, c, [1.0])
@@ -420,11 +420,22 @@ class TestNoLeastSquaresSolver:
         assert np.all(curve.k_max[2:] > 2.0 * math.pi / ts[2:])  # and so did the split pass
 
     @pytest.mark.parametrize("dim,j", [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)])
-    def test_integral_lemmas_on_the_verify_grid(self, refuse_lstsq, dim, j):
+    def test_integral_lemmas_on_the_verify_grid(self, refuse_lstsq, monkeypatch, dim, j):
+        from mgt_spectral import decay
+
+        quadratures, runs = decay._lemma_quadratures, []
+
+        def spy(*args):
+            runs.append(quadratures(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(decay, "_lemma_quadratures", spy)
         tg = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
         rep = integral_lemma_check(dim, j, 1.0, tg)
         for name, s in rep.series.items():
-            assert s.stable and s.tail_slope != 0.0, name  # 0.0 means no fit was made
+            values = np.array([run[name][0].value for run in runs if name in run])
+            assert s.stable and s.bound.shape == s.times.shape == values.shape, name
+            assert np.all(values <= s.bound + s.quad_tol), name
 
 
 class TestGaussTailClosedForm:

@@ -13,6 +13,7 @@ the profile table.
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,11 @@ TOLERANCE = {
     "decay_curve": lambda tol: decay_curve(P, DATA, 3, 0, [1.0, 10.0, 100.0], tol),
 }
 
+#: the interval rule, in adaptive_quadrature: finite ends a <= b, or InvalidInput
+INTERVAL = {
+    "adaptive_quadrature": lambda a, b: adaptive_quadrature(np.exp, a, b, 1e-9),
+}
+
 #: the orders rule, params._check_orders: dim an integer >= 1 and j one >= 0, or InvalidInput
 ORDERS = {
     "applicable_exponents": lambda dim, j: applicable_exponents(dim, j, DataClass.L1),
@@ -118,7 +124,7 @@ PROFILE = {
 #: parameter name -> the table of its rule
 RULE_OF = {"t": TIME, "t_grid": TIME, "time_grid": TIME_GRID, "k": FREQUENCY, "ks": FREQUENCY,
            "k_grid": FREQUENCY, "tol": TOLERANCE, "quad_tol": TOLERANCE, "dim": ORDERS,
-           "j": ORDERS, "scale": PROFILE, "amplitude": PROFILE}
+           "j": ORDERS, "scale": PROFILE, "amplitude": PROFILE, "a": INTERVAL, "b": INTERVAL}
 
 
 def _raises(error, message):
@@ -189,6 +195,17 @@ def test_tolerance_rule(name, bad):
     # an infinite tolerance would certify a cut near k = 0 and return a norm near 0
     with _raises(InvalidInput, f"tolerance must be a finite number > 0, got {bad!r}"):
         TOLERANCE[name](bad)
+
+
+@pytest.mark.parametrize("name", INTERVAL)
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (math.inf, math.inf), (0.0, math.inf),
+                                  (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_interval_rule(name, a, b):
+    # not a zero integral over [inf, inf], nor a QuadratureFailure on [nan, inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with _raises(InvalidInput, f"bad interval [{a}, {b}]"):
+            INTERVAL[name](a, b)
 
 
 @pytest.mark.parametrize("name", ORDERS)

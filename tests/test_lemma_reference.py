@@ -10,11 +10,13 @@ by its bound shape.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from mgt_spectral import ToleranceFailure, decay, integral_lemma_check
 from mgt_spectral.decay import _lemma_quadratures
 
 #: the five (dim, j) pairs of `mgt verify` at c = 1, then three small-c triples
@@ -22,6 +24,8 @@ from mgt_spectral.decay import _lemma_quadratures
 TRIPLES = [(1, 0, 1.0), (2, 0, 1.0), (3, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0),
            (4, 1, 0.3), (2, 0, 0.1), (3, 0, 0.1)]
 TIMES = (0.0, 1e-2, 1.0, 1e2, 1e4)
+#: the time grid of `mgt verify`
+VERIFY_GRID = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
 
 
 def _half_periods(f, hi, t):
@@ -79,3 +83,53 @@ def test_error_targets_are_the_lemma_tolerances():
     assert quads["sine_low"][1] == tol * (1.0 + t) ** 2
     assert quads["sine_global"][1] == 1e-6 * t**-0.5
     assert _lemma_quadratures(3, 0, 1.0, 1e12)["cosine"][1] == 1e-15
+
+
+def _check(monkeypatch, dim, j, c, times, factors=None):
+    """integral_lemma_check with the kernels named in factors multiplied by
+    factors[name](t), and name -> the values its verdict saw."""
+    values, factors = {}, factors or {}
+
+    def scaled(*args):
+        quads = _lemma_quadratures(*args)
+        for name, (quad, tol) in quads.items():
+            if name in factors:
+                quad = replace(quad, value=quad.value * factors[name](args[-1]))
+                quads[name] = (quad, tol)
+            values.setdefault(name, []).append(quad.value)
+        return quads
+
+    monkeypatch.setattr(decay, "_lemma_quadratures", scaled)
+    return integral_lemma_check(dim, j, c, times), values
+
+
+@pytest.mark.parametrize("dim, j, c", TRIPLES)
+def test_every_value_within_its_closed_form_bound_on_the_verify_grid(monkeypatch, dim, j, c):
+    # (4, 1, 0.3), (2, 0, 0.1) and (3, 0, 0.1) failed a tail-slope fit that saw
+    # their ratios still rising toward the bound constant
+    rep, values = _check(monkeypatch, dim, j, c, VERIFY_GRID)
+    assert set(rep.series) == set(values)
+    for name, s in rep.series.items():
+        assert s.stable and np.all(np.array(values[name]) <= s.bound + s.quad_tol), name
+
+
+def _growth(t):
+    return (1.0 + t) ** 0.05
+
+
+@pytest.mark.parametrize("name, dim, j, c, times, factor", [
+    ("plain", 1, 0, 1.0, VERIFY_GRID, _growth),
+    ("plain", 2, 0, 0.1, VERIFY_GRID, _growth),
+    ("cosine", 1, 0, 1.0, VERIFY_GRID, _growth),
+    ("cosine", 2, 0, 0.1, VERIFY_GRID, _growth),
+    ("sine_global", 3, 0, 1.0, VERIFY_GRID, _growth),
+    ("sine_global", 4, 1, 0.3, VERIFY_GRID, _growth),
+    # the bound of plain is sharp at t = 0 and as t -> inf
+    ("plain", 1, 0, 1.0, VERIFY_GRID, lambda t: 1.001),
+    # one time is judged too: a slope fit needed 8 of them and a 100x span
+    ("plain", 1, 0, 1.0, [1.0], lambda t: 2.0),
+    ("sine_low", 3, 0, 1.0, [1.0], lambda t: math.nan),
+])
+def test_a_value_above_its_bound_fails(monkeypatch, name, dim, j, c, times, factor):
+    with pytest.raises(ToleranceFailure, match=f"^{name}: value .* exceeds its closed-form bound"):
+        _check(monkeypatch, dim, j, c, times, {name: factor})
