@@ -155,12 +155,17 @@ def _gauss_tail(m: int, s: float, K: float) -> float:
     without an elementary closed form (N + 2j <= 2 only), E1((s K)^2) / 2."""
     if K <= 0.0:
         K = 1e-12
+    if s * K > 1e154:  # e^-z is 0.0 long before z = (s K)^2 leaves the float range
+        return 0.0
     z = (s * K) ** 2
     if m <= -2:
         return math.exp(-z) * K ** (m + 1) / (-m - 1.0)
-    if m == -1:
-        return 0.5 * _exp1(z)
-    return 0.5 * s ** (-(m + 1.0)) * _upper_gamma(m + 1, z)
+    if m == -1:  # E1(0) = inf, where (s K)^2 underflows
+        return 0.5 * _exp1(z) if z > 0.0 else math.inf
+    try:
+        return 0.5 * s ** (-(m + 1.0)) * _upper_gamma(m + 1, z)
+    except OverflowError:  # s^-(m+1) past the float range: no finite bound
+        return math.inf
 
 
 def _envelope_monomials(p: ModelParams, data: DataTriple) -> tuple[list[tuple[float, int]], float]:
@@ -565,8 +570,13 @@ def _lemma_quadratures(dim: int, j: int, c: float,
     """name -> (quadrature, its error target) of each lemma kernel at one time t;
     sine_global is cut where r^(dim+j-3) e^(-c r^2 t) leaves a tail <= 1e-16."""
     pw = dim + j - 1
-    tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
-    sine_tol = max(1e-15, tol * (1.0 + t) ** 2)
+    has_global = dim + j >= 3 and t > 0.0
+    try:
+        tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
+        sine_tol = max(1e-15, tol * (1.0 + t) ** 2)
+        global_tol = max(1e-16, 1e-6 * t ** (-0.5 * (dim + j - 2))) if has_global else None
+    except OverflowError:  # Python's float ** raises where numpy would give inf
+        raise QuadratureFailure(f"lemma error target out of float range at t = {t:g}") from None
     edges = None if t == 0.0 else [math.pi / t]
     cosine, sine = _lemma_split(c, pw, t, False), _lemma_split(c, pw, t, True)
     quads = {
@@ -576,9 +586,8 @@ def _lemma_quadratures(dim: int, j: int, c: float,
         "sine_low": (adaptive_quadrature(sine, 0.0, 1.0, sine_tol, initial_edges=edges),
                      sine_tol),
     }
-    if dim + j >= 3 and t > 0.0:
+    if has_global:
         hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, math.sqrt(c * t), K), 1e-16)
-        global_tol = max(1e-16, 1e-6 * t ** (-0.5 * (dim + j - 2)))
         quads["sine_global"] = (adaptive_quadrature(sine, 0.0, hi, global_tol,
                                                     initial_edges=edges), global_tol)
     return quads
@@ -604,7 +613,8 @@ def integral_lemma_check(dim: int, j: int, c: float,
     counts, error estimates and error targets.
 
     Raises ToleranceFailure when a value exceeds its closed-form bound
-    (_lemma_bounds, sharp as t -> inf but for sine_low) plus its error target.
+    (_lemma_bounds, sharp as t -> inf but for sine_low) plus its error target,
+    and QuadratureFailure where an error target leaves the float range.
     """
     _check_orders(dim, j)
     if not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):

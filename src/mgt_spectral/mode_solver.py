@@ -12,15 +12,13 @@ one real root and the quadratic factor of the cubic, so the form is
 continuous through every confluence (double roots at m1, m2 and k = 0, the
 triple root at the critical ratio) and needs no pattern switch, no
 Vandermonde solve and no conditioning gate.  Derivatives are components of
-the propagated state, never finite differences.  For the norm quadratures,
-solve_modes_on_grid also returns the states' split, the same Newton form
-written out on a complex pair alpha +- i r from the same directions:
-e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) with L, P, S free of t, whose
-oscillation the quadratures integrate separately.
-
-The per-pattern expansion coefficients of mode_coefficients (real root plus
-conjugate pair, three distinct reals, real double root, real triple root)
-are kept as a description of the mode; evaluation does not use them.  There
+the propagated state, never finite differences.  The same form written out
+on the roots alpha +- sqrt(q) of the factor is the mode's one expansion
+(_expansion): e^{lam t}(y0 - P) + e^{alpha t}(P cos rt + S sin rt), cosh and
+sinh for real roots.  solve_modes_on_grid returns it on the pair rows as the
+states' split, whose oscillation the quadratures integrate separately, and
+mode_coefficients reads the per-pattern coefficients off its first
+components: a description of the mode that evaluation does not use.  There
 is one pattern decision and no way to override it: the description takes its
 pattern and roots from spectrum's routed spectrum (_route_confluent, the path
 behind classify, eigenvalues and atlas), so it never disagrees with classify.
@@ -72,11 +70,12 @@ class ModeCoefficients:
     """Expansion coefficients of one mode, with the data that evaluates it.
 
     `pattern` is classify(p, k), read from the same routed spectrum row as
-    `structure`, which holds the roots in the layout of that pattern:
-    REAL_PLUS_PAIR -> (lam_real, alpha, omega) for the pair alpha +- i*omega,
-    THREE_DISTINCT_REAL -> (lam1, lam2, lam3),
-    REAL_WITH_DOUBLE -> (lam_simple, lam_double),
-    TRIPLE_REAL -> (lam,).
+    `structure`, which holds the roots in the layout of that pattern, and
+    `coeffs` weigh its basis:
+    REAL_PLUS_PAIR -> (lam_real, alpha, omega): e^{lam_real t}, e^{alpha t} cos, sin(omega t),
+    THREE_DISTINCT_REAL -> (lam1, lam2, lam3): e^{lam_i t},
+    REAL_WITH_DOUBLE -> (lam_simple, lam_double): e^{lam_simple t}, (1, t) e^{lam_double t},
+    TRIPLE_REAL -> (lam,): (1, t, t^2) e^{lam t}.
     `nodes` is the factor (a, b, c, lam, alpha, q) of the characteristic
     cubic from spectrum._cubic_roots_batch; evaluate_mode propagates `init`
     with it, not with the coefficients.
@@ -135,7 +134,8 @@ class FrequencyProfile:
 
     def __call__(self, k: np.ndarray) -> np.ndarray:
         s = self.scale * np.asarray(k, dtype=float)
-        return self.amplitude * s**self.kind.order * np.exp(-0.5 * s * s)
+        with np.errstate(over="ignore"):  # s*s = inf gives e^-inf = 0, the exact limit
+            return self.amplitude * s**self.kind.order * np.exp(-0.5 * s * s)
 
     @property
     def vanishes_at_zero(self) -> bool:
@@ -282,24 +282,17 @@ def _directions(nodes: tuple, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w1, _apply_phi(a, b, c, w1) - alpha * w1
 
 
-# ---------------------------------------------------------------------------
-# pattern coefficients (a description of the mode, not used to evaluate it)
-# ---------------------------------------------------------------------------
-
-def _coefficient_matrix(pattern: RootPattern, structure: tuple[float, ...]) -> np.ndarray:
-    """The basis values and derivatives at t = 0 of a pattern other than TRIPLE_REAL."""
-    if pattern is RootPattern.REAL_PLUS_PAIR:
-        lam_r, al, om = structure
-        return np.array([
-            [1.0, 1.0, 0.0],
-            [lam_r, al, om],
-            [lam_r * lam_r, al * al - om * om, 2.0 * al * om],
-        ])
-    if pattern is RootPattern.THREE_DISTINCT_REAL:
-        l1, l2, l3 = structure
-        return np.array([[1.0, 1.0, 1.0], [l1, l2, l3], [l1 * l1, l2 * l2, l3 * l3]])
-    ls, ld = structure
-    return np.array([[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]])
+def _expansion(nodes: tuple, w1: np.ndarray, w2: np.ndarray, q) -> tuple[np.ndarray, np.ndarray]:
+    """(P, S) of exp(Phi t) y0 = e^{lam t}(y0 - P) + e^{alpha t}(P C(rt) + S Sn(rt)),
+    _propagate's form on the roots alpha +- r of (z - alpha)^2 - q, r = sqrt|q|, from
+    y0's Newton directions: (C, Sn) = (cos, sin) for q < 0, (cosh, sinh) for q > 0, and
+    at q = 0 (a double root alpha) S weighs t e^{alpha t}.  With dl = lam - alpha and
+    den = dl^2 - q, which must not vanish (no triple root),
+    P = -(dl w1 + w2) / den and S = -(q w1 + dl w2) / (r den); q may be a routed one."""
+    dl = nodes[3] - nodes[4]
+    den = dl * dl - q
+    r = np.sqrt(np.abs(q))
+    return -(dl * w1 + w2) / den, -(q * w1 + dl * w2) / (den * np.where(r > 0.0, r, 1.0))
 
 
 def _times(t) -> np.ndarray:
@@ -328,34 +321,34 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
 
     The pattern and the roots are those of classify(p, k) and eigenvalues(p, k)
     at k = init.k: the one routed decision of spectrum._route_confluent, made
-    on the factor that evaluate_mode propagates with.  It raises only on a k
-    that eigenvalues rejects; close to a confluence the coefficients are as
-    ill-conditioned as the basis itself (they grow like the inverse root
+    on the factor that evaluate_mode propagates with.  The coefficients are
+    the u components of _expansion's y0 - P, P, S on the routed factor (q := 0
+    at a double root), a triple root's its Taylor coefficients.  It raises only
+    on a k that eigenvalues rejects; close to a confluence the coefficients are
+    as ill-conditioned as the basis itself (they grow like the inverse root
     spacing), which does not affect evaluate_mode.
     """
     k, nodes = _mode_nodes(p, init)
     roots, patterns = _route_confluent(p, np.array([k * k]), nodes)
-    routed = patterns[0]
-    lam1, lam2, lam3 = roots[0]
-    if routed is RootPattern.REAL_PLUS_PAIR:
-        structure = (lam1.real, lam2.real, lam2.imag)
-    elif routed is RootPattern.THREE_DISTINCT_REAL:
-        structure = (lam1.real, lam2.real, lam3.real)
-    elif routed is RootPattern.REAL_WITH_DOUBLE:
-        structure = (nodes[3][0], nodes[4][0])
-    else:
-        structure = (lam1.real,)
-
-    rhs = init.as_array()
+    routed, y0 = patterns[0], init.as_array()
     if routed is RootPattern.TRIPLE_REAL:
-        lam = structure[0]
-        c1 = rhs[0]
-        c2 = rhs[1] - lam * c1
-        c3 = (rhs[2] - lam * lam * c1 - 2.0 * lam * c2) / 2.0
-        return ModeCoefficients(routed, (c1, c2, c3), structure, init, nodes)
+        lam = roots[0, 0].real
+        c2 = y0[1] - lam * y0[0]
+        coeffs = (y0[0], c2, (y0[2] - lam * lam * y0[0] - 2.0 * lam * c2) / 2.0)
+        return ModeCoefficients(routed, coeffs, (lam,), init, nodes)
 
-    sol = np.linalg.solve(_coefficient_matrix(routed, structure), rhs)
-    return ModeCoefficients(routed, tuple(sol), structure, init, nodes)
+    q = 0.0 if routed is RootPattern.REAL_WITH_DOUBLE else nodes[5][0]  # the routed factor
+    P, S = (x[0, 0] for x in _expansion(nodes, *_directions(nodes, y0[:, None]), q))
+    lam, alpha, r = nodes[3][0], nodes[4][0], math.sqrt(abs(q))
+    if routed is RootPattern.THREE_DISTINCT_REAL:
+        # P cosh rt + S sinh rt on e^{(alpha -+ r) t}; each root keeps its coefficient, ascending
+        structure, coeffs = zip(*sorted(zip((lam, alpha - r, alpha + r),
+                                            (y0[0] - P, (P - S) / 2.0, (P + S) / 2.0)),
+                                        key=lambda pair: pair[0]))
+    else:
+        structure = (lam, alpha, r) if routed is RootPattern.REAL_PLUS_PAIR else (lam, alpha)
+        coeffs = (y0[0] - P, P, S)
+    return ModeCoefficients(routed, tuple(coeffs), tuple(structure), init, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -465,13 +458,9 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)
     lam, alpha, q = nodes[3:]
     w1, w2 = _directions(nodes, y0)
-    # _propagate's form on a pair, its divided differences written out:
-    # d0 = e^{alpha t} cos rt, d1 = e^{alpha t} sin(rt)/r and
-    # d2 = (e^{lam t} - (lam - alpha) d1 - d0) / den, den = (lam - alpha)^2 + r^2
+    # the expansion on pair rows; the rest take q = -1, which keeps den and r from
+    # vanishing, and then P = S = 0, L = y0
     pair = q < 0.0
+    P, S = (np.where(pair, x, 0.0) for x in _expansion(nodes, w1, w2, np.where(pair, q, -1.0)))
     r = np.sqrt(np.where(pair, -q, 0.0))
-    dl = lam - alpha
-    den = np.where(pair, dl * dl - q, 1.0)
-    P = np.where(pair, -(dl * w1 + w2) / den, 0.0)
-    S = np.where(pair, (r * r * w1 - dl * w2) / (den * np.where(pair, r, 1.0)), 0.0)
     return GridModes(_propagate(nodes, y0, t, w1, w2), (lam, alpha, r, y0 - P, P, S))

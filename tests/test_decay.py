@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from mgt_spectral import (DataClass, DegenerateFit, FrequencyProfile, InvalidInput, ProfileKind,
-                          decay_curve, decay_curve_rows, decay_curve_summary, fit_decay_slope,
-                          infer_data_class, integral_lemma_check, region_contributions,
-                          region_rates, region_split, sobolev_norm_sq, v_norm_sq, validate)
+                          QuadratureFailure, decay_curve, decay_curve_rows, decay_curve_summary,
+                          fit_decay_slope, infer_data_class, integral_lemma_check,
+                          region_contributions, region_rates, region_split, sobolev_norm_sq,
+                          v_norm_sq, validate)
 
 P = validate(0.1, 1.0)
 GAUSS = FrequencyProfile.gaussian()
@@ -461,6 +462,39 @@ class TestGaussTailClosedForm:
             got = _gauss_tail(m, s, K)
             # a certified upper bound: never more than rounding below the reference
             assert abs(got - ref) <= 1e-12 * ref, (m, s, z, got, ref)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestFloatRange:
+    """Inputs whose tail bounds or error targets leave the float range give an
+    exact limit or a typed failure, never OverflowError."""
+
+    def test_tail_bound_limits(self):
+        from mgt_spectral.decay import _gauss_tail, _kmax_certified
+
+        assert _gauss_tail(0, 1e200, 1.0) == 0.0       # (s K)^2 overflows: e^-inf = 0
+        assert _gauss_tail(-2, 1.0, 1e200) == 0.0
+        assert _gauss_tail(6, 1e-150, 1.0) == math.inf  # s^-7 overflows
+        assert _gauss_tail(-1, 1e-200, 1.0) == math.inf  # (s K)^2 underflows: E1(0) = inf
+        with pytest.raises(QuadratureFailure):
+            _kmax_certified(lambda K: _gauss_tail(6, 1e-150, K), 1e-16)
+
+    def test_data_beyond_the_float_range_has_norm_zero(self, capsys):
+        from mgt_spectral.cli import main
+
+        data = (FrequencyProfile.gaussian(1e200), ZERO, ZERO)
+        curve = decay_curve(P, data, 3, 0, [100.0, 1000.0, 10000.0], 1e-10)
+        assert np.all(curve.values == 0.0) and np.all(curve.tail_bound == 0.0)
+        code = main(["decay", "--tau", "0.1", "--beta", "1", "--t-count", "3", "--format", "json",
+                     "--data", "u0:gaussian:1e200:1,u1:zero,u2:zero"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert [row["norm"] for row in json.loads(out.out)["rows"]] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("dim,j,t", [(1, 0, 1e200), (1, 0, 1e300), (5, 4, 1e-300)])
+    def test_lemma_error_target_out_of_range_is_typed(self, dim, j, t):
+        with pytest.raises(QuadratureFailure, match="out of float range"):
+            integral_lemma_check(dim, j, 1.0, [t])
 
 
 class TestBoundVerdict:

@@ -277,6 +277,102 @@ class TestGridEvaluation:
 # the mode kernel against an eigenvalue-free reference near every confluence
 # ---------------------------------------------------------------------------
 
+def _basis_solve(co):
+    """Reference coefficients: a solve of the pattern's basis values and
+    derivatives at t = 0 on co.structure."""
+    s = co.structure
+    if co.pattern is RootPattern.REAL_PLUS_PAIR:
+        lam, al, om = s
+        m = [[1.0, 1.0, 0.0], [lam, al, om], [lam * lam, al * al - om * om, 2.0 * al * om]]
+    elif co.pattern is RootPattern.THREE_DISTINCT_REAL:
+        m = [[1.0, 1.0, 1.0], list(s), [x * x for x in s]]
+    elif co.pattern is RootPattern.REAL_WITH_DOUBLE:
+        ls, ld = s
+        m = [[1.0, 1.0, 0.0], [ls, ld, 1.0], [ls * ls, ld * ld, 2.0 * ld]]
+    else:
+        (lam,) = s
+        m = [[1.0, 0.0, 0.0], [lam, 1.0, 0.0], [lam * lam, 2.0 * lam, 2.0]]
+    return np.linalg.solve(np.array(m), co.init.as_array())
+
+
+def _expansion_u(co, t):
+    """u(t) summed from the coefficients in the basis of co.pattern."""
+    (c1, c2, c3), s = co.coeffs, co.structure
+    if co.pattern is RootPattern.REAL_PLUS_PAIR:
+        lam, al, om = s
+        return c1 * np.exp(lam * t) + np.exp(al * t) * (c2 * np.cos(om * t) + c3 * np.sin(om * t))
+    if co.pattern is RootPattern.THREE_DISTINCT_REAL:
+        return sum(c * np.exp(x * t) for c, x in zip(co.coeffs, s))
+    if co.pattern is RootPattern.REAL_WITH_DOUBLE:
+        ls, ld = s
+        return c1 * np.exp(ls * t) + (c2 + c3 * t) * np.exp(ld * t)
+    return (c1 + c2 * t + c3 * t * t) * np.exp(s[0] * t)
+
+
+class TestExpansion:
+    """mode_coefficients reads the expansion off the kernel's Newton directions."""
+
+    def _sweep(self):
+        """(params, k) draws over all four patterns, k^2 at least 1% of the
+        band m2 - m1 away from each threshold, plus k = 0, m1, m2 and the triple point."""
+        from mgt_spectral import cardano_thresholds
+
+        rng = np.random.default_rng(34)
+        rows = [(validate(beta / 9.0, beta), math.sqrt(3.0) / beta) for beta in (0.5, 1.0, 4.0)]
+        for i in range(120):
+            beta = 10.0 ** rng.uniform(-2.0, 2.0)
+            ratio = rng.uniform(0.12, 0.99) if i % 2 else rng.uniform(0.005, 0.1)
+            p = validate(ratio * beta, beta)
+            free = 10.0 ** rng.uniform(-3.0, 3.0, 3) / (p.tau * beta)
+            thr = cardano_thresholds(p)
+            m1, m2 = thr.m1, thr.m2
+            if m1 is None:  # above 1/9: a pair at every k > 0
+                rows += [(p, math.sqrt(k2)) for k2 in [0.0, *free]]
+                continue
+            band = [m1 + u * (m2 - m1) for u in rng.uniform(0.05, 0.95, 2)]
+            free = [k2 for k2 in free if min(abs(k2 - m1), abs(k2 - m2)) >= 1e-2 * (m2 - m1)]
+            rows += [(p, math.sqrt(k2)) for k2 in [0.0, m1, m2, *band, *free]]
+        return rng, rows
+
+    def test_matches_the_basis_solve(self):
+        rng, rows = self._sweep()
+        seen = set()
+        for p, k in rows:
+            co = mode_coefficients(p, ModeState(*(rng.standard_normal(3)
+                                                   + 1j * rng.standard_normal(3)), k=k))
+            ref = _basis_solve(co)
+            assert np.abs(np.array(co.coeffs) - ref).max() <= 1e-13 * (1.0 + np.abs(ref).max())
+            seen.add(co.pattern)
+        assert seen == set(RootPattern)
+
+    @pytest.mark.parametrize("p,k,pattern", [
+        (P, 1.0, RootPattern.REAL_PLUS_PAIR),
+        (P, 1.78, RootPattern.THREE_DISTINCT_REAL),
+        (P, 0.0, RootPattern.REAL_WITH_DOUBLE),
+        (validate(0.3, 1.0), 5.0, RootPattern.REAL_PLUS_PAIR),
+    ])
+    def test_rebuilds_solve_mode(self, p, k, pattern):
+        init = random_state(np.random.default_rng(7), k)
+        co = mode_coefficients(p, init)
+        assert co.pattern is pattern
+        for t in (0.5, 3.0, 10.0):
+            ref = solve_mode(p, init, t).u_hat
+            assert abs(_expansion_u(co, t) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+    def test_pair_coefficients_are_the_grid_split(self):
+        rng = np.random.default_rng(8)
+        ks = np.linspace(0.05, 6.0, 40)
+        y0 = rng.standard_normal((3, ks.size)) + 1j * rng.standard_normal((3, ks.size))
+        L, P_, S = solve_modes_on_grid(P, ks, *y0, 1.0).split[3:]
+        pairs = 0
+        for i, k in enumerate(ks):
+            co = mode_coefficients(P, ModeState(*y0[:, i], k=float(k)))
+            if co.pattern is RootPattern.REAL_PLUS_PAIR:
+                pairs += 1
+                assert co.coeffs == (L[0, i], P_[0, i], S[0, i])
+        assert pairs > 30
+
+
 SWEEP_TIMES = (0.0, 0.01, 0.5, 3.0, 10.0)
 
 
