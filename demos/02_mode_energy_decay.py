@@ -3,8 +3,8 @@
 The closed-form solver evaluates u(k, t) and its first two time derivatives
 as exp(Phi t) y0 in Newton (Putzer) form, over divided differences of
 e^(lam t) at the three eigenvalues; the matrix exponential of the first-order
-system (scipy.linalg.expm, which forms no eigenvalue) provides an
-independent cross check.  Along the trajectory the mode energy
+system (balanced Pade scaling and squaring, which forms no eigenvalue)
+provides an independent cross check.  Along the trajectory the mode energy
 
     E = (|v + tau w|^2 + tau (beta - tau) k^2 |v|^2 + k^2 |u + tau v|^2) / 2
 

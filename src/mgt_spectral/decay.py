@@ -168,16 +168,21 @@ def _gauss_tail(m: int, s: float, K: float) -> float:
         return math.inf
 
 
-def _envelope_monomials(p: ModelParams, data: DataTriple) -> tuple[list[tuple[float, int]], float]:
-    """Monomials (coef, power) with E(k, 0) <= sum coef k^power exp(-(s_min k)^2):
-    each profile as |amplitude| (scale k)^order, the three squares of E(k, 0)
-    expanded term by term; exact for data of one scale and one sign."""
-    active = [prof for prof in data if prof.amplitude != 0.0]
-    if not active:
-        return [], 1.0
-    s_min = min(prof.scale for prof in active)
-    (c0, o0), (c1, o1), (c2, o2) = ((abs(prof.amplitude) * prof.scale ** prof.kind.order,
-                                     prof.kind.order) for prof in data)
+def _envelope_monomials(p: ModelParams,
+                        data: DataTriple) -> tuple[list[tuple[float, int]], float, float]:
+    """Monomials (coef, power), s_min and a unit with
+    E(k, 0) <= unit^2 sum coef k^power exp(-(s_min k)^2): each profile as
+    |amplitude| (scale k)^order, the three squares of E(k, 0) expanded term by
+    term; exact for data of one scale and one sign.  The unit is the largest
+    |amplitude| scale^order, so the coefficients stay in the float range where
+    the squares of the profiles' would not."""
+    sizes = [abs(prof.amplitude) * prof.scale ** prof.kind.order for prof in data]
+    unit = max(sizes)
+    if unit == 0.0:
+        return [], 1.0, 1.0
+    s_min = min(prof.scale for prof in data if prof.amplitude != 0.0)
+    (c0, o0), (c1, o1), (c2, o2) = ((size / unit, prof.kind.order)
+                                    for size, prof in zip(sizes, data))
     tau, beta = p.tau, p.beta
 
     def sq(terms: list[tuple[float, int]], weight: float, shift: int) -> list[tuple[float, int]]:
@@ -187,7 +192,7 @@ def _envelope_monomials(p: ModelParams, data: DataTriple) -> tuple[list[tuple[fl
     mono = (sq([(c1, o1), (tau * c2, o2)], 1.0, 0)           # |u1 + tau u2|^2
             + sq([(c1, o1)], tau * (beta - tau), 2)          # tau(beta-tau) k^2 |u1|^2
             + sq([(c0, o0), (tau * c1, o1)], 1.0, 2))        # k^2 |u0 + tau u1|^2
-    return [(0.5 * c, pw) for c, pw in mono if c != 0.0], s_min
+    return [(0.5 * c, pw) for c, pw in mono if c != 0.0], s_min, unit
 
 
 @functools.lru_cache
@@ -198,7 +203,7 @@ def _cached_weights(p: ModelParams) -> lyapunov.LyapunovWeights:
 def _norm_tail(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                v_norm: bool) -> Callable[[float], float]:
     """Certified bound on the norm integral over [K, inf), as a function of K."""
-    mono, s_min = _envelope_monomials(p, data)
+    mono, s_min, unit = _envelope_monomials(p, data)
     w = _cached_weights(p)
     shift = 2 * j + dim - (1 if v_norm else 3)
     mono = [(c, pw + shift) for c, pw in mono]
@@ -208,7 +213,9 @@ def _norm_tail(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     def tail(K: float) -> float:
         rho_k = K * K / (1.0 + K * K)
         decay_factor = min(1.0, ratio * math.exp(-w.gamma5 * rho_k * t))
-        return w.v_hi * decay_factor * amp * sum(c * _gauss_tail(m, s_min, K) for c, m in mono)
+        # unit^2 may leave the float range where the tail does not
+        return unit * (unit * w.v_hi * decay_factor * amp
+                       * sum(c * _gauss_tail(m, s_min, K) for c, m in mono))
 
     return tail
 

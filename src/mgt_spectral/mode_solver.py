@@ -24,8 +24,9 @@ pattern and roots from spectrum's routed spectrum (_route_confluent, the path
 behind classify, eigenvalues and atlas), so it never disagrees with classify.
 
 propagate_numeric() is the cross-check oracle for the closed form: the
-matrix exponential of Phi t by scaling and squaring (scipy.linalg.expm),
-which forms no eigenvalue and never calls the spectrum kernel.
+matrix exponential of Phi t by balanced Pade scaling and squaring (_expm3),
+in numpy alone, which forms no eigenvalue and never calls the spectrum
+kernel.
 
 FrequencyProfile is the radial initial data of each mode component: decay
 integrates the modes it starts over all k, `mgt mode` samples it at one k.
@@ -405,18 +406,75 @@ def ode_residual(p: ModelParams, init: ModeState, t: float) -> tuple[float, floa
 
 
 def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
-    """Independent oracle: exp(Phi t) y0 by scipy.linalg.expm (scaling and squaring).
+    """Independent oracle: exp(Phi t) y0 by a balanced scaling-and-squaring Pade
+    exponential (_expm3).
 
-    It forms no eigenvalue and never calls the spectrum kernel.  t is a time
-    or an array of times; it takes the inputs of solve_mode and raises as it does.
+    It forms no eigenvalue, never calls the spectrum kernel and shares only
+    mode_matrix with the closed form.  Phi is balanced as D^-1 Phi D with
+    D = diag(1, s, s^2) and s a power of two near sqrt(beta k^2 / tau), the
+    modulus of the stiff pair: the scaling then follows the spectral radius,
+    not the entry beta k^2 / tau, and the balancing rounds nothing.  t is a
+    time or an array of times, each giving the bits of its own scalar call;
+    it takes the inputs of solve_mode and raises as it does.
     """
     ts = _times(t)
     k = _frequency(init.k)
-    # imported here: only the oracle uses scipy.linalg
-    from scipy.linalg import expm
-    y = expm(ts[..., None, None] * mode_matrix(p, k)) @ init.as_array()
-    u, v, w = (complex(x) if ts.ndim == 0 else x for x in np.moveaxis(y, -1, 0))
+    e = math.frexp(p.beta * k * k / p.tau)[1] // 2  # 2^e within a factor 2 of the modulus
+    d = np.ldexp(1.0, e * np.arange(3))
+    balanced = mode_matrix(p, k) * d / d[:, None]
+    y = d * np.einsum("nij,j->ni", _expm3(ts.reshape(-1, 1, 1) * balanced), init.as_array() / d)
+    u, v, w = (complex(x[0]) if ts.ndim == 0 else x.reshape(ts.shape) for x in y.T)
     return ModeState(u_hat=u, v_hat=v, w_hat=w, k=k)
+
+
+#: Pade [13/13] numerator coefficients of exp, b_0 ... b_13, and theta_13, the
+#: largest 1-norm at which that approximant's backward error is at most the
+#: double-precision unit roundoff (N. J. Higham, SIAM J. Matrix Anal. Appl. 26
+#: (2005) 1179-1193)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of two stacks of 3x3 matrices by einsum: elementwise loops that
+    map no BLAS, each product the same bits in any stack."""
+    return np.einsum("nij,njk->nik", a, b)
+
+
+def _expm3(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix in a stack a of shape (n, 3, 3), with no BLAS or LAPACK.
+
+    Scaling and squaring on the Pade [13/13] approximant: each matrix is
+    divided by the least power of two 2^m that brings its 1-norm to at most
+    theta_13, and its approximant squared m times, each matrix its own m, so
+    a matrix gives the same bits alone or in any stack.  The Pade denominator
+    q is solved in closed form, q^-1 = adj(q) / det(q) by cofactors, with
+    no pivoting: in that norm range q is well conditioned (Higham, ibid.).
+    """
+    m = np.maximum(np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _THETA13)[1], 0)
+    a = np.ldexp(a, -m[:, None, None])
+    b, eye = _PADE13, np.eye(3)
+    a2 = _mul(a, a)
+    a4 = _mul(a2, a2)
+    a6 = _mul(a4, a2)
+    u = _mul(a, _mul(a6, b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (_mul(a6, b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    q = v - u
+    # adj(q)[i, j] = q[j+1, i+1] q[j+2, i+2] - q[j+1, i+2] q[j+2, i+1], indices mod 3
+    qt = np.swapaxes(q, 1, 2)
+    up, down = [1, 2, 0], [2, 0, 1]
+    adj = (qt[:, up][:, :, up] * qt[:, down][:, :, down]
+           - qt[:, down][:, :, up] * qt[:, up][:, :, down])
+    det = q[:, 0, 0] * adj[:, 0, 0] + q[:, 0, 1] * adj[:, 1, 0] + q[:, 0, 2] * adj[:, 2, 0]
+    r = _mul(adj, v + u) / det[:, None, None]
+    for i in range(int(m.max(initial=0))):
+        more = m > i
+        r[more] = _mul(r[more], r[more])
+    return r
 
 
 def v_vector(p: ModelParams, state: ModeState) -> VVector:

@@ -8,7 +8,7 @@ Only gronwall_margin (as its first pair) and theorem_bounds take the run's
 (tau, beta); the others use their own random draws or fixed cases.
 
 spectrum_sweep      eigenvalue residuals and Vieta identities of the cubic
-oracle_equivalence  the closed-form mode against the expm oracle
+oracle_equivalence  the closed-form mode against the matrix-exponential oracle
 energy_identity     the energy-dissipation identity along each mode
 gronwall_margin     gamma5 > 0 and L(t) exp(gamma5 rho(k) t) never grows
 integral_lemmas     each integral-lemma value within its closed-form bound (a

@@ -491,6 +491,20 @@ class TestFloatRange:
         assert code == 0 and out.err == ""
         assert [row["norm"] for row in json.loads(out.out)["rows"]] == [0.0, 0.0, 0.0]
 
+    def test_moment_free_data_beyond_the_float_range_has_norm_zero(self, capsys):
+        # (amplitude scale)^2 = 1e400 in the tail envelope: it made the tail NaN and
+        # the truncation point uncertifiable (exit 4)
+        from mgt_spectral.cli import main
+
+        data = (FrequencyProfile.moment_free(1e200), ZERO, ZERO)
+        curve = decay_curve(P, data, 3, 0, [100.0, 10000.0], 1e-10)
+        assert np.all(curve.values == 0.0) and np.all(curve.tail_bound == 0.0)
+        code = main(["decay", "--tau", "0.1", "--beta", "1", "--t-count", "2", "--format", "json",
+                     "--data", "u0:mfgaussian:1e200:1,u1:zero,u2:zero"])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert [row["norm"] for row in json.loads(out.out)["rows"]] == [0.0, 0.0]
+
     @pytest.mark.parametrize("dim,j,t", [(1, 0, 1e200), (1, 0, 1e300), (5, 4, 1e-300)])
     def test_lemma_error_target_out_of_range_is_typed(self, dim, j, t):
         with pytest.raises(QuadratureFailure, match="out of float range"):
@@ -536,8 +550,8 @@ class TestDataEnvelope:
         from mgt_spectral import ModeState, default_weights, functionals
         from mgt_spectral.decay import _envelope_monomials
 
-        mono, s_min = _envelope_monomials(p, data)
-        envelope = sum(c * ks**pw for c, pw in mono) * np.exp(-(s_min * ks) ** 2)
+        mono, s_min, unit = _envelope_monomials(p, data)
+        envelope = unit**2 * sum(c * ks**pw for c, pw in mono) * np.exp(-(s_min * ks) ** 2)
         state = ModeState(*(prof(ks) for prof in data), k=ks)
         energy = functionals(p, state, default_weights(p)).energy
         return shrink * envelope / energy

@@ -1,9 +1,10 @@
-"""Import hygiene: the library, its scalar CLI commands and `mgt decay` never
-load scipy, and the front door loads no numpy.
+"""Import hygiene: the library and every `mgt` command, `mgt verify` included,
+never load scipy, and the front door loads no numpy.
 
-scipy is needed only by the expm oracle (`propagate_numeric`, `mgt verify`);
-every other `mgt` invocation must not pay its import time, the N = 1 decay
-curves, whose tail bound takes the k^-1 order, included. `import mgt_spectral`
+scipy is a test dependency only: the matrix-exponential oracle
+(`propagate_numeric`, run by `mgt verify`) is numpy's, and no `mgt`
+invocation may pay scipy's import time, the N = 1 decay curves, whose tail
+bound takes the k^-1 order, included. `import mgt_spectral`
 and `mgt_spectral.cli` load `errors` and `params` only; the layer modules, and
 numpy with them, load on first use.
 The front door also loads no `dataclasses`, `inspect` or `json` (`json`
@@ -26,7 +27,8 @@ for argv in (["classify", *point],
              ["atlas", *point, "--k-count", "50"],
              ["mode", *point, "--k", "1.5", "--t-count", "11"],
              ["decay", *point, "--dim", "1", "--data", "u0:zero,u1:gaussian:1:1,u2:zero",
-              "--t-count", "3"]):
+              "--t-count", "3"],
+             ["verify", "--quick", *point]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert mgt_spectral.cli.main(argv) == 0, argv
 print(sorted(name for name in sys.modules if name.startswith("scipy")))

@@ -41,7 +41,7 @@ def test_large_t_decay_curve_peak_memory():
     assert grown_mb <= 40.0
 
 
-BLAS_PROBE = """
+BLAS_RSS = """
 import sys
 from pathlib import Path
 import numpy as np
@@ -59,7 +59,9 @@ def blas_rss_kb():
         elif inside and fields[0] == "Rss:":
             total += int(fields[1])
     return total
+"""
 
+BLAS_PROBE = BLAS_RSS + """
 # the batched Levin solves of the split pass, complex 17x17 and 9x9 systems
 rng = np.random.default_rng(0)
 for n in (17, 9):
@@ -79,18 +81,38 @@ if "polyfit" in sys.argv:
 """
 
 
-def _blas_growth_kb(*args: str) -> list[int]:
+ORACLE_PROBE = BLAS_RSS + """
+before = blas_rss_kb()
+if before == 0:
+    print("no numpy OpenBLAS mapping")
+    sys.exit()
+rng = np.random.default_rng(0)
+for tau, beta, k, t in ((0.1, 1.0, 0.0, 3.0), (0.999, 1.0, 200.0, 100.0), (0.3, 2.0, 1.7, 0.5)):
+    state = mgt.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)), k=k)
+    mgt.propagate_numeric(mgt.validate(tau, beta), state, np.linspace(0.0, t, 7))
+# files under scipy/ or scipy.libs/ (numpy's OpenBLAS is numpy.libs/libscipy_openblas*)
+mapped = {Path(line.split()[-1]) for line in Path("/proc/self/maps").read_text().splitlines()}
+print(sorted(str(f) for f in mapped if any(d.startswith("scipy") for d in f.parent.parts)))
+print(blas_rss_kb() - before)
+"""
+
+
+def _probe_lines(probe: str, *args: str) -> list[str]:
     if not Path("/proc/self/smaps").exists():
         pytest.skip("needs /proc/self/smaps")
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", BLAS_PROBE, *args], capture_output=True,
+    res = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True,
                          text=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"})
     assert res.returncode == 0, res.stderr
     lines = res.stdout.strip().splitlines()
     if lines == ["no numpy OpenBLAS mapping"]:
         pytest.skip("numpy maps no OpenBLAS library of its own")
-    return [int(x) for x in lines]
+    return lines
+
+
+def _blas_growth_kb(*args: str) -> list[int]:
+    return [int(x) for x in _probe_lines(BLAS_PROBE, *args)]
 
 
 def test_decay_curve_pages_no_blas_beyond_the_levin_solve():
@@ -100,3 +122,11 @@ def test_decay_curve_pages_no_blas_beyond_the_levin_solve():
 
 def test_blas_probe_sees_a_least_squares_fit():
     assert _blas_growth_kb("polyfit")[-1] > 400
+
+
+def test_oracle_maps_no_scipy_and_pages_no_blas():
+    # scipy.linalg.expm mapped scipy's own OpenBLAS and expm extensions, and on
+    # this probe paged 384 KB more of numpy's OpenBLAS
+    libs, grown = _probe_lines(ORACLE_PROBE)[-2:]
+    assert libs == "[]"
+    assert int(grown) == 0

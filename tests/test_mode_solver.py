@@ -177,6 +177,60 @@ class TestOracleEquivalence:
                              - np.array([complex(z) for z in ref])).max()
                 assert err <= 1e-8 * (1.0 + init.norm()), (ratio, beta, k, t)
 
+    def test_pade_exponential_matches_scipy(self):
+        """_expm3 against scipy.linalg.expm on random dense matrices, at k = 0 and,
+        through propagate_numeric's balancing, on stiff companion matrices."""
+        from scipy.linalg import expm
+
+        from mgt_spectral import mode_matrix
+        from mgt_spectral.mode_solver import _expm3
+
+        rng = np.random.default_rng(3535)
+        for scale, tol in ((1e-3, 1e-14), (0.1, 1e-14), (1.0, 1e-12), (10.0, 1e-11)):
+            a = rng.standard_normal((100, 3, 3)) * scale
+            ref = np.array([expm(x) for x in a])
+            err = np.abs(_expm3(a) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+            assert err.max() <= tol, scale
+        for tau in (1e-3, 0.3, 0.999):
+            a = np.array([0.0, 1e-3, 1.0, 10.0, 100.0])[:, None, None] * mode_matrix(
+                validate(tau, 1.0), 0.0)
+            ref = np.array([expm(x) for x in a])
+            assert np.abs(_expm3(a) - ref).max() <= 1e-13 * np.abs(ref).max(), tau
+        for _ in range(100):
+            beta = rng.uniform(0.5, 2.0)
+            p = validate(rng.uniform(0.001, 0.999) * beta, beta)
+            k, t = rng.uniform(0.0, 200.0), rng.uniform(0.0, 100.0)
+            init = random_state(rng, k)
+            ref = expm(mode_matrix(p, k) * t) @ init.as_array()
+            err = np.abs(propagate_numeric(p, init, t).as_array() - ref).max()
+            assert err <= 1e-8 * (1.0 + init.norm()), (p, k, t)
+
+    def test_stiff_draws_no_worse_than_scipy_against_mpmath(self):
+        """300 stiff draws against a 40-digit expm: the balanced Pade oracle's worst
+        error is no larger than scipy.linalg.expm's on the same draws."""
+        mp = pytest.importorskip("mpmath")
+        from scipy.linalg import expm
+
+        from mgt_spectral import mode_matrix
+
+        rng = np.random.default_rng(3536)
+        worst_ours = worst_scipy = 0.0
+        with mp.workdps(40):
+            for _ in range(300):
+                beta = rng.uniform(0.5, 2.0)
+                p = validate(rng.uniform(0.01, 0.999) * beta, beta)
+                k, t = 10.0 ** rng.uniform(0.0, math.log10(200.0)), rng.uniform(1.0, 100.0)
+                init = random_state(rng, k)
+                y0, phi = init.as_array(), mode_matrix(p, k)
+                ref = mp.expm(mp.matrix([[mp.mpf(x) * mp.mpf(t) for x in row] for row in phi]))
+                ref = np.array([complex(z) for z in ref * mp.matrix([mp.mpc(z) for z in y0])])
+                scale = 1.0 + init.norm()
+                worst_ours = max(worst_ours, np.abs(
+                    propagate_numeric(p, init, t).as_array() - ref).max() / scale)
+                worst_scipy = max(worst_scipy, np.abs(expm(phi * t) @ y0 - ref).max() / scale)
+        assert worst_ours <= worst_scipy, (worst_ours, worst_scipy)
+        assert worst_ours <= 1e-8
+
 
 class TestStructuralProperties:
     def test_semigroup(self):
