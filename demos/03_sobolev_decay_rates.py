@@ -39,9 +39,9 @@ cases = [
 print("case                 fitted slope   bound exponent   verdict")
 for name, data, dim, j, v_norm in cases:
     curve = mgt.decay_curve(p, data, dim, j, times, quad_tol=1e-10, v_norm=v_norm)
-    within, _ = mgt.bound_verdict(curve, curve.bound_exponent, 1e-8)
+    check, _ = mgt.bound_verdict(curve, curve.bound_exponent, 1e-8)
     print(f"{name}    {curve.fitted_slope:+.4f}        {curve.bound_exponent:+.2f}           "
-          f"{'within bound' if within else 'VIOLATION'}")
+          f"{'within bound' if check.passed else 'VIOLATION'}")
 
 # frequency-region bookkeeping: at large times everything lives at low k
 data = (gauss, gauss, gauss)

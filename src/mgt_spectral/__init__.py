@@ -34,10 +34,10 @@ _LAYER_OF = {name: layer for layer, names in {
     "lyapunov": ("LyapunovWeights", "FunctionalValues", "default_weights", "functionals",
                  "energy_dissipation_residual", "gronwall_margin", "decay_margin_exact",
                  "pointwise_bound_constants", "rho"),
-    "decay": ("RegionSplit", "RegionContributions", "DecayCurve", "region_split", "region_rates",
-              "sobolev_norm_sq", "v_norm_sq", "region_contributions", "decay_curve",
-              "decay_curve_rows", "bound_verdict", "decay_curve_summary", "fit_decay_slope",
-              "integral_lemma_check", "IntegralLemmaReport", "infer_data_class"),
+    "decay": ("RegionSplit", "RegionContributions", "DecayCurve", "Check", "region_split",
+              "region_rates", "sobolev_norm_sq", "v_norm_sq", "region_contributions",
+              "decay_curve", "decay_curve_rows", "bound_verdict", "decay_curve_summary",
+              "fit_decay_slope", "integral_lemma_check", "IntegralLemmaReport", "infer_data_class"),
     "quadrature": ("adaptive_quadrature", "QuadResult"),
 }.items() for name in (layer, *names)}
 

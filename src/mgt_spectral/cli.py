@@ -246,7 +246,7 @@ def cmd_verify(args) -> int:
     from . import verify
     records = verify._run_suites(p, args.quick)
     _write_output(args.out, verify._report(p, args.quick, records))
-    return EXIT_OK if all(ok for _, ok, _ in records) else EXIT_VERIFY
+    return EXIT_OK if verify.passed(records) else EXIT_VERIFY
 
 
 _COMMANDS = {"classify": cmd_classify, "atlas": cmd_atlas, "mode": cmd_mode,

@@ -412,17 +412,35 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
                       tail_bound=np.array([tail for _, _, tail in runs]))
 
 
-def bound_verdict(curve: DecayCurve, exponent: float, abs_slack: float) -> tuple[bool, float]:
-    """(within, c_early) of the early-window bound rule.
+@dataclass(frozen=True)
+class Check:
+    """A judged value and its bound.  ran=False: no rule judged it (a reading,
+    a rule outside its window or a suite that raised).  str(check) formats
+    `text` with name, value and ok (ok or FAIL); an empty text prints nothing."""
+
+    name: str
+    value: object
+    bound: float | None = None
+    passed: bool = True
+    ran: bool = True
+    text: str = "{name}={value:.2e}"
+
+    def __str__(self) -> str:
+        return self.text.format(**vars(self), ok="ok" if self.passed else "FAIL")
+
+
+def bound_verdict(curve: DecayCurve, exponent: float, abs_slack: float) -> tuple[Check, float]:
+    """(check, c_early) of the early-window bound rule.
 
     c_early is the largest values / (1+t)^exponent over the leading half of
-    the times; the curve is within the bound when every value is at most
-    1.01 c_early (1+t)^exponent + abs_slack.
+    the times; the check's value is the largest excess of a value over
+    1.01 c_early (1+t)^exponent + abs_slack, and it passes when that is <= 0.
     """
     shape = (1.0 + curve.times) ** exponent
     n2 = max(1, curve.times.size // 2)
     c_early = float(np.max(curve.values[:n2] / shape[:n2]))
-    return bool(np.all(curve.values <= 1.01 * c_early * shape + abs_slack)), c_early
+    excess = float(np.max(curve.values - (1.01 * c_early * shape + abs_slack)))
+    return Check("bound_excess", excess, 0.0, excess <= 0.0), c_early
 
 
 def decay_curve_rows(curve: DecayCurve) -> list[tuple[float, float, float]]:
@@ -457,9 +475,9 @@ def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float,
     """The `mgt decay` summary, with bound_verdict at a slack of 10 quad_tol, and
     the curve's rows, also in the summary as {t, norm, bound_value} with json_rows."""
     summary = decay_curve_summary(curve)
-    within, summary["bound_constant_early_window"] = bound_verdict(
+    check, summary["bound_constant_early_window"] = bound_verdict(
         curve, curve.bound_exponent, 10.0 * curve.quad_tol)
-    summary["verdict"] = "WITHIN_BOUND" if within else "VIOLATION"
+    summary["verdict"] = "WITHIN_BOUND" if check.passed else "VIOLATION"
     rows = decay_curve_rows(curve)
     if json_rows:
         summary["rows"] = [{"t": t, "norm": v, "bound_value": b} for t, v, b in rows]
@@ -473,7 +491,7 @@ def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float,
 @dataclass(frozen=True)
 class LemmaRatioSeries:
     """Ratio of one verified integral to its bound shape along a time grid, with each
-    time's closed-form bound (every value is within it plus its target, so stable),
+    time's closed-form bound (every value is within it plus its target),
     integrand evaluations, quadrature error estimate and the error target it met."""
 
     name: str
@@ -481,7 +499,6 @@ class LemmaRatioSeries:
     ratios: np.ndarray
     max_ratio: float
     bound: np.ndarray
-    stable: bool
     quad_nodes: np.ndarray
     quad_error: np.ndarray
     quad_tol: np.ndarray
@@ -512,7 +529,7 @@ def _ratio_series(name: str, times: np.ndarray, runs: Sequence[dict], bounds: Se
                                    f"bound {b:.6e} at t = {t:g}")
     ratios = values / shapes
     return LemmaRatioSeries(name=name, times=times, ratios=ratios,
-                            max_ratio=float(ratios.max()), bound=bound, stable=True,
+                            max_ratio=float(ratios.max()), bound=bound,
                             quad_nodes=np.array([quad.n_nodes for quad, _ in quads]),
                             quad_error=np.array([quad.error for quad, _ in quads]),
                             quad_tol=quad_tol)

@@ -212,11 +212,12 @@ def default_weights(p: ModelParams) -> LyapunovWeights:
     The selection chain fixes eps0 = eps1 = 1/2, gamma1 = 4, eps2 = 1/16 and
     gamma0 at twice its strict lower bound, with the two Young constants
     C(eps0) = (beta-tau)^2/(4 eps0) and C(eps1, eps2) = tau^2/(4 eps2)
-    + 1/(4 eps1).  Over a fixed grid of 140 frequencies from 1e-3 to 1e4 plus
-    1e6 and 1e9, equiv_lo/equiv_hi are gamma0 -/+ sigma max k/(1 + k^2), the
-    exact extremes of L/E over states, and gamma5 is the least certified
-    decay margin (see decay_margin_exact); all three agree with 40-digit
-    mpmath to about 2e-16 before the 0.1% widening.
+    + 1/(4 eps1).  equiv_lo/equiv_hi are gamma0 -/+ sigma/2, the exact
+    extremes of L/E over states and frequencies (k/(1 + k^2) peaks at 1/2 at
+    k = 1).  gamma5 is the least certified decay margin (see
+    decay_margin_exact) over a fixed grid of 140 frequencies from 1e-3 to 1e4
+    plus 1e6 and 1e9, widened by 0.1% against between-node variation.  All
+    three agree with 40-digit mpmath to about 2e-16.
     """
     eps0 = eps1 = 0.5
     gamma1 = 4.0
@@ -226,8 +227,7 @@ def default_weights(p: ModelParams) -> LyapunovWeights:
     gamma0 = 2.0 * (c_eps0 + gamma1 * c_eps12) / (p.beta - p.tau)
 
     g5 = float(_certified_margins(p, _DEFAULT_K_GRID, gamma0, gamma1).min())
-    gap = float(_equivalence_gap(p, _DEFAULT_K_GRID, gamma1).max())
-    lo, hi = gamma0 - gap, gamma0 + gap
+    gap = _equivalence_gap(p, 1.0, gamma1)
 
     # |V|^2 / E is diagonal in the (A, kB, kv) coordinates, so its extremes
     # over states are exact: 2*min/max(1, 1/(tau*(beta-tau))).
@@ -235,11 +235,9 @@ def default_weights(p: ModelParams) -> LyapunovWeights:
     v_lo = 2.0 * min(1.0, q)
     v_hi = 2.0 * max(1.0, q)
 
-    # widen the grid-sampled constants slightly against between-node variation
     return LyapunovWeights(gamma0=gamma0, gamma1=gamma1, eps0=eps0, eps1=eps1,
-                           eps2=eps2, gamma5=0.999 * g5,
-                           equiv_lo=0.999 * lo, equiv_hi=1.001 * hi,
-                           v_lo=v_lo, v_hi=v_hi)
+                           eps2=eps2, gamma5=0.999 * g5, equiv_lo=gamma0 - gap,
+                           equiv_hi=gamma0 + gap, v_lo=v_lo, v_hi=v_hi)
 
 
 def decay_margin_exact(p: ModelParams, w: LyapunovWeights,

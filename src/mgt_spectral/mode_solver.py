@@ -415,10 +415,17 @@ def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     modulus of the stiff pair: the scaling then follows the spectral radius,
     not the entry beta k^2 / tau, and the balancing rounds nothing.  t is a
     time or an array of times, each giving the bits of its own scalar call;
-    it takes the inputs of solve_mode and raises as it does.
+    it takes the inputs of solve_mode and raises as it does, and InvalidInput
+    beyond its domain k t sqrt(beta/tau) <= ORACLE_MAX_PHASE: the error relative
+    to 1 + |y| grows like the rounding of that many radians (6e-12 at 3e4,
+    3e-10 at 3e6, 1.5e-8 at 3e8).
     """
     ts = _times(t)
     k = _frequency(init.k)
+    phase = k * float(np.max(ts)) * math.sqrt(p.beta / p.tau)
+    if phase > ORACLE_MAX_PHASE:
+        raise InvalidInput(f"the oracle needs k t sqrt(beta/tau) <= {ORACLE_MAX_PHASE:.0e}, "
+                           f"got {phase:.3e}")
     e = math.frexp(p.beta * k * k / p.tau)[1] // 2  # 2^e within a factor 2 of the modulus
     d = np.ldexp(1.0, e * np.arange(3))
     balanced = mode_matrix(p, k) * d / d[:, None]
@@ -426,6 +433,9 @@ def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     u, v, w = (complex(x[0]) if ts.ndim == 0 else x.reshape(ts.shape) for x in y.T)
     return ModeState(u_hat=u, v_hat=v, w_hat=w, k=k)
 
+
+#: Largest phase k t sqrt(beta/tau) propagate_numeric takes (error about 3e-10 there).
+ORACLE_MAX_PHASE = 1e6
 
 #: Pade [13/13] numerator coefficients of exp, b_0 ... b_13, and theta_13, the
 #: largest 1-norm at which that approximant's backward error is at most the

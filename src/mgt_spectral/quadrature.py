@@ -84,11 +84,11 @@ class QuadResult:
 
 
 def _clenshaw_curtis(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order-17 values and |order 17 - order 9| of panels sampled at the 17 points;
-    an infinite sample makes the estimate NaN, which _panels reports."""
-    hi_order = half * (y * _W17).sum(axis=1)
+    """Order-17 values and |order 17 - order 9| of panels sampled at the 17 points
+    (the last axis of y); an infinite sample makes the estimate NaN, which _panels reports."""
+    hi_order = half * (y * _W17).sum(axis=-1)
     with np.errstate(invalid="ignore"):
-        return hi_order, np.abs(hi_order - half * (y[:, ::2] * _W9).sum(axis=1))
+        return hi_order, np.abs(hi_order - half * (y[..., ::2] * _W9).sum(axis=-1))
 
 
 def _tolerance(tol) -> None:
@@ -248,17 +248,19 @@ def _split_batch(s: Split, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dp = np.einsum("ij,pj->pi", _D17, ps)
         stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
         sval, serr = _clenshaw_curtis(smooth[split], hs)
-        for m, amp in enumerate(amps[:, split], start=1):
-            ph = m * ps
-            hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, hs)
-            lev = m * ts > np.pi
-            if lev.any():
-                a, p, h = amp[lev], ph[lev], hs[lev]
-                l17 = _levin(a, p, h, _D17)
-                l9 = _levin(a[:, ::2], p[:, ::2], h, _D9)
-                hval[lev], herr[lev] = l17, np.abs(l17 - l9)
-                herr[lev & stationary] = np.inf
-            sval += hval
-            serr += herr
+        # every harmonic at once: one Levin solve per order for the whole batch
+        ms = np.arange(1, len(amps) + 1)
+        amp, ph = amps[:, split], ms[:, None, None] * ps
+        hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, hs)
+        lev = ms[:, None] * ts > np.pi
+        if lev.any():
+            a, p, h = amp[lev], ph[lev], np.broadcast_to(hs, lev.shape)[lev]
+            l17 = _levin(a, p, h, _D17)
+            l9 = _levin(a[:, ::2], p[:, ::2], h, _D9)
+            hval[lev], herr[lev] = l17, np.abs(l17 - l9)
+            herr[lev & stationary] = np.inf
+        for hv, he in zip(hval, herr):  # summed harmonic by harmonic, in order
+            sval += hv
+            serr += he
         val[split], err[split] = sval, serr
     return val, err

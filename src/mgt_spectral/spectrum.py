@@ -260,8 +260,9 @@ def classify(p: ModelParams, k: float) -> RootPattern:
 
     It comes from the one batched root-and-pattern decision behind
     eigenvalues, atlas and mode_solver.mode_coefficients, so it never
-    disagrees with any of them.  Raises InvalidFrequency on negative or
-    non-finite k, and where beta*k^2/tau exceeds MAX_STIFFNESS.
+    disagrees with any of them, and follows eigenvalues' backward-error
+    contract.  Raises InvalidFrequency on negative or non-finite k, and where
+    beta*k^2/tau exceeds MAX_STIFFNESS.
     """
     return eigenvalues(p, k).pattern
 
@@ -269,8 +270,16 @@ def classify(p: ModelParams, k: float) -> RootPattern:
 def eigenvalues(p: ModelParams, k: float) -> SpectrumPoint:
     """All three eigenvalues of Phi(k) with canonical labeling.
 
-    A batch of one through the path atlas takes.  Raises InvalidFrequency on
-    negative or non-finite k, and where beta*k^2/tau exceeds MAX_STIFFNESS.
+    A batch of one through the path atlas takes.  The roots are backward
+    accurate: the exact roots of a cubic whose tau/beta and k^2 lie within
+    TOL_CRITICAL and TOL_BOUNDARY of the input inside the confluent windows
+    (and a double root where two lie within TOL_CONFLUENT), within TOL_RESIDUAL
+    outside them.  The forward error is that perturbation's root spread: at
+    (tau, beta) = (0.1111111111111, 1) and k = 1.7320508075688772 the triple
+    root -3.0000000000003 is returned, while those floats' exact roots are
+    -3.000139 and -2.999930 +- 1.21e-4 i, 4e-5 relative: the cube root of
+    tau/beta's 1e-13 offset from 1/9.  Raises InvalidFrequency on negative or
+    non-finite k, and where beta*k^2/tau exceeds MAX_STIFFNESS.
     """
     k = _frequency(k)
     roots, patterns = _spectrum(p, np.array([k * k]))
@@ -309,8 +318,9 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     are summed in ascending order, so a total depends only on their values:
     where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
     the two assignments tie exactly, whatever the last bits of the roots.
-    Values and patterns agree with eigenvalues() up to permutation.  Entries
-    follow the frequency rule; an empty grid raises EmptyInput, a descending one GridError.
+    Values and patterns agree with eigenvalues() up to permutation, under its
+    backward-error contract.  Entries follow the frequency rule; an empty grid
+    raises EmptyInput, a descending one GridError.
     """
     ks = _frequencies(list(k_grid))
     if ks.size == 0:

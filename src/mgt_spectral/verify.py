@@ -1,9 +1,9 @@
 """The numerical invariant suites behind `mgt verify`.
 
-Each suite checks one invariant over random or fixed samples and returns
-`(passed, detail)`.  `_run_suites` runs them in order on one seeded draw
-stream, counts a suite that raises an `MGTError` as failed, and returns a
-`(name, passed, detail)` record each; `_report` makes the `mgt verify` text.
+Each suite checks one invariant over random or fixed samples and returns its
+checks (decay.Check).  `_run_suites` runs them in order on one seeded draw
+stream, records a suite that raises an `MGTError` as one failed check, and
+returns `(name, checks)` each; `_report` joins them into the `mgt verify` text.
 Only gronwall_margin (as its first pair) and theorem_bounds take the run's
 (tau, beta); the others use their own random draws or fixed cases.
 
@@ -26,7 +26,13 @@ import math
 import numpy as np
 
 from . import __version__, decay, lyapunov, mode_solver, params, spectrum
+from .decay import Check
 from .errors import MGTError
+
+
+def _count(name: str, value) -> Check:
+    """A reading no rule judges, such as a sample count."""
+    return Check(name, value, ran=False, text="{name}={value}")
 
 
 def _random_state(rng, k: float) -> mode_solver.ModeState:
@@ -42,7 +48,7 @@ def _random_mode(rng, k_hi: float) -> tuple[params.ModelParams, mode_solver.Mode
     return pp, _random_state(rng, float(rng.uniform(0.0, k_hi)))
 
 
-def _suite_spectrum(rng, n) -> tuple[bool, str]:
+def _suite_spectrum(rng, n) -> list[Check]:
     taus = rng.uniform(0.01, 1.0, n)
     betas = np.minimum(taus + rng.uniform(0.02, 2.0, n), 2.0)
     ks = rng.uniform(0.0, 100.0, n)
@@ -61,13 +67,13 @@ def _suite_spectrum(rng, n) -> tuple[bool, str]:
         abs(l1 * l2 * l3 + k2 / taus) / np.maximum(1.0, k2 / taus)])
     worst_vieta = float(np.max(vieta))
     min_axis = float(np.min(np.abs(lams[ks > 0].real), initial=math.inf))
-    passed = (worst_res <= spectrum.TOL_RESIDUAL and worst_vieta <= spectrum.TOL_RESIDUAL
-              and min_axis > 1e-10)
-    return passed, (f"n={n} max_residual={worst_res:.2e} "
-                    f"max_vieta={worst_vieta:.2e} min_axis_dist={min_axis:.2e}")
+    tol = spectrum.TOL_RESIDUAL
+    return [_count("n", n), Check("max_residual", worst_res, tol, worst_res <= tol),
+            Check("max_vieta", worst_vieta, tol, worst_vieta <= tol),
+            Check("min_axis_dist", min_axis, 1e-10, min_axis > 1e-10)]
 
 
-def _suite_oracle(rng, n) -> tuple[bool, str]:
+def _suite_oracle(rng, n) -> list[Check]:
     worst = 0.0
     for _ in range(n):
         pp, init = _random_mode(rng, 50.0)
@@ -76,20 +82,20 @@ def _suite_oracle(rng, n) -> tuple[bool, str]:
         b = mode_solver.propagate_numeric(pp, init, t)
         err = math.hypot(*np.abs(a.as_array() - b.as_array())) / (1.0 + init.norm())
         worst = max(worst, err)
-    return worst <= 1e-6, f"n={n} max_mismatch={worst:.2e}"
+    return [_count("n", n), Check("max_mismatch", worst, 1e-6, worst <= 1e-6)]
 
 
-def _suite_energy(rng, n) -> tuple[bool, str]:
+def _suite_energy(rng, n) -> list[Check]:
     worst = 0.0
     for _ in range(n):
         pp, init = _random_mode(rng, 20.0)
         ts = rng.uniform(0.0, 10.0, 10)
         res, scale = lyapunov.energy_dissipation_residual(pp, init, ts)
         worst = max(worst, float((res / scale).max()))
-    return worst <= 1e-9, f"n={n} max_identity_residual={worst:.2e}"
+    return [_count("n", n), Check("max_identity_residual", worst, 1e-9, worst <= 1e-9)]
 
 
-def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
+def _suite_gronwall(p, rng, n_pairs) -> list[Check]:
     pairs = [p] + [params.validate(t, b) for t, b in
                    zip(rng.uniform(0.02, 0.9, n_pairs), rng.uniform(1.0, 2.0, n_pairs))]
     min_g5 = math.inf
@@ -106,55 +112,51 @@ def _suite_gronwall(p, rng, n_pairs) -> tuple[bool, str]:
             prev, val = val[:-1], val[1:]
             up = prev > 0
             worst_growth = float(np.max((val[up] - prev[up]) / prev[up], initial=worst_growth))
-    passed = min_g5 > 0.0 and worst_growth <= 1e-8
-    return passed, f"pairs={len(pairs)} min_gamma5={min_g5:.3e} max_growth={worst_growth:.2e}"
+    return [_count("pairs", len(pairs)),
+            Check("min_gamma5", min_g5, 0.0, min_g5 > 0.0, text="{name}={value:.3e}"),
+            Check("max_growth", worst_growth, 1e-8, worst_growth <= 1e-8)]
 
 
-def _suite_lemmas(quick: bool) -> tuple[bool, str]:
+def _suite_lemmas(quick: bool) -> list[Check]:
     combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
     tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
     # a value above its closed-form bound raises ToleranceFailure, which fails the suite
     series = [s for dim, j in combos
               for s in decay.integral_lemma_check(dim, j, 1.0, tgrid).series.values()]
-    passed = all(s.stable and np.all(s.quad_error <= s.quad_tol) for s in series)
     worst = max(s.max_ratio for s in series)
-    return passed, f"combos={len(combos)} max_ratio={worst:.3f}"
+    over = max(float(np.max(s.quad_error - s.quad_tol)) for s in series)
+    return [_count("combos", len(combos)),
+            Check("max_ratio", worst, ran=False, text="{name}={value:.3f}"),
+            # each quadrature error estimate within its target; not printed
+            Check("error_excess", over, 0.0, over <= 0.0, text="")]
 
 
-def _suite_theorem_bounds(p, quick: bool) -> tuple[bool, str]:
+def _suite_theorem_bounds(p, quick: bool) -> list[Check]:
     tgrid = np.geomspace(1e2, 1e3 if quick else 1e4, 7 if quick else 13)
     tol = 1e-8 if quick else 1e-10
-    gauss = decay.FrequencyProfile.gaussian()
-    zero = decay.FrequencyProfile.zero()
+    prof = decay.FrequencyProfile
+    gauss, zero, free = prof.gaussian(), prof.zero(), prof.moment_free()
+    c3, c1, cw = (decay.decay_curve(p, data, dim, 0, tgrid, tol) for data, dim in (
+        ((zero, zero, gauss), 3), ((zero, gauss, zero), 1), ((gauss, free, free), 1)))
+    b3, b1, bw = (decay.bound_verdict(c, c.bound_exponent, 10 * tol)[0] for c in (c3, c1, cw))
+    s3, sw = c3.fitted_slope, cw.fitted_slope
 
-    # containment and sharp-slope checks need the post-transient window
+    # the bound and sharp-slope rules need the post-transient window
     # t >> 1/(beta - tau); near the conservative boundary the curves are still
-    # rising there and only finiteness is meaningful at desk scale
-    asymptotic = tgrid[0] * (p.beta - p.tau) >= 3.0
+    # rising there, so outside it the three curve checks do not run
+    asymptotic = bool(tgrid[0] * (p.beta - p.tau) >= 3.0)
 
-    def bound_ok(curve) -> bool:
-        if not (np.all(np.isfinite(curve.values)) and np.all(curve.values >= 0.0)):
-            return False
-        return not asymptotic or decay.bound_verdict(curve, curve.bound_exponent, 10 * tol)[0]
+    def curve(name, value, bound, passed, text="{name}={value:+.3f}"):
+        return Check(name, value, bound, passed or not asymptotic, asymptotic, text)
 
-    c3 = decay.decay_curve(p, (zero, zero, gauss), 3, 0, tgrid, tol)
-    ok3 = bound_ok(c3)
-    if asymptotic:
-        ok3 = ok3 and c3.fitted_slope is not None and abs(c3.fitted_slope + 0.25) <= 0.05
-    c1 = decay.decay_curve(p, (zero, gauss, zero), 1, 0, tgrid, tol)
-    ok1 = bound_ok(c1)
-    cw = decay.decay_curve(p, (gauss, decay.FrequencyProfile.moment_free(),
-                               decay.FrequencyProfile.moment_free()), 1, 0, tgrid, tol)
-    okw = bound_ok(cw)
-    if asymptotic:
-        okw = okw and cw.fitted_slope is not None and cw.fitted_slope <= -0.25 + 0.05
-    passed = ok3 and ok1 and okw
-    return passed, (f"asymptotic_window={asymptotic} dim3_slope={c3.fitted_slope:+.3f} "
-                    f"dim1_bound={'ok' if ok1 else 'FAIL'} weighted_slope={cw.fitted_slope:+.3f}")
+    return [_count("asymptotic_window", asymptotic),
+            curve("dim3_slope", s3, -0.25, b3.passed and abs(s3 + 0.25) <= 0.05),
+            curve("dim1_bound", b1.value, b1.bound, b1.passed, text="{name}={ok}"),
+            curve("weighted_slope", sw, -0.25 + 0.05, bw.passed and sw <= -0.25 + 0.05)]
 
 
-def _run_suites(p: params.ModelParams, quick: bool) -> list[tuple[str, bool, str]]:
-    """(name, passed, detail) of each suite in order; quick takes a tenth of the samples."""
+def _run_suites(p: params.ModelParams, quick: bool) -> list[tuple[str, list[Check]]]:
+    """(name, checks) of each suite in order; quick takes a tenth of the samples."""
     div = 10 if quick else 1
     rng = np.random.default_rng(20240817)
     suites = [
@@ -168,17 +170,24 @@ def _run_suites(p: params.ModelParams, quick: bool) -> list[tuple[str, bool, str
     records = []
     for name, fn in suites:
         try:
-            records.append((name, *fn()))
+            records.append((name, fn()))
         except MGTError as exc:
-            records.append((name, False, f"{type(exc).__name__}: {exc}"))
+            records.append((name, [Check(type(exc).__name__, str(exc), passed=False, ran=False,
+                                         text="{name}: {value}")]))
     return records
 
 
-def _report(p: params.ModelParams, quick: bool, records: list[tuple[str, bool, str]]) -> str:
-    """The text `mgt verify` prints: its point, one line per suite record, the verdict."""
+def passed(records: list[tuple[str, list[Check]]]) -> bool:
+    """`mgt verify`'s verdict: whether every check of every suite passed."""
+    return all(c.passed for _, checks in records for c in checks)
+
+
+def _report(p: params.ModelParams, quick: bool, records: list[tuple[str, list[Check]]]) -> str:
+    """The text `mgt verify` prints: its point, one line per suite, the verdict."""
     lines = [f"mgt-spectral {__version__} verify "
              f"(tau={p.tau:.17g}, beta={p.beta:.17g}, quick={quick})"]
-    lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in records]
-    passed = all(ok for _, ok, _ in records)
-    lines.append("verify: " + ("all suites passed" if passed else "FAILURES detected"))
+    for name, checks in records:  # a check with an empty text prints nothing
+        shown = " ".join(filter(None, map(str, checks)))
+        lines.append(f"[{'PASS' if all(c.passed for c in checks) else 'FAIL'}] {name}: {shown}")
+    lines.append("verify: " + ("all suites passed" if passed(records) else "FAILURES detected"))
     return "\n".join(lines) + "\n"

@@ -333,9 +333,9 @@ def _config_line(key, value):
 
 
 def _stub_suites(monkeypatch):
-    from mgt_spectral import verify
+    from mgt_spectral import Check, verify
     for name in ("spectrum", "oracle", "energy", "gronwall", "lemmas", "theorem_bounds"):
-        monkeypatch.setattr(verify, f"_suite_{name}", lambda *a: (True, "stub"))
+        monkeypatch.setattr(verify, f"_suite_{name}", lambda *a: [Check("stub", 0.0, 1.0)])
 
 
 @pytest.mark.parametrize("command, key", [
@@ -607,9 +607,9 @@ class TestOracleNegativeControl:
 
     def test_suite_fails(self, skewed_kernel):
         from mgt_spectral import verify
-        ok, detail = verify._suite_oracle(np.random.default_rng(20240817), 20)
-        assert not ok
-        assert float(detail.split("max_mismatch=")[1]) > 1e-6
+        n, mismatch = verify._suite_oracle(np.random.default_rng(20240817), 20)
+        assert not mismatch.passed
+        assert mismatch.value > mismatch.bound == 1e-6
 
     def test_verify_exits_1(self, capsys, skewed_kernel):
         code, out, _ = run(capsys, "verify", "--quick")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import mgt_spectral
+from mgt_spectral import mode_solver
 from mgt_spectral import (DataClass, EmptyInput, FrequencyProfile, GridError, InvalidFrequency,
                           InvalidInput, MGTError, ModeState, ProfileKind, adaptive_quadrature,
                           applicable_exponents, asymptotic_large_k, asymptotic_small_k, atlas,
@@ -110,6 +111,12 @@ ORDERS = {
     "region_contributions": lambda dim, j: region_contributions(P, DATA, dim, j, 1.0, 1e-6),
     "decay_curve": lambda dim, j: decay_curve(P, DATA, dim, j, [1.0, 10.0, 100.0], 1e-6),
     "integral_lemma_check": lambda dim, j: integral_lemma_check(dim, j, 1.0, [1.0, 10.0]),
+}
+
+#: the oracle-domain rule, in propagate_numeric: a phase k t sqrt(beta/tau) of at
+#: most ORACLE_MAX_PHASE, or InvalidInput
+ORACLE_DOMAIN = {
+    "propagate_numeric": lambda k, t: propagate_numeric(P, _state(k), t),
 }
 
 #: the profile rule, FrequencyProfile.__post_init__: a ProfileKind, a finite
@@ -222,6 +229,18 @@ def test_interval_rule(name, a, b):
 def test_orders_rule(name, dim, j, message):
     with _raises(InvalidInput, message):
         ORDERS[name](dim, j)
+
+
+@pytest.mark.parametrize("name", ORACLE_DOMAIN)
+@pytest.mark.parametrize("k, t", [(1e16, 1.0), (1e30, 1.0), (1.0, 1e7), (1e6, [0.0, 1.0])])
+def test_oracle_domain_rule(name, k, t):
+    # not a 0.9-relative error at k = 1e16, nor NaN for k in [1e22, 1e50]
+    phase = k * np.max(t) * math.sqrt(P.beta / P.tau)
+    with _raises(InvalidInput, f"the oracle needs k t sqrt(beta/tau) <= 1e+06, got {phase:.3e}"):
+        ORACLE_DOMAIN[name](k, t)
+    # the domain's edge is inside it
+    edge = ORACLE_DOMAIN[name](mode_solver.ORACLE_MAX_PHASE / math.sqrt(P.beta / P.tau), 1.0)
+    assert np.isfinite(edge.as_array()).all()
 
 
 @pytest.mark.parametrize("name", PROFILE)

@@ -246,6 +246,35 @@ class TestSplitRule:
         _, errs = quadrature._split_batch(split(x), np.array([0.5, 0.5]))
         assert errs[0] == np.inf and errs[1] < 1e-9
 
+    def test_one_levin_solve_per_order_matches_a_loop_over_harmonics(self, monkeypatch):
+        # eight panels of [0, 5] at t = 3: the first harmonic takes Levin on the
+        # later panels only, the second on all of them
+        half = np.full(8, 5.0 / 16.0)
+        x = (np.arange(8) * 2.0 * half + half)[:, None] + half[:, None] * quadrature._X17
+        s = self._integrand(3.0)(x.ravel())
+        levin, calls = quadrature._levin, []
+        monkeypatch.setattr(quadrature, "_levin", lambda *a: calls.append(len(a[0])) or levin(*a))
+        val, err = quadrature._split_batch(s, half)
+        assert len(calls) == 2 and calls[0] == calls[1] > 8
+
+        # the same panels one harmonic at a time, each its own pair of Levin solves
+        phase = s.phase.reshape(x.shape)
+        turn = np.abs(np.diff(phase, axis=1)).sum(axis=1)
+        dp = np.einsum("ij,pj->pi", quadrature._D17, phase)
+        stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
+        assert 0 < (turn > np.pi).sum() < 8 and (2.0 * turn > np.pi).all()
+        ref_val, ref_err = _clenshaw_curtis(s.smooth.reshape(x.shape), half)
+        for m, amp in enumerate(s.amps.reshape((2,) + x.shape), start=1):
+            ph, lev = m * phase, m * turn > np.pi
+            hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, half)
+            l17 = levin(amp[lev], ph[lev], half[lev], quadrature._D17)
+            l9 = levin(amp[lev][:, ::2], ph[lev][:, ::2], half[lev], quadrature._D9)
+            hval[lev], herr[lev] = l17, np.abs(l17 - l9)
+            herr[lev & stationary] = np.inf
+            ref_val += hval
+            ref_err += herr
+        assert np.array_equal(val, ref_val) and np.array_equal(err, ref_err)
+
     def test_untrusted_panels_are_split_while_the_phase_turns(self):
         # theta = 16 arccos(2 frac(k) - 1) is a multiple of pi at all 17 points of
         # each unit panel, so both orders read sin^2(theta) = 0 there
