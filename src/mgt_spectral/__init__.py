@@ -17,8 +17,7 @@ for `atlas`, and `mode_solver` and `lyapunov` with it for `mode`.
 __version__ = "0.1.0"
 
 from .errors import (MGTError, InvalidInput, NonDissipative, NonFinite, InvalidFrequency,
-                     GridError, QuadratureFailure, DegenerateFit, ToleranceFailure,
-                     NonPositiveMargin, EmptyInput)
+                     GridError, QuadratureFailure, DegenerateFit, NonPositiveMargin, EmptyInput)
 from .params import (ModelParams, CardanoThresholds, Regime, DataClass, TheoremRates,
                      validate, cardano_thresholds, regime, theorem_rates,
                      applicable_exponents, high_frequency_rate)

@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import __version__, params
-from .errors import QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit
+from .errors import QuadratureFailure, NonPositiveMargin, DegenerateFit
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -38,7 +38,7 @@ EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
 _BAD_INPUT_ERRORS = (ValueError,)
-_NUMERICAL_ERRORS = (QuadratureFailure, NonPositiveMargin, ToleranceFailure, DegenerateFit)
+_NUMERICAL_ERRORS = (QuadratureFailure, NonPositiveMargin, DegenerateFit)
 
 #: settings that header line 2 leaves out: tau and beta are recorded as validated,
 #: and the rest do not change the numbers

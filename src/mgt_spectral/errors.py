@@ -33,10 +33,6 @@ class DegenerateFit(MGTError):
     """Slope fitting requested on points that are too few or nonpositive."""
 
 
-class ToleranceFailure(MGTError):
-    """A verified integral exceeds its closed-form bound at some time of a sweep."""
-
-
 class NonPositiveMargin(MGTError):
     """No positive decay margin exists; indicates a weight-recipe bug."""
 

@@ -77,16 +77,15 @@ class ModeCoefficients:
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3): e^{lam_i t},
     REAL_WITH_DOUBLE -> (lam_simple, lam_double): e^{lam_simple t}, (1, t) e^{lam_double t},
     TRIPLE_REAL -> (lam,): (1, t, t^2) e^{lam t}.
-    `nodes` is the factor (a, b, c, lam, alpha, q) of the characteristic
-    cubic from spectrum._cubic_roots_batch; evaluate_mode propagates `init`
-    with it, not with the coefficients.
+    `p` is the parameter point; evaluate_mode propagates `init` with
+    solve_mode at it, not with the coefficients.
     """
 
     pattern: RootPattern
     coeffs: tuple[complex, complex, complex]
     structure: tuple[float, ...]
     init: ModeState
-    nodes: tuple = field(compare=False, repr=False)
+    p: ModelParams = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -336,7 +335,7 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
         lam = roots[0, 0].real
         c2 = y0[1] - lam * y0[0]
         coeffs = (y0[0], c2, (y0[2] - lam * lam * y0[0] - 2.0 * lam * c2) / 2.0)
-        return ModeCoefficients(routed, coeffs, (lam,), init, nodes)
+        return ModeCoefficients(routed, coeffs, (lam,), init, p)
 
     q = 0.0 if routed is RootPattern.REAL_WITH_DOUBLE else nodes[5][0]  # the routed factor
     P, S = (x[0, 0] for x in _expansion(nodes, *_directions(nodes, y0[:, None]), q))
@@ -349,7 +348,7 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
     else:
         structure = (lam, alpha, r) if routed is RootPattern.REAL_PLUS_PAIR else (lam, alpha)
         coeffs = (y0[0] - P, P, S)
-    return ModeCoefficients(routed, tuple(coeffs), tuple(structure), init, nodes)
+    return ModeCoefficients(routed, tuple(coeffs), tuple(structure), init, p)
 
 
 # ---------------------------------------------------------------------------
@@ -360,19 +359,10 @@ def evaluate_mode(coeffs: ModeCoefficients, t) -> ModeState:
     """State of the described mode at a time t, or at an array of times.
 
     The mode is the one `coeffs` was built for, propagated from its initial
-    state by the kernel on its factor of the cubic, not by the coefficients;
-    the values are those of solve_mode, bit for bit.  For an array t the
-    state holds arrays of t's shape, for a scalar t complex numbers; t follows the time rule.
+    state by solve_mode, not by the coefficients.  For an array t the state
+    holds arrays of t's shape, for a scalar t complex numbers; t follows the time rule.
     """
-    t = _times(t)
-    return ModeState(*_evaluate(coeffs.nodes, coeffs.init, t), k=coeffs.init.k)
-
-
-def _evaluate(nodes: tuple, init: ModeState, t: np.ndarray) -> tuple:
-    """(u, u', u'') at the float times t of the mode with factor `nodes` and state `init`."""
-    y0 = init.as_array().reshape((3,) + (1,) * (t.ndim + 1))
-    y = _propagate(nodes, y0, t[..., None], *_directions(nodes, y0))[..., 0]
-    return tuple(complex(x) if t.ndim == 0 else x for x in y)
+    return solve_mode(coeffs.p, coeffs.init, t)
 
 
 def solve_mode(p: ModelParams, init: ModeState, t) -> ModeState:
@@ -384,7 +374,9 @@ def solve_mode(p: ModelParams, init: ModeState, t) -> ModeState:
     """
     t = _times(t)
     k, nodes = _mode_nodes(p, init)
-    return ModeState(*_evaluate(nodes, init, t), k=k)
+    y0 = init.as_array().reshape((3,) + (1,) * (t.ndim + 1))
+    y = _propagate(nodes, y0, t[..., None], *_directions(nodes, y0))[..., 0]
+    return ModeState(*(complex(x) if t.ndim == 0 else x for x in y), k=k)
 
 
 def ode_residual(p: ModelParams, init: ModeState, t: float) -> tuple[float, float]:

@@ -7,8 +7,10 @@ The model is the linear third-order-in-time equation
 after normalizing the wave speed to one.  Everything here is closed-form
 arithmetic on (tau, beta): the Cardano thresholds m1, m2 that separate the
 root-pattern windows of the characteristic cubic, the regime classification
-of the ratio tau/beta against the critical value 1/9, and the decay exponents
-and exponential rates asserted by the decay theorems.
+of the ratio tau/beta against the critical value 1/9, the decay exponents of
+the decay theorems and the exponential rate `exp_rate`.  That rate is
+min(1/beta, (beta-tau)/(2 beta tau)), the k -> inf limit of -Re lambda, not a
+rate certified on every k >= nu1: the slowest root there decays more slowly.
 
 The three records (`ModelParams`, `CardanoThresholds`, `TheoremRates`) are
 immutable named tuples: fields by keyword or by position, hashable, and a
@@ -76,7 +78,8 @@ class DataClass(Enum):
 
 
 class TheoremRates(NamedTuple):
-    """Decay rates promised by the theorems for one (dim, j, data class)."""
+    """Decay rates for one (dim, j, data class): the theorems' polynomial exponent,
+    and exp_rate, the k -> inf limit of -Re lambda (high_frequency_rate)."""
 
     poly_exponent: float
     exp_rate: float
@@ -160,7 +163,9 @@ def applicable_exponents(dim: int, j: int, data_class: DataClass) -> list[float]
 
 
 def theorem_rates(p: ModelParams, dim: int, j: int, data_class: DataClass) -> TheoremRates:
-    """Best applicable decay bound: smallest polynomial exponent plus the
-    exponential rate of the non-low-frequency remainder."""
+    """Best applicable decay bound: smallest polynomial exponent, and as exp_rate
+    min(1/beta, (beta-tau)/(2 beta tau)), the k -> inf limit of -Re lambda.  It
+    is not certified for the whole non-low-frequency remainder, whose slowest
+    root decays more slowly (at (0.965, 1): 0.00356 against 0.01813)."""
     exps = applicable_exponents(dim, j, data_class)
     return TheoremRates(poly_exponent=min(exps), exp_rate=high_frequency_rate(p))

@@ -11,8 +11,9 @@ spectrum_sweep      eigenvalue residuals and Vieta identities of the cubic
 oracle_equivalence  the closed-form mode against the matrix-exponential oracle
 energy_identity     the energy-dissipation identity along each mode
 gronwall_margin     gamma5 > 0 and L(t) exp(gamma5 rho(k) t) never grows
-integral_lemmas     each integral-lemma value within its closed-form bound (a
-                    violation raises) and within its quadrature error target
+integral_lemmas     each integral-lemma value within its closed-form bound (one
+                    check record per series, printed only when it fails) and
+                    within its quadrature error target
 theorem_bounds      decay curves within the theorem bounds, with sharp slopes
                     once the window is asymptotic
 
@@ -120,7 +121,6 @@ def _suite_gronwall(p, rng, n_pairs) -> list[Check]:
 def _suite_lemmas(quick: bool) -> list[Check]:
     combos = [(1, 0), (3, 0)] if quick else [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]
     tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 12)])
-    # a value above its closed-form bound raises ToleranceFailure, which fails the suite
     series = [s for dim, j in combos
               for s in decay.integral_lemma_check(dim, j, 1.0, tgrid).series.values()]
     worst = max(s.max_ratio for s in series)
@@ -128,7 +128,9 @@ def _suite_lemmas(quick: bool) -> list[Check]:
     return [_count("combos", len(combos)),
             Check("max_ratio", worst, ran=False, text="{name}={value:.3f}"),
             # each quadrature error estimate within its target; not printed
-            Check("error_excess", over, 0.0, over <= 0.0, text="")]
+            Check("error_excess", over, 0.0, over <= 0.0, text=""),
+            # each series' closed-form bound rule; printed only when it fails
+            *(s.check for s in series)]
 
 
 def _suite_theorem_bounds(p, quick: bool) -> list[Check]:

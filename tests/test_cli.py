@@ -542,16 +542,16 @@ class TestPathsAndExits:
         assert rows[0].split(",")[0] == "0.5"
 
     def test_suite_error_is_a_failed_suite(self, capsys, monkeypatch):
-        from mgt_spectral import ToleranceFailure, verify
+        from mgt_spectral import QuadratureFailure, verify
         _stub_suites(monkeypatch)
 
         def broken(quick):
-            raise ToleranceFailure("ratio not stable")
+            raise QuadratureFailure("ratio not stable")
 
         monkeypatch.setattr(verify, "_suite_lemmas", broken)
         code, out, _ = run(capsys, "verify", "--quick")
         assert code == 1
-        assert "[FAIL] integral_lemmas: ToleranceFailure: ratio not stable" in out.splitlines()
+        assert "[FAIL] integral_lemmas: QuadratureFailure: ratio not stable" in out.splitlines()
         assert out.count("[PASS]") == 5
         assert out.splitlines()[-1] == "verify: FAILURES detected"
 
@@ -576,6 +576,29 @@ class TestPathsAndExits:
         code, out, _ = run(capsys, "verify", "--quick")
         assert code == 1
         assert "[FAIL] integral_lemmas: combos=2 max_ratio=1.048" in out.splitlines()
+        assert out.splitlines()[-1] == "verify: FAILURES detected"
+
+    @pytest.mark.parametrize("name, factor", [("plain", 1.001), ("sine_low", np.nan)])
+    def test_lemma_value_over_its_bound_fails_the_suite(self, capsys, monkeypatch, name, factor):
+        import dataclasses
+
+        from mgt_spectral import decay, verify
+        lemmas, quadratures = verify._suite_lemmas, decay._lemma_quadratures
+        _stub_suites(monkeypatch)
+        monkeypatch.setattr(verify, "_suite_lemmas", lemmas)
+
+        def scaled(*args):
+            quads = quadratures(*args)
+            quad, tol = quads[name]
+            return {**quads, name: (dataclasses.replace(quad, value=quad.value * factor), tol)}
+
+        monkeypatch.setattr(decay, "_lemma_quadratures", scaled)
+        code, out, _ = run(capsys, "verify", "--quick")
+        assert code == 1
+        line = next(ln for ln in out.splitlines() if "integral_lemmas" in ln)
+        assert line.startswith("[FAIL] integral_lemmas: combos=2 max_ratio=")
+        assert f" {name}_bound_excess=" in line
+        assert out.count("[PASS]") == 5
         assert out.splitlines()[-1] == "verify: FAILURES detected"
 
     @pytest.mark.parametrize("command, extra", [

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mgt_spectral import ToleranceFailure, decay, integral_lemma_check
+from mgt_spectral import decay, integral_lemma_check
 from mgt_spectral.decay import _lemma_quadratures
 
 #: the five (dim, j) pairs of `mgt verify` at c = 1, then three small-c triples
@@ -131,5 +131,5 @@ def _growth(t):
     ("sine_low", 3, 0, 1.0, [1.0], lambda t: math.nan),
 ])
 def test_a_value_above_its_bound_fails(monkeypatch, name, dim, j, c, times, factor):
-    with pytest.raises(ToleranceFailure, match=f"^{name}: value .* exceeds its closed-form bound"):
-        _check(monkeypatch, dim, j, c, times, {name: factor})
+    rep, _ = _check(monkeypatch, dim, j, c, times, {name: factor})
+    assert rep.series[name].check.passed is False
