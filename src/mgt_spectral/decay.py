@@ -518,22 +518,24 @@ class IntegralLemmaReport:
 
 
 def _ratio_series(name: str, times: np.ndarray, runs: Sequence[dict], bounds: Sequence[dict],
-                  shapes: np.ndarray) -> LemmaRatioSeries:
+                  shapes: np.ndarray, combo: str) -> LemmaRatioSeries:
     """Kernel `name`'s series from per-time _lemma_quadratures and _lemma_bounds."""
     quads = [run[name] for run in runs if name in run]
     bound = np.array([b[name] for b in bounds if name in b])
     values = np.array([quad.value for quad, _ in quads])
     quad_tol = np.array([tol for _, tol in quads])
-    excess = float(np.max(values - (bound + quad_tol)))  # NaN where a value is NaN
-    ok = excess <= 0.0
+    excess = values - (bound + quad_tol)
+    worst = int(np.argmax(excess))  # the first NaN where a value is NaN
+    ok = bool(excess[worst] <= 0.0)
     ratios = values / shapes
     return LemmaRatioSeries(name=name, times=times, ratios=ratios,
                             max_ratio=float(ratios.max()), bound=bound,
                             quad_nodes=np.array([quad.n_nodes for quad, _ in quads]),
                             quad_error=np.array([quad.error for quad, _ in quads]),
                             quad_tol=quad_tol,
-                            check=Check(f"{name}_bound_excess", excess, 0.0, ok,
-                                        text="" if ok else "{name}={value:.2e}"))
+                            check=Check(f"{name}_bound_excess", float(excess[worst]), 0.0, ok,
+                                        text="" if ok else "{name}={value:.2e}"
+                                        f"({combo},t={times[worst]:g})"))
 
 
 def _lemma_bounds(dim: int, j: int, c: float, t: float) -> dict[str, float]:
@@ -636,9 +638,9 @@ def integral_lemma_check(dim: int, j: int, c: float,
     collocation with no width cap; below r t = pi the sine kernels are
     integrated whole (_lemma_split).  Each series carries its per-time node
     counts, error estimates and error targets, and its bound rule as a check
-    record `<kernel>_bound_excess`: the largest excess of a value over its
-    closed-form bound (_lemma_bounds, sharp as t -> inf but for sine_low) plus
-    its error target, which passes at <= 0; a NaN value fails it.
+    `<kernel>_bound_excess`: the largest value - (closed-form bound + error
+    target), passing at <= 0 (NaN fails; a failure prints dim, j and the worst
+    t).  _lemma_bounds is sharp as t -> inf but for sine_low.
 
     Raises QuadratureFailure where an error target leaves the float range.
     """
@@ -652,7 +654,8 @@ def integral_lemma_check(dim: int, j: int, c: float,
     shape_base = (1.0 + times) ** (-(dim + j) / 2.0)
     shapes = {"plain": shape_base, "cosine": shape_base,
               "sine_low": (1.0 + times) ** (2.0 - (dim + j) / 2.0)}
-    series = {name: _ratio_series(name, times, runs, bounds, shape)
+    combo = f"dim={dim},j={j}"
+    series = {name: _ratio_series(name, times, runs, bounds, shape, combo)
               for name, shape in shapes.items()}
 
     bound_const = sharp = None
@@ -660,9 +663,9 @@ def integral_lemma_check(dim: int, j: int, c: float,
         a = 0.5 * (dim + j - 2)
         bound_const = 0.5 * c ** (-a) * math.gamma(a)
         sharp = 0.5 * bound_const
-        tpos = times[times > 0.0]
-        if tpos.size:
-            series["sine_global"] = _ratio_series("sine_global", tpos, runs, bounds, tpos ** (-a))
+        if (tpos := times[times > 0.0]).size:
+            series["sine_global"] = _ratio_series("sine_global", tpos, runs, bounds, tpos ** (-a),
+                                                  combo)
 
     return IntegralLemmaReport(dim=dim, j=j, c=c, series=series,
                                sine_global_bound_constant=bound_const,

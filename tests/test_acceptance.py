@@ -191,8 +191,9 @@ def test_criterion_07_integral_lemma_suite():
         tgrid = np.concatenate([[0.0], np.geomspace(1e-2, 1e4, 29)])
         for dim, j in [(1, 0), (2, 0), (3, 0), (1, 2), (2, 1)]:
             rep = integral_lemma_check(dim, j, 1.0, tgrid)
-            for s in rep.series.values():
+            for name, s in rep.series.items():
                 assert np.isfinite(s.max_ratio)
+                assert s.check.passed, name
             if dim + j >= 3:
                 s = rep.series["sine_global"]
                 # never exceeds the bound constant (1/2) Gamma((dim+j-2)/2) ...

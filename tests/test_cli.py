@@ -597,7 +597,9 @@ class TestPathsAndExits:
         assert code == 1
         line = next(ln for ln in out.splitlines() if "integral_lemmas" in ln)
         assert line.startswith("[FAIL] integral_lemmas: combos=2 max_ratio=")
-        assert f" {name}_bound_excess=" in line
+        # one check per combo of --quick, each naming its combo and worst time
+        assert line.count(f" {name}_bound_excess=") == 2
+        assert "(dim=1,j=0,t=0)" in line and "(dim=3,j=0,t=0)" in line
         assert out.count("[PASS]") == 5
         assert out.splitlines()[-1] == "verify: FAILURES detected"
 

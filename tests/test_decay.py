@@ -332,6 +332,7 @@ class TestIntegralLemmas:
             rep = integral_lemma_check(dim, j, 1.0, tg)
             for name, s in rep.series.items():
                 assert np.isfinite(s.max_ratio), name
+                assert s.check.passed, name
 
     @pytest.mark.parametrize("dim, j", [(1, 0), (2, 0), (3, 0), (2, 1), (4, 1), (3, 2)])
     @pytest.mark.parametrize("c", [0.3, 1.0])
@@ -381,6 +382,7 @@ class TestIntegralLemmas:
                 assert s.quad_nodes.shape == s.quad_error.shape == s.quad_tol.shape == s.times.shape
                 assert np.all(s.quad_error <= s.quad_tol), name
                 assert np.all(s.quad_nodes > 0), name
+                assert s.check.passed, name
                 total += int(s.quad_nodes.sum())
         assert total <= 100_000
 
