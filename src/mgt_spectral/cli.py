@@ -138,9 +138,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             ("all-bounds", False, "print every applicable bound, not only the best one"))
     command("atlas", "branch-continuous eigenvalue table (CSV)",
             *grid("k", "frequency", "frequencies", 0.0, 5.0, 201, False))
-    command("mode", "single-mode trajectory with energy columns (CSV)",
-            ("k", 1.0, "frequency magnitude"),
-            *grid("t", "time", "times", 0.0, 10.0, 101, False), data)
+    sp = command("mode", "single-mode trajectory with energy columns (CSV)",
+                 ("k", 1.0, "frequency magnitude"),
+                 *grid("t", "time", "times", 0.0, 10.0, 101, False), data)
+    sp.epilog = ("The roots are backward accurate: exact for a cubic within TOL_RESIDUAL of "
+                 "the input or, in the confluent windows, one whose k^2 and tau/beta lie within "
+                 "TOL_BOUNDARY and TOL_CRITICAL of it (see mgt_spectral.eigenvalues' triple root).")
     sp = command("decay", "Sobolev-norm decay curve and bound verdict",
                  *dim_j, *grid("t", "time", "times", 1e2, 1e4, 25, True), data,
                  ("quad-tol", 1e-10, "quadrature tolerance in (0, 1)"),

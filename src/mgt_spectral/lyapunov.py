@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, NonPositiveMargin
-from .mode_solver import (DataTriple, ModeState, _times, mode_coefficients, evaluate_mode,
-                          solve_mode, v_vector)
+from .mode_solver import (DataTriple, ModeState, _evolve, _times, solve_mode, v_vector,
+                          mode_coefficients)  # unused; bench/tests/test_bench.py pins the alias
 from .params import ModelParams
 from .spectrum import _frequencies
 
@@ -306,12 +306,13 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
                     init_samples, t_grid=None) -> float:
     """Largest gamma5 <= 1/tau with dL/dt + gamma5 rho L <= MARGIN_TOL * L on the sweep.
 
-    The sweep evaluates dL/dt analytically along closed-form trajectories for
-    every (frequency, initial state) pair over a dense time grid.  Each point
-    allows gamma5 up to (MARGIN_TOL L - dL/dt) / (rho L), so the answer is
-    the least of these and 1/tau.  Raises NonPositiveMargin when dL/dt
-    exceeds MARGIN_TOL L somewhere or the least bound is not positive, EmptyInput
-    on empty grids, and by the frequency and time rules (k = 0 is skipped).
+    The sweep evaluates dL/dt analytically along closed-form trajectories of
+    every (frequency, initial state) pair over a dense time grid: one kernel
+    call for the whole sweep.  Each point allows gamma5 up to
+    (MARGIN_TOL L - dL/dt) / (rho L), so the answer is the least of these and
+    1/tau.  Raises NonPositiveMargin when dL/dt exceeds MARGIN_TOL L somewhere
+    or the least bound is not positive, EmptyInput on empty grids or when L = 0
+    everywhere, and by the frequency and time rules (k = 0 is skipped).
     """
     ks = _frequencies(list(k_grid))
     samples = list(init_samples)
@@ -319,24 +320,16 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     if ks.size == 0 or len(samples) == 0 or ts.size == 0:
         raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")
 
-    # MARGIN_TOL L - dL/dt and rho L at the nondegenerate points of each trajectory
-    slack, rho_l = [np.empty(0)], [np.empty(0)]
-    for k in ks.tolist():
-        if k == 0.0:
-            continue
-        r = float(rho(k))
-        for sample in samples:
-            # samples are state vectors; the swept frequency comes from the grid
-            init = ModeState(sample.u_hat, sample.v_hat, sample.w_hat, k=k)
-            state = evaluate_mode(mode_coefficients(p, init), ts)
-            vals = functionals(p, state, w)
-            rates = _state_rates(p, state)
-            dL = (w.gamma0 * rates["dE"] + vals.rho * rates["dF1"]
-                  + w.gamma1 * vals.rho * rates["dF2"])
-            keep = ~(vals.lyap <= 1e-280)  # a NaN stays in and fails the sweep
-            slack.append(MARGIN_TOL * vals.lyap[keep] - dL[keep])
-            rho_l.append(r * vals.lyap[keep])
-    slack, rho_l = np.concatenate(slack), np.concatenate(rho_l)
+    # samples are state vectors; the swept frequencies come from the grid
+    ks = ks[ks != 0.0]
+    y0 = np.array([(s.u_hat, s.v_hat, s.w_hat) for s in samples], dtype=complex).T[:, None]
+    state = ModeState(*_evolve(p, ks, y0, ts), k=ks.reshape((-1, 1) + (1,) * ts.ndim))
+    vals, rates = functionals(p, state, w), _state_rates(p, state)
+    dL = w.gamma0 * rates["dE"] + vals.rho * rates["dF1"] + w.gamma1 * vals.rho * rates["dF2"]
+    # MARGIN_TOL L - dL/dt and rho L at the nondegenerate points; a NaN stays in and fails
+    keep = ~(vals.lyap <= 1e-280)
+    slack = MARGIN_TOL * vals.lyap[keep] - dL[keep]
+    rho_l = (vals.rho * vals.lyap)[keep]
     if rho_l.size == 0:
         raise EmptyInput("all sweep points were degenerate (zero frequency or data)")
     if not np.all(slack >= 0.0):

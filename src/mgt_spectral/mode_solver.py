@@ -12,16 +12,19 @@ one real root and the quadratic factor of the cubic, so the form is
 continuous through every confluence (double roots at m1, m2 and k = 0, the
 triple root at the critical ratio) and needs no pattern switch, no
 Vandermonde solve and no conditioning gate.  Derivatives are components of
-the propagated state, never finite differences.  The same form written out
-on the roots alpha +- sqrt(q) of the factor is the mode's one expansion
-(_expansion): e^{lam t}(y0 - P) + e^{alpha t}(P cos rt + S sin rt), cosh and
-sinh for real roots.  solve_modes_on_grid returns it on the pair rows as the
-states' split, whose oscillation the quadratures integrate separately, and
+the propagated state, never finite differences.  _evolve runs it on a
+(frequency x state x time) block after one root solve: solve_mode is its
+batch of one, the Gronwall sweeps whole blocks.  The same form on the roots
+alpha +- sqrt(q) of the factor is the mode's one expansion (_expansion):
+e^{lam t}(y0 - P) + e^{alpha t}(P cos rt + S sin rt), cosh and sinh for
+real roots.  solve_modes_on_grid returns it on the pair rows as the states'
+split, whose oscillation the quadratures integrate separately, and
 mode_coefficients reads the per-pattern coefficients off its first
-components: a description of the mode that evaluation does not use.  There
-is one pattern decision and no way to override it: the description takes its
-pattern and roots from spectrum's routed spectrum (_route_confluent, the path
-behind classify, eigenvalues and atlas), so it never disagrees with classify.
+components: a description of the mode that no evaluation uses.  There is
+one pattern decision and no way to override it: the description takes its
+pattern and roots from spectrum's routed spectrum (_route_confluent, the
+path behind classify, eigenvalues and atlas), so it never disagrees with
+classify.
 
 propagate_numeric() is the cross-check oracle for the closed form: the
 matrix exponential of Phi t by balanced Pade scaling and squaring (_expm3),
@@ -77,8 +80,7 @@ class ModeCoefficients:
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3): e^{lam_i t},
     REAL_WITH_DOUBLE -> (lam_simple, lam_double): e^{lam_simple t}, (1, t) e^{lam_double t},
     TRIPLE_REAL -> (lam,): (1, t, t^2) e^{lam t}.
-    `p` is the parameter point; evaluate_mode propagates `init` with
-    solve_mode at it, not with the coefficients.
+    `p` is the parameter point at which evaluate_mode propagates `init`.
     """
 
     pattern: RootPattern
@@ -310,12 +312,6 @@ def _time_grid(time_grid) -> np.ndarray:
     return times
 
 
-def _mode_nodes(p: ModelParams, init: ModeState) -> tuple[float, tuple]:
-    """init's frequency k, finite and >= 0, and the kernel's factor of the cubic at k."""
-    k = _frequency(init.k)
-    return k, _cubic_roots_batch(p.tau, p.beta, np.array([k * k]))
-
-
 def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
     """Expansion coefficients of the mode init starts, in the basis of its root pattern.
 
@@ -328,8 +324,9 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
     as ill-conditioned as the basis itself (they grow like the inverse root
     spacing), which does not affect evaluate_mode.
     """
-    k, nodes = _mode_nodes(p, init)
-    roots, patterns = _route_confluent(p, np.array([k * k]), nodes)
+    k2 = np.square([_frequency(init.k)])
+    nodes = _cubic_roots_batch(p.tau, p.beta, k2)
+    roots, patterns = _route_confluent(p, k2, nodes)
     routed, y0 = patterns[0], init.as_array()
     if routed is RootPattern.TRIPLE_REAL:
         lam = roots[0, 0].real
@@ -356,42 +353,46 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
 # ---------------------------------------------------------------------------
 
 def evaluate_mode(coeffs: ModeCoefficients, t) -> ModeState:
-    """State of the described mode at a time t, or at an array of times.
-
-    The mode is the one `coeffs` was built for, propagated from its initial
-    state by solve_mode, not by the coefficients.  For an array t the state
-    holds arrays of t's shape, for a scalar t complex numbers; t follows the time rule.
-    """
+    """solve_mode(coeffs.p, coeffs.init, t): the described mode, propagated from its
+    initial state, not by the coefficients, at a time t or an array of times."""
     return solve_mode(coeffs.p, coeffs.init, t)
+
+
+def _evolve(p: ModelParams, ks: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(Phi(k) t) y0, (3, n, s) + t.shape, for checked frequencies ks (n,), states y0
+    (3, n, s) or (3, 1, s) (the same at every k) and times t: one root solve, one kernel call."""
+    tail = (...,) + (None,) * t.ndim
+    nodes = tuple(x[:, None][tail] if np.ndim(x) else x
+                  for x in _cubic_roots_batch(p.tau, p.beta, ks * ks))
+    y0 = np.broadcast_to(y0, (3, ks.size, y0.shape[2]))[tail]
+    return _propagate(nodes, y0, t, *_directions(nodes, y0))
 
 
 def solve_mode(p: ModelParams, init: ModeState, t) -> ModeState:
     """Closed-form state at a time t >= 0, or an array of times, of the mode init starts.
 
-    For an array t the state holds arrays of t's shape, from one kernel call
-    on the factor of the cubic at k = init.k (no pattern description is
-    built).  t follows the time rule, and a k that eigenvalues rejects raises.
+    _evolve's batch of one: for an array t the state holds arrays of t's shape.
+    t follows the time rule, and a k that eigenvalues rejects raises.
     """
     t = _times(t)
-    k, nodes = _mode_nodes(p, init)
-    y0 = init.as_array().reshape((3,) + (1,) * (t.ndim + 1))
-    y = _propagate(nodes, y0, t[..., None], *_directions(nodes, y0))[..., 0]
+    k = _frequency(init.k)
+    y = _evolve(p, np.array([k]), init.as_array().reshape(3, 1, 1), t)[:, 0, 0]
     return ModeState(*(complex(x) if t.ndim == 0 else x for x in y), k=k)
 
 
 def ode_residual(p: ModelParams, init: ModeState, t: float) -> tuple[float, float]:
     """|tau*u''' + u'' + k^2 u + beta k^2 u'| at time t, with its magnitude scale.
 
-    The third derivative is the kernel applied to Phi y0, independently of
-    the propagated state.  It takes the inputs of solve_mode at one time and
-    raises as it does.
+    The third derivative is the kernel applied to Phi y0 (no matrix formed),
+    independently of the propagated state.  It takes the inputs of solve_mode
+    at one time and raises as it does.
     """
     t = _times(t)
-    (k, nodes), y0 = _mode_nodes(p, init), init.as_array()
-    ys = np.stack([y0, mode_matrix(p, k) @ y0], axis=1)
-    y = _propagate(nodes, ys, t, *_directions(nodes, ys))
+    k = _frequency(init.k)
+    y0, k2 = init.as_array(), k * k
+    ys = np.stack([y0, _apply_phi(1.0 / p.tau, p.beta * k2 / p.tau, k2 / p.tau, y0)], axis=1)
+    y = _evolve(p, np.array([k]), ys[:, None], t)[:, 0]
     u, v, w, w_t = (complex(x) for x in (*y[:, 0], y[2, 1]))
-    k2 = k * k
     res = abs(p.tau * w_t + w + k2 * u + p.beta * k2 * v)
     scale = p.tau * abs(w_t) + abs(w) + k2 * abs(u) + p.beta * k2 * abs(v)
     return res, max(scale, 1e-300)
@@ -401,16 +402,17 @@ def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     """Independent oracle: exp(Phi t) y0 by a balanced scaling-and-squaring Pade
     exponential (_expm3).
 
-    It forms no eigenvalue, never calls the spectrum kernel and shares only
-    mode_matrix with the closed form.  Phi is balanced as D^-1 Phi D with
-    D = diag(1, s, s^2) and s a power of two near sqrt(beta k^2 / tau), the
-    modulus of the stiff pair: the scaling then follows the spectral radius,
-    not the entry beta k^2 / tau, and the balancing rounds nothing.  t is a
-    time or an array of times, each giving the bits of its own scalar call;
-    it takes the inputs of solve_mode and raises as it does, and InvalidInput
-    beyond its domain k t sqrt(beta/tau) <= ORACLE_MAX_PHASE: the error relative
-    to 1 + |y| grows like the rounding of that many radians (6e-12 at 3e4,
-    3e-10 at 3e6, 1.5e-8 at 3e8).
+    It forms no eigenvalue, never calls the spectrum kernel and builds Phi
+    with mode_matrix, which the closed form never calls.  Phi is balanced as
+    D^-1 Phi D with D = diag(1, s, s^2) and s a power of two near
+    sqrt(beta k^2 / tau), the modulus of the stiff pair: the scaling then
+    follows the spectral radius, not the entry beta k^2 / tau, and the
+    balancing rounds nothing.  t is a time or an array of times, each giving
+    the bits of its own scalar call; it takes the inputs of solve_mode and
+    raises as it does, and InvalidInput beyond its domain
+    k t sqrt(beta/tau) <= ORACLE_MAX_PHASE: the error relative to 1 + |y|
+    grows like the rounding of that many radians (6e-12 at 3e4, 3e-10 at
+    3e6, 1.5e-8 at 3e8).
     """
     ts = _times(t)
     k = _frequency(init.k)

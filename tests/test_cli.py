@@ -113,6 +113,14 @@ class TestMode:
         lyap = np.array([float(r[5]) for r in rows])
         assert np.all(np.diff(lyap) <= 1e-12)  # decaying along the trajectory
 
+    def test_help_states_the_root_contract(self, capsys):
+        code, out, _ = run_exit(capsys, "mode", "--help")
+        assert code == 0
+        assert ("The roots are backward accurate: exact for a cubic within TOL_RESIDUAL of the "
+                "input or, in the confluent windows, one whose k^2 and tau/beta lie within "
+                "TOL_BOUNDARY and TOL_CRITICAL of it (see mgt_spectral.eigenvalues' triple "
+                "root).") in " ".join(out.split())
+
 
 class TestDecay:
     def test_json_summary_within_bound(self, capsys):

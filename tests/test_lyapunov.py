@@ -13,6 +13,11 @@ from mgt_spectral.lyapunov import _DEFAULT_K_GRID
 
 P = validate(0.1, 1.0)
 
+#: points across the regimes: both sides of 1/9 and the critical ratio, near tau = beta,
+#: and a large beta
+GRONWALL_POINTS = [(0.1, 1.0), (0.05, 1.0), (0.3, 1.0), (1.0 / 9.0, 1.0), (0.965, 1.0),
+                   (0.9999, 1.0), (1e-3, 1e3), (0.11111111111112, 1.0)]
+
 
 def random_state(rng, k):
     return ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)), k=float(k))
@@ -196,6 +201,35 @@ class TestGronwallMargin:
         assert np.all(g5 * rho_l <= slack * (1.0 + 1e-14))
         if g5 < 1.0 / P.tau:
             assert np.any(g5 * (1.0 + 1e-12) * rho_l > slack)
+
+    @pytest.mark.parametrize("tau, beta", GRONWALL_POINTS)
+    def test_one_kernel_call_equals_the_per_pair_sweep(self, tau, beta):
+        # the block sweep gives the bits of one solve_mode trajectory per (k, sample)
+        # pair; k = 0 and the all-zero sample are degenerate and must be left out
+        p = validate(tau, beta)
+        w = default_weights(p)
+        ks = np.concatenate([[0.0], np.geomspace(0.05, 50.0, 10)])
+        ts = np.linspace(0.0, 25.0, 126)  # the sweep's default time grid
+        for seed in range(5):
+            rng = np.random.default_rng(300 + seed)
+            samples = [random_state(rng, 1.0) for _ in range(3)] + [ModeState(0, 0, 0, 1.0)]
+            slack, rho_l = [], []
+            for k in ks.tolist():
+                if k == 0.0:
+                    continue
+                for s in samples:
+                    st = solve_mode(p, ModeState(s.u_hat, s.v_hat, s.w_hat, k=k), ts)
+                    f = functionals(p, st, w)
+                    rates = lyapunov._state_rates(p, st)
+                    dl = (w.gamma0 * rates["dE"] + f.rho * rates["dF1"]
+                          + w.gamma1 * f.rho * rates["dF2"])
+                    keep = f.lyap > 1e-280
+                    slack.append(lyapunov.MARGIN_TOL * f.lyap[keep] - dl[keep])
+                    rho_l.append(f.rho * f.lyap[keep])
+            slack, rho_l = np.concatenate(slack), np.concatenate(rho_l)
+            assert rho_l.size == 10 * 3 * ts.size and np.all(slack >= 0.0)
+            ref = float(np.min(slack / rho_l, initial=1.0 / p.tau))
+            assert gronwall_margin(p, w, ks, samples) == ref
 
     @pytest.mark.parametrize("k", [1e-200, 1e-160])
     def test_underflowing_rho_bounds_nothing(self, k):

@@ -96,6 +96,18 @@ print(sorted(str(f) for f in mapped if any(d.startswith("scipy") for d in f.pare
 print(blas_rss_kb() - before)
 """
 
+RESIDUAL_PROBE = BLAS_RSS + """
+before = blas_rss_kb()
+if before == 0:
+    print("no numpy OpenBLAS mapping")
+    sys.exit()
+rng = np.random.default_rng(0)
+for tau, beta, k, t in ((0.1, 1.0, 0.0, 3.0), (0.999, 1.0, 200.0, 100.0), (0.3, 2.0, 1.7, 0.5)):
+    state = mgt.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)), k=k)
+    mgt.ode_residual(mgt.validate(tau, beta), state, t)
+print(blas_rss_kb() - before)
+"""
+
 
 def _probe_lines(probe: str, *args: str) -> list[str]:
     if not Path("/proc/self/smaps").exists():
@@ -130,3 +142,8 @@ def test_oracle_maps_no_scipy_and_pages_no_blas():
     libs, grown = _probe_lines(ORACLE_PROBE)[-2:]
     assert libs == "[]"
     assert int(grown) == 0
+
+
+def test_ode_residual_pages_no_blas():
+    # Phi y0 as mode_matrix(p, k) @ y0, a complex matmul, paged 128 KB of numpy's OpenBLAS
+    assert int(_probe_lines(RESIDUAL_PROBE)[-1]) == 0

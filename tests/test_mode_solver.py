@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (ModeState, RootPattern, default_weights, evaluate_mode,
-                          mode_coefficients, ode_residual, pointwise_bound_constants,
-                          propagate_numeric, rho, solve_mode, solve_modes_on_grid, v_vector,
-                          validate)
+from mgt_spectral import (ModeState, RootPattern, cardano_thresholds, default_weights,
+                          evaluate_mode, mode_coefficients, ode_residual,
+                          pointwise_bound_constants, propagate_numeric, rho, solve_mode,
+                          solve_modes_on_grid, v_vector, validate)
 
 P = validate(0.1, 1.0)
 P_CRIT = validate(1.0 / 9.0, 1.0)
@@ -111,6 +111,23 @@ class TestSolveMode:
             single = solve_mode(P, init, float(t))
             np.testing.assert_allclose([st.u_hat[j], st.v_hat[j], st.w_hat[j]],
                                        single.as_array(), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("tau, beta", [(0.1, 1.0), (0.05, 1.0), (1.0 / 9.0, 1.0),
+                                           (0.9999, 1.0), (1e-3, 1e3)])
+    def test_array_times_give_the_bits_of_scalar_calls(self, tau, beta):
+        # a trajectory is the batch of its times: each entry has its scalar call's bits,
+        # at k = 0, next to m1 and m2 and at the triple point sqrt(3) of 1/9
+        p = validate(tau, beta)
+        th = cardano_thresholds(p)
+        ks = [0.0, 0.7, math.sqrt(3.0)] + ([] if th.m1 is None else
+                                          [math.sqrt(th.m1), math.sqrt(th.m2)])
+        rng = np.random.default_rng(11)
+        ts = np.concatenate([[0.0], rng.uniform(0.0, 30.0, 9), [1e-3]])
+        for k in ks:
+            init = random_state(rng, k)
+            batch = solve_mode(p, init, ts).as_array()
+            for j, t in enumerate(ts):
+                assert np.array_equal(batch[:, j], solve_mode(p, init, float(t)).as_array())
 
 
 class TestOracleEquivalence:

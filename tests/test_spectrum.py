@@ -9,6 +9,7 @@ from mgt_spectral import (EmptyInput, GridError, InvalidFrequency, Labeling, Mod
                           RootPattern, asymptotic_large_k, asymptotic_small_k, atlas, atlas_rows,
                           cardano_thresholds, characteristic_residual, classify, eigenvalues,
                           mode_matrix, solve_modes_on_grid, spectrum, validate)
+from mgt_spectral.params import CRITICAL_RATIO, TOL_CRITICAL
 
 P = validate(0.1, 1.0)
 #: Scales s of the symmetry (tau, beta, k) -> (s tau, s beta, k / s): roots become lam / s.
@@ -639,3 +640,84 @@ class TestPerRowParameters:
         checks = verify._suite_spectrum(np.random.default_rng(5), 500)
         assert all(c.passed for c in checks), checks
         assert calls == [500]
+
+
+def _rebuilt_cubic(lambdas):
+    """(A, B, C) of z^3 + A z^2 + B z + C whose roots are exactly the returned floats (Vieta)."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    r1, r2, r3 = ((Fraction(z.real), Fraction(z.imag)) for z in lambdas)
+    e1 = (r1[0] + r2[0] + r3[0], r1[1] + r2[1] + r3[1])
+    e2 = tuple(map(sum, zip(mul(r1, r2), mul(r1, r3), mul(r2, r3))))
+    e3 = mul(mul(r1, r2), r3)
+    assert e1[1] == e2[1] == e3[1] == 0  # a pair is returned as exact conjugates
+    return -e1[0], e2[0], -e3[0]
+
+
+def _contract_excess(tau, beta, k, lambdas):
+    """The largest relative miss of the root contract on one returned triple; <= 1 holds it.
+
+    The input cubic is that of the exact floats tau, beta, k.  Outside the confluent
+    windows each rebuilt coefficient matches it within TOL_RESIDUAL.  Inside them (a
+    double or triple root) the rebuilt cubic is that of a point (tau', beta', k'^2) with
+    k'^2 within TOL_BOUNDARY of k^2, tau' within TOL_RESIDUAL of tau, and beta' within
+    TOL_RESIDUAL of beta or, at the critical ratio, tau'/beta' within TOL_CRITICAL (of
+    1/9, the window's own scale) of tau/beta.
+    """
+    tau, beta, k2 = Fraction(tau), Fraction(beta), Fraction(k) ** 2
+    A, B, C = _rebuilt_cubic(lambdas)
+    pattern = eigenvalues(validate(float(tau), float(beta)), k).pattern
+
+    def rel(x, ref):
+        return abs(x - ref) / abs(ref)
+
+    if pattern not in (RootPattern.REAL_WITH_DOUBLE, RootPattern.TRIPLE_REAL):
+        return float(max(rel(A, 1 / tau), rel(B, beta * k2 / tau), rel(C, k2 / tau))
+                     / Fraction(spectrum.TOL_RESIDUAL))
+    tau_, k2_, beta_ = 1 / A, C / A, B / C
+    misses = [rel(k2_, k2) / Fraction(spectrum.TOL_BOUNDARY),
+              rel(tau_, tau) / Fraction(spectrum.TOL_RESIDUAL)]
+    if pattern is RootPattern.TRIPLE_REAL:
+        misses.append(abs(tau_ / beta_ - tau / beta)
+                      / (Fraction(TOL_CRITICAL) * Fraction(CRITICAL_RATIO)))
+    else:
+        misses.append(rel(beta_, beta) / Fraction(spectrum.TOL_RESIDUAL))
+    return float(max(misses))
+
+
+def _contract_rows():
+    """(tau, beta, k): the offsets 1e-5 ... 1e-15 either side of m1 and m2 at (0.05, 1),
+    the critical point (0.1111111111111, 1, sqrt(3)) and 200 draws over the range of
+    the `mgt verify` spectrum sweep."""
+    th = cardano_thresholds(validate(0.05, 1.0))
+    rows = [(0.05, 1.0, math.sqrt(m * (1.0 + sign * 10.0**-d)))
+            for m in (th.m1, th.m2) for sign in (-1.0, 1.0) for d in range(5, 16)]
+    rows.append((0.1111111111111, 1.0, math.sqrt(3.0)))
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        tau = rng.uniform(0.01, 1.0)
+        rows.append((tau, min(tau + rng.uniform(0.02, 2.0), 2.0), rng.uniform(0.0, 100.0)))
+    return rows
+
+
+class TestRootContract:
+    """The backward-error contract of eigenvalues, judged in exact arithmetic."""
+
+    ROWS = _contract_rows()
+
+    def test_windows_are_reached(self):
+        patterns = [eigenvalues(validate(t, b), k).pattern for t, b, k in self.ROWS]
+        assert patterns.count(RootPattern.TRIPLE_REAL) == 1
+        assert patterns.count(RootPattern.REAL_WITH_DOUBLE) >= 4
+
+    @pytest.mark.parametrize("row", range(len(ROWS)))
+    def test_rebuilt_cubic_is_within_the_contract(self, row):
+        tau, beta, k = self.ROWS[row]
+        lambdas = eigenvalues(validate(tau, beta), k).lambdas
+        assert _contract_excess(tau, beta, k, lambdas) <= 1.0
+
+    def test_roots_scaled_by_a_part_in_1e9_break_it(self):
+        for tau, beta, k in self.ROWS:
+            lambdas = eigenvalues(validate(tau, beta), k).lambdas
+            assert _contract_excess(tau, beta, k, [z * (1.0 + 1e-9) for z in lambdas]) > 1.0
