@@ -29,7 +29,7 @@ _LAYER_OF = {name: layer for layer, names in {
                  "atlas", "atlas_rows", "characteristic_residual"),
     "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "FrequencyProfile", "ProfileKind",
                     "mode_coefficients", "solve_mode", "propagate_numeric", "v_vector",
-                    "evaluate_mode", "solve_modes_on_grid", "mode_matrix", "ode_residual"),
+                    "solve_modes_on_grid", "mode_matrix", "ode_residual"),
     "lyapunov": ("LyapunovWeights", "FunctionalValues", "default_weights", "functionals",
                  "energy_dissipation_residual", "gronwall_margin", "decay_margin_exact",
                  "pointwise_bound_constants", "rho"),

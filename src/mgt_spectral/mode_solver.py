@@ -38,7 +38,7 @@ integrates the modes it starts over all k, `mgt mode` samples it at one k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -71,7 +71,7 @@ class ModeState:
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """Expansion coefficients of one mode, with the data that evaluates it.
+    """Expansion coefficients of one mode: a description, evaluated by solve_mode.
 
     `pattern` is classify(p, k), read from the same routed spectrum row as
     `structure`, which holds the roots in the layout of that pattern, and
@@ -80,14 +80,11 @@ class ModeCoefficients:
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3): e^{lam_i t},
     REAL_WITH_DOUBLE -> (lam_simple, lam_double): e^{lam_simple t}, (1, t) e^{lam_double t},
     TRIPLE_REAL -> (lam,): (1, t, t^2) e^{lam t}.
-    `p` is the parameter point at which evaluate_mode propagates `init`.
     """
 
     pattern: RootPattern
     coeffs: tuple[complex, complex, complex]
     structure: tuple[float, ...]
-    init: ModeState
-    p: ModelParams = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -317,12 +314,12 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
 
     The pattern and the roots are those of classify(p, k) and eigenvalues(p, k)
     at k = init.k: the one routed decision of spectrum._route_confluent, made
-    on the factor that evaluate_mode propagates with.  The coefficients are
+    on the factor that solve_mode propagates with.  The coefficients are
     the u components of _expansion's y0 - P, P, S on the routed factor (q := 0
     at a double root), a triple root's its Taylor coefficients.  It raises only
     on a k that eigenvalues rejects; close to a confluence the coefficients are
     as ill-conditioned as the basis itself (they grow like the inverse root
-    spacing), which does not affect evaluate_mode.
+    spacing), which does not affect solve_mode.
     """
     k2 = np.square([_frequency(init.k)])
     nodes = _cubic_roots_batch(p.tau, p.beta, k2)
@@ -332,7 +329,7 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
         lam = roots[0, 0].real
         c2 = y0[1] - lam * y0[0]
         coeffs = (y0[0], c2, (y0[2] - lam * lam * y0[0] - 2.0 * lam * c2) / 2.0)
-        return ModeCoefficients(routed, coeffs, (lam,), init, p)
+        return ModeCoefficients(routed, coeffs, (lam,))
 
     q = 0.0 if routed is RootPattern.REAL_WITH_DOUBLE else nodes[5][0]  # the routed factor
     P, S = (x[0, 0] for x in _expansion(nodes, *_directions(nodes, y0[:, None]), q))
@@ -345,18 +342,12 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
     else:
         structure = (lam, alpha, r) if routed is RootPattern.REAL_PLUS_PAIR else (lam, alpha)
         coeffs = (y0[0] - P, P, S)
-    return ModeCoefficients(routed, tuple(coeffs), tuple(structure), init, p)
+    return ModeCoefficients(routed, tuple(coeffs), tuple(structure))
 
 
 # ---------------------------------------------------------------------------
 # evaluation: the kernel on a batch of one mode
 # ---------------------------------------------------------------------------
-
-def evaluate_mode(coeffs: ModeCoefficients, t) -> ModeState:
-    """solve_mode(coeffs.p, coeffs.init, t): the described mode, propagated from its
-    initial state, not by the coefficients, at a time t or an array of times."""
-    return solve_mode(coeffs.p, coeffs.init, t)
-
 
 def _evolve(p: ModelParams, ks: np.ndarray, y0: np.ndarray, t: np.ndarray) -> np.ndarray:
     """exp(Phi(k) t) y0, (3, n, s) + t.shape, for checked frequencies ks (n,), states y0

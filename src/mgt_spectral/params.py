@@ -32,6 +32,14 @@ TOL_CRITICAL = 1e-12
 #: Critical value of tau/beta at which the two Cardano thresholds merge.
 CRITICAL_RATIO = 1.0 / 9.0
 
+#: The validated range PARAM_MIN <= tau < beta <= PARAM_MAX, tau/beta >= RATIO_MIN.
+#: Beyond it the root kernel's tau^-6 and tau beta^3 k^4 (up to MAX_STIFFNESS) or
+#: c2's r^4 overflow, tau (beta - tau) of the Lyapunov weights underflows, or the
+#: kernel's real root rounds to zero against -1/tau (from beta/tau ~ 1e23 on).
+PARAM_MIN = 1e-25
+PARAM_MAX = 1e25
+RATIO_MIN = 1e-20
+
 
 class ModelParams(NamedTuple):
     """Validated model parameters, dissipative case 0 < tau < beta.
@@ -88,8 +96,9 @@ class TheoremRates(NamedTuple):
 def validate(tau: float, beta: float) -> ModelParams:
     """Validate (tau, beta) and return an immutable parameter record.
 
-    Raises NonFinite on NaN/infinite input and NonDissipative unless
-    0 < tau < beta.
+    Raises NonFinite on NaN/infinite input, NonDissipative unless
+    0 < tau < beta, and InvalidInput outside the range PARAM_MIN <= tau,
+    beta <= PARAM_MAX, tau/beta >= RATIO_MIN.
     """
     tau = float(tau)
     beta = float(beta)
@@ -99,6 +108,9 @@ def validate(tau: float, beta: float) -> ModelParams:
         raise NonDissipative(
             f"dissipativeness requires 0 < tau < beta, got tau={tau}, beta={beta}"
         )
+    if not (PARAM_MIN <= tau and beta <= PARAM_MAX and tau >= RATIO_MIN * beta):
+        raise InvalidInput(f"parameters must lie in [{PARAM_MIN:.0e}, {PARAM_MAX:.0e}] with "
+                           f"tau/beta >= {RATIO_MIN:.0e}, got tau={tau}, beta={beta}")
     return ModelParams(tau=tau, beta=beta)
 
 
@@ -107,18 +119,23 @@ def cardano_thresholds(p: ModelParams) -> CardanoThresholds:
 
     c2 is evaluated in the factored form (r - 9)^3 (r - 1) with r = beta/tau,
     which is algebraically identical to c1^2 - 64 r^3 but does not lose the
-    sign of the tiny residual near the critical ratio.
+    sign of the tiny residual near the critical ratio; its sign decides
+    whether the thresholds exist.  They are the roots of the discriminant's
+    quadratic in k^2: with s = tau/beta and N = 1 + 18 s - 27 s^2 +
+    (1 - 9 s) sqrt((1 - 9 s)(1 - s)), m2 = N/(8 beta tau), and m1 =
+    8/(beta^2 N) from their product 1/(tau beta^3), a form in which nothing
+    cancels as tau/beta -> 0 (tau (-c1 - sqrt(c2)) / (8 beta^3) does).
     """
     r = p.beta / p.tau
     c1 = 27.0 - 18.0 * r - r * r
     c2 = (r - 9.0) ** 3 * (r - 1.0)
     if c2 < 0.0:
         return CardanoThresholds(c1=c1, c2=c2, m1=None, m2=None)
-    sq = math.sqrt(c2)
-    denom = 8.0 * p.beta**3
-    m1 = p.tau * (-c1 - sq) / denom
-    m2 = p.tau * (-c1 + sq) / denom
-    return CardanoThresholds(c1=c1, c2=c2, m1=m1, m2=m2)
+    s = p.tau / p.beta
+    d = max(1.0 - 9.0 * s, 0.0)  # c2 >= 0 puts s at or below 1/9 up to rounding
+    n = 1.0 + s * (18.0 - 27.0 * s) + d * math.sqrt(d * (1.0 - s))
+    return CardanoThresholds(c1=c1, c2=c2, m1=8.0 / (p.beta * p.beta * n),
+                             m2=n / (8.0 * p.beta * p.tau))
 
 
 def regime(p: ModelParams) -> Regime:

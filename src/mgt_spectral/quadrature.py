@@ -233,34 +233,36 @@ def _split_batch(s: Split, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Any other panel takes Clenshaw-Curtis on the plain values, and is split
     regardless of its error estimate while the plain integrand's phase (the
     highest harmonic's) turns by more than pi, as is a Levin panel on which
-    the phase's 17-point interpolant has a stationary point.
+    the phase's 17-point interpolant has a stationary point.  Samples that are
+    not finite give panel values that are not, silently: _panels raises on them.
     """
     shape = (half.size, _X17.size)
     plain, trusted, smooth, phase = (np.reshape(v, shape) for v in (
         s.plain, s.trusted, s.smooth, s.phase))
     amps = np.reshape(s.amps, (len(s.amps),) + shape)
     turn = np.abs(np.diff(phase, axis=1)).sum(axis=1)
-    val, err = _clenshaw_curtis(plain, half)
-    err[len(amps) * turn > np.pi] = np.inf
-    split = trusted.all(axis=1)
-    if split.any():
-        hs, ts, ps = half[split], turn[split], phase[split]
-        dp = np.einsum("ij,pj->pi", _D17, ps)
-        stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
-        sval, serr = _clenshaw_curtis(smooth[split], hs)
-        # every harmonic at once: one Levin solve per order for the whole batch
-        ms = np.arange(1, len(amps) + 1)
-        amp, ph = amps[:, split], ms[:, None, None] * ps
-        hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, hs)
-        lev = ms[:, None] * ts > np.pi
-        if lev.any():
-            a, p, h = amp[lev], ph[lev], np.broadcast_to(hs, lev.shape)[lev]
-            l17 = _levin(a, p, h, _D17)
-            l9 = _levin(a[:, ::2], p[:, ::2], h, _D9)
-            hval[lev], herr[lev] = l17, np.abs(l17 - l9)
-            herr[lev & stationary] = np.inf
-        for hv, he in zip(hval, herr):  # summed harmonic by harmonic, in order
-            sval += hv
-            serr += he
-        val[split], err[split] = sval, serr
+    with np.errstate(invalid="ignore"):
+        val, err = _clenshaw_curtis(plain, half)
+        err[len(amps) * turn > np.pi] = np.inf
+        split = trusted.all(axis=1)
+        if split.any():
+            hs, ts, ps = half[split], turn[split], phase[split]
+            dp = np.einsum("ij,pj->pi", _D17, ps)
+            stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
+            sval, serr = _clenshaw_curtis(smooth[split], hs)
+            # every harmonic at once: one Levin solve per order for the whole batch
+            ms = np.arange(1, len(amps) + 1)
+            amp, ph = amps[:, split], ms[:, None, None] * ps
+            hval, herr = _clenshaw_curtis((amp * np.exp(1j * ph)).real, hs)
+            lev = ms[:, None] * ts > np.pi
+            if lev.any():
+                a, p, h = amp[lev], ph[lev], np.broadcast_to(hs, lev.shape)[lev]
+                l17 = _levin(a, p, h, _D17)
+                l9 = _levin(a[:, ::2], p[:, ::2], h, _D9)
+                hval[lev], herr[lev] = l17, np.abs(l17 - l9)
+                herr[lev & stationary] = np.inf
+            for hv, he in zip(hval, herr):  # summed harmonic by harmonic, in order
+                sval += hv
+                serr += he
+            val[split], err[split] = sval, serr
     return val, err

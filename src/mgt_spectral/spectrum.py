@@ -211,11 +211,12 @@ _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
 
 
 def _thresholds(tau, beta) -> tuple:
-    """(m, critical) elementwise: m = -c1 tau / (8 beta^3), the triple point and the mean
-    of m1 and m2 where they exist, on both sides of 1/9; critical: regime(p) is CRITICAL."""
-    r = beta / tau
-    critical = np.abs(tau / beta - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO
-    return -(27.0 - 18.0 * r - r * r) * tau / (8.0 * _cube(beta)), critical
+    """(m, critical) elementwise: m = (1 + s (18 - 27 s)) / (8 beta tau) with s = tau/beta,
+    the triple point and the mean of m1 and m2 where they exist, on both sides of 1/9, in
+    the form of params.cardano_thresholds; critical: regime(p) is CRITICAL."""
+    s = tau / beta
+    critical = np.abs(s - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO
+    return (1.0 + s * (18.0 - 27.0 * s)) / (8.0 * beta * tau), critical
 
 
 def _route_confluent(p: ModelParams, k2: np.ndarray,

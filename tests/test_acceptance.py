@@ -12,10 +12,9 @@ import pytest
 
 from mgt_spectral import (FrequencyProfile, ModeState, RootPattern, characteristic_residual,
                           cardano_thresholds, decay_curve, default_weights, eigenvalues,
-                          energy_dissipation_residual, evaluate_mode, fit_decay_slope,
-                          functionals, gronwall_margin, integral_lemma_check,
-                          mode_coefficients, pointwise_bound_constants, propagate_numeric,
-                          region_contributions, region_rates, rho,
+                          energy_dissipation_residual, fit_decay_slope, functionals,
+                          gronwall_margin, integral_lemma_check, pointwise_bound_constants,
+                          propagate_numeric, region_contributions, region_rates, rho,
                           sobolev_norm_sq, solve_mode, v_norm_sq, v_vector, validate)
 from mgt_spectral.params import ModelParams
 from mgt_spectral.spectrum import _spectrum
@@ -166,11 +165,10 @@ def test_criterion_06_gronwall_margin():
             # fresh trajectories: L(t) exp(gamma5 rho t) nonincreasing
             for k in (0.2, 1.0, 8.0):
                 init = random_state(rng, k)
-                coeffs = mode_coefficients(p, init)
                 r = float(rho(k))
                 prev = None
                 for t in np.linspace(0.0, 15.0, 61):
-                    val = (functionals(p, evaluate_mode(coeffs, float(t)), w).lyap
+                    val = (functionals(p, solve_mode(p, init, float(t)), w).lyap
                            * math.exp(w.gamma5 * r * float(t)))
                     if prev is not None:
                         assert val <= prev * (1.0 + 1e-8) + 1e-300

@@ -21,7 +21,7 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--tau", "0.1", "--beta", "1")
         assert code == 0
         assert "m1 = 3.125" in out
-        assert "m2 = 3.2000000000000002" in out
+        assert "m2 = 3.1999999999999997" in out
         assert "SubCritical" in out
         assert "C1 = -253" in out
 
@@ -494,6 +494,14 @@ class TestPathsAndExits:
         # a target below the rounding of the value fails on the first pass
         assert err.startswith("numerical failure: target 5.000e-301 lies below the rounding floor ")
 
+    def test_overflowing_data_exits_4_with_one_line(self, capsys):
+        # the norm's |u|^2 overflows; no RuntimeWarning precedes the typed failure
+        code, out, err = run(capsys, "decay", "--tau", "0.1", "--beta", "1", "--t-count", "3",
+                             "--data", "u0:gaussian:1:1e300,u1:zero,u2:zero")
+        assert (code, out) == (4, "")
+        assert err.startswith("numerical failure: integrand or its error estimate is not finite")
+        assert err.count("\n") == 1
+
     def test_decay_csv_then_json_summary_on_stdout(self, capsys):
         code, out, _ = run(capsys, "decay", "--tau", "0.1", "--beta", "1",
                            "--t-count", "3", "--quad-tol", "1e-6")
@@ -626,6 +634,40 @@ class TestPathsAndExits:
         assert code == 2
         assert out == ""
         assert err.startswith("error: frequency magnitude must be finite and >= 0")
+
+
+EXTREME_COMMANDS = (["classify"], ["atlas", "--k-max", "1", "--k-count", "3"],
+                    ["mode", "--t-count", "3"], ["decay", "--t-count", "3"], ["verify", "--quick"])
+
+
+class TestExtremeParameters:
+    """Points past the float range of the thresholds, weights and roots, which
+    validate rejects, and the corners of the range it accepts.  Under the
+    error::RuntimeWarning filter a warning would surface here as an exception."""
+
+    @pytest.mark.parametrize("argv", EXTREME_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("tau, beta", [("1e-200", "1"), ("1e-160", "1"), ("1e100", "1e200"),
+                                           ("0.5", "1e160"), ("1e-300", "1e-299"), ("1", "1e78")])
+    def test_outside_the_range_exits_2_with_one_line(self, capsys, argv, tau, beta):
+        code, out, err = run(capsys, *argv, "--tau", tau, "--beta", beta)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parameters must lie in [1e-25, 1e+25]")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", EXTREME_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("tau, beta", [("1e-25", "2e-25"), ("1e-25", "1e-5"), ("1e-20", "1"),
+                                           ("1e5", "1e25"), ("5e24", "1e25")])
+    def test_corners_of_the_range_run(self, capsys, argv, tau, beta):
+        # verify's FAILs here are theorem_bounds verdicts of the decay fit, not errors
+        code, out, err = run(capsys, *argv, "--tau", tau, "--beta", beta)
+        assert code == 0 or (argv[0], code) == ("verify", 1)
+        assert out and err == ""
+
+    def test_small_ratio_thresholds(self, capsys):
+        # m1 -> 4/beta^2 as tau/beta -> 0, where -c1 - sqrt(c2) cancels
+        code, out, _ = run(capsys, "classify", "--tau", "1e-17", "--beta", "1")
+        assert code == 0
+        assert "m1 = 4 (sqrt(m1) = 2)" in out
 
 
 class TestOracleNegativeControl:

@@ -25,10 +25,10 @@ from mgt_spectral import (DataClass, EmptyInput, FrequencyProfile, GridError, In
                           applicable_exponents, asymptotic_large_k, asymptotic_small_k, atlas,
                           characteristic_residual, classify, decay_curve, decay_margin_exact,
                           default_weights, eigenvalues, energy_dissipation_residual,
-                          evaluate_mode, gronwall_margin, integral_lemma_check,
-                          mode_coefficients, mode_matrix, ode_residual, propagate_numeric,
-                          region_contributions, rho, sobolev_norm_sq, solve_mode,
-                          solve_modes_on_grid, theorem_rates, v_norm_sq, validate)
+                          gronwall_margin, integral_lemma_check, mode_coefficients,
+                          mode_matrix, ode_residual, propagate_numeric, region_contributions,
+                          rho, sobolev_norm_sq, solve_mode, solve_modes_on_grid,
+                          theorem_rates, v_norm_sq, validate)
 
 P = validate(0.1, 1.0)
 DATA = (FrequencyProfile.zero(), FrequencyProfile.zero(), FrequencyProfile.gaussian())
@@ -46,7 +46,6 @@ def _state(k):
 #: the time rule, mode_solver._times: a finite number >= 0, or InvalidInput
 TIME = {
     "solve_mode": lambda t: solve_mode(P, UNIT, t),
-    "evaluate_mode": lambda t: evaluate_mode(mode_coefficients(P, UNIT), t),
     "ode_residual": lambda t: ode_residual(P, UNIT, t),
     "solve_modes_on_grid": lambda t: solve_modes_on_grid(P, np.array([0.5, 1.0]),
                                                          1.0, 0.0, 0.0, t),
@@ -69,7 +68,6 @@ TIME_GRID = {
 #: the frequency rule, spectrum._frequencies: a finite number >= 0, or InvalidFrequency
 FREQUENCY = {
     "solve_mode": lambda k: solve_mode(P, _state(k), 1.0),
-    "evaluate_mode": lambda k: evaluate_mode(mode_coefficients(P, _state(k)), 1.0),
     "propagate_numeric": lambda k: propagate_numeric(P, _state(k), 1.0),
     "ode_residual": lambda k: ode_residual(P, _state(k), 1.0),
     "mode_coefficients": lambda k: mode_coefficients(P, _state(k)),

@@ -6,8 +6,8 @@ import pytest
 
 from mgt_spectral import (EmptyInput, ModeState, NonPositiveMargin,
                           decay_margin_exact, default_weights, energy_dissipation_residual,
-                          functionals, gronwall_margin, mode_coefficients, evaluate_mode,
-                          pointwise_bound_constants, rho, solve_mode, v_vector, validate)
+                          functionals, gronwall_margin, pointwise_bound_constants, rho,
+                          solve_mode, v_vector, validate)
 from mgt_spectral import lyapunov
 from mgt_spectral.lyapunov import _DEFAULT_K_GRID
 
@@ -256,11 +256,10 @@ class TestGronwallMargin:
         rng = np.random.default_rng(37)
         for k in (0.3, 1.0, 4.0, 20.0):
             init = random_state(rng, k)
-            coeffs = mode_coefficients(P, init)
             r = float(rho(k))
             prev = None
             for t in np.linspace(0.0, 15.0, 61):
-                f = functionals(P, evaluate_mode(coeffs, float(t)), w)
+                f = functionals(P, solve_mode(P, init, float(t)), w)
                 val = f.lyap * math.exp(w.gamma5 * r * float(t))
                 if prev is not None:
                     assert val <= prev * (1.0 + 1e-8) + 1e-300
@@ -303,9 +302,8 @@ class TestDifferentialInequalities:
         for k in (0.2, 1.0, 3.0, 15.0):
             k2 = k * k
             init = random_state(rng, k)
-            coeffs = mode_coefficients(P, init)
             for t in np.linspace(0.0, 6.0, 25):
-                st = evaluate_mode(coeffs, float(t))
+                st = solve_mode(P, init, float(t))
                 u, v, ww = st.u_hat, st.v_hat, st.w_hat
                 rates = _state_rates(P, st)
                 A2 = abs(v + P.tau * ww) ** 2

@@ -1,10 +1,16 @@
+import math
+import re
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from mgt_spectral import (CardanoThresholds, DataClass, ModelParams, NonDissipative,
-                          NonFinite, Regime, TheoremRates, applicable_exponents,
+from mgt_spectral import (CardanoThresholds, DataClass, InvalidInput, ModelParams,
+                          NonDissipative, NonFinite, Regime, TheoremRates, applicable_exponents,
                           cardano_thresholds, high_frequency_rate, regime, theorem_rates,
                           validate)
+from mgt_spectral.params import PARAM_MAX, PARAM_MIN, RATIO_MIN
 
 
 def cubic_discriminant(tau, beta, m):
@@ -38,6 +44,20 @@ class TestValidate:
             validate(float("nan"), 1.0)
         with pytest.raises(NonFinite):
             validate(0.1, float("inf"))
+
+    @pytest.mark.parametrize("tau, beta", [(1e-200, 1.0), (1e-160, 1.0), (1e100, 1e200),
+                                           (0.5, 1e160), (1e-300, 1e-299), (1.0, 1e78),
+                                           (1e-26, 1e-6), (1.0, 2e25), (1e-21, 1.0)])
+    def test_rejects_outside_the_range(self, tau, beta):
+        message = (f"parameters must lie in [1e-25, 1e+25] with tau/beta >= 1e-20, "
+                   f"got tau={tau}, beta={float(beta)}")
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            validate(tau, beta)
+
+    def test_range_edges_are_inside(self):
+        for tau, beta in [(PARAM_MIN, 2.0 * PARAM_MIN), (PARAM_MAX / 2.0, PARAM_MAX),
+                          (RATIO_MIN, 1.0), (PARAM_MIN, PARAM_MIN / RATIO_MIN)]:
+            assert validate(tau, beta) == (tau, beta)
 
 
 class TestRecords:
@@ -131,6 +151,29 @@ class TestCardanoThresholds:
             raw = thr.c1**2 - 64.0 * r**3
             scale = thr.c1**2 + 64.0 * r**3
             assert abs(thr.c2 - raw) <= 1e-10 * scale
+
+    def test_small_ratio_sweep_against_exact(self):
+        # the two zeros of the discriminant's quadratic in k^2, in rational arithmetic with
+        # a 60-digit square root; tau (-c1 - sqrt(c2)) / (8 beta^3) cancels like
+        # eps (beta/tau) / 32 in m1: 4% off at tau/beta = 1e-16 and 0.0 at 1e-18
+        def exact(tau, beta):
+            t, b = Fraction(tau), Fraction(beta)
+            s = 18 * t * b + b * b - 27 * t * t
+            disc = s * s - 64 * t * b**3
+            with localcontext() as ctx:
+                ctx.prec = 60
+                root = Fraction((Decimal(disc.numerator) / Decimal(disc.denominator)).sqrt())
+            return (s - root) / (8 * t * b**3), (s + root) / (8 * t * b**3)
+
+        rng = np.random.default_rng(39)
+        ratios = 10.0 ** rng.uniform(-18.0, math.log10(0.111), 3000)
+        betas = 10.0 ** rng.uniform(-3.0, 3.0, 3000)
+        worst = 0.0
+        for ratio, beta in zip(ratios.tolist(), betas.tolist()):
+            thr = cardano_thresholds(validate(ratio * beta, beta))
+            for got, ref in zip((thr.m1, thr.m2), exact(ratio * beta, beta)):
+                worst = max(worst, float(abs(Fraction(got) - ref) / ref))
+        assert worst <= 1e-14
 
     def test_thresholds_continuous_toward_merge(self):
         beta = 1.0

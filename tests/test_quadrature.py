@@ -334,3 +334,11 @@ class TestSplitRule:
 
         with pytest.raises(QuadratureFailure, match="not finite on"):
             adaptive_quadrature(broken, 0.0, 5.0, 1e-12)
+
+    def test_overflowing_norm_raises_without_a_warning(self):
+        # |u|^2 of data at 1e300 overflows: the split panels' inf * 0 and inf - inf
+        # reach the typed check silently, under the error::RuntimeWarning filter too
+        data = (FrequencyProfile.gaussian(1.0, 1e300), FrequencyProfile.zero(),
+                FrequencyProfile.zero())
+        with pytest.raises(QuadratureFailure, match="not finite on"):
+            decay_curve(P, data, 3, 0, [1e2, 1e3, 1e4], 1e-10)
