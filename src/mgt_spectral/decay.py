@@ -517,54 +517,26 @@ class IntegralLemmaReport:
     sine_global_sharp_limit: float | None
 
 
-def _ratio_series(name: str, times: np.ndarray, runs: Sequence[dict], bounds: Sequence[dict],
-                  shapes: np.ndarray, combo: str) -> LemmaRatioSeries:
-    """Kernel `name`'s series from per-time _lemma_quadratures and _lemma_bounds."""
-    quads = [run[name] for run in runs if name in run]
-    bound = np.array([b[name] for b in bounds if name in b])
-    values = np.array([quad.value for quad, _ in quads])
-    quad_tol = np.array([tol for _, tol in quads])
+def _ratio_series(name: str, times: np.ndarray, rows: Sequence[dict], shape: np.ndarray,
+                  combo: str) -> LemmaRatioSeries:
+    """Kernel `name`'s series from its _lemma_quadratures rows at the times where
+    it has one; shape is its bound shape on the whole time array."""
+    at = np.array([name in row for row in rows])
+    quads, quad_tol, bound = zip(*(row[name] for row in rows if name in row))
+    times, quad_tol, bound = times[at], np.array(quad_tol), np.array(bound)
+    values = np.array([quad.value for quad in quads])
     excess = values - (bound + quad_tol)
     worst = int(np.argmax(excess))  # the first NaN where a value is NaN
     ok = bool(excess[worst] <= 0.0)
-    ratios = values / shapes
+    ratios = values / shape[at]
     return LemmaRatioSeries(name=name, times=times, ratios=ratios,
                             max_ratio=float(ratios.max()), bound=bound,
-                            quad_nodes=np.array([quad.n_nodes for quad, _ in quads]),
-                            quad_error=np.array([quad.error for quad, _ in quads]),
+                            quad_nodes=np.array([quad.n_nodes for quad in quads]),
+                            quad_error=np.array([quad.error for quad in quads]),
                             quad_tol=quad_tol,
                             check=Check(f"{name}_bound_excess", float(excess[worst]), 0.0, ok,
                                         text="" if ok else "{name}={value:.2e}"
                                         f"({combo},t={times[worst]:g})"))
-
-
-def _lemma_bounds(dim: int, j: int, c: float, t: float) -> dict[str, float]:
-    """name -> closed-form upper bound of each lemma kernel at one time t.  With
-    a = (dim+j)/2, z = c t and w = r^(2b-1) e^(-z r^2), P(b) = min(1/(2b),
-    Gamma(b)/(2 z^b)) bounds int_0^1 w dr, exactly at z = 0 and as z -> inf, and
-    one integration by parts bounds |int_0^h w cos 2tr dr| by (2 w* - w(0))/(2t),
-    w* = w(min(h, sqrt((b - 1/2)/z))) the peak of the unimodal w.  cos^2 =
-    (1 + cos 2tr)/2, sin^2 = (1 - cos 2tr)/2 and sin^2 x <= min(1, x^2) do the rest."""
-    a, z = 0.5 * (dim + j), c * t
-
-    def full(b: float) -> float:  # int_0^inf w dr
-        return 0.5 * math.exp(math.lgamma(b) - b * math.log(z))
-
-    def whole(b: float) -> float:  # P(b): Gamma(b)/z^b >= 1/b where lgamma(b+1) >= b log z
-        return 0.5 / b if z == 0.0 or math.lgamma(b + 1.0) >= b * math.log(z) else full(b)
-
-    def by_parts(b: float, h: float) -> float:
-        r2 = min(h * h, (b - 0.5) / z) if z > 0.0 else h * h
-        return (2.0 * r2 ** (b - 0.5) * math.exp(-z * r2) - (b == 0.5)) / (2.0 * t)
-
-    plain = whole(a)
-    bounds = {"plain": plain,
-              "cosine": 0.5 * (plain + (min(plain, by_parts(a, 1.0)) if t > 0.0 else plain)),
-              "sine_low": min(t * t * plain, whole(a - 1.0) if a > 1.0 else math.inf)}
-    if dim + j >= 3 and t > 0.0:
-        g = full(a - 1.0)
-        bounds["sine_global"] = 0.5 * (g + min(g, by_parts(a - 1.0, math.inf)))
-    return bounds
 
 
 def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarray], Split]:
@@ -593,10 +565,18 @@ def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarra
 
 
 def _lemma_quadratures(dim: int, j: int, c: float,
-                       t: float) -> dict[str, tuple[QuadResult, float]]:
-    """name -> (quadrature, its error target) of each lemma kernel at one time t;
-    sine_global is cut where r^(dim+j-3) e^(-c r^2 t) leaves a tail <= 1e-16."""
-    pw = dim + j - 1
+                       t: float) -> dict[str, tuple[QuadResult, float, float]]:
+    """name -> (quadrature, its error target, its closed-form upper bound) of each
+    lemma kernel at one time t; sine_global only where dim + j >= 3 and t > 0,
+    cut where r^(dim+j-3) e^(-c r^2 t) leaves a tail <= 1e-16.
+
+    The bounds: with a = (dim+j)/2, z = c t and w = r^(2b-1) e^(-z r^2), P(b) =
+    min(1/(2b), Gamma(b)/(2 z^b)) bounds int_0^1 w dr, exactly at z = 0 and as
+    z -> inf, and one integration by parts bounds |int_0^h w cos 2tr dr| by
+    (2 w* - w(0))/(2t), w* = w(min(h, sqrt((b - 1/2)/z))) the peak of the
+    unimodal w.  cos^2 = (1 + cos 2tr)/2, sin^2 = (1 - cos 2tr)/2 and
+    sin^2 x <= min(1, x^2) do the rest."""
+    a, z, pw = 0.5 * (dim + j), c * t, dim + j - 1
     has_global = dim + j >= 3 and t > 0.0
     try:
         tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
@@ -604,20 +584,34 @@ def _lemma_quadratures(dim: int, j: int, c: float,
         global_tol = max(1e-16, 1e-6 * t ** (-0.5 * (dim + j - 2))) if has_global else None
     except OverflowError:  # Python's float ** raises where numpy would give inf
         raise QuadratureFailure(f"lemma error target out of float range at t = {t:g}") from None
+
+    def full(b: float) -> float:  # int_0^inf w dr
+        return 0.5 * math.exp(math.lgamma(b) - b * math.log(z))
+
+    def whole(b: float) -> float:  # P(b): Gamma(b)/z^b >= 1/b where lgamma(b+1) >= b log z
+        return 0.5 / b if z == 0.0 or math.lgamma(b + 1.0) >= b * math.log(z) else full(b)
+
+    def by_parts(b: float, h: float) -> float:
+        r2 = min(h * h, (b - 0.5) / z) if z > 0.0 else h * h
+        return (2.0 * r2 ** (b - 0.5) * math.exp(-z * r2) - (b == 0.5)) / (2.0 * t)
+
     edges = None if t == 0.0 else [math.pi / t]
     cosine, sine = _lemma_split(c, pw, t, False), _lemma_split(c, pw, t, True)
-    quads = {
+    plain = whole(a)
+    rows = {
         "plain": (adaptive_quadrature(lambda r: r**pw * np.exp(-c * r * r * t), 0.0, 1.0, tol),
-                  tol),
-        "cosine": (adaptive_quadrature(cosine, 0.0, 1.0, tol), tol),
-        "sine_low": (adaptive_quadrature(sine, 0.0, 1.0, sine_tol, initial_edges=edges),
-                     sine_tol),
+                  tol, plain),
+        "cosine": (adaptive_quadrature(cosine, 0.0, 1.0, tol), tol,
+                   0.5 * (plain + (min(plain, by_parts(a, 1.0)) if t > 0.0 else plain))),
+        "sine_low": (adaptive_quadrature(sine, 0.0, 1.0, sine_tol, initial_edges=edges), sine_tol,
+                     min(t * t * plain, whole(a - 1.0) if a > 1.0 else math.inf)),
     }
     if has_global:
         hi = _kmax_certified(lambda K: _gauss_tail(dim + j - 3, math.sqrt(c * t), K), 1e-16)
-        quads["sine_global"] = (adaptive_quadrature(sine, 0.0, hi, global_tol,
-                                                    initial_edges=edges), global_tol)
-    return quads
+        g = full(a - 1.0)
+        rows["sine_global"] = (adaptive_quadrature(sine, 0.0, hi, global_tol, initial_edges=edges),
+                               global_tol, 0.5 * (g + min(g, by_parts(a - 1.0, math.inf))))
+    return rows
 
 
 def integral_lemma_check(dim: int, j: int, c: float,
@@ -640,7 +634,8 @@ def integral_lemma_check(dim: int, j: int, c: float,
     counts, error estimates and error targets, and its bound rule as a check
     `<kernel>_bound_excess`: the largest value - (closed-form bound + error
     target), passing at <= 0 (NaN fails; a failure prints dim, j and the worst
-    t).  _lemma_bounds is sharp as t -> inf but for sine_low.
+    t).  The closed-form bounds (_lemma_quadratures) are sharp as t -> inf but
+    for sine_low.
 
     Raises QuadratureFailure where an error target leaves the float range.
     """
@@ -649,24 +644,20 @@ def integral_lemma_check(dim: int, j: int, c: float,
         raise InvalidInput(f"need a finite c > 0, got {c}")
     times = _time_grid(time_grid)
 
-    runs = [_lemma_quadratures(dim, j, c, float(t)) for t in times]
-    bounds = [_lemma_bounds(dim, j, c, float(t)) for t in times]
-    shape_base = (1.0 + times) ** (-(dim + j) / 2.0)
-    shapes = {"plain": shape_base, "cosine": shape_base,
-              "sine_low": (1.0 + times) ** (2.0 - (dim + j) / 2.0)}
+    rows = [_lemma_quadratures(dim, j, c, float(t)) for t in times]
+    a = 0.5 * (dim + j)
+    with np.errstate(divide="ignore"):  # t^(1-a) at t = 0, where sine_global has no row
+        base = (1.0 + times) ** -a
+        shapes = {"plain": base, "cosine": base, "sine_low": (1.0 + times) ** (2.0 - a),
+                  "sine_global": times ** (1.0 - a)}
     combo = f"dim={dim},j={j}"
-    series = {name: _ratio_series(name, times, runs, bounds, shape, combo)
-              for name, shape in shapes.items()}
+    series = {name: _ratio_series(name, times, rows, shape, combo)
+              for name, shape in shapes.items() if any(name in row for row in rows)}
 
     bound_const = sharp = None
-    if dim + j >= 3:
-        a = 0.5 * (dim + j - 2)
-        bound_const = 0.5 * c ** (-a) * math.gamma(a)
+    if a > 1.0:  # Gamma(a - 1) is finite and positive
+        bound_const = 0.5 * c ** (1.0 - a) * math.gamma(a - 1.0)
         sharp = 0.5 * bound_const
-        if (tpos := times[times > 0.0]).size:
-            series["sine_global"] = _ratio_series("sine_global", tpos, runs, bounds, tpos ** (-a),
-                                                  combo)
-
     return IntegralLemmaReport(dim=dim, j=j, c=c, series=series,
                                sine_global_bound_constant=bound_const,
                                sine_global_sharp_limit=sharp)

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import EmptyInput, GridError, InvalidInput
 from .params import ModelParams
 from .spectrum import (RootPattern, _cubic_roots_batch, _frequencies, _frequency, _nonnegative,
-                       _route_confluent)
+                       _route_confluent, _upper_root)
 
 
 @dataclass(frozen=True)
@@ -243,9 +243,9 @@ def _propagate(nodes: tuple, y0: np.ndarray, t, w1: np.ndarray, w2: np.ndarray) 
     osc = q < 0.0
     r = np.sqrt(np.abs(q))
     rt = r * t
-    # e^{x1 t} with x1 = alpha + r the larger real node, or e^{alpha t} for a complex
+    # e^{x1 t} with x1 the larger real node (_upper_root), or e^{alpha t} for a complex
     # pair; e^{alpha t} cosh would overflow at large t where e^{x1 t} cannot
-    e_hi = np.exp((alpha + np.where(osc, 0.0, r)) * t)
+    e_hi = np.exp(_upper_root(c, lam, alpha, q) * t)
     decay = -np.expm1(-2.0 * rt)
     d0 = e_hi * np.where(osc, np.cos(rt), 1.0 - 0.5 * decay)
     d1 = e_hi * np.where(r > 0.0, np.where(osc, np.sin(rt), 0.5 * decay)
@@ -253,7 +253,8 @@ def _propagate(nodes: tuple, y0: np.ndarray, t, w1: np.ndarray, w2: np.ndarray) 
 
     dl = lam - alpha
     den = dl * dl - q  # (lam - x1)(lam - x2)
-    series = np.abs(den) * t * t < 1.0
+    with np.errstate(over="ignore"):  # den t^2 = inf past t ~ 1e154: not a series row
+        series = np.abs(den) * t * t < 1.0
     e_lam = np.exp(lam * t)
     d2 = (e_lam - dl * d1 - d0) / np.where(series, 1.0, den)
     if series.any():
@@ -336,7 +337,7 @@ def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
     lam, alpha, r = nodes[3][0], nodes[4][0], math.sqrt(abs(q))
     if routed is RootPattern.THREE_DISTINCT_REAL:
         # P cosh rt + S sinh rt on e^{(alpha -+ r) t}; each root keeps its coefficient, ascending
-        structure, coeffs = zip(*sorted(zip((lam, alpha - r, alpha + r),
+        structure, coeffs = zip(*sorted(zip((lam, alpha - r, _upper_root(*nodes[2:5], q)[0]),
                                             (y0[0] - P, (P - S) / 2.0, (P + S) / 2.0)),
                                         key=lambda pair: pair[0]))
     else:

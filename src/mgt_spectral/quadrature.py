@@ -248,7 +248,8 @@ def _split_batch(s: Split, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if split.any():
             hs, ts, ps = half[split], turn[split], phase[split]
             dp = np.einsum("ij,pj->pi", _D17, ps)
-            stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
+            with np.errstate(over="ignore"):  # a product of two phase slopes past 1e154
+                stationary = dp.min(axis=1) * dp.max(axis=1) <= 0.0
             sval, serr = _clenshaw_curtis(smooth[split], hs)
             # every harmonic at once: one Levin solve per order for the whole batch
             ms = np.arange(1, len(amps) + 1)

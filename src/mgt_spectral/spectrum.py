@@ -205,6 +205,16 @@ def _deflate(a, b, c, lam) -> tuple:
     return alpha, alpha * alpha - s
 
 
+def _upper_root(c, lam, alpha, q):
+    """alpha + sqrt(q), the larger root of a real factor (z - alpha)^2 - q (q > 0), else
+    alpha.  It is taken from the product s = -c/lam of the factor's roots as
+    s/(alpha - sqrt(q)): alpha < 0, so that difference does not cancel, while
+    alpha + sqrt(q) does where the two roots lie far apart (large beta/tau), and q =
+    alpha^2 - s has lost s there."""
+    real = q > 0.0
+    return np.where(real, (-c / lam) / np.where(real, alpha - np.sqrt(np.abs(q)), -1.0), alpha)
+
+
 #: RootPattern by the sign of q (-1, 0, +1) in _route_confluent, then the triple root.
 _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
                       RootPattern.THREE_DISTINCT_REAL, RootPattern.TRIPLE_REAL], dtype=object)
@@ -236,7 +246,7 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     ratio, on either side of 1/9, k^2 within TOL_BOUNDARY * m of the row's own
     triple point m (_thresholds) is the triple root -1/(3 tau) = -a/3.
     """
-    lam, alpha, q = factor[3:]
+    c, lam, alpha, q = factor[2:]
     m, critical = _thresholds(p.tau, p.beta)
     triple = critical & (np.abs(k2 - m) <= TOL_BOUNDARY * m)
     q = np.where(2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.abs(alpha), 0.0, q)
@@ -244,7 +254,8 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     r = np.sqrt(np.abs(q))
     lam2 = alpha + 1j * r
     roots = np.where((q < 0.0)[:, None], np.stack([lam, lam2, np.conj(lam2)], axis=1),
-                     np.sort(np.stack([lam, alpha - r, alpha + r], axis=1), axis=1))
+                     np.sort(np.stack([lam, alpha - r, _upper_root(c, lam, alpha, q)], axis=1),
+                             axis=1))
     roots[triple] = np.broadcast_to(-1.0 / (3.0 * p.tau), triple.shape)[triple, None]
     return roots, _PATTERNS[np.where(triple, 3, np.sign(q).astype(int) + 1)]
 

@@ -1,7 +1,8 @@
 """The numerical invariant suites behind `mgt verify`.
 
 Each suite checks one invariant over random or fixed samples and returns its
-checks (decay.Check).  `_run_suites` runs them in order on one seeded draw
+checks (decay.Check), each reduced over all its samples by numpy, so that a
+NaN anywhere fails it.  `_run_suites` runs them in order on one seeded draw
 stream, records a suite that raises an `MGTError` as one failed check, and
 returns `(name, checks)` each; `_report` joins them into the `mgt verify` text.
 Only gronwall_margin (as its first pair) and theorem_bounds take the run's
@@ -75,45 +76,47 @@ def _suite_spectrum(rng, n) -> list[Check]:
 
 
 def _suite_oracle(rng, n) -> list[Check]:
-    worst = 0.0
+    errs = []
     for _ in range(n):
         pp, init = _random_mode(rng, 50.0)
         t = float(rng.uniform(0.0, 20.0))
         a = mode_solver.solve_mode(pp, init, t)
         b = mode_solver.propagate_numeric(pp, init, t)
-        err = math.hypot(*np.abs(a.as_array() - b.as_array())) / (1.0 + init.norm())
-        worst = max(worst, err)
+        errs.append(math.hypot(*np.abs(a.as_array() - b.as_array())) / (1.0 + init.norm()))
+    worst = float(np.max(errs))
     return [_count("n", n), Check("max_mismatch", worst, 1e-6, worst <= 1e-6)]
 
 
 def _suite_energy(rng, n) -> list[Check]:
-    worst = 0.0
+    rel = []
     for _ in range(n):
         pp, init = _random_mode(rng, 20.0)
         ts = rng.uniform(0.0, 10.0, 10)
         res, scale = lyapunov.energy_dissipation_residual(pp, init, ts)
-        worst = max(worst, float((res / scale).max()))
+        rel.append(res / scale)
+    worst = float(np.max(rel))
     return [_count("n", n), Check("max_identity_residual", worst, 1e-9, worst <= 1e-9)]
 
 
 def _suite_gronwall(p, rng, n_pairs) -> list[Check]:
     pairs = [p] + [params.validate(t, b) for t, b in
                    zip(rng.uniform(0.02, 0.9, n_pairs), rng.uniform(1.0, 2.0, n_pairs))]
-    min_g5 = math.inf
+    g5s = []
     worst_growth = 0.0
     ts = np.linspace(0.0, 20.0, 81)
     ks = np.array([0.3, 1.0, 5.0])
     for pp in pairs:
         w = lyapunov.default_weights(pp)
-        min_g5 = min(min_g5, w.gamma5)
+        g5s.append(w.gamma5)
         # one state drawn per frequency, in order; the three trajectories in one kernel call
         y0 = np.stack([_random_state(rng, k).as_array() for k in ks], axis=1)[:, :, None]
         st = mode_solver.ModeState(*mode_solver._evolve(pp, ks, y0, ts), k=ks[:, None, None])
         f = lyapunov.functionals(pp, st, w)
         val = f.lyap * np.exp(w.gamma5 * f.rho * ts)
         prev, val = val[..., :-1], val[..., 1:]
-        up = prev > 0
+        up = ~(prev <= 0)  # NaN kept, so that it fails
         worst_growth = float(np.max((val[up] - prev[up]) / prev[up], initial=worst_growth))
+    min_g5 = float(np.min(g5s))
     return [_count("pairs", len(pairs)),
             Check("min_gamma5", min_g5, 0.0, min_g5 > 0.0, text="{name}={value:.3e}"),
             Check("max_growth", worst_growth, 1e-8, worst_growth <= 1e-8)]
@@ -125,7 +128,7 @@ def _suite_lemmas(quick: bool) -> list[Check]:
     series = [s for dim, j in combos
               for s in decay.integral_lemma_check(dim, j, 1.0, tgrid).series.values()]
     worst = max(s.max_ratio for s in series)
-    over = max(float(np.max(s.quad_error - s.quad_tol)) for s in series)
+    over = float(np.max(np.concatenate([s.quad_error - s.quad_tol for s in series])))
     return [_count("combos", len(combos)),
             Check("max_ratio", worst, ran=False, text="{name}={value:.3f}"),
             # each quadrature error estimate within its target; not printed

@@ -605,8 +605,9 @@ class TestPathsAndExits:
 
         def scaled(*args):
             quads = quadratures(*args)
-            quad, tol = quads[name]
-            return {**quads, name: (dataclasses.replace(quad, value=quad.value * factor), tol)}
+            quad, tol, bound = quads[name]
+            return {**quads, name: (dataclasses.replace(quad, value=quad.value * factor), tol,
+                                    bound)}
 
         monkeypatch.setattr(decay, "_lemma_quadratures", scaled)
         code, out, _ = run(capsys, "verify", "--quick")

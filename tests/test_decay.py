@@ -625,3 +625,21 @@ class TestVanishingRelaxationLimit:
                   for tau in (1e-6, 1e-8)]
         assert slopes[0] == pytest.approx(slopes[1], rel=1e-3)
         assert 0.0 < slopes[1] < 1.0
+
+
+class TestLargeTimes:
+    """Past t ~ 1.3e154, t^2 times an O(1) quantity overflows: the mode and the
+    norms of u0 data are (nearly) 0 there, and come with no warning."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("t", [1e160, 1e300])
+    def test_mode_and_norms_without_a_warning(self, t):
+        from mgt_spectral import ModeState, solve_mode
+
+        st = solve_mode(P, ModeState(1.0, 1.0, 1.0, k=1.0), t)
+        assert st.as_array().tolist() == [0.0, 0.0, 0.0]
+        data = (GAUSS, ZERO, ZERO)
+        for value in (sobolev_norm_sq(P, data, 3, 0, t, 1e-10),
+                      v_norm_sq(P, data, 1, 0, t, 1e-10),
+                      sobolev_norm_sq(validate(0.965, 1.0), data, 2, 1, t, 1e-10)):
+            assert 0.0 <= value <= 1e-200

@@ -66,7 +66,7 @@ def test_oscillating_kernels_match_the_reference(dim, j, c, t):
     ref = _reference(dim, j, c, t)
     assert set(ref) == set(quads) - {"plain"}
     for name, value in ref.items():
-        quad, tol = quads[name]
+        quad, tol, _ = quads[name]
         assert quad.error <= tol, name
         assert _agrees(quad.value, value, tol), (name, quad.value - value, tol)
         # negative control: a reference 10 error targets off is caught
@@ -92,10 +92,10 @@ def _check(monkeypatch, dim, j, c, times, factors=None):
 
     def scaled(*args):
         quads = _lemma_quadratures(*args)
-        for name, (quad, tol) in quads.items():
+        for name, (quad, tol, bound) in quads.items():
             if name in factors:
                 quad = replace(quad, value=quad.value * factors[name](args[-1]))
-                quads[name] = (quad, tol)
+                quads[name] = (quad, tol, bound)
             values.setdefault(name, []).append(quad.value)
         return quads
 

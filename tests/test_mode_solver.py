@@ -72,6 +72,14 @@ class TestCoefficients:
             assert mode_coefficients(p, ModeState(1.0, 0.0, 0.0, k)).pattern is expect
 
 
+    def test_three_real_near_root_at_large_beta_over_tau(self):
+        # the factor's roots are (-1.28e16, -1): their sum form cancels to 0
+        co = mode_coefficients(validate(1e-20, 1.0), ModeState(1.0, 0.0, 0.0, 1.13e8))
+        assert co.pattern is RootPattern.THREE_DISTINCT_REAL
+        assert co.structure[2] == pytest.approx(-1.0, rel=1e-12)
+        assert co.coeffs[2] == pytest.approx(1.0, rel=1e-12)
+
+
 class TestSolveMode:
     def test_identity_at_zero(self):
         rng = np.random.default_rng(11)
@@ -628,3 +636,13 @@ class TestSmallTauAgainstMpmath:
         assert max(worst[unit, 0] for unit in range(3)) <= 1e-11, worst
         # u' from u''(0) = 1 is left out: its loss is componentwise, not this cancellation
         assert max(worst[0, 1], worst[1, 1]) <= 1e-12, worst
+
+    @pytest.mark.parametrize("tau, k", [(1e-20, 1.13e8), (1e-10, 2.143e4)])
+    def test_u_at_large_beta_over_tau(self, tau, k):
+        # a three-real factor with two roots far apart: u ~ e^-t from the near one
+        mp = pytest.importorskip("mpmath")
+        times = (1e-3, 1.0, 10.0)
+        got = solve_mode(validate(tau, 1.0), ModeState(1.0, 0.0, 0.0, k), np.array(times)).u_hat
+        with mp.workdps(50):
+            ref = [u for u, _ in self._reference(mp, tau, k, 0, times)]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref)), (got, ref)

@@ -123,6 +123,40 @@ class TestRandomSweep:
             assert match_sets(pt.lambdas, oracle_roots(p, k), 1e-7 * max(1.0, 1.0 / tau))
 
 
+def _worst_residual(beta_over_tau):
+    """The largest relative root residual of _spectrum at beta = 1 over
+    k = (1e-3 ... 1e3)/sqrt(tau beta), 401 points."""
+    p = validate(1.0 / beta_over_tau, 1.0)
+    ks = np.geomspace(1e-3, 1e3, 401) / math.sqrt(p.tau * p.beta)
+    lams, _ = spectrum._spectrum(p, ks * ks)
+    r, s = characteristic_residual(p, lams, ks[:, None])
+    return float(np.max(r / s))
+
+
+class TestLargeStiffnessRatio:
+    """At large beta/tau a three-real row's factor holds two far-apart roots,
+    e.g. (-1.28e16, -1) at (1e-20, 1, 1.13e8), whose sum alpha + sqrt(q)
+    cancels; the near root is taken from the factor's product instead."""
+
+    RATIOS = [10.0**e for e in range(4, 21)]
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    def test_every_root_meets_the_residual_budget(self, ratio):
+        assert _worst_residual(ratio) <= spectrum.TOL_RESIDUAL
+
+    def test_the_sum_form_misses_it(self, monkeypatch):
+        # negative control: alpha + sqrt(q) for the near root
+        monkeypatch.setattr(spectrum, "_upper_root",
+                            lambda c, lam, alpha, q: alpha + np.sqrt(np.maximum(q, 0.0)))
+        assert max(_worst_residual(r) for r in self.RATIOS) > spectrum.TOL_RESIDUAL
+
+    def test_no_zero_root(self):
+        # p(0) = k^2 != 0
+        lambdas = eigenvalues(validate(1e-20, 1.0), 1.13e8).lambdas
+        assert lambdas[2] == pytest.approx(-1.0, rel=1e-12)
+        assert all(z != 0.0 for z in lambdas)
+
+
 class TestAsymptotics:
     def test_small_k_base_point(self):
         tr = asymptotic_small_k(P, 0.0)

@@ -85,3 +85,70 @@ def test_tilted_curve_fails_verify(tilted):
     dim3 = {c.name: c for c in checks}["dim3_slope"]
     assert dim3.ran and not dim3.passed
     assert not verify.passed([("theorem_bounds", checks)])
+
+
+def _nan_on_call(monkeypatch, module, name, n, poison):
+    """Replace module.name so that its n-th call returns poison(result)."""
+    exact, calls = getattr(module, name), []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        out = exact(*args, **kwargs)
+        return poison(out) if len(calls) == n else out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def _checks(checks):
+    return {c.name: c for c in checks}
+
+
+def test_a_nan_mode_fails_oracle_equivalence(monkeypatch):
+    from mgt_spectral import mode_solver
+    # one NaN u among 20 draws; the other 19 agree to ~1e-13
+    _nan_on_call(monkeypatch, mode_solver, "solve_mode", 7,
+                 lambda st: dataclasses.replace(st, u_hat=complex(np.nan)))
+    check = _checks(verify._suite_oracle(np.random.default_rng(0), 20))["max_mismatch"]
+    assert np.isnan(check.value) and not check.passed
+
+
+def test_a_nan_residual_fails_energy_identity(monkeypatch):
+    from mgt_spectral import lyapunov
+    _nan_on_call(monkeypatch, lyapunov, "energy_dissipation_residual", 3,
+                 lambda rs: (np.where(np.arange(rs[0].size) == 4, np.nan, rs[0]), rs[1]))
+    check = _checks(verify._suite_energy(np.random.default_rng(0), 5))["max_identity_residual"]
+    assert np.isnan(check.value) and not check.passed
+
+
+def test_a_nan_gamma5_fails_gronwall_margin(monkeypatch):
+    from mgt_spectral import lyapunov
+    _nan_on_call(monkeypatch, lyapunov, "default_weights", 2,
+                 lambda w: dataclasses.replace(w, gamma5=np.nan))
+    check = _checks(verify._suite_gronwall(P, np.random.default_rng(0), 2))["min_gamma5"]
+    assert np.isnan(check.value) and not check.passed
+
+
+def test_a_nan_lyapunov_value_fails_gronwall_margin(monkeypatch):
+    from mgt_spectral import lyapunov
+    _nan_on_call(monkeypatch, lyapunov, "functionals", 2,
+                 lambda f: dataclasses.replace(f, lyap=np.where(f.rho > 0.5, np.nan, f.lyap)))
+    check = _checks(verify._suite_gronwall(P, np.random.default_rng(0), 2))["max_growth"]
+    assert np.isnan(check.value) and not check.passed
+
+
+def test_a_nan_error_estimate_fails_error_excess(monkeypatch):
+    # one NaN quadrature error estimate: sine_low at t = 1e4, the last time of the grid
+    quadratures = decay._lemma_quadratures
+
+    def poisoned(dim, j, c, t):
+        rows = quadratures(dim, j, c, t)
+        if t == 1e4:
+            quad, tol, bound = rows["sine_low"]
+            rows["sine_low"] = (dataclasses.replace(quad, error=np.nan), tol, bound)
+        return rows
+
+    monkeypatch.setattr(decay, "_lemma_quadratures", poisoned)
+    checks = _checks(verify._suite_lemmas(True))
+    assert np.isnan(checks["error_excess"].value) and not checks["error_excess"].passed
+    # the bound rule saw no NaN value
+    assert checks["sine_low_bound_excess"].passed
