@@ -24,15 +24,15 @@ from .params import (ModelParams, CardanoThresholds, Regime, DataClass, TheoremR
 
 # public name -> the layer module that defines it
 _LAYER_OF = {name: layer for layer, names in {
-    "spectrum": ("RootPattern", "Labeling", "SpectrumPoint", "AsymptoticTriple",
-                 "eigenvalues", "classify", "asymptotic_small_k", "asymptotic_large_k",
-                 "atlas", "atlas_rows", "characteristic_residual"),
+    "spectrum": ("RootPattern", "SpectrumPoint", "AsymptoticTriple", "eigenvalues",
+                 "asymptotic_small_k", "asymptotic_large_k", "atlas", "atlas_rows",
+                 "characteristic_residual"),
     "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "FrequencyProfile", "ProfileKind",
                     "mode_coefficients", "solve_mode", "propagate_numeric", "v_vector",
-                    "solve_modes_on_grid", "mode_matrix", "ode_residual"),
+                    "solve_modes_on_grid", "mode_matrix"),
     "lyapunov": ("LyapunovWeights", "FunctionalValues", "default_weights", "functionals",
-                 "energy_dissipation_residual", "gronwall_margin", "decay_margin_exact",
-                 "pointwise_bound_constants", "rho"),
+                 "energy_dissipation_residual", "gronwall_margin", "pointwise_bound_constants",
+                 "rho"),
     "decay": ("RegionSplit", "RegionContributions", "DecayCurve", "Check", "region_split",
               "region_rates", "sobolev_norm_sq", "v_norm_sq", "region_contributions",
               "decay_curve", "decay_curve_rows", "bound_verdict", "decay_curve_summary",

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import lyapunov
 from .errors import DegenerateFit, InvalidInput, QuadratureFailure
-from .mode_solver import DataTriple, FrequencyProfile, _time_grid, _times, solve_modes_on_grid
+from .mode_solver import DataTriple, FrequencyProfile, _time, _time_grid, solve_modes_on_grid
 from .params import (DataClass, ModelParams, _check_orders, cardano_thresholds,
                      high_frequency_rate, theorem_rates)
 from .quadrature import QuadResult, Split, _tolerance, adaptive_quadrature
@@ -305,7 +305,7 @@ def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
     untrusted panel.
     """
     _check_orders(dim, j)
-    t = float(_times(t))
+    t = _time(t)
     _tolerance(quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
         return QuadResult(0.0, 0.0, 0, 0), 0.0, 0.0
@@ -343,7 +343,7 @@ def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: 
                          quad_tol: float = 1e-10) -> RegionContributions:
     """The three partial integrals over [0, nu1], [nu1, nu2], [nu2, inf) of region_split(p)."""
     _check_orders(dim, j)
-    t = float(_times(t))
+    t = _time(t)
     _tolerance(quad_tol)
     split = region_split(p)
     k_max = _kmax_certified(_norm_tail(p, data, dim, j, t, False), 0.5 * quad_tol)
@@ -360,10 +360,13 @@ def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: 
 def fit_decay_slope(times: Sequence[float], values: Sequence[float]) -> float:
     """Least-squares slope of log(value) against x = log(1 + t) over all the
     given points, in closed form sum (x - mean x)(y - mean y) / sum (x - mean x)^2.
-    Raises DegenerateFit on fewer than 3 points, a value that is not finite
-    and positive, a time that is not finite and > -1, or a single x."""
+    Raises DegenerateFit on times and values of different shapes, fewer than
+    3 points, a value that is not finite and positive, a time that is not
+    finite and > -1, or a single x."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
+    if times.shape != values.shape:
+        raise DegenerateFit(f"fit has times of shape {times.shape}, values {values.shape}")
     if times.size < 3:
         raise DegenerateFit(f"fit has {times.size} points; need at least 3")
     if not np.all(np.isfinite(values) & (values > 0.0)):

@@ -198,14 +198,6 @@ def _certified_margins(p: ModelParams, ks: np.ndarray, gamma0: float,
 _DEFAULT_K_GRID = np.concatenate([np.geomspace(1e-3, 1e4, 140), [1e6, 1e9]])
 
 
-def _positive_grid(k_grid: np.ndarray | None) -> np.ndarray:
-    ks = _DEFAULT_K_GRID if k_grid is None else _frequencies(k_grid)
-    ks = ks[ks > 0.0]
-    if ks.size == 0:
-        raise EmptyInput("the frequency grid holds no positive frequency")
-    return ks
-
-
 def default_weights(p: ModelParams) -> LyapunovWeights:
     """Build the standard weight selection and measure its constants.
 
@@ -214,10 +206,10 @@ def default_weights(p: ModelParams) -> LyapunovWeights:
     C(eps0) = (beta-tau)^2/(4 eps0) and C(eps1, eps2) = tau^2/(4 eps2)
     + 1/(4 eps1).  equiv_lo/equiv_hi are gamma0 -/+ sigma/2, the exact
     extremes of L/E over states and frequencies (k/(1 + k^2) peaks at 1/2 at
-    k = 1).  gamma5 is the least certified decay margin (see
-    decay_margin_exact) over a fixed grid of 140 frequencies from 1e-3 to 1e4
-    plus 1e6 and 1e9, widened by 0.1% against between-node variation.  All
-    three agree with 40-digit mpmath to about 2e-16.
+    k = 1).  gamma5 is the least certified decay margin (_certified_margins)
+    over a fixed grid of 140 frequencies from 1e-3 to 1e4 plus 1e6 and 1e9,
+    widened by 0.1% against between-node variation.  All three agree with
+    40-digit mpmath to about 2e-16.
     """
     eps0 = eps1 = 0.5
     gamma1 = 4.0
@@ -238,22 +230,6 @@ def default_weights(p: ModelParams) -> LyapunovWeights:
     return LyapunovWeights(gamma0=gamma0, gamma1=gamma1, eps0=eps0, eps1=eps1,
                            eps2=eps2, gamma5=0.999 * g5, equiv_lo=gamma0 - gap,
                            equiv_hi=gamma0 + gap, v_lo=v_lo, v_hi=v_hi)
-
-
-def decay_margin_exact(p: ModelParams, w: LyapunovWeights,
-                       k_grid: np.ndarray | None = None) -> float:
-    """Minimum over a frequency grid (zeros skipped) of the exact per-mode decay margin.
-
-    The margin at k, for any weights w, is the largest mu with
-    dL/dt + mu rho L <= 0 for every state of the mode: the least eigenvalue of
-    the pencil (G, Lam) of the module docstring, found by Newton from mu = 0
-    and certified by the LDL^T pivots of G - mu Lam just below and above it.
-    Raises NonPositiveMargin naming the first frequency where L is indefinite
-    (gamma0 - sigma k/(1 + k^2) <= 0), no positive margin exists or the
-    bracket fails.
-    """
-    ks = _positive_grid(k_grid)
-    return float(_certified_margins(p, ks, w.gamma0, w.gamma1).min())
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ mode_coefficients reads the per-pattern coefficients off its first
 components: a description of the mode that no evaluation uses.  There is
 one pattern decision and no way to override it: the description takes its
 pattern and roots from spectrum's routed spectrum (_route_confluent, the
-path behind classify, eigenvalues and atlas), so it never disagrees with
-classify.
+path behind eigenvalues and atlas), so it never disagrees with them.
 
 propagate_numeric() is the cross-check oracle for the closed form: the
 matrix exponential of Phi t by balanced Pade scaling and squaring (_expm3),
@@ -73,9 +72,9 @@ class ModeState:
 class ModeCoefficients:
     """Expansion coefficients of one mode: a description, evaluated by solve_mode.
 
-    `pattern` is classify(p, k), read from the same routed spectrum row as
-    `structure`, which holds the roots in the layout of that pattern, and
-    `coeffs` weigh its basis:
+    `pattern` is eigenvalues(p, k).pattern, read from the same routed
+    spectrum row as `structure`, which holds the roots in the layout of that
+    pattern, and `coeffs` weigh its basis:
     REAL_PLUS_PAIR -> (lam_real, alpha, omega): e^{lam_real t}, e^{alpha t} cos, sin(omega t),
     THREE_DISTINCT_REAL -> (lam1, lam2, lam3): e^{lam_i t},
     REAL_WITH_DOUBLE -> (lam_simple, lam_double): e^{lam_simple t}, (1, t) e^{lam_double t},
@@ -300,9 +299,19 @@ def _times(t) -> np.ndarray:
     return _nonnegative(t, "time", InvalidInput)
 
 
+def _time(t) -> float:
+    """One time as a float, by the rule of _times."""
+    if (ts := _times(t)).ndim:
+        raise InvalidInput(f"time must be a number, got {t!r}")
+    return float(ts)
+
+
 def _time_grid(time_grid) -> np.ndarray:
-    """The time-grid rule: nonempty (EmptyInput), each by _times, strictly ascending (GridError)."""
-    times = _times(list(time_grid))
+    """The time-grid rule: each entry by _times, one-dimensional (GridError), nonempty
+    (EmptyInput), strictly ascending (GridError)."""
+    times = _times(time_grid)
+    if times.ndim != 1:
+        raise GridError(f"time grid must be one-dimensional, got shape {times.shape}")
     if times.size == 0:
         raise EmptyInput("empty time grid")
     if np.any(np.diff(times) <= 0.0):
@@ -313,8 +322,8 @@ def _time_grid(time_grid) -> np.ndarray:
 def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:
     """Expansion coefficients of the mode init starts, in the basis of its root pattern.
 
-    The pattern and the roots are those of classify(p, k) and eigenvalues(p, k)
-    at k = init.k: the one routed decision of spectrum._route_confluent, made
+    The pattern and the roots are those of eigenvalues(p, k) at k = init.k:
+    the one routed decision of spectrum._route_confluent, made
     on the factor that solve_mode propagates with.  The coefficients are
     the u components of _expansion's y0 - P, P, S on the routed factor (q := 0
     at a double root), a triple root's its Taylor coefficients.  It raises only
@@ -372,24 +381,6 @@ def solve_mode(p: ModelParams, init: ModeState, t) -> ModeState:
     return ModeState(*(complex(x) if t.ndim == 0 else x for x in y), k=k)
 
 
-def ode_residual(p: ModelParams, init: ModeState, t: float) -> tuple[float, float]:
-    """|tau*u''' + u'' + k^2 u + beta k^2 u'| at time t, with its magnitude scale.
-
-    The third derivative is the kernel applied to Phi y0 (no matrix formed),
-    independently of the propagated state.  It takes the inputs of solve_mode
-    at one time and raises as it does.
-    """
-    t = _times(t)
-    k = _frequency(init.k)
-    y0, k2 = init.as_array(), k * k
-    ys = np.stack([y0, _apply_phi(1.0 / p.tau, p.beta * k2 / p.tau, k2 / p.tau, y0)], axis=1)
-    y = _evolve(p, np.array([k]), ys[:, None], t)[:, 0]
-    u, v, w, w_t = (complex(x) for x in (*y[:, 0], y[2, 1]))
-    res = abs(p.tau * w_t + w + k2 * u + p.beta * k2 * v)
-    scale = p.tau * abs(w_t) + abs(w) + k2 * abs(u) + p.beta * k2 * abs(v)
-    return res, max(scale, 1e-300)
-
-
 def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     """Independent oracle: exp(Phi t) y0 by a balanced scaling-and-squaring Pade
     exponential (_expm3).
@@ -408,7 +399,7 @@ def propagate_numeric(p: ModelParams, init: ModeState, t) -> ModeState:
     """
     ts = _times(t)
     k = _frequency(init.k)
-    phase = k * float(np.max(ts)) * math.sqrt(p.beta / p.tau)
+    phase = k * float(np.max(ts, initial=0.0)) * math.sqrt(p.beta / p.tau)
     if phase > ORACLE_MAX_PHASE:
         raise InvalidInput(f"the oracle needs k t sqrt(beta/tau) <= {ORACLE_MAX_PHASE:.0e}, "
                            f"got {phase:.3e}")
@@ -503,10 +494,11 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     quadratures.  The data broadcast against ks.  The three arrays unpack as a
     tuple, whose `split` writes them out on the complex pair of the cubic,
     from the same Newton directions.  The results are real for real data and
-    complex for complex data.  Raises by the time and frequency rules, and
-    InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
+    complex for complex data.  Raises by the time rule (t is one time) and
+    the frequency rule, and InvalidFrequency where beta*k^2/tau exceeds
+    spectrum.MAX_STIFFNESS.
     """
-    t = _times(t)
+    t = _time(t)
     ks = _frequencies(ks)
     y0 = np.stack(np.broadcast_arrays(u0, u1, u2, ks)[:3])
     nodes = _cubic_roots_batch(p.tau, p.beta, ks * ks)

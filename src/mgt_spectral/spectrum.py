@@ -17,7 +17,7 @@ propagates with that factor directly; the other two roots are read off it,
 so the three satisfy the Vieta sums to the residual of the real root: at
 any k, and however close they are near m1, m2 and the critical ratio.  One
 batched path (_spectrum) makes the root-and-pattern decision for
-eigenvalues, classify, atlas and the `mgt verify` sweep, elementwise in tau
+eigenvalues, atlas and the `mgt verify` sweep, elementwise in tau
 and beta as in k^2, so that a float parameter record is the batch of one:
 roots within TOL_CONFLUENT of each other are a double root, and within
 TOL_BOUNDARY of the critical ratio's triple point the triple root is -1/(3 tau).
@@ -57,24 +57,18 @@ class RootPattern(Enum):
     TRIPLE_REAL = "TripleReal"
 
 
-class Labeling(Enum):
-    CANONICAL = "Canonical"
-    BRANCH_CONTINUOUS = "BranchContinuous"
-
-
 @dataclass(frozen=True)
 class SpectrumPoint:
     """The three eigenvalues at one frequency magnitude.
 
-    Canonical labeling puts the real root first when a conjugate pair exists
-    (the pair member with Im >= 0 second) and sorts all-real triples in
-    ascending order.  Branch-continuous labeling is produced by atlas().
+    eigenvalues() labels them canonically: the real root first when a
+    conjugate pair exists (the pair member with Im >= 0 second), all-real
+    triples in ascending order.  atlas() labels them for branch continuity.
     """
 
     k: float
     lambdas: tuple[complex, complex, complex]
     pattern: RootPattern
-    labeling: Labeling = Labeling.CANONICAL
 
 
 @dataclass(frozen=True)
@@ -262,21 +256,9 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
 
 def _spectrum(p: ModelParams, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(roots, patterns) for an array of k2 >= 0: canonical roots of each row
-    and its RootPattern, the one path behind eigenvalues, classify, atlas and
-    the `mgt verify` sweep; p's tau and beta are floats or rows like k2."""
+    and its RootPattern, the one path behind eigenvalues, atlas and the
+    `mgt verify` sweep; p's tau and beta are floats or rows like k2."""
     return _route_confluent(p, k2, _cubic_roots_batch(p.tau, p.beta, k2))
-
-
-def classify(p: ModelParams, k: float) -> RootPattern:
-    """Root pattern at frequency k, the pattern eigenvalues(p, k) returns.
-
-    It comes from the one batched root-and-pattern decision behind
-    eigenvalues, atlas and mode_solver.mode_coefficients, so it never
-    disagrees with any of them, and follows eigenvalues' backward-error
-    contract.  Raises InvalidFrequency on negative or non-finite k, and where
-    beta*k^2/tau exceeds MAX_STIFFNESS.
-    """
-    return eigenvalues(p, k).pattern
 
 
 def eigenvalues(p: ModelParams, k: float) -> SpectrumPoint:
@@ -332,9 +314,11 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     the two assignments tie exactly, whatever the last bits of the roots.
     Values and patterns agree with eigenvalues() up to permutation, under its
     backward-error contract.  Entries follow the frequency rule; an empty grid
-    raises EmptyInput, a descending one GridError.
+    raises EmptyInput, and a descending or not one-dimensional grid GridError.
     """
-    ks = _frequencies(list(k_grid))
+    ks = _frequencies(k_grid)
+    if ks.ndim != 1:
+        raise GridError(f"frequency grid must be one-dimensional, got shape {ks.shape}")
     if ks.size == 0:
         raise EmptyInput("empty frequency grid")
     if np.any(np.diff(ks) < 0.0):
@@ -352,8 +336,7 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     for row in best.tolist():
         chosen.append(row[chosen[-1]])
     lams = np.take_along_axis(roots, _PERMS[chosen], axis=1)
-    return [SpectrumPoint(k=float(k), lambdas=tuple(row), pattern=pattern,
-                          labeling=Labeling.BRANCH_CONTINUOUS)
+    return [SpectrumPoint(k=float(k), lambdas=tuple(row), pattern=pattern)
             for k, row, pattern in zip(ks, lams, patterns)]
 
 

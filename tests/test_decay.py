@@ -168,6 +168,8 @@ class TestSlopeFit:
         ([-1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
         ([-2.0, 2.0, 3.0, 4.0, 5.0, 6.0], [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
         ([3.0] * 6, [1.0, 2.0, 3.0, 1.0, 2.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([[1.0, 2.0, 3.0]], [1.0, 2.0, 3.0]),
     ])
     def test_no_slope_is_a_degenerate_fit(self, times, values, capfd):
         # not a silent number, a NaN, an untyped LinAlgError, a warning or LAPACK stderr

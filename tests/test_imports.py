@@ -1,5 +1,7 @@
 """Import hygiene: the library and every `mgt` command, `mgt verify` included,
-never load scipy, and the front door loads no numpy.
+never load scipy, mpmath, sympy or hypothesis (test dependencies only), and
+the front door loads no numpy.  Every public name has a reader outside the
+tests, and README's public-name table lists them.
 
 scipy is a test dependency only: the matrix-exponential oracle
 (`propagate_numeric`, run by `mgt verify`) is numpy's, and no `mgt`
@@ -12,7 +14,9 @@ loads in `mgt decay`), not the `mgt verify` suites in `mgt_spectral.verify`
 and not the `--config` handling in `mgt_spectral._config`.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +35,8 @@ for argv in (["classify", *point],
              ["verify", "--quick", *point]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert mgt_spectral.cli.main(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.startswith("scipy")))
+print(sorted(name for name in sys.modules
+             if name.split(".")[0] in ("scipy", "mpmath", "sympy", "hypothesis")))
 """
 
 
@@ -140,7 +145,7 @@ def test_every_public_name_is_the_defining_module_object():
     probe = """
 import importlib, inspect
 import mgt_spectral
-assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 79
+assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 75
 for name in mgt_spectral.__all__:
     obj = getattr(mgt_spectral, name)
     if inspect.ismodule(obj):
@@ -192,3 +197,55 @@ def test_every_error_type_is_raised_and_has_one_exit_code():
         assert exc.__name__ in raised, f"nothing raises {exc.__name__}"
         routes = (issubclass(exc, cli._BAD_INPUT_ERRORS), issubclass(exc, cli._NUMERICAL_ERRORS))
         assert routes.count(True) == 1, (exc.__name__, routes)
+
+
+ROOT = SRC.parent
+
+#: names with no reader outside the tests: the modules, and mode_coefficients,
+#: which bench/tests/test_bench.py pins as the alias lyapunov.mode_coefficients
+#: until that pin moves to an alias lyapunov uses (ROADMAP item 3)
+NO_READER_NEEDED = {"mode_coefficients"}
+
+
+def _readers() -> dict[str, set[str]]:
+    """name -> the files that read it, as a loaded name or an attribute, among
+    src/ (not __init__.py), demos/, bench/ (not bench/tests) and the acceptance
+    tests; an import reads nothing."""
+    files = [p for p in (SRC / "mgt_spectral").glob("*.py") if p.name != "__init__.py"]
+    files += list((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    files += [p for p in (ROOT / "bench").rglob("*.py") if "tests" not in p.parts]
+    readers: dict[str, set[str]] = {}
+    for path in files:
+        rel = path.relative_to(ROOT).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                readers.setdefault(node.id, set()).add(rel)
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, set()).add(rel)
+    return readers
+
+
+def _readme_table() -> dict[str, str]:
+    """README's public-name table: name -> its reader cell."""
+    table = (ROOT / "README.md").read_text().split("| name | layer | one reader |")[1]
+    return dict(re.findall(r"^\| `([^`]+)` \| [^|]+ \| (.+) \|$", table.split("\n\n")[0],
+                           re.M))
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    import inspect
+
+    import mgt_spectral
+
+    readers = _readers()
+    exempt = NO_READER_NEEDED | {name for name in mgt_spectral.__all__
+                                 if inspect.ismodule(getattr(mgt_spectral, name))}
+    unread = [name for name in mgt_spectral.__all__ if name not in exempt and name not in readers]
+    assert not unread, unread
+
+    table = _readme_table()
+    assert list(table) == mgt_spectral.__all__
+    # each row's reader (its first `path`) reads the name
+    wrong = [name for name, cell in table.items() if name not in exempt
+             and re.match(r"`([^`]+)`", cell)[1] not in readers[name]]
+    assert not wrong, wrong

@@ -23,12 +23,11 @@ from mgt_spectral import mode_solver
 from mgt_spectral import (DataClass, EmptyInput, FrequencyProfile, GridError, InvalidFrequency,
                           InvalidInput, MGTError, ModeState, ProfileKind, adaptive_quadrature,
                           applicable_exponents, asymptotic_large_k, asymptotic_small_k, atlas,
-                          characteristic_residual, classify, decay_curve, decay_margin_exact,
-                          default_weights, eigenvalues, energy_dissipation_residual,
-                          gronwall_margin, integral_lemma_check, mode_coefficients,
-                          mode_matrix, ode_residual, propagate_numeric, region_contributions,
-                          rho, sobolev_norm_sq, solve_mode, solve_modes_on_grid,
-                          theorem_rates, v_norm_sq, validate)
+                          characteristic_residual, decay_curve, default_weights, eigenvalues,
+                          energy_dissipation_residual, gronwall_margin, integral_lemma_check,
+                          mode_coefficients, mode_matrix, propagate_numeric,
+                          region_contributions, rho, sobolev_norm_sq, solve_mode,
+                          solve_modes_on_grid, theorem_rates, v_norm_sq, validate)
 
 P = validate(0.1, 1.0)
 DATA = (FrequencyProfile.zero(), FrequencyProfile.zero(), FrequencyProfile.gaussian())
@@ -46,7 +45,6 @@ def _state(k):
 #: the time rule, mode_solver._times: a finite number >= 0, or InvalidInput
 TIME = {
     "solve_mode": lambda t: solve_mode(P, UNIT, t),
-    "ode_residual": lambda t: ode_residual(P, UNIT, t),
     "solve_modes_on_grid": lambda t: solve_modes_on_grid(P, np.array([0.5, 1.0]),
                                                          1.0, 0.0, 0.0, t),
     "propagate_numeric": lambda t: propagate_numeric(P, UNIT, t),
@@ -58,8 +56,11 @@ TIME = {
     "region_contributions": lambda t: region_contributions(P, DATA, 3, 0, t, 1e-6),
 }
 
-#: the time-grid rule, decay._time_grid: nonempty, each entry by the time rule,
-#: strictly ascending
+#: the functions of TIME that take one time (mode_solver._time): an array is not a number
+ONE_TIME = ("solve_modes_on_grid", "sobolev_norm_sq", "v_norm_sq", "region_contributions")
+
+#: the time-grid rule, mode_solver._time_grid: each entry by the time rule,
+#: one-dimensional, nonempty, strictly ascending
 TIME_GRID = {
     "decay_curve": lambda grid: decay_curve(P, DATA, 3, 0, grid, 1e-6),
     "integral_lemma_check": lambda grid: integral_lemma_check(3, 0, 1.0, grid),
@@ -69,21 +70,24 @@ TIME_GRID = {
 FREQUENCY = {
     "solve_mode": lambda k: solve_mode(P, _state(k), 1.0),
     "propagate_numeric": lambda k: propagate_numeric(P, _state(k), 1.0),
-    "ode_residual": lambda k: ode_residual(P, _state(k), 1.0),
     "mode_coefficients": lambda k: mode_coefficients(P, _state(k)),
     "energy_dissipation_residual": lambda k: energy_dissipation_residual(P, _state(k), 1.0),
     "solve_modes_on_grid": lambda k: solve_modes_on_grid(P, np.array([0.5, k]),
                                                          1.0, 0.0, 0.0, 1.0),
     "eigenvalues": lambda k: eigenvalues(P, k),
-    "classify": lambda k: classify(P, k),
     "asymptotic_small_k": lambda k: asymptotic_small_k(P, k),
     "asymptotic_large_k": lambda k: asymptotic_large_k(P, k),
     "atlas": lambda k: atlas(P, [0.0, k]),
     "characteristic_residual": lambda k: characteristic_residual(P, -1.0, k),
     "mode_matrix": lambda k: mode_matrix(P, k),
     "rho": lambda k: rho(k),
-    "decay_margin_exact": lambda k: decay_margin_exact(P, default_weights(P), [0.5, k]),
     "gronwall_margin": lambda k: gronwall_margin(P, default_weights(P), [1.0, k], [UNIT]),
+}
+
+#: the frequency-grid rule, in atlas: each entry by the frequency rule (the FREQUENCY
+#: table), one-dimensional, nonempty, ascending
+FREQUENCY_GRID = {
+    "atlas": lambda grid: atlas(P, grid),
 }
 
 #: the tolerance rule, quadrature._tolerance: a finite number > 0, or InvalidInput
@@ -152,7 +156,9 @@ def test_time_rule(name, bad, in_array):
 
 @pytest.mark.parametrize("name, bad", [(name, bad) for name in TIME for bad in (None, "soon")
                                        # None asks gronwall_margin for its default grid
-                                       if (name, bad) != ("gronwall_margin", None)])
+                                       if (name, bad) != ("gronwall_margin", None)]
+                         + [(name, np.array([1.0, 2.0])) for name in ONE_TIME]
+                         + [(name, [1.0]) for name in ONE_TIME])
 def test_time_rule_names_a_non_number(name, bad):
     with _raises(InvalidInput, f"time must be a number, got {bad!r}"):
         TIME[name](bad)
@@ -167,10 +173,24 @@ def test_time_rule_names_a_non_number(name, bad):
     ([0.0, math.nan, 10.0], InvalidInput, "time must be finite and >= 0, got nan"),
     (np.array([0.0, math.inf]), InvalidInput, "time must be finite and >= 0, got inf"),
     ([0.0, -math.inf], InvalidInput, "time must be finite and >= 0, got -inf"),
+    ([[0.0, 1.0], [2.0, 3.0]], GridError, "time grid must be one-dimensional, got shape (2, 2)"),
+    (10.0, GridError, "time grid must be one-dimensional, got shape ()"),
 ])
 def test_time_grid_rule(name, grid, error, message):
     with _raises(error, message):
         TIME_GRID[name](grid)
+
+
+@pytest.mark.parametrize("name", FREQUENCY_GRID)
+@pytest.mark.parametrize("grid, error, message", [
+    ([], EmptyInput, "empty frequency grid"),
+    ([1.0, 0.5], GridError, "frequency grid must be ascending"),
+    ([[0.0, 1.0]], GridError, "frequency grid must be one-dimensional, got shape (1, 2)"),
+    (1.0, GridError, "frequency grid must be one-dimensional, got shape ()"),
+])
+def test_frequency_grid_rule(name, grid, error, message):
+    with _raises(error, message):
+        FREQUENCY_GRID[name](grid)
 
 
 @pytest.mark.parametrize("name", FREQUENCY)

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from mgt_spectral import (EmptyInput, ModeState, NonPositiveMargin,
-                          decay_margin_exact, default_weights, energy_dissipation_residual,
-                          functionals, gronwall_margin, pointwise_bound_constants, rho,
-                          solve_mode, v_vector, validate)
+from mgt_spectral import (EmptyInput, ModeState, NonPositiveMargin, default_weights,
+                          energy_dissipation_residual, functionals, gronwall_margin,
+                          pointwise_bound_constants, rho, solve_mode, v_vector, validate)
 from mgt_spectral import lyapunov
 from mgt_spectral.lyapunov import _DEFAULT_K_GRID
 
@@ -171,11 +170,12 @@ class TestGronwallMargin:
         w = default_weights(P)
         rng = np.random.default_rng(29)
         samples = [random_state(rng, 1.0) for _ in range(4)]
-        g5 = gronwall_margin(P, w, np.geomspace(0.05, 50.0, 10), samples)
+        ks = np.geomspace(0.05, 50.0, 10)
+        g5 = gronwall_margin(P, w, ks, samples)
         assert g5 > 0.0
         # the trajectory sweep can only be at least as optimistic as the
         # exact state-minimum margin
-        assert g5 >= decay_margin_exact(P, w, np.geomspace(0.05, 50.0, 10)) - 1e-9
+        assert g5 >= lyapunov._certified_margins(P, ks, w.gamma0, w.gamma1).min() - 1e-9
 
     def test_margin_is_the_largest_admissible(self):
         # gamma5 rho L <= MARGIN_TOL L - dL/dt at every swept point, and 1e-12
@@ -400,12 +400,12 @@ class TestWeightsAgainstMpmath:
             for name, g, r in zip(("gamma5", "equiv_lo", "equiv_hi"), got, ref):
                 assert abs(g - r) <= 1e-13 * abs(r), (p, name, g, r)
 
-    def test_decay_margin_exact_matches_mpmath(self):
+    def test_certified_margins_match_mpmath(self):
         ks = np.geomspace(0.05, 50.0, 10)
         for p in _weight_points():
             w = default_weights(p)
             ref = _mp_weight_reference(p, w, ks)[0]
-            got = decay_margin_exact(p, w, ks)
+            got = lyapunov._certified_margins(p, ks, w.gamma0, w.gamma1).min()
             assert abs(got - ref) <= 1e-13 * abs(ref), (p, got, ref)
 
 
@@ -424,8 +424,9 @@ class TestLapackFree:
     def test_weights_margin_and_mode_command(self, no_linalg, capsys):
         from mgt_spectral.cli import main
 
-        w = default_weights(validate(0.9999, 1.0))
-        assert decay_margin_exact(validate(0.9999, 1.0), w) > 0.0
+        p = validate(0.9999, 1.0)
+        w = default_weights(p)
+        assert (lyapunov._certified_margins(p, _DEFAULT_K_GRID, w.gamma0, w.gamma1) > 0.0).all()
         assert main(["mode", "--tau", "0.9999", "--beta", "1", "--t-count", "3"]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
         assert len(rows) == 4  # the column header and three times
@@ -435,7 +436,7 @@ class TestLapackFree:
         # negative control: 1e-9 above the grid minimum some pivot is not positive
         p = validate(tau, beta)
         w = default_weights(p)
-        g5 = decay_margin_exact(p, w)
+        g5 = lyapunov._certified_margins(p, _DEFAULT_K_GRID, w.gamma0, w.gamma1).min()
         pencil = lyapunov._decay_pencil(p, _DEFAULT_K_GRID, w.gamma0, w.gamma1)
         assert lyapunov._positive_definite(*pencil, g5 * (1.0 - 1e-9)).all()
         assert not lyapunov._positive_definite(*pencil, g5 * (1.0 + 1e-9)).all()
@@ -453,24 +454,11 @@ class TestNonPositiveMarginIsTyped:
         sigma = math.sqrt(1.0 + 16.0 * P.tau / (P.beta - P.tau))
         first = next(k for k in _DEFAULT_K_GRID if 0.1 - sigma * k / (1.0 + k * k) <= 0.0)
         with pytest.raises(NonPositiveMargin, match=f"not positive definite.*k={first:.6g}$"):
-            decay_margin_exact(P, w)
+            lyapunov._certified_margins(P, _DEFAULT_K_GRID, w.gamma0, w.gamma1)
 
     def test_no_positive_margin_names_the_first_frequency(self):
         # gamma0 = 1 keeps L definite but leaves dL/dt > 0 for some low-k states
         w = dataclasses.replace(default_weights(P), gamma0=1.0)
         with pytest.raises(NonPositiveMargin, match="no positive decay margin at k=0.001$"):
-            decay_margin_exact(P, w)
+            lyapunov._certified_margins(P, _DEFAULT_K_GRID, w.gamma0, w.gamma1)
 
-
-class TestEmptyPositiveGrid:
-    def test_margin_rejects_a_grid_without_positive_frequency(self):
-        with pytest.raises(EmptyInput):
-            decay_margin_exact(P, default_weights(P), k_grid=[0.0])
-
-
-class TestInvalidFrequencies:
-    """A negative or non-finite frequency is rejected before any arithmetic; k = 0 is skipped."""
-
-    def test_zero_frequency_still_skipped(self):
-        w = default_weights(P)
-        assert decay_margin_exact(P, w, [0.0, 1.0, 2.0]) == decay_margin_exact(P, w, [1.0, 2.0])

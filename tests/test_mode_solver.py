@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mgt_spectral import (ModeState, RootPattern, cardano_thresholds, default_weights,
-                          mode_coefficients, ode_residual, pointwise_bound_constants,
+                          eigenvalues, mode_coefficients, pointwise_bound_constants,
                           propagate_numeric, rho, solve_mode, solve_modes_on_grid, v_vector,
                           validate)
 
@@ -59,8 +59,6 @@ class TestCoefficients:
             assert np.abs(got - ref).max() <= 1e-9 * (1.0 + np.abs(ref).max())
 
     def test_hand_rows_have_the_classified_pattern(self):
-        from mgt_spectral import cardano_thresholds, classify
-
         m1 = cardano_thresholds(P).m1
         rows = [(P, 1.0, RootPattern.REAL_PLUS_PAIR),
                 (P, 1.78, RootPattern.THREE_DISTINCT_REAL),
@@ -68,7 +66,7 @@ class TestCoefficients:
                 (P, math.sqrt(m1), RootPattern.REAL_WITH_DOUBLE),
                 (P_CRIT, math.sqrt(3.0), RootPattern.TRIPLE_REAL)]
         for p, k, expect in rows:
-            assert classify(p, k) is expect
+            assert eigenvalues(p, k).pattern is expect
             assert mode_coefficients(p, ModeState(1.0, 0.0, 0.0, k)).pattern is expect
 
 
@@ -151,6 +149,14 @@ class TestOracleEquivalence:
             b = propagate_numeric(p, init, t)
             err = np.abs(a.as_array() - b.as_array()).max()
             assert err <= 1e-6 * (1.0 + init.norm())
+
+    def test_empty_times_give_empty_states_like_solve_mode(self):
+        init = ModeState(1.0, 0.0, 0.0, 1.0)
+        got, ref = propagate_numeric(P, init, []), solve_mode(P, init, [])
+        for name in ("u_hat", "v_hat", "w_hat"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert x.shape == y.shape == (0,) and x.dtype == y.dtype, name
+        assert got.k == ref.k == 1.0
 
     def test_numeric_zero_data(self):
         out = propagate_numeric(P, ModeState(0.0, 0.0, 0.0, 3.0), 4.0)
@@ -278,13 +284,15 @@ class TestStructuralProperties:
         rhs = a * solve_mode(P, x, t).as_array() + b * solve_mode(P, y, t).as_array()
         assert np.abs(lhs - rhs).max() <= 1e-9 * (1.0 + np.abs(rhs).max())
 
-    def test_ode_residual(self):
+    def test_matches_the_oracle_through_the_double_roots(self):
+        # k = 0 and sqrt(3.125) = sqrt(m1) are double roots, 1.78 is three-real
         rng = np.random.default_rng(51)
         for k in (0.0, 0.9, 1.78, math.sqrt(3.125), 25.0):
             init = random_state(rng, k)
             for t in rng.uniform(0.0, 10.0, 10):
-                res, scale = ode_residual(P, init, float(t))
-                assert res <= 1e-9 * scale
+                got = solve_mode(P, init, float(t)).as_array()
+                ref = propagate_numeric(P, init, float(t)).as_array()
+                assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max()), (k, t)
 
     def test_v_decay_pointwise(self):
         # |V(t)|^2 <= C exp(-gamma5 rho(k) t) |V(0)|^2 with measured constants
@@ -521,12 +529,10 @@ class TestConfluenceSweep:
 
 
 class TestOneModePattern:
-    """The description's pattern is classify's on the confluence windows and
+    """The description's pattern is eigenvalues' on the confluence windows and
     at k^2 within 1e-12..1e-3 of m1, where the roots nearly coincide."""
 
-    def test_pattern_is_classify(self):
-        from mgt_spectral import cardano_thresholds, classify
-
+    def test_pattern_is_the_eigenvalue_pattern(self):
         p = validate(0.02, 1.1)
         offsets = np.geomspace(1e-12, 1e-3, 19)
         rows = _confluent_windows() + [(p, cardano_thresholds(p).m1 * (1.0 + sign * offsets))
@@ -536,21 +542,22 @@ class TestOneModePattern:
         for p, k2s in rows:
             for k in np.sqrt(k2s).tolist():
                 got = mode_coefficients(p, ModeState(*y0, k=k)).pattern
-                if got is not classify(p, k):
+                if got is not eigenvalues(p, k).pattern:
                     mismatches.append((p.tau, p.beta, k, got))
         assert mismatches == []
 
 
 class TestZeroFrequencyKernel:
     def test_decoupled_third_row_keeps_relative_accuracy_for_any_tau(self):
-        # at k = 0, u'' = e^(-t/tau) u''(0) exactly; the residual test above
-        # covers only tau = 0.1, where the computed root happens to be exact
+        # at k = 0 the third row decouples, u''' = -u''/tau, so u'' = 1.9 e^(-t/tau)
+        # exactly; the oracle test above covers only tau = 0.1
         rng = np.random.default_rng(91)
         for tau in rng.uniform(1e-3, 5.0, 60):
             p = validate(float(tau), 2.0 * float(tau))
             for t in (1.0, 5.0, 20.0):
-                res, scale = ode_residual(p, ModeState(0.3, -0.7, 1.9, 0.0), t * tau)
-                assert res <= 1e-9 * scale
+                w = solve_mode(p, ModeState(0.3, -0.7, 1.9, 0.0), t * tau).w_hat
+                exact = 1.9 * math.exp(-(t * tau) / tau)
+                assert abs(w - exact) <= 1e-14 * exact, (tau, t)
 
 
 class TestLargeFrequency:

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mgt_spectral import (EmptyInput, GridError, InvalidFrequency, Labeling, ModelParams,
-                          RootPattern, asymptotic_large_k, asymptotic_small_k, atlas, atlas_rows,
-                          cardano_thresholds, characteristic_residual, classify, eigenvalues,
-                          mode_matrix, solve_modes_on_grid, spectrum, validate)
+from mgt_spectral import (EmptyInput, GridError, InvalidFrequency, ModelParams, RootPattern,
+                          asymptotic_large_k, asymptotic_small_k, atlas, atlas_rows,
+                          cardano_thresholds, characteristic_residual, eigenvalues, mode_matrix,
+                          solve_modes_on_grid, spectrum, validate)
 from mgt_spectral.params import CRITICAL_RATIO, TOL_CRITICAL
 
 P = validate(0.1, 1.0)
@@ -65,22 +65,22 @@ class TestEigenvalues:
         assert pt.lambdas[1].imag >= 0.0
 
 
-class TestClassify:
+class TestPattern:
     def test_windows(self):
-        assert classify(P, 1.78) is RootPattern.THREE_DISTINCT_REAL   # k^2 = 3.1684
-        assert classify(P, 1.8) is RootPattern.REAL_PLUS_PAIR         # k^2 = 3.24 > m2
-        assert classify(P, 1.0) is RootPattern.REAL_PLUS_PAIR
-        assert classify(P, 10.0) is RootPattern.REAL_PLUS_PAIR
+        assert eigenvalues(P, 1.78).pattern is RootPattern.THREE_DISTINCT_REAL   # k^2 = 3.1684
+        assert eigenvalues(P, 1.8).pattern is RootPattern.REAL_PLUS_PAIR         # k^2 = 3.24 > m2
+        assert eigenvalues(P, 1.0).pattern is RootPattern.REAL_PLUS_PAIR
+        assert eigenvalues(P, 10.0).pattern is RootPattern.REAL_PLUS_PAIR
 
     def test_supercritical_always_pair(self):
         for k in (1e-3, 0.5, 5.0, 100.0):
-            assert classify(P_SUPER, k) is RootPattern.REAL_PLUS_PAIR
+            assert eigenvalues(P_SUPER, k).pattern is RootPattern.REAL_PLUS_PAIR
 
     def test_boundaries(self):
-        assert classify(P, 0.0) is RootPattern.REAL_WITH_DOUBLE
-        assert classify(P, math.sqrt(3.125)) is RootPattern.REAL_WITH_DOUBLE
-        assert classify(P_CRIT, math.sqrt(3.0)) is RootPattern.TRIPLE_REAL
-        assert classify(P_CRIT, 1.0) is RootPattern.REAL_PLUS_PAIR
+        assert eigenvalues(P, 0.0).pattern is RootPattern.REAL_WITH_DOUBLE
+        assert eigenvalues(P, math.sqrt(3.125)).pattern is RootPattern.REAL_WITH_DOUBLE
+        assert eigenvalues(P_CRIT, math.sqrt(3.0)).pattern is RootPattern.TRIPLE_REAL
+        assert eigenvalues(P_CRIT, 1.0).pattern is RootPattern.REAL_PLUS_PAIR
 
 
 class TestRandomSweep:
@@ -212,7 +212,6 @@ class TestAtlas:
         pts = atlas(P_SUPER, [0.0, 0.5, 1.0])
         assert pts[0].lambdas[0] == pytest.approx(-2.0)
         assert pts[0].lambdas[1] == 0.0
-        assert all(pt.labeling is Labeling.BRANCH_CONTINUOUS for pt in pts)
         # the branch starting at -1/tau stays real
         assert all(abs(pt.lambdas[0].imag) == 0.0 for pt in pts)
         # the branch starting at 0 keeps Im >= 0
@@ -416,7 +415,7 @@ def _greedy_atlas(p, ks):
 
 
 class TestOnePatternDecision:
-    """classify, eigenvalues and atlas report one pattern, the sign of the exact
+    """eigenvalues and atlas report one pattern, the sign of the exact
     discriminant away from the TOL_BOUNDARY windows, and atlas is one root call
     followed by the per-point greedy relabeling, bit for bit."""
 
@@ -424,7 +423,6 @@ class TestOnePatternDecision:
         pts = atlas(p, ks)
         for k, pt in zip(ks, pts):
             want = _exact_pattern(p, k)
-            assert classify(p, k) is want, (p, k)
             assert eigenvalues(p, k).pattern is want, (p, k)
             assert pt.pattern is want, (p, k)
 
