@@ -462,3 +462,24 @@ class TestNonPositiveMarginIsTyped:
         with pytest.raises(NonPositiveMargin, match="no positive decay margin at k=0.001$"):
             lyapunov._certified_margins(P, _DEFAULT_K_GRID, w.gamma0, w.gamma1)
 
+
+
+class TestEmptyPositiveGrid:
+    def test_margin_rejects_a_grid_without_positive_frequency(self):
+        # k = 0 and the all-zero sample leave no point with L > 0 to bound gamma5
+        w = default_weights(P)
+        message = r"^all sweep points were degenerate \(zero frequency or data\)$"
+        with pytest.raises(EmptyInput, match=message):
+            gronwall_margin(P, w, [0.0], [ModeState(1.0, 0.5, -0.25, 1.0)])
+        with pytest.raises(EmptyInput, match=message):
+            gronwall_margin(P, w, [1.0], [ModeState(0.0, 0.0, 0.0, 1.0)])
+
+
+class TestInvalidFrequencies:
+    """A negative or non-finite frequency is rejected before any arithmetic; k = 0 is skipped."""
+
+    def test_zero_frequency_still_skipped(self):
+        w = default_weights(P)
+        samples = [ModeState(1.0, 0.5, -0.25, 1.0), ModeState(0.3j, -1.0, 0.2, 1.0)]
+        assert (gronwall_margin(P, w, [0.0, 1.0, 2.0], samples)
+                == gronwall_margin(P, w, [1.0, 2.0], samples))

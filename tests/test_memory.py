@@ -96,6 +96,22 @@ print(sorted(str(f) for f in mapped if any(d.startswith("scipy") for d in f.pare
 print(blas_rss_kb() - before)
 """
 
+KERNEL_PROBE = BLAS_RSS + """
+before = blas_rss_kb()
+if before == 0:
+    print("no numpy OpenBLAS mapping")
+    sys.exit()
+rng = np.random.default_rng(0)
+for tau, beta, k, t in ((0.1, 1.0, 0.0, 3.0), (0.999, 1.0, 200.0, 100.0), (0.3, 2.0, 1.7, 0.5)):
+    p = mgt.validate(tau, beta)
+    state = mgt.ModeState(*(rng.standard_normal(3) + 1j * rng.standard_normal(3)), k=k)
+    mgt.solve_mode(p, state, t)
+    mgt.solve_mode(p, state, np.linspace(0.0, t, 7))
+    mgt.energy_dissipation_residual(p, state, t)
+print(blas_rss_kb() - before)
+"""
+
+
 def _probe_lines(probe: str, *args: str) -> list[str]:
     if not Path("/proc/self/smaps").exists():
         pytest.skip("needs /proc/self/smaps")
@@ -130,3 +146,9 @@ def test_oracle_maps_no_scipy_and_pages_no_blas():
     assert libs == "[]"
     assert int(grown) == 0
 
+
+def test_closed_form_kernel_pages_no_blas():
+    # at the points where Phi y0 as mode_matrix(p, k) @ y0, a complex matmul,
+    # paged 128 KB of numpy's OpenBLAS: the closed form and the energy identity
+    # along it, at one time and on a grid
+    assert int(_probe_lines(KERNEL_PROBE)[-1]) == 0

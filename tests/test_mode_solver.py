@@ -158,6 +158,14 @@ class TestOracleEquivalence:
             assert x.shape == y.shape == (0,) and x.dtype == y.dtype, name
         assert got.k == ref.k == 1.0
 
+    def test_time_array_gives_states_of_its_shape_like_solve_mode(self):
+        init = ModeState(1.0, 0.5, -0.2, 1.3)
+        ts = np.array([[0.0, 0.5, 1.0], [2.0, 3.0, 4.0]])
+        got, ref = propagate_numeric(P, init, ts), solve_mode(P, init, ts)
+        for name in ("u_hat", "v_hat", "w_hat"):
+            assert getattr(got, name).shape == getattr(ref, name).shape == ts.shape, name
+        assert np.abs(got.as_array() - ref.as_array()).max() <= 1e-12
+
     def test_numeric_zero_data(self):
         out = propagate_numeric(P, ModeState(0.0, 0.0, 0.0, 3.0), 4.0)
         assert out.norm() == 0.0
