@@ -27,7 +27,7 @@ _LAYER_OF = {name: layer for layer, names in {
     "spectrum": ("RootPattern", "SpectrumPoint", "AsymptoticTriple", "eigenvalues",
                  "asymptotic_small_k", "asymptotic_large_k", "atlas", "atlas_rows",
                  "characteristic_residual"),
-    "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "FrequencyProfile", "ProfileKind",
+    "mode_solver": ("ModeState", "ModeCoefficients", "VVector", "FrequencyProfile",
                     "mode_coefficients", "solve_mode", "propagate_numeric", "v_vector",
                     "solve_modes_on_grid", "mode_matrix"),
     "lyapunov": ("LyapunovWeights", "FunctionalValues", "default_weights", "functionals",

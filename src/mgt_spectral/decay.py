@@ -172,16 +172,16 @@ def _envelope_monomials(p: ModelParams,
                         data: DataTriple) -> tuple[list[tuple[float, int]], float, float]:
     """Monomials (coef, power), s_min and a unit with
     E(k, 0) <= unit^2 sum coef k^power exp(-(s_min k)^2): each profile as
-    |amplitude| (scale k)^order, the three squares of E(k, 0) expanded term by
-    term; exact for data of one scale and one sign.  The unit is the largest
-    |amplitude| scale^order, so the coefficients stay in the float range where
-    the squares of the profiles' would not."""
-    sizes = [abs(prof.amplitude) * prof.scale ** prof.kind.order for prof in data]
+    |amplitude| (scale k)^order (FrequencyProfile.order, its vanishing order), the
+    three squares of E(k, 0) expanded term by term; exact for data of one scale
+    and one sign.  The unit is the largest |amplitude| scale^order, so the
+    coefficients stay in the float range where the squares of the profiles' would not."""
+    sizes = [abs(prof.amplitude) * prof.scale ** prof.order for prof in data]
     unit = max(sizes)
     if unit == 0.0:
         return [], 1.0, 1.0
     s_min = min(prof.scale for prof in data if prof.amplitude != 0.0)
-    (c0, o0), (c1, o1), (c2, o2) = ((size / unit, prof.kind.order)
+    (c0, o0), (c1, o1), (c2, o2) = ((size / unit, prof.order)
                                     for size, prof in zip(sizes, data))
     tau, beta = p.tau, p.beta
 

@@ -44,7 +44,7 @@ from .errors import EmptyInput, NonPositiveMargin
 from .mode_solver import (DataTriple, ModeState, _evolve, _times, solve_mode, v_vector,
                           mode_coefficients)  # unused; bench/tests/test_bench.py pins the alias
 from .params import ModelParams
-from .spectrum import _frequencies
+from .spectrum import _frequencies, _grid
 
 #: One-sided slack, relative to the functional scale, in the margin sweeps.
 MARGIN_TOL = 1e-10
@@ -288,18 +288,19 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     (MARGIN_TOL L - dL/dt) / (rho L), so the answer is the least of these and
     1/tau.  Raises NonPositiveMargin when dL/dt exceeds MARGIN_TOL L somewhere
     or the least bound is not positive, EmptyInput on empty grids or when L = 0
-    everywhere, and by the frequency and time rules (k = 0 is skipped).
+    everywhere, and by the frequency and time rules (k = 0 is skipped) and the
+    grid rule's shape half (spectrum._grid; the sweep needs no order).
     """
-    ks = _frequencies(list(k_grid))
+    ks = _grid(_frequencies(list(k_grid)), "frequency", None)
     samples = list(init_samples)
-    ts = _times(np.linspace(0.0, 25.0, 126) if t_grid is None else t_grid)
+    ts = _grid(_times(np.linspace(0.0, 25.0, 126) if t_grid is None else t_grid), "time", None)
     if ks.size == 0 or len(samples) == 0 or ts.size == 0:
         raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")
 
     # samples are state vectors; the swept frequencies come from the grid
     ks = ks[ks != 0.0]
     y0 = np.array([(s.u_hat, s.v_hat, s.w_hat) for s in samples], dtype=complex).T[:, None]
-    state = ModeState(*_evolve(p, ks, y0, ts), k=ks.reshape((-1, 1) + (1,) * ts.ndim))
+    state = ModeState(*_evolve(p, ks, y0, ts), k=ks[:, None, None])
     vals, rates = functionals(p, state, w), _state_rates(p, state)
     dL = w.gamma0 * rates["dE"] + vals.rho * rates["dF1"] + w.gamma1 * vals.rho * rates["dF2"]
     # MARGIN_TOL L - dL/dt and rho L at the nondegenerate points; a NaN stays in and fails

@@ -37,15 +37,15 @@ integrates the modes it starts over all k, `mgt mode` samples it at one k.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyInput, GridError, InvalidInput
+from .errors import InvalidInput
 from .params import ModelParams
-from .spectrum import (RootPattern, _cubic_roots_batch, _frequencies, _frequency, _nonnegative,
-                       _route_confluent, _upper_root)
+from .spectrum import (RootPattern, _cubic_roots_batch, _frequencies, _frequency, _grid,
+                       _nonnegative, _route_confluent, _upper_root)
 
 
 @dataclass(frozen=True)
@@ -99,32 +99,23 @@ class VVector:
         return abs(self.a) ** 2 + self.b_mag**2 + self.c_mag**2
 
 
-class ProfileKind(Enum):
-    GAUSSIAN = "Gaussian"
-    MOMENT_FREE_GAUSSIAN = "MomentFreeGaussian"
-
-    @property
-    def order(self) -> int:
-        """The order of the profile's zero at k = 0."""
-        return 0 if self is ProfileKind.GAUSSIAN else 1
-
-
 @dataclass(frozen=True)
 class FrequencyProfile:
     """Radial frequency-space profile for one component of the initial data,
-    amplitude * (scale*k)^order * exp(-(scale*k)^2 / 2) with order = kind.order:
-    Gaussian (order 0) for L1 data, MomentFreeGaussian (order 1, vanishing like
-    k) for zero-mean data with a finite first moment.  decay's tail certification
-    bounds it by the same monomial times exp(-(s*k)^2 / 2) for any s <= scale.
+    amplitude * (scale*k)^order * exp(-(scale*k)^2 / 2), order (an integer, not a bool)
+    the order of its zero at k = 0: 0 for L1 data (gaussian), 1 for zero-mean data with
+    a finite first moment (moment_free).  decay's tail certification bounds it by the
+    same monomial times exp(-(s*k)^2 / 2) for any s <= scale.
     """
 
-    kind: ProfileKind
+    order: int
     scale: float = 1.0
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.kind, ProfileKind):
-            raise InvalidInput(f"profile kind must be a ProfileKind, got {self.kind!r}")
+        integer = hasattr(self.order, "__index__") and not isinstance(self.order, bool)
+        if not (integer and operator.index(self.order) in (0, 1)):
+            raise InvalidInput(f"profile order must be 0 or 1, got {self.order!r}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise InvalidInput(f"profile scale must be finite and > 0, got {self.scale}")
         if not math.isfinite(self.amplitude):
@@ -133,23 +124,23 @@ class FrequencyProfile:
     def __call__(self, k: np.ndarray) -> np.ndarray:
         s = self.scale * np.asarray(k, dtype=float)
         with np.errstate(over="ignore"):  # s*s = inf gives e^-inf = 0, the exact limit
-            return self.amplitude * s**self.kind.order * np.exp(-0.5 * s * s)
+            return self.amplitude * s**self.order * np.exp(-0.5 * s * s)
 
     @property
     def vanishes_at_zero(self) -> bool:
-        return self.amplitude == 0.0 or self.kind.order > 0
+        return self.amplitude == 0.0 or self.order > 0
 
     @staticmethod
     def gaussian(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
-        return FrequencyProfile(ProfileKind.GAUSSIAN, scale, amplitude)
+        return FrequencyProfile(0, scale, amplitude)
 
     @staticmethod
     def moment_free(scale: float = 1.0, amplitude: float = 1.0) -> "FrequencyProfile":
-        return FrequencyProfile(ProfileKind.MOMENT_FREE_GAUSSIAN, scale, amplitude)
+        return FrequencyProfile(1, scale, amplitude)
 
     @staticmethod
     def zero() -> "FrequencyProfile":
-        return FrequencyProfile(ProfileKind.GAUSSIAN, 1.0, 0.0)
+        return FrequencyProfile(0, 1.0, 0.0)
 
 
 DataTriple = tuple[FrequencyProfile, FrequencyProfile, FrequencyProfile]
@@ -160,8 +151,7 @@ def _parse_data(spec: str) -> DataTriple:
 
     `zero` takes no SCALE or AMP; an extra field or a repeated component is an error.
     """
-    kinds = {"gaussian": ProfileKind.GAUSSIAN, "mfgaussian": ProfileKind.MOMENT_FREE_GAUSSIAN,
-             "zero": None}
+    kinds = {"gaussian": 0, "mfgaussian": 1, "zero": None}
     names, profiles = ("u0", "u1", "u2"), {}
     for chunk in spec.split(","):
         parts = chunk.strip().split(":")
@@ -307,16 +297,8 @@ def _time(t) -> float:
 
 
 def _time_grid(time_grid) -> np.ndarray:
-    """The time-grid rule: each entry by _times, one-dimensional (GridError), nonempty
-    (EmptyInput), strictly ascending (GridError)."""
-    times = _times(time_grid)
-    if times.ndim != 1:
-        raise GridError(f"time grid must be one-dimensional, got shape {times.shape}")
-    if times.size == 0:
-        raise EmptyInput("empty time grid")
-    if np.any(np.diff(times) <= 0.0):
-        raise GridError("time grid must be strictly ascending")
-    return times
+    """The time-grid rule: each entry by _times, the grid by spectrum._grid, strictly ascending."""
+    return _grid(_times(time_grid), "time", "strictly ascending")
 
 
 def mode_coefficients(p: ModelParams, init: ModeState) -> ModeCoefficients:

@@ -114,6 +114,16 @@ def validate(tau: float, beta: float) -> ModelParams:
     return ModelParams(tau=tau, beta=beta)
 
 
+def _critical(s):
+    """The critical window: s = tau/beta within TOL_CRITICAL of 1/9, relative, elementwise."""
+    return abs(s - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO
+
+
+def _triple_numerator(s):
+    """1 + s (18 - 27 s), elementwise: over 8 beta tau, the triple point (mean of m1, m2)."""
+    return 1.0 + s * (18.0 - 27.0 * s)
+
+
 def cardano_thresholds(p: ModelParams) -> CardanoThresholds:
     """Compute the discriminant coefficients c1, c2 and thresholds m1 <= m2.
 
@@ -133,19 +143,16 @@ def cardano_thresholds(p: ModelParams) -> CardanoThresholds:
         return CardanoThresholds(c1=c1, c2=c2, m1=None, m2=None)
     s = p.tau / p.beta
     d = max(1.0 - 9.0 * s, 0.0)  # c2 >= 0 puts s at or below 1/9 up to rounding
-    n = 1.0 + s * (18.0 - 27.0 * s) + d * math.sqrt(d * (1.0 - s))
+    n = _triple_numerator(s) + d * math.sqrt(d * (1.0 - s))
     return CardanoThresholds(c1=c1, c2=c2, m1=8.0 / (p.beta * p.beta * n),
                              m2=n / (8.0 * p.beta * p.tau))
 
 
 def regime(p: ModelParams) -> Regime:
     """Classify tau/beta against the critical ratio 1/9."""
-    ratio = p.ratio
-    if abs(ratio - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO:
+    if _critical(p.ratio):
         return Regime.CRITICAL
-    if ratio < CRITICAL_RATIO:
-        return Regime.SUB_CRITICAL
-    return Regime.SUPER_CRITICAL
+    return Regime.SUB_CRITICAL if p.ratio < CRITICAL_RATIO else Regime.SUPER_CRITICAL
 
 
 def high_frequency_rate(p: ModelParams) -> float:

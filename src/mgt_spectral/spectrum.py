@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput, GridError, InvalidFrequency
-from .params import CRITICAL_RATIO, TOL_CRITICAL, ModelParams
+from .params import ModelParams, _critical, _triple_numerator
 
 #: Relative residual budget for returned roots: |p(lam)| <= TOL_RESIDUAL * scale.
 TOL_RESIDUAL = 1e-9
@@ -105,6 +105,19 @@ def _frequency(k) -> float:
     if ks.ndim:
         raise InvalidFrequency(f"frequency magnitude must be a number, got {k!r}")
     return float(ks)
+
+
+def _grid(xs: np.ndarray, name: str, order: str | None) -> np.ndarray:
+    """The grid rule on a float array xs: one-dimensional (GridError) and, unless order is
+    None, nonempty (EmptyInput) and "ascending" or "strictly ascending" (GridError)."""
+    if xs.ndim != 1:
+        raise GridError(f"{name} grid must be one-dimensional, got shape {xs.shape}")
+    if order and xs.size == 0:
+        raise EmptyInput(f"empty {name} grid")
+    steps = np.diff(xs)
+    if order and np.any(steps <= 0.0 if order.startswith("strictly") else steps < 0.0):
+        raise GridError(f"{name} grid must be {order}")
+    return xs
 
 
 def characteristic_residual(p: ModelParams, lam: complex, k: float) -> tuple[float, float]:
@@ -214,15 +227,6 @@ _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
                       RootPattern.THREE_DISTINCT_REAL, RootPattern.TRIPLE_REAL], dtype=object)
 
 
-def _thresholds(tau, beta) -> tuple:
-    """(m, critical) elementwise: m = (1 + s (18 - 27 s)) / (8 beta tau) with s = tau/beta,
-    the triple point and the mean of m1 and m2 where they exist, on both sides of 1/9, in
-    the form of params.cardano_thresholds; critical: regime(p) is CRITICAL."""
-    s = tau / beta
-    critical = np.abs(s - CRITICAL_RATIO) <= TOL_CRITICAL * CRITICAL_RATIO
-    return (1.0 + s * (18.0 - 27.0 * s)) / (8.0 * beta * tau), critical
-
-
 def _route_confluent(p: ModelParams, k2: np.ndarray,
                      factor: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(roots, patterns) from the _cubic_roots_batch factor: each row's real root
@@ -237,12 +241,13 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     at small k.)
     A factor whose roots lie closer than TOL_CONFLUENT * |alpha|, which happens
     only next to m1 or m2, is the double root alpha (q := 0).  At the critical
-    ratio, on either side of 1/9, k^2 within TOL_BOUNDARY * m of the row's own
-    triple point m (_thresholds) is the triple root -1/(3 tau) = -a/3.
+    ratio (params._critical), on either side of 1/9, k^2 within TOL_BOUNDARY * m of the
+    row's own triple point m (params._triple_numerator) is the triple root -1/(3 tau).
     """
     c, lam, alpha, q = factor[2:]
-    m, critical = _thresholds(p.tau, p.beta)
-    triple = critical & (np.abs(k2 - m) <= TOL_BOUNDARY * m)
+    s = p.ratio
+    m = _triple_numerator(s) / (8.0 * p.beta * p.tau)
+    triple = _critical(s) & (np.abs(k2 - m) <= TOL_BOUNDARY * m)
     q = np.where(2.0 * np.sqrt(np.abs(q)) <= TOL_CONFLUENT * np.abs(alpha), 0.0, q)
 
     r = np.sqrt(np.abs(q))
@@ -313,16 +318,10 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
     the two assignments tie exactly, whatever the last bits of the roots.
     Values and patterns agree with eigenvalues() up to permutation, under its
-    backward-error contract.  Entries follow the frequency rule; an empty grid
-    raises EmptyInput, and a descending or not one-dimensional grid GridError.
+    backward-error contract.  Entries follow the frequency rule, and the grid the
+    grid rule (_grid), ascending.
     """
-    ks = _frequencies(k_grid)
-    if ks.ndim != 1:
-        raise GridError(f"frequency grid must be one-dimensional, got shape {ks.shape}")
-    if ks.size == 0:
-        raise EmptyInput("empty frequency grid")
-    if np.any(np.diff(ks) < 0.0):
-        raise GridError("frequency grid must be ascending")
+    ks = _grid(_frequencies(k_grid), "frequency", "ascending")
 
     roots, patterns = _spectrum(p, ks * ks)
     # best[i, a] = argmin_b cost[i, a, b], where cost[i, a, b] is the displacement

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mgt_spectral import (DataClass, DegenerateFit, FrequencyProfile, InvalidInput, ProfileKind,
+from mgt_spectral import (DataClass, DegenerateFit, FrequencyProfile, InvalidInput,
                           QuadratureFailure, decay_curve, decay_curve_rows, decay_curve_summary,
                           fit_decay_slope, infer_data_class, integral_lemma_check,
                           region_contributions, region_rates, region_split, sobolev_norm_sq,
@@ -571,11 +571,10 @@ class TestDataEnvelope:
 
     def test_certified_for_random_signs_scales_and_kinds(self):
         rng = np.random.default_rng(2604)
-        kinds = (ProfileKind.GAUSSIAN, ProfileKind.MOMENT_FREE_GAUSSIAN)
         for _ in range(60):
             beta = rng.uniform(0.5, 2.0)
             p = validate(rng.uniform(0.01, 0.99) * beta, beta)
-            data = tuple(FrequencyProfile(kinds[rng.integers(2)], rng.uniform(0.3, 3.0),
+            data = tuple(FrequencyProfile(rng.integers(2), rng.uniform(0.3, 3.0),
                                           rng.choice([-1.0, 1.0, 0.0]) * rng.uniform(0.1, 3.0))
                          for _ in range(3))
             if all(prof.amplitude == 0.0 for prof in data):
@@ -591,7 +590,7 @@ class TestDataEnvelope:
         s = scale * k
         gauss = FrequencyProfile.gaussian(scale, amplitude)
         moment_free = FrequencyProfile.moment_free(scale, amplitude)
-        assert gauss.kind.order == 0 and moment_free.kind.order == 1
+        assert gauss.order == 0 and moment_free.order == 1
         assert gauss(k).tobytes() == (amplitude * np.exp(-0.5 * s * s)).tobytes()
         assert moment_free(k).tobytes() == (amplitude * s * np.exp(-0.5 * s * s)).tobytes()
         assert FrequencyProfile.zero()(k).tobytes() == np.zeros_like(k).tobytes()

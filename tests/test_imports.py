@@ -145,7 +145,7 @@ def test_every_public_name_is_the_defining_module_object():
     probe = """
 import importlib, inspect
 import mgt_spectral
-assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 75
+assert len(mgt_spectral.__all__) == len(set(mgt_spectral.__all__)) == 74
 for name in mgt_spectral.__all__:
     obj = getattr(mgt_spectral, name)
     if inspect.ismodule(obj):
@@ -207,22 +207,64 @@ ROOT = SRC.parent
 NO_READER_NEEDED = {"mode_coefficients"}
 
 
+#: the package's module names, as `from mgt_spectral import decay` binds them
+MODULES = {p.stem for p in (SRC / "mgt_spectral").glob("*.py")}
+
+
+def _reads(source: str) -> set[str]:
+    """The names a file reads: each loaded name, and each attribute of a name that an
+    import in the file binds to mgt_spectral or one of its modules (`mgt.rho`,
+    `lyapunov.rho`, `mgt_spectral.decay.decay_curve`), not of any other object
+    (`f.rho`, a FunctionalValues field); an import reads nothing."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or "mgt_spectral" for alias in node.names
+                      if alias.name.split(".")[0] == "mgt_spectral"}
+        elif isinstance(node, ast.ImportFrom) and (node.module == "mgt_spectral"
+                                                   or node.level and node.module is None):
+            bound |= {alias.asname or alias.name for alias in node.names
+                      if alias.name in MODULES}
+
+    def package(node) -> bool:
+        if isinstance(node, ast.Attribute):
+            return node.attr in MODULES and package(node.value)
+        return isinstance(node, ast.Name) and node.id in bound
+
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and package(node.value)})
+
+
 def _readers() -> dict[str, set[str]]:
-    """name -> the files that read it, as a loaded name or an attribute, among
-    src/ (not __init__.py), demos/, bench/ (not bench/tests) and the acceptance
-    tests; an import reads nothing."""
+    """name -> the files that read it (_reads), among src/ (not __init__.py), demos/,
+    bench/ (not bench/tests) and the acceptance tests."""
     files = [p for p in (SRC / "mgt_spectral").glob("*.py") if p.name != "__init__.py"]
     files += list((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     files += [p for p in (ROOT / "bench").rglob("*.py") if "tests" not in p.parts]
     readers: dict[str, set[str]] = {}
     for path in files:
-        rel = path.relative_to(ROOT).as_posix()
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                readers.setdefault(node.id, set()).add(rel)
-            elif isinstance(node, ast.Attribute):
-                readers.setdefault(node.attr, set()).add(rel)
+        for name in _reads(path.read_text()):
+            readers.setdefault(name, set()).add(path.relative_to(ROOT).as_posix())
     return readers
+
+
+def test_census_counts_an_attribute_only_of_the_package():
+    snippet = """
+import mgt_spectral as mgt
+from mgt_spectral import FrequencyProfile
+f = mgt.functionals(p, state, w)
+print(f.rho, FrequencyProfile.gaussian)
+"""
+    reads = _reads(snippet)
+    assert "functionals" in reads and "FrequencyProfile" in reads
+    assert "rho" not in reads and "gaussian" not in reads
+    # the same attribute of an imported module is a read
+    assert "rho" in _reads(snippet + "from mgt_spectral import lyapunov\nlyapunov.rho(1.0)\n")
+    assert "rho" in _reads("from . import lyapunov\nlyapunov.rho(1.0)\n")
+    assert "rho" in _reads("import mgt_spectral.lyapunov\nmgt_spectral.lyapunov.rho(1.0)\n")
 
 
 def _readme_table() -> dict[str, str]:

@@ -21,7 +21,7 @@ import pytest
 import mgt_spectral
 from mgt_spectral import mode_solver
 from mgt_spectral import (DataClass, EmptyInput, FrequencyProfile, GridError, InvalidFrequency,
-                          InvalidInput, MGTError, ModeState, ProfileKind, adaptive_quadrature,
+                          InvalidInput, MGTError, ModeState, adaptive_quadrature,
                           applicable_exponents, asymptotic_large_k, asymptotic_small_k, atlas,
                           characteristic_residual, decay_curve, default_weights, eigenvalues,
                           energy_dissipation_residual, gronwall_margin, integral_lemma_check,
@@ -90,6 +90,15 @@ FREQUENCY_GRID = {
     "atlas": lambda grid: atlas(P, grid),
 }
 
+#: the shape half of the grid rule (spectrum._grid), for the sweep grids of
+#: gronwall_margin, which need no order: (function, grid name) -> its call
+GRID_SHAPE = {
+    ("gronwall_margin", "frequency"): lambda grid: gronwall_margin(P, default_weights(P), grid,
+                                                                   [UNIT]),
+    ("gronwall_margin", "time"): lambda grid: gronwall_margin(P, default_weights(P), [1.0],
+                                                              [UNIT], t_grid=grid),
+}
+
 #: the tolerance rule, quadrature._tolerance: a finite number > 0, or InvalidInput
 TOLERANCE = {
     "adaptive_quadrature": lambda tol: adaptive_quadrature(np.exp, 0.0, 1.0, tol),
@@ -121,11 +130,10 @@ ORACLE_DOMAIN = {
     "propagate_numeric": lambda k, t: propagate_numeric(P, _state(k), t),
 }
 
-#: the profile rule, FrequencyProfile.__post_init__: a ProfileKind, a finite
-#: scale > 0 and a finite amplitude, or InvalidInput
+#: the profile rule, FrequencyProfile.__post_init__: an order 0 or 1 (an integer, not a
+#: bool), a finite scale > 0 and a finite amplitude, or InvalidInput
 PROFILE = {
-    "FrequencyProfile": lambda scale, amplitude: FrequencyProfile(
-        ProfileKind.GAUSSIAN, scale, amplitude),
+    "FrequencyProfile": lambda scale, amplitude: FrequencyProfile(0, scale, amplitude),
     "FrequencyProfile.gaussian": FrequencyProfile.gaussian,
     "FrequencyProfile.moment_free": FrequencyProfile.moment_free,
 }
@@ -191,6 +199,23 @@ def test_time_grid_rule(name, grid, error, message):
 def test_frequency_grid_rule(name, grid, error, message):
     with _raises(error, message):
         FREQUENCY_GRID[name](grid)
+
+
+@pytest.mark.parametrize("name, grid_name, grid", [
+    (*key, grid) for key in GRID_SHAPE
+    for grid in ([[0.5, 1.0]], [[0.5, 1.0], [2.0, 3.0]], np.ones((1, 1, 2)))]
+    + [("gronwall_margin", "time", 10.0)])
+def test_grid_shape_rule(name, grid_name, grid):
+    # not a flattened sweep (nor a 0-d time grid): the grid rule's shape half, without its order
+    shape = np.shape(grid)
+    with _raises(GridError, f"{grid_name} grid must be one-dimensional, got shape {shape}"):
+        GRID_SHAPE[name, grid_name](grid)
+
+
+@pytest.mark.parametrize("name, grid_name", GRID_SHAPE)
+def test_grid_shape_rule_keeps_the_empty_sweep_message(name, grid_name):
+    with _raises(EmptyInput, "gronwall margin sweep needs frequencies, samples and times"):
+        GRID_SHAPE[name, grid_name]([])
 
 
 @pytest.mark.parametrize("name", FREQUENCY)
@@ -275,10 +300,15 @@ def test_profile_rule(name, scale, amplitude, message):
         PROFILE[name](scale, amplitude)
 
 
-@pytest.mark.parametrize("kind", ["Gaussian", None, 1])
-def test_profile_rule_kind(kind):
-    with _raises(InvalidInput, f"profile kind must be a ProfileKind, got {kind!r}"):
-        FrequencyProfile(kind, 1.0, 1.0)
+@pytest.mark.parametrize("order", ["Gaussian", None, 2, -1, True, 1.0])
+def test_profile_rule_order(order):
+    with _raises(InvalidInput, f"profile order must be 0 or 1, got {order!r}"):
+        FrequencyProfile(order, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("order", [np.int64(0), np.int8(1)])
+def test_profile_rule_order_accepts_a_numpy_integer(order):
+    assert FrequencyProfile(order, 1.0, 1.0) == FrequencyProfile(int(order), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_modes_scale(s):
 
 def _scaled_data(data, s):
     """Each profile's scale multiplied by s and its amplitude by (1, 1/s, 1/s^2)."""
-    return tuple(FrequencyProfile(prof.kind, prof.scale * s, prof.amplitude / s**order)
+    return tuple(FrequencyProfile(prof.order, prof.scale * s, prof.amplitude / s**order)
                  for order, prof in enumerate(data))
 
 

@@ -632,7 +632,9 @@ class TestPerRowParameters:
             assert np.array(pt.lambdas, dtype=complex).tobytes() == got.tobytes(), (tau, beta, k)
 
     def test_thresholds_equal_the_scalar_api(self):
-        from mgt_spectral.params import CRITICAL_RATIO, TOL_CRITICAL, Regime, regime
+        # params' critical window and triple point, elementwise as _route_confluent
+        # calls them, against cardano_thresholds and regime on each row
+        from mgt_spectral.params import Regime, _critical, _triple_numerator, regime
         rng = np.random.default_rng(13)
         edge = CRITICAL_RATIO * TOL_CRITICAL
         ratios = np.concatenate([
@@ -642,12 +644,17 @@ class TestPerRowParameters:
             [np.nextafter(CRITICAL_RATIO + s * edge, s * np.inf) for s in (-1.0, 1.0)]])
         betas = rng.uniform(0.05, 2.0, ratios.size)
         taus = ratios * betas
-        m, critical = spectrum._thresholds(taus, betas)
+
+        def thresholds(tau, beta):
+            s = tau / beta
+            return _triple_numerator(s) / (8.0 * beta * tau), _critical(s)
+
+        m, critical = thresholds(taus, betas)
         kinds = set()
         for i, (tau, beta) in enumerate(zip(taus, betas)):
             p = validate(tau, beta)
             thr = cardano_thresholds(p)
-            one = spectrum._thresholds(p.tau, p.beta)
+            one = thresholds(p.tau, p.beta)
             for row in ((m[i], critical[i]), one):
                 # the mean of m1 and m2 where they exist, defined on both sides; m1
                 # and m2 are each rounded, so the two forms differ by up to two ulps
