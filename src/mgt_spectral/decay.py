@@ -13,7 +13,8 @@ Truncation of the infinite range is certified: the mode energy is
 nonincreasing and bounded by the initial energy's monomial-Gaussian envelope,
 and beyond the truncation point the measured Lyapunov decay factor
 exp(-gamma5 rho(K) t) shrinks the admissible tail further, which is what
-makes the large-time sweeps cheap.
+makes the large-time sweeps cheap.  A curve poses one norm problem for all its
+times (_norm_problem): the envelope, the weights and the break points do not depend on t.
 
 The integrand oscillates with the phase 2 r(k) t, where alpha +- i r is the
 complex pair of the mode.  Each mode is written
@@ -35,7 +36,6 @@ oscillating integral-lemma kernels go through the same quadrature
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -83,10 +83,10 @@ class DecayCurve:
     quad_tol: float
     #: per time: integrand evaluations, quadrature error estimate, certified cut
     #: and the tail bound beyond it (error estimate + tail bound <= quad_tol)
-    quad_nodes: np.ndarray | None = None
-    quad_error: np.ndarray | None = None
-    k_max: np.ndarray | None = None
-    tail_bound: np.ndarray | None = None
+    quad_nodes: np.ndarray
+    quad_error: np.ndarray
+    k_max: np.ndarray
+    tail_bound: np.ndarray
 
 
 def region_split(p: ModelParams) -> RegionSplit:
@@ -195,31 +195,6 @@ def _envelope_monomials(p: ModelParams,
     return [(0.5 * c, pw) for c, pw in mono if c != 0.0], s_min, unit
 
 
-@functools.lru_cache
-def _cached_weights(p: ModelParams) -> lyapunov.LyapunovWeights:
-    return lyapunov.default_weights(p)
-
-
-def _norm_tail(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
-               v_norm: bool) -> Callable[[float], float]:
-    """Certified bound on the norm integral over [K, inf), as a function of K."""
-    mono, s_min, unit = _envelope_monomials(p, data)
-    w = _cached_weights(p)
-    shift = 2 * j + dim - (1 if v_norm else 3)
-    mono = [(c, pw + shift) for c, pw in mono]
-    ratio = w.equiv_hi / w.equiv_lo
-    amp = 1.0 if v_norm else (1.0 + p.tau) ** 2
-
-    def tail(K: float) -> float:
-        rho_k = K * K / (1.0 + K * K)
-        decay_factor = min(1.0, ratio * math.exp(-w.gamma5 * rho_k * t))
-        # unit^2 may leave the float range where the tail does not
-        return unit * (unit * w.v_hi * decay_factor * amp
-                       * sum(c * _gauss_tail(m, s_min, K) for c, m in mono))
-
-    return tail
-
-
 def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
     """A truncation point K whose certified tail(K) is at most tol, within 5% above
     the smallest such K: bisection in log K stops once the bracket is that narrow."""
@@ -289,42 +264,61 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
     return integrand
 
 
-def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
-                   quad_tol: float, v_norm: bool,
-                   interval: tuple[float, float] | None = None) -> tuple[QuadResult, float, float]:
-    """(quadrature, k_max, tail bound) of the norm integral over interval, by
-    default over [0, k_max], the certified cut, whose tail bound is at most
-    quad_tol / 2; the quadrature's error target is the other half.  With an
-    interval, k_max is its end and the tail bound 0.
+def _norm_problem(p: ModelParams, data: DataTriple, dim: int, j: int,
+                  v_norm: bool) -> tuple[Callable, Callable]:
+    """The norm integral's time-independent half and its two steps at a time t under an
+    error budget quad_tol: cut(t, quad_tol), the certified cut k_max and its tail
+    bound (at most quad_tol / 2), and integrate(t, lo, hi, quad_tol), the
+    quadrature over [lo, hi] to the error target quad_tol / 2, clipped at 0.
+    All-zero data cut at 0 and integrate to an exact 0, with no weights.
 
-    One adaptive_quadrature pass integrates the split integrand
-    (_split_integrand).  Its break points are the integrand's own: the
-    double roots sqrt(m1), sqrt(m2) and the octaves of k0 = 2 pi / t.  Near
-    k = 0, where r t < pi and the split is not trusted, the pass bisects the
-    whole integrand while its phase turns by more than pi, as on every other
-    untrusted panel.
+    One adaptive_quadrature pass integrates the split integrand (_split_integrand);
+    its break points are the double roots sqrt(m1), sqrt(m2) and the octaves of
+    k0 = 2 pi / t.
     """
+    if all(prof.amplitude == 0.0 for prof in data):
+        return (lambda *_: (0.0, 0.0)), lambda *_: QuadResult(0.0, 0.0, 0, 0)
+    mono, s_min, unit = _envelope_monomials(p, data)
+    shift = 2 * j + dim - (1 if v_norm else 3)
+    mono = [(c, pw + shift) for c, pw in mono]
+    w = lyapunov.default_weights(p)
+    ratio = w.equiv_hi / w.equiv_lo
+    amp = 1.0 if v_norm else (1.0 + p.tau) ** 2
+    thr = cardano_thresholds(p)
+    roots = [] if thr.m1 is None else [math.sqrt(thr.m1), math.sqrt(thr.m2)]
+
+    def cut(t: float, quad_tol: float) -> tuple[float, float]:
+        def tail(K: float) -> float:
+            rho_k = K * K / (1.0 + K * K)
+            decay_factor = min(1.0, ratio * math.exp(-w.gamma5 * rho_k * t))
+            # unit^2 may leave the float range where the tail does not
+            return unit * (unit * w.v_hi * decay_factor * amp
+                           * sum(c * _gauss_tail(m, s_min, K) for c, m in mono))
+
+        k_max = _kmax_certified(tail, 0.5 * quad_tol)
+        return k_max, tail(k_max)
+
+    def integrate(t: float, lo: float, hi: float, quad_tol: float) -> QuadResult:
+        edges = roots
+        if t > 0.0:
+            k0 = 2.0 * math.pi / t
+            edges = np.concatenate([roots, k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])
+        quad = adaptive_quadrature(_split_integrand(p, data, 2 * j + dim - 1, t, v_norm), lo, hi,
+                                   0.5 * quad_tol, initial_edges=edges)
+        return replace(quad, value=max(quad.value, 0.0))
+
+    return cut, integrate
+
+
+def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
+                   quad_tol: float, v_norm: bool) -> tuple[QuadResult, float, float]:
+    """(quadrature, k_max, tail bound) of the norm at one time over [0, k_max], the cut."""
     _check_orders(dim, j)
     t = _time(t)
     _tolerance(quad_tol)
-    if all(prof.amplitude == 0.0 for prof in data):
-        return QuadResult(0.0, 0.0, 0, 0), 0.0, 0.0
-    tail_bound = 0.0
-    if interval is None:
-        tail = _norm_tail(p, data, dim, j, t, v_norm)
-        lo, hi = 0.0, _kmax_certified(tail, 0.5 * quad_tol)
-        tail_bound = tail(hi)
-    else:
-        lo, hi = interval
-
-    thr = cardano_thresholds(p)
-    edges = [] if thr.m1 is None else [math.sqrt(thr.m1), math.sqrt(thr.m2)]
-    if t > 0.0:
-        k0 = 2.0 * math.pi / t
-        edges = np.concatenate([edges, k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])
-    quad = adaptive_quadrature(_split_integrand(p, data, 2 * j + dim - 1, t, v_norm), lo, hi,
-                               0.5 * quad_tol, initial_edges=edges)
-    return replace(quad, value=max(quad.value, 0.0)), hi, tail_bound
+    cut, integrate = _norm_problem(p, data, dim, j, v_norm)
+    k_max, tail_bound = cut(t, quad_tol)
+    return integrate(t, 0.0, k_max, quad_tol), k_max, tail_bound
 
 
 def sobolev_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
@@ -341,15 +335,16 @@ def v_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
 
 def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                          quad_tol: float = 1e-10) -> RegionContributions:
-    """The three partial integrals over [0, nu1], [nu1, nu2], [nu2, inf) of region_split(p)."""
+    """The partial integrals over [0, nu1], [nu1, nu2], [nu2, k_max] of region_split(p)."""
     _check_orders(dim, j)
     t = _time(t)
     _tolerance(quad_tol)
     split = region_split(p)
-    k_max = _kmax_certified(_norm_tail(p, data, dim, j, t, False), 0.5 * quad_tol)
+    cut, integrate = _norm_problem(p, data, dim, j, False)
+    k_max, _ = cut(t, quad_tol)
     a, b = min(split.nu1, k_max), min(split.nu2, k_max)
-    low, mid, high = (_norm_integral(p, data, dim, j, t, quad_tol / 3.0, False, ab)[0].value
-                      for ab in ((0.0, a), (a, b), (b, k_max)))
+    low, mid, high = (integrate(t, lo, hi, quad_tol / 3.0).value
+                      for lo, hi in ((0.0, a), (a, b), (b, k_max)))
     return RegionContributions(low=low, mid=mid, high=high)
 
 
@@ -392,9 +387,12 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
                 v_norm: bool = False) -> DecayCurve:
     """Norm time series with fitted log-log slope and theorem-bound records."""
     times = _time_grid(time_grid)
-
-    runs = [_norm_integral(p, data, dim, j, float(t), quad_tol, v_norm) for t in times]
-    values = np.array([math.sqrt(quad.value) for quad, _, _ in runs])
+    _check_orders(dim, j)
+    _tolerance(quad_tol)
+    cut, integrate = _norm_problem(p, data, dim, j, v_norm)
+    cuts = [cut(t, quad_tol) for t in times.tolist()]
+    quads = [integrate(t, 0.0, k_max, quad_tol) for t, (k_max, _) in zip(times.tolist(), cuts)]
+    values = np.array([math.sqrt(quad.value) for quad in quads])
     if v_norm:
         # energy-vector bound: (1+t)^(-dim/4 - j/2) plus exponential remainder
         exponent = -dim / 4.0 - j / 2.0
@@ -409,10 +407,10 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
     return DecayCurve(times=times, values=values, dim=dim, j=j, fitted_slope=slope,
                       bound_exponent=exponent, bound_constant_measured=const,
                       tau=p.tau, beta=p.beta, quad_tol=quad_tol,
-                      quad_nodes=np.array([quad.n_nodes for quad, _, _ in runs]),
-                      quad_error=np.array([quad.error for quad, _, _ in runs]),
-                      k_max=np.array([k_max for _, k_max, _ in runs]),
-                      tail_bound=np.array([tail for _, _, tail in runs]))
+                      quad_nodes=np.array([quad.n_nodes for quad in quads]),
+                      quad_error=np.array([quad.error for quad in quads]),
+                      k_max=np.array([k_max for k_max, _ in cuts]),
+                      tail_bound=np.array([tail for _, tail in cuts]))
 
 
 @dataclass(frozen=True)
@@ -452,12 +450,9 @@ def decay_curve_rows(curve: DecayCurve) -> list[tuple[float, float, float]]:
     return list(zip(curve.times.tolist(), curve.values.tolist(), bound.tolist()))
 
 
-_DIAGNOSTICS = ("quad_nodes", "quad_error", "k_max", "tail_bound")
-
-
 def decay_curve_summary(curve: DecayCurve) -> dict:
     """JSON-ready summary with the full parameter record for provenance, and
-    the per-time quadrature diagnostics of a curve that carries them."""
+    the per-time quadrature diagnostics."""
     return {
         "tau": curve.tau,
         "beta": curve.beta,
@@ -470,8 +465,8 @@ def decay_curve_summary(curve: DecayCurve) -> dict:
         "n_times": int(curve.times.size),
         "t_min": float(curve.times[0]),
         "t_max": float(curve.times[-1]),
-    } | {name: getattr(curve, name).tolist() for name in _DIAGNOSTICS
-         if getattr(curve, name) is not None}
+    } | {name: getattr(curve, name).tolist()
+         for name in ("quad_nodes", "quad_error", "k_max", "tail_bound")}
 
 
 def _report(curve: DecayCurve, json_rows: bool) -> tuple[dict, list[tuple[float, float, float]]]:

@@ -36,11 +36,12 @@ certifies it.  On the test points it agrees with 40-digit mpmath to about
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NonPositiveMargin
+from .errors import EmptyInput, InvalidInput, NonPositiveMargin
 from .mode_solver import (DataTriple, ModeState, _evolve, _times, solve_mode, v_vector,
                           mode_coefficients)  # unused; bench/tests/test_bench.py pins the alias
 from .params import ModelParams
@@ -288,11 +289,15 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     (MARGIN_TOL L - dL/dt) / (rho L), so the answer is the least of these and
     1/tau.  Raises NonPositiveMargin when dL/dt exceeds MARGIN_TOL L somewhere
     or the least bound is not positive, EmptyInput on empty grids or when L = 0
-    everywhere, and by the frequency and time rules (k = 0 is skipped) and the
-    grid rule's shape half (spectrum._grid; the sweep needs no order).
+    everywhere, InvalidInput unless init_samples iterates over ModeStates, by the
+    frequency and time rules (k = 0 is skipped; k_grid may be an iterator) and
+    the grid rule's shape half (spectrum._grid; the sweep needs no order).
     """
-    ks = _grid(_frequencies(list(k_grid)), "frequency", None)
-    samples = list(init_samples)
+    ks = _grid(_frequencies(list(k_grid) if isinstance(k_grid, Iterator) else k_grid),
+               "frequency", None)
+    samples = list(init_samples) if isinstance(init_samples, Iterable) else None
+    if samples is None or not all(isinstance(s, ModeState) for s in samples):
+        raise InvalidInput(f"sweep samples must be an iterable of ModeState, got {init_samples!r}")
     ts = _grid(_times(np.linspace(0.0, 25.0, 126) if t_grid is None else t_grid), "time", None)
     if ks.size == 0 or len(samples) == 0 or ts.size == 0:
         raise EmptyInput("gronwall margin sweep needs frequencies, samples and times")

@@ -257,6 +257,19 @@ class TestQuadratureDiagnostics:
         curve = decay_curve(P, (ZERO, ZERO, ZERO), 3, 0, [1.0, 10.0], 1e-10)
         assert curve.quad_nodes.tolist() == [0, 0] and curve.values.tolist() == [0.0, 0.0]
 
+    def test_one_norm_problem_per_curve(self, monkeypatch):
+        # the Lyapunov weights of the tail bound are built once for all the times,
+        # and not at all for zero data
+        from mgt_spectral import lyapunov
+
+        calls, weights = [], lyapunov.default_weights
+        monkeypatch.setattr(lyapunov, "default_weights", lambda p: calls.append(p) or weights(p))
+        curve = decay_curve(P, (ZERO, ZERO, GAUSS), 3, 0, [0.0, 1.0, 10.0, 100.0], 1e-10)
+        assert calls == [P] and np.all(curve.tail_bound > 0.0)
+        decay_curve(P, (ZERO, ZERO, ZERO), 3, 0, [1.0, 10.0], 1e-10)
+        region_contributions(P, (ZERO, ZERO, GAUSS), 3, 0, 10.0)
+        assert calls == [P, P]
+
 
 
 @pytest.mark.parametrize("tau,beta", [(0.05, 1.0), ((1.0 - 1e-13) / 9.0, 1.0),
@@ -521,7 +534,9 @@ class TestBoundVerdict:
         return DecayCurve(times=ts, values=np.asarray(values(ts)), dim=1, j=0,
                           fitted_slope=None, bound_exponent=exponent,
                           bound_constant_measured=0.0, tau=P.tau, beta=P.beta,
-                          quad_tol=1e-10)
+                          quad_tol=1e-10, quad_nodes=np.zeros(ts.size, dtype=int),
+                          quad_error=np.zeros(ts.size), k_max=np.zeros(ts.size),
+                          tail_bound=np.zeros(ts.size))
 
     def test_exact_power_law_is_within_with_its_constant(self):
         from mgt_spectral import bound_verdict

@@ -211,29 +211,39 @@ NO_READER_NEEDED = {"mode_coefficients"}
 MODULES = {p.stem for p in (SRC / "mgt_spectral").glob("*.py")}
 
 
-def _reads(source: str) -> set[str]:
-    """The names a file reads: each loaded name, and each attribute of a name that an
-    import in the file binds to mgt_spectral or one of its modules (`mgt.rho`,
-    `lyapunov.rho`, `mgt_spectral.decay.decay_curve`), not of any other object
-    (`f.rho`, a FunctionalValues field); an import reads nothing."""
+def _reads(source: str, src_module: bool = False) -> set[str]:
+    """The names a file reads: each loaded bare name that an import in the file binds to
+    mgt_spectral (`from mgt_spectral import rho`, `from .lyapunov import rho as r`) or,
+    in a src module, that the module itself defines (a top-level def or class); and each
+    attribute of a name that an import in the file binds to mgt_spectral or one of its
+    modules (`mgt.rho`, `lyapunov.rho`, `mgt_spectral.decay.decay_curve`), not of any
+    other object (`f.rho`, a FunctionalValues field).  A bare name that the file binds
+    otherwise (bench/checks.py's own `def mode_matrix`) is not a read, and an import
+    reads nothing."""
     tree = ast.parse(source)
     bound = set()
+    names = {}  # local name -> the public name a load of it reads
+    if src_module:
+        names |= {node.name: node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             bound |= {alias.asname or "mgt_spectral" for alias in node.names
                       if alias.name.split(".")[0] == "mgt_spectral"}
-        elif isinstance(node, ast.ImportFrom) and (node.module == "mgt_spectral"
-                                                   or node.level and node.module is None):
-            bound |= {alias.asname or alias.name for alias in node.names
-                      if alias.name in MODULES}
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "mgt_spectral"):
+            names |= {alias.asname or alias.name: alias.name for alias in node.names}
+            if node.module in ("mgt_spectral", None):
+                bound |= {alias.asname or alias.name for alias in node.names
+                          if alias.name in MODULES}
 
     def package(node) -> bool:
         if isinstance(node, ast.Attribute):
             return node.attr in MODULES and package(node.value)
         return isinstance(node, ast.Name) and node.id in bound
 
-    return ({node.id for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return ({names[node.id] for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load) and node.id in names}
             | {node.attr for node in ast.walk(tree)
                if isinstance(node, ast.Attribute) and package(node.value)})
 
@@ -246,7 +256,7 @@ def _readers() -> dict[str, set[str]]:
     files += [p for p in (ROOT / "bench").rglob("*.py") if "tests" not in p.parts]
     readers: dict[str, set[str]] = {}
     for path in files:
-        for name in _reads(path.read_text()):
+        for name in _reads(path.read_text(), src_module=path.parent.name == "mgt_spectral"):
             readers.setdefault(name, set()).add(path.relative_to(ROOT).as_posix())
     return readers
 
@@ -267,6 +277,17 @@ print(f.rho, FrequencyProfile.gaussian)
     assert "rho" in _reads("import mgt_spectral.lyapunov\nmgt_spectral.lyapunov.rho(1.0)\n")
 
 
+def test_census_counts_a_bare_name_only_where_the_package_binds_it():
+    # a file's own def of a public name is not a read of the package's name
+    own = "def mode_matrix(tau, beta, k):\n    return k\n\nmode_matrix(0.1, 1.0, 2.0)\n"
+    assert "mode_matrix" not in _reads(own)
+    assert "mode_matrix" in _reads(own, src_module=True)
+    # an import binds it, under its own name or an alias
+    assert "mode_matrix" in _reads("from mgt_spectral import mode_matrix as mm\nmm(p, 1.0)\n")
+    assert "mode_matrix" in _reads("from .mode_solver import mode_matrix\nmode_matrix(p, 1.0)\n")
+    assert "mm" not in _reads("from mgt_spectral import mode_matrix as mm\nmm(p, 1.0)\n")
+
+
 def _readme_table() -> dict[str, str]:
     """README's public-name table: name -> its reader cell."""
     table = (ROOT / "README.md").read_text().split("| name | layer | one reader |")[1]
@@ -281,6 +302,14 @@ def _exempt() -> set[str]:
 
     return NO_READER_NEEDED | {name for name in mgt_spectral.__all__
                                if inspect.ismodule(getattr(mgt_spectral, name))}
+
+
+def test_readme_counts_the_public_names():
+    import mgt_spectral
+
+    readme = (ROOT / "README.md").read_text()
+    count = re.search(r"`mgt_spectral\.__all__` holds (\d+) names", readme)
+    assert int(count[1]) == len(mgt_spectral.__all__)
 
 
 def test_every_public_name_has_a_reader_outside_the_tests():

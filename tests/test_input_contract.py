@@ -99,6 +99,12 @@ GRID_SHAPE = {
                                                               [UNIT], t_grid=grid),
 }
 
+#: the sample rule, in gronwall_margin: an iterable of ModeState (an iterator too), or
+#: InvalidInput
+SAMPLES = {
+    "gronwall_margin": lambda samples: gronwall_margin(P, default_weights(P), [1.0], samples),
+}
+
 #: the tolerance rule, quadrature._tolerance: a finite number > 0, or InvalidInput
 TOLERANCE = {
     "adaptive_quadrature": lambda tol: adaptive_quadrature(np.exp, 0.0, 1.0, tol),
@@ -141,7 +147,8 @@ PROFILE = {
 #: parameter name -> the table of its rule
 RULE_OF = {"t": TIME, "t_grid": TIME, "time_grid": TIME_GRID, "k": FREQUENCY, "ks": FREQUENCY,
            "k_grid": FREQUENCY, "tol": TOLERANCE, "quad_tol": TOLERANCE, "dim": ORDERS,
-           "j": ORDERS, "scale": PROFILE, "amplitude": PROFILE, "a": INTERVAL, "b": INTERVAL}
+           "j": ORDERS, "scale": PROFILE, "amplitude": PROFILE, "a": INTERVAL, "b": INTERVAL,
+           "init_samples": SAMPLES}
 
 
 def _raises(error, message):
@@ -204,9 +211,10 @@ def test_frequency_grid_rule(name, grid, error, message):
 @pytest.mark.parametrize("name, grid_name, grid", [
     (*key, grid) for key in GRID_SHAPE
     for grid in ([[0.5, 1.0]], [[0.5, 1.0], [2.0, 3.0]], np.ones((1, 1, 2)))]
-    + [("gronwall_margin", "time", 10.0)])
+    + [("gronwall_margin", "time", 10.0), ("gronwall_margin", "frequency", 10.0)])
 def test_grid_shape_rule(name, grid_name, grid):
-    # not a flattened sweep (nor a 0-d time grid): the grid rule's shape half, without its order
+    # not a flattened sweep (nor a 0-d grid, nor a bare TypeError on a number): the grid
+    # rule's shape half, without its order
     shape = np.shape(grid)
     with _raises(GridError, f"{grid_name} grid must be one-dimensional, got shape {shape}"):
         GRID_SHAPE[name, grid_name](grid)
@@ -216,6 +224,24 @@ def test_grid_shape_rule(name, grid_name, grid):
 def test_grid_shape_rule_keeps_the_empty_sweep_message(name, grid_name):
     with _raises(EmptyInput, "gronwall margin sweep needs frequencies, samples and times"):
         GRID_SHAPE[name, grid_name]([])
+
+
+def test_grid_shape_rule_reads_an_iterator_of_frequencies():
+    sweep = GRID_SHAPE["gronwall_margin", "frequency"]
+    assert sweep(k for k in (0.5, 1.0, 2.0)) == sweep(np.array([0.5, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+@pytest.mark.parametrize("bad", [UNIT, 1.0, None, [UNIT, 1.0], "u"])
+def test_sample_rule(name, bad):
+    # a lone ModeState is not a sweep, nor is a number: no bare TypeError
+    with _raises(InvalidInput, f"sweep samples must be an iterable of ModeState, got {bad!r}"):
+        SAMPLES[name](bad)
+
+
+@pytest.mark.parametrize("name", SAMPLES)
+def test_sample_rule_reads_an_iterator(name):
+    assert SAMPLES[name](iter([UNIT, _state(2.0)])) == SAMPLES[name]((UNIT, _state(2.0)))
 
 
 @pytest.mark.parametrize("name", FREQUENCY)

@@ -94,15 +94,6 @@ class TestRecords:
             assert a is not b
             assert a == b and hash(a) == hash(b)
 
-    def test_equal_params_share_the_weights_cache(self):
-        from mgt_spectral import decay
-        cached = decay._cached_weights
-        first = cached(validate(0.3, 1.5))
-        before = cached.cache_info()
-        assert cached(validate(0.3, 1.5)) is first
-        after = cached.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-
 
 class TestCardanoThresholds:
     def test_reference_values(self):
