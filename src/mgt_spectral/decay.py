@@ -11,10 +11,12 @@ invariant under a fixed multiplicative factor.
 
 Truncation of the infinite range is certified: the mode energy is
 nonincreasing and bounded by the initial energy's monomial-Gaussian envelope,
-and beyond the truncation point the measured Lyapunov decay factor
-exp(-gamma5 rho(K) t) shrinks the admissible tail further, which is what
-makes the large-time sweeps cheap.  A curve poses one norm problem for all its
-times (_norm_problem): the envelope, the weights and the break points do not depend on t.
+each of whose monomials k^m exp(-(s k)^2) has the tail bound
+K^(m+1) e^-z / (2z - max(m, 0)) at z = (s K)^2 (_gauss_tail), and beyond the
+truncation point the measured Lyapunov decay factor exp(-gamma5 rho(K) t)
+shrinks the admissible tail further, which is what makes the large-time sweeps
+cheap.  A curve poses one norm problem for all its times (_norm_problem): the
+envelope, the weights and the break points do not depend on t.
 
 The integrand oscillates with the phase 2 r(k) t, where alpha +- i r is the
 complex pair of the mode.  Each mode is written
@@ -109,62 +111,29 @@ def region_rates(p: ModelParams) -> tuple[float, float]:
 # certified truncation of the frequency integrals
 # ---------------------------------------------------------------------------
 
-def _upper_gamma(two_a: int, z: float) -> float:
-    """Upper incomplete gamma Gamma(a, z) at a half-integer or integer a = two_a / 2.
-
-    Starts from Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) or Gamma(1, z) = e^-z
-    and recurses upward with Gamma(a + 1, z) = a Gamma(a, z) + z^a e^-z.  Every
-    term is positive, so nothing cancels.
-    """
-    if two_a % 2:
-        a, g = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(z))
-    else:
-        a, g = 1.0, math.exp(-z)
-    log_z = math.log(z) if z > 0.0 else -math.inf
-    while 2.0 * a < two_a:
-        g = a * g + math.exp(a * log_z - z)
-        a += 1.0
-    return g
-
-
-def _exp1(z: float) -> float:
-    """E1(z) = int_z^inf e^-x / x dx at z > 0: the series -gamma - ln z -
-    sum_n (-z)^n / (n n!) up to z = 1, beyond it the continued fraction of
-    Numerical Recipes' `expint` (n = 1) by the modified Lentz method."""
-    if z <= 1.0:
-        total, term, n = -0.5772156649015329 - math.log(z), 1.0, 0
-        while abs(term) > 1e-17 * abs(total):
-            n += 1
-            term *= -z / n
-            total -= term / n
-        return total
-    b, c = z + 1.0, 1e300
-    h = d = 1.0 / b
-    for i in range(1, 1000):
-        b += 2.0
-        d, c = 1.0 / (b - i * i * d), b - i * i / c
-        h *= c * d
-        if abs(c * d - 1.0) <= 1e-15:
-            break
-    return h * math.exp(-z)
-
-
 def _gauss_tail(m: int, s: float, K: float) -> float:
-    """Upper bound on int_K^inf k^m exp(-(s k)^2) dk for an integer power m: a
-    closed form over math.exp and math.erfc, and at m = -1, the one order
-    without an elementary closed form (N + 2j <= 2 only), E1((s K)^2) / 2."""
+    """Upper bound on int_K^inf k^m e^(-(s k)^2) dk for an integer m, in log space.
+
+    With z = (s K)^2 and m+ = max(m, 0): for k >= K the log-derivative m/k - 2 s^2 k is
+    at most m+/K - 2 s^2 k and k^2 - K^2 >= 2K(k - K), so the tail is at most
+    K^(m+1) e^-z / (2z - m+) where 2z > m+ (Gordon's Mills-ratio bound at m = 0).  At
+    m >= 0 the whole moment Gamma(a) / (2 s^(m+1)), a = (m+1)/2, caps it; at z = 0 it is
+    inf but for m >= 0 and s > 0.  Jensen on Gamma(a, z) = z^(a-1) e^-z int_0^inf
+    (1 + u/z)^(a-1) e^-u du puts it within a factor 2z/(2z - m+) (1 + 1/z)^(1-a) of the
+    exact tail Gamma(a, z) / (2 s^(m+1)), or 2z/(2z - 2) at m = 2, where that power is concave."""
     if K <= 0.0:
         K = 1e-12
     if s * K > 1e154:  # e^-z is 0.0 long before z = (s K)^2 leaves the float range
         return 0.0
-    z = (s * K) ** 2
-    if m <= -2:
-        return math.exp(-z) * K ** (m + 1) / (-m - 1.0)
-    if m == -1:  # E1(0) = inf, where (s K)^2 underflows
-        return 0.5 * _exp1(z) if z > 0.0 else math.inf
-    try:
-        return 0.5 * s ** (-(m + 1.0)) * _upper_gamma(m + 1, z)
-    except OverflowError:  # s^-(m+1) past the float range: no finite bound
+    z, m_plus, a = (s * K) ** 2, max(m, 0), 0.5 * (m + 1)
+    log_bound = math.inf
+    if 2.0 * z > m_plus:
+        log_bound = (m + 1) * math.log(K) - z - math.log(2.0 * z - m_plus)
+    if m >= 0 and s > 0.0:  # the whole moment, infinite at s = 0
+        log_bound = min(log_bound, math.lgamma(a) - 2.0 * a * math.log(s) - math.log(2.0))
+    try:  # a high power whose bound is finite does not overflow in log space
+        return math.exp(log_bound)
+    except OverflowError:
         return math.inf
 
 
@@ -562,6 +531,14 @@ def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarra
     return integrand
 
 
+def _half_gamma(b: float, z: float, at: str) -> float:
+    """Gamma(b) / (2 z^b) in log space, or QuadratureFailure naming `at` past the float range."""
+    try:
+        return 0.5 * math.exp(math.lgamma(b) - b * math.log(z))
+    except OverflowError:  # an inf bound would pass any value
+        raise QuadratureFailure(f"lemma bound out of float range at {at}") from None
+
+
 def _lemma_quadratures(dim: int, j: int, c: float,
                        t: float) -> dict[str, tuple[QuadResult, float, float]]:
     """name -> (quadrature, its error target, its closed-form upper bound) of each
@@ -584,7 +561,7 @@ def _lemma_quadratures(dim: int, j: int, c: float,
         raise QuadratureFailure(f"lemma error target out of float range at t = {t:g}") from None
 
     def full(b: float) -> float:  # int_0^inf w dr
-        return 0.5 * math.exp(math.lgamma(b) - b * math.log(z))
+        return _half_gamma(b, z, f"t = {t:g}")
 
     def whole(b: float) -> float:  # P(b): Gamma(b)/z^b >= 1/b where lgamma(b+1) >= b log z
         return 0.5 / b if z == 0.0 or math.lgamma(b + 1.0) >= b * math.log(z) else full(b)
@@ -635,7 +612,8 @@ def integral_lemma_check(dim: int, j: int, c: float,
     t).  The closed-form bounds (_lemma_quadratures) are sharp as t -> inf but
     for sine_low.
 
-    Raises QuadratureFailure where an error target leaves the float range.
+    Raises QuadratureFailure where an error target or a closed-form bound leaves
+    the float range.
     """
     _check_orders(dim, j)
     if not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):
@@ -654,7 +632,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
 
     bound_const = sharp = None
     if a > 1.0:  # Gamma(a - 1) is finite and positive
-        bound_const = 0.5 * c ** (1.0 - a) * math.gamma(a - 1.0)
+        bound_const = _half_gamma(a - 1.0, c, f"c = {c:g}, the sine_global constant")
         sharp = 0.5 * bound_const
     return IntegralLemmaReport(dim=dim, j=j, c=c, series=series,
                                sine_global_bound_constant=bound_const,

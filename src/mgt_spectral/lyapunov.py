@@ -36,7 +36,7 @@ certifies it.  On the test points it agrees with 40-digit mpmath to about
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,11 +290,10 @@ def gronwall_margin(p: ModelParams, w: LyapunovWeights, k_grid,
     1/tau.  Raises NonPositiveMargin when dL/dt exceeds MARGIN_TOL L somewhere
     or the least bound is not positive, EmptyInput on empty grids or when L = 0
     everywhere, InvalidInput unless init_samples iterates over ModeStates, by the
-    frequency and time rules (k = 0 is skipped; k_grid may be an iterator) and
-    the grid rule's shape half (spectrum._grid; the sweep needs no order).
+    frequency and time rules (k = 0 is skipped; a grid is not an iterator) and the
+    grid rule's shape half (spectrum._grid; the sweep needs no order).
     """
-    ks = _grid(_frequencies(list(k_grid) if isinstance(k_grid, Iterator) else k_grid),
-               "frequency", None)
+    ks = _grid(_frequencies(k_grid), "frequency", None)
     samples = list(init_samples) if isinstance(init_samples, Iterable) else None
     if samples is None or not all(isinstance(s, ModeState) for s in samples):
         raise InvalidInput(f"sweep samples must be an iterable of ModeState, got {init_samples!r}")

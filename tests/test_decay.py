@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -226,7 +227,11 @@ class TestQuadratureDiagnostics:
                                           (0.3, 1.0), ((1.0 + 1e-9) / 9.0, 1.0)])
     @pytest.mark.parametrize("data,dim,j,v_norm", [((ZERO, ZERO, GAUSS), 3, 0, False),
                                                    ((GAUSS, MF, MF), 1, 0, False),
-                                                   ((GAUSS, GAUSS, GAUSS), 3, 1, True)])
+                                                   ((GAUSS, GAUSS, GAUSS), 3, 1, True),
+                                                   # the k^-1 and k^-2 orders of the tail bound
+                                                   ((ZERO, GAUSS, ZERO), 2, 0, False),
+                                                   ((ZERO, GAUSS, ZERO), 1, 0, False),
+                                                   ((GAUSS, MF, MF), 4, 0, True)])
     def test_error_estimate_plus_tail_bound_within_quad_tol(self, tau, beta, data, dim, j,
                                                              v_norm):
         ts = [0.0, 0.5, 10.0, 1e2, 1e3, 1e4]
@@ -454,29 +459,49 @@ class TestNoLeastSquaresSolver:
             assert np.all(values <= s.bound + s.quad_tol), name
 
 
-class TestGaussTailClosedForm:
-    """The closed-form tail bound against scipy's incomplete gamma and exp1."""
+class TestGaussTailBound:
+    """The tail bound against the exact tail Gamma(a, z) / (2 s^(m+1)), a = (m+1)/2, by
+    mpmath: never below it, and within the factor _gauss_tail's docstring proves."""
 
-    @pytest.mark.parametrize("m", range(-1, 13))
-    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
-    def test_matches_scipy_reference(self, m, s):
-        from scipy import special
+    Z_GRID = np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 120)])
 
+    @staticmethod
+    def _rows(m, s):
+        """(bound, exact tail, proven upper bound) at each z of the grid above 1e-290."""
+        mp = pytest.importorskip("mpmath")
         from mgt_spectral.decay import _gauss_tail
 
-        for z in np.concatenate([[0.0], np.geomspace(1e-8, 700.0, 120)]):
+        a, m_plus = 0.5 * (m + 1), max(m, 0)
+        for z in TestGaussTailBound.Z_GRID:
             K = math.sqrt(z) / s
-            z_eff = (s * (K if K > 0.0 else 1e-12)) ** 2  # K = 0 is floored at 1e-12
-            if m == -1:
-                ref = 0.5 * float(special.exp1(z_eff))
-            else:
-                a = 0.5 * (m + 1)
-                ref = 0.5 * s ** (-(m + 1.0)) * float(special.gamma(a) * special.gammaincc(a, z_eff))
-            if ref <= 1e-290:
+            z = (s * (K if K > 0.0 else 1e-12)) ** 2  # K = 0 is floored at 1e-12
+            exact = float(0.5 * s ** (-(m + 1.0)) * mp.gammainc(a, z))
+            if exact <= 1e-290:
                 continue
-            got = _gauss_tail(m, s, K)
-            # a certified upper bound: never more than rounding below the reference
-            assert abs(got - ref) <= 1e-12 * ref, (m, s, z, got, ref)
+            upper = math.inf
+            if 2.0 * z > m_plus:  # the power (1 + u/z)^(a-1) is concave at m = 2 only
+                jensen = 1.0 if m == 2 else (1.0 + 1.0 / z) ** (1.0 - a)
+                upper = 2.0 * z / (2.0 * z - m_plus) * jensen
+            if m >= 0:  # the whole moment
+                upper = min(upper, float(mp.gamma(a) / mp.gammainc(a, z)))
+            yield _gauss_tail(m, s, K), exact, upper * exact
+
+    @staticmethod
+    def _safe(bound, exact):
+        # a certified upper bound: never more than rounding below the exact tail
+        return bound >= exact * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("m", range(-3, 13))
+    @pytest.mark.parametrize("s", [0.3, 1.0, 2.5])
+    def test_bounds_the_exact_tail_within_the_proven_factor(self, m, s):
+        for bound, exact, upper in self._rows(m, s):
+            assert self._safe(bound, exact), (m, s, bound, exact)
+            assert bound <= upper * (1.0 + 1e-12), (m, s, bound, upper)
+
+    def test_a_bound_a_millionth_low_fails_the_safety_check(self):
+        # negative control: the safety check sees a bound 1e-6 below the exact tail
+        rows = [row for m in range(-3, 13) for s in (0.3, 1.0, 2.5) for row in self._rows(m, s)]
+        assert not all(self._safe(bound * (1.0 - 1e-6), exact) for bound, exact, _ in rows)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -490,7 +515,7 @@ class TestFloatRange:
         assert _gauss_tail(0, 1e200, 1.0) == 0.0       # (s K)^2 overflows: e^-inf = 0
         assert _gauss_tail(-2, 1.0, 1e200) == 0.0
         assert _gauss_tail(6, 1e-150, 1.0) == math.inf  # s^-7 overflows
-        assert _gauss_tail(-1, 1e-200, 1.0) == math.inf  # (s K)^2 underflows: E1(0) = inf
+        assert _gauss_tail(-1, 1e-200, 1.0) == math.inf  # (s K)^2 underflows: no bound at z = 0
         with pytest.raises(QuadratureFailure):
             _kmax_certified(lambda K: _gauss_tail(6, 1e-150, K), 1e-16)
 
@@ -524,6 +549,26 @@ class TestFloatRange:
     def test_lemma_error_target_out_of_range_is_typed(self, dim, j, t):
         with pytest.raises(QuadratureFailure, match="out of float range"):
             integral_lemma_check(dim, j, 1.0, [t])
+
+    @pytest.mark.parametrize("dim, c, grid, at", [
+        (400, 1.0, [0.0, 1.0, 10.0], "t = 1"),
+        (60, 1e-10, [0.0, 1.0, 10.0], "t = 1"),
+        (400, 1.0, [0.0], "c = 1, the sine_global constant"),
+        (60, 1e-10, [0.0], "c = 1e-10, the sine_global constant"),
+    ])
+    def test_lemma_bound_out_of_range_is_typed(self, dim, c, grid, at):
+        # Gamma(b) / (2 z^b) past the float range: a bare OverflowError, or at
+        # (60, 1e-10, [0]) an infinite sine_global constant, which bounds nothing
+        with pytest.raises(QuadratureFailure,
+                           match=f"^lemma bound out of float range at {re.escape(at)}$"):
+            integral_lemma_check(dim, 0, c, grid)
+
+    def test_lemma_kernel_whose_c_t_underflows_is_typed(self):
+        # at c t = 0 the sine_global kernel has no Gaussian decay and no certified cut
+        # (a bare ZeroDivisionError before)
+        with pytest.raises(QuadratureFailure,
+                           match="^could not certify a finite truncation point$"):
+            integral_lemma_check(3, 0, 1e-170, [1e-170])
 
 
 class TestBoundVerdict:

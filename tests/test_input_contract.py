@@ -226,9 +226,19 @@ def test_grid_shape_rule_keeps_the_empty_sweep_message(name, grid_name):
         GRID_SHAPE[name, grid_name]([])
 
 
-def test_grid_shape_rule_reads_an_iterator_of_frequencies():
-    sweep = GRID_SHAPE["gronwall_margin", "frequency"]
-    assert sweep(k for k in (0.5, 1.0, 2.0)) == sweep(np.array([0.5, 1.0, 2.0]))
+@pytest.mark.parametrize("read, error, what", [
+    (FREQUENCY_GRID["atlas"], InvalidFrequency, "frequency magnitude"),
+    (TIME_GRID["decay_curve"], InvalidInput, "time"),
+    (TIME_GRID["integral_lemma_check"], InvalidInput, "time"),
+    (GRID_SHAPE["gronwall_margin", "frequency"], InvalidFrequency, "frequency magnitude"),
+    (GRID_SHAPE["gronwall_margin", "time"], InvalidInput, "time"),
+], ids=["atlas", "decay_curve", "integral_lemma_check", "gronwall_margin-frequency",
+        "gronwall_margin-time"])
+def test_no_grid_reads_an_iterator(read, error, what):
+    # one rule for every grid: an iterator is not a number, by the entry rule
+    grid = iter([0.5, 1.0, 2.0])
+    with _raises(error, f"{what} must be a number, got {grid!r}"):
+        read(grid)
 
 
 @pytest.mark.parametrize("name", SAMPLES)
