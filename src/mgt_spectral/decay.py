@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import lyapunov
+from . import lyapunov, mode_solver
 from .errors import DegenerateFit, InvalidInput, QuadratureFailure
 from .mode_solver import DataTriple, FrequencyProfile, _time, _time_grid, solve_modes_on_grid
 from .params import (DataClass, ModelParams, _check_orders, cardano_thresholds,
@@ -112,7 +112,7 @@ def region_rates(p: ModelParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _gauss_tail(m: int, s: float, K: float) -> float:
-    """Upper bound on int_K^inf k^m e^(-(s k)^2) dk for an integer m, in log space.
+    """Upper bound on int_K^inf k^m e^(-(s k)^2) dk for an integer m and K > 0, in log space.
 
     With z = (s K)^2 and m+ = max(m, 0): for k >= K the log-derivative m/k - 2 s^2 k is
     at most m+/K - 2 s^2 k and k^2 - K^2 >= 2K(k - K), so the tail is at most
@@ -121,8 +121,6 @@ def _gauss_tail(m: int, s: float, K: float) -> float:
     inf but for m >= 0 and s > 0.  Jensen on Gamma(a, z) = z^(a-1) e^-z int_0^inf
     (1 + u/z)^(a-1) e^-u du puts it within a factor 2z/(2z - m+) (1 + 1/z)^(1-a) of the
     exact tail Gamma(a, z) / (2 s^(m+1)), or 2z/(2z - 2) at m = 2, where that power is concave."""
-    if K <= 0.0:
-        K = 1e-12
     if s * K > 1e154:  # e^-z is 0.0 long before z = (s K)^2 leaves the float range
         return 0.0
     z, m_plus, a = (s * K) ** 2, max(m, 0), 0.5 * (m + 1)
@@ -190,28 +188,19 @@ def _kmax_certified(tail: Callable[[float], float], tol: float) -> float:
 # norm quadratures
 # ---------------------------------------------------------------------------
 
-def _functionals(tau: float, v_norm: bool) -> tuple:
-    """(power of k, linear functional of the state) pairs: the norm integrand is
-    k^(2j+dim-1) sum k^power functional(y)^2."""
-    if v_norm:
-        return ((0, lambda y: y[1] + tau * y[2]), (2, lambda y: y[0] + tau * y[1]),
-                (2, lambda y: y[1]))
-    return ((0, lambda y: y[0]),)
-
-
 def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
                      v_norm: bool) -> Callable[[np.ndarray], Split]:
     """The norm integrand as envelope plus the harmonics of the phase r t.
 
-    With z = e^{lam t} l + e^{alpha t}(P cos rt + S sin rt) for each functional
-    of the state (the split that solve_modes_on_grid returns), z^2 is the envelope
-    e^{2 lam t} l^2 + e^{2 alpha t}(P^2 + S^2)/2, plus e^{2 alpha t} times
-    (P^2 - S^2)/2 cos 2rt + P S sin 2rt, plus 2 e^{(lam + alpha) t} l times
-    (P cos rt + S sin rt).  The split is trusted where r t >= pi: its terms
+    With z = e^{lam t} l + e^{alpha t}(P cos rt + S sin rt) for each form of the
+    state, u or V's (mode_solver._v_forms), on the split that solve_modes_on_grid
+    returns, z^2 is the envelope e^{2 lam t} l^2 + e^{2 alpha t}(P^2 + S^2)/2, plus
+    e^{2 alpha t} times (P^2 - S^2)/2 cos 2rt + P S sin 2rt, plus 2 e^{(lam + alpha) t}
+    l times (P cos rt + S sin rt).  The split is trusted where r t >= pi: its terms
     carry 1/r and 1/((lam - alpha)^2 + r^2), which grow near k = 0, near the
     double roots at sqrt(m1), sqrt(m2) and near the triple root.
     """
-    forms = _functionals(p.tau, v_norm)
+    forms = mode_solver._v_forms(p.tau) if v_norm else ((0, lambda y: y[0]),)
 
     def integrand(karr: np.ndarray) -> Split:
         y = solve_modes_on_grid(p, karr, *(prof(karr) for prof in data), t)
@@ -233,18 +222,20 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
     return integrand
 
 
-def _norm_problem(p: ModelParams, data: DataTriple, dim: int, j: int,
-                  v_norm: bool) -> tuple[Callable, Callable]:
-    """The norm integral's time-independent half and its two steps at a time t under an
-    error budget quad_tol: cut(t, quad_tol), the certified cut k_max and its tail
-    bound (at most quad_tol / 2), and integrate(t, lo, hi, quad_tol), the
-    quadrature over [lo, hi] to the error target quad_tol / 2, clipped at 0.
-    All-zero data cut at 0 and integrate to an exact 0, with no weights.
+def _norm_problem(p: ModelParams, data: DataTriple, dim: int, j: int, v_norm: bool,
+                  quad_tol: float) -> tuple[Callable, Callable]:
+    """The norm integral's time-independent half, after the norm path's one check of the
+    orders rule on dim and j and the tolerance rule on the error budget quad_tol, and its
+    two steps at a time t: cut(t), the certified cut k_max and its tail bound (at most
+    quad_tol / 2), and integrate(t, lo, hi, tol), the quadrature over [lo, hi] to the
+    error target tol / 2, clipped at 0.  All-zero data cut at 0 and integrate to 0, no weights.
 
     One adaptive_quadrature pass integrates the split integrand (_split_integrand);
     its break points are the double roots sqrt(m1), sqrt(m2) and the octaves of
     k0 = 2 pi / t.
     """
+    _check_orders(dim, j)
+    _tolerance(quad_tol)
     if all(prof.amplitude == 0.0 for prof in data):
         return (lambda *_: (0.0, 0.0)), lambda *_: QuadResult(0.0, 0.0, 0, 0)
     mono, s_min, unit = _envelope_monomials(p, data)
@@ -256,7 +247,7 @@ def _norm_problem(p: ModelParams, data: DataTriple, dim: int, j: int,
     thr = cardano_thresholds(p)
     roots = [] if thr.m1 is None else [math.sqrt(thr.m1), math.sqrt(thr.m2)]
 
-    def cut(t: float, quad_tol: float) -> tuple[float, float]:
+    def cut(t: float) -> tuple[float, float]:
         def tail(K: float) -> float:
             rho_k = K * K / (1.0 + K * K)
             decay_factor = min(1.0, ratio * math.exp(-w.gamma5 * rho_k * t))
@@ -267,13 +258,13 @@ def _norm_problem(p: ModelParams, data: DataTriple, dim: int, j: int,
         k_max = _kmax_certified(tail, 0.5 * quad_tol)
         return k_max, tail(k_max)
 
-    def integrate(t: float, lo: float, hi: float, quad_tol: float) -> QuadResult:
+    def integrate(t: float, lo: float, hi: float, tol: float) -> QuadResult:
         edges = roots
         if t > 0.0:
             k0 = 2.0 * math.pi / t
             edges = np.concatenate([roots, k0 * 2.0 ** np.arange(math.ceil(math.log2(hi / k0)))])
         quad = adaptive_quadrature(_split_integrand(p, data, 2 * j + dim - 1, t, v_norm), lo, hi,
-                                   0.5 * quad_tol, initial_edges=edges)
+                                   0.5 * tol, initial_edges=edges)
         return replace(quad, value=max(quad.value, 0.0))
 
     return cut, integrate
@@ -282,11 +273,9 @@ def _norm_problem(p: ModelParams, data: DataTriple, dim: int, j: int,
 def _norm_integral(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                    quad_tol: float, v_norm: bool) -> tuple[QuadResult, float, float]:
     """(quadrature, k_max, tail bound) of the norm at one time over [0, k_max], the cut."""
-    _check_orders(dim, j)
     t = _time(t)
-    _tolerance(quad_tol)
-    cut, integrate = _norm_problem(p, data, dim, j, v_norm)
-    k_max, tail_bound = cut(t, quad_tol)
+    cut, integrate = _norm_problem(p, data, dim, j, v_norm, quad_tol)
+    k_max, tail_bound = cut(t)
     return integrate(t, 0.0, k_max, quad_tol), k_max, tail_bound
 
 
@@ -305,12 +294,10 @@ def v_norm_sq(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
 def region_contributions(p: ModelParams, data: DataTriple, dim: int, j: int, t: float,
                          quad_tol: float = 1e-10) -> RegionContributions:
     """The partial integrals over [0, nu1], [nu1, nu2], [nu2, k_max] of region_split(p)."""
-    _check_orders(dim, j)
     t = _time(t)
-    _tolerance(quad_tol)
+    cut, integrate = _norm_problem(p, data, dim, j, False, quad_tol)
     split = region_split(p)
-    cut, integrate = _norm_problem(p, data, dim, j, False)
-    k_max, _ = cut(t, quad_tol)
+    k_max, _ = cut(t)
     a, b = min(split.nu1, k_max), min(split.nu2, k_max)
     low, mid, high = (integrate(t, lo, hi, quad_tol / 3.0).value
                       for lo, hi in ((0.0, a), (a, b), (b, k_max)))
@@ -356,10 +343,8 @@ def decay_curve(p: ModelParams, data: DataTriple, dim: int, j: int,
                 v_norm: bool = False) -> DecayCurve:
     """Norm time series with fitted log-log slope and theorem-bound records."""
     times = _time_grid(time_grid)
-    _check_orders(dim, j)
-    _tolerance(quad_tol)
-    cut, integrate = _norm_problem(p, data, dim, j, v_norm)
-    cuts = [cut(t, quad_tol) for t in times.tolist()]
+    cut, integrate = _norm_problem(p, data, dim, j, v_norm, quad_tol)
+    cuts = [cut(t) for t in times.tolist()]
     quads = [integrate(t, 0.0, k_max, quad_tol) for t, (k_max, _) in zip(times.tolist(), cuts)]
     values = np.array([math.sqrt(quad.value) for quad in quads])
     if v_norm:
@@ -506,15 +491,15 @@ def _ratio_series(name: str, times: np.ndarray, rows: Sequence[dict], shape: np.
                                         f"({combo},t={times[worst]:g})"))
 
 
-def _lemma_split(c: float, pw: int, t: float, sine: bool) -> Callable[[np.ndarray], Split]:
-    """An oscillating lemma kernel, with w = r^pw e^(-c r^2 t), as a Split with one
+def _lemma_split(weight: Callable, t: float, sine: bool) -> Callable[[np.ndarray], Split]:
+    """An oscillating lemma kernel of _lemma_quadratures' weight w, as a Split with one
     harmonic of the phase 2tr: w cos^2(tr) = w/2 + (w/2) cos 2tr, trusted
     everywhere, or w sin^2(tr)/r^2 = w/(2r^2) - (w/(2r^2)) cos 2tr, trusted
     where r t >= pi (the split's terms grow like 1/r^2 near r = 0, where they
     cancel).  Untrusted panels are bisected until 2tr turns by at most pi."""
 
     def integrand(r: np.ndarray) -> Split:
-        w = r**pw * np.exp(-c * r * r * t)
+        w = weight(r)
         if sine:
             trusted = r * t >= math.pi
             sinc = np.where(r > 0.0, np.sin(t * r) / np.where(r > 0.0, r, 1.0), t)
@@ -545,13 +530,16 @@ def _lemma_quadratures(dim: int, j: int, c: float,
     lemma kernel at one time t; sine_global only where dim + j >= 3 and t > 0,
     cut where r^(dim+j-3) e^(-c r^2 t) leaves a tail <= 1e-16.
 
+    plain is the weight w = r^pw e^(-c r^2 t), pw = dim + j - 1, that the others share, as
+    (r^(pw/m) e^(-c r^2 t/m))^m, m = max(pw, 1): finite where w is, though r^pw may not be.
+
     The bounds: with a = (dim+j)/2, z = c t and w = r^(2b-1) e^(-z r^2), P(b) =
     min(1/(2b), Gamma(b)/(2 z^b)) bounds int_0^1 w dr, exactly at z = 0 and as
     z -> inf, and one integration by parts bounds |int_0^h w cos 2tr dr| by
     (2 w* - w(0))/(2t), w* = w(min(h, sqrt((b - 1/2)/z))) the peak of the
     unimodal w.  cos^2 = (1 + cos 2tr)/2, sin^2 = (1 - cos 2tr)/2 and
     sin^2 x <= min(1, x^2) do the rest."""
-    a, z, pw = 0.5 * (dim + j), c * t, dim + j - 1
+    a, z, pw, m = 0.5 * (dim + j), c * t, dim + j - 1, max(dim + j - 1, 1)
     has_global = dim + j >= 3 and t > 0.0
     try:
         tol = max(1e-15, 1e-6 * (1.0 + t) ** (-(dim + j) / 2.0))
@@ -570,12 +558,15 @@ def _lemma_quadratures(dim: int, j: int, c: float,
         r2 = min(h * h, (b - 0.5) / z) if z > 0.0 else h * h
         return (2.0 * r2 ** (b - 0.5) * math.exp(-z * r2) - (b == 0.5)) / (2.0 * t)
 
+    def weight(r: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # c r^2 t = inf: e^-inf = 0 is the exact limit
+            return (r ** (pw / m) * np.exp(-c * r * r * t / m)) ** m
+
     edges = None if t == 0.0 else [math.pi / t]
-    cosine, sine = _lemma_split(c, pw, t, False), _lemma_split(c, pw, t, True)
+    cosine, sine = _lemma_split(weight, t, False), _lemma_split(weight, t, True)
     plain = whole(a)
     rows = {
-        "plain": (adaptive_quadrature(lambda r: r**pw * np.exp(-c * r * r * t), 0.0, 1.0, tol),
-                  tol, plain),
+        "plain": (adaptive_quadrature(weight, 0.0, 1.0, tol), tol, plain),
         "cosine": (adaptive_quadrature(cosine, 0.0, 1.0, tol), tol,
                    0.5 * (plain + (min(plain, by_parts(a, 1.0)) if t > 0.0 else plain))),
         "sine_low": (adaptive_quadrature(sine, 0.0, 1.0, sine_tol, initial_edges=edges), sine_tol,

@@ -17,7 +17,7 @@ The constants are measured in the energy coordinates
 
     Y = (A, k B, s k v),  A = v + tau w,  B = u + tau v,  s = sqrt(tau (beta - tau)),
 
-in which E = |Y|^2 / 2 and L = Y^T Lam Y / 2 with
+(A and B are V's forms, mode_solver._v_forms), in which E = |Y|^2 / 2 and L = Y^T Lam Y / 2 with
 
     Lam = gamma0 I + k/(1 + k^2) N,  N = [[0, 1, c], [1, 0, 0], [c, 0, 0]],
     c = -gamma1 sqrt(tau / (beta - tau)).
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidInput, NonPositiveMargin
-from .mode_solver import (DataTriple, ModeState, _evolve, _times, solve_mode, v_vector,
+from .mode_solver import (DataTriple, ModeState, _evolve, _times, _v_forms, solve_mode, v_vector,
                           mode_coefficients)  # unused; bench/tests/test_bench.py pins the alias
 from .params import ModelParams
 from .spectrum import _frequencies, _grid
@@ -92,8 +92,8 @@ def functionals(p: ModelParams, state: ModeState, w: LyapunovWeights) -> Functio
     Elementwise: a state of arrays (a trajectory) gives arrays of values.
     """
     k2 = state.k * state.k
-    A = state.v_hat + p.tau * state.w_hat
-    B = state.u_hat + p.tau * state.v_hat
+    y = (state.u_hat, state.v_hat, state.w_hat)
+    A, B = (form(y) for _, form in _v_forms(p.tau)[:2])
     energy = 0.5 * (abs(A) ** 2 + p.tau * (p.beta - p.tau) * k2 * abs(state.v_hat) ** 2
                     + k2 * abs(B) ** 2)
     f1 = (np.conj(B) * A).real
@@ -245,10 +245,8 @@ def _state_rates(p: ModelParams, state: ModeState) -> dict[str, np.ndarray]:
     k2 = state.k * state.k
     u, v, w_ = state.u_hat, state.v_hat, state.w_hat
     w_t = -(k2 * u + p.beta * k2 * v + w_) / p.tau
-    A = v + p.tau * w_
-    B = u + p.tau * v
-    A_t = w_ + p.tau * w_t
-    B_t = v + p.tau * w_
+    (_, a), (_, b), _ = _v_forms(p.tau)
+    A, B, A_t, B_t = a((u, v, w_)), b((u, v, w_)), a((v, w_, w_t)), b((v, w_, w_t))
     dE = ((np.conj(A) * A_t).real + p.tau * (p.beta - p.tau) * k2 * (np.conj(v) * w_).real
           + k2 * (np.conj(B) * B_t).real)
     dF1 = np.abs(A) ** 2 + (np.conj(B) * A_t).real

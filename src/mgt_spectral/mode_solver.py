@@ -446,12 +446,18 @@ def _expm3(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _v_forms(tau: float) -> tuple:
+    """V's linear forms A = v + tau w, B = u + tau v and v of y = (u, v, w), as (power of k,
+    form) pairs, |V|^2 = sum k^power |form(y)|^2; on y' = (v, w, w_t) they give A_t, B_t, w."""
+    return ((0, lambda y: y[1] + tau * y[2]), (2, lambda y: y[0] + tau * y[1]),
+            (2, lambda y: y[1]))
+
+
 def v_vector(p: ModelParams, state: ModeState) -> VVector:
     """Energy-variable vector (v + tau*w, k*|u + tau*v|, k*|v|) of a state."""
-    a = state.v_hat + p.tau * state.w_hat
-    b_mag = state.k * abs(state.u_hat + p.tau * state.v_hat)
-    c_mag = state.k * abs(state.v_hat)
-    return VVector(a=a, b_mag=b_mag, c_mag=c_mag)
+    (_, a), (_, b), (_, c) = _v_forms(p.tau)
+    y = (state.u_hat, state.v_hat, state.w_hat)
+    return VVector(a=a(y), b_mag=state.k * abs(b(y)), c_mag=state.k * abs(c(y)))
 
 
 class GridModes(tuple):

@@ -473,8 +473,8 @@ class TestGaussTailBound:
 
         a, m_plus = 0.5 * (m + 1), max(m, 0)
         for z in TestGaussTailBound.Z_GRID:
-            K = math.sqrt(z) / s
-            z = (s * (K if K > 0.0 else 1e-12)) ** 2  # K = 0 is floored at 1e-12
+            K = max(math.sqrt(z) / s, 1e-12)  # the bound takes K > 0: z = 0 at K = 1e-12
+            z = (s * K) ** 2
             exact = float(0.5 * s ** (-(m + 1.0)) * mp.gammainc(a, z))
             if exact <= 1e-290:
                 continue
@@ -569,6 +569,19 @@ class TestFloatRange:
         with pytest.raises(QuadratureFailure,
                            match="^could not certify a finite truncation point$"):
             integral_lemma_check(3, 0, 1e-170, [1e-170])
+
+    def test_lemma_weight_whose_power_overflows_is_typed(self):
+        # r^399 overflowed where r^399 e^(-10 r^2) peaks near 1e172: a RuntimeWarning,
+        # then "not finite"; the product is finite, and its 1e-16 target lies below
+        # the rounding of a value that large
+        with pytest.raises(QuadratureFailure, match="below the rounding floor"):
+            integral_lemma_check(400, 0, 1.0, [10.0])
+
+    def test_lemma_weight_whose_exponent_overflows_is_its_limit(self):
+        # c r^2 t overflowed with a RuntimeWarning; e^-inf = 0 is the exact weight there
+        rep = integral_lemma_check(1, 0, 1e300, [1e10])
+        assert set(rep.series) == {"plain", "cosine", "sine_low"}
+        assert all(s.check.passed for s in rep.series.values())
 
 
 class TestBoundVerdict:

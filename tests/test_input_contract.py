@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import mgt_spectral
-from mgt_spectral import mode_solver
+from mgt_spectral import decay, lyapunov, mode_solver
 from mgt_spectral import (DataClass, EmptyInput, FrequencyProfile, GridError, InvalidFrequency,
                           InvalidInput, MGTError, ModeState, adaptive_quadrature,
                           applicable_exponents, asymptotic_large_k, asymptotic_small_k, atlas,
@@ -156,6 +156,23 @@ def _raises(error, message):
     return pytest.raises(error, match=f"^{re.escape(message)}$")
 
 
+@pytest.fixture
+def norm_work(monkeypatch):
+    """Spies on the first work of the norm path, the weights and the quadrature: the
+    names of those that ran, each of which then raises.  A rule raises before either."""
+    ran = []
+
+    def spy(name):
+        def call(*args, **kwargs):
+            ran.append(name)
+            raise AssertionError(f"{name} ran before the input rule")
+        return call
+
+    monkeypatch.setattr(lyapunov, "default_weights", spy("lyapunov.default_weights"))
+    monkeypatch.setattr(decay, "adaptive_quadrature", spy("decay.adaptive_quadrature"))
+    return ran
+
+
 # ---------------------------------------------------------------------------
 # one test per table
 # ---------------------------------------------------------------------------
@@ -163,10 +180,11 @@ def _raises(error, message):
 @pytest.mark.parametrize("name", TIME)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -1e-300])
 @pytest.mark.parametrize("in_array", [False, True])
-def test_time_rule(name, bad, in_array):
+def test_time_rule(name, bad, in_array, norm_work):
     """Never a NaN or a backward-in-time state, nor a certified norm at t < 0."""
     with _raises(InvalidInput, f"time must be finite and >= 0, got {bad}"):
         TIME[name](np.array([0.0, bad]) if in_array else bad)
+    assert norm_work == []
 
 
 @pytest.mark.parametrize("name, bad", [(name, bad) for name in TIME for bad in (None, "soon")
@@ -277,10 +295,11 @@ def test_numeric_strings_are_numbers():
 
 @pytest.mark.parametrize("name", TOLERANCE)
 @pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf, None, "1e-9"])
-def test_tolerance_rule(name, bad):
+def test_tolerance_rule(name, bad, norm_work):
     # an infinite tolerance would certify a cut near k = 0 and return a norm near 0
     with _raises(InvalidInput, f"tolerance must be a finite number > 0, got {bad!r}"):
         TOLERANCE[name](bad)
+    assert norm_work == []
 
 
 @pytest.mark.parametrize("name", INTERVAL)
@@ -305,9 +324,10 @@ def test_interval_rule(name, a, b):
     (3, 1.5, "derivative order must be an integer >= 0, got 1.5"),
     (3, False, "derivative order must be an integer >= 0, got False"),
 ])
-def test_orders_rule(name, dim, j, message):
+def test_orders_rule(name, dim, j, message, norm_work):
     with _raises(InvalidInput, message):
         ORDERS[name](dim, j)
+    assert norm_work == []
 
 
 @pytest.mark.parametrize("name", ORACLE_DOMAIN)
