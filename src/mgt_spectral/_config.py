@@ -1,4 +1,4 @@
-"""`mgt --config FILE` (format in `mgt --help`); `cli.main` loads it only for --config."""
+"""`mgt --config FILE` (format in `mgt --help`) as flags; `cli.main` loads it only for --config."""
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -25,22 +25,24 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _apply_config(sp, config: dict[str, str]) -> None:
-    """Make each config value the default of the option of sp that it names.
+def _config_flags(sp, config: dict[str, str]) -> list[str]:
+    """The flags of sp that the config lines stand for, in file order.
 
-    A value is parsed by sp itself, as its flag's value would be (type and
-    choices, exit 2 on a bad one); a boolean flag takes a boolean word.
+    `key = value` is --key=value, so sp parses it as that flag's value (type
+    and choices, exit 2 on a bad one); a boolean flag takes a boolean word
+    and becomes --key or --no-key.
     """
     actions = {a.dest: a for a in sp._actions
                if a.option_strings and a.dest not in ("help", "config")}
+    flags = []
     for key, val in config.items():
         action = actions.get(key)
         if action is None:
             raise ValueError(f"unknown config key {key!r} for {sp.prog}")
-        if action.nargs == 0:  # a boolean flag
+        if action.nargs == 0:  # a boolean flag: --key, --no-key
             if val.lower() not in _BOOLS:
                 raise ValueError(f"config key {key}: not a boolean: {val!r}")
-            val = _BOOLS[val.lower()]
+            flags.append(action.option_strings[0 if _BOOLS[val.lower()] else 1])
         else:
-            val = getattr(sp.parse_args([f"{action.option_strings[0]}={val}"]), key)
-        sp.set_defaults(**{key: val})
+            flags.append(f"{action.option_strings[0]}={val}")
+    return flags

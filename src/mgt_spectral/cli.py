@@ -12,12 +12,12 @@ Exit codes: 0 ok, 1 verification failure, 2 bad input, 3 I/O failure,
 4 numerical failure.  Options are spelled out in full: no prefix matching.
 
 Every option of a subcommand except --help and --config is also a config
-key, spelled with `_` (--k-count is k_count); a boolean option --x also has
-the form --no-x.  A config file holds flat `key = value` lines (`#` starts a
-comment); each value becomes the default of the option it names, parsed as
-that flag's value would be, so flags override the file.  Booleans are spelled
-1/true/yes/on or 0/false/no/off.  An unknown key is an error.  Header line 2
-of the classify, atlas, mode and decay output lists every setting of the run.
+key, spelled with `_` (--k-count is k_count).  A config file holds flat
+`key = value` lines (`#` starts a comment); each is read as its flag,
+--key=value, or --key/--no-key for a boolean spelled 1/true/yes/on or
+0/false/no/off, ahead of the command line's flags, which so override the
+file.  An unknown key is an error.  Header line 2 of the classify, atlas,
+mode and decay output lists every setting of the run.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         sp = subs[name] = sub.add_parser(name, help=help, description=help, allow_abbrev=False)
         sp.add_argument("--tau", type=float, help=f"relaxation time, 0 < tau < beta ({point})")
         sp.add_argument("--beta", type=float, help=f"damping coefficient ({point})")
-        sp.add_argument("--config", help="flat key = value file whose values become the "
-                                         "defaults of the options they name")
+        sp.add_argument("--config", help="flat key = value file whose lines are read as "
+                                         "the flags they name, ahead of the command line's")
         opt(sp, "out", "-", "output path, - for stdout")
         for option in options:
             opt(sp, *option)
@@ -257,15 +257,15 @@ _COMMANDS = {"classify": cmd_classify, "atlas": cmd_atlas, "mode": cmd_mode,
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, _ = _parser()
+    parser, subs = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if args.config:
             from . import _config
-            # the config changes defaults, so it gets a parser of its own
-            parser, subs = _build_parser()
-            _config._apply_config(subs[args.command], _config._load_config(args.config))
-            args = parser.parse_args(argv)
+            at = argv.index(args.command) + 1
+            flags = _config._config_flags(subs[args.command], _config._load_config(args.config))
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return _COMMANDS[args.command](args)
     except _BAD_INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ cut.  Panels that touch a confluence (k near 0, sqrt(m1), sqrt(m2) or the
 triple root, where r t < pi and the split is ill-conditioned) and the
 three-real window take the whole integrand, bisected while its phase turns
 by more than pi.  Each integrand call solves the modes once
-(solve_modes_on_grid), which returns their split with them.  The
+(solve_modes_on_grid), which returns the pair (states, split).  The
 oscillating integral-lemma kernels go through the same quadrature
 (integral_lemma_check).
 """
@@ -203,8 +203,7 @@ def _split_integrand(p: ModelParams, data: DataTriple, power: int, t: float,
     forms = mode_solver._v_forms(p.tau) if v_norm else ((0, lambda y: y[0]),)
 
     def integrand(karr: np.ndarray) -> Split:
-        y = solve_modes_on_grid(p, karr, *(prof(karr) for prof in data), t)
-        lam, alpha, r, L, P, S = y.split
+        y, (lam, alpha, r, L, P, S) = solve_modes_on_grid(p, karr, *(f(karr) for f in data), t)
         plain = smooth = amp1 = amp2 = 0.0
         # the split's terms may overflow where it is not trusted; no panel reads them there
         with np.errstate(over="ignore", invalid="ignore"):
@@ -388,14 +387,17 @@ def bound_verdict(curve: DecayCurve, exponent: float, abs_slack: float) -> tuple
     """(check, c_early) of the early-window bound rule.
 
     c_early is the largest values / (1+t)^exponent over the leading half of
-    the times; the check's value is the largest excess of a value over
-    1.01 c_early (1+t)^exponent + abs_slack, and it passes when that is <= 0.
+    the times; the check's value is the largest excess of a value over 1.01
+    c_early (1+t)^exponent + abs_slack, its text names that time, and it
+    passes when the excess is <= 0.
     """
     shape = (1.0 + curve.times) ** exponent
     n2 = max(1, curve.times.size // 2)
     c_early = float(np.max(curve.values[:n2] / shape[:n2]))
-    excess = float(np.max(curve.values - (1.01 * c_early * shape + abs_slack)))
-    return Check("bound_excess", excess, 0.0, excess <= 0.0), c_early
+    excess = curve.values - (1.01 * c_early * shape + abs_slack)
+    worst = int(np.argmax(excess))  # the first NaN where a value is NaN
+    return Check("bound_excess", float(excess[worst]), 0.0, bool(excess[worst] <= 0.0),
+                 text="{name}={value:.2e}" f",t={curve.times[worst]:g}"), c_early
 
 
 def decay_curve_rows(curve: DecayCurve) -> list[tuple[float, float, float]]:

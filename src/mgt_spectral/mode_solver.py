@@ -17,9 +17,9 @@ the propagated state, never finite differences.  _evolve runs it on a
 batch of one, the Gronwall sweeps whole blocks.  The same form on the roots
 alpha +- sqrt(q) of the factor is the mode's one expansion (_expansion):
 e^{lam t}(y0 - P) + e^{alpha t}(P cos rt + S sin rt), cosh and sinh for
-real roots.  solve_modes_on_grid returns it on the pair rows as the states'
-split, whose oscillation the quadratures integrate separately, and
-mode_coefficients reads the per-pattern coefficients off its first
+real roots.  solve_modes_on_grid returns (states, split), the split being
+it on the pair rows, whose oscillation the quadratures integrate separately,
+and mode_coefficients reads the per-pattern coefficients off its first
 components: a description of the mode that no evaluation uses.  There is
 one pattern decision and no way to override it: the description takes its
 pattern and roots from spectrum's routed spectrum (_route_confluent, the
@@ -460,31 +460,20 @@ def v_vector(p: ModelParams, state: ModeState) -> VVector:
     return VVector(a=a(y), b_mag=state.k * abs(b(y)), c_mag=state.k * abs(c(y)))
 
 
-class GridModes(tuple):
-    """(u, u_t, u_tt) on an array of frequency magnitudes, as solve_modes_on_grid
-    returns it, with `split` = (lam, alpha, r, L, P, S): each state is
-    e^{lam t} L + e^{alpha t}(P cos rt + S sin rt) where the cubic has a complex
-    pair alpha +- i r, and L, P, S do not depend on t.  Every amplitude carries
-    a factor 1/r or 1/((lam - alpha)^2 + r^2), so the split is accurate only
-    where r t is not small; rows without a pair get r = 0, P = S = 0, L = y0."""
-
-    def __new__(cls, y, split: tuple):
-        self = super().__new__(cls, y)
-        self.split = split
-        return self
-
-
 def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.ndarray,
-                        u2: np.ndarray, t: float) -> GridModes:
-    """Closed-form (u, u_t, u_tt) at time t for an array of frequency magnitudes.
+                        u2: np.ndarray, t: float) -> tuple[np.ndarray, tuple]:
+    """Closed-form (states, split) at time t for an array of frequency magnitudes.
 
     One call of the mode kernel and one root solve; the hot path of the norm
-    quadratures.  The data broadcast against ks.  The three arrays unpack as a
-    tuple, whose `split` writes them out on the complex pair of the cubic,
-    from the same Newton directions.  The results are real for real data and
-    complex for complex data.  Raises by the time rule (t is one time) and
-    the frequency rule, and InvalidFrequency where beta*k^2/tau exceeds
-    spectrum.MAX_STIFFNESS.
+    quadratures.  The data broadcast against ks.  states stacks (u, u_t, u_tt),
+    real for real data and complex for complex data.  split = (lam, alpha, r,
+    L, P, S) writes them out on the complex pair alpha +- i r of the cubic, from
+    the same Newton directions: each state is e^{lam t} L + e^{alpha t}(P cos rt
+    + S sin rt), where L, P, S do not depend on t.  Every amplitude carries a
+    factor 1/r or 1/((lam - alpha)^2 + r^2), so the split is accurate only where
+    r t is not small; rows without a pair get r = 0, P = S = 0, L = y0.  Raises
+    by the time rule (t is one time) and the frequency rule, and
+    InvalidFrequency where beta*k^2/tau exceeds spectrum.MAX_STIFFNESS.
     """
     t = _time(t)
     ks = _frequencies(ks)
@@ -497,4 +486,4 @@ def solve_modes_on_grid(p: ModelParams, ks: np.ndarray, u0: np.ndarray, u1: np.n
     pair = q < 0.0
     P, S = (np.where(pair, x, 0.0) for x in _expansion(nodes, w1, w2, np.where(pair, q, -1.0)))
     r = np.sqrt(np.where(pair, -q, 0.0))
-    return GridModes(_propagate(nodes, y0, t, w1, w2), (lam, alpha, r, y0 - P, P, S))
+    return _propagate(nodes, y0, t, w1, w2), (lam, alpha, r, y0 - P, P, S)

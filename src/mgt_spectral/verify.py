@@ -152,13 +152,19 @@ def _suite_theorem_bounds(p, quick: bool) -> list[Check]:
     # rising there, so outside it the three curve checks do not run
     asymptotic = bool(tgrid[0] * (p.beta - p.tau) >= 3.0)
 
-    def curve(name, value, bound, passed, text="{name}={value:+.3f}"):
-        return Check(name, value, bound, passed or not asymptotic, asymptotic, text)
+    def curve(name, value, bound, *rules, text="{name}={value:+.3f}"):
+        # each rule is a check; a failing curve check prints the rules it fails
+        failed = ";".join(str(r) for r in rules if not r.passed) if asymptotic else ""
+        text += f"({failed})" if failed else ""
+        return Check(name, value, bound, not failed, asymptotic, text)
 
+    off3 = abs(s3 + 0.25)
     return [_count("asymptotic_window", asymptotic),
-            curve("dim3_slope", s3, -0.25, b3.passed and abs(s3 + 0.25) <= 0.05),
-            curve("dim1_bound", b1.value, b1.bound, b1.passed, text="{name}={ok}"),
-            curve("weighted_slope", sw, -0.25 + 0.05, bw.passed and sw <= -0.25 + 0.05)]
+            curve("dim3_slope", s3, -0.25, b3,
+                  Check("|slope+0.25|", off3, 0.05, off3 <= 0.05, text="{name}={value:.3f}>0.05")),
+            curve("dim1_bound", b1.value, b1.bound, b1, text="{name}={ok}"),
+            curve("weighted_slope", sw, -0.25 + 0.05, bw,
+                  Check("slope", sw, -0.25 + 0.05, sw <= -0.25 + 0.05, text="{name}>-0.2"))]
 
 
 def _run_suites(p: params.ModelParams, quick: bool) -> list[tuple[str, list[Check]]]:

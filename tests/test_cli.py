@@ -382,17 +382,20 @@ def test_every_option_is_covered():
 
 
 class TestRepeatedCalls:
-    """main builds its parser once a process; a config gets a parser of its own."""
+    """main builds its parser once a process; a config is read as flags by that parser."""
 
     ARGV = [["classify", "--tau", "0.1", "--beta", "1"], ["atlas", "--tau", "0.1", "--beta", "1"],
             ["mode", "--tau", "0.1", "--beta", "1"]]
 
-    def test_no_cyclic_garbage(self, capsys):
+    def test_no_cyclic_garbage(self, capsys, tmp_path):
         import gc
 
-        for argv in self.ARGV:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 0.1\nbeta = 1\nk_count = 5\nk_log = no\n")
+        argvs = [*self.ARGV, ["atlas", "--config", str(cfg)]]
+        for argv in argvs:
             run(capsys, *argv)
-        for argv in self.ARGV:
+        for argv in argvs:
             gc.collect()
             gc.disable()
             try:

@@ -292,7 +292,7 @@ def test_split_path_matches_the_capped_whole_integrand(tau, beta, t):
     quad, k_max, tail = decay._norm_integral(p, data, 1, 0, t, tol, False)
     cap = math.pi / (4.0 * t * math.sqrt(beta / tau))
     whole = adaptive_quadrature(
-        lambda k: solve_modes_on_grid(p, k, GAUSS(k), ZERO(k), GAUSS(k), t)[0] ** 2,
+        lambda k: solve_modes_on_grid(p, k, GAUSS(k), ZERO(k), GAUSS(k), t)[0][0] ** 2,
         0.0, k_max, 0.5 * tol, initial_edges=np.linspace(0.0, k_max, math.ceil(k_max / cap) + 1))
     assert abs(quad.value - whole.value) <= quad.error + whole.error
     assert quad.n_nodes < whole.n_nodes

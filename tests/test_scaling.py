@@ -108,8 +108,8 @@ def test_modes_scale(s):
         y0 = rng.standard_normal((3, ks.size))
         size = np.linalg.norm(y0, axis=0)
         t = 10.0 ** rng.uniform(-2.0, 2.0)
-        ref = solve_modes_on_grid(p, ks, *y0, t)
-        got = solve_modes_on_grid(ps, ks / s, y0[0], y0[1] / s, y0[2] / s**2, t * s)
+        ref, _ = solve_modes_on_grid(p, ks, *y0, t)
+        got, _ = solve_modes_on_grid(ps, ks / s, y0[0], y0[1] / s, y0[2] / s**2, t * s)
         for order, (g, r) in enumerate(zip(got, ref)):
             assert np.all(np.abs(g * s**order - r) <= 1e-12 * size), (tau, beta, t, s, order)
         ts = np.array([0.0, 0.5 * t, t])

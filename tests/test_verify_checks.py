@@ -60,6 +60,36 @@ def test_theorem_bounds_outside_the_window_did_not_run():
     assert all(c.ran for c in verify._suite_theorem_bounds(P, True)[1:])
 
 
+def test_quick_report_at_the_default_point(quick_records):
+    assert verify._report(P, True, quick_records) == (
+        "mgt-spectral 0.1.0 verify (tau=0.10000000000000001, beta=1, quick=True)\n"
+        "[PASS] spectrum_sweep: n=1000 max_residual=3.04e-16 max_vieta=6.27e-16 "
+        "min_axis_dist=2.54e-04\n"
+        "[PASS] oracle_equivalence: n=20 max_mismatch=1.23e-13\n"
+        "[PASS] energy_identity: n=5 max_identity_residual=2.72e-16\n"
+        "[PASS] gronwall_margin: pairs=3 min_gamma5=3.028e-01 max_growth=0.00e+00\n"
+        "[PASS] integral_lemmas: combos=2 max_ratio=1.048\n"
+        "[PASS] theorem_bounds: asymptotic_window=True dim3_slope=-0.250 dim1_bound=ok "
+        "weighted_slope=-0.259\n"
+        "verify: all suites passed\n")
+
+
+@pytest.mark.parametrize("tau, beta, shown", [
+    # the slopes keep their rules; the N=3 curve leaves its bound
+    (1e-3, 1e3, {"dim3_slope": "-0.245(bound_excess=1.74e-06,t=2154.43)",
+                 "dim1_bound": "ok", "weighted_slope": "-1.385"}),
+    # both slopes leave their rules, and both curves their bounds
+    (1e3, 2e3, {"dim3_slope": "-0.141(bound_excess=6.35e+00,t=3162.28;|slope+0.25|=0.109>0.05)",
+                "dim1_bound": "ok",
+                "weighted_slope": "-0.144(bound_excess=6.27e+00,t=3162.28;slope>-0.2)"}),
+])
+def test_a_failing_theorem_bound_names_its_rule(tau, beta, shown):
+    checks = verify._suite_theorem_bounds(validate(tau, beta), False)
+    for c in checks[1:]:
+        assert str(c) == f"{c.name}={shown[c.name]}"
+        assert c.passed == (shown[c.name] in ("ok", f"{c.value:+.3f}")), c
+
+
 @pytest.fixture
 def tilted(monkeypatch):
     """Every decay curve multiplied by (1+t)^0.05: a rate 0.05 too slow."""
@@ -85,6 +115,17 @@ def test_tilted_curve_fails_verify(tilted):
     dim3 = {c.name: c for c in checks}["dim3_slope"]
     assert dim3.ran and not dim3.passed
     assert not verify.passed([("theorem_bounds", checks)])
+    # the fitted slope is the exact curve's: the bound rule alone fails, at the last time
+    assert str(dim3) == f"dim3_slope={dim3.value:+.3f}(bound_excess=1.10e-03,t=1000)"
+
+
+def test_a_slope_alone_fails_by_its_rule(monkeypatch):
+    exact = decay.decay_curve
+    monkeypatch.setattr(decay, "decay_curve", lambda *args, **kwargs: dataclasses.replace(
+        exact(*args, **kwargs), fitted_slope=-0.1))
+    shown = [str(c) for c in verify._suite_theorem_bounds(P, True)]
+    assert shown == ["asymptotic_window=True", "dim3_slope=-0.100(|slope+0.25|=0.150>0.05)",
+                     "dim1_bound=ok", "weighted_slope=-0.100(slope>-0.2)"]
 
 
 def _nan_on_call(monkeypatch, module, name, n, poison):
