@@ -9,8 +9,9 @@ and a panel value that is not finite or a NaN estimate raises
 QuadratureFailure.  The integrand sees blocks of at most _BLOCK_NODES nodes,
 whole panels, which keeps the mode solver vectorized while memory stays
 bounded however fine the partition.  The panel values are summed by
-math.fsum, which is correctly rounded and so independent of their order:
-results are bit-reproducible for fixed inputs and for any block size.
+math.fsum, which is correctly rounded and so independent of their order, and
+a pass bisects the largest errors first, of equal ones the later panel (a
+stable sort): results are bit-reproducible for fixed inputs and any block size.
 
 Values are integrated by Clenshaw-Curtis weights, as accurate per node as
 Gauss on integrands like these (L. N. Trefethen, SIAM Rev. 50, 2008).  A
@@ -25,8 +26,9 @@ every decay norm and the three oscillating integral-lemma kernels.
 
 The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
 call on the norm path; it pages in 764 KB of numpy's OpenBLAS over one
-decay_curves cycle of bench/run.py (smaps diff).  A numpy-only batched
-elimination with partial pivoting agreed to 1e-14 but took 0.43-0.84 ms
+decay_curves cycle of bench/run.py, and the sort kernels the driver avoids would
+page in 320 KB of _multiarray_umath over eight (smaps diffs).  A numpy-only
+batched elimination with partial pivoting agreed to 1e-14 but took 0.43-0.84 ms
 against 0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
 """
 
@@ -106,20 +108,28 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
     nodes.  initial_edges may inject break points such as double roots
     or a partition that resolves a known oscillation; the initial partition
     is those in [a, b], each piece cut into equal panels, _MIN_INTERVALS at
-    least in all.  Raises QuadratureFailure when the initial partition or the
-    error target needs more than _NODE_BUDGET nodes, the target lies below the
-    rounding of the panel values or the integrand is not finite; InvalidInput
-    unless a <= b are finite, and by the tolerance rule (_tolerance) on tol.
+    least in all.  Each pass bisects the panels whose error exceeds half of
+    tol's share per panel, at most 256, the largest errors first and of equal
+    errors the later in the panel list.  Raises QuadratureFailure when the
+    initial partition or the error target needs more than _NODE_BUDGET nodes,
+    the target lies below the rounding of the panel values or the integrand is
+    not finite; InvalidInput unless a <= b are finite and initial_edges are
+    numbers other than NaN, and by the tolerance rule (_tolerance) on tol.
     """
     _tolerance(tol)
     if not (-math.inf < a <= b < math.inf):
         raise InvalidInput(f"bad interval [{a}, {b}]")
+    try:
+        edges = np.asarray([] if initial_edges is None else initial_edges, dtype=float).ravel()
+    except (TypeError, ValueError):
+        edges = None
+    if edges is None or np.isnan(edges).any():
+        raise InvalidInput(f"initial edges must be numbers other than NaN, got {initial_edges!r}")
     if b == a:
         return QuadResult(0.0, 0.0, 0, 0)
 
     panel = _X17.size
-    edges = np.asarray([] if initial_edges is None else initial_edges, dtype=float).ravel()
-    edges = np.unique(np.concatenate([[a, b], edges[(edges >= a) & (edges <= b)]]))
+    edges = np.array(sorted({a, b, *edges[(edges >= a) & (edges <= b)].tolist()}), dtype=float)
     n = -(-_MIN_INTERVALS // (edges.size - 1))  # equal panels per piece
     # the points of np.linspace(lo, hi, n + 1) on every piece at once
     lefts = (edges[:-1, None] + np.arange(n) * (np.diff(edges) / n)[:, None]).ravel()
@@ -137,11 +147,11 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
         floor = np.finfo(float).eps * np.abs(vals).sum()
         if tol < floor:
             raise QuadratureFailure(f"target {tol:.3e} lies below the rounding floor {floor:.3e}")
-        # at most 256 panels, largest error first, each above half of tol's share
-        # per panel; while the sum exceeds tol the largest always qualifies
-        order = np.argsort(errs)[::-1][:256]
+        # a stable sort, reversed, fixes the order of tied errors; the largest always qualifies
         n_int = lefts.size
-        worst = order[errs[order] > 0.5 * tol / n_int]
+        cand = np.flatnonzero(errs > 0.5 * tol / n_int)
+        ce = errs[cand].tolist()
+        worst = cand[sorted(range(len(ce)), key=ce.__getitem__)[::-1][:256]]
         if n_nodes + 2 * panel * worst.size > _NODE_BUDGET:
             raise QuadratureFailure(
                 f"node budget {_NODE_BUDGET} exhausted at error {errs.sum():.3e} "

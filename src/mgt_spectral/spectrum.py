@@ -222,6 +222,12 @@ def _upper_root(c, lam, alpha, q):
     return np.where(real, (-c / lam) / np.where(real, alpha - np.sqrt(np.abs(q)), -1.0), alpha)
 
 
+def _sort3(x, y, z) -> tuple:
+    """x, y, z ascending, elementwise, by a np.minimum/np.maximum compare network."""
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    return np.minimum(lo, z), np.maximum(lo, np.minimum(hi, z)), np.maximum(hi, z)
+
+
 #: RootPattern by the sign of q (-1, 0, +1) in _route_confluent, then the triple root.
 _PATTERNS = np.array([RootPattern.REAL_PLUS_PAIR, RootPattern.REAL_WITH_DOUBLE,
                       RootPattern.THREE_DISTINCT_REAL, RootPattern.TRIPLE_REAL], dtype=object)
@@ -233,12 +239,12 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     lam and the roots of the quadratic factor (z - alpha)^2 - q it leaves, as
     an (n, 3) complex array in canonical order, and the RootPattern of every row.
 
-    The factor is a conjugate pair where q < 0, a double root where q = 0
-    (k = 0) and two more real roots otherwise; so each row's Vieta sums hold
-    to the residual of its real root, however close the three roots are.  (A
-    pair polished on its own carries an absolute error of about eps*|lam2|,
-    which swamps its O(1) real part at large k and its O(k) imaginary part
-    at small k.)
+    The factor is a conjugate pair where q < 0, a double root where q = 0 (k = 0)
+    and two more real roots otherwise, which a np.minimum/np.maximum compare network
+    (_sort3) puts in ascending order with np.sort's bits; so each row's Vieta sums
+    hold to the residual of its real root, however close the three roots are.  (A
+    pair polished on its own carries an absolute error of about eps*|lam2|, which
+    swamps its O(1) real part at large k and its O(k) imaginary part at small k.)
     A factor whose roots lie closer than TOL_CONFLUENT * |alpha|, which happens
     only next to m1 or m2, is the double root alpha (q := 0).  At the critical
     ratio (params._critical), on either side of 1/9, k^2 within TOL_BOUNDARY * m of the
@@ -253,8 +259,7 @@ def _route_confluent(p: ModelParams, k2: np.ndarray,
     r = np.sqrt(np.abs(q))
     lam2 = alpha + 1j * r
     roots = np.where((q < 0.0)[:, None], np.stack([lam, lam2, np.conj(lam2)], axis=1),
-                     np.sort(np.stack([lam, alpha - r, _upper_root(c, lam, alpha, q)], axis=1),
-                             axis=1))
+                     np.stack(_sort3(lam, alpha - r, _upper_root(c, lam, alpha, q)), axis=1))
     roots[triple] = np.broadcast_to(-1.0 / (3.0 * p.tau), triple.shape)[triple, None]
     return roots, _PATTERNS[np.where(triple, 3, np.sign(q).astype(int) + 1)]
 
@@ -310,16 +315,15 @@ _PERMS = np.array([(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1,
 def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     """Eigenvalues along an ascending grid, relabeled for branch continuity.
 
-    One root call covers the grid.  Each node's canonical triple is then
-    ordered by the permutation that moves it least, in total displacement,
-    from the previous node's ordered triple (the first tie wins), so every
-    labeled sequence is a continuous function of k.  The three displacements
-    are summed in ascending order, so a total depends only on their values:
-    where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and
-    the two assignments tie exactly, whatever the last bits of the roots.
-    Values and patterns agree with eigenvalues() up to permutation, under its
-    backward-error contract.  Entries follow the frequency rule, and the grid the
-    grid rule (_grid), ascending.
+    One root call covers the grid.  Each node's canonical triple is then ordered by
+    the permutation that moves it least, in total displacement, from the previous
+    node's ordered triple (the first tie wins), so every labeled sequence is a
+    continuous function of k.  The three displacements, ordered by a compare network
+    (_sort3), are summed in ascending order, so a total depends only on their values:
+    where a conjugate pair meets the real axis, |x - z| = |x - conj(z)| and the two
+    assignments tie exactly, whatever the last bits of the roots.  Values and patterns
+    agree with eigenvalues() up to permutation, under its backward-error contract.
+    Entries follow the frequency rule, and the grid the grid rule (_grid), ascending.
     """
     ks = _grid(_frequencies(k_grid), "frequency", "ascending")
 
@@ -329,8 +333,8 @@ def atlas(p: ModelParams, k_grid: Sequence[float]) -> list[SpectrumPoint]:
     moved = roots[1:, _PERMS]
     best = np.empty((ks.size - 1, len(_PERMS)), dtype=int)
     for a, perm in enumerate(_PERMS):
-        cost = np.sort(np.abs(moved - roots[:-1, None, perm]), axis=2).sum(axis=2)
-        best[:, a] = cost.argmin(axis=1)
+        lo, mid, hi = _sort3(*np.abs(moved - roots[:-1, None, perm]).transpose(2, 0, 1))
+        best[:, a] = ((lo + mid) + hi).argmin(axis=1)
     chosen = [0]
     for row in best.tolist():
         chosen.append(row[chosen[-1]])

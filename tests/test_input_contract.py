@@ -119,6 +119,13 @@ INTERVAL = {
     "adaptive_quadrature": lambda a, b: adaptive_quadrature(np.exp, a, b, 1e-9),
 }
 
+#: the edge rule, in adaptive_quadrature: numbers other than NaN, or InvalidInput; edges
+#: outside [a, b], infinite ones included, are ignored
+EDGES = {
+    "adaptive_quadrature": lambda edges: adaptive_quadrature(np.exp, 0.0, 1.0, 1e-10,
+                                                             initial_edges=edges),
+}
+
 #: the orders rule, params._check_orders: dim an integer >= 1 and j one >= 0, or InvalidInput
 ORDERS = {
     "applicable_exponents": lambda dim, j: applicable_exponents(dim, j, DataClass.L1),
@@ -148,7 +155,7 @@ PROFILE = {
 RULE_OF = {"t": TIME, "t_grid": TIME, "time_grid": TIME_GRID, "k": FREQUENCY, "ks": FREQUENCY,
            "k_grid": FREQUENCY, "tol": TOLERANCE, "quad_tol": TOLERANCE, "dim": ORDERS,
            "j": ORDERS, "scale": PROFILE, "amplitude": PROFILE, "a": INTERVAL, "b": INTERVAL,
-           "init_samples": SAMPLES}
+           "init_samples": SAMPLES, "initial_edges": EDGES}
 
 
 def _raises(error, message):
@@ -311,6 +318,22 @@ def test_interval_rule(name, a, b):
         warnings.simplefilter("error")
         with _raises(InvalidInput, f"bad interval [{a}, {b}]"):
             INTERVAL[name](a, b)
+
+
+@pytest.mark.parametrize("name", EDGES)
+@pytest.mark.parametrize("bad", [[math.nan], [0.5, math.nan], ["a"], [[0.2, 0.4], [0.6]],
+                                 [None], object()])
+def test_edge_rule(name, bad):
+    # not a NaN edge dropped without a word, nor numpy's bare ValueError
+    with _raises(InvalidInput, f"initial edges must be numbers other than NaN, got {bad!r}"):
+        EDGES[name](bad)
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_edge_rule_ignores_edges_outside_the_interval(name):
+    plain = adaptive_quadrature(np.exp, 0.0, 1.0, 1e-10)
+    assert EDGES[name]([-math.inf, -1.0, 2.0, math.inf]) == plain
+    assert EDGES[name]([[0.5], [0.5]]) == EDGES[name]([0.5])
 
 
 @pytest.mark.parametrize("name", ORDERS)

@@ -550,6 +550,16 @@ class TestAtlasTieBreak:
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), seed
 
 
+def test_sort3_gives_np_sort_bits():
+    # the compare network that orders real-root rows and atlas displacements, on
+    # random triples and on triples drawn from a few values, ties and infinities
+    rng = np.random.default_rng(3)
+    xs = rng.choice([-math.inf, -1.0, -0.5, 0.0, 1e-300, 2.0, math.inf], size=(2000, 3))
+    xs[:1000] = rng.standard_normal((1000, 3)) * 10.0 ** rng.uniform(-300, 300, (1000, 3))
+    got = np.stack(spectrum._sort3(*xs.T), axis=1)
+    assert got.tobytes() == np.sort(xs, axis=1).tobytes()
+
+
 class TestMaxStiffness:
     """beta*k^2/tau up to MAX_STIFFNESS gives finite roots; beyond it every entry
     point raises InvalidFrequency, naming the bound of the offending row."""
