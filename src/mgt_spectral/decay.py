@@ -39,7 +39,6 @@ oscillating integral-lemma kernels go through the same quadrature
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -50,7 +49,7 @@ from .errors import DegenerateFit, InvalidInput, QuadratureFailure
 from .mode_solver import DataTriple, FrequencyProfile, _time, _time_grid, solve_modes_on_grid
 from .params import (DataClass, ModelParams, _check_orders, cardano_thresholds,
                      high_frequency_rate, theorem_rates)
-from .quadrature import QuadResult, Split, _tolerance, adaptive_quadrature
+from .quadrature import QuadResult, Split, _real, _tolerance, adaptive_quadrature
 from .spectrum import eigenvalues
 
 
@@ -609,7 +608,7 @@ def integral_lemma_check(dim: int, j: int, c: float,
     the float range.
     """
     _check_orders(dim, j)
-    if not (isinstance(c, numbers.Real) and 0.0 < c < math.inf):
+    if not (_real(c) and 0.0 < c < math.inf):
         raise InvalidInput(f"need a finite c > 0, got {c}")
     times = _time_grid(time_grid)
 

@@ -8,10 +8,10 @@ order 9 of the points at even slots; an infinite estimate forces bisection,
 and a panel value that is not finite or a NaN estimate raises
 QuadratureFailure.  The integrand sees blocks of at most _BLOCK_NODES nodes,
 whole panels, which keeps the mode solver vectorized while memory stays
-bounded however fine the partition.  The panel values are summed by
-math.fsum, which is correctly rounded and so independent of their order, and
-a pass bisects the largest errors first, of equal ones the later panel (a
-stable sort): results are bit-reproducible for fixed inputs and any block size.
+bounded however fine the partition.  A pass bisects every panel over its
+share of the target, and math.fsum, correctly rounded and so order-free, sums
+the panel values and error estimates: a result depends on the final partition
+alone, and is bit-reproducible for fixed inputs and any block size.
 
 Values are integrated by Clenshaw-Curtis weights, as accurate per node as
 Gauss on integrands like these (L. N. Trefethen, SIAM Rev. 50, 2008).  A
@@ -26,10 +26,9 @@ every decay norm and the three oscillating integral-lemma kernels.
 
 The collocation systems go to LAPACK (batched np.linalg.solve), the one LAPACK
 call on the norm path; it pages in 764 KB of numpy's OpenBLAS over one
-decay_curves cycle of bench/run.py, and the sort kernels the driver avoids would
-page in 320 KB of _multiarray_umath over eight (smaps diffs).  A numpy-only
-batched elimination with partial pivoting agreed to 1e-14 but took 0.43-0.84 ms
-against 0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
+decay_curves cycle of bench/run.py (smaps diffs).  A numpy-only batched
+elimination with partial pivoting agreed to 1e-14 but took 0.43-0.84 ms against
+0.076 ms a call for ten complex 17x17 systems (2-vCPU x86-64 guest).
 """
 
 from __future__ import annotations
@@ -93,10 +92,23 @@ def _clenshaw_curtis(y: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.nd
         return hi_order, np.abs(hi_order - half * (y[..., ::2] * _W9).sum(axis=-1))
 
 
+def _real(x) -> bool:
+    """Whether x is a real number; a bool is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _tolerance(tol) -> None:
     """InvalidInput unless tol is a finite number > 0: the one tolerance rule."""
-    if not (isinstance(tol, numbers.Real) and 0.0 < tol < math.inf):
+    if not (_real(tol) and 0.0 < tol < math.inf):
         raise InvalidInput(f"tolerance must be a finite number > 0, got {tol!r}")
+
+
+def _fsum(x: np.ndarray) -> float:
+    """math.fsum of x, correctly rounded so order-free; QuadratureFailure past the float range."""
+    try:
+        return math.fsum(x.tolist())
+    except OverflowError:
+        raise QuadratureFailure("a sum over the panels passes the float range") from None
 
 
 def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float, b: float,
@@ -105,20 +117,19 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
 
     f maps a flat array of nodes to the integrand's values there, or to its
     Split there, pointwise; it is called on blocks of at most _BLOCK_NODES
-    nodes.  initial_edges may inject break points such as double roots
-    or a partition that resolves a known oscillation; the initial partition
-    is those in [a, b], each piece cut into equal panels, _MIN_INTERVALS at
-    least in all.  Each pass bisects the panels whose error exceeds half of
-    tol's share per panel, at most 256, the largest errors first and of equal
-    errors the later in the panel list.  Raises QuadratureFailure when the
-    initial partition or the error target needs more than _NODE_BUDGET nodes,
-    the target lies below the rounding of the panel values or the integrand is
-    not finite; InvalidInput unless a <= b are finite and initial_edges are
-    numbers other than NaN, and by the tolerance rule (_tolerance) on tol.
+    nodes.  initial_edges may inject break points such as double roots or a
+    partition that resolves a known oscillation; the initial partition is
+    those in [a, b], each piece cut into equal panels, _MIN_INTERVALS at least
+    in all.  Each pass bisects every panel whose error exceeds half of tol's
+    share per panel.  Raises QuadratureFailure when the initial partition or
+    the error target needs more than _NODE_BUDGET nodes, the target lies below
+    the rounding of the panel values or the integrand is not finite;
+    InvalidInput unless a <= b are finite numbers, not bools, and initial_edges
+    are numbers other than NaN, and by the tolerance rule (_tolerance) on tol.
     """
     _tolerance(tol)
-    if not (-math.inf < a <= b < math.inf):
-        raise InvalidInput(f"bad interval [{a}, {b}]")
+    if not (_real(a) and _real(b) and -math.inf < a <= b < math.inf):
+        raise InvalidInput(f"bad interval [{a!r}, {b!r}]")
     try:
         edges = np.asarray([] if initial_edges is None else initial_edges, dtype=float).ravel()
     except (TypeError, ValueError):
@@ -128,48 +139,37 @@ def adaptive_quadrature(f: Callable[[np.ndarray], np.ndarray | Split], a: float,
     if b == a:
         return QuadResult(0.0, 0.0, 0, 0)
 
-    panel = _X17.size
     edges = np.array(sorted({a, b, *edges[(edges >= a) & (edges <= b)].tolist()}), dtype=float)
     n = -(-_MIN_INTERVALS // (edges.size - 1))  # equal panels per piece
     # the points of np.linspace(lo, hi, n + 1) on every piece at once
     lefts = (edges[:-1, None] + np.arange(n) * (np.diff(edges) / n)[:, None]).ravel()
     rights = np.append(lefts[1:], b)
 
-    n_nodes = panel * lefts.size
+    n_nodes = _X17.size * lefts.size
     if n_nodes > _NODE_BUDGET:
         raise QuadratureFailure(f"initial partition of {lefts.size} panels exceeds the "
                                 f"{_NODE_BUDGET}-node budget")
     vals, errs = _panels(f, lefts, rights)
 
-    while errs.sum() > tol:
+    while (error := _fsum(errs)) > tol:
         # each panel value is rounded to about eps of itself, so no bisection meets a
         # target below eps times their summed magnitudes (multiple 1: rounding alone)
-        floor = np.finfo(float).eps * np.abs(vals).sum()
+        floor = np.finfo(float).eps * _fsum(np.abs(vals))
         if tol < floor:
             raise QuadratureFailure(f"target {tol:.3e} lies below the rounding floor {floor:.3e}")
-        # a stable sort, reversed, fixes the order of tied errors; the largest always qualifies
-        n_int = lefts.size
-        cand = np.flatnonzero(errs > 0.5 * tol / n_int)
-        ce = errs[cand].tolist()
-        worst = cand[sorted(range(len(ce)), key=ce.__getitem__)[::-1][:256]]
-        if n_nodes + 2 * panel * worst.size > _NODE_BUDGET:
+        # the largest error exceeds tol / n, so at least one panel is bisected
+        split = errs > 0.5 * tol / lefts.size
+        mids = 0.5 * (lefts[split] + rights[split])
+        new_l, new_r = np.concatenate([lefts[split], mids]), np.concatenate([mids, rights[split]])
+        n_nodes += _X17.size * new_l.size
+        if n_nodes > _NODE_BUDGET:
             raise QuadratureFailure(
-                f"node budget {_NODE_BUDGET} exhausted at error {errs.sum():.3e} "
-                f"(target {tol:.3e})")
-        mids = 0.5 * (lefts[worst] + rights[worst])
-        new_l = np.concatenate([lefts[worst], mids])
-        new_r = np.concatenate([mids, rights[worst]])
+                f"node budget {_NODE_BUDGET} exhausted at error {error:.3e} (target {tol:.3e})")
         nv, ne = _panels(f, new_l, new_r)
-        n_nodes += panel * new_l.size
-        keep = np.ones(n_int, dtype=bool)
-        keep[worst] = False
-        lefts = np.concatenate([lefts[keep], new_l])
-        rights = np.concatenate([rights[keep], new_r])
-        vals = np.concatenate([vals[keep], nv])
-        errs = np.concatenate([errs[keep], ne])
+        lefts, rights, vals, errs = (np.concatenate([old[~split], new]) for old, new in
+                                     ((lefts, new_l), (rights, new_r), (vals, nv), (errs, ne)))
 
-    return QuadResult(value=math.fsum(vals.tolist()), error=float(errs.sum()), n_nodes=n_nodes,
-                      n_intervals=lefts.size)
+    return QuadResult(value=_fsum(vals), error=error, n_nodes=n_nodes, n_intervals=lefts.size)
 
 
 def _panels(f: Callable, lefts: np.ndarray, rights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -387,7 +387,7 @@ class TestIntegralLemmas:
         rep2 = integral_lemma_check(1, 2, 1.0, np.geomspace(1.0, 100.0, 6))
         assert "sine_global" in rep2.series
 
-    @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan, None])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.inf, math.nan, None, True])
     def test_rejects_a_c_that_is_not_finite_and_positive(self, c):
         with pytest.raises(InvalidInput, match=f"^need a finite c > 0, got {c}$"):
             integral_lemma_check(1, 0, c, [1.0])

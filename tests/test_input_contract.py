@@ -114,7 +114,7 @@ TOLERANCE = {
     "decay_curve": lambda tol: decay_curve(P, DATA, 3, 0, [1.0, 10.0, 100.0], tol),
 }
 
-#: the interval rule, in adaptive_quadrature: finite ends a <= b, or InvalidInput
+#: the interval rule, in adaptive_quadrature: finite numbers a <= b, not bools, or InvalidInput
 INTERVAL = {
     "adaptive_quadrature": lambda a, b: adaptive_quadrature(np.exp, a, b, 1e-9),
 }
@@ -301,9 +301,10 @@ def test_numeric_strings_are_numbers():
 
 
 @pytest.mark.parametrize("name", TOLERANCE)
-@pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf, None, "1e-9"])
+@pytest.mark.parametrize("bad", [0.0, -1e-9, math.nan, math.inf, None, "1e-9", True, False])
 def test_tolerance_rule(name, bad, norm_work):
-    # an infinite tolerance would certify a cut near k = 0 and return a norm near 0
+    # an infinite tolerance would certify a cut near k = 0 and return a norm near 0;
+    # True is a numbers.Real but not a tolerance of 1.0
     with _raises(InvalidInput, f"tolerance must be a finite number > 0, got {bad!r}"):
         TOLERANCE[name](bad)
     assert norm_work == []
@@ -311,12 +312,14 @@ def test_tolerance_rule(name, bad, norm_work):
 
 @pytest.mark.parametrize("name", INTERVAL)
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (math.inf, math.inf), (0.0, math.inf),
-                                  (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+                                  (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan),
+                                  (None, 1.0), ("0", 1.0), (0.0, None), (False, 1.0)])
 def test_interval_rule(name, a, b):
-    # not a zero integral over [inf, inf], nor a QuadratureFailure on [nan, inf]
+    # not a zero integral over [inf, inf], nor a QuadratureFailure on [nan, inf], nor
+    # a bare TypeError from comparing None or a string with a float
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with _raises(InvalidInput, f"bad interval [{a}, {b}]"):
+        with _raises(InvalidInput, f"bad interval [{a!r}, {b!r}]"):
             INTERVAL[name](a, b)
 
 

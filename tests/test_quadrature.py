@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -79,7 +80,11 @@ class TestClenshawCurtis:
          "target 1.000e-300 lies below the rounding floor "),
         (lambda: v_norm_sq(P, U2_DATA, 3, 0, 1.0, 1e-25 * v_norm_sq(P, U2_DATA, 3, 0, 1.0, 1e-10)),
          "target 9.942e-29 lies below the rounding floor "),
-    ], ids=["budget", "floor", "floor_v_norm_sq"])
+        # finite panel values whose magnitudes sum past the float range: typed, not
+        # math.fsum's OverflowError
+        (lambda: adaptive_quadrature(lambda x: 1e307 * (1.0 + np.sin(x)), 0.0, 100.0, 1e-6),
+         "a sum over the panels passes the float range$"),
+    ], ids=["budget", "floor", "floor_v_norm_sq", "sum_overflow"])
     def test_unreachable_target_raises(self, run, message):
         with pytest.raises(QuadratureFailure, match=f"^{message}"):
             run()
@@ -112,6 +117,53 @@ class TestClenshawCurtis:
     def test_non_finite_integrand_raises(self, bad):
         with pytest.raises(QuadratureFailure, match=r"not finite on \[0.5, 0.625\]"):
             adaptive_quadrature(lambda x: np.where(x > 0.5, bad, x), 0.0, 1.0, 1e-9)
+
+
+def _spy_panels(monkeypatch):
+    """The (lefts, rights, values, errors) of every quadrature._panels call, in order."""
+    calls = []
+    panels = quadrature._panels
+
+    def spy(f, lefts, rights):
+        vals, errs = panels(f, lefts, rights)
+        calls.append((lefts, rights, vals, errs))
+        return vals, errs
+
+    monkeypatch.setattr(quadrature, "_panels", spy)
+    return calls
+
+
+class TestBisection:
+    def test_result_is_the_fsum_over_the_final_partition(self, monkeypatch):
+        # one pass on |sin(38 x)|: numpy's pairwise sum of the final errors, in the
+        # order the panels were made, is one bit off their correctly rounded sum
+        calls = _spy_panels(monkeypatch)
+        res = adaptive_quadrature(lambda x: np.abs(np.sin(38.0 * x)), 0.0, 10.0, 1.0)
+        lefts, rights, vals, errs = (np.concatenate(c) for c in zip(*calls))
+        # a panel is final unless a later one starts at its left end and ends at its midpoint
+        mids = 0.5 * (lefts + rights)
+        final = np.array([not ((lefts[i + 1:] == lefts[i]) & (rights[i + 1:] == mids[i])).any()
+                          for i in range(lefts.size)])
+        assert len(calls) == 2 and final.sum() == res.n_intervals
+        # the final panels tile [0, 10]
+        assert np.array_equal(np.sort(lefts[final])[1:], np.sort(rights[final])[:-1])
+        assert res.value == math.fsum(vals[final].tolist())
+        assert res.error == math.fsum(errs[final].tolist())
+
+    def test_every_panel_over_its_share_is_bisected_in_one_pass(self, monkeypatch):
+        # 300 initial panels of |sin(200 x)|, each holding a kink or two, are all over
+        # their share of the target: the second call gets every one of them, bisected
+        calls = _spy_panels(monkeypatch)
+        tol = 1e-6
+        res = adaptive_quadrature(lambda x: np.abs(np.sin(200.0 * x)), 0.0, 10.0, tol,
+                                  initial_edges=np.linspace(0.0, 10.0, 301))
+        errs = calls[0][3]
+        over = np.count_nonzero(errs > 0.5 * tol / errs.size)
+        assert over > 256
+        assert calls[1][0].size == 2 * over
+        # 636 whole half periods of area 1/100, then the rest
+        exact = (2 * 636 + 1 - np.cos(2000.0 - 636 * np.pi)) / 200.0
+        assert abs(res.value - exact) <= tol
 
 
 T_OSC = 2000.0

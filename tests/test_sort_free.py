@@ -1,9 +1,9 @@
 """The package calls no numpy sort kernel.
 
-The quadrature driver orders its candidate panels in Python, and the root
-triples are ordered by a compare network (spectrum._sort3), so that none of
-numpy's sort, partition or unique kernels is paged in and the driver's
-choices do not rest on an unstable sort's order among tied errors.  A child
+The quadrature driver bisects every panel over its share of the target by
+one boolean mask and orders nothing, and the root triples are ordered by a
+compare network (spectrum._sort3), so that none of numpy's sort, partition
+or unique kernels is paged in.  A child
 interpreter replaces numpy's sort family by functions that record the call
 and raise, then runs the norm path, the integral lemmas, the spectrum and
 `mgt verify --quick`; the ndarray methods, which no patch reaches, are
